@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from importlib import resources
 from pathlib import Path
 from typing import NamedTuple
@@ -47,6 +48,10 @@ _AXES = {
     "x": np.array([1.0, 0.0, 0.0]),
     "y": np.array([0.0, 1.0, 0.0]),
     "z": np.array([0.0, 0.0, 1.0]),
+}
+_GENERATORS = {
+    label: DualQuaternion(Quaternion.from_vector(axis), Quaternion.zero())
+    for label, axis in _AXES.items()
 }
 _C8 = c8()
 _C8.setflags(write=False)
@@ -88,7 +93,7 @@ class RobotModel:
         if np.any(self.qd_max <= 0.0):
             raise ValueError("joint velocity limits must be positive")
 
-    @property
+    @cached_property
     def dof(self) -> int:
         return sum(1 for e in self.elements if e.axis is not None)
 
@@ -119,18 +124,42 @@ def _check_q(model: RobotModel, q) -> np.ndarray:
     return q
 
 
-def forward_kinematics(model: RobotModel, q) -> UnitDualQuaternion:
-    """End-effector pose as the ordered product of the chain elements."""
-    q = _check_q(model, q)
-    # accumulate through plain products, validate unit norm once at the end
+def _walk_chain(model: RobotModel, q: np.ndarray):
+    """One pass over the chain: x_eff and (P_j, axis label) per joint.
+
+    The ordered product accumulates through plain products and is checked
+    for unit norm once at the end; the joint pose P_j includes joint j's own
+    rotation.
+    """
     x: DualQuaternion = DualQuaternion.identity()
+    joint_poses: list[tuple[DualQuaternion, str]] = []
     j = 0
     for elem in model.elements:
         x = x * DualQuaternion(elem.offset.primary, elem.offset.dual)
         if elem.axis is not None:
             x = x * DualQuaternion(_joint_rotation(elem.axis, q[j]), Quaternion.zero())
+            joint_poses.append((x, elem.axis))
             j += 1
-    return UnitDualQuaternion(x.primary, x.dual)
+    return UnitDualQuaternion(x.primary, x.dual), joint_poses
+
+
+def _jacobian(x_eff: UnitDualQuaternion,
+              joint_poses: list[tuple[DualQuaternion, str]]) -> np.ndarray:
+    """J = (1/2) H8^-(x_eff) [vec8(l_j)] with l_j = P_j a_j P_j^* the world axis.
+
+    The pose derivative w.r.t. joint j is (1/2) P_j a_j S_j for the suffix
+    product S_j, and P_j S_j = x_eff with P_j unit, so it equals
+    (1/2) l_j x_eff.
+    """
+    lines = np.empty((8, len(joint_poses)))
+    for j, (pose, axis) in enumerate(joint_poses):
+        lines[:, j] = (pose * _GENERATORS[axis] * pose.conjugate()).vec8()
+    return 0.5 * hamilton_minus8(x_eff) @ lines
+
+
+def forward_kinematics(model: RobotModel, q) -> UnitDualQuaternion:
+    """End-effector pose as the ordered product of the chain elements."""
+    return _walk_chain(model, _check_q(model, q))[0]
 
 
 def pose_jacobian(model: RobotModel, q) -> np.ndarray:
@@ -139,39 +168,7 @@ def pose_jacobian(model: RobotModel, q) -> np.ndarray:
     Column j is vec8 of the pose derivative w.r.t. joint j, using
     d/dq R(q) = (1/2) * axis * R(q) inside the chain product.
     """
-    q = _check_q(model, q)
-    nodes: list[DualQuaternion] = []
-    joint_at: list[int | None] = []
-    j = 0
-    for elem in model.elements:
-        node = elem.offset
-        if elem.axis is not None:
-            rot = _joint_rotation(elem.axis, q[j])
-            node = node * UnitDualQuaternion(rot, Quaternion.zero())
-            joint_at.append(j)
-            j += 1
-        else:
-            joint_at.append(None)
-        nodes.append(node)
-
-    n = len(nodes)
-    prefix: list[DualQuaternion] = [DualQuaternion.identity()]
-    for node in nodes:
-        prefix.append(prefix[-1] * node)
-    suffix: list[DualQuaternion] = [DualQuaternion.identity()] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        suffix[i] = nodes[i] * suffix[i + 1]
-
-    jac = np.zeros((8, model.dof))
-    for i, elem in enumerate(nodes):
-        col = joint_at[i]
-        if col is None:
-            continue
-        axis = _AXES[model.elements[i].axis]
-        gen = DualQuaternion(Quaternion(0.0, *axis), Quaternion.zero())
-        deriv = prefix[i + 1] * gen * suffix[i + 1]
-        jac[:, col] = 0.5 * deriv.vec8()
-    return jac
+    return _jacobian(*_walk_chain(model, _check_q(model, q)))
 
 
 def pose_error(x_d: UnitDualQuaternion, x_eff: UnitDualQuaternion) -> DualQuaternion:
@@ -205,9 +202,9 @@ def inner_control(model: RobotModel, q, x_d: UnitDualQuaternion,
     gain = np.asarray(gain, dtype=float)
     if gain.shape != (8, 8):
         raise ValueError("gain matrix must be 8x8")
-    x_eff = forward_kinematics(model, q)
+    x_eff, joint_poses = _walk_chain(model, q)
     err = pose_error(x_d, x_eff)
-    jac = pose_jacobian(model, q)
+    jac = _jacobian(x_eff, joint_poses)
     task = hamilton_minus8(x_d) @ _C8 @ jac
 
     u_svd, sigma, vt = np.linalg.svd(task, full_matrices=False)

@@ -193,6 +193,58 @@ class QpProblem:
     v: np.ndarray
 
 
+def _interleave(minus: np.ndarray, plus: np.ndarray) -> np.ndarray:
+    """Rows of `minus` then of `plus`, alternating per 6-row block."""
+    blocks = (-1, N_AXES) + minus.shape[1:]
+    pair = np.stack([minus.reshape(blocks), plus.reshape(blocks)], axis=1)
+    return pair.reshape((2 * minus.shape[0],) + minus.shape[1:])
+
+
+@dataclass(frozen=True)
+class _StaticQp:
+    """The QP parts fixed by horizons, weights and limits: E, W, V at zero offset."""
+
+    n_c: int
+    e: np.ndarray
+    w: np.ndarray
+    v_zero: np.ndarray
+    phi_t_q: np.ndarray  # Phi^T Q
+    f_mat: np.ndarray
+
+
+def _static_qp(prediction: PredictionMatrices, cfg: MpcConfig,
+               limits: LimitSet) -> _StaticQp:
+    n_c = cfg.n_c
+    phi = prediction.phi
+    phi_t_q = phi.T @ cfg.output_weight()
+    e = phi_t_q @ phi + cfg.effort_weight()
+    e = 0.5 * (e + e.T)
+    n_dec = N_AXES * n_c
+    rows = np.vstack([np.eye(n_dec), _summation_matrix(n_c), phi[:n_dec]])
+    T = cfg.sample_time
+    lo = np.concatenate([np.tile(b, n_c) for b in
+                         (T * limits.jerk_min, limits.acc_min, limits.vel_min)])
+    hi = np.concatenate([np.tile(b, n_c) for b in
+                         (T * limits.jerk_max, limits.acc_max, limits.vel_max)])
+    return _StaticQp(n_c, e, _interleave(-rows, rows), _interleave(-lo, hi),
+                     phi_t_q, prediction.f)
+
+
+def _tick_qp(static: _StaticQp, state: np.ndarray, setpoint: np.ndarray,
+             u_prev: np.ndarray) -> QpProblem:
+    """Add the state-dependent f and row offsets to the static parts.
+
+    The offsets are 0 (jerk), u_prev (acceleration) and the free response
+    F state (velocity): -rows gain +offset, +rows gain -offset.
+    """
+    n_c, f_mat = static.n_c, static.f_mat
+    n_dec = N_AXES * n_c
+    f = -static.phi_t_q @ (setpoint - f_mat @ state)
+    offset = np.concatenate([np.zeros(n_dec), np.tile(u_prev, n_c),
+                             f_mat[:n_dec] @ state])
+    return QpProblem(static.e, f, static.w, static.v_zero + _interleave(offset, -offset))
+
+
 def build_qp(state, setpoint, prediction: PredictionMatrices, cfg: MpcConfig,
              limits: LimitSet, u_prev) -> QpProblem:
     """Assemble the tracking QP for the current augmented state.
@@ -213,41 +265,8 @@ def build_qp(state, setpoint, prediction: PredictionMatrices, cfg: MpcConfig,
     u_prev = np.asarray(u_prev, dtype=float).reshape(-1)
     if u_prev.shape != (N_AXES,):
         raise ValueError(f"u_prev must have {N_AXES} components")
-    n_c = cfg.n_c
-    T = cfg.sample_time
-    q_mpc = cfg.output_weight()
-    r_mpc = cfg.effort_weight()
-    phi, f_mat = prediction.phi, prediction.f
-
-    e = phi.T @ q_mpc @ phi + r_mpc
-    e = 0.5 * (e + e.T)
-    f = -phi.T @ q_mpc @ (np.asarray(setpoint, dtype=float) - f_mat @ state)
-
-    n_dec = N_AXES * n_c
-    eye = np.eye(n_dec)
-    s_mat = _summation_matrix(n_c)
-    phi_head = phi[:n_dec]
-    free = f_mat[:n_dec] @ state  # predicted outputs for dU = 0
-
-    def stack(rows_pos, lo_bound, hi_bound, offset):
-        # interleave (-row <= -(lo - offset), +row <= hi - offset) per block
-        w_rows = np.empty((2 * n_dec, n_dec))
-        v_rows = np.empty(2 * n_dec)
-        for k in range(n_c):
-            sl = slice(N_AXES * k, N_AXES * (k + 1))
-            blk = rows_pos[sl]
-            off = offset[sl] if offset is not None else 0.0
-            w_rows[2 * N_AXES * k: 2 * N_AXES * k + N_AXES] = -blk
-            v_rows[2 * N_AXES * k: 2 * N_AXES * k + N_AXES] = -(lo_bound - off)
-            w_rows[2 * N_AXES * k + N_AXES: 2 * N_AXES * (k + 1)] = blk
-            v_rows[2 * N_AXES * k + N_AXES: 2 * N_AXES * (k + 1)] = hi_bound - off
-        return w_rows, v_rows
-
-    u_stack = np.tile(u_prev, n_c)
-    w1, v1 = stack(eye, T * limits.jerk_min, T * limits.jerk_max, None)
-    w2, v2 = stack(s_mat, limits.acc_min, limits.acc_max, u_stack)
-    w3, v3 = stack(phi_head, limits.vel_min, limits.vel_max, free)
-    return QpProblem(e, f, np.vstack([w1, w2, w3]), np.concatenate([v1, v2, v3]))
+    return _tick_qp(_static_qp(prediction, cfg, limits), state,
+                    np.asarray(setpoint, dtype=float), u_prev)
 
 
 @dataclass
@@ -396,32 +415,9 @@ class TwistSmoother:
         self.model = build_model(cfg.sample_time)
         self.prediction = build_prediction(self.model, cfg.n_p, cfg.n_c)
         self.state = SmootherState.at_rest(initial_pose)
-        # E and W are constant across ticks; only f and V move.  The probe
-        # QP is built at the rest state, so its V is the zero-offset base.
-        probe = build_qp(np.zeros(AUG_DIM), np.zeros(N_AXES * cfg.n_p),
-                         self.prediction, cfg, limits, np.zeros(N_AXES))
-        self._e = probe.e
-        self._w = probe.w
-        self._v_base = probe.v
-        self._e_inv = np.linalg.inv(probe.e)
-        self._h = (probe.w @ self._e_inv) @ probe.w.T
-        q_mpc = cfg.output_weight()
-        self._phi_t_q = self.prediction.phi.T @ q_mpc
-        self._vel_rows = N_AXES * cfg.n_c
-
-    def _dynamic_qp(self, setpoint: np.ndarray) -> QpProblem:
-        """Refresh only the state-dependent QP pieces (f and V)."""
-        n_c = self.cfg.n_c
-        state, u_prev = self.state.augmented, self.state.u_prev
-        f = -self._phi_t_q @ (setpoint - self.prediction.f @ state)
-        free = (self.prediction.f[:self._vel_rows] @ state).reshape(n_c, N_AXES)
-        v = self._v_base.copy()
-        # minus rows gain +offset, plus rows gain -offset, per block
-        acc = slice(2 * N_AXES * n_c, 4 * N_AXES * n_c)
-        vel = slice(4 * N_AXES * n_c, 6 * N_AXES * n_c)
-        v[acc] += np.tile(np.concatenate([u_prev, -u_prev]), n_c)
-        v[vel] += np.stack([free, -free], axis=1).reshape(-1)
-        return QpProblem(self._e, f, self._w, v)
+        self._static = _static_qp(self.prediction, cfg, limits)
+        self._e_inv = np.linalg.inv(self._static.e)
+        self._h = (self._static.w @ self._e_inv) @ self._static.w.T
 
     @property
     def pose(self) -> UnitDualQuaternion:
@@ -435,7 +431,7 @@ class TwistSmoother:
         """Advance one MPC tick toward the 6-vector reference twist."""
         cfg = self.cfg
         setpoint = build_setpoint(target, cfg.n_p)
-        qp = self._dynamic_qp(setpoint)
+        qp = _tick_qp(self._static, self.state.augmented, setpoint, self.state.u_prev)
         sol = solve_qp(qp, e_inv=self._e_inv, h=self._h)
         du = sol.delta_u[:N_AXES]
 

@@ -2,12 +2,31 @@
 
 Everything here is derived from first principles (basis-product axioms,
 rotation-matrix formulas, exhaustive enumeration) so the expected values do
-not depend on the code paths under test.
+not depend on the code paths under test.  The kinematics references are the
+exception: they use the library's algebra classes, but in the textbook form
+(a plain chain product, the product-rule Jacobian over prefix and suffix
+products, the control law composed from the public functions), so they do
+not share the single chain walk of ``screwmpc.kinematics``.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from screwmpc.dualquat import (
+    DualQuaternion,
+    Quaternion,
+    UnitDualQuaternion,
+    c8,
+    hamilton_minus8,
+)
+from screwmpc.kinematics import (
+    DLS_DAMPING,
+    SV_CUTOFF,
+    forward_kinematics,
+    pose_error,
+    pose_jacobian,
+)
 
 # ---------------------------------------------------------------------------
 # Dual quaternion basis algebra: basis order [1, i, j, k, e, ei, ej, ek]
@@ -178,3 +197,81 @@ def qp_enumeration_oracle(e, f, w, v):
         if obj < best_obj:
             best_x, best_obj = x, obj
     return best_x, best_obj
+
+
+# ---------------------------------------------------------------------------
+# Kinematics references
+
+_AXIS_VECTORS = {"x": (1.0, 0.0, 0.0), "y": (0.0, 1.0, 0.0), "z": (0.0, 0.0, 1.0)}
+
+
+def _joint_node(axis: str, angle: float) -> UnitDualQuaternion:
+    return UnitDualQuaternion(Quaternion.from_axis_angle(_AXIS_VECTORS[axis], angle),
+                              Quaternion.zero())
+
+
+def chain_product_oracle(model, q) -> UnitDualQuaternion:
+    """Plain ordered product: each offset, then its joint rotation if any."""
+    x = UnitDualQuaternion.identity()
+    j = 0
+    for elem in model.elements:
+        x = x * elem.offset
+        if elem.axis is not None:
+            x = x * _joint_node(elem.axis, q[j])
+            j += 1
+    return x
+
+
+def pose_jacobian_oracle(model, q) -> np.ndarray:
+    """Product-rule Jacobian: column j = (1/2) vec8(prefix_j * a_j * suffix_j).
+
+    prefix_j is the chain product up to and including joint j's rotation,
+    suffix_j the product of every element after it.
+    """
+    nodes: list[DualQuaternion] = []
+    joint_at: list[int | None] = []
+    j = 0
+    for elem in model.elements:
+        node = elem.offset
+        if elem.axis is not None:
+            node = node * _joint_node(elem.axis, q[j])
+            joint_at.append(j)
+            j += 1
+        else:
+            joint_at.append(None)
+        nodes.append(node)
+
+    n = len(nodes)
+    prefix: list[DualQuaternion] = [DualQuaternion.identity()]
+    for node in nodes:
+        prefix.append(prefix[-1] * node)
+    suffix: list[DualQuaternion] = [DualQuaternion.identity()] * (n + 1)
+    for i in range(n - 1, -1, -1):
+        suffix[i] = nodes[i] * suffix[i + 1]
+
+    jac = np.zeros((8, model.dof))
+    for i, col in enumerate(joint_at):
+        if col is None:
+            continue
+        axis = _AXIS_VECTORS[model.elements[i].axis]
+        gen = DualQuaternion(Quaternion(0.0, *axis), Quaternion.zero())
+        jac[:, col] = 0.5 * (prefix[i + 1] * gen * suffix[i + 1]).vec8()
+    return jac
+
+
+def control_law_oracle(model, q, x_d, gain) -> tuple[np.ndarray, bool]:
+    """qdot = -(H8(x_d) C8 J)^+ K vec8(e) from the public FK and Jacobian.
+
+    Pseudo-inverse with singular-value cutoff, or damped least squares when
+    the nominal task rank min(dof, 6) collapses; returns (qdot, singular).
+    """
+    err = pose_error(x_d, forward_kinematics(model, q))
+    task = hamilton_minus8(x_d) @ c8() @ pose_jacobian(model, q)
+    u_svd, sigma, vt = np.linalg.svd(task, full_matrices=False)
+    singular = bool(sigma[min(model.dof, 6) - 1] < SV_CUTOFF)
+    if singular:
+        inv_sigma = sigma / (sigma * sigma + DLS_DAMPING * DLS_DAMPING)
+    else:
+        inv_sigma = np.array([1.0 / s if s >= SV_CUTOFF else 0.0 for s in sigma])
+    task_pinv = vt.T @ np.diag(inv_sigma) @ u_svd.T
+    return -task_pinv @ (gain @ err.vec8()), singular

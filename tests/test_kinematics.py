@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from screwmpc.dualquat import DualQuaternion, Quaternion, UnitDualQuaternion, c8, hamilton_minus8
 from screwmpc.kinematics import (
@@ -15,7 +17,14 @@ from screwmpc.kinematics import (
     pose_jacobian,
 )
 
-from helpers import pose_to_matrix, quat_to_rotmat, random_pose_vec8
+from helpers import (
+    chain_product_oracle,
+    control_law_oracle,
+    pose_jacobian_oracle,
+    pose_to_matrix,
+    quat_to_rotmat,
+    random_pose_vec8,
+)
 
 READY_Q = np.array([0.0, -math.pi / 4, 0.0, -3 * math.pi / 4, 0.0,
                     math.pi / 2, math.pi / 4])
@@ -24,6 +33,28 @@ READY_Q = np.array([0.0, -math.pi / 4, 0.0, -3 * math.pi / 4, 0.0,
 @pytest.fixture(scope="module")
 def panda():
     return load_robot_model(packaged_model_path())
+
+
+def two_joint_chain() -> RobotModel:
+    """Two z joints on one line, 0.2 m apart along it: task rank 1 at every q."""
+    trans = UnitDualQuaternion.from_rotation_translation(Quaternion.identity(),
+                                                         [0.0, 0.0, 0.2])
+    return RobotModel(
+        (ChainElement(UnitDualQuaternion.identity(), "z"),
+         ChainElement(trans, "z")),
+        -np.ones(2) * 3, np.ones(2) * 3, np.ones(2) * 2)
+
+
+def joint_vectors(model: RobotModel):
+    """Joint vectors inside the model's position box."""
+    return st.tuples(*(st.floats(lo, hi) for lo, hi in zip(model.q_min, model.q_max))
+                     ).map(np.array)
+
+
+REFERENCE_MODELS = {
+    "panda": load_robot_model(packaged_model_path()),
+    "two_joint": two_joint_chain(),
+}
 
 
 def single_joint_model(axis="z", offset=None) -> RobotModel:
@@ -218,17 +249,49 @@ def test_inner_control_pinv_contract(panda):
 
 
 def test_inner_control_singularity_flag():
-    # outstretched two-joint chain about parallel axes: task rank collapses
-    trans = UnitDualQuaternion.from_rotation_translation(Quaternion.identity(),
-                                                         [0.0, 0.0, 0.2])
-    model = RobotModel(
-        (ChainElement(UnitDualQuaternion.identity(), "z"),
-         ChainElement(trans, "z")),
-        -np.ones(2) * 3, np.ones(2) * 3, np.ones(2) * 2)
+    model = two_joint_chain()
     x_d = forward_kinematics(model, [0.1, 0.1])
     cmd = inner_control(model, np.zeros(2), x_d, 10.0 * np.eye(8))
     assert cmd.singular
     assert np.all(np.isfinite(cmd.qdot))
+
+
+# ---------------------------------------------------------------------------
+# single chain walk against the textbook references
+
+
+@pytest.mark.parametrize("name", REFERENCE_MODELS)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_fk_equals_plain_chain_product(name, data):
+    model = REFERENCE_MODELS[name]
+    q = data.draw(joint_vectors(model))
+    np.testing.assert_array_equal(forward_kinematics(model, q).vec8(),
+                                  chain_product_oracle(model, q).vec8())
+
+
+@pytest.mark.parametrize("name", REFERENCE_MODELS)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_jacobian_matches_product_rule_oracle(name, data):
+    model = REFERENCE_MODELS[name]
+    q = data.draw(joint_vectors(model))
+    np.testing.assert_allclose(pose_jacobian(model, q), pose_jacobian_oracle(model, q),
+                               rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("name", REFERENCE_MODELS)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_inner_control_matches_composed_law(name, data):
+    model = REFERENCE_MODELS[name]
+    q = data.draw(joint_vectors(model))
+    x_d = forward_kinematics(model, data.draw(joint_vectors(model)))
+    gain = 10.0 * np.eye(8)
+    cmd = inner_control(model, q, x_d, gain)
+    qdot, singular = control_law_oracle(model, q, x_d, gain)
+    assert cmd.singular == singular
+    np.testing.assert_allclose(cmd.qdot, qdot, rtol=1e-12, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from screwmpc.dualquat import UnitDualQuaternion
 from screwmpc.mpc import (
@@ -213,6 +216,30 @@ def test_qp_constraint_rows_tiny_instance():
     np.testing.assert_allclose(free, np.full(6, 0.25))
     np.testing.assert_allclose(qp.v[24:30], np.full(6, 1.0 + 0.25))
     np.testing.assert_allclose(qp.v[30:36], np.full(6, 1.0 - 0.25))
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_smoother_step_solves_build_qp(data):
+    # the smoother's per-tick QP is the public build_qp, bit for bit
+    n_p = data.draw(st.integers(1, 12), label="n_p")
+    n_c = data.draw(st.integers(1, min(n_p, 4)), label="n_c")
+    cfg = MpcConfig(n_c=n_c, n_p=n_p, sample_time=0.009,
+                    q_weight=data.draw(arrays(float, 6, elements=st.floats(0.0, 5.0))),
+                    r_weight=data.draw(arrays(float, 6, elements=st.floats(0.01, 5.0))))
+    acc = data.draw(st.floats(0.5, 10.0), label="acc")
+    limits = limits_of(vel=data.draw(st.none() | st.floats(0.1, 2.0), label="vel"),
+                       acc=acc, jerk=data.draw(st.floats(5.0, 100.0), label="jerk"))
+    state = data.draw(arrays(float, AUG_DIM, elements=st.floats(-1.0, 1.0)), label="state")
+    u_prev = data.draw(arrays(float, 6, elements=st.floats(-acc, acc)), label="u_prev")
+    target = data.draw(arrays(float, 6, elements=st.floats(-2.0, 2.0)), label="target")
+
+    smoother = TwistSmoother(cfg, limits, UnitDualQuaternion.identity())
+    smoother.state = SmootherState(state.copy(), u_prev.copy(), smoother.pose)
+    pred = build_prediction(build_model(cfg.sample_time), n_p, n_c)
+    expected = solve_qp(build_qp(state, build_setpoint(target, n_p), pred, cfg,
+                                 limits, u_prev))
+    assert np.array_equal(smoother.step(target).delta_u, expected.delta_u[:6])
 
 
 def test_limitset_validation():
