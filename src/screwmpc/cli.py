@@ -58,7 +58,7 @@ def _random_keypoints(cfg: RunConfig, count: int, seed: int):
 
 
 def _keypoints_for(cfg: RunConfig, args) -> list:
-    if getattr(args, "random", None):
+    if args.random is not None:
         if args.random < 2:
             raise ValueError("--random needs at least 2 keypoints")
         return _random_keypoints(cfg, args.random, args.seed)
@@ -79,7 +79,7 @@ def cmd_plan(args) -> int:
     out = _out_dir(cfg, args)
     path = generate_path(keypoints, cfg.samples_per_segment, cfg.sample_time_s)
     twists = reference_twists(path)
-    if getattr(args, "random", None):
+    if args.random is not None:
         write_keypoints(out / "keypoints.txt", keypoints)
     write_path_csv(out / "path.csv", path)
     write_twists_csv(out / "twists.csv", twists)

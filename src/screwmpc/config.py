@@ -110,10 +110,20 @@ class RunConfig:
             raise ValueError("stop_tol must be positive")
         if self.max_duration_s <= 0.0:
             raise ValueError("max_duration_s must be positive")
+        if self.sample_time_s <= 0.0:
+            raise ValueError("sample_time_s must be positive")
         if self.inner_rate_hz < 1.0 / self.sample_time_s:
             raise ValueError(
                 "inner loop must run at least as fast as the MPC: "
                 f"{self.inner_rate_hz} Hz < {1.0 / self.sample_time_s:.3f} Hz"
+            )
+        ticks = self.sample_time_s * self.inner_rate_hz
+        frac = ticks % 1.0
+        if not min(frac, 1.0 - frac) <= 1e-9 * ticks:  # also rejects inf and nan
+            raise ValueError(
+                "inner loop must divide the MPC tick into whole inner ticks: "
+                f"inner_rate_hz = {self.inner_rate_hz} Hz times "
+                f"sample_time_s = {self.sample_time_s} s is {ticks:.6g}"
             )
 
     @property

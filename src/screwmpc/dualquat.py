@@ -169,7 +169,8 @@ class DualQuaternion:
         v = np.asarray(v, dtype=float)
         if v.shape != (8,):
             raise ValueError(f"vec8 must have 8 coefficients, got shape {v.shape}")
-        return cls(Quaternion.from_array(v[:4]), Quaternion.from_array(v[4:]))
+        w, x, y, z, dw, dx, dy, dz = v.tolist()
+        return cls(Quaternion(w, x, y, z), Quaternion(dw, dx, dy, dz))
 
     def vec8(self) -> np.ndarray:
         p, d = self.primary, self.dual
@@ -260,11 +261,6 @@ class UnitDualQuaternion(DualQuaternion):
             raise ValueError("rotation quaternion must be unit")
         dual = Quaternion.from_vector(p) * r * 0.5
         return cls(r, dual)
-
-    @classmethod
-    def from_vec8(cls, v) -> "UnitDualQuaternion":
-        h = DualQuaternion.from_vec8(v)
-        return cls(h.primary, h.dual)
 
     def rotation(self) -> Quaternion:
         return self.primary

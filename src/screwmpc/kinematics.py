@@ -5,7 +5,9 @@ offset optionally followed by a revolute rotation about a local axis.  The
 end-effector pose is the ordered product of the elements; the 8x7 pose
 Jacobian maps joint rates to the time derivative of the vec8 pose
 coefficients.  The inner loop commands joint rates from the conjugation
-error e = 1 - x_d^* x_eff through a damped pseudo-inverse.
+error e = 1 - x_d^* x_eff through a damped pseudo-inverse.  All three run
+on stacked 8x8 Hamilton matrices in numpy, one chain pass per call; the
+algebra classes of ``screwmpc.dualquat`` only wrap the inputs and outputs.
 
 Robot geometry is data, not code: models load from a text file listing,
 per joint, the fixed offset (vec8), the rotation axis label and the
@@ -15,7 +17,6 @@ from the manufacturer's public kinematic parameters.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from importlib import resources
@@ -24,13 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dualquat import (
-    DualQuaternion,
-    Quaternion,
-    UnitDualQuaternion,
-    c8,
-    hamilton_minus8,
-)
+from .dualquat import DualQuaternion, UnitDualQuaternion, c8, hamilton_minus8
 
 __all__ = [
     "ChainElement",
@@ -49,15 +44,35 @@ _AXES = {
     "y": np.array([0.0, 1.0, 0.0]),
     "z": np.array([0.0, 0.0, 1.0]),
 }
-_GENERATORS = {
-    label: DualQuaternion(Quaternion.from_vector(axis), Quaternion.zero())
-    for label, axis in _AXES.items()
-}
-_C8 = c8()
-_C8.setflags(write=False)
+# Diagonal of C8: vec8(h^*) = _CONJ * vec8(h).
+_CONJ = np.diag(c8())
+_CONJ.setflags(write=False)
+_EYE8 = np.eye(8)
+_EYE8.setflags(write=False)
+# H8^-(h) C8 is linear in vec8(h): row i holds its 64 entries for h = e_i, so
+# vec8(h) @ _TASK_BASIS is H8^-(h) C8 flattened (each entry a single signed term).
+_TASK_BASIS = np.array([(hamilton_minus8(DualQuaternion.from_vec8(e)) * _CONJ).ravel()
+                        for e in _EYE8])
+_TASK_BASIS.setflags(write=False)
 
 SV_CUTOFF = 1e-8
 DLS_DAMPING = 1e-4
+
+
+def _hamilton_plus8(v: np.ndarray) -> np.ndarray:
+    """8x8 left Hamilton operator of h = vec8 v: vec8(h*b) = H8^+(h) @ vec8(b)."""
+    def plus4(w, x, y, z):
+        return np.array([
+            [w, -x, -y, -z],
+            [x,  w, -z,  y],
+            [y,  z,  w, -x],
+            [z, -y,  x,  w],
+        ])
+
+    out = np.zeros((8, 8))
+    out[:4, :4] = out[4:, 4:] = plus4(*v[:4])
+    out[4:, :4] = plus4(*v[4:])
+    return out
 
 
 @dataclass(frozen=True)
@@ -97,6 +112,31 @@ class RobotModel:
     def dof(self) -> int:
         return sum(1 for e in self.elements if e.axis is not None)
 
+    @cached_property
+    def _chain(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per-joint Hamilton matrices M_j, K_j (dof x 8 x 8) and the flange column.
+
+        F_j is the product of the fixed offsets from just after joint j-1's
+        rotation up to and including joint j's own offset; M_j = H8^+(F_j)
+        and K_j = M_j H8^+(a_j) for the joint axis a_j, so that
+        H8^+(F_j R_j(q)) = cos(q/2) M_j + sin(q/2) K_j.  The flange column is
+        vec8 of the product of the offsets after the last joint.
+        """
+        folded = np.eye(8)
+        m, k = [], []
+        for elem in self.elements:
+            folded = folded @ _hamilton_plus8(elem.offset.vec8())
+            if elem.axis is not None:
+                axis = np.concatenate([[0.0], _AXES[elem.axis], np.zeros(4)])
+                m.append(folded)
+                k.append(folded @ _hamilton_plus8(axis))
+                folded = np.eye(8)
+        chain = (np.array(m).reshape(-1, 8, 8), np.array(k).reshape(-1, 8, 8),
+                 folded[:, 0].copy())  # H8^+(F) e_1 = vec8(F)
+        for arr in chain:
+            arr.setflags(write=False)
+        return chain
+
     def clamp_position(self, q: np.ndarray) -> np.ndarray:
         return np.clip(q, self.q_min, self.q_max)
 
@@ -108,13 +148,6 @@ class RobotModel:
         return qd
 
 
-def _joint_rotation(axis: str, angle: float) -> Quaternion:
-    a = _AXES[axis]
-    half = angle / 2.0
-    s = math.sin(half)
-    return Quaternion(math.cos(half), s * a[0], s * a[1], s * a[2])
-
-
 def _check_q(model: RobotModel, q) -> np.ndarray:
     q = np.asarray(q, dtype=float).reshape(-1)
     if q.shape != (model.dof,):
@@ -124,42 +157,52 @@ def _check_q(model: RobotModel, q) -> np.ndarray:
     return q
 
 
-def _walk_chain(model: RobotModel, q: np.ndarray):
-    """One pass over the chain: x_eff and (P_j, axis label) per joint.
+def _pose_and_jacobian(model: RobotModel, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One pass over the chain: vec8(x_eff) and the 8 x dof pose Jacobian.
 
-    The ordered product accumulates through plain products and is checked
-    for unit norm once at the end; the joint pose P_j includes joint j's own
-    rotation.
+    Joint j's element is G_j = H8^+(F_j R_j(q_j)) = cos(q_j/2) M_j + sin(q_j/2) K_j
+    (see ``RobotModel._chain``), so the chain product is G_0 ... G_{n-1} f
+    for the flange column f.  With prefix products P_j = G_0 ... G_{j-1}
+    and suffix vectors s_j = G_j ... G_{n-1} f, x_eff = s_0 and column j of
+    the Jacobian is P_j dG_j s_{j+1}, where dG_j = d G_j / d q_j.
     """
-    x: DualQuaternion = DualQuaternion.identity()
-    joint_poses: list[tuple[DualQuaternion, str]] = []
-    j = 0
-    for elem in model.elements:
-        x = x * DualQuaternion(elem.offset.primary, elem.offset.dual)
-        if elem.axis is not None:
-            x = x * DualQuaternion(_joint_rotation(elem.axis, q[j]), Quaternion.zero())
-            joint_poses.append((x, elem.axis))
-            j += 1
-    return UnitDualQuaternion(x.primary, x.dual), joint_poses
+    m, k, flange = model._chain
+    half = 0.5 * q
+    c = np.cos(half)[:, None, None]
+    s = np.sin(half)[:, None, None]
+    g = list(c * m + s * k)
+    dg = 0.5 * (c * k - s * m)
+    prefix = [_EYE8]
+    for gj in g[:-1]:
+        prefix.append(prefix[-1].dot(gj))
+    suffix = [flange]
+    for gj in reversed(g):
+        suffix.append(gj.dot(suffix[-1]))
+    suffix.reverse()
+    jac = np.matmul(prefix, np.matmul(dg, np.array(suffix[1:]).reshape(-1, 8, 1)))
+    return suffix[0], jac[:, :, 0].T
 
 
-def _jacobian(x_eff: UnitDualQuaternion,
-              joint_poses: list[tuple[DualQuaternion, str]]) -> np.ndarray:
-    """J = (1/2) H8^-(x_eff) [vec8(l_j)] with l_j = P_j a_j P_j^* the world axis.
+def _task_map(x_d8: np.ndarray) -> np.ndarray:
+    """H8^-(x_d) C8 from vec8(x_d)."""
+    return (x_d8 @ _TASK_BASIS).reshape(8, 8)
 
-    The pose derivative w.r.t. joint j is (1/2) P_j a_j S_j for the suffix
-    product S_j, and P_j S_j = x_eff with P_j unit, so it equals
-    (1/2) l_j x_eff.
+
+def _error8(task_map: np.ndarray, x_d8: np.ndarray, x_eff8: np.ndarray) -> np.ndarray:
+    """vec8(1 - x_d^* x_eff) from task_map = H8^-(x_d) C8, double-cover aligned.
+
+    (x_d^* x_eff)^* = x_eff^* x_d, so vec8(x_d^* x_eff) = C8 H8^-(x_d) C8 vec8(x_eff).
     """
-    lines = np.empty((8, len(joint_poses)))
-    for j, (pose, axis) in enumerate(joint_poses):
-        lines[:, j] = (pose * _GENERATORS[axis] * pose.conjugate()).vec8()
-    return 0.5 * hamilton_minus8(x_eff) @ lines
+    if x_d8 @ x_eff8 < 0.0:
+        x_eff8 = -x_eff8
+    err = -_CONJ * (task_map @ x_eff8)
+    err[0] += 1.0
+    return err
 
 
 def forward_kinematics(model: RobotModel, q) -> UnitDualQuaternion:
     """End-effector pose as the ordered product of the chain elements."""
-    return _walk_chain(model, _check_q(model, q))[0]
+    return UnitDualQuaternion.from_vec8(_pose_and_jacobian(model, _check_q(model, q))[0])
 
 
 def pose_jacobian(model: RobotModel, q) -> np.ndarray:
@@ -168,7 +211,7 @@ def pose_jacobian(model: RobotModel, q) -> np.ndarray:
     Column j is vec8 of the pose derivative w.r.t. joint j, using
     d/dq R(q) = (1/2) * axis * R(q) inside the chain product.
     """
-    return _jacobian(*_walk_chain(model, _check_q(model, q)))
+    return _pose_and_jacobian(model, _check_q(model, q))[1]
 
 
 def pose_error(x_d: UnitDualQuaternion, x_eff: UnitDualQuaternion) -> DualQuaternion:
@@ -177,9 +220,8 @@ def pose_error(x_d: UnitDualQuaternion, x_eff: UnitDualQuaternion) -> DualQuater
     x_eff is negated first when <vec8(x_d), vec8(x_eff)> < 0, so identical
     poses always give e = 0.
     """
-    if float(x_d.vec8() @ x_eff.vec8()) < 0.0:
-        x_eff = -x_eff
-    return DualQuaternion.identity() - x_d.conjugate() * x_eff
+    x_d8 = x_d.vec8()
+    return DualQuaternion.from_vec8(_error8(_task_map(x_d8), x_d8, x_eff.vec8()))
 
 
 class ControlCommand(NamedTuple):
@@ -202,10 +244,12 @@ def inner_control(model: RobotModel, q, x_d: UnitDualQuaternion,
     gain = np.asarray(gain, dtype=float)
     if gain.shape != (8, 8):
         raise ValueError("gain matrix must be 8x8")
-    x_eff, joint_poses = _walk_chain(model, q)
-    err = pose_error(x_d, x_eff)
-    jac = _jacobian(x_eff, joint_poses)
-    task = hamilton_minus8(x_d) @ _C8 @ jac
+    x_eff8, jac = _pose_and_jacobian(model, q)
+    UnitDualQuaternion.from_vec8(x_eff8)  # raises if the chain product drifted off unit
+    x_d8 = x_d.vec8()
+    task_map = _task_map(x_d8)
+    err = _error8(task_map, x_d8, x_eff8)
+    task = task_map @ jac
 
     u_svd, sigma, vt = np.linalg.svd(task, full_matrices=False)
     nominal_rank = min(model.dof, 6)
@@ -214,8 +258,8 @@ def inner_control(model: RobotModel, q, x_d: UnitDualQuaternion,
         inv_sigma = sigma / (sigma * sigma + DLS_DAMPING * DLS_DAMPING)
     else:
         inv_sigma = np.where(sigma >= SV_CUTOFF, 1.0 / np.where(sigma > 0, sigma, 1.0), 0.0)
-    task_pinv = vt.T @ np.diag(inv_sigma) @ u_svd.T
-    qdot = -task_pinv @ (gain @ err.vec8())
+    task_pinv = (vt.T * inv_sigma) @ u_svd.T
+    qdot = -task_pinv @ (gain @ err)
     return ControlCommand(qdot, singular)
 
 

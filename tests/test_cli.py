@@ -84,6 +84,29 @@ def test_config_rate_contract_validation(tmp_path):
         load_config(f)
 
 
+@pytest.mark.parametrize("rate", ["1500", "inf", "nan"])
+def test_config_rejects_inner_rate_not_dividing_mpc_tick(tmp_path, capsys, rate):
+    f = write_cfg(tmp_path, f"inner_rate_hz = {rate}\n")
+    with pytest.raises(ValueError, match=rf"{rate}(\.0)? Hz.*sample_time_s = 0\.009 s"):
+        load_config(f)
+    assert main(["simulate", "--config", str(f), "--random", "2",
+                 "--out", str(tmp_path / "out")]) == 1
+    assert "whole inner ticks" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["0", "-0.009"])
+def test_config_rejects_nonpositive_sample_time(tmp_path, value):
+    f = write_cfg(tmp_path, f"sample_time_s = {value}\n")
+    with pytest.raises(ValueError, match="sample_time_s must be positive"):
+        load_config(f)
+
+
+@pytest.mark.parametrize("rate, ticks", [(1000, 9), (2000, 18)])
+def test_config_accepts_inner_rate_dividing_mpc_tick(tmp_path, rate, ticks):
+    cfg = load_config(write_cfg(tmp_path, f"inner_rate_hz = {rate}\n"))
+    assert cfg.inner_ticks_per_mpc == ticks
+
+
 # ---------------------------------------------------------------------------
 # plan
 
@@ -143,6 +166,24 @@ def test_plan_random_keypoints_deterministic(tmp_path):
     b = (tmp_path / "out1" / "path.csv").read_bytes()
     assert a == b
     assert (tmp_path / "out0" / "keypoints.txt").exists()
+
+
+@pytest.mark.parametrize("command", ["plan", "simulate"])
+@pytest.mark.parametrize("with_keypoint_file", [False, True])
+def test_random_count_below_two_is_rejected(tmp_path, capsys, ready_pose,
+                                            command, with_keypoint_file):
+    body = ""
+    if with_keypoint_file:
+        write_keypoints(tmp_path / "kp.txt", [ready_pose, ready_pose])
+        body = "keypoints = kp.txt\n"
+    cfg = write_cfg(tmp_path, body)
+    for count in ("0", "-3"):
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out),
+                     "--random", count]) == 1
+        assert "--random needs at least 2 keypoints" in capsys.readouterr().err
+        assert not (out / "path.csv").exists()
+        assert not (out / "trajectory.csv").exists()
 
 
 def test_plan_determinism(tmp_path, ready_pose):

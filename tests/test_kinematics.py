@@ -266,8 +266,10 @@ def test_inner_control_singularity_flag():
 def test_fk_equals_plain_chain_product(name, data):
     model = REFERENCE_MODELS[name]
     q = data.draw(joint_vectors(model))
-    np.testing.assert_array_equal(forward_kinematics(model, q).vec8(),
-                                  chain_product_oracle(model, q).vec8())
+    # The stacked-matrix walk sums in another order than the plain product:
+    # vec8 entries are <= 1 in magnitude, 16 products add a few ulp each.
+    np.testing.assert_allclose(forward_kinematics(model, q).vec8(),
+                               chain_product_oracle(model, q).vec8(), rtol=0.0, atol=1e-14)
 
 
 @pytest.mark.parametrize("name", REFERENCE_MODELS)
@@ -292,6 +294,26 @@ def test_inner_control_matches_composed_law(name, data):
     qdot, singular = control_law_oracle(model, q, x_d, gain)
     assert cmd.singular == singular
     np.testing.assert_allclose(cmd.qdot, qdot, rtol=1e-12, atol=1e-12)
+
+
+def test_hot_path_builds_no_quaternion_products(panda, monkeypatch):
+    # the kinematics run on Hamilton matrices, not on the algebra classes
+    q = READY_Q + 0.1
+    x_d = forward_kinematics(panda, READY_Q)
+    calls = []
+    product = Quaternion.__mul__
+
+    def counted(self, other):
+        calls.append(1)
+        return product(self, other)
+
+    monkeypatch.setattr(Quaternion, "__mul__", counted)
+    inner_control(panda, q, x_d, 10.0 * np.eye(8))
+    forward_kinematics(panda, q)
+    pose_jacobian(panda, q)
+    assert len(calls) == 0
+    Quaternion.identity() * Quaternion.identity()  # the counter itself is live
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------
