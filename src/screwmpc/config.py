@@ -10,6 +10,7 @@ to the file's directory.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -104,8 +105,11 @@ class RunConfig:
     max_duration_s: float = 10.0
     gain: float = 10.0
     q0: np.ndarray = field(default_factory=lambda: np.zeros(7))
+    mpc: MpcConfig = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if not (math.isfinite(self.gain) and self.gain > 0.0):
+            raise ValueError(f"gain must be positive and finite, got {self.gain}")
         if self.stop_tol <= 0.0:
             raise ValueError("stop_tol must be positive")
         if self.max_duration_s <= 0.0:
@@ -125,11 +129,8 @@ class RunConfig:
                 f"inner_rate_hz = {self.inner_rate_hz} Hz times "
                 f"sample_time_s = {self.sample_time_s} s is {ticks:.6g}"
             )
-
-    @property
-    def mpc(self) -> MpcConfig:
-        return MpcConfig(self.n_c, self.n_p, self.sample_time_s,
-                         self.q_weight, self.r_weight)
+        self.mpc = MpcConfig(self.n_c, self.n_p, self.sample_time_s,
+                             self.q_weight, self.r_weight)
 
     @property
     def inner_dt(self) -> float:

@@ -157,28 +157,42 @@ def _check_q(model: RobotModel, q) -> np.ndarray:
     return q
 
 
-def _pose_and_jacobian(model: RobotModel, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One pass over the chain: vec8(x_eff) and the 8 x dof pose Jacobian.
+def _half_angles(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """cos(q_j/2) and sin(q_j/2), shaped (dof, 1, 1) to scale per-joint matrices."""
+    half = 0.5 * q
+    return np.cos(half)[:, None, None], np.sin(half)[:, None, None]
+
+
+def _suffix_vectors(model: RobotModel, c: np.ndarray,
+                    s: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Joint elements G_j and suffix vectors s_j = G_j ... G_{n-1} f, s_n = f.
 
     Joint j's element is G_j = H8^+(F_j R_j(q_j)) = cos(q_j/2) M_j + sin(q_j/2) K_j
     (see ``RobotModel._chain``), so the chain product is G_0 ... G_{n-1} f
-    for the flange column f.  With prefix products P_j = G_0 ... G_{j-1}
-    and suffix vectors s_j = G_j ... G_{n-1} f, x_eff = s_0 and column j of
-    the Jacobian is P_j dG_j s_{j+1}, where dG_j = d G_j / d q_j.
+    for the flange column f, and s_0 = vec8(x_eff).
     """
     m, k, flange = model._chain
-    half = 0.5 * q
-    c = np.cos(half)[:, None, None]
-    s = np.sin(half)[:, None, None]
-    g = list(c * m + s * k)
+    g = c * m + s * k
+    suffix = [flange]
+    for gj in g[::-1]:
+        suffix.append(gj.dot(suffix[-1]))
+    return g, suffix[::-1]
+
+
+def _pose_and_jacobian(model: RobotModel, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One pass over the chain: vec8(x_eff) and the 8 x dof pose Jacobian.
+
+    With the suffix vectors s_j of ``_suffix_vectors`` and prefix products
+    P_j = G_0 ... G_{j-1}, column j of the Jacobian is P_j dG_j s_{j+1},
+    where dG_j = d G_j / d q_j.
+    """
+    m, k, _ = model._chain
+    c, s = _half_angles(q)
+    g, suffix = _suffix_vectors(model, c, s)
     dg = 0.5 * (c * k - s * m)
     prefix = [_EYE8]
     for gj in g[:-1]:
         prefix.append(prefix[-1].dot(gj))
-    suffix = [flange]
-    for gj in reversed(g):
-        suffix.append(gj.dot(suffix[-1]))
-    suffix.reverse()
     jac = np.matmul(prefix, np.matmul(dg, np.array(suffix[1:]).reshape(-1, 8, 1)))
     return suffix[0], jac[:, :, 0].T
 
@@ -202,7 +216,8 @@ def _error8(task_map: np.ndarray, x_d8: np.ndarray, x_eff8: np.ndarray) -> np.nd
 
 def forward_kinematics(model: RobotModel, q) -> UnitDualQuaternion:
     """End-effector pose as the ordered product of the chain elements."""
-    return UnitDualQuaternion.from_vec8(_pose_and_jacobian(model, _check_q(model, q))[0])
+    _, suffix = _suffix_vectors(model, *_half_angles(_check_q(model, q)))
+    return UnitDualQuaternion.from_vec8(suffix[0])
 
 
 def pose_jacobian(model: RobotModel, q) -> np.ndarray:

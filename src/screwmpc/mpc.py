@@ -4,11 +4,13 @@ The plant is the exact zero-order-hold discretization of a double
 integrator driven by the task acceleration: per axis, the state carries the
 integrated twist and the twist itself, and the applied input u is the
 acceleration, so the realized per-step twist difference equals T*u and the
-per-step input increment equals T*jerk.  The model is augmented with
-backward differences for offset-free tracking, predictions are condensed
-into (F, Phi), and each tick solves a dense QP with stacked jerk,
-acceleration and velocity inequality rows via Hildreth's dual
-coordinate-ascent.
+per-step input increment equals T*jerk.  Nothing couples the axes, so the
+smoother models one axis as a 3-state chain augmented with backward
+differences for offset-free tracking, condenses predictions into (F, Phi)
+and each tick solves six independent QPs (stacked jerk, acceleration and
+velocity inequality rows) via Hildreth's dual coordinate-ascent.  The dense
+18-state forms of ``build_model``, ``build_prediction`` and ``build_qp``
+are its Kronecker lifts (x I6).
 
 Twist vectors are ordered [wx, wy, wz, vx, vy, vz] (vec6 of a pure dual
 quaternion).
@@ -39,7 +41,6 @@ __all__ = [
 ]
 
 N_AXES = 6
-PLANT_DIM = 12
 AUG_DIM = 18
 
 DUAL_TOL = 1e-9
@@ -84,7 +85,7 @@ class LimitSet:
 
 @dataclass(frozen=True)
 class MpcConfig:
-    """Horizons, sample time and diagonal weight bases for the smoother."""
+    """Horizons, sample time and per-axis diagonal weights for the smoother."""
 
     n_c: int = 10
     n_p: int = 50
@@ -108,39 +109,37 @@ class MpcConfig:
         object.__setattr__(self, "q_weight", q)
         object.__setattr__(self, "r_weight", r)
 
-    def output_weight(self) -> np.ndarray:
-        """Block-diagonal Q_mpc over the prediction horizon (6n_p x 6n_p)."""
-        return np.kron(np.eye(self.n_p), np.diag(self.q_weight))
 
-    def effort_weight(self) -> np.ndarray:
-        """Block-diagonal R_mpc over the control horizon (6n_c x 6n_c)."""
-        return np.kron(np.eye(self.n_c), np.diag(self.r_weight))
+def _scalar_model(sample_time: float):
+    """One axis's augmented model (3 states: 2 backward differences + output).
 
-
-def build_model(sample_time: float):
-    """Discrete plant and difference-augmented model for one sample time T.
-
-    Plant (12 states): A_m = [[I, T*I], [0, I]], B_m = [[T^2/2*I], [T*I]],
-    exact ZOH of the double integrator; the output picked by C_m is the
-    twist block, whose step-to-step difference is exactly T*u.  Augmented
-    (18 states = 12 backward differences + 6 outputs):
-    A = [[A_m, 0], [C_m A_m, I]], B = [[B_m], [C_m B_m]], C = [0, I].
-    """
+    Plant a_m = [[1, T], [0, 1]], b_m = [T^2/2, T]^T, c_m = [0, 1] (exact ZOH of
+    the double integrator); A = [[a_m, 0], [c_m a_m, 1]], B = [b_m; c_m b_m]."""
     T = float(sample_time)
     if T <= 0.0:
         raise ValueError("sample_time must be positive")
-    eye = np.eye(N_AXES)
-    a_m = np.block([[eye, T * eye], [np.zeros((N_AXES, N_AXES)), eye]])
-    b_m = np.vstack([0.5 * T * T * eye, T * eye])
-    c_m = np.hstack([np.zeros((N_AXES, N_AXES)), eye])
+    a = np.array([[1.0, T, 0.0], [0.0, 1.0, 0.0], [0.0, 1.0, 1.0]])
+    b = np.array([[0.5 * T * T], [T], [T]])
+    c = np.array([[0.0, 0.0, 1.0]])
+    return a, b, c
 
-    a_aug = np.zeros((AUG_DIM, AUG_DIM))
-    a_aug[:PLANT_DIM, :PLANT_DIM] = a_m
-    a_aug[PLANT_DIM:, :PLANT_DIM] = c_m @ a_m
-    a_aug[PLANT_DIM:, PLANT_DIM:] = eye
-    b_aug = np.vstack([b_m, c_m @ b_m])
-    c_aug = np.hstack([np.zeros((N_AXES, PLANT_DIM)), eye])
-    return a_aug, b_aug, c_aug
+
+def _unlift(*dense):
+    """The per-axis matrices whose Kronecker products with I6 are `dense`."""
+    scalar = tuple(m[::N_AXES, ::N_AXES].copy() for m in dense)
+    if not all(np.array_equal(np.kron(s, np.eye(N_AXES)), m) for s, m in zip(scalar, dense)):
+        raise ValueError("matrices must act on each axis alike (kron(scalar, I6))")
+    return scalar
+
+
+def build_model(sample_time: float):
+    """Difference-augmented model for sample time T: the scalar one x I6.
+
+    Plant A_m = [[I, T*I], [0, I]], B_m = [[T^2/2*I], [T*I]], C_m = [0, I];
+    augmented (18 states = 12 backward differences + 6 outputs):
+    A = [[A_m, 0], [C_m A_m, I]], B = [[B_m], [C_m B_m]], C = [0, I].
+    """
+    return tuple(np.kron(m, np.eye(N_AXES)) for m in _scalar_model(sample_time))
 
 
 @dataclass(frozen=True)
@@ -151,23 +150,28 @@ class PredictionMatrices:
     phi: np.ndarray  # (6 n_p, 6 n_c), lower block-triangular
 
 
-def build_prediction(model, n_p: int, n_c: int) -> PredictionMatrices:
-    """Stack C A^k rows into F and the block-Toeplitz convolution into Phi."""
+def _scalar_prediction(model, n_p: int, n_c: int) -> tuple[np.ndarray, np.ndarray]:
+    """Stack C A^k rows into F_s (n_p x 3) and the Toeplitz convolution into Phi_s."""
     a, b, c = model
     if not (1 <= n_c <= n_p):
         raise ValueError(f"need 1 <= n_c <= n_p, got n_c={n_c}, n_p={n_p}")
-    f = np.zeros((N_AXES * n_p, AUG_DIM))
-    markov = np.zeros((N_AXES * n_p, N_AXES))  # row block k holds C A^k B
-    ca = c.copy()
+    f = np.zeros((n_p, a.shape[0]))
+    markov = np.zeros(n_p)  # markov[k] = C A^k B
+    ca = c
     for k in range(n_p):
-        markov[N_AXES * k: N_AXES * (k + 1)] = ca @ b
+        markov[k] = (ca @ b)[0, 0]
         ca = ca @ a
-        f[N_AXES * k: N_AXES * (k + 1)] = ca
-    phi = np.zeros((N_AXES * n_p, N_AXES * n_c))
+        f[k] = ca[0]
+    phi = np.zeros((n_p, n_c))
     for col in range(n_c):
-        rows = N_AXES * (n_p - col)
-        phi[N_AXES * col:, N_AXES * col: N_AXES * (col + 1)] = markov[:rows]
-    return PredictionMatrices(f, phi)
+        phi[col:, col] = markov[:n_p - col]
+    return f, phi
+
+
+def build_prediction(model, n_p: int, n_c: int) -> PredictionMatrices:
+    """F = kron(F_s, I6) and Phi = kron(Phi_s, I6) from the per-axis prediction."""
+    scalar = _scalar_prediction(_unlift(*model), n_p, n_c)
+    return PredictionMatrices(*(np.kron(m, np.eye(N_AXES)) for m in scalar))
 
 
 def build_setpoint(target: np.ndarray, n_p: int) -> np.ndarray:
@@ -178,14 +182,12 @@ def build_setpoint(target: np.ndarray, n_p: int) -> np.ndarray:
     return np.tile(target, n_p)
 
 
-def _summation_matrix(n_c: int) -> np.ndarray:
-    """Lower block-triangular S with S_k @ dU = sum_{j<=k} du_j."""
-    return np.kron(np.tril(np.ones((n_c, n_c))), np.eye(N_AXES))
-
-
 @dataclass(frozen=True)
 class QpProblem:
-    """Dense QP: minimize (1/2) x^T E x + f^T x subject to W x <= V."""
+    """Dense QP: minimize (1/2) x^T E x + f^T x subject to W x <= V.
+
+    k independent problems sharing W stack as e (k, n, n), f (k, n), v (k, m).
+    """
 
     e: np.ndarray
     f: np.ndarray
@@ -193,56 +195,48 @@ class QpProblem:
     v: np.ndarray
 
 
-def _interleave(minus: np.ndarray, plus: np.ndarray) -> np.ndarray:
-    """Rows of `minus` then of `plus`, alternating per 6-row block."""
-    blocks = (-1, N_AXES) + minus.shape[1:]
-    pair = np.stack([minus.reshape(blocks), plus.reshape(blocks)], axis=1)
-    return pair.reshape((2 * minus.shape[0],) + minus.shape[1:])
+def _pair(minus: np.ndarray, plus: np.ndarray) -> np.ndarray:
+    """Rows of `minus` and `plus`, alternating row by row."""
+    return np.stack([minus, plus], axis=1).reshape((-1,) + minus.shape[1:])
 
 
 @dataclass(frozen=True)
-class _StaticQp:
-    """The QP parts fixed by horizons, weights and limits: E, W, V at zero offset."""
+class _AxisQp:
+    """The per-axis QP parts fixed by horizons, weights and limits; W is shared."""
 
-    n_c: int
-    e: np.ndarray
-    w: np.ndarray
-    v_zero: np.ndarray
-    phi_t_q: np.ndarray  # Phi^T Q
-    f_mat: np.ndarray
+    e: np.ndarray        # (6, n_c, n_c)
+    w: np.ndarray        # (6 n_c, n_c)
+    v_zero: np.ndarray   # (6, 6 n_c)
+    phi_t_q: np.ndarray  # (6, n_c, n_p): q_a Phi_s^T
+    f_mat: np.ndarray    # F_s (n_p, 3)
 
 
-def _static_qp(prediction: PredictionMatrices, cfg: MpcConfig,
-               limits: LimitSet) -> _StaticQp:
+def _axis_qp(f_mat: np.ndarray, phi: np.ndarray, cfg: MpcConfig,
+             limits: LimitSet) -> _AxisQp:
     n_c = cfg.n_c
-    phi = prediction.phi
-    phi_t_q = phi.T @ cfg.output_weight()
-    e = phi_t_q @ phi + cfg.effort_weight()
-    e = 0.5 * (e + e.T)
-    n_dec = N_AXES * n_c
-    rows = np.vstack([np.eye(n_dec), _summation_matrix(n_c), phi[:n_dec]])
+    phi_t_q = cfg.q_weight[:, None, None] * phi.T
+    e = phi_t_q @ phi + cfg.r_weight[:, None, None] * np.eye(n_c)
+    e = 0.5 * (e + e.transpose(0, 2, 1))
+    rows = np.vstack([np.eye(n_c), np.tril(np.ones((n_c, n_c))), phi[:n_c]])
     T = cfg.sample_time
-    lo = np.concatenate([np.tile(b, n_c) for b in
-                         (T * limits.jerk_min, limits.acc_min, limits.vel_min)])
-    hi = np.concatenate([np.tile(b, n_c) for b in
-                         (T * limits.jerk_max, limits.acc_max, limits.vel_max)])
-    return _StaticQp(n_c, e, _interleave(-rows, rows), _interleave(-lo, hi),
-                     phi_t_q, prediction.f)
+    lo = np.repeat([T * limits.jerk_min, limits.acc_min, limits.vel_min], n_c, axis=0)
+    hi = np.repeat([T * limits.jerk_max, limits.acc_max, limits.vel_max], n_c, axis=0)
+    return _AxisQp(e, _pair(-rows, rows), _pair(-lo, hi).T.copy(), phi_t_q, f_mat)
 
 
-def _tick_qp(static: _StaticQp, state: np.ndarray, setpoint: np.ndarray,
+def _tick_qp(axis_qp: _AxisQp, state: np.ndarray, setpoint: np.ndarray,
              u_prev: np.ndarray) -> QpProblem:
-    """Add the state-dependent f and row offsets to the static parts.
+    """The stack of six per-axis QPs; column a of state.reshape(3, 6) is axis a's.
 
-    The offsets are 0 (jerk), u_prev (acceleration) and the free response
-    F state (velocity): -rows gain +offset, +rows gain -offset.
+    f_a = -q_a Phi_s^T (setpoint_a - F_s x_a).  The row offsets are 0 (jerk),
+    u_prev (acceleration) and the free response F_s x_a (velocity): -rows
+    gain +offset, +rows gain -offset.
     """
-    n_c, f_mat = static.n_c, static.f_mat
-    n_dec = N_AXES * n_c
-    f = -static.phi_t_q @ (setpoint - f_mat @ state)
-    offset = np.concatenate([np.zeros(n_dec), np.tile(u_prev, n_c),
-                             f_mat[:n_dec] @ state])
-    return QpProblem(static.e, f, static.w, static.v_zero + _interleave(offset, -offset))
+    n_c = axis_qp.e.shape[1]
+    free = axis_qp.f_mat @ state.reshape(-1, N_AXES)
+    f = -(axis_qp.phi_t_q @ (setpoint.reshape(-1, N_AXES) - free).T[:, :, None])[:, :, 0]
+    offset = np.vstack([np.zeros((n_c, N_AXES)), np.tile(u_prev, (n_c, 1)), free[:n_c]])
+    return QpProblem(axis_qp.e, f, axis_qp.w, axis_qp.v_zero + _pair(offset, -offset).T)
 
 
 def build_qp(state, setpoint, prediction: PredictionMatrices, cfg: MpcConfig,
@@ -258,6 +252,9 @@ def build_qp(state, setpoint, prediction: PredictionMatrices, cfg: MpcConfig,
     2. acceleration: +-(u_prev + sum_{j<=k} du_j) <= acc bounds, and
     3. velocity:     +-(F state + Phi dU) output rows for the first n_c
                      prediction blocks <= vel bounds.
+
+    This is the smoother's stack of six per-axis problems, interleaved:
+    variable 6j + a and row 6r + a are axis a's variable j and row r.
     """
     state = np.asarray(state, dtype=float).reshape(-1)
     if state.shape != (AUG_DIM,):
@@ -265,8 +262,11 @@ def build_qp(state, setpoint, prediction: PredictionMatrices, cfg: MpcConfig,
     u_prev = np.asarray(u_prev, dtype=float).reshape(-1)
     if u_prev.shape != (N_AXES,):
         raise ValueError(f"u_prev must have {N_AXES} components")
-    return _tick_qp(_static_qp(prediction, cfg, limits), state,
-                    np.asarray(setpoint, dtype=float), u_prev)
+    axis_qp = _axis_qp(*_unlift(prediction.f, prediction.phi), cfg, limits)
+    qp = _tick_qp(axis_qp, state, np.asarray(setpoint, dtype=float), u_prev)
+    eye = np.eye(N_AXES)
+    e = np.einsum("aij,ab->iajb", qp.e, eye).reshape(N_AXES * cfg.n_c, -1)
+    return QpProblem(e, qp.f.T.ravel(), np.kron(qp.w, eye), qp.v.T.ravel())
 
 
 @dataclass
@@ -302,63 +302,62 @@ def solve_qp(qp: QpProblem, e_inv: np.ndarray | None = None,
     run over the set of rows violated at the current iterate; whenever the
     set converges, the dual gradient of every skipped row is checked and
     newly violated rows join the set, so the result equals a full sweep.
-    E^-1 and H = W E^-1 W^T only depend on the static problem structure and
-    may be passed in precomputed.
+
+    Each problem of a stack stops on its own convergence, under the cap of
+    the stack's row count; the stack reports the slowest problem's sweeps,
+    whether all converged and the largest violation.  E^-1 and H = W E^-1 W^T
+    (stacked like E) may be passed in precomputed.
     """
-    e, f, w, v = qp.e, qp.f, qp.w, qp.v
-    if e_inv is None:
-        e_inv = np.linalg.inv(e)
-    x_unc = -e_inv @ f
-    n_rows = w.shape[0]
-    lam = np.zeros(n_rows)
-    if n_rows == 0:
-        return QpSolution(x_unc, lam, 0, True, 0.0)
-
+    stack = (qp.e, qp.f, qp.v, e_inv, h)
+    if qp.f.ndim == 1:  # a single problem is a stack of one
+        stack = tuple(None if m is None else m[None] for m in stack)
+    e, f, v, e_inv, h = stack
+    w = qp.w
+    e_inv = np.linalg.inv(e) if e_inv is None else e_inv
+    x = (-e_inv @ f[:, :, None])[:, :, 0]
+    lam = np.zeros(v.shape)
+    sweeps, converged = [0] * len(f), [True] * len(f)
     finite = np.isfinite(v)
-    residual = w @ x_unc - v
-    if np.all(residual <= 1e-12):
-        mv = float(max(residual[finite].max(), 0.0)) if finite.any() else 0.0
-        return QpSolution(x_unc, lam, 0, True, mv)
-
-    if h is None:
-        h = (w @ e_inv) @ w.T
-    k_vec = v - w @ x_unc  # equals V + W E^-1 f
-    h_diag = np.diag(h)
-    eligible = finite & (h_diag > 1e-14)
-    in_set = eligible & (k_vec < 0.0)
-    sweep_rows = np.flatnonzero(in_set)
-
-    max_sweeps = max(10 * n_rows, 2000)
-    converged = False
-    sweeps = 0
-    while sweeps < max_sweeps:
-        sweeps += 1
-        change = 0.0
-        for i in sweep_rows:
-            num = k_vec[i] + h[i] @ lam - h_diag[i] * lam[i]
-            new = -num / h_diag[i]
-            if new < 0.0:
-                new = 0.0
-            delta = abs(new - lam[i])
-            if delta > change:
-                change = delta
-            lam[i] = new
-        if change >= DUAL_TOL:
-            continue
-        # set converged; admit any skipped row whose dual gradient pushes in
-        grad = k_vec + h @ lam
-        fresh = np.flatnonzero(eligible & ~in_set & (grad < -DUAL_TOL))
-        if fresh.size == 0:
-            converged = True
-            break
-        in_set[fresh] = True
+    residual = (w @ x[:, :, None])[:, :, 0] - v
+    violation = np.where(finite, residual, 0.0).max(axis=1, initial=0.0)
+    max_sweeps = max(10 * v.size, 2000)
+    for p in np.flatnonzero(~(residual <= 1e-12).all(axis=1)):
+        hp = (w @ e_inv[p]) @ w.T if h is None else h[p]
+        k_vec = -residual[p]  # equals V + W E^-1 f
+        lam_p = lam[p]
+        h_diag = np.diag(hp)
+        eligible = finite[p] & (h_diag > 1e-14)
+        in_set = eligible & (k_vec < 0.0)
         sweep_rows = np.flatnonzero(in_set)
-
-    x = x_unc - e_inv @ (w.T @ lam)
-    viol = w @ x - v
-    viol = viol[finite]
-    max_violation = float(max(viol.max(), 0.0)) if viol.size else 0.0
-    return QpSolution(x, lam, sweeps, converged, max_violation)
+        while sweeps[p] < max_sweeps:
+            sweeps[p] += 1
+            change = 0.0
+            for i in sweep_rows:
+                num = k_vec[i] + hp[i] @ lam_p - h_diag[i] * lam_p[i]
+                new = -num / h_diag[i]
+                if new < 0.0:
+                    new = 0.0
+                delta = abs(new - lam_p[i])
+                if delta > change:
+                    change = delta
+                lam_p[i] = new
+            if change >= DUAL_TOL:
+                continue
+            # set converged; admit any skipped row whose dual gradient pushes in
+            grad = k_vec + hp @ lam_p
+            fresh = np.flatnonzero(eligible & ~in_set & (grad < -DUAL_TOL))
+            if fresh.size == 0:
+                break
+            in_set[fresh] = True
+            sweep_rows = np.flatnonzero(in_set)
+        else:
+            converged[p] = False
+        x[p] = x[p] - e_inv[p] @ (w.T @ lam_p)
+        viol = (w @ x[p] - v[p])[finite[p]]
+        violation[p] = max(viol.max(), 0.0) if viol.size else 0.0
+    if qp.f.ndim == 1:
+        return QpSolution(x[0], lam[0], sweeps[0], converged[0], float(violation[0]))
+    return QpSolution(x, lam, max(sweeps), all(converged), float(violation.max()))
 
 
 @dataclass
@@ -401,8 +400,8 @@ class StepResult:
 class TwistSmoother:
     """Receding-horizon smoother owning one SmootherState.
 
-    Applies only the first block of the optimized increment sequence each
-    tick, advances the augmented model, recovers the smoothed twist and
+    Applies only the first increment of each axis's optimized sequence each
+    tick, advances each axis's scalar model, recovers the smoothed twist and
     integrates the pose with x[i] = exp((T/2) * xi[i+1]) * x[i-1]
     (renormalized every step to suppress drift).  Construction functions
     are pure; a single logical controller thread advances the state.
@@ -412,12 +411,11 @@ class TwistSmoother:
                  initial_pose: UnitDualQuaternion):
         self.cfg = cfg
         self.limits = limits
-        self.model = build_model(cfg.sample_time)
-        self.prediction = build_prediction(self.model, cfg.n_p, cfg.n_c)
         self.state = SmootherState.at_rest(initial_pose)
-        self._static = _static_qp(self.prediction, cfg, limits)
-        self._e_inv = np.linalg.inv(self._static.e)
-        self._h = (self._static.w @ self._e_inv) @ self._static.w.T
+        self._model = _scalar_model(cfg.sample_time)
+        self._qp = _axis_qp(*_scalar_prediction(self._model, cfg.n_p, cfg.n_c), cfg, limits)
+        self._e_inv = np.linalg.inv(self._qp.e)
+        self._h = np.array([(self._qp.w @ e) @ self._qp.w.T for e in self._e_inv])
 
     @property
     def pose(self) -> UnitDualQuaternion:
@@ -425,20 +423,21 @@ class TwistSmoother:
 
     @property
     def twist(self) -> np.ndarray:
-        return self.state.augmented[PLANT_DIM:].copy()
+        return self.state.augmented[-N_AXES:].copy()
 
     def step(self, target) -> StepResult:
         """Advance one MPC tick toward the 6-vector reference twist."""
         cfg = self.cfg
         setpoint = build_setpoint(target, cfg.n_p)
-        qp = _tick_qp(self._static, self.state.augmented, setpoint, self.state.u_prev)
+        qp = _tick_qp(self._qp, self.state.augmented, setpoint, self.state.u_prev)
         sol = solve_qp(qp, e_inv=self._e_inv, h=self._h)
-        du = sol.delta_u[:N_AXES]
+        du = sol.delta_u[:, 0]
 
-        a, b, c = self.model
-        self.state.augmented = a @ self.state.augmented + b @ du
+        a, b, _ = self._model
+        per_axis = self.state.augmented.reshape(-1, N_AXES)  # column a: axis a's 3 states
+        self.state.augmented = (a @ per_axis + b @ du[None]).ravel()
         self.state.u_prev = self.state.u_prev + du
-        twist = c @ self.state.augmented
+        twist = self.twist
 
         half_step = 0.5 * cfg.sample_time
         motion = exp(PureDualQuaternion.from_vec6(twist) * half_step)

@@ -89,10 +89,16 @@ def run_closed_loop(cfg: RunConfig, model: RobotModel,
     the twist that closes the remaining gap to the final keypoint, so the
     lag accumulated while constraints were active is wound down (still
     under the configured limits).  NaN anywhere in the state is a hard
-    failure.
+    failure, and a start pose q0 outside the joint limits is rejected.
     """
     if model.dof != 7:
         raise ValueError(f"simulator expects a 7-joint model, got {model.dof}")
+    q = np.asarray(cfg.q0, dtype=float).copy()
+    outside = np.flatnonzero(~((model.q_min <= q) & (q <= model.q_max)))
+    if outside.size:
+        raise ValueError("start pose q0 is outside the joint limits: " + "; ".join(
+            f"joint {j + 1} at {q[j]:g} not in [{model.q_min[j]:g}, {model.q_max[j]:g}]"
+            for j in outside))
     path = generate_path(keypoints, cfg.samples_per_segment, cfg.sample_time_s)
     twists = reference_twists(path)
     goal = path.samples[-1].pose
@@ -108,7 +114,6 @@ def run_closed_loop(cfg: RunConfig, model: RobotModel,
     inner_dt = cfg.inner_dt
     gain = cfg.gain_matrix
     smoother = TwistSmoother(cfg.mpc, cfg.limits, path.samples[0].pose)
-    q = np.asarray(cfg.q0, dtype=float).copy()
     lim = cfg.limits
 
     max_ticks = max(1, int(math.ceil(cfg.max_duration_s / T)))

@@ -107,6 +107,33 @@ def test_config_accepts_inner_rate_dividing_mpc_tick(tmp_path, rate, ticks):
     assert cfg.inner_ticks_per_mpc == ticks
 
 
+@pytest.mark.parametrize("value", ["0", "-5", "inf", "nan"])
+def test_config_rejects_bad_gain(tmp_path, capsys, value):
+    f = write_cfg(tmp_path, f"gain = {value}\n")
+    with pytest.raises(ValueError, match="gain must be positive and finite"):
+        load_config(f)
+    assert main(["simulate", "--config", str(f), "--random", "2",
+                 "--out", str(tmp_path / "out")]) == 1
+    assert "gain" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line, match", [
+    ("n_c = 0", "n_c <= n_p"),
+    ("n_c = 60", "n_c <= n_p"),
+    ("q_weight = 1 1 1 -1 1 1", "q_weight must be nonnegative"),
+    ("r_weight = 0 1 1 1 1 1", "r_weight must be positive"),
+])
+def test_config_rejects_bad_mpc_settings_at_load(tmp_path, capsys, line, match):
+    # plan never builds a smoother, so the check has to happen at load
+    f = write_cfg(tmp_path, line + "\n")
+    with pytest.raises(ValueError, match=match):
+        load_config(f)
+    assert main(["plan", "--config", str(f), "--random", "2",
+                 "--out", str(tmp_path / "out")]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "path.csv").exists()
+
+
 # ---------------------------------------------------------------------------
 # plan
 
@@ -277,6 +304,19 @@ def test_simulate_determinism(tmp_path, ready_pose):
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
         logs.append((out / "trajectory.csv").read_bytes())
     assert logs[0] == logs[1]
+
+
+def test_simulate_rejects_start_outside_joint_limits(tmp_path, capsys, panda):
+    cfg = load_config(write_cfg(tmp_path, "q0 = 0 0 0 -2 9 1.5 0.7\n"))
+    with pytest.raises(ValueError, match=r"q0 is outside the joint limits: joint 5 at 9 "):
+        run_closed_loop(cfg, panda, [forward_kinematics(panda, np.clip(
+            cfg.q0, panda.q_min, panda.q_max))] * 2)
+    f = write_cfg(tmp_path, "q0 = 9 9 9 9 9 9 9\n")
+    assert main(["simulate", "--config", str(f), "--random", "2",
+                 "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "joint 1 at 9 " in err and "joint 7 at 9 " in err
+    assert not (tmp_path / "out" / "trajectory.csv").exists()
 
 
 # ---------------------------------------------------------------------------

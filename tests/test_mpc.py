@@ -36,6 +36,14 @@ def limits_of(vel=None, acc=None, jerk=None) -> LimitSet:
     return LimitSet(vmin, vmax, amin, amax, jmin, jmax)
 
 
+def axis_slice(qp: QpProblem, axis: int) -> QpProblem:
+    """Axis `axis`'s problem inside a dense build_qp: rows 6r + a, columns 6j + a."""
+    rows = np.arange(axis, qp.w.shape[0], 6)
+    cols = np.arange(axis, qp.w.shape[1], 6)
+    return QpProblem(qp.e[np.ix_(cols, cols)], qp.f[cols], qp.w[np.ix_(rows, cols)],
+                     qp.v[rows])
+
+
 def scalar_plant_rollout(T, u_seq):
     """Per-axis oracle: position/velocity chain with the velocity as output."""
     s = w = 0.0
@@ -218,10 +226,8 @@ def test_qp_constraint_rows_tiny_instance():
     np.testing.assert_allclose(qp.v[30:36], np.full(6, 1.0 - 0.25))
 
 
-@settings(max_examples=30, deadline=None)
-@given(data=st.data())
-def test_smoother_step_solves_build_qp(data):
-    # the smoother's per-tick QP is the public build_qp, bit for bit
+def draw_tick(data):
+    """A smoother configuration, limits and tick state drawn by hypothesis."""
     n_p = data.draw(st.integers(1, 12), label="n_p")
     n_c = data.draw(st.integers(1, min(n_p, 4)), label="n_c")
     cfg = MpcConfig(n_c=n_c, n_p=n_p, sample_time=0.009,
@@ -233,13 +239,85 @@ def test_smoother_step_solves_build_qp(data):
     state = data.draw(arrays(float, AUG_DIM, elements=st.floats(-1.0, 1.0)), label="state")
     u_prev = data.draw(arrays(float, 6, elements=st.floats(-acc, acc)), label="u_prev")
     target = data.draw(arrays(float, 6, elements=st.floats(-2.0, 2.0)), label="target")
+    return cfg, limits, state, u_prev, target
 
+
+def step_and_dense_qp(cfg, limits, state, u_prev, target):
+    """The smoother's step from `state` and the dense build_qp of the same tick."""
     smoother = TwistSmoother(cfg, limits, UnitDualQuaternion.identity())
     smoother.state = SmootherState(state.copy(), u_prev.copy(), smoother.pose)
-    pred = build_prediction(build_model(cfg.sample_time), n_p, n_c)
-    expected = solve_qp(build_qp(state, build_setpoint(target, n_p), pred, cfg,
-                                 limits, u_prev))
-    assert np.array_equal(smoother.step(target).delta_u, expected.delta_u[:6])
+    pred = build_prediction(build_model(cfg.sample_time), cfg.n_p, cfg.n_c)
+    qp = build_qp(state, build_setpoint(target, cfg.n_p), pred, cfg, limits, u_prev)
+    return smoother.step(target), qp
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_smoother_step_solves_build_qp(data):
+    # the smoother solves the six axis slices of the public build_qp
+    # (rows 6r + a, columns 6j + a), bit for bit
+    step, qp = step_and_dense_qp(*draw_tick(data))
+    expected = [solve_qp(axis_slice(qp, a)).delta_u[0] for a in range(6)]
+    assert np.array_equal(step.delta_u, expected)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_per_axis_step_agrees_with_dense_solve(data):
+    # the six per-axis problems are the dense QP split exactly; where both
+    # solves converge they land on the same optimum
+    step, qp = step_and_dense_qp(*draw_tick(data))
+    dense = solve_qp(qp)
+    if step.converged and dense.converged:
+        np.testing.assert_allclose(step.delta_u, dense.delta_u[:6], rtol=0, atol=1e-7)
+
+
+# track-tight limits (benchmark seed 1, line 1, MPC tick 2): the first tick on
+# which the dense 60-variable solve ran to its 3600-sweep cap, while each axis
+# alone converges within 2093 sweeps.  Axes wx, wy, wz are at rest.
+CAP_TICK_DIFF_S = [7.2900002440457636e-06, 7.2900003082925308e-06, 7.289999999999992e-06]
+CAP_TICK_TWIST = [0.0016200000542323919, 0.0016200000685094515, 0.0016199999999999984]
+CAP_TICK_U_PREV = [0.18000000602582134, 0.18000000761216128, 0.17999999999999983]
+CAP_TICK_TARGET = [0.72325038690381982, 0.78784475549863853, 0.25434806036772606]
+
+
+def test_step_converges_on_dense_sweep_cap_tick():
+    one = np.ones(6)
+    limits = LimitSet(-one, one, -10 * one, 10 * one, -20 * one, 20 * one)
+    state = np.zeros(AUG_DIM)
+    state[3:6] = CAP_TICK_DIFF_S
+    state[9:12] = state[15:18] = CAP_TICK_TWIST  # from rest: difference = twist
+    u_prev = np.zeros(6)
+    u_prev[3:] = CAP_TICK_U_PREV
+    target = np.zeros(6)
+    target[3:] = CAP_TICK_TARGET
+    sm = TwistSmoother(MpcConfig(), limits, UnitDualQuaternion.identity())
+    sm.state = SmootherState(state, u_prev, sm.pose)
+    res = sm.step(target)
+    assert res.converged
+    assert 2000 < res.iterations < 3600  # beyond one 60-row problem's own cap
+    assert res.max_violation <= 1e-6
+
+
+def test_solver_stack_reports_per_problem_solves():
+    rng = np.random.default_rng(58)
+    n, m = 3, 5
+    w = rng.normal(size=(m, n))
+    es, fs, vs = [], [], []
+    for _ in range(4):
+        a = rng.normal(size=(n, n))
+        es.append(a @ a.T + 0.1 * np.eye(n))
+        fs.append(rng.normal(size=n))
+        vs.append(w @ rng.normal(size=n) + rng.uniform(0.05, 1.0, size=m))
+    vs[0] = np.full(m, np.inf)  # one problem with no active row
+    stack = solve_qp(QpProblem(np.array(es), np.array(fs), w, np.array(vs)))
+    singles = [solve_qp(QpProblem(e, f, w, v)) for e, f, v in zip(es, fs, vs)]
+    assert np.array_equal(stack.delta_u, [s.delta_u for s in singles])
+    assert np.array_equal(stack.lam, [s.lam for s in singles])
+    assert stack.iterations == max(s.iterations for s in singles) > 0
+    assert stack.converged == all(s.converged for s in singles)
+    assert stack.active_count == sum(s.active_count for s in singles) > 0
+    assert stack.max_violation == max(s.max_violation for s in singles)
 
 
 def test_limitset_validation():
