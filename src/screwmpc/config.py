@@ -86,35 +86,39 @@ def _default_values() -> dict:
     return parse_config_text(text, source="default.cfg")
 
 
-@dataclass
+@dataclass(kw_only=True)
 class RunConfig:
-    """Everything the planner, smoother and simulator need for one run."""
+    """Everything the planner, smoother and simulator need for one run.
+
+    Every field but the two optional paths takes its default from the
+    packaged ``data/default.cfg`` through :func:`load_config`.
+    """
 
     keypoints: Path | None = None
     robot_model: Path | None = None
-    out_dir: Path = field(default_factory=lambda: Path("out"))
-    samples_per_segment: int = 50
-    n_c: int = 10
-    n_p: int = 50
-    sample_time_s: float = 0.009
-    q_weight: np.ndarray = field(default_factory=lambda: np.ones(6))
-    r_weight: np.ndarray = field(default_factory=lambda: 0.1 * np.ones(6))
-    limits: LimitSet = field(default_factory=LimitSet.unbounded)
-    inner_rate_hz: float = 1000.0
-    stop_tol: float = 1e-3
-    max_duration_s: float = 10.0
-    gain: float = 10.0
-    q0: np.ndarray = field(default_factory=lambda: np.zeros(7))
+    out_dir: Path
+    samples_per_segment: int
+    n_c: int
+    n_p: int
+    sample_time_s: float
+    q_weight: np.ndarray
+    r_weight: np.ndarray
+    limits: LimitSet
+    inner_rate_hz: float
+    stop_tol: float
+    max_duration_s: float
+    gain: float
+    q0: np.ndarray
     mpc: MpcConfig = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (math.isfinite(self.gain) and self.gain > 0.0):
             raise ValueError(f"gain must be positive and finite, got {self.gain}")
-        if self.stop_tol <= 0.0:
+        if not self.stop_tol > 0.0:
             raise ValueError("stop_tol must be positive")
-        if self.max_duration_s <= 0.0:
+        if not self.max_duration_s > 0.0:
             raise ValueError("max_duration_s must be positive")
-        if self.sample_time_s <= 0.0:
+        if not self.sample_time_s > 0.0:
             raise ValueError("sample_time_s must be positive")
         if self.inner_rate_hz < 1.0 / self.sample_time_s:
             raise ValueError(

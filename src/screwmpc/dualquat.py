@@ -63,11 +63,6 @@ class Quaternion:
         return cls(0.0, 0.0, 0.0, 0.0)
 
     @classmethod
-    def from_array(cls, a) -> "Quaternion":
-        w, x, y, z = a
-        return cls(w, x, y, z)
-
-    @classmethod
     def from_vector(cls, v) -> "Quaternion":
         """Pure quaternion embedding of a 3-vector."""
         vx, vy, vz = v
@@ -138,9 +133,6 @@ class Quaternion:
 
     def is_unit(self, tol: float = UNIT_TOL) -> bool:
         return abs(self.norm() - 1.0) <= tol
-
-    def is_pure(self, tol: float = 1e-12) -> bool:
-        return abs(self.w) <= tol
 
     def __repr__(self):
         return f"Quaternion({self.w!r}, {self.x!r}, {self.y!r}, {self.z!r})"
@@ -244,7 +236,7 @@ class UnitDualQuaternion(DualQuaternion):
     def __init__(self, primary: Quaternion, dual: Quaternion):
         super().__init__(primary, dual)
         n = primary.norm()
-        if abs(n - 1.0) > UNIT_TOL or abs(primary.dot(dual)) > UNIT_TOL:
+        if not (abs(n - 1.0) <= UNIT_TOL and abs(primary.dot(dual)) <= UNIT_TOL):
             raise ValueError(
                 "not a unit dual quaternion: "
                 f"|primary| = {n:.12g}, <primary, dual> = {primary.dot(dual):.3g}"
@@ -280,7 +272,7 @@ class PureDualQuaternion(DualQuaternion):
     __slots__ = ()
 
     def __init__(self, primary: Quaternion, dual: Quaternion):
-        if abs(primary.w) > PURE_TOL or abs(dual.w) > PURE_TOL:
+        if not (abs(primary.w) <= PURE_TOL and abs(dual.w) <= PURE_TOL):
             raise ValueError(
                 f"not a pure dual quaternion: Re parts ({primary.w:.3g}, {dual.w:.3g})"
             )
@@ -335,7 +327,7 @@ def _pure(q: Quaternion) -> Quaternion:
 
 
 def _as_pure(g: DualQuaternion, what: str) -> DualQuaternion:
-    if abs(g.primary.w) > PURE_TOL or abs(g.dual.w) > PURE_TOL:
+    if not (abs(g.primary.w) <= PURE_TOL and abs(g.dual.w) <= PURE_TOL):
         raise ValueError(f"{what} requires a pure dual quaternion input")
     return g
 
@@ -389,8 +381,7 @@ def log(x: UnitDualQuaternion) -> PureDualQuaternion:
     r, d_ = x.primary, x.dual
     s = math.sqrt(r.x ** 2 + r.y ** 2 + r.z ** 2)
     if s < _SMALL_ANGLE:
-        p = d_ * r.conjugate() * 2.0
-        return PureDualQuaternion(_pure(r), Quaternion(0.0, p.x / 2.0, p.y / 2.0, p.z / 2.0))
+        return PureDualQuaternion(_pure(r), Quaternion.from_vector(x.translation() / 2.0))
     half_theta = math.atan2(s, r.w)
     lx, ly, lz = r.x / s, r.y / s, r.z / s
     half_d = -d_.w / s
@@ -411,27 +402,23 @@ def log(x: UnitDualQuaternion) -> PureDualQuaternion:
 def screw_parameters(x: UnitDualQuaternion) -> ScrewParameters:
     """Extract the screw parameters (theta, d, axis, moment) of a pose.
 
+    All four are read off g = log(x) = (theta/2) l + eps ((d/2) l + (theta/2) m).
     For a pure translation the axis is the translation direction with zero
     moment; for the identity the axis defaults to k_hat.
     """
-    if x.primary.w < 0.0:
-        x = -x
-    r = x.primary
-    s = math.sqrt(r.x ** 2 + r.y ** 2 + r.z ** 2)
-    if s < _SMALL_ANGLE:
-        t = x.translation()
-        d = float(np.linalg.norm(t))
-        if d < 1e-12:
+    g = log(x)
+    half_theta = g.primary.norm()
+    if half_theta < _SMALL_ANGLE:  # log's dual part is p/2
+        half_d = g.dual.norm()
+        if 2.0 * half_d < 1e-12:
             axis = Quaternion(0.0, 0.0, 0.0, 1.0)
         else:
-            axis = Quaternion(0.0, t[0] / d, t[1] / d, t[2] / d)
-        return ScrewParameters(0.0, d, axis, Quaternion.zero())
-    g = log(x)
-    half_theta = math.atan2(s, r.w)
-    axis = Quaternion(0.0, r.x / s, r.y / s, r.z / s)
+            axis = g.dual * (1.0 / half_d)
+        return ScrewParameters(0.0, 2.0 * half_d, axis, Quaternion.zero())
+    axis = g.primary * (1.0 / half_theta)
     half_d = axis.dot(g.dual)
     moment = (g.dual - axis * half_d) * (1.0 / half_theta)
-    return ScrewParameters(2.0 * half_theta, 2.0 * half_d, axis, _pure(moment))
+    return ScrewParameters(2.0 * half_theta, 2.0 * half_d, axis, moment)
 
 
 def power(x: UnitDualQuaternion, tau: float) -> UnitDualQuaternion:
@@ -446,28 +433,39 @@ def adjoint(x: UnitDualQuaternion, xi: DualQuaternion) -> PureDualQuaternion:
     return PureDualQuaternion(h.primary, h.dual)
 
 
-def _hamilton_minus4(q: Quaternion) -> np.ndarray:
-    """4x4 right-multiplication matrix: vec4(p*q) = H4(q) @ vec4(p)."""
-    w, x, y, z = q.w, q.x, q.y, q.z
-    return np.array([
-        [w, -x, -y, -z],
-        [x,  w,  z, -y],
-        [y, -z,  w,  x],
-        [z,  y, -x,  w],
-    ])
+def _hamilton8(v: np.ndarray, sign: int) -> np.ndarray:
+    """8x8 Hamilton operator of h = vec8 v, from one 4x4 table.
+
+    sign = +1 gives the left operator, vec8(h*b) = H8^+(h) @ vec8(b); sign = -1
+    the right operator, vec8(b*h) = H8^-(h) @ vec8(b).  The two differ only
+    in the sign of the cross-product block, and every entry is a single
+    signed coefficient.
+    """
+    def h4(w, x, y, z):
+        sx, sy, sz = sign * x, sign * y, sign * z
+        return np.array([
+            [w, -x, -y, -z],
+            [x,  w, -sz, sy],
+            [y,  sz, w, -sx],
+            [z, -sy, sx,  w],
+        ])
+
+    out = np.zeros((8, 8))
+    out[:4, :4] = out[4:, 4:] = h4(*v[:4])
+    out[4:, :4] = h4(*v[4:])
+    return out
 
 
 def hamilton_minus8(h: DualQuaternion) -> np.ndarray:
     """8x8 right Hamilton operator: vec8(a*h) = H8(h) @ vec8(a) for all a."""
-    hp = _hamilton_minus4(h.primary)
-    hd = _hamilton_minus4(h.dual)
-    out = np.zeros((8, 8))
-    out[:4, :4] = hp
-    out[4:, 4:] = hp
-    out[4:, :4] = hd
-    return out
+    return _hamilton8(h.vec8(), -1)
+
+
+# Diagonal of C8: vec8(h^*) = _CONJ * vec8(h).
+_CONJ = np.array([1.0, -1.0, -1.0, -1.0, 1.0, -1.0, -1.0, -1.0])
+_CONJ.setflags(write=False)
 
 
 def c8() -> np.ndarray:
     """Conjugation matrix: c8() @ vec8(h) = vec8(h^*)."""
-    return np.diag([1.0, -1.0, -1.0, -1.0, 1.0, -1.0, -1.0, -1.0])
+    return np.diag(_CONJ)

@@ -6,8 +6,9 @@ end-effector pose is the ordered product of the elements; the 8x7 pose
 Jacobian maps joint rates to the time derivative of the vec8 pose
 coefficients.  The inner loop commands joint rates from the conjugation
 error e = 1 - x_d^* x_eff through a damped pseudo-inverse.  All three run
-on stacked 8x8 Hamilton matrices in numpy, one chain pass per call; the
-algebra classes of ``screwmpc.dualquat`` only wrap the inputs and outputs.
+on stacked 8x8 Hamilton matrices in numpy, one chain pass per call.  The
+matrices and the conjugation signs come from ``screwmpc.dualquat``'s one
+operator builder; its algebra classes only wrap the inputs and outputs.
 
 Robot geometry is data, not code: models load from a text file listing,
 per joint, the fixed offset (vec8), the rotation axis label and the
@@ -25,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dualquat import DualQuaternion, UnitDualQuaternion, c8, hamilton_minus8
+from .dualquat import _CONJ, DualQuaternion, UnitDualQuaternion, _hamilton8
 
 __all__ = [
     "ChainElement",
@@ -44,35 +45,15 @@ _AXES = {
     "y": np.array([0.0, 1.0, 0.0]),
     "z": np.array([0.0, 0.0, 1.0]),
 }
-# Diagonal of C8: vec8(h^*) = _CONJ * vec8(h).
-_CONJ = np.diag(c8())
-_CONJ.setflags(write=False)
 _EYE8 = np.eye(8)
 _EYE8.setflags(write=False)
 # H8^-(h) C8 is linear in vec8(h): row i holds its 64 entries for h = e_i, so
 # vec8(h) @ _TASK_BASIS is H8^-(h) C8 flattened (each entry a single signed term).
-_TASK_BASIS = np.array([(hamilton_minus8(DualQuaternion.from_vec8(e)) * _CONJ).ravel()
-                        for e in _EYE8])
+_TASK_BASIS = np.array([(_hamilton8(e, -1) * _CONJ).ravel() for e in _EYE8])
 _TASK_BASIS.setflags(write=False)
 
 SV_CUTOFF = 1e-8
 DLS_DAMPING = 1e-4
-
-
-def _hamilton_plus8(v: np.ndarray) -> np.ndarray:
-    """8x8 left Hamilton operator of h = vec8 v: vec8(h*b) = H8^+(h) @ vec8(b)."""
-    def plus4(w, x, y, z):
-        return np.array([
-            [w, -x, -y, -z],
-            [x,  w, -z,  y],
-            [y,  z,  w, -x],
-            [z, -y,  x,  w],
-        ])
-
-    out = np.zeros((8, 8))
-    out[:4, :4] = out[4:, 4:] = plus4(*v[:4])
-    out[4:, :4] = plus4(*v[4:])
-    return out
 
 
 @dataclass(frozen=True)
@@ -103,9 +84,9 @@ class RobotModel:
             if arr.shape != (dof,):
                 raise ValueError(f"{name} must have {dof} entries, got {arr.shape}")
             object.__setattr__(self, name, arr)
-        if np.any(self.q_min >= self.q_max):
+        if not np.all(self.q_min < self.q_max):
             raise ValueError("joint position limits are infeasible: min >= max")
-        if np.any(self.qd_max <= 0.0):
+        if not np.all(self.qd_max > 0.0):
             raise ValueError("joint velocity limits must be positive")
 
     @cached_property
@@ -125,11 +106,11 @@ class RobotModel:
         folded = np.eye(8)
         m, k = [], []
         for elem in self.elements:
-            folded = folded @ _hamilton_plus8(elem.offset.vec8())
+            folded = folded @ _hamilton8(elem.offset.vec8(), 1)
             if elem.axis is not None:
                 axis = np.concatenate([[0.0], _AXES[elem.axis], np.zeros(4)])
                 m.append(folded)
-                k.append(folded @ _hamilton_plus8(axis))
+                k.append(folded @ _hamilton8(axis, 1))
                 folded = np.eye(8)
         chain = (np.array(m).reshape(-1, 8, 8), np.array(k).reshape(-1, 8, 8),
                  folded[:, 0].copy())  # H8^+(F) e_1 = vec8(F)

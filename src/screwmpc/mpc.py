@@ -52,9 +52,9 @@ def _limit_pair(min_v, max_v, name: str) -> tuple[np.ndarray, np.ndarray]:
     hi = np.asarray(max_v, dtype=float).reshape(-1)
     if lo.shape != (N_AXES,) or hi.shape != (N_AXES,):
         raise ValueError(f"{name} limits must have {N_AXES} components")
-    if np.any(lo >= hi):
+    if not np.all(lo < hi):
         raise ValueError(f"{name} limits are infeasible: min >= max")
-    if np.any(lo > 0.0) or np.any(hi < 0.0):
+    if not (np.all(lo <= 0.0) and np.all(hi >= 0.0)):
         raise ValueError(f"{name} limits must bracket zero")
     return lo, hi
 
@@ -96,15 +96,15 @@ class MpcConfig:
     def __post_init__(self):
         if not (1 <= self.n_c <= self.n_p):
             raise ValueError(f"need 1 <= n_c <= n_p, got n_c={self.n_c}, n_p={self.n_p}")
-        if self.sample_time <= 0.0:
+        if not self.sample_time > 0.0:
             raise ValueError("sample_time must be positive")
         q = np.asarray(self.q_weight, dtype=float).reshape(-1)
         r = np.asarray(self.r_weight, dtype=float).reshape(-1)
         if q.shape != (N_AXES,) or r.shape != (N_AXES,):
             raise ValueError(f"q_weight and r_weight must have {N_AXES} entries")
-        if np.any(q < 0.0):
+        if not np.all(q >= 0.0):
             raise ValueError("q_weight must be nonnegative (Q_mpc >= 0)")
-        if np.any(r <= 0.0):
+        if not np.all(r > 0.0):
             raise ValueError("r_weight must be positive (R_mpc > 0)")
         object.__setattr__(self, "q_weight", q)
         object.__setattr__(self, "r_weight", r)
@@ -116,7 +116,7 @@ def _scalar_model(sample_time: float):
     Plant a_m = [[1, T], [0, 1]], b_m = [T^2/2, T]^T, c_m = [0, 1] (exact ZOH of
     the double integrator); A = [[a_m, 0], [c_m a_m, 1]], B = [b_m; c_m b_m]."""
     T = float(sample_time)
-    if T <= 0.0:
+    if not T > 0.0:
         raise ValueError("sample_time must be positive")
     a = np.array([[1.0, T, 0.0], [0.0, 1.0, 0.0], [0.0, 1.0, 1.0]])
     b = np.array([[0.5 * T * T], [T], [T]])

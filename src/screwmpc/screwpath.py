@@ -66,7 +66,7 @@ def sclerp(x_a: UnitDualQuaternion, x_b: UnitDualQuaternion,
     screw.  tau = 0 gives x_a and tau = 1 gives x_b up to sign.
     """
     tau = float(tau)
-    if tau < 0.0 or tau > 1.0:
+    if not 0.0 <= tau <= 1.0:
         raise ValueError(f"interpolation parameter must be in [0, 1], got {tau}")
     if x_a.primary.dot(x_b.primary) < 0.0:
         x_b = -x_b
@@ -87,7 +87,7 @@ def generate_path(keypoints, samples_per_segment: int,
     m = int(samples_per_segment)
     if m < 1:
         raise ValueError("samples_per_segment must be >= 1")
-    if tau_step <= 0.0:
+    if not tau_step > 0.0:
         raise ValueError("tau_step must be positive")
 
     samples: list[PathSample] = []
@@ -109,7 +109,7 @@ def reference_twists(path: DiscretePath) -> list[PureDualQuaternion]:
     """
     if len(path) < 2:
         raise ValueError("path must have at least 2 samples")
-    if path.tau_step <= 0.0:
+    if not path.tau_step > 0.0:
         raise ValueError("tau_step must be positive")
     scale = 2.0 / path.tau_step
     twists = [PureDualQuaternion.zero()]
@@ -124,6 +124,7 @@ def reference_twists(path: DiscretePath) -> list[PureDualQuaternion]:
 
 
 def _fmt(x: float) -> str:
+    """17 significant digits round-trip every double: the format of every log."""
     return f"{x:.17g}"
 
 

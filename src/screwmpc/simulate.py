@@ -20,7 +20,7 @@ from .config import RunConfig
 from .dualquat import log
 from .kinematics import RobotModel, forward_kinematics, inner_control, pose_error
 from .mpc import N_AXES, TwistSmoother
-from .screwpath import generate_path, reference_twists
+from .screwpath import _fmt, generate_path, reference_twists
 
 __all__ = [
     "LOG_COLUMNS",
@@ -176,10 +176,6 @@ def run_closed_loop(cfg: RunConfig, model: RobotModel,
 
 # ---------------------------------------------------------------------------
 # Log files
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
 
 
 def write_trajectory_csv(path: str | Path, result: SimulationResult) -> None:

@@ -1,8 +1,11 @@
+import dataclasses
+from importlib import resources
+
 import numpy as np
 import pytest
 
 from screwmpc.cli import main
-from screwmpc.config import load_config, parse_config_text
+from screwmpc.config import RunConfig, load_config, parse_config_text
 from screwmpc.dualquat import PureDualQuaternion, exp
 from screwmpc.kinematics import forward_kinematics, load_robot_model, packaged_model_path
 from screwmpc.screwpath import write_keypoints
@@ -52,6 +55,17 @@ def test_config_defaults_load():
     np.testing.assert_allclose(cfg.limits.jerk_max[3:], [6500.0] * 3)
 
 
+def test_run_config_takes_its_defaults_only_from_default_cfg():
+    text = resources.files("screwmpc").joinpath("data/default.cfg").read_text()
+    keys = {key.split(".")[0] for key in parse_config_text(text)}
+    fields = {f.name: f for f in dataclasses.fields(RunConfig) if f.init}
+    with_default = {name for name, f in fields.items()
+                    if f.default is not dataclasses.MISSING
+                    or f.default_factory is not dataclasses.MISSING}
+    assert keys == fields.keys() - {"keypoints", "robot_model"}
+    assert with_default == {"keypoints", "robot_model"}
+
+
 def test_config_override(tmp_path):
     f = write_cfg(tmp_path, "n_c = 4\nstop_tol = 0.01\nq_weight = 2 2 2 1 1 1\n")
     cfg = load_config(f)
@@ -94,7 +108,7 @@ def test_config_rejects_inner_rate_not_dividing_mpc_tick(tmp_path, capsys, rate)
     assert "whole inner ticks" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("value", ["0", "-0.009"])
+@pytest.mark.parametrize("value", ["0", "-0.009", "nan"])
 def test_config_rejects_nonpositive_sample_time(tmp_path, value):
     f = write_cfg(tmp_path, f"sample_time_s = {value}\n")
     with pytest.raises(ValueError, match="sample_time_s must be positive"):
@@ -117,11 +131,21 @@ def test_config_rejects_bad_gain(tmp_path, capsys, value):
     assert "gain" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key", ["stop_tol", "max_duration_s"])
+@pytest.mark.parametrize("value", ["0", "-1", "nan"])
+def test_config_rejects_nonpositive_run_bounds(tmp_path, key, value):
+    f = write_cfg(tmp_path, f"{key} = {value}\n")
+    with pytest.raises(ValueError, match=f"{key} must be positive"):
+        load_config(f)
+
+
 @pytest.mark.parametrize("line, match", [
     ("n_c = 0", "n_c <= n_p"),
     ("n_c = 60", "n_c <= n_p"),
     ("q_weight = 1 1 1 -1 1 1", "q_weight must be nonnegative"),
     ("r_weight = 0 1 1 1 1 1", "r_weight must be positive"),
+    ("q_weight = 1 1 1 nan 1 1", "q_weight must be nonnegative"),
+    ("r_weight = 1 1 nan 1 1 1", "r_weight must be positive"),
 ])
 def test_config_rejects_bad_mpc_settings_at_load(tmp_path, capsys, line, match):
     # plan never builds a smoother, so the check has to happen at load

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from screwmpc.dualquat import (
     DualQuaternion,
@@ -15,6 +17,7 @@ from screwmpc.dualquat import (
     log,
     power,
     screw_parameters,
+    _hamilton8,
 )
 
 from helpers import (
@@ -161,6 +164,8 @@ def test_exp_translation_limit():
 def test_exp_rejects_non_pure():
     with pytest.raises(ValueError, match="pure"):
         exp(DualQuaternion.from_vec8([0.1, 1, 0, 0, 0, 0, 0, 0]))
+    with pytest.raises(ValueError, match="pure"):
+        exp(DualQuaternion.from_vec8([0, 1, 0, 0, np.nan, 0, 0, 0]))
 
 
 def test_exp_log_roundtrip_random_screws():
@@ -314,6 +319,8 @@ def test_vec6_roundtrip():
 def test_pure_rejects_real_parts():
     with pytest.raises(ValueError, match="pure"):
         PureDualQuaternion(Quaternion(0.5, 0, 0, 0), Quaternion.zero())
+    with pytest.raises(ValueError, match="pure"):
+        PureDualQuaternion(Quaternion(np.nan, 0, 0, 0), Quaternion.zero())
 
 
 # ---------------------------------------------------------------------------
@@ -340,6 +347,18 @@ def test_hamilton_minus8_basis_columns():
         e = np.zeros(8)
         e[i] = 1.0
         np.testing.assert_allclose(mat[:, i], mul_oracle(e, I_HAT.vec8()), atol=1e-15)
+
+
+def test_hamilton8_forms_match_oracles():
+    """One table gives both operators, bit for bit against the basis-product oracle."""
+    rng = np.random.default_rng(21)
+    vectors = [*np.eye(8), *rng.normal(size=(50, 8))]
+    for v in vectors:
+        plus, minus = _hamilton8(v, 1), _hamilton8(v, -1)
+        np.testing.assert_array_equal(plus, hamilton_plus8_oracle(v))
+        np.testing.assert_array_equal(minus, hamilton_minus8(DualQuaternion.from_vec8(v)))
+        minus_oracle = np.column_stack([mul_oracle(e, v) for e in np.eye(8)])
+        np.testing.assert_array_equal(minus, minus_oracle)
 
 
 def test_c8_conjugation():
@@ -375,6 +394,38 @@ def test_screw_parameters_pure_translation():
     np.testing.assert_allclose(sp.axis.as_array(), [0, 0, 1, 0], atol=1e-12)
 
 
+def _screw_rebuild(sp) -> UnitDualQuaternion:
+    """exp((theta/2) l + eps ((d/2) l + (theta/2) m)) from screw parameters."""
+    half_theta, half_d = sp.theta / 2.0, sp.d / 2.0
+    primary = sp.axis * half_theta
+    dual = sp.axis * half_d + sp.moment * half_theta
+    return exp(PureDualQuaternion(primary, dual))
+
+
+@given(axis=st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda v: np.linalg.norm(v) > 0.1),
+       half_angle=st.floats(1e-6, math.pi - 1e-6),
+       linear=st.tuples(*[st.floats(-3.0, 3.0)] * 3),
+       kind=st.sampled_from(["screw", "translation", "identity"]),
+       flip=st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_screw_parameters_rebuild_the_pose(axis, half_angle, linear, kind, flip):
+    # Half-angles within 1e-8 of 0 or pi are log's pure-translation branch,
+    # which keeps the rotation only to 1e-8, so the draws stay clear of them.
+    angular = np.asarray(axis) * (half_angle / np.linalg.norm(axis))
+    if kind != "screw":
+        angular = np.zeros(3)
+    if kind == "identity":
+        linear = np.zeros(3)
+    x = exp(PureDualQuaternion.from_vec6(np.concatenate([angular, linear])))
+    if flip:
+        x = -x
+    back = _screw_rebuild(screw_parameters(x)).vec8()
+    assert min(np.abs(back - x.vec8()).max(), np.abs(back + x.vec8()).max()) < 1e-9
+
+
 def test_unit_constructor_rejects_non_unit():
     with pytest.raises(ValueError, match="unit"):
         UnitDualQuaternion(Quaternion(2.0, 0, 0, 0), Quaternion.zero())
+    for v in ([np.nan] * 8, [1, 0, 0, 0, np.nan, 0, 0, 0], [np.nan, 0, 0, 0, 0, 0, 0, 0]):
+        with pytest.raises(ValueError, match="unit"):
+            UnitDualQuaternion.from_vec8(v)

@@ -350,6 +350,19 @@ def test_loader_line_numbered_errors(tmp_path):
         load_robot_model(f)
 
 
+@pytest.mark.parametrize("record, match", [
+    ("joint z 1 0 0 0 nan 0 0 0 -1 1 2", r"bad\.model:1: not a unit dual quaternion"),
+    ("joint z 1 0 0 0 0 0 0 0 nan 1 2", r"infeasible: min >= max"),
+    ("joint z 1 0 0 0 0 0 0 0 -1 nan 2", r"infeasible: min >= max"),
+    ("joint z 1 0 0 0 0 0 0 0 -1 1 nan", r"velocity limits must be positive"),
+])
+def test_loader_rejects_nan_offsets_and_limits(tmp_path, record, match):
+    f = tmp_path / "bad.model"
+    f.write_text(record + "\n")
+    with pytest.raises(ValueError, match=match):
+        load_robot_model(f, expected_dof=None)
+
+
 def test_velocity_scaling_preserves_direction(panda):
     qd = np.array([10.0, 0.0, 0.0, 0.0, 0.0, 0.0, 5.0])
     scaled = panda.scale_velocity(qd)

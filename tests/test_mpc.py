@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -133,6 +135,35 @@ def test_prediction_matches_rollout():
             state = a @ state + b @ u_k
             outputs.append(c @ state)
         np.testing.assert_allclose(predicted, np.concatenate(outputs), atol=1e-12)
+
+
+def _unlike_axes(m: np.ndarray, coupled: bool) -> np.ndarray:
+    """A copy of the lifted `m` that couples axes 0 and 1 or gives axis 1 its own entry."""
+    m = m.copy()
+    if coupled:
+        m[0, 1] += 1.0
+    else:
+        m[1, 1] += 1.0
+    return m
+
+
+@pytest.mark.parametrize("coupled", [True, False])
+@pytest.mark.parametrize("which", [0, 1, 2])
+def test_prediction_rejects_model_not_lifted_per_axis(which, coupled):
+    model = list(build_model(0.009))
+    model[which] = _unlike_axes(model[which], coupled)
+    with pytest.raises(ValueError, match="act on each axis alike"):
+        build_prediction(tuple(model), 3, 2)
+
+
+@pytest.mark.parametrize("coupled", [True, False])
+@pytest.mark.parametrize("which", ["f", "phi"])
+def test_qp_rejects_prediction_not_lifted_per_axis(which, coupled):
+    pred = build_prediction(build_model(0.009), 3, 2)
+    bad = dataclasses.replace(pred, **{which: _unlike_axes(getattr(pred, which), coupled)})
+    with pytest.raises(ValueError, match="act on each axis alike"):
+        build_qp(np.zeros(AUG_DIM), build_setpoint(np.zeros(6), 3), bad,
+                 MpcConfig(n_c=2, n_p=3), limits_of(), np.zeros(6))
 
 
 def test_prediction_shapes():
@@ -325,6 +356,12 @@ def test_limitset_validation():
         limits = LimitSet(np.ones(6), -np.ones(6), -INF6, INF6, -INF6, INF6)
     with pytest.raises(ValueError, match="bracket zero"):
         LimitSet(np.full(6, 0.5), np.full(6, 1.0), -INF6, INF6, -INF6, INF6)
+    nan6 = np.full(6, np.nan)
+    with pytest.raises(ValueError, match="min >= max"):
+        LimitSet(-INF6, nan6, -INF6, INF6, -INF6, INF6)
+    with pytest.raises(ValueError, match="min >= max"):
+        LimitSet(-INF6, INF6, -INF6, INF6, nan6, INF6)
+    np.testing.assert_array_equal(LimitSet.unbounded().vel_max, INF6)  # +-inf stay legal
 
 
 def test_mpcconfig_validation():
@@ -332,6 +369,12 @@ def test_mpcconfig_validation():
         MpcConfig(n_c=5, n_p=3)
     with pytest.raises(ValueError, match="positive"):
         MpcConfig(r_weight=np.zeros(6))
+    with pytest.raises(ValueError, match="sample_time must be positive"):
+        MpcConfig(sample_time=float("nan"))
+    with pytest.raises(ValueError, match="q_weight must be nonnegative"):
+        MpcConfig(q_weight=np.full(6, np.nan))
+    with pytest.raises(ValueError, match="r_weight must be positive"):
+        MpcConfig(r_weight=np.full(6, np.nan))
 
 
 # ---------------------------------------------------------------------------

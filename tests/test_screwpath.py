@@ -67,7 +67,7 @@ def test_sclerp_rotation_angle_scaling():
 def test_sclerp_rejects_tau_outside_unit_interval():
     rng = np.random.default_rng(31)
     a, b = random_pose(rng), random_pose(rng)
-    for tau in (-0.1, 1.1):
+    for tau in (-0.1, 1.1, float("nan")):
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             sclerp(a, b, tau)
 
@@ -169,8 +169,9 @@ def test_generate_path_rejects_bad_inputs():
         generate_path([x], 5, 0.01)
     with pytest.raises(ValueError, match="samples_per_segment"):
         generate_path([x, x], 0, 0.01)
-    with pytest.raises(ValueError, match="tau_step"):
-        generate_path([x, x], 5, 0.0)
+    for tau_step in (0.0, float("nan")):
+        with pytest.raises(ValueError, match="tau_step"):
+            generate_path([x, x], 5, tau_step)
 
 
 # ---------------------------------------------------------------------------
@@ -272,6 +273,9 @@ def test_keypoint_file_axis_angle_records(tmp_path):
     ("1 2 3", ":2: expected 8"),
     ("1 0 0 0 0 0 0 bogus", ":2: non-numeric"),
     ("2 0 0 0 0 0 0 0", ":2: "),
+    ("1 0 0 0 0 nan 0 0", ":2: not a unit"),
+    ("nan 0 0 0 0 0 0 0", ":2: not a unit"),
+    ("0 nan 0 0 0 1 0.5", ":2: not a unit"),
 ])
 def test_keypoint_file_line_numbered_errors(tmp_path, bad_line, match):
     f = tmp_path / "kp.txt"
