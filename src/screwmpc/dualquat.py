@@ -343,14 +343,15 @@ def exp(g: DualQuaternion) -> UnitDualQuaternion:
     dual trigonometry cos(a+eps*b) = cos a - eps*b*sin a and
     sin(a+eps*b) = sin a + eps*b*cos a.
 
-    Below theta/2 = 1e-8 the screw axis is ill-conditioned and the
-    pure-translation limit 1 + eps*g_D is returned instead.
+    Below theta/2 = 1e-8 the screw axis is ill-conditioned and the expansion
+    to first order in g_P, (1 + g_P) + eps*(g_D - <g_P, g_D>), is returned.
     """
     _as_pure(g, "exp")
     gp, gd = g.primary, g.dual
     half_theta = math.sqrt(gp.x ** 2 + gp.y ** 2 + gp.z ** 2)
     if half_theta < _SMALL_ANGLE:
-        return UnitDualQuaternion(Quaternion.identity(), _pure(gd))
+        dual = Quaternion(-(gp.x * gd.x + gp.y * gd.y + gp.z * gd.z), gd.x, gd.y, gd.z)
+        return UnitDualQuaternion(Quaternion(1.0, gp.x, gp.y, gp.z), dual)
     lx, ly, lz = gp.x / half_theta, gp.y / half_theta, gp.z / half_theta
     half_d = (gp.x * gd.x + gp.y * gd.y + gp.z * gd.z) / half_theta
     mx = (gd.x - half_d * lx) / half_theta
@@ -372,16 +373,17 @@ def log(x: UnitDualQuaternion) -> PureDualQuaternion:
 
     Shortest-path sign normalization is applied first: if Re(x_P) < 0 the
     argument is negated (same rigid transform by the double cover), so the
-    recovered angle lies in [0, pi].  For vanishing rotation the primary
-    part degenerates to Im(x_P) and the dual part to p/2 with
-    p = 2 * x_D * x_P^* the translation.
+    recovered angle lies in [0, pi].  For vanishing rotation, to first order
+    in Im(x_P), the primary part is Im(x_P) and the dual part
+    p/2 + (1/2) p x Im(x_P) with p = 2 * x_D * x_P^* the translation.
     """
     if x.primary.w < 0.0:
         x = -x
     r, d_ = x.primary, x.dual
     s = math.sqrt(r.x ** 2 + r.y ** 2 + r.z ** 2)
     if s < _SMALL_ANGLE:
-        return PureDualQuaternion(_pure(r), Quaternion.from_vector(x.translation() / 2.0))
+        p = x.translation() / 2.0
+        return PureDualQuaternion(_pure(r), Quaternion.from_vector(p + np.cross(p, r.vector)))
     half_theta = math.atan2(s, r.w)
     lx, ly, lz = r.x / s, r.y / s, r.z / s
     half_d = -d_.w / s

@@ -7,10 +7,9 @@ acceleration, so the realized per-step twist difference equals T*u and the
 per-step input increment equals T*jerk.  Nothing couples the axes, so the
 smoother models one axis as a 3-state chain augmented with backward
 differences for offset-free tracking, condenses predictions into (F, Phi)
-and each tick solves six independent QPs (stacked jerk, acceleration and
-velocity inequality rows) via Hildreth's dual coordinate-ascent.  The dense
-18-state forms of ``build_model``, ``build_prediction`` and ``build_qp``
-are its Kronecker lifts (x I6).
+and each tick solves the six QPs (jerk, acceleration and velocity rows) in
+one batched, iteration-capped interior-point solve.  ``build_model``,
+``build_prediction`` and ``build_qp`` give its dense 18-state lifts (x I6).
 
 Twist vectors are ordered [wx, wy, wz, vx, vy, vz] (vec6 of a pure dual
 quaternion).
@@ -43,8 +42,9 @@ __all__ = [
 N_AXES = 6
 AUG_DIM = 18
 
-DUAL_TOL = 1e-9
 FEAS_TOL = 1e-6
+_MAX_ITERATIONS = 30
+_KKT_TOL = 1e-10
 
 
 def _limit_pair(min_v, max_v, name: str) -> tuple[np.ndarray, np.ndarray]:
@@ -286,78 +286,77 @@ class QpSolution:
         return int(np.count_nonzero(self.lam > 1e-12))
 
 
-def solve_qp(qp: QpProblem, e_inv: np.ndarray | None = None,
-             h: np.ndarray | None = None) -> QpSolution:
-    """Hildreth's dual coordinate ascent for the dense inequality QP.
+def _interior_point(e, f, w, v):
+    """Mehrotra's predictor-corrector on (k, ., 1) columns from x = 0 (see solve_qp)."""
+    scale = np.maximum(np.linalg.norm(w, axis=1, keepdims=True), 1e-12)
+    rows = np.isfinite(v) & (scale > 1e-12)  # the rows that can activate
+    w, v = np.where(rows, w / scale, 0.0), np.where(rows, v / scale, 1.0)
+    w_t = w.transpose(0, 2, 1)
+    x, iterations = np.zeros(f.shape), np.zeros(len(f), dtype=int)
+    s = np.where(v >= 0.0, np.maximum(v, _KKT_TOL), 1.0)  # rows x = 0 meets keep holding
+    z = np.maximum(1.0, np.abs(f).max(axis=1, keepdims=True)) * np.ones(v.shape)
+    for it in range(_MAX_ITERATIONS + 1):
+        wz = w_t @ z
+        r_d = e @ x + f + wz
+        r_p = w @ x + s - v
+        kkt = np.abs(np.concatenate([r_d, r_p, np.minimum(s, z)], axis=1)).max(axis=(1, 2))
+        farkas = (np.sum(v * z, axis=(1, 2)) < 0.0) & (
+            np.abs(wz).max(axis=(1, 2)) <= 1e-4 * (np.abs(w_t) @ z).max(axis=(1, 2)))
+        live = (kkt > _KKT_TOL) & ~farkas
+        if it == _MAX_ITERATIONS or not live.any():
+            lam = np.where(z > s, z / scale, 0.0)[..., 0]
+            return x[..., 0], lam, iterations.max(), kkt.max() <= _KKT_TOL
+        iterations += live
+        s_n = np.maximum(s, 1e-12 * z)  # z/s <= 1e12 keeps the matrix nonsingular
+        mat = e + w_t @ (z / s_n * w)
 
-    Starting from lambda = 0, Gauss-Seidel sweeps update each multiplier
-    lambda_i <- max(0, .) until the largest dual change in a sweep falls
-    below 1e-9 or the sweep count reaches 10x the number of rows (floored
-    at 2000: low-dimensional problems with nearly dependent rows need more
-    sweeps than 10x their row count).  The primal is recovered as
-    dU = -E^-1 (f + W^T lambda); when no constraint is violated at the
-    unconstrained minimizer it is returned directly.
+        def newton(r_c):  # the Newton step for (r_d, r_p, r_c) and 1 / its longest length
+            dx = np.linalg.solve(mat, w_t @ ((r_c - z * r_p) / s_n) - r_d)
+            ds = -r_p - w @ dx
+            dz = -(r_c + z * ds) / s_n
+            return dx, ds, dz, np.concatenate([-ds / s, -dz / z], 1).max(1, keepdims=True)
+        dx, ds, dz, rate = newton(s * z)
+        sigma_mu = (1 - 1 / np.maximum(1, rate)) ** 3 * (s * z).mean(axis=1, keepdims=True)
+        dx, ds, dz, rate = newton(s * z + ds * dz - sigma_mu)
+        step = 0.995 / np.maximum(0.995, rate) * live[:, None, None]  # stopped ones stay put
+        x += step * dx
+        s += step * ds
+        z += step * dz
 
-    Rows with infinite bounds can never activate and are skipped.  Sweeps
-    run over the set of rows violated at the current iterate; whenever the
-    set converges, the dual gradient of every skipped row is checked and
-    newly violated rows join the set, so the result equals a full sweep.
 
-    Each problem of a stack stops on its own convergence, under the cap of
-    the stack's row count; the stack reports the slowest problem's sweeps,
-    whether all converged and the largest violation.  E^-1 and H = W E^-1 W^T
+def solve_qp(qp: QpProblem, e_inv: np.ndarray | None = None) -> QpSolution:
+    """Primal-dual interior-point solve of the dense inequality QP.
+
+    -E^-1 f is the result when it violates no row.  Otherwise Mehrotra's
+    predictor-corrector runs on rows scaled to unit norm until the KKT
+    residuals and each row's min(s, z) are at most 1e-10, until z proves the
+    rows cannot all hold (not converged) or up to an iteration cap.  ``lam``
+    is 0 on rows ending with z <= s; rows with infinite bounds or zero W
+    never activate.  A stack (e (k, n, n), f (k, n), v (k, m), shared w) is
+    solved per problem, each bit for bit as alone, and reports the largest
+    iteration count, whether all converged and the largest violation.  E^-1
     (stacked like E) may be passed in precomputed.
     """
-    stack = (qp.e, qp.f, qp.v, e_inv, h)
+    stack = (qp.e, qp.f, qp.v, e_inv)
     if qp.f.ndim == 1:  # a single problem is a stack of one
         stack = tuple(None if m is None else m[None] for m in stack)
-    e, f, v, e_inv, h = stack
+    e, f, v, e_inv = stack
     w = qp.w
     e_inv = np.linalg.inv(e) if e_inv is None else e_inv
     x = (-e_inv @ f[:, :, None])[:, :, 0]
     lam = np.zeros(v.shape)
-    sweeps, converged = [0] * len(f), [True] * len(f)
+    iterations, converged = 0, True
     finite = np.isfinite(v)
     residual = (w @ x[:, :, None])[:, :, 0] - v
+    active = np.flatnonzero(~(residual <= 1e-12).all(axis=1))
+    if active.size:
+        x[active], lam[active], iterations, converged = _interior_point(
+            e[active], f[active, :, None], w, v[active, :, None])
+        residual = (w @ x[:, :, None])[:, :, 0] - v
     violation = np.where(finite, residual, 0.0).max(axis=1, initial=0.0)
-    max_sweeps = max(10 * v.size, 2000)
-    for p in np.flatnonzero(~(residual <= 1e-12).all(axis=1)):
-        hp = (w @ e_inv[p]) @ w.T if h is None else h[p]
-        k_vec = -residual[p]  # equals V + W E^-1 f
-        lam_p = lam[p]
-        h_diag = np.diag(hp)
-        eligible = finite[p] & (h_diag > 1e-14)
-        in_set = eligible & (k_vec < 0.0)
-        sweep_rows = np.flatnonzero(in_set)
-        while sweeps[p] < max_sweeps:
-            sweeps[p] += 1
-            change = 0.0
-            for i in sweep_rows:
-                num = k_vec[i] + hp[i] @ lam_p - h_diag[i] * lam_p[i]
-                new = -num / h_diag[i]
-                if new < 0.0:
-                    new = 0.0
-                delta = abs(new - lam_p[i])
-                if delta > change:
-                    change = delta
-                lam_p[i] = new
-            if change >= DUAL_TOL:
-                continue
-            # set converged; admit any skipped row whose dual gradient pushes in
-            grad = k_vec + hp @ lam_p
-            fresh = np.flatnonzero(eligible & ~in_set & (grad < -DUAL_TOL))
-            if fresh.size == 0:
-                break
-            in_set[fresh] = True
-            sweep_rows = np.flatnonzero(in_set)
-        else:
-            converged[p] = False
-        x[p] = x[p] - e_inv[p] @ (w.T @ lam_p)
-        viol = (w @ x[p] - v[p])[finite[p]]
-        violation[p] = max(viol.max(), 0.0) if viol.size else 0.0
     if qp.f.ndim == 1:
-        return QpSolution(x[0], lam[0], sweeps[0], converged[0], float(violation[0]))
-    return QpSolution(x, lam, max(sweeps), all(converged), float(violation.max()))
+        x, lam = x[0], lam[0]
+    return QpSolution(x, lam, int(iterations), bool(converged), float(violation.max()))
 
 
 @dataclass
@@ -415,7 +414,6 @@ class TwistSmoother:
         self._model = _scalar_model(cfg.sample_time)
         self._qp = _axis_qp(*_scalar_prediction(self._model, cfg.n_p, cfg.n_c), cfg, limits)
         self._e_inv = np.linalg.inv(self._qp.e)
-        self._h = np.array([(self._qp.w @ e) @ self._qp.w.T for e in self._e_inv])
 
     @property
     def pose(self) -> UnitDualQuaternion:
@@ -430,7 +428,7 @@ class TwistSmoother:
         cfg = self.cfg
         setpoint = build_setpoint(target, cfg.n_p)
         qp = _tick_qp(self._qp, self.state.augmented, setpoint, self.state.u_prev)
-        sol = solve_qp(qp, e_inv=self._e_inv, h=self._h)
+        sol = solve_qp(qp, e_inv=self._e_inv)
         du = sol.delta_u[:, 0]
 
         a, b, _ = self._model

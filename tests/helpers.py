@@ -275,3 +275,12 @@ def control_law_oracle(model, q, x_d, gain) -> tuple[np.ndarray, bool]:
         inv_sigma = np.array([1.0 / s if s >= SV_CUTOFF else 0.0 for s in sigma])
     task_pinv = vt.T @ np.diag(inv_sigma) @ u_svd.T
     return -task_pinv @ (gain @ err.vec8()), singular
+
+
+def qp_feasible_oracle(w, v) -> bool:
+    """Whether W x <= V has a solution, by scipy's LP (HiGHS); infinite rows are dropped."""
+    from scipy.optimize import linprog
+    finite = np.isfinite(v)
+    result = linprog(np.zeros(w.shape[1]), A_ub=w[finite], b_ub=v[finite],
+                     bounds=[(None, None)] * w.shape[1], method="highs")
+    return result.status == 0

@@ -191,7 +191,7 @@ def test_criterion_5_qp_vs_enumeration():
     assert worst_gap < 1e-6
     assert worst_kkt < 1e-6
     assert elapsed < 10.0
-    report(5, f"Hildreth vs active-set enumeration on 200 instances "
+    report(5, f"interior point vs active-set enumeration on 200 instances "
               f"(gap {worst_gap:.2e}, kkt {worst_kkt:.2e}, {elapsed:.2f}s)")
 
 

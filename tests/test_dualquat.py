@@ -188,6 +188,10 @@ def test_log_exp_roundtrip_random_poses():
         x = unit(v)
         worst = max(worst, np.abs(exp(log(x)).vec8() - x.vec8()).max())
     assert worst < 1e-9
+    # below the 1e-8 small-angle threshold both branches keep first-order terms
+    x = UnitDualQuaternion.from_rotation_translation(
+        Quaternion.from_axis_angle([1.0, 0.0, 0.0], 1.8e-8), [0.0, 0.2, 0.0])
+    assert np.abs(exp(log(x)).vec8() - x.vec8()).max() <= 1e-12
 
 
 def test_exp_matches_homogeneous_matrix_exponential():

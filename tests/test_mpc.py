@@ -2,12 +2,13 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from screwmpc.dualquat import UnitDualQuaternion
 from screwmpc.mpc import (
+    _MAX_ITERATIONS,
     AUG_DIM,
     LimitSet,
     MpcConfig,
@@ -21,7 +22,7 @@ from screwmpc.mpc import (
     solve_qp,
 )
 
-from helpers import qp_enumeration_oracle
+from helpers import qp_enumeration_oracle, qp_feasible_oracle
 
 INF6 = np.full(6, np.inf)
 
@@ -303,9 +304,29 @@ def test_per_axis_step_agrees_with_dense_solve(data):
         np.testing.assert_allclose(step.delta_u, dense.delta_u[:6], rtol=0, atol=1e-7)
 
 
-# track-tight limits (benchmark seed 1, line 1, MPC tick 2): the first tick on
-# which the dense 60-variable solve ran to its 3600-sweep cap, while each axis
-# alone converges within 2093 sweeps.  Axes wx, wy, wz are at rest.
+@pytest.mark.parametrize("n_p, n_c, q, r, acc, jerk, state, target", [
+    # a stop on the mean complementarity alone left z ~ mu/s on a near-active
+    # row, and the dense solve landed 3.8e-5 away from the per-axis one
+    pytest.param(1, 1, (2.5, 3, 0, 0, 0, 0), np.ones(6), 1.0, 5.0, 1.0, 0.0,
+                 id="near-active-row"),
+    # a feasible dense tick drove z/s to 1e19 and the reduced matrix singular
+    pytest.param(11, 4, np.full(6, 3.0), (3.5, 1, 1, 1, 1, 1), 2.0, 65.0, 0.75, 1.0,
+                 id="singular-reduced-matrix"),
+])
+def test_per_axis_step_agrees_with_dense_solve_on_solver_traps(n_p, n_c, q, r, acc, jerk,
+                                                              state, target):
+    cfg = MpcConfig(n_c=n_c, n_p=n_p, sample_time=0.009, q_weight=np.array(q, float),
+                    r_weight=np.array(r, float))
+    step, qp = step_and_dense_qp(cfg, limits_of(acc=acc, jerk=jerk), np.full(AUG_DIM, state),
+                                 np.zeros(6), np.full(6, target))
+    dense = solve_qp(qp)
+    assert step.converged and dense.converged
+    np.testing.assert_allclose(step.delta_u, dense.delta_u[:6], rtol=0, atol=1e-7)
+
+
+# track-tight limits (benchmark seed 1, line 1, MPC tick 2): a tick that is
+# hard to solve as one dense 60-variable QP (a dual sweep method needed 3600
+# sweeps).  Axes wx, wy, wz are at rest.
 CAP_TICK_DIFF_S = [7.2900002440457636e-06, 7.2900003082925308e-06, 7.289999999999992e-06]
 CAP_TICK_TWIST = [0.0016200000542323919, 0.0016200000685094515, 0.0016199999999999984]
 CAP_TICK_U_PREV = [0.18000000602582134, 0.18000000761216128, 0.17999999999999983]
@@ -326,7 +347,7 @@ def test_step_converges_on_dense_sweep_cap_tick():
     sm.state = SmootherState(state, u_prev, sm.pose)
     res = sm.step(target)
     assert res.converged
-    assert 2000 < res.iterations < 3600  # beyond one 60-row problem's own cap
+    assert res.iterations <= _MAX_ITERATIONS
     assert res.max_violation <= 1e-6
 
 
@@ -378,7 +399,7 @@ def test_mpcconfig_validation():
 
 
 # ---------------------------------------------------------------------------
-# Hildreth solver
+# interior-point solver
 
 
 def test_solver_unconstrained_optimum():
@@ -445,8 +466,122 @@ def test_solver_reports_infeasible():
     assert sol.max_violation > 1e-6
 
 
+def contradicted_qp(seed: int) -> QpProblem:
+    """A feasible random QP plus one row that a nonnegative mix of its rows contradicts."""
+    rng = np.random.default_rng(seed)
+    n, m = rng.integers(1, 5), rng.integers(1, 7)
+    a = rng.normal(size=(n, n))
+    w = rng.normal(size=(m, n))
+    v = w @ rng.normal(size=n) + rng.uniform(0.05, 1.0, size=m)
+    y = rng.uniform(0.1, 1.0, size=m)  # y^T W x <= y^T V, but the new row asks for more
+    return QpProblem(a @ a.T + 0.1 * np.eye(n), rng.normal(size=n), np.vstack([w, -(y @ w)]),
+                     np.append(v, -(y @ v) - rng.uniform(1e-3, 1.0)))
+
+
+@pytest.mark.parametrize("qp", [
+    pytest.param(QpProblem(np.array([[1.0]]), np.array([0.0]), np.array([[1.0], [-1.0]]),
+                           np.array([-1.0, -2.0])), id="x<=-1,x>=2"),
+    *(pytest.param(contradicted_qp(seed), id=f"contradicted-{seed}") for seed in range(20)),
+])
+def test_solver_stops_on_infeasibility_certificate(qp):
+    # the rows cannot all hold: the iteration stops on a Farkas certificate,
+    # before its cap, and returns a finite, unconverged result
+    sol = solve_qp(qp)
+    assert not sol.converged and sol.iterations < _MAX_ITERATIONS
+    assert np.all(np.isfinite(sol.delta_u)) and np.all(np.isfinite(sol.lam))
+    assert sol.max_violation > 1e-6
+
+
+@st.composite
+def qp_stacks(draw):
+    """A stack of QPs sharing W, feasible by construction unless a problem is
+    given a row that contradicts one of its finite rows.  Rows come in pairs
+    -r x <= -lo, r x <= hi with lo and hi each possibly infinite."""
+    k = draw(st.integers(1, 3), label="k")
+    n = draw(st.integers(1, 4), label="n")
+    pairs = draw(st.integers(1, 4), label="pairs")
+    rows = draw(arrays(float, (pairs, n), elements=st.floats(-2.0, 2.0)), label="rows")
+    assume(np.all(np.linalg.norm(rows, axis=1) > 0.1))
+    a = draw(arrays(float, (k, n, n), elements=st.floats(-2.0, 2.0)), label="a")
+    f = draw(arrays(float, (k, n), elements=st.floats(-5.0, 5.0)), label="f")
+    x_feasible = draw(arrays(float, (k, n), elements=st.floats(-1.0, 1.0)), label="x")
+    centre = x_feasible @ rows.T
+    margin = draw(arrays(float, (k, pairs, 2), elements=st.floats(0.0, 1.0)), label="gap")
+    infinite = draw(arrays(bool, (k, pairs, 2)), label="infinite")
+    bounds = margin + np.stack([-centre, centre], axis=2)
+    v = np.where(infinite, np.inf, bounds).reshape(k, -1)
+    # row 2i + 1 is r_i x <= hi_i; the extra row -c r_i x <= -c (hi_i + delta) contradicts it
+    i = draw(st.integers(0, pairs - 1), label="contradicted pair")
+    c = draw(st.floats(0.5, 2.0), label="c")
+    delta = draw(st.floats(1e-3, 1.0), label="delta")
+    infeasible = draw(arrays(bool, k), label="infeasible") & np.isfinite(v[:, 2 * i + 1])
+    v = np.hstack([v, np.where(infeasible, -c * (v[:, 2 * i + 1] + delta), np.inf)[:, None]])
+    w = np.vstack([np.stack([-rows, rows], axis=1).reshape(-1, n), -c * rows[i]])
+    e = a @ a.transpose(0, 2, 1) + 0.1 * np.eye(n)
+    return QpProblem(e, f, w, v), infeasible
+
+
+@settings(max_examples=150, deadline=None)
+@given(stack_and_infeasible=qp_stacks())
+def test_solver_bounded_on_random_stacks(stack_and_infeasible):
+    # never raises or warns (warnings are errors), returns finite values within
+    # the iteration cap, each problem as if alone; converged problems meet
+    # the KKT conditions and infeasible ones are reported
+    qp, infeasible = stack_and_infeasible
+    stack = solve_qp(qp)
+    assert np.all(np.isfinite(stack.delta_u)) and np.all(np.isfinite(stack.lam))
+    assert stack.iterations <= _MAX_ITERATIONS
+    for p in range(len(qp.f)):
+        sol = solve_qp(QpProblem(qp.e[p], qp.f[p], qp.w, qp.v[p]))
+        assert np.array_equal(sol.delta_u, stack.delta_u[p])
+        assert np.array_equal(sol.lam, stack.lam[p])
+        x, lam, finite = sol.delta_u, sol.lam, np.isfinite(qp.v[p])
+        residual = (qp.w @ x - qp.v[p])[finite]
+        if sol.converged:
+            assert np.all(lam >= 0.0)
+            assert np.abs(qp.e[p] @ x + qp.f[p] + qp.w.T @ lam).max() <= 1e-6
+            assert residual.max(initial=0.0) <= 1e-6
+            assert abs(lam[finite] @ residual) <= 1e-6
+        if infeasible[p]:
+            assert not sol.converged and sol.max_violation > 1e-6
+
+
 # ---------------------------------------------------------------------------
 # smoother stepping
+
+
+def test_step_bounded_on_conflicting_limits():
+    # conflicting limits (velocity 1, acceleration 10, jerk 20, reference
+    # +3 then -3): from tick 34 some ticks' velocity rows cannot be met
+    # under the braking the jerk rows allow.  Every step stays finite and
+    # within the iteration cap, only infeasible ticks end unconverged, and
+    # since the iteration starts from delta_u = 0, which meets the jerk and
+    # acceleration rows, the realized jerk and acceleration stay within
+    # their bounds on every tick.
+    cfg = MpcConfig()
+    T = cfg.sample_time
+    one = np.ones(6)
+    limits = LimitSet(-one, one, -10 * one, 10 * one, -20 * one, 20 * one)
+    sm = TwistSmoother(cfg, limits, UnitDualQuaternion.identity())
+    pred = build_prediction(build_model(T), cfg.n_p, cfg.n_c)
+    prev = prev_acc = np.zeros(6)
+    unconverged = []
+    for tick in range(600):
+        target = np.full(6, 3.0 if tick < 300 else -3.0)
+        qp = build_qp(sm.state.augmented, build_setpoint(target, cfg.n_p), pred, cfg, limits,
+                      sm.state.u_prev)
+        res = sm.step(target)
+        assert np.all(np.isfinite(res.twist)) and res.iterations <= _MAX_ITERATIONS
+        if res.converged:
+            assert res.max_violation <= 1e-6
+        else:
+            unconverged.append(tick)
+            assert not qp_feasible_oracle(qp.w, qp.v)
+        acc = (res.twist - prev) / T
+        assert np.abs(acc).max() <= 10.0 + 1e-6
+        assert np.abs((acc - prev_acc) / T).max() <= 20.0 + 1e-6
+        prev, prev_acc = res.twist, acc
+    assert unconverged[0] == 34
 
 
 def test_step_equilibrium():
