@@ -41,11 +41,10 @@ def _load_model(cfg: RunConfig):
     return load_robot_model(path)
 
 
-def _random_keypoints(cfg: RunConfig, count: int, seed: int):
+def _random_keypoints(model, q0, count: int, seed: int):
     """Seeded random reachable keypoints: random screws from the start pose."""
-    model = _load_model(cfg)
     rng = np.random.default_rng(seed)
-    pose = forward_kinematics(model, cfg.q0)
+    pose = forward_kinematics(model, q0)
     keypoints = [pose]
     for _ in range(count - 1):
         axis = rng.normal(size=3)
@@ -57,11 +56,13 @@ def _random_keypoints(cfg: RunConfig, count: int, seed: int):
     return keypoints
 
 
-def _keypoints_for(cfg: RunConfig, args) -> list:
+def _keypoints_for(cfg: RunConfig, args, model=None) -> list:
     if args.random is not None:
         if args.random < 2:
             raise ValueError("--random needs at least 2 keypoints")
-        return _random_keypoints(cfg, args.random, args.seed)
+        if model is None:
+            model = _load_model(cfg)
+        return _random_keypoints(model, cfg.q0, args.random, args.seed)
     if cfg.keypoints is None:
         raise ValueError("no keypoint file configured (set 'keypoints' or use --random)")
     return load_keypoints(cfg.keypoints)
@@ -90,8 +91,8 @@ def cmd_plan(args) -> int:
 
 def cmd_simulate(args) -> int:
     cfg = load_config(args.config)
-    keypoints = _keypoints_for(cfg, args)
     model = _load_model(cfg)
+    keypoints = _keypoints_for(cfg, args, model)
     out = _out_dir(cfg, args)
     result = run_closed_loop(cfg, model, keypoints)
     write_trajectory_csv(out / "trajectory.csv", result)
@@ -109,7 +110,10 @@ def cmd_verify(args) -> int:
     cfg = load_config(args.config)
     log_path = Path(args.log) if args.log else _out_dir(cfg, args) / "trajectory.csv"
     columns, rows = read_trajectory_csv(log_path)
-    report = verify_trajectory(columns, rows, cfg.limits)
+    try:
+        report = verify_trajectory(columns, rows, cfg.limits)
+    except ValueError as err:
+        raise ValueError(f"{log_path}: {err}") from None
     print(report.render())
     return 0 if report.ok else 2
 
@@ -126,18 +130,15 @@ def main(argv=None) -> int:
                        help="run configuration file (packaged defaults otherwise)")
         p.add_argument("--out", type=Path, default=None,
                        help="output directory (default from config)")
-        p.add_argument("--seed", type=int, default=0,
-                       help="seed for randomized test paths")
 
-    p_plan = sub.add_parser("plan", help="sample the keypoint path and twists")
-    common(p_plan)
-    p_plan.add_argument("--random", type=int, default=None, metavar="N",
-                        help="generate N random keypoints instead of loading a file")
-
-    p_sim = sub.add_parser("simulate", help="run the dual-rate closed loop")
-    common(p_sim)
-    p_sim.add_argument("--random", type=int, default=None, metavar="N",
+    for name, text in (("plan", "sample the keypoint path and twists"),
+                       ("simulate", "run the dual-rate closed loop")):
+        p = sub.add_parser(name, help=text)
+        common(p)
+        p.add_argument("--random", type=int, default=None, metavar="N",
                        help="generate N random keypoints instead of loading a file")
+        p.add_argument("--seed", type=int, default=0,
+                       help="seed for the --random keypoints")
 
     p_ver = sub.add_parser("verify", help="check a trajectory log against the limits")
     common(p_ver)

@@ -37,7 +37,6 @@ _FLOAT_KEYS = {
 }
 _INT_KEYS = {"n_c", "n_p", "samples_per_segment"}
 _PATH_KEYS = {"keypoints", "robot_model", "out_dir"}
-_ALL_KEYS = _LIST_KEYS.keys() | _FLOAT_KEYS | _INT_KEYS | _PATH_KEYS
 
 
 def parse_config_text(text: str, *, source: str = "<config>",

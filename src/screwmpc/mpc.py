@@ -286,12 +286,32 @@ class QpSolution:
         return int(np.count_nonzero(self.lam > 1e-12))
 
 
-def _interior_point(e, f, w, v):
+def _solve(mat, rhs):
+    """np.linalg.solve per problem of a stack; a matrix that rounding made exactly
+    singular (z/s large enough to swamp E's smallest eigenvalue) gets the
+    least-squares step instead, and only that problem."""
+    try:
+        return np.linalg.solve(mat, rhs)
+    except np.linalg.LinAlgError:
+        if len(mat) == 1:
+            return np.linalg.pinv(mat) @ rhs
+        return np.concatenate([_solve(m, r) for m, r in zip(mat[:, None], rhs[:, None])])
+
+
+def _interior_point(e, f, w, v, x_free):
     """Mehrotra's predictor-corrector on (k, ., 1) columns from x = 0 (see solve_qp)."""
     scale = np.maximum(np.linalg.norm(w, axis=1, keepdims=True), 1e-12)
     rows = np.isfinite(v) & (scale > 1e-12)  # the rows that can activate
     w, v = np.where(rows, w / scale, 0.0), np.where(rows, v / scale, 1.0)
     w_t = w.transpose(0, 2, 1)
+    # each residual is measured against the size of the terms of its own
+    # equation at the unconstrained optimum x_free (W^T z is left out:
+    # multipliers can drift off in opposite pairs); a multiplier against the
+    # stationarity rows of the variables its constraint row touches
+    x_abs, w_abs = np.abs(x_free), np.abs(w)
+    dual = np.maximum(1.0, np.abs(e) @ x_abs + np.abs(f))
+    primal = np.maximum(1.0, w_abs @ x_abs + np.abs(v))
+    multiplier = np.maximum(1.0, w_abs @ dual)
     x, iterations = np.zeros(f.shape), np.zeros(len(f), dtype=int)
     s = np.where(v >= 0.0, np.maximum(v, _KKT_TOL), 1.0)  # rows x = 0 meets keep holding
     z = np.maximum(1.0, np.abs(f).max(axis=1, keepdims=True)) * np.ones(v.shape)
@@ -299,9 +319,10 @@ def _interior_point(e, f, w, v):
         wz = w_t @ z
         r_d = e @ x + f + wz
         r_p = w @ x + s - v
-        kkt = np.abs(np.concatenate([r_d, r_p, np.minimum(s, z)], axis=1)).max(axis=(1, 2))
+        kkt = np.concatenate([r_d / dual, r_p / primal, np.minimum(s / primal, z / multiplier)], 1)
+        kkt = np.abs(kkt).max(axis=(1, 2))
         farkas = (np.sum(v * z, axis=(1, 2)) < 0.0) & (
-            np.abs(wz).max(axis=(1, 2)) <= 1e-4 * (np.abs(w_t) @ z).max(axis=(1, 2)))
+            np.abs(wz).max(axis=(1, 2)) <= 1e-4 * (w_abs.transpose(0, 2, 1) @ z).max(axis=(1, 2)))
         live = (kkt > _KKT_TOL) & ~farkas
         if it == _MAX_ITERATIONS or not live.any():
             lam = np.where(z > s, z / scale, 0.0)[..., 0]
@@ -311,7 +332,7 @@ def _interior_point(e, f, w, v):
         mat = e + w_t @ (z / s_n * w)
 
         def newton(r_c):  # the Newton step for (r_d, r_p, r_c) and 1 / its longest length
-            dx = np.linalg.solve(mat, w_t @ ((r_c - z * r_p) / s_n) - r_d)
+            dx = _solve(mat, w_t @ ((r_c - z * r_p) / s_n) - r_d)
             ds = -r_p - w @ dx
             dz = -(r_c + z * ds) / s_n
             return dx, ds, dz, np.concatenate([-ds / s, -dz / z], 1).max(1, keepdims=True)
@@ -328,9 +349,11 @@ def solve_qp(qp: QpProblem, e_inv: np.ndarray | None = None) -> QpSolution:
     """Primal-dual interior-point solve of the dense inequality QP.
 
     -E^-1 f is the result when it violates no row.  Otherwise Mehrotra's
-    predictor-corrector runs on rows scaled to unit norm until the KKT
-    residuals and each row's min(s, z) are at most 1e-10, until z proves the
-    rows cannot all hold (not converged) or up to an iteration cap.  ``lam``
+    predictor-corrector runs on rows scaled to unit norm until every KKT
+    residual and each row's min(s, z) is at most 1e-10 of the size of the
+    terms of its own equation at -E^-1 f (and of 1), until z proves the rows
+    cannot all hold (not converged) or up to an iteration cap.  A Newton
+    matrix that rounding makes singular gets a least-squares step.  ``lam``
     is 0 on rows ending with z <= s; rows with infinite bounds or zero W
     never activate.  A stack (e (k, n, n), f (k, n), v (k, m), shared w) is
     solved per problem, each bit for bit as alone, and reports the largest
@@ -351,7 +374,7 @@ def solve_qp(qp: QpProblem, e_inv: np.ndarray | None = None) -> QpSolution:
     active = np.flatnonzero(~(residual <= 1e-12).all(axis=1))
     if active.size:
         x[active], lam[active], iterations, converged = _interior_point(
-            e[active], f[active, :, None], w, v[active, :, None])
+            e[active], f[active, :, None], w, v[active, :, None], x[active, :, None])
         residual = (w @ x[:, :, None])[:, :, 0] - v
     violation = np.where(finite, residual, 0.0).max(axis=1, initial=0.0)
     if qp.f.ndim == 1:

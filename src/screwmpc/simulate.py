@@ -5,7 +5,9 @@ twist and the desired pose is held (zero-order) for a fixed number of inner
 ticks, each of which runs the kinematic controller and integrates the
 joints by explicit Euler.  One log record is written per MPC tick; numbers
 are serialized with 17 significant digits so identical configurations give
-byte-identical logs.
+byte-identical logs.  The tick loop records what it measures; the realized
+acceleration, jerk and bound flags are differenced from rest afterwards by
+the one function ``verify_trajectory`` also checks a log with.
 """
 
 from __future__ import annotations
@@ -70,13 +72,21 @@ class SimulationResult:
     def n_records(self) -> int:
         return self.rows.shape[0]
 
-    def column(self, name: str) -> np.ndarray:
-        return self.rows[:, self.columns.index(name)]
 
+def _realized(twist: np.ndarray, dt: np.ndarray, limits):
+    """Finite-difference acceleration and jerk of a twist series, and bound flags.
 
-def _exceeds(values: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> bool:
-    return bool(np.any(values > hi + VIOLATION_SLACK)
-                or np.any(values < lo - VIOLATION_SLACK))
+    acc[i] = (twist[i+1] - twist[i]) / dt[i] and jerk[i] = (acc[i+1] - acc[i])
+    / dt[i+1] for the per-interval times dt; each flag array marks the samples
+    (twist, acc, jerk) where any axis exceeds its bound by more than 1e-6.
+    """
+    acc = np.diff(twist, axis=0) / dt[:, None]
+    jerk = np.diff(acc, axis=0) / dt[1:, None]
+    flags = [np.any((values > hi + VIOLATION_SLACK) | (values < lo - VIOLATION_SLACK), axis=1)
+             for values, lo, hi in ((twist, limits.vel_min, limits.vel_max),
+                                    (acc, limits.acc_min, limits.acc_max),
+                                    (jerk, limits.jerk_min, limits.jerk_max))]
+    return acc, jerk, flags
 
 
 def run_closed_loop(cfg: RunConfig, model: RobotModel,
@@ -103,25 +113,19 @@ def run_closed_loop(cfg: RunConfig, model: RobotModel,
     twists = reference_twists(path)
     goal = path.samples[-1].pose
 
-    ref_vectors = [xi.vec6() for xi in twists]
-    active_until = 0
-    for i, vec in enumerate(ref_vectors):
-        if np.abs(vec).max() > _ZERO_TWIST:
-            active_until = i + 1
+    ref_vectors = np.array([xi.vec6() for xi in twists])
+    moving = np.flatnonzero(np.abs(ref_vectors).max(axis=1) > _ZERO_TWIST)
+    active_until = moving[-1] + 1 if moving.size else 0
 
     T = cfg.sample_time_s
     ratio = cfg.inner_ticks_per_mpc
     inner_dt = cfg.inner_dt
     gain = cfg.gain_matrix
     smoother = TwistSmoother(cfg.mpc, cfg.limits, path.samples[0].pose)
-    lim = cfg.limits
 
     max_ticks = max(1, int(math.ceil(cfg.max_duration_s / T)))
     records: list[list[float]] = []
-    prev_twist = np.zeros(N_AXES)
-    prev_acc = np.zeros(N_AXES)
     qp_failures = 0
-    singular_ticks = 0
     reason = "max_duration"
     err_goal = math.inf
 
@@ -142,14 +146,10 @@ def run_closed_loop(cfg: RunConfig, model: RobotModel,
             singular = singular or cmd.singular
             qd = model.scale_velocity(cmd.qdot)
             q = model.clamp_position(q + inner_dt * qd)
-        if singular:
-            singular_ticks += 1
 
         x_eff = forward_kinematics(model, q)
         err_track = float(np.linalg.norm(pose_error(x_d, x_eff).vec8()))
         err_goal = float(np.linalg.norm(pose_error(goal, x_eff).vec8()))
-        acc = (step.twist - prev_twist) / T
-        jerk = (acc - prev_acc) / T
         t = tick * T
 
         if np.isnan(q).any() or np.isnan(step.twist).any():
@@ -157,20 +157,23 @@ def run_closed_loop(cfg: RunConfig, model: RobotModel,
 
         records.append(
             [t, *q, *x_eff.vec8(), *x_d.vec8(), *ref, *step.twist, *step.delta_u,
-             err_track, err_goal, *acc, *jerk,
-             float(step.iterations), float(step.converged),
-             float(step.active_count), float(singular),
-             float(_exceeds(step.twist, lim.vel_min, lim.vel_max)),
-             float(_exceeds(acc, lim.acc_min, lim.acc_max)),
-             float(_exceeds(jerk, lim.jerk_min, lim.jerk_max))]
+             err_track, err_goal, float(step.iterations), float(step.converged),
+             float(step.active_count), float(singular)]
         )
-        prev_twist, prev_acc = step.twist, acc
 
         if tick + 1 >= active_until and err_goal <= cfg.stop_tol:
             reason = "tolerance"
             break
 
-    return SimulationResult(list(LOG_COLUMNS), np.array(records), reason,
+    # the smoother starts at rest: difference the twist from two rest samples
+    measured = np.array(records)
+    n, k, split = len(measured), LOG_COLUMNS.index("twist_wx"), LOG_COLUMNS.index("acc_wx")
+    acc, jerk, flags = _realized(np.vstack([np.zeros((2, N_AXES)), measured[:, k:k + N_AXES]]),
+                                 np.full(n + 1, T), cfg.limits)
+    rows = np.hstack([measured[:, :split], acc[1:], jerk, measured[:, split:],
+                      np.column_stack([f[-n:] for f in flags])])
+    singular_ticks = int(rows[:, LOG_COLUMNS.index("singular")].sum())
+    return SimulationResult(list(LOG_COLUMNS), rows, reason,
                             err_goal, ratio, qp_failures, singular_ticks)
 
 
@@ -254,29 +257,16 @@ def verify_trajectory(columns: list[str], rows: np.ndarray,
     the MPC rate).  A sample counts as a violation when any axis exceeds
     its bound by more than 1e-6.
     """
-    idx = [columns.index(f"twist_{a}") for a in _AXIS_NAMES]
-    t = rows[:, columns.index("t")]
-    twist = rows[:, idx]
-    if np.any(np.diff(t) <= 0.0):
+    names = ["t"] + [f"twist_{a}" for a in _AXIS_NAMES]
+    missing = [name for name in names if name not in columns]
+    if missing:
+        raise ValueError("log has no column " + ", ".join(missing))
+    t, twist = rows[:, columns.index("t")], rows[:, [columns.index(n) for n in names[1:]]]
+    dt = np.diff(t)
+    if np.any(dt <= 0.0):
         raise ValueError("log time column is not strictly increasing")
-    dt = np.diff(t)[:, None]
-    acc = np.diff(twist, axis=0) / dt
-    jerk = np.diff(acc, axis=0) / dt[1:]
-
-    def count(values, lo, hi):
-        if values.size == 0:
-            return 0
-        over = (values > hi + VIOLATION_SLACK) | (values < lo - VIOLATION_SLACK)
-        return int(np.count_nonzero(np.any(over, axis=1)))
-
-    def absmax(values):
-        if values.size == 0:
-            return np.zeros(N_AXES)
-        return np.abs(values).max(axis=0)
-
+    acc, jerk, flags = _realized(twist, dt, limits)
     return VerifyReport(
-        absmax(twist), absmax(acc), absmax(jerk),
-        count(twist, limits.vel_min, limits.vel_max),
-        count(acc, limits.acc_min, limits.acc_max),
-        count(jerk, limits.jerk_min, limits.jerk_max),
+        *(np.abs(values).max(axis=0, initial=0.0) for values in (twist, acc, jerk)),
+        *(int(np.count_nonzero(f)) for f in flags),
     )

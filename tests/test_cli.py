@@ -8,6 +8,7 @@ from screwmpc.cli import main
 from screwmpc.config import RunConfig, load_config, parse_config_text
 from screwmpc.dualquat import PureDualQuaternion, exp
 from screwmpc.kinematics import forward_kinematics, load_robot_model, packaged_model_path
+from screwmpc.mpc import LimitSet
 from screwmpc.screwpath import write_keypoints
 from screwmpc.simulate import (
     LOG_COLUMNS,
@@ -17,6 +18,8 @@ from screwmpc.simulate import (
 )
 
 from helpers import pose_rotation_translation
+
+AXES = ("wx", "wy", "wz", "vx", "vy", "vz")
 
 
 @pytest.fixture(scope="module")
@@ -317,6 +320,44 @@ def test_simulate_constrained_run_delays_but_respects_limits(tmp_path, panda, re
     assert acc_vx.max() > 0.9
 
 
+def test_simulate_log_derived_columns_agree_with_verify(panda, ready_pose):
+    # a 1.5 rad turn about the tool z axis under vel 1, acc 10, jerk 20:
+    # some velocity rows cannot be met, so the log carries non-zero flags
+    goal = ready_pose * exp(PureDualQuaternion.from_vec6([0, 0, 0.75, 0, 0, 0]))
+    one = np.ones(6)
+    limits = LimitSet(-one, one, -10 * one, 10 * one, -20 * one, 20 * one)
+    cfg = dataclasses.replace(load_config(None), samples_per_segment=50, limits=limits)
+    result = run_closed_loop(cfg, panda, [ready_pose, goal])
+    rows, col = result.rows, result.columns.index
+    T = cfg.sample_time_s
+
+    def cols(prefix):
+        return rows[:, [col(f"{prefix}_{a}") for a in AXES]]
+
+    # acceleration and jerk are differenced from rest at the MPC sample time
+    twist = cols("twist")
+    acc = np.diff(twist, axis=0, prepend=np.zeros((1, 6))) / T
+    jerk = np.diff(acc, axis=0, prepend=np.zeros((1, 6))) / T
+    assert np.array_equal(cols("acc"), acc)
+    assert np.array_equal(cols("jerk"), jerk)
+
+    # the flags mark the rows verify counts: velocity on every record,
+    # acceleration from the second and jerk from the third
+    flags = {name: rows[:, col(f"viol_{name}")] for name in ("vel", "acc", "jerk")}
+    assert flags["vel"].sum() > 0
+    report = verify_trajectory(result.columns, rows, limits)
+    assert report.vel_violations == flags["vel"].sum()
+    assert report.acc_violations == flags["acc"][1:].sum()
+    assert report.jerk_violations == flags["jerk"][2:].sum()
+    slack = 1e-6
+    for name, values, lo, hi in (("vel", twist, -one, one), ("acc", acc, -10 * one, 10 * one),
+                                 ("jerk", jerk, -20 * one, 20 * one)):
+        over = np.any((values > hi + slack) | (values < lo - slack), axis=1)
+        assert np.array_equal(flags[name], over.astype(float))
+
+    assert result.singular_ticks == rows[:, col("singular")].sum()
+
+
 def test_simulate_determinism(tmp_path, ready_pose):
     goal = translated(ready_pose, [0.05, 0.02, 0.0])
     write_keypoints(tmp_path / "kp.txt", [ready_pose, goal])
@@ -395,7 +436,6 @@ def test_verify_counts_acc_and_jerk(tmp_path):
     assert report.acc_violations == 0  # 22.2 < 25 rad/s^2 bound
     tight = parse_config_text("limits.acc.min = -1 -1 -1 -1 -1 -1\n"
                               "limits.acc.max = 1 1 1 1 1 1\n")
-    from screwmpc.mpc import LimitSet
     limits = LimitSet(tight["limits.acc.min"], tight["limits.acc.max"],
                       tight["limits.acc.min"], tight["limits.acc.max"],
                       cfg.limits.jerk_min, cfg.limits.jerk_max)
@@ -409,6 +449,37 @@ def test_verify_rejects_malformed_log(tmp_path, capsys):
     rc = main(["verify", "--log", str(f)])
     assert rc == 1
     assert "expected 2 fields" in capsys.readouterr().err
+
+
+def test_verify_names_file_and_missing_column(tmp_path, capsys):
+    f = tmp_path / "log.csv"
+    f.write_text("t,twist_wx\n0.0,0.0\n")
+    assert main(["verify", "--log", str(f)]) == 1
+    err = capsys.readouterr().err
+    assert str(f) in err and "twist_wy" in err
+    assert "not in list" not in err
+
+
+def test_seed_belongs_to_random_keypoint_commands(tmp_path, capsys):
+    f = _synthetic_log(tmp_path, np.zeros((3, 6)))
+    with pytest.raises(SystemExit):
+        main(["verify", "--log", str(f), "--seed", "3"])
+    assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+
+
+def test_simulate_random_loads_the_model_once(tmp_path, monkeypatch):
+    import screwmpc.cli as cli
+    calls = []
+
+    def counting(path):
+        calls.append(path)
+        return load_robot_model(path)
+
+    monkeypatch.setattr(cli, "load_robot_model", counting)
+    cfg = write_cfg(tmp_path, "max_duration_s = 0.05\n")
+    assert main(["simulate", "--config", str(cfg), "--random", "2", "--seed", "4",
+                 "--out", str(tmp_path / "out")]) == 0
+    assert len(calls) == 1
 
 
 def test_verify_closure_with_simulation(tmp_path, ready_pose):

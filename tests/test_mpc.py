@@ -2,7 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -304,21 +304,26 @@ def test_per_axis_step_agrees_with_dense_solve(data):
         np.testing.assert_allclose(step.delta_u, dense.delta_u[:6], rtol=0, atol=1e-7)
 
 
-@pytest.mark.parametrize("n_p, n_c, q, r, acc, jerk, state, target", [
+@pytest.mark.parametrize("n_p, n_c, q, r, acc, jerk, state, u_prev, target", [
     # a stop on the mean complementarity alone left z ~ mu/s on a near-active
     # row, and the dense solve landed 3.8e-5 away from the per-axis one
-    pytest.param(1, 1, (2.5, 3, 0, 0, 0, 0), np.ones(6), 1.0, 5.0, 1.0, 0.0,
+    pytest.param(1, 1, (2.5, 3, 0, 0, 0, 0), np.ones(6), 1.0, 5.0, 1.0, 0.0, 0.0,
                  id="near-active-row"),
     # a feasible dense tick drove z/s to 1e19 and the reduced matrix singular
-    pytest.param(11, 4, np.full(6, 3.0), (3.5, 1, 1, 1, 1, 1), 2.0, 65.0, 0.75, 1.0,
+    pytest.param(11, 4, np.full(6, 3.0), (3.5, 1, 1, 1, 1, 1), 2.0, 65.0, 0.75, 0.0, 1.0,
                  id="singular-reduced-matrix"),
+    # residuals measured against one scale per problem let the dense solve
+    # stop on axis wz's terms and land 1.1e-7 away on the flat axis wx
+    pytest.param(1, 1, (0, 0, 3.75, 0, 0, 0), (1 / 64, 2, 1 / 64, 1 / 64, 1 / 64, 1 / 64), 0.75,
+                 5.0, 1.0, (0.625, 0, 0, 0, 0, 0), -2.0, id="flat-axis-next-to-steep"),
 ])
 def test_per_axis_step_agrees_with_dense_solve_on_solver_traps(n_p, n_c, q, r, acc, jerk,
-                                                              state, target):
+                                                              state, u_prev, target):
     cfg = MpcConfig(n_c=n_c, n_p=n_p, sample_time=0.009, q_weight=np.array(q, float),
                     r_weight=np.array(r, float))
     step, qp = step_and_dense_qp(cfg, limits_of(acc=acc, jerk=jerk), np.full(AUG_DIM, state),
-                                 np.zeros(6), np.full(6, target))
+                                 np.broadcast_to(np.asarray(u_prev, float), 6).copy(),
+                                 np.full(6, target))
     dense = solve_qp(qp)
     assert step.converged and dense.converged
     np.testing.assert_allclose(step.delta_u, dense.delta_u[:6], rtol=0, atol=1e-7)
@@ -521,8 +526,34 @@ def qp_stacks(draw):
     return QpProblem(e, f, w, v), infeasible
 
 
+def ill_conditioned_draw() -> QpProblem:
+    """A feasible QP (n=4, m=6, cond(E) 2.8e8, row norms 1e-2..1e2) that an
+    absolute stop test kept iterating until E + W^T diag(z/s) W grew entries of
+    5.5e11 and, rounding away E's smallest eigenvalue (3.1e-5), turned singular."""
+    rng = np.random.default_rng(2)
+    for _ in range(112):
+        n, m = rng.integers(2, 8), rng.integers(2, 16)
+        q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+        e = (q * 10.0 ** rng.uniform(-5, 5, size=n)) @ q.T
+        w = rng.normal(size=(m, n)) * 10.0 ** rng.uniform(-3, 2, size=(m, 1))
+        v = rng.normal(size=m) * 10.0 ** rng.uniform(-3, 2, size=m)
+        f = rng.normal(size=n) * 10.0 ** rng.uniform(-2, 3)
+    return QpProblem(0.5 * (e + e.T)[None], f[None], w, v[None])
+
+
+# E = 1e-7 I next to z/s = 1e10 on the row (1, 1): the Newton matrix rounds to
+# exactly singular; its stack-mate's matrix is regular
+SINGULAR_NEWTON_STACK = QpProblem(np.array([1e-7 * np.eye(2), np.eye(2)]), np.full((2, 2), -1.0),
+                                  np.array([[1.0, 1.0]]), np.zeros((2, 1)))
+
+
 @settings(max_examples=150, deadline=None)
 @given(stack_and_infeasible=qp_stacks())
+@example(stack_and_infeasible=(SINGULAR_NEWTON_STACK, np.array([False, False])))
+# x = 0 pinned by two opposite rows: their multipliers can grow in a pair
+@example(stack_and_infeasible=(QpProblem(np.array([[[0.1]]]), np.array([[1.0]]),
+                                         np.array([[-1.0], [1.0], [-1.0]]),
+                                         np.array([[0.0, 0.0, np.inf]])), np.array([False])))
 def test_solver_bounded_on_random_stacks(stack_and_infeasible):
     # never raises or warns (warnings are errors), returns finite values within
     # the iteration cap, each problem as if alone; converged problems meet
@@ -546,42 +577,63 @@ def test_solver_bounded_on_random_stacks(stack_and_infeasible):
             assert not sol.converged and sol.max_violation > 1e-6
 
 
+def test_solver_finite_on_ill_conditioned_draw():
+    # a feasible, strictly convex problem: no exception, a finite and feasible
+    # result, and next to a regular stack-mate each solved as if alone
+    qp = ill_conditioned_draw()
+    sol = solve_qp(qp)
+    assert np.all(np.isfinite(sol.delta_u)) and np.all(np.isfinite(sol.lam))
+    assert sol.converged and sol.max_violation <= 1e-6
+    mate = QpProblem(np.eye(4), -np.ones(4), qp.w, np.abs(qp.v[0]))
+    stack = solve_qp(QpProblem(np.vstack([qp.e, mate.e[None]]), np.vstack([qp.f, mate.f]),
+                               qp.w, np.vstack([qp.v, mate.v])))
+    assert np.array_equal(stack.delta_u[0], sol.delta_u[0])
+    assert np.array_equal(stack.delta_u[1], solve_qp(mate).delta_u)
+
+
 # ---------------------------------------------------------------------------
 # smoother stepping
 
 
 def test_step_bounded_on_conflicting_limits():
-    # conflicting limits (velocity 1, acceleration 10, jerk 20, reference
-    # +3 then -3): from tick 34 some ticks' velocity rows cannot be met
-    # under the braking the jerk rows allow.  Every step stays finite and
-    # within the iteration cap, only infeasible ticks end unconverged, and
+    # the reference flips sign every `period` ticks.  Every step stays finite
+    # and within the iteration cap, only infeasible ticks end unconverged, and
     # since the iteration starts from delta_u = 0, which meets the jerk and
     # acceleration rows, the realized jerk and acceleration stay within
     # their bounds on every tick.
-    cfg = MpcConfig()
-    T = cfg.sample_time
-    one = np.ones(6)
-    limits = LimitSet(-one, one, -10 * one, 10 * one, -20 * one, 20 * one)
-    sm = TwistSmoother(cfg, limits, UnitDualQuaternion.identity())
-    pred = build_prediction(build_model(T), cfg.n_p, cfg.n_c)
-    prev = prev_acc = np.zeros(6)
-    unconverged = []
-    for tick in range(600):
-        target = np.full(6, 3.0 if tick < 300 else -3.0)
-        qp = build_qp(sm.state.augmented, build_setpoint(target, cfg.n_p), pred, cfg, limits,
-                      sm.state.u_prev)
-        res = sm.step(target)
-        assert np.all(np.isfinite(res.twist)) and res.iterations <= _MAX_ITERATIONS
-        if res.converged:
-            assert res.max_violation <= 1e-6
-        else:
-            unconverged.append(tick)
-            assert not qp_feasible_oracle(qp.w, qp.v)
-        acc = (res.twist - prev) / T
-        assert np.abs(acc).max() <= 10.0 + 1e-6
-        assert np.abs((acc - prev_acc) / T).max() <= 20.0 + 1e-6
-        prev, prev_acc = res.twist, acc
-    assert unconverged[0] == 34
+    cases = [
+        # conflicting limits (velocity 1, acceleration 10, jerk 20, reference
+        # +3 then -3): from tick 34 some ticks' velocity rows cannot be met
+        # under the braking the jerk rows allow
+        (1.0, 1.0, 10.0, 20.0, 3.0, 600, 300, 34),
+        # a tracking weight of 1e5 puts E and f near 1e6: every tick is
+        # feasible (delta_u = 0 meets every row) and has to converge
+        (1e5, None, 1.0, 50.0, 1.0, 400, 100, None),
+    ]
+    for q_weight, vel, acc, jerk, ref, ticks, period, first_unconverged in cases:
+        cfg = MpcConfig(q_weight=np.full(6, q_weight))
+        T = cfg.sample_time
+        limits = limits_of(vel=vel, acc=acc, jerk=jerk)
+        sm = TwistSmoother(cfg, limits, UnitDualQuaternion.identity())
+        pred = build_prediction(build_model(T), cfg.n_p, cfg.n_c)
+        prev = prev_acc = np.zeros(6)
+        unconverged = []
+        for tick in range(ticks):
+            target = np.full(6, ref if (tick // period) % 2 == 0 else -ref)
+            qp = build_qp(sm.state.augmented, build_setpoint(target, cfg.n_p), pred, cfg,
+                          limits, sm.state.u_prev)
+            res = sm.step(target)
+            assert np.all(np.isfinite(res.twist)) and res.iterations <= _MAX_ITERATIONS
+            if res.converged:
+                assert res.max_violation <= 1e-6
+            else:
+                unconverged.append(tick)
+                assert not qp_feasible_oracle(qp.w, qp.v)
+            acc_fd = (res.twist - prev) / T
+            assert np.abs(acc_fd).max() <= acc + 1e-6
+            assert np.abs((acc_fd - prev_acc) / T).max() <= jerk + 1e-6
+            prev, prev_acc = res.twist, acc_fd
+        assert (unconverged or [None])[0] == first_unconverged
 
 
 def test_step_equilibrium():
