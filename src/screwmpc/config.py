@@ -1,8 +1,9 @@
 """Run configuration: flat ``key = value`` text files.
 
 Values are scalars or space-separated real lists; blank lines and '#'
-comments are skipped.  Dotted keys group the task-space limit bounds
-(``limits.vel.min`` etc.).  Defaults, including the manufacturer limit
+comments are skipped, a malformed line is reported as ``file:line:`` and a
+value out of range as ``file:``.  Dotted keys group the task-space limit
+bounds (``limits.vel.min`` etc.).  Defaults, including the manufacturer limit
 values, live in the packaged ``data/default.cfg`` and are overridden by
 the user file key by key.  Paths in a config file are resolved relative
 to the file's directory.
@@ -17,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import textio
 from .mpc import LimitSet, MpcConfig
 
 __all__ = ["RunConfig", "parse_config_text", "load_config"]
@@ -44,45 +46,26 @@ def parse_config_text(text: str, *, source: str = "<config>",
     """Parse ``key = value`` lines into typed values.
 
     Unknown keys, malformed numbers and wrong list lengths raise ValueError
-    with the offending line number.
+    prefixed with ``source:lineno:``.
     """
-    values: dict = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    def parse(line: str):
         if "=" not in line:
-            raise ValueError(f"{source}:{lineno}: expected 'key = value'")
-        key, _, rhs = line.partition("=")
-        key = key.strip()
-        rhs = rhs.strip()
-        try:
-            if key in _LIST_KEYS:
-                vals = np.array([float(tok) for tok in rhs.split()])
-                if vals.shape != (_LIST_KEYS[key],):
-                    raise ValueError(
-                        f"{key} needs {_LIST_KEYS[key]} values, got {vals.shape[0]}"
-                    )
-                values[key] = vals
-            elif key in _FLOAT_KEYS:
-                values[key] = float(rhs)
-            elif key in _INT_KEYS:
-                values[key] = int(rhs)
-            elif key in _PATH_KEYS:
-                p = Path(rhs)
-                if base_dir is not None and not p.is_absolute():
-                    p = base_dir / p
-                values[key] = p
-            else:
-                raise ValueError(f"unknown key {key!r}")
-        except ValueError as err:
-            raise ValueError(f"{source}:{lineno}: {err}") from None
-    return values
+            raise ValueError("expected 'key = value'")
+        key, _, rhs = (part.strip() for part in line.partition("="))
+        if key in _LIST_KEYS:
+            vals = np.array(textio.floats(rhs.split()))
+            if vals.shape != (_LIST_KEYS[key],):
+                raise ValueError(f"{key} needs {_LIST_KEYS[key]} values, got {vals.shape[0]}")
+            return key, vals
+        if key in _FLOAT_KEYS:
+            return key, textio.floats([rhs])[0]
+        if key in _INT_KEYS:
+            return key, int(rhs)
+        if key in _PATH_KEYS:
+            return key, Path(base_dir or "", rhs)  # an absolute rhs drops base_dir
+        raise ValueError(f"unknown key {key!r}")
 
-
-def _default_values() -> dict:
-    text = resources.files("screwmpc").joinpath("data/default.cfg").read_text()
-    return parse_config_text(text, source="default.cfg")
+    return dict(textio.records(text, source, parse))
 
 
 @dataclass(kw_only=True)
@@ -150,16 +133,17 @@ class RunConfig:
 
 def load_config(path: str | Path | None = None) -> RunConfig:
     """Build a RunConfig from the packaged defaults plus an optional file."""
-    values = _default_values()
+    source = "default.cfg"
+    text = resources.files("screwmpc").joinpath("data/default.cfg").read_text()
+    values = parse_config_text(text, source=source)
     if path is not None:
-        path = Path(path)
-        user = parse_config_text(path.read_text(), source=str(path),
-                                 base_dir=path.parent)
-        values.update(user)
+        source = path = Path(path)
+        values.update(parse_config_text(path.read_text(), source=str(path),
+                                        base_dir=path.parent))
 
-    limits = LimitSet(
-        values.pop("limits.vel.min"), values.pop("limits.vel.max"),
-        values.pop("limits.acc.min"), values.pop("limits.acc.max"),
-        values.pop("limits.jerk.min"), values.pop("limits.jerk.max"),
-    )
-    return RunConfig(limits=limits, **values)
+    try:
+        limits = LimitSet(*(values.pop(f"limits.{name}.{end}")
+                            for name in ("vel", "acc", "jerk") for end in ("min", "max")))
+        return RunConfig(limits=limits, **values)
+    except ValueError as err:
+        raise ValueError(f"{source}: {err}") from None

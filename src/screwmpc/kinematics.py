@@ -26,6 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import textio
 from .dualquat import _CONJ, DualQuaternion, UnitDualQuaternion, _hamilton8
 
 __all__ = [
@@ -84,10 +85,11 @@ class RobotModel:
             if arr.shape != (dof,):
                 raise ValueError(f"{name} must have {dof} entries, got {arr.shape}")
             object.__setattr__(self, name, arr)
-        if not np.all(self.q_min < self.q_max):
-            raise ValueError("joint position limits are infeasible: min >= max")
-        if not np.all(self.qd_max > 0.0):
-            raise ValueError("joint velocity limits must be positive")
+        for ok, what in ((self.q_min < self.q_max, "position limits are infeasible: min >= max"),
+                         (self.qd_max > 0.0, "velocity limits must be positive")):
+            if not ok.all():
+                raise ValueError(f"joint {what}: joint " + ", ".join(
+                    str(j + 1) for j in np.flatnonzero(~ok)))
 
     @cached_property
     def dof(self) -> int:
@@ -268,10 +270,26 @@ def packaged_model_path() -> Path:
     return Path(resources.files("screwmpc").joinpath("data/panda.model"))
 
 
+def _chain_record(line: str) -> tuple[ChainElement, list[float] | None]:
+    """One model file record: its chain element and, for a joint, its limits."""
+    kind, *fields = line.split()
+    if kind == "joint":
+        if len(fields) != 12:
+            raise ValueError("joint record needs: axis, 8 pose, 3 limit fields")
+        values = textio.floats(fields[1:])
+        return ChainElement(UnitDualQuaternion.from_vec8(values[:8]), fields[0]), values[8:]
+    if kind == "fixed":
+        if len(fields) != 8:
+            raise ValueError("fixed record needs 8 pose fields")
+        return ChainElement(UnitDualQuaternion.from_vec8(textio.floats(fields)), None), None
+    raise ValueError(f"unknown record kind {kind!r}")
+
+
 def load_robot_model(path: str | Path, expected_dof: int | None = 7) -> RobotModel:
     """Read a chain description from a text file.
 
-    Records, one per line (blank lines and '#' comments skipped):
+    Records, one per line (blank lines and '#' comments skipped; errors name
+    the file and line, or the file and joint for limits ``RobotModel`` rejects):
 
     * ``joint <axis> h1 ... h8 <q_min> <q_max> <qd_max>`` - fixed offset in
       vec8 order followed by a revolute joint about the local axis, and
@@ -282,38 +300,12 @@ def load_robot_model(path: str | Path, expected_dof: int | None = 7) -> RobotMod
     arbitrary chains.
     """
     path = Path(path)
-    elements: list[ChainElement] = []
-    q_min: list[float] = []
-    q_max: list[float] = []
-    qd_max: list[float] = []
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split()
-        kind = fields[0]
-        try:
-            if kind == "joint":
-                if len(fields) != 13:
-                    raise ValueError("joint record needs: axis, 8 pose, 3 limit fields")
-                axis = fields[1]
-                pose = UnitDualQuaternion.from_vec8([float(t) for t in fields[2:10]])
-                lo, hi, vel = (float(t) for t in fields[10:13])
-                elements.append(ChainElement(pose, axis))
-                q_min.append(lo)
-                q_max.append(hi)
-                qd_max.append(vel)
-            elif kind == "fixed":
-                if len(fields) != 9:
-                    raise ValueError("fixed record needs 8 pose fields")
-                pose = UnitDualQuaternion.from_vec8([float(t) for t in fields[1:9]])
-                elements.append(ChainElement(pose, None))
-            else:
-                raise ValueError(f"unknown record kind {kind!r}")
-        except ValueError as err:
-            raise ValueError(f"{path}:{lineno}: {err}") from None
-    model = RobotModel(tuple(elements), np.array(q_min), np.array(q_max),
-                       np.array(qd_max))
+    chain = textio.records(path.read_text(), path, _chain_record)
+    q_min, q_max, qd_max = np.array([lim for _, lim in chain if lim]).reshape(-1, 3).T.copy()
+    try:
+        model = RobotModel(tuple(elem for elem, _ in chain), q_min, q_max, qd_max)
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from None
     if expected_dof is not None and model.dof != expected_dof:
         raise ValueError(
             f"{path}: expected a {expected_dof}-joint chain, found {model.dof}"

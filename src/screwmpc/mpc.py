@@ -42,6 +42,7 @@ __all__ = [
 N_AXES = 6
 AUG_DIM = 18
 
+# a QP row, a smoother step and a logged sample exceed a bound only beyond this
 FEAS_TOL = 1e-6
 _MAX_ITERATIONS = 30
 _KKT_TOL = 1e-10

@@ -4,6 +4,7 @@ Consecutive keypoints are connected by screw linear interpolation
 x(tau) = x_a * (x_a^-1 * x_b)^tau, sampled at equally spaced tau, and the
 discrete path is differentiated into a piecewise reference twist series
 xi_r[i] = (2/tau_step) * log(x[i] * x[i-1]^*).
+Files hold one record per line, numbers with 17 significant digits.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
+from . import textio
 from .dualquat import (
     PureDualQuaternion,
     Quaternion,
@@ -123,9 +125,14 @@ def reference_twists(path: DiscretePath) -> list[PureDualQuaternion]:
 # File formats
 
 
-def _fmt(x: float) -> str:
-    """17 significant digits round-trip every double: the format of every log."""
-    return f"{x:.17g}"
+def _keypoint(line: str) -> UnitDualQuaternion:
+    values = textio.floats(line.split())
+    if len(values) == 8:
+        return UnitDualQuaternion.from_vec8(values)
+    if len(values) == 7:
+        r = Quaternion.from_axis_angle(values[3:6], values[6])
+        return UnitDualQuaternion.from_rotation_translation(r, values[:3])
+    raise ValueError(f"expected 8 (vec8) or 7 (xyz + axis-angle) fields, got {len(values)}")
 
 
 def load_keypoints(path: str | Path) -> list[UnitDualQuaternion]:
@@ -137,32 +144,10 @@ def load_keypoints(path: str | Path) -> list[UnitDualQuaternion]:
     * 7 reals: translation x y z (m), rotation axis ax ay az and angle (rad).
 
     Blank lines and lines starting with '#' are skipped.  Malformed records
-    raise ValueError with the offending line number.
+    raise ValueError prefixed with ``path:lineno:``.
     """
     path = Path(path)
-    keypoints: list[UnitDualQuaternion] = []
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split()
-        try:
-            values = [float(tok) for tok in fields]
-        except ValueError as err:
-            raise ValueError(f"{path}:{lineno}: non-numeric field ({err})") from None
-        try:
-            if len(values) == 8:
-                keypoints.append(UnitDualQuaternion.from_vec8(values))
-            elif len(values) == 7:
-                t = values[:3]
-                r = Quaternion.from_axis_angle(values[3:6], values[6])
-                keypoints.append(UnitDualQuaternion.from_rotation_translation(r, t))
-            else:
-                raise ValueError(
-                    f"expected 8 (vec8) or 7 (xyz + axis-angle) fields, got {len(values)}"
-                )
-        except ValueError as err:
-            raise ValueError(f"{path}:{lineno}: {err}") from None
+    keypoints = textio.records(path.read_text(), path, _keypoint)
     if len(keypoints) < 2:
         raise ValueError(f"{path}: need at least 2 keypoints, found {len(keypoints)}")
     return keypoints
@@ -170,20 +155,20 @@ def load_keypoints(path: str | Path) -> list[UnitDualQuaternion]:
 
 def write_keypoints(path: str | Path, keypoints) -> None:
     lines = ["# keypoints: h1 ... h8 (vec8 pose coefficients)"]
-    lines += [" ".join(_fmt(c) for c in k.vec8()) for k in keypoints]
-    Path(path).write_text("\n".join(lines) + "\n")
+    lines += [" ".join(map(textio.fmt, k.vec8())) for k in keypoints]
+    textio.write_lines(path, lines)
 
 
 def write_path_csv(path: str | Path, discrete: DiscretePath) -> None:
     lines = [PATH_CSV_HEADER]
     for s in discrete.samples:
-        coeffs = ",".join(_fmt(c) for c in s.pose.vec8())
-        lines.append(f"{s.index},{s.segment},{_fmt(s.tau)},{coeffs}")
-    Path(path).write_text("\n".join(lines) + "\n")
+        coeffs = ",".join(map(textio.fmt, s.pose.vec8()))
+        lines.append(f"{s.index},{s.segment},{textio.fmt(s.tau)},{coeffs}")
+    textio.write_lines(path, lines)
 
 
 def write_twists_csv(path: str | Path, twists) -> None:
     lines = [TWIST_CSV_HEADER]
     for i, xi in enumerate(twists):
-        lines.append(f"{i}," + ",".join(_fmt(c) for c in xi.vec6()))
-    Path(path).write_text("\n".join(lines) + "\n")
+        lines.append(f"{i}," + ",".join(map(textio.fmt, xi.vec6())))
+    textio.write_lines(path, lines)

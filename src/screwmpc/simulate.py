@@ -7,7 +7,8 @@ joints by explicit Euler.  One log record is written per MPC tick; numbers
 are serialized with 17 significant digits so identical configurations give
 byte-identical logs.  The tick loop records what it measures; the realized
 acceleration, jerk and bound flags are differenced from rest afterwards by
-the one function ``verify_trajectory`` also checks a log with.
+the one function ``verify_trajectory`` also checks a log with; a NaN
+sample counts as a violation.
 """
 
 from __future__ import annotations
@@ -18,11 +19,12 @@ from pathlib import Path
 
 import numpy as np
 
+from . import textio
 from .config import RunConfig
 from .dualquat import log
 from .kinematics import RobotModel, forward_kinematics, inner_control, pose_error
-from .mpc import N_AXES, TwistSmoother
-from .screwpath import _fmt, generate_path, reference_twists
+from .mpc import FEAS_TOL, N_AXES, TwistSmoother
+from .screwpath import generate_path, reference_twists
 
 __all__ = [
     "LOG_COLUMNS",
@@ -35,7 +37,6 @@ __all__ = [
 ]
 
 _AXIS_NAMES = ("wx", "wy", "wz", "vx", "vy", "vz")
-VIOLATION_SLACK = 1e-6
 _ZERO_TWIST = 1e-12
 # After the reference series ends, the residual gap to the final keypoint is
 # wound down over this many MPC ticks (a gentle pose servo; driving the gap
@@ -78,11 +79,11 @@ def _realized(twist: np.ndarray, dt: np.ndarray, limits):
 
     acc[i] = (twist[i+1] - twist[i]) / dt[i] and jerk[i] = (acc[i+1] - acc[i])
     / dt[i+1] for the per-interval times dt; each flag array marks the samples
-    (twist, acc, jerk) where any axis exceeds its bound by more than 1e-6.
+    (twist, acc, jerk) where any axis exceeds its bound by more than 1e-6 or is NaN.
     """
     acc = np.diff(twist, axis=0) / dt[:, None]
     jerk = np.diff(acc, axis=0) / dt[1:, None]
-    flags = [np.any((values > hi + VIOLATION_SLACK) | (values < lo - VIOLATION_SLACK), axis=1)
+    flags = [np.any(~((values <= hi + FEAS_TOL) & (values >= lo - FEAS_TOL)), axis=1)
              for values, lo, hi in ((twist, limits.vel_min, limits.vel_max),
                                     (acc, limits.acc_min, limits.acc_max),
                                     (jerk, limits.jerk_min, limits.jerk_max))]
@@ -136,7 +137,7 @@ def run_closed_loop(cfg: RunConfig, model: RobotModel,
             gap_rate = 2.0 / (_GAP_CLOSE_TICKS * T)
             ref = (log(goal * smoother.pose.inverse()) * gap_rate).vec6()
         step = smoother.step(ref)
-        if not step.converged or step.max_violation > VIOLATION_SLACK:
+        if not step.converged or step.max_violation > FEAS_TOL:
             qp_failures += 1
 
         x_d = step.pose
@@ -183,31 +184,26 @@ def run_closed_loop(cfg: RunConfig, model: RobotModel,
 
 def write_trajectory_csv(path: str | Path, result: SimulationResult) -> None:
     lines = [",".join(result.columns)]
-    for row in result.rows:
-        lines.append(",".join(_fmt(x) for x in row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    lines += [",".join(map(textio.fmt, row)) for row in result.rows.tolist()]
+    textio.write_lines(path, lines)
 
 
 def read_trajectory_csv(path: str | Path) -> tuple[list[str], np.ndarray]:
     """Read a trajectory log; returns (column names, data matrix)."""
     path = Path(path)
-    lines = path.read_text().splitlines()
-    if not lines:
+    text = path.read_text()
+    if not text:
         raise ValueError(f"{path}: empty log file")
-    columns = lines[0].split(",")
-    data = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
+    header, _, body = text.partition("\n")
+    columns = header.rstrip("\r").split(",")
+
+    def parse(line: str) -> list[float]:
         fields = line.split(",")
         if len(fields) != len(columns):
-            raise ValueError(
-                f"{path}:{lineno}: expected {len(columns)} fields, got {len(fields)}"
-            )
-        try:
-            data.append([float(tok) for tok in fields])
-        except ValueError as err:
-            raise ValueError(f"{path}:{lineno}: non-numeric field ({err})") from None
+            raise ValueError(f"expected {len(columns)} fields, got {len(fields)}")
+        return textio.floats(fields)
+
+    data = textio.records(body, path, parse, first=2)
     if not data:
         raise ValueError(f"{path}: log has no records")
     return columns, np.array(data)
@@ -255,7 +251,7 @@ def verify_trajectory(columns: list[str], rows: np.ndarray,
     Velocity is the twist itself; acceleration and jerk are first and
     second finite differences of consecutive records (the log is written at
     the MPC rate).  A sample counts as a violation when any axis exceeds
-    its bound by more than 1e-6.
+    its bound by more than 1e-6 or is NaN.
     """
     names = ["t"] + [f"twist_{a}" for a in _AXIS_NAMES]
     missing = [name for name in names if name not in columns]

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 from importlib import resources
 
 import numpy as np
@@ -9,7 +10,7 @@ from screwmpc.config import RunConfig, load_config, parse_config_text
 from screwmpc.dualquat import PureDualQuaternion, exp
 from screwmpc.kinematics import forward_kinematics, load_robot_model, packaged_model_path
 from screwmpc.mpc import LimitSet
-from screwmpc.screwpath import write_keypoints
+from screwmpc.screwpath import load_keypoints, write_keypoints
 from screwmpc.simulate import (
     LOG_COLUMNS,
     read_trajectory_csv,
@@ -149,16 +150,30 @@ def test_config_rejects_nonpositive_run_bounds(tmp_path, key, value):
     ("r_weight = 0 1 1 1 1 1", "r_weight must be positive"),
     ("q_weight = 1 1 1 nan 1 1", "q_weight must be nonnegative"),
     ("r_weight = 1 1 nan 1 1 1", "r_weight must be positive"),
+    ("limits.vel.min = 1 1 1 1 1 1", "vel limits must bracket zero"),
 ])
 def test_config_rejects_bad_mpc_settings_at_load(tmp_path, capsys, line, match):
     # plan never builds a smoother, so the check has to happen at load
     f = write_cfg(tmp_path, line + "\n")
-    with pytest.raises(ValueError, match=match):
+    with pytest.raises(ValueError, match=re.escape(f"{f}: ") + ".*" + match):
         load_config(f)
     assert main(["plan", "--config", str(f), "--random", "2",
                  "--out", str(tmp_path / "out")]) == 1
-    assert "error:" in capsys.readouterr().err
+    assert f"error: {f}: " in capsys.readouterr().err
     assert not (tmp_path / "out" / "path.csv").exists()
+
+
+@pytest.mark.parametrize("name, record, load", [
+    ("run.cfg", "gain = fast", load_config),
+    ("bad.model", "joint z 1 0 0 0 0 0 0 x -1 1 2",
+     lambda f: load_robot_model(f, expected_dof=None)),
+    ("kp.txt", "1 0 0 0 0 0 0 x", load_keypoints),
+], ids=["config", "model", "keypoints"])
+def test_input_files_share_one_record_format(tmp_path, name, record, load):
+    f = tmp_path / name
+    f.write_text("# comment\n\n" + record + "\n")
+    with pytest.raises(ValueError, match=re.escape(f"{f}:3: non-numeric field")):
+        load(f)
 
 
 # ---------------------------------------------------------------------------
@@ -441,6 +456,26 @@ def test_verify_counts_acc_and_jerk(tmp_path):
                       cfg.limits.jerk_min, cfg.limits.jerk_max)
     report = verify_trajectory(columns, rows, limits)
     assert report.acc_violations == 1
+
+
+def test_verify_counts_nan_sample_as_violation(tmp_path, capsys):
+    twists = np.zeros((10, 6))
+    twists[1, 0] = np.nan
+    f = _synthetic_log(tmp_path, twists)
+    assert main(["verify", "--log", str(f)]) == 2
+    assert "violations: vel=1 acc=2 jerk=2" in capsys.readouterr().out
+
+
+def test_crlf_log_reads_as_lf(tmp_path):
+    twists = np.zeros((5, 6))
+    twists[2:, 3] = 0.1
+    f = _synthetic_log(tmp_path, twists)
+    crlf = tmp_path / "crlf.csv"
+    crlf.write_bytes(f.read_bytes().replace(b"\n", b"\r\n"))
+    columns, rows = read_trajectory_csv(f)
+    crlf_columns, crlf_rows = read_trajectory_csv(crlf)
+    assert crlf_columns == columns == list(LOG_COLUMNS)
+    np.testing.assert_array_equal(crlf_rows, rows)
 
 
 def test_verify_rejects_malformed_log(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -359,7 +360,23 @@ def test_loader_line_numbered_errors(tmp_path):
 def test_loader_rejects_nan_offsets_and_limits(tmp_path, record, match):
     f = tmp_path / "bad.model"
     f.write_text(record + "\n")
-    with pytest.raises(ValueError, match=match):
+    with pytest.raises(ValueError, match=match) as info:
+        load_robot_model(f, expected_dof=None)
+    # a bad record names its line, a bad limit its joint
+    message = str(info.value)
+    assert message.startswith(f"{f}:1: ") or (message.startswith(f"{f}: ")
+                                               and message.endswith(": joint 1"))
+
+
+@pytest.mark.parametrize("limits, match", [
+    ("1 -1 2", r"position limits are infeasible: min >= max: joint 2$"),
+    ("-1 1 0", r"velocity limits must be positive: joint 2$"),
+])
+def test_loader_names_file_and_joint_with_bad_limits(tmp_path, limits, match):
+    f = tmp_path / "bad.model"
+    f.write_text("joint z 1 0 0 0 0 0 0 0 -1 1 2\n"
+                 f"joint y 1 0 0 0 0 0 0 0 {limits}\n")
+    with pytest.raises(ValueError, match=re.escape(f"{f}: ") + ".*" + match):
         load_robot_model(f, expected_dof=None)
 
 
