@@ -69,9 +69,7 @@ def _keypoints_for(cfg: RunConfig, args, model=None) -> list:
 
 
 def _out_dir(cfg: RunConfig, args) -> Path:
-    out = Path(args.out) if args.out else cfg.out_dir
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+    return Path(args.out) if args.out else cfg.out_dir
 
 
 def cmd_plan(args) -> int:
@@ -80,6 +78,7 @@ def cmd_plan(args) -> int:
     out = _out_dir(cfg, args)
     path = generate_path(keypoints, cfg.samples_per_segment, cfg.sample_time_s)
     twists = reference_twists(path)
+    out.mkdir(parents=True, exist_ok=True)
     if args.random is not None:
         write_keypoints(out / "keypoints.txt", keypoints)
     write_path_csv(out / "path.csv", path)
@@ -95,6 +94,7 @@ def cmd_simulate(args) -> int:
     keypoints = _keypoints_for(cfg, args, model)
     out = _out_dir(cfg, args)
     result = run_closed_loop(cfg, model, keypoints)
+    out.mkdir(parents=True, exist_ok=True)
     write_trajectory_csv(out / "trajectory.csv", result)
     print(f"simulated {result.n_records} MPC ticks "
           f"({result.inner_ticks_per_mpc} inner ticks each), "

@@ -102,6 +102,8 @@ class RunConfig:
             raise ValueError("max_duration_s must be positive")
         if not self.sample_time_s > 0.0:
             raise ValueError("sample_time_s must be positive")
+        if self.samples_per_segment < 1:
+            raise ValueError("samples_per_segment must be >= 1")
         if self.inner_rate_hz < 1.0 / self.sample_time_s:
             raise ValueError(
                 "inner loop must run at least as fast as the MPC: "

@@ -306,12 +306,11 @@ def _interior_point(e, f, w, v, x_free):
     w, v = np.where(rows, w / scale, 0.0), np.where(rows, v / scale, 1.0)
     w_t = w.transpose(0, 2, 1)
     # each residual is measured against the size of the terms of its own
-    # equation at the unconstrained optimum x_free (W^T z is left out:
-    # multipliers can drift off in opposite pairs); a multiplier against the
-    # stationarity rows of the variables its constraint row touches
-    x_abs, w_abs = np.abs(x_free), np.abs(w)
-    dual = np.maximum(1.0, np.abs(e) @ x_abs + np.abs(f))
-    primal = np.maximum(1.0, w_abs @ x_abs + np.abs(v))
+    # equation, a row's at the iterate x and a stationarity row's at x_free
+    # (W^T z is left out: multipliers can drift off in opposite pairs); a
+    # multiplier against the stationarity rows of the variables its row touches
+    w_abs, v_abs = np.abs(w), np.abs(v)
+    dual = np.maximum(1.0, np.abs(e) @ np.abs(x_free) + np.abs(f))
     multiplier = np.maximum(1.0, w_abs @ dual)
     x, iterations = np.zeros(f.shape), np.zeros(len(f), dtype=int)
     s = np.where(v >= 0.0, np.maximum(v, _KKT_TOL), 1.0)  # rows x = 0 meets keep holding
@@ -320,6 +319,7 @@ def _interior_point(e, f, w, v, x_free):
         wz = w_t @ z
         r_d = e @ x + f + wz
         r_p = w @ x + s - v
+        primal = np.maximum(1.0, w_abs @ np.abs(x) + v_abs)
         kkt = np.concatenate([r_d / dual, r_p / primal, np.minimum(s / primal, z / multiplier)], 1)
         kkt = np.abs(kkt).max(axis=(1, 2))
         farkas = (np.sum(v * z, axis=(1, 2)) < 0.0) & (
@@ -327,7 +327,7 @@ def _interior_point(e, f, w, v, x_free):
         live = (kkt > _KKT_TOL) & ~farkas
         if it == _MAX_ITERATIONS or not live.any():
             lam = np.where(z > s, z / scale, 0.0)[..., 0]
-            return x[..., 0], lam, iterations.max(), kkt.max() <= _KKT_TOL
+            return x[..., 0], lam, iterations.max(), bool(kkt.max() <= _KKT_TOL)
         iterations += live
         s_n = np.maximum(s, 1e-12 * z)  # z/s <= 1e12 keeps the matrix nonsingular
         mat = e + w_t @ (z / s_n * w)
@@ -352,14 +352,16 @@ def solve_qp(qp: QpProblem, e_inv: np.ndarray | None = None) -> QpSolution:
     -E^-1 f is the result when it violates no row.  Otherwise Mehrotra's
     predictor-corrector runs on rows scaled to unit norm until every KKT
     residual and each row's min(s, z) is at most 1e-10 of the size of the
-    terms of its own equation at -E^-1 f (and of 1), until z proves the rows
-    cannot all hold (not converged) or up to an iteration cap.  A Newton
-    matrix that rounding makes singular gets a least-squares step.  ``lam``
-    is 0 on rows ending with z <= s; rows with infinite bounds or zero W
-    never activate.  A stack (e (k, n, n), f (k, n), v (k, m), shared w) is
-    solved per problem, each bit for bit as alone, and reports the largest
-    iteration count, whether all converged and the largest violation.  E^-1
-    (stacked like E) may be passed in precomputed.
+    terms of its own equation (and of 1), a row's at the iterate and the rest
+    at -E^-1 f, until z proves the rows cannot all hold or up to an iteration
+    cap.  A Newton matrix that rounding makes singular gets a least-squares
+    step.  ``lam`` is 0 on rows ending with z <= s; rows with infinite bounds
+    or zero W never activate.  A stack (e (k, n, n), f (k, n), v (k, m),
+    shared w) is solved per problem, each bit for bit as alone, and reports
+    the largest iteration count, whether all converged and the largest
+    violation.  A problem has converged if it met the stop test and meets
+    every finite row within FEAS_TOL.  E^-1 (stacked like E) may be passed
+    in precomputed.
     """
     stack = (qp.e, qp.f, qp.v, e_inv)
     if qp.f.ndim == 1:  # a single problem is a stack of one
@@ -377,10 +379,10 @@ def solve_qp(qp: QpProblem, e_inv: np.ndarray | None = None) -> QpSolution:
         x[active], lam[active], iterations, converged = _interior_point(
             e[active], f[active, :, None], w, v[active, :, None], x[active, :, None])
         residual = (w @ x[:, :, None])[:, :, 0] - v
-    violation = np.where(finite, residual, 0.0).max(axis=1, initial=0.0)
+    violation = float(np.where(finite, residual, 0.0).max(initial=0.0))
     if qp.f.ndim == 1:
         x, lam = x[0], lam[0]
-    return QpSolution(x, lam, int(iterations), bool(converged), float(violation.max()))
+    return QpSolution(x, lam, int(iterations), converged and violation <= FEAS_TOL, violation)
 
 
 @dataclass

@@ -9,7 +9,7 @@ from screwmpc.cli import main
 from screwmpc.config import RunConfig, load_config, parse_config_text
 from screwmpc.dualquat import PureDualQuaternion, exp
 from screwmpc.kinematics import forward_kinematics, load_robot_model, packaged_model_path
-from screwmpc.mpc import LimitSet
+from screwmpc.mpc import LimitSet, MpcConfig
 from screwmpc.screwpath import load_keypoints, write_keypoints
 from screwmpc.simulate import (
     LOG_COLUMNS,
@@ -68,6 +68,12 @@ def test_run_config_takes_its_defaults_only_from_default_cfg():
                     or f.default_factory is not dataclasses.MISSING}
     assert keys == fields.keys() - {"keypoints", "robot_model"}
     assert with_default == {"keypoints", "robot_model"}
+    # MpcConfig keeps defaults of its own for direct callers; they must
+    # repeat default.cfg's
+    packaged, own = load_config(None).mpc, MpcConfig()
+    for f in dataclasses.fields(MpcConfig):
+        np.testing.assert_array_equal(getattr(own, f.name), getattr(packaged, f.name),
+                                      err_msg=f.name)
 
 
 def test_config_override(tmp_path):
@@ -151,6 +157,7 @@ def test_config_rejects_nonpositive_run_bounds(tmp_path, key, value):
     ("q_weight = 1 1 1 nan 1 1", "q_weight must be nonnegative"),
     ("r_weight = 1 1 nan 1 1 1", "r_weight must be positive"),
     ("limits.vel.min = 1 1 1 1 1 1", "vel limits must bracket zero"),
+    ("samples_per_segment = 0", "samples_per_segment must be >= 1"),
 ])
 def test_config_rejects_bad_mpc_settings_at_load(tmp_path, capsys, line, match):
     # plan never builds a smoother, so the check has to happen at load
@@ -371,6 +378,7 @@ def test_simulate_log_derived_columns_agree_with_verify(panda, ready_pose):
         assert np.array_equal(flags[name], over.astype(float))
 
     assert result.singular_ticks == rows[:, col("singular")].sum()
+    assert result.qp_failures == np.count_nonzero(rows[:, col("qp_converged")] == 0)
 
 
 def test_simulate_determinism(tmp_path, ready_pose):
@@ -397,6 +405,7 @@ def test_simulate_rejects_start_outside_joint_limits(tmp_path, capsys, panda):
     err = capsys.readouterr().err
     assert "joint 1 at 9 " in err and "joint 7 at 9 " in err
     assert not (tmp_path / "out" / "trajectory.csv").exists()
+    assert not (tmp_path / "out").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -493,6 +502,13 @@ def test_verify_names_file_and_missing_column(tmp_path, capsys):
     err = capsys.readouterr().err
     assert str(f) in err and "twist_wy" in err
     assert "not in list" not in err
+
+
+def test_verify_creates_no_output_directory(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["verify", "--out", "missing"]) == 1
+    assert "missing/trajectory.csv" in capsys.readouterr().err
+    assert not (tmp_path / "missing").exists()
 
 
 def test_seed_belongs_to_random_keypoint_commands(tmp_path, capsys):

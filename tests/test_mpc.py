@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from screwmpc.dualquat import UnitDualQuaternion
 from screwmpc.mpc import (
     _MAX_ITERATIONS,
     AUG_DIM,
+    FEAS_TOL,
     LimitSet,
     MpcConfig,
     QpProblem,
@@ -526,19 +528,25 @@ def qp_stacks(draw):
     return QpProblem(e, f, w, v), infeasible
 
 
-def ill_conditioned_draw() -> QpProblem:
-    """A feasible QP (n=4, m=6, cond(E) 2.8e8, row norms 1e-2..1e2) that an
-    absolute stop test kept iterating until E + W^T diag(z/s) W grew entries of
-    5.5e11 and, rounding away E's smallest eigenvalue (3.1e-5), turned singular."""
-    rng = np.random.default_rng(2)
-    for _ in range(112):
+def ill_conditioned_draws(seed: int = 2):
+    """Random QPs (stacks of one) with E eigenvalues 1e-5..1e5, row norms
+    1e-3..1e2 and f and V over several decades; many are infeasible."""
+    rng = np.random.default_rng(seed)
+    while True:
         n, m = rng.integers(2, 8), rng.integers(2, 16)
         q, _ = np.linalg.qr(rng.normal(size=(n, n)))
         e = (q * 10.0 ** rng.uniform(-5, 5, size=n)) @ q.T
         w = rng.normal(size=(m, n)) * 10.0 ** rng.uniform(-3, 2, size=(m, 1))
         v = rng.normal(size=m) * 10.0 ** rng.uniform(-3, 2, size=m)
         f = rng.normal(size=n) * 10.0 ** rng.uniform(-2, 3)
-    return QpProblem(0.5 * (e + e.T)[None], f[None], w, v[None])
+        yield QpProblem(0.5 * (e + e.T)[None], f[None], w, v[None])
+
+
+def ill_conditioned_draw() -> QpProblem:
+    """A feasible QP (n=4, m=6, cond(E) 2.8e8, row norms 1e-2..1e2) that an
+    absolute stop test kept iterating until E + W^T diag(z/s) W grew entries of
+    5.5e11 and, rounding away E's smallest eigenvalue (3.1e-5), turned singular."""
+    return next(itertools.islice(ill_conditioned_draws(), 111, None))
 
 
 # E = 1e-7 I next to z/s = 1e10 on the row (1, 1): the Newton matrix rounds to
@@ -589,6 +597,32 @@ def test_solver_finite_on_ill_conditioned_draw():
                                qp.w, np.vstack([qp.v, mate.v])))
     assert np.array_equal(stack.delta_u[0], sol.delta_u[0])
     assert np.array_equal(stack.delta_u[1], solve_qp(mate).delta_u)
+
+
+def test_solver_converged_meets_every_row_on_ill_conditioned_draws():
+    # a stop test scaled by the size of the unconstrained optimum passed
+    # draws 86, 328, 424, 459, 549 and 571 with a row violated by 1.7e-6 to
+    # 5.8e-4; each of them is feasible and now solved within FEAS_TOL
+    converged = set()
+    for draw, qp in enumerate(itertools.islice(ill_conditioned_draws(), 600)):
+        sol = solve_qp(qp)
+        assert not sol.converged or sol.max_violation <= FEAS_TOL
+        if sol.converged:
+            converged.add(draw)
+    assert {86, 328, 424, 459, 549, 571} <= converged
+
+
+def test_solver_stop_test_measures_rows_at_the_iterate():
+    # x_free = -E^-1 f = (1e8, 1e8) is 2e11 times the solution (5e-4, 5e-4):
+    # a row residual measured against the row's terms at x_free passed at
+    # x = (4.02e-4, 4.02e-4), objective -0.80 against the optimum's -1.0
+    qp = QpProblem(1e-5 * np.eye(2), np.array([-1000.0, -1000.0]), np.array([[1.0, 1.0]]),
+                   np.array([1e-3]))
+    sol = solve_qp(qp)
+    x = sol.delta_u
+    assert sol.converged and sol.max_violation <= FEAS_TOL
+    assert 0.5 * x @ qp.e @ x + qp.f @ x == pytest.approx(-1.0, abs=1e-6)
+    np.testing.assert_allclose(x, [5e-4, 5e-4], rtol=0.0, atol=1e-9)
 
 
 # ---------------------------------------------------------------------------
