@@ -94,14 +94,10 @@ class RunConfig:
     mpc: MpcConfig = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not (math.isfinite(self.gain) and self.gain > 0.0):
-            raise ValueError(f"gain must be positive and finite, got {self.gain}")
-        if not self.stop_tol > 0.0:
-            raise ValueError("stop_tol must be positive")
-        if not self.max_duration_s > 0.0:
-            raise ValueError("max_duration_s must be positive")
-        if not self.sample_time_s > 0.0:
-            raise ValueError("sample_time_s must be positive")
+        for key in ("gain", "stop_tol", "max_duration_s", "sample_time_s"):
+            value = getattr(self, key)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(f"{key} must be positive and finite, got {value}")
         if self.samples_per_segment < 1:
             raise ValueError("samples_per_segment must be >= 1")
         if self.inner_rate_hz < 1.0 / self.sample_time_s:

@@ -435,27 +435,26 @@ def adjoint(x: UnitDualQuaternion, xi: DualQuaternion) -> PureDualQuaternion:
     return PureDualQuaternion(h.primary, h.dual)
 
 
+def _hamilton_bases() -> dict[int, np.ndarray]:
+    """(8, 64) maps from vec8(h) to H8^+(h) and H8^-(h), flattened.  They are linear
+    in vec8(h), so they are read off the product on the basis elements e_i:
+    H8^+(e_i) e_j = vec8(e_i * e_j) and H8^-(e_i) e_j = vec8(e_j * e_i)."""
+    basis = [DualQuaternion.from_vec8(e) for e in np.eye(8)]
+    table = np.array([[(a * b).vec8() for b in basis] for a in basis])  # [i, j] = vec8(e_i e_j)
+    return {1: table.transpose(0, 2, 1).reshape(8, 64), -1: table.transpose(1, 2, 0).reshape(8, 64)}
+
+
+_HAMILTON_BASIS = _hamilton_bases()
+
+
 def _hamilton8(v: np.ndarray, sign: int) -> np.ndarray:
-    """8x8 Hamilton operator of h = vec8 v, from one 4x4 table.
+    """8x8 Hamilton operator of h = vec8 v.
 
     sign = +1 gives the left operator, vec8(h*b) = H8^+(h) @ vec8(b); sign = -1
-    the right operator, vec8(b*h) = H8^-(h) @ vec8(b).  The two differ only
-    in the sign of the cross-product block, and every entry is a single
-    signed coefficient.
+    the right operator, vec8(b*h) = H8^-(h) @ vec8(b).  Every entry is a
+    single signed coefficient of v.
     """
-    def h4(w, x, y, z):
-        sx, sy, sz = sign * x, sign * y, sign * z
-        return np.array([
-            [w, -x, -y, -z],
-            [x,  w, -sz, sy],
-            [y,  sz, w, -sx],
-            [z, -sy, sx,  w],
-        ])
-
-    out = np.zeros((8, 8))
-    out[:4, :4] = out[4:, 4:] = h4(*v[:4])
-    out[4:, :4] = h4(*v[4:])
-    return out
+    return (v @ _HAMILTON_BASIS[sign]).reshape(8, 8)
 
 
 def hamilton_minus8(h: DualQuaternion) -> np.ndarray:
@@ -463,8 +462,8 @@ def hamilton_minus8(h: DualQuaternion) -> np.ndarray:
     return _hamilton8(h.vec8(), -1)
 
 
-# Diagonal of C8: vec8(h^*) = _CONJ * vec8(h).
-_CONJ = np.array([1.0, -1.0, -1.0, -1.0, 1.0, -1.0, -1.0, -1.0])
+# Diagonal of C8: vec8(h^*) = _CONJ * vec8(h), read off conjugate() on the basis.
+_CONJ = np.array([DualQuaternion.from_vec8(e).conjugate().vec8() @ e for e in np.eye(8)])
 _CONJ.setflags(write=False)
 
 

@@ -7,8 +7,9 @@ Jacobian maps joint rates to the time derivative of the vec8 pose
 coefficients.  The inner loop commands joint rates from the conjugation
 error e = 1 - x_d^* x_eff through a damped pseudo-inverse.  All three run
 on stacked 8x8 Hamilton matrices in numpy, one chain pass per call.  The
-matrices and the conjugation signs come from ``screwmpc.dualquat``'s one
-operator builder; its algebra classes only wrap the inputs and outputs.
+matrices and the conjugation signs come from ``screwmpc.dualquat``, which
+reads them off its own product and conjugation; its algebra classes only
+wrap the inputs and outputs.
 
 Robot geometry is data, not code: models load from a text file listing,
 per joint, the fixed offset (vec8), the rotation axis label and the

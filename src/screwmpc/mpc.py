@@ -97,16 +97,16 @@ class MpcConfig:
     def __post_init__(self):
         if not (1 <= self.n_c <= self.n_p):
             raise ValueError(f"need 1 <= n_c <= n_p, got n_c={self.n_c}, n_p={self.n_p}")
-        if not self.sample_time > 0.0:
-            raise ValueError("sample_time must be positive")
+        if not (np.isfinite(self.sample_time) and self.sample_time > 0.0):
+            raise ValueError("sample_time must be positive and finite")
         q = np.asarray(self.q_weight, dtype=float).reshape(-1)
         r = np.asarray(self.r_weight, dtype=float).reshape(-1)
         if q.shape != (N_AXES,) or r.shape != (N_AXES,):
             raise ValueError(f"q_weight and r_weight must have {N_AXES} entries")
-        if not np.all(q >= 0.0):
-            raise ValueError("q_weight must be nonnegative (Q_mpc >= 0)")
-        if not np.all(r > 0.0):
-            raise ValueError("r_weight must be positive (R_mpc > 0)")
+        if not np.all(np.isfinite(q) & (q >= 0.0)):
+            raise ValueError("q_weight must be nonnegative and finite (Q_mpc >= 0)")
+        if not np.all(np.isfinite(r) & (r > 0.0)):
+            raise ValueError("r_weight must be positive and finite (R_mpc > 0)")
         object.__setattr__(self, "q_weight", q)
         object.__setattr__(self, "r_weight", r)
 
@@ -117,8 +117,8 @@ def _scalar_model(sample_time: float):
     Plant a_m = [[1, T], [0, 1]], b_m = [T^2/2, T]^T, c_m = [0, 1] (exact ZOH of
     the double integrator); A = [[a_m, 0], [c_m a_m, 1]], B = [b_m; c_m b_m]."""
     T = float(sample_time)
-    if not T > 0.0:
-        raise ValueError("sample_time must be positive")
+    if not (np.isfinite(T) and T > 0.0):
+        raise ValueError("sample_time must be positive and finite")
     a = np.array([[1.0, T, 0.0], [0.0, 1.0, 0.0], [0.0, 1.0, 1.0]])
     b = np.array([[0.5 * T * T], [T], [T]])
     c = np.array([[0.0, 0.0, 1.0]])
@@ -322,8 +322,10 @@ def _interior_point(e, f, w, v, x_free):
         primal = np.maximum(1.0, w_abs @ np.abs(x) + v_abs)
         kkt = np.concatenate([r_d / dual, r_p / primal, np.minimum(s / primal, z / multiplier)], 1)
         kkt = np.abs(kkt).max(axis=(1, 2))
-        farkas = (np.sum(v * z, axis=(1, 2)) < 0.0) & (
-            np.abs(wz).max(axis=(1, 2)) <= 1e-4 * (w_abs.transpose(0, 2, 1) @ z).max(axis=(1, 2)))
+        farkas = np.sum(v * z, axis=(1, 2)) < 0.0
+        if farkas.any():  # W^T z ~ 0 next to |W|^T z only matters where v^T z < 0
+            farkas &= (np.abs(wz).max(axis=(1, 2))
+                       <= 1e-4 * (w_abs.transpose(0, 2, 1) @ z).max(axis=(1, 2)))
         live = (kkt > _KKT_TOL) & ~farkas
         if it == _MAX_ITERATIONS or not live.any():
             lam = np.where(z > s, z / scale, 0.0)[..., 0]

@@ -118,7 +118,7 @@ def test_config_rejects_inner_rate_not_dividing_mpc_tick(tmp_path, capsys, rate)
     assert "whole inner ticks" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("value", ["0", "-0.009", "nan"])
+@pytest.mark.parametrize("value", ["0", "-0.009", "nan", "inf"])
 def test_config_rejects_nonpositive_sample_time(tmp_path, value):
     f = write_cfg(tmp_path, f"sample_time_s = {value}\n")
     with pytest.raises(ValueError, match="sample_time_s must be positive"):
@@ -142,11 +142,16 @@ def test_config_rejects_bad_gain(tmp_path, capsys, value):
 
 
 @pytest.mark.parametrize("key", ["stop_tol", "max_duration_s"])
-@pytest.mark.parametrize("value", ["0", "-1", "nan"])
-def test_config_rejects_nonpositive_run_bounds(tmp_path, key, value):
+@pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+def test_config_rejects_nonpositive_run_bounds(tmp_path, capsys, key, value):
+    # an infinite max_duration_s would overflow the tick count, an infinite
+    # stop_tol would end every run as soon as the reference does
     f = write_cfg(tmp_path, f"{key} = {value}\n")
-    with pytest.raises(ValueError, match=f"{key} must be positive"):
+    with pytest.raises(ValueError, match=re.escape(f"{f}: {key} must be positive")):
         load_config(f)
+    assert main(["simulate", "--config", str(f), "--random", "2",
+                 "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {f}: {key} must be positive")
 
 
 @pytest.mark.parametrize("line, match", [
@@ -156,6 +161,8 @@ def test_config_rejects_nonpositive_run_bounds(tmp_path, key, value):
     ("r_weight = 0 1 1 1 1 1", "r_weight must be positive"),
     ("q_weight = 1 1 1 nan 1 1", "q_weight must be nonnegative"),
     ("r_weight = 1 1 nan 1 1 1", "r_weight must be positive"),
+    ("q_weight = inf 1 1 1 1 1", "q_weight must be nonnegative and finite"),
+    ("r_weight = 1 1 1 1 1 inf", "r_weight must be positive and finite"),
     ("limits.vel.min = 1 1 1 1 1 1", "vel limits must bracket zero"),
     ("samples_per_segment = 0", "samples_per_segment must be >= 1"),
 ])

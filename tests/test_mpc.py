@@ -101,6 +101,8 @@ def test_model_matches_scalar_rollout():
 def test_model_rejects_bad_sample_time():
     with pytest.raises(ValueError, match="positive"):
         build_model(0.0)
+    with pytest.raises(ValueError, match="positive and finite"):
+        build_model(float("inf"))
 
 
 # ---------------------------------------------------------------------------
@@ -399,6 +401,8 @@ def test_mpcconfig_validation():
         MpcConfig(r_weight=np.zeros(6))
     with pytest.raises(ValueError, match="sample_time must be positive"):
         MpcConfig(sample_time=float("nan"))
+    with pytest.raises(ValueError, match="sample_time must be positive and finite"):
+        MpcConfig(sample_time=float("inf"))
     with pytest.raises(ValueError, match="q_weight must be nonnegative"):
         MpcConfig(q_weight=np.full(6, np.nan))
     with pytest.raises(ValueError, match="r_weight must be positive"):
