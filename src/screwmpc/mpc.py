@@ -8,8 +8,15 @@ per-step input increment equals T*jerk.  Nothing couples the axes, so the
 smoother models one axis as a 3-state chain augmented with backward
 differences for offset-free tracking, condenses predictions into (F, Phi)
 and each tick solves the six QPs (jerk, acceleration and velocity rows) in
-one batched, iteration-capped interior-point solve.  ``build_model``,
-``build_prediction`` and ``build_qp`` give its dense 18-state lifts (x I6).
+one batched, iteration-capped interior-point solve.  The rows that end a
+tick with a positive multiplier are its working set.  On the next tick, a
+problem whose unconstrained optimum breaks a row first holds those rows
+(then the same rows one step along the horizon) as equalities, and keeps
+the result only if its multipliers are nonnegative, it passes the interior
+point's own stop test and it meets every row within FEAS_TOL; the problems
+left go to the interior point, which solves them as it would cold.
+``build_model``, ``build_prediction`` and ``build_qp`` give its dense
+18-state lifts (x I6).
 
 Twist vectors are ordered [wx, wy, wz, vx, vy, vz] (vec6 of a pure dual
 quaternion).
@@ -17,7 +24,9 @@ quaternion).
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -210,6 +219,7 @@ class _AxisQp:
     v_zero: np.ndarray   # (6, 6 n_c)
     phi_t_q: np.ndarray  # (6, n_c, n_p): q_a Phi_s^T
     f_mat: np.ndarray    # F_s (n_p, 3)
+    shift: np.ndarray    # (6 n_c,): row r of the next tick is row shift[r] of this one
 
 
 def _axis_qp(f_mat: np.ndarray, phi: np.ndarray, cfg: MpcConfig,
@@ -222,7 +232,11 @@ def _axis_qp(f_mat: np.ndarray, phi: np.ndarray, cfg: MpcConfig,
     T = cfg.sample_time
     lo = np.repeat([T * limits.jerk_min, limits.acc_min, limits.vel_min], n_c, axis=0)
     hi = np.repeat([T * limits.jerk_max, limits.acc_max, limits.vel_max], n_c, axis=0)
-    return _AxisQp(e, _pair(-rows, rows), _pair(-lo, hi).T.copy(), phi_t_q, f_mat)
+    # rows run group x step x sign; a step's rows move one step earlier each
+    # tick, and the last step keeps its own
+    step = np.minimum(np.arange(n_c) + 1, n_c - 1)
+    shift = (2 * (n_c * np.arange(3)[:, None, None] + step[:, None]) + np.arange(2)).ravel()
+    return _AxisQp(e, _pair(-rows, rows), _pair(-lo, hi).T.copy(), phi_t_q, f_mat, shift)
 
 
 def _tick_qp(axis_qp: _AxisQp, state: np.ndarray, setpoint: np.ndarray,
@@ -299,19 +313,44 @@ def _solve(mat, rhs):
         return np.concatenate([_solve(m, r) for m, r in zip(mat[:, None], rhs[:, None])])
 
 
-def _interior_point(e, f, w, v, x_free):
+class _StopTest(NamedTuple):
+    """The interior point's stop test for a stack of problems, on (k, ., 1)
+    columns.  Rows are scaled to unit norm; a row with an infinite bound or
+    zero W reads 0 <= 1.  ``error`` is a problem's largest KKT residual: each
+    residual is measured against the size of the terms of its own equation, a
+    row's at the iterate x and a stationarity row's at x_free (W^T z is left
+    out: multipliers can drift off in opposite pairs); a multiplier against
+    the stationarity rows of the variables its row touches."""
+
+    w: np.ndarray           # (k, m, n) scaled rows
+    v: np.ndarray           # (k, m, 1) scaled bounds
+    w_abs: np.ndarray
+    v_abs: np.ndarray
+    dual: np.ndarray        # (k, n, 1) stationarity scales
+    multiplier: np.ndarray  # (k, m, 1) multiplier scales
+
+    @classmethod
+    def of(cls, e, f, w, v, scale, x_free) -> "_StopTest":
+        rows = np.isfinite(v) & (scale > 1e-12)  # the rows that can activate
+        w, v = np.where(rows, w / scale, 0.0), np.where(rows, v / scale, 1.0)
+        w_abs = np.abs(w)
+        dual = np.maximum(1.0, np.abs(e) @ np.abs(x_free) + np.abs(f))
+        return cls(w, v, w_abs, np.abs(v), dual, np.maximum(1.0, w_abs @ dual))
+
+    def take(self, problems) -> "_StopTest":
+        return _StopTest(*(m[problems] for m in self))
+
+    def error(self, x, r_d, r_p, s, z) -> np.ndarray:
+        primal = np.maximum(1.0, self.w_abs @ np.abs(x) + self.v_abs)
+        kkt = np.concatenate([r_d / self.dual, r_p / primal,
+                              np.minimum(s / primal, z / self.multiplier)], 1)
+        return np.abs(kkt).max(axis=(1, 2))
+
+
+def _interior_point(e, f, test: _StopTest, scale):
     """Mehrotra's predictor-corrector on (k, ., 1) columns from x = 0 (see solve_qp)."""
-    scale = np.maximum(np.linalg.norm(w, axis=1, keepdims=True), 1e-12)
-    rows = np.isfinite(v) & (scale > 1e-12)  # the rows that can activate
-    w, v = np.where(rows, w / scale, 0.0), np.where(rows, v / scale, 1.0)
+    w, v = test.w, test.v
     w_t = w.transpose(0, 2, 1)
-    # each residual is measured against the size of the terms of its own
-    # equation, a row's at the iterate x and a stationarity row's at x_free
-    # (W^T z is left out: multipliers can drift off in opposite pairs); a
-    # multiplier against the stationarity rows of the variables its row touches
-    w_abs, v_abs = np.abs(w), np.abs(v)
-    dual = np.maximum(1.0, np.abs(e) @ np.abs(x_free) + np.abs(f))
-    multiplier = np.maximum(1.0, w_abs @ dual)
     x, iterations = np.zeros(f.shape), np.zeros(len(f), dtype=int)
     s = np.where(v >= 0.0, np.maximum(v, _KKT_TOL), 1.0)  # rows x = 0 meets keep holding
     z = np.maximum(1.0, np.abs(f).max(axis=1, keepdims=True)) * np.ones(v.shape)
@@ -319,13 +358,11 @@ def _interior_point(e, f, w, v, x_free):
         wz = w_t @ z
         r_d = e @ x + f + wz
         r_p = w @ x + s - v
-        primal = np.maximum(1.0, w_abs @ np.abs(x) + v_abs)
-        kkt = np.concatenate([r_d / dual, r_p / primal, np.minimum(s / primal, z / multiplier)], 1)
-        kkt = np.abs(kkt).max(axis=(1, 2))
+        kkt = test.error(x, r_d, r_p, s, z)
         farkas = np.sum(v * z, axis=(1, 2)) < 0.0
         if farkas.any():  # W^T z ~ 0 next to |W|^T z only matters where v^T z < 0
             farkas &= (np.abs(wz).max(axis=(1, 2))
-                       <= 1e-4 * (w_abs.transpose(0, 2, 1) @ z).max(axis=(1, 2)))
+                       <= 1e-4 * (test.w_abs.transpose(0, 2, 1) @ z).max(axis=(1, 2)))
         live = (kkt > _KKT_TOL) & ~farkas
         if it == _MAX_ITERATIONS or not live.any():
             lam = np.where(z > s, z / scale, 0.0)[..., 0]
@@ -348,22 +385,60 @@ def _interior_point(e, f, w, v, x_free):
         z += step * dz
 
 
-def solve_qp(qp: QpProblem, e_inv: np.ndarray | None = None) -> QpSolution:
+def _on_working_set(e, e_inv, f, w, v, x_free, test: _StopTest, scale, working):
+    """Each problem's QP with its working rows held as equalities, on (k, ., 1)
+    columns: lambda from the Schur complement W_A E^-1 W_A^T, padded to
+    min(n, m) rows, then x = x_free - E^-1 W_A^T lambda.  Returns x, the
+    multipliers of all rows and whether the point is verified: lambda >= 0,
+    it passes the interior point's stop test and it meets every finite row
+    within FEAS_TOL."""
+    m, n = w.shape
+    working = working & np.isfinite(v)
+    count = working.sum(axis=1)
+    count[count > n] = 0  # more than n rows cannot be independent: no candidate
+    width = min(n, m)
+    problem = np.arange(len(v))[:, None]
+    rows = np.argsort(~working, axis=1, kind="stable")[:, :width]  # working rows first
+    pad = np.arange(width) >= count[:, None]
+    w_a = np.where(pad[..., None], 0.0, w[rows])
+    g = e_inv @ w_a.transpose(0, 2, 1)
+    v_a = np.where(pad, 0.0, v[problem, rows])[..., None]
+    lam_a = _solve(w_a @ g + pad[:, None, :] * np.eye(width), w_a @ x_free - v_a)
+    x = x_free - g @ lam_a
+    lam = np.zeros(working.shape)
+    lam[problem, rows] = lam_a[..., 0]  # 0 on the padding
+
+    residual = (w @ x)[..., 0] - v
+    s = -residual[..., None] / scale  # the scaled slack, +inf on a row without a bound
+    kkt = test.error(x, e @ x + f + w.T @ lam[..., None], np.zeros(s.shape), s,
+                     lam[..., None] * scale)
+    held = (count > 0) & (lam >= 0.0).all(axis=1)
+    held &= (kkt <= _KKT_TOL) & (residual <= FEAS_TOL).all(axis=1)
+    return x[..., 0], lam, held
+
+
+def solve_qp(qp: QpProblem, e_inv: np.ndarray | None = None,
+             working_sets: Sequence[np.ndarray] = ()) -> QpSolution:
     """Primal-dual interior-point solve of the dense inequality QP.
 
-    -E^-1 f is the result when it violates no row.  Otherwise Mehrotra's
-    predictor-corrector runs on rows scaled to unit norm until every KKT
-    residual and each row's min(s, z) is at most 1e-10 of the size of the
-    terms of its own equation (and of 1), a row's at the iterate and the rest
-    at -E^-1 f, until z proves the rows cannot all hold or up to an iteration
-    cap.  A Newton matrix that rounding makes singular gets a least-squares
-    step.  ``lam`` is 0 on rows ending with z <= s; rows with infinite bounds
-    or zero W never activate.  A stack (e (k, n, n), f (k, n), v (k, m),
-    shared w) is solved per problem, each bit for bit as alone, and reports
-    the largest iteration count, whether all converged and the largest
-    violation.  A problem has converged if it met the stop test and meets
-    every finite row within FEAS_TOL.  E^-1 (stacked like E) may be passed
-    in precomputed.
+    -E^-1 f is the result when it violates no row.  Otherwise each
+    ``working_sets`` entry (a bool mask over the rows, shaped like v) is
+    tried in turn: the rows it marks are held as equalities, and the point
+    is kept only if its multipliers are nonnegative, it passes the interior
+    point's stop test and it meets every finite row within FEAS_TOL; such a
+    problem takes no iteration and ``lam`` is its exact multiplier.  The rest
+    run Mehrotra's predictor-corrector on rows scaled to unit norm until
+    every KKT residual and each row's min(s, z) is at most 1e-10 of the size
+    of the terms of its own equation (and of 1), a row's at the iterate and
+    the rest at -E^-1 f, until z proves the rows cannot all hold or up to an
+    iteration cap.  A Newton matrix that rounding makes singular gets a
+    least-squares step.  ``lam`` is 0 on rows ending with z <= s; rows with
+    infinite bounds or zero W never activate.  A stack (e (k, n, n), f (k, n),
+    v (k, m), shared w) is solved per problem, each bit for bit as alone, and
+    reports the largest iteration count, whether all converged and the
+    largest violation.  A problem has converged if it met the stop test and
+    meets every finite row within FEAS_TOL.  E^-1 (stacked like E) may be
+    passed in precomputed.
     """
     stack = (qp.e, qp.f, qp.v, e_inv)
     if qp.f.ndim == 1:  # a single problem is a stack of one
@@ -376,10 +451,22 @@ def solve_qp(qp: QpProblem, e_inv: np.ndarray | None = None) -> QpSolution:
     iterations, converged = 0, True
     finite = np.isfinite(v)
     residual = (w @ x[:, :, None])[:, :, 0] - v
-    active = np.flatnonzero(~(residual <= 1e-12).all(axis=1))
-    if active.size:
-        x[active], lam[active], iterations, converged = _interior_point(
-            e[active], f[active, :, None], w, v[active, :, None], x[active, :, None])
+    todo = np.flatnonzero(~(residual <= 1e-12).all(axis=1))
+    if todo.size:
+        scale = np.maximum(np.linalg.norm(w, axis=1, keepdims=True), 1e-12)
+        test = _StopTest.of(e[todo], f[todo, :, None], w, v[todo, :, None], scale,
+                            x[todo, :, None])
+        for working in working_sets:
+            working = np.asarray(working, dtype=bool).reshape(v.shape)[todo]
+            if working.any():
+                x_w, lam_w, held = _on_working_set(e[todo], e_inv[todo], f[todo, :, None], w,
+                                                   v[todo], x[todo, :, None], test, scale,
+                                                   working)
+                x[todo[held]], lam[todo[held]] = x_w[held], lam_w[held]
+                todo, test = todo[~held], test.take(~held)
+        if todo.size:
+            x[todo], lam[todo], iterations, converged = _interior_point(
+                e[todo], f[todo, :, None], test, scale)
         residual = (w @ x[:, :, None])[:, :, 0] - v
     violation = float(np.where(finite, residual, 0.0).max(initial=0.0))
     if qp.f.ndim == 1:
@@ -393,12 +480,16 @@ class SmootherState:
 
     `augmented` is the 18-vector [backward differences of (integrated
     twist, twist); current output twist], `u_prev` the previously applied
-    acceleration and `pose` the integrated smoothed pose.
+    acceleration and `pose` the integrated smoothed pose.  `working_set`
+    marks, per axis, the QP rows that ended the last tick with a positive
+    multiplier; it only speeds the next solve, and a state with none marked
+    (the default) solves cold.
     """
 
     augmented: np.ndarray
     u_prev: np.ndarray
     pose: UnitDualQuaternion
+    working_set: np.ndarray = field(default_factory=lambda: np.zeros((N_AXES, 0), dtype=bool))
 
     def __post_init__(self):
         self.augmented = np.asarray(self.augmented, dtype=float).reshape(-1)
@@ -407,6 +498,7 @@ class SmootherState:
         self.u_prev = np.asarray(self.u_prev, dtype=float).reshape(-1)
         if self.u_prev.shape != (N_AXES,):
             raise ValueError(f"u_prev must have {N_AXES} components")
+        self.working_set = np.asarray(self.working_set, dtype=bool).reshape(N_AXES, -1)
 
     @classmethod
     def at_rest(cls, pose: UnitDualQuaternion) -> "SmootherState":
@@ -456,7 +548,10 @@ class TwistSmoother:
         cfg = self.cfg
         setpoint = build_setpoint(target, cfg.n_p)
         qp = _tick_qp(self._qp, self.state.augmented, setpoint, self.state.u_prev)
-        sol = solve_qp(qp, e_inv=self._e_inv)
+        working = self.state.working_set
+        guesses = (working, working[:, self._qp.shift]) if working.any() else ()
+        sol = solve_qp(qp, e_inv=self._e_inv, working_sets=guesses)
+        self.state.working_set = sol.lam > 0.0
         du = sol.delta_u[:, 0]
 
         a, b, _ = self._model

@@ -388,17 +388,33 @@ def test_simulate_log_derived_columns_agree_with_verify(panda, ready_pose):
     assert result.qp_failures == np.count_nonzero(rows[:, col("qp_converged")] == 0)
 
 
-def test_simulate_determinism(tmp_path, ready_pose):
+TRACK_TIGHT_LIMITS = "".join(
+    f"limits.{group}.{end} = {' '.join([sign + bound] * 6)}\n"
+    for group, bound in (("vel", "1"), ("acc", "10"), ("jerk", "20"))
+    for end, sign in (("min", "-"), ("max", "")))
+
+
+@pytest.mark.parametrize("limits", [
+    pytest.param("", id="packaged-limits"),
+    # the QP is active: some ticks are solved on the working set carried from
+    # the tick before, the rest by the interior point
+    pytest.param(TRACK_TIGHT_LIMITS, id="track-tight-limits"),
+])
+def test_simulate_determinism(tmp_path, ready_pose, limits):
     goal = translated(ready_pose, [0.05, 0.02, 0.0])
     write_keypoints(tmp_path / "kp.txt", [ready_pose, goal])
     cfg = write_cfg(tmp_path, "keypoints = kp.txt\nsamples_per_segment = 15\n"
-                              "max_duration_s = 4\n")
+                              "max_duration_s = 4\n" + limits)
     logs = []
     for rep in range(2):
         out = tmp_path / f"out{rep}"
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
         logs.append((out / "trajectory.csv").read_bytes())
     assert logs[0] == logs[1]
+    if limits:
+        columns, rows = read_trajectory_csv(tmp_path / "out0" / "trajectory.csv")
+        iters, active = rows[:, columns.index("qp_iters")], rows[:, columns.index("qp_active")]
+        assert np.any((active > 0) & (iters == 0)) and np.any(iters > 0)
 
 
 def test_simulate_rejects_start_outside_joint_limits(tmp_path, capsys, panda):

@@ -12,6 +12,7 @@ from screwmpc.mpc import (
     _MAX_ITERATIONS,
     AUG_DIM,
     FEAS_TOL,
+    N_AXES,
     LimitSet,
     MpcConfig,
     QpProblem,
@@ -333,6 +334,46 @@ def test_per_axis_step_agrees_with_dense_solve_on_solver_traps(n_p, n_c, q, r, a
     np.testing.assert_allclose(step.delta_u, dense.delta_u[:6], rtol=0, atol=1e-7)
 
 
+def shifted_rows(working: np.ndarray, n_c: int) -> np.ndarray:
+    """Each axis's rows one step further along the horizon: rows run group x
+    step x sign, and the last step keeps its own."""
+    rows = working.reshape(N_AXES, 3, n_c, 2)
+    return np.concatenate([rows[:, :, 1:], rows[:, :, -1:]], axis=2).reshape(N_AXES, -1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), shift=st.booleans())
+def test_carried_working_set_gives_the_cold_step(data, shift):
+    # a smoother that carries the working set of the tick's cold solve (or
+    # that set shifted one step) lands where the cold step does
+    cfg, limits, state, u_prev, target = draw_tick(data)
+    cold = TwistSmoother(cfg, limits, UnitDualQuaternion.identity())
+    cold.state = SmootherState(state.copy(), u_prev.copy(), cold.pose)
+    cold_step = cold.step(target)
+    working = cold.state.working_set  # the rows the cold solve ended with lam > 0
+    assert working.shape == (N_AXES, 6 * cfg.n_c)
+    warm = TwistSmoother(cfg, limits, UnitDualQuaternion.identity())
+    warm.state = SmootherState(state.copy(), u_prev.copy(), warm.pose,
+                               shifted_rows(working, cfg.n_c) if shift else working)
+    warm_step = warm.step(target)
+    assert warm_step.converged == cold_step.converged
+    np.testing.assert_allclose(warm_step.delta_u, cold_step.delta_u, rtol=0, atol=1e-7)
+
+
+def test_smoother_carries_the_working_set_between_ticks():
+    # from rest nothing is carried; each tick leaves the rows that ended with
+    # a positive multiplier, and a replaced state solves cold
+    sm = TwistSmoother(MpcConfig(), limits_of(acc=1.0, jerk=50.0), UnitDualQuaternion.identity())
+    assert not sm.state.working_set.any()
+    first = sm.step(np.full(6, 1.0))
+    assert first.iterations > 0 and sm.state.working_set.sum() == first.active_count
+    second = sm.step(np.full(6, 1.0))
+    assert second.converged and second.iterations == 0 and second.active_count > 0
+    sm.state = SmootherState(sm.state.augmented, sm.state.u_prev, sm.pose)
+    assert not sm.state.working_set.any()
+    assert sm.step(np.full(6, 1.0)).iterations > 0
+
+
 # track-tight limits (benchmark seed 1, line 1, MPC tick 2): a tick that is
 # hard to solve as one dense 60-variable QP (a dual sweep method needed 3600
 # sweeps).  Axes wx, wy, wz are at rest.
@@ -630,6 +671,109 @@ def test_solver_stop_test_measures_rows_at_the_iterate():
 
 
 # ---------------------------------------------------------------------------
+# working-set warm start
+
+
+def assert_same_solution(a, b):
+    assert np.array_equal(a.delta_u, b.delta_u) and np.array_equal(a.lam, b.lam)
+    assert (a.iterations, a.converged, a.max_violation) == (b.iterations, b.converged,
+                                                            b.max_violation)
+
+
+def smoother_axis_qp() -> QpProblem:
+    """Axis vx's QP on the first tick from rest toward 1 under vel 10, acc 1,
+    jerk 50 (n = 10, m = 60): jerk and acceleration rows are active at the
+    optimum, the velocity rows (the last 20) are not."""
+    cfg = MpcConfig()
+    pred = build_prediction(build_model(cfg.sample_time), cfg.n_p, cfg.n_c)
+    return axis_slice(build_qp(np.zeros(AUG_DIM), build_setpoint(np.full(6, 1.0), cfg.n_p), pred,
+                               cfg, limits_of(vel=10.0, acc=1.0, jerk=50.0), np.zeros(6)), 3)
+
+
+def rows_of(m: int, rows) -> np.ndarray:
+    mask = np.zeros(m, dtype=bool)
+    mask[list(rows)] = True
+    return mask
+
+
+def bad_working_set(case: str) -> tuple[QpProblem, np.ndarray]:
+    if case.startswith("infeasible"):  # its rows cannot all hold, so no guess verifies
+        qp = contradicted_qp(int(case.split("-")[1]))
+        return qp, solve_qp(qp).lam > 0.0
+    if case == "negative-multiplier":
+        # x_free = (2, 1): x1 <= 1 is violated and x2 <= 1 + 1e-13 holds with
+        # a slack of 1e-13, so holding both gives the second a multiplier of
+        # -1e-13, small enough to pass the stop test
+        qp = QpProblem(np.eye(2), np.array([-2.0, -1.0]), np.eye(2), np.array([1.0, 1.0 + 1e-13]))
+        return qp, rows_of(2, [0, 1])
+    qp = smoother_axis_qp()
+    n, m = len(qp.f), len(qp.v)
+    cold = np.flatnonzero(solve_qp(qp).lam > 0.0)
+    if case == "empty":
+        return qp, rows_of(m, [])
+    if case == "all-rows":
+        return qp, rows_of(m, range(m))
+    if case == "more-than-n":  # the optimal rows first, then enough others to make n + 1
+        others = np.setdiff1d(np.arange(m), cold)[len(cold) - n - 1:]
+        assert cold.max() < others.min()
+        return qp, rows_of(m, [*cold, *others])
+    # an active row and its opposite row of the same pair: -r x <= -lo, r x <= hi
+    return qp, rows_of(m, [cold[0], cold[0] ^ 1])
+
+
+@pytest.mark.parametrize("case", ["empty", "all-rows", "more-than-n", "dependent-rows",
+                                  "negative-multiplier", "infeasible-2", "infeasible-8"])
+def test_bad_working_set_gives_the_cold_solve(case):
+    qp, working = bad_working_set(case)
+    cold = solve_qp(qp)
+    assert cold.iterations > 0  # the problem has a violated row at -E^-1 f
+    assert_same_solution(solve_qp(qp, working_sets=[working]), cold)
+    assert_same_solution(solve_qp(qp, working_sets=[working, working]), cold)
+
+
+def test_optimal_working_set_solves_without_iterations():
+    qp = smoother_axis_qp()
+    cold = solve_qp(qp)
+    warm = solve_qp(qp, working_sets=[rows_of(len(qp.v), []), cold.lam > 0.0])
+    assert cold.converged and cold.iterations > 0
+    assert warm.converged and warm.iterations == 0
+    assert np.array_equal(warm.lam > 0.0, cold.lam > 0.0) and np.all(warm.lam >= 0.0)
+    np.testing.assert_allclose(warm.delta_u, cold.delta_u, rtol=0, atol=1e-9)
+    assert warm.max_violation <= FEAS_TOL
+    # lam is the exact multiplier: E x + f + W^T lam = 0
+    stationarity = qp.e @ warm.delta_u + qp.f + qp.w.T @ warm.lam
+    assert np.abs(stationarity).max() <= 1e-9
+
+
+@pytest.mark.parametrize("seed", [2, 411, 430, 5])
+def test_working_set_keeps_every_verdict_on_ill_conditioned_draws(seed):
+    # each draw is given the working set of its own cold solve.  An accepted
+    # solve takes no iteration; no converged verdict is lost, and every
+    # accepted solve meets each row within FEAS_TOL (rounding at |x| ~ 1e8
+    # breaks the exact solve on some draws, which the row check rejects)
+    accepted = 0
+    for draw, qp in enumerate(itertools.islice(ill_conditioned_draws(seed), 600)):
+        cold = solve_qp(qp)
+        warm = solve_qp(qp, working_sets=[cold.lam > 0.0])
+        assert warm.converged or not cold.converged
+        if warm.iterations == 0 < cold.iterations:
+            accepted += 1
+            assert warm.converged and warm.max_violation <= FEAS_TOL
+            x_w, x_c = warm.delta_u[0], cold.delta_u[0]
+            objective = [0.5 * x @ qp.e[0] @ x + qp.f[0] @ x for x in (x_w, x_c)]
+            if cold.converged:
+                assert objective[0] - objective[1] <= 1e-7 * max(1.0, abs(objective[1]))
+        else:
+            assert_same_solution(warm, cold)
+    assert accepted >= 250
+    if seed == 5:  # draw 149 hits the iteration cap cold; its working set verifies
+        qp = next(itertools.islice(ill_conditioned_draws(5), 149, None))
+        cold = solve_qp(qp)
+        assert not cold.converged and cold.iterations == _MAX_ITERATIONS
+        assert solve_qp(qp, working_sets=[cold.lam > 0.0]).converged
+
+
+# ---------------------------------------------------------------------------
 # smoother stepping
 
 
@@ -641,14 +785,15 @@ def test_step_bounded_on_conflicting_limits():
     # their bounds on every tick.
     cases = [
         # conflicting limits (velocity 1, acceleration 10, jerk 20, reference
-        # +3 then -3): from tick 34 some ticks' velocity rows cannot be met
-        # under the braking the jerk rows allow
-        (1.0, 1.0, 10.0, 20.0, 3.0, 600, 300, 34),
+        # +3 then -3): on ticks 34-56 and 341-407 the velocity rows cannot be
+        # met under the braking the jerk rows allow (an LP confirms each), and
+        # no working set carried from the tick before may mark one solved
+        (1.0, 1.0, 10.0, 20.0, 3.0, 600, 300, [*range(34, 57), *range(341, 408)]),
         # a tracking weight of 1e5 puts E and f near 1e6: every tick is
         # feasible (delta_u = 0 meets every row) and has to converge
-        (1e5, None, 1.0, 50.0, 1.0, 400, 100, None),
+        (1e5, None, 1.0, 50.0, 1.0, 400, 100, []),
     ]
-    for q_weight, vel, acc, jerk, ref, ticks, period, first_unconverged in cases:
+    for q_weight, vel, acc, jerk, ref, ticks, period, infeasible in cases:
         cfg = MpcConfig(q_weight=np.full(6, q_weight))
         T = cfg.sample_time
         limits = limits_of(vel=vel, acc=acc, jerk=jerk)
@@ -671,7 +816,7 @@ def test_step_bounded_on_conflicting_limits():
             assert np.abs(acc_fd).max() <= acc + 1e-6
             assert np.abs((acc_fd - prev_acc) / T).max() <= jerk + 1e-6
             prev, prev_acc = res.twist, acc_fd
-        assert (unconverged or [None])[0] == first_unconverged
+        assert unconverged == infeasible
 
 
 def test_step_equilibrium():
