@@ -6,7 +6,9 @@ end-effector pose is the ordered product of the elements; the 8x7 pose
 Jacobian maps joint rates to the time derivative of the vec8 pose
 coefficients.  The inner loop commands joint rates from the conjugation
 error e = 1 - x_d^* x_eff through a damped pseudo-inverse.  All three run
-on stacked 8x8 Hamilton matrices in numpy, one chain pass per call.  The
+on stacked 8x8 Hamilton matrices in numpy, one chain pass per call; the
+closed loop's inner ticks (``_track_tick``) make one pass each and hand its
+pose and Jacobian to the next, through the same control law.  The
 matrices and the conjugation signs come from ``screwmpc.dualquat``, which
 reads them off its own product and conjugation; its algebra classes only
 wrap the inputs and outputs.
@@ -122,11 +124,14 @@ class RobotModel:
         return chain
 
     def clamp_position(self, q: np.ndarray) -> np.ndarray:
-        return np.clip(q, self.q_min, self.q_max)
+        # np.clip(q, q_min, q_max) bit for bit (operands in its comparison
+        # order, so a signed zero at a bound comes out the same), without the
+        # cost of np.clip's Python wrapper: about a tenth of an inner tick
+        return np.minimum(self.q_max, np.maximum(self.q_min, q))
 
     def scale_velocity(self, qd: np.ndarray) -> np.ndarray:
         """Uniformly scale qd into the velocity box, preserving direction."""
-        ratio = np.max(np.abs(qd) / self.qd_max)
+        ratio = (np.abs(qd) / self.qd_max).max()
         if ratio > 1.0:
             return qd / ratio
         return qd
@@ -228,6 +233,20 @@ class ControlCommand(NamedTuple):
     singular: bool
 
 
+def _check_gain(gain) -> np.ndarray:
+    gain = np.asarray(gain, dtype=float)
+    if gain.shape != (8, 8):
+        raise ValueError("gain matrix must be 8x8")
+    return gain
+
+
+def _unit_pose_and_jacobian(model: RobotModel, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_pose_and_jacobian``, raising if the chain product drifted off unit."""
+    x_eff8, jac = _pose_and_jacobian(model, q)
+    UnitDualQuaternion.from_vec8(x_eff8)
+    return x_eff8, jac
+
+
 def inner_control(model: RobotModel, q, x_d: UnitDualQuaternion,
                   gain: np.ndarray) -> ControlCommand:
     """Kinematic control law qdot = -(H8(x_d) C8 J)^+ K vec8(e).
@@ -240,13 +259,15 @@ def inner_control(model: RobotModel, q, x_d: UnitDualQuaternion,
     (damping 1e-4) is used and reported in the flag.
     """
     q = _check_q(model, q)
-    gain = np.asarray(gain, dtype=float)
-    if gain.shape != (8, 8):
-        raise ValueError("gain matrix must be 8x8")
-    x_eff8, jac = _pose_and_jacobian(model, q)
-    UnitDualQuaternion.from_vec8(x_eff8)  # raises if the chain product drifted off unit
+    gain = _check_gain(gain)
+    x_eff8, jac = _unit_pose_and_jacobian(model, q)
     x_d8 = x_d.vec8()
-    task_map = _task_map(x_d8)
+    return _control_law(model, x_eff8, jac, x_d8, _task_map(x_d8), gain)
+
+
+def _control_law(model: RobotModel, x_eff8: np.ndarray, jac: np.ndarray, x_d8: np.ndarray,
+                 task_map: np.ndarray, gain: np.ndarray) -> ControlCommand:
+    """``inner_control`` at a pose and Jacobian already computed, for checked inputs."""
     err = _error8(task_map, x_d8, x_eff8)
     task = task_map @ jac
 
@@ -260,6 +281,28 @@ def inner_control(model: RobotModel, q, x_d: UnitDualQuaternion,
     task_pinv = (vt.T * inv_sigma) @ u_svd.T
     qdot = -task_pinv @ (gain @ err)
     return ControlCommand(qdot, singular)
+
+
+def _track_tick(model: RobotModel, q: np.ndarray, x_eff8: np.ndarray, jac: np.ndarray,
+                x_d8: np.ndarray, task_map: np.ndarray, gain: np.ndarray, dt: float,
+                ticks: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
+    """Track x_d for one MPC tick of ``ticks`` inner ticks from a carried state.
+
+    (q, x_eff8, jac) is the joint vector with its unit pose and Jacobian, and
+    task_map = H8^-(x_d) C8 (``_task_map``).  Each inner tick applies the
+    control law, scales qdot into the velocity box, takes an explicit Euler
+    step of length dt, clamps to the position limits and makes the one chain
+    pass at the new q, whose pose and Jacobian the next inner tick (or the
+    next MPC tick) uses.  Returns the new (q, x_eff8, jac) and whether any
+    inner tick was singular; q and gain must be checked by the caller.
+    """
+    singular = False
+    for _ in range(ticks):
+        cmd = _control_law(model, x_eff8, jac, x_d8, task_map, gain)
+        singular = singular or cmd.singular
+        q = model.clamp_position(q + dt * model.scale_velocity(cmd.qdot))
+        x_eff8, jac = _unit_pose_and_jacobian(model, q)
+    return q, x_eff8, jac, singular
 
 
 # ---------------------------------------------------------------------------

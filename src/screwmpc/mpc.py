@@ -289,8 +289,12 @@ class QpSolution:
     delta_u: np.ndarray
     lam: np.ndarray
     iterations: int
-    converged: bool
+    solved: np.ndarray  # per problem of a stack: converged (see solve_qp)
     max_violation: float
+
+    @property
+    def converged(self) -> bool:
+        return bool(self.solved.all())
 
     @property
     def feasible(self) -> bool:
@@ -366,7 +370,7 @@ def _interior_point(e, f, test: _StopTest, scale):
         live = (kkt > _KKT_TOL) & ~farkas
         if it == _MAX_ITERATIONS or not live.any():
             lam = np.where(z > s, z / scale, 0.0)[..., 0]
-            return x[..., 0], lam, iterations.max(), bool(kkt.max() <= _KKT_TOL)
+            return x[..., 0], lam, iterations.max(), kkt <= _KKT_TOL
         iterations += live
         s_n = np.maximum(s, 1e-12 * z)  # z/s <= 1e12 keeps the matrix nonsingular
         mat = e + w_t @ (z / s_n * w)
@@ -435,7 +439,7 @@ def solve_qp(qp: QpProblem, e_inv: np.ndarray | None = None,
     least-squares step.  ``lam`` is 0 on rows ending with z <= s; rows with
     infinite bounds or zero W never activate.  A stack (e (k, n, n), f (k, n),
     v (k, m), shared w) is solved per problem, each bit for bit as alone, and
-    reports the largest iteration count, whether all converged and the
+    reports the largest iteration count, whether each converged and the
     largest violation.  A problem has converged if it met the stop test and
     meets every finite row within FEAS_TOL.  E^-1 (stacked like E) may be
     passed in precomputed.
@@ -448,7 +452,7 @@ def solve_qp(qp: QpProblem, e_inv: np.ndarray | None = None,
     e_inv = np.linalg.inv(e) if e_inv is None else e_inv
     x = (-e_inv @ f[:, :, None])[:, :, 0]
     lam = np.zeros(v.shape)
-    iterations, converged = 0, True
+    iterations, solved = 0, np.ones(len(v), dtype=bool)
     finite = np.isfinite(v)
     residual = (w @ x[:, :, None])[:, :, 0] - v
     todo = np.flatnonzero(~(residual <= 1e-12).all(axis=1))
@@ -465,13 +469,14 @@ def solve_qp(qp: QpProblem, e_inv: np.ndarray | None = None,
                 x[todo[held]], lam[todo[held]] = x_w[held], lam_w[held]
                 todo, test = todo[~held], test.take(~held)
         if todo.size:
-            x[todo], lam[todo], iterations, converged = _interior_point(
+            x[todo], lam[todo], iterations, solved[todo] = _interior_point(
                 e[todo], f[todo, :, None], test, scale)
         residual = (w @ x[:, :, None])[:, :, 0] - v
-    violation = float(np.where(finite, residual, 0.0).max(initial=0.0))
+    violation = np.where(finite, residual, 0.0).max(axis=1, initial=0.0)
+    solved &= violation <= FEAS_TOL
     if qp.f.ndim == 1:
-        x, lam = x[0], lam[0]
-    return QpSolution(x, lam, int(iterations), converged and violation <= FEAS_TOL, violation)
+        x, lam, solved = x[0], lam[0], solved[0]
+    return QpSolution(x, lam, int(iterations), solved, float(violation.max(initial=0.0)))
 
 
 @dataclass
@@ -482,8 +487,8 @@ class SmootherState:
     twist, twist); current output twist], `u_prev` the previously applied
     acceleration and `pose` the integrated smoothed pose.  `working_set`
     marks, per axis, the QP rows that ended the last tick with a positive
-    multiplier; it only speeds the next solve, and a state with none marked
-    (the default) solves cold.
+    multiplier, none on an axis whose solve did not converge; it only speeds
+    the next solve, and a state with none marked (the default) solves cold.
     """
 
     augmented: np.ndarray
@@ -551,7 +556,7 @@ class TwistSmoother:
         working = self.state.working_set
         guesses = (working, working[:, self._qp.shift]) if working.any() else ()
         sol = solve_qp(qp, e_inv=self._e_inv, working_sets=guesses)
-        self.state.working_set = sol.lam > 0.0
+        self.state.working_set = (sol.lam > 0.0) & sol.solved[:, None]
         du = sol.delta_u[:, 0]
 
         a, b, _ = self._model

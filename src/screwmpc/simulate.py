@@ -3,12 +3,16 @@
 Every MPC tick the smoother advances one step toward the current reference
 twist and the desired pose is held (zero-order) for a fixed number of inner
 ticks, each of which runs the kinematic controller and integrates the
-joints by explicit Euler.  One log record is written per MPC tick; numbers
-are serialized with 17 significant digits so identical configurations give
-byte-identical logs.  The tick loop records what it measures; the realized
-acceleration, jerk and bound flags are differenced from rest afterwards by
-the one function ``verify_trajectory`` also checks a log with; a NaN
-sample counts as a violation.
+joints by explicit Euler.  Each inner tick makes one chain pass, at the
+joints it has just integrated; that pose and Jacobian are carried to the
+next inner tick, and the last one of an MPC tick is the pose it logs and
+measures both errors at.  The desired pose's task map is formed once per
+MPC tick, the goal's once per run.  One log record is written per MPC
+tick; numbers are serialized with 17 significant digits so identical
+configurations give byte-identical logs.  The tick loop records what it
+measures; the realized acceleration, jerk and bound flags are differenced
+from rest afterwards by the one function ``verify_trajectory`` also checks
+a log with; a NaN sample counts as a violation.
 """
 
 from __future__ import annotations
@@ -22,7 +26,16 @@ import numpy as np
 from . import textio
 from .config import RunConfig
 from .dualquat import log
-from .kinematics import RobotModel, forward_kinematics, inner_control, pose_error
+from .kinematics import (
+    RobotModel,
+    _check_gain,
+    _error8,
+    _task_map,
+    _track_tick,
+    _unit_pose_and_jacobian,
+)
+# not called here: perfbench/tracing.py wraps these three names in this namespace
+from .kinematics import forward_kinematics, inner_control, pose_error  # noqa: F401
 from .mpc import FEAS_TOL, N_AXES, TwistSmoother
 from .screwpath import generate_path, reference_twists
 
@@ -121,8 +134,11 @@ def run_closed_loop(cfg: RunConfig, model: RobotModel,
     T = cfg.sample_time_s
     ratio = cfg.inner_ticks_per_mpc
     inner_dt = cfg.inner_dt
-    gain = cfg.gain_matrix
+    gain = _check_gain(cfg.gain_matrix)
     smoother = TwistSmoother(cfg.mpc, cfg.limits, path.samples[0].pose)
+    goal8 = goal.vec8()
+    goal_map = _task_map(goal8)
+    x_eff8, jac = _unit_pose_and_jacobian(model, q)
 
     max_ticks = max(1, int(math.ceil(cfg.max_duration_s / T)))
     records: list[list[float]] = []
@@ -137,24 +153,19 @@ def run_closed_loop(cfg: RunConfig, model: RobotModel,
             ref = (log(goal * smoother.pose.inverse()) * gap_rate).vec6()
         step = smoother.step(ref)
 
-        x_d = step.pose
-        singular = False
-        for _ in range(ratio):
-            cmd = inner_control(model, q, x_d, gain)
-            singular = singular or cmd.singular
-            qd = model.scale_velocity(cmd.qdot)
-            q = model.clamp_position(q + inner_dt * qd)
-
-        x_eff = forward_kinematics(model, q)
-        err_track = float(np.linalg.norm(pose_error(x_d, x_eff).vec8()))
-        err_goal = float(np.linalg.norm(pose_error(goal, x_eff).vec8()))
+        x_d8 = step.pose.vec8()
+        task_map = _task_map(x_d8)
+        q, x_eff8, jac, singular = _track_tick(model, q, x_eff8, jac, x_d8, task_map,
+                                               gain, inner_dt, ratio)
+        err_track = float(np.linalg.norm(_error8(task_map, x_d8, x_eff8)))
+        err_goal = float(np.linalg.norm(_error8(goal_map, goal8, x_eff8)))
         t = tick * T
 
         if np.isnan(q).any() or np.isnan(step.twist).any():
             raise FloatingPointError(f"NaN in simulation state at t = {t:.6f} s")
 
         records.append(
-            [t, *q, *x_eff.vec8(), *x_d.vec8(), *ref, *step.twist, *step.delta_u,
+            [t, *q, *x_eff8, *x_d8, *ref, *step.twist, *step.delta_u,
              err_track, err_goal, float(step.iterations), float(step.converged),
              float(step.active_count), float(singular)]
         )
@@ -181,8 +192,9 @@ def run_closed_loop(cfg: RunConfig, model: RobotModel,
 
 
 def write_trajectory_csv(path: str | Path, result: SimulationResult) -> None:
+    record = textio.record_format(len(result.columns))
     lines = [",".join(result.columns)]
-    lines += [",".join(map(textio.fmt, row)) for row in result.rows.tolist()]
+    lines += [record % tuple(row) for row in result.rows.tolist()]
     textio.write_lines(path, lines)
 
 

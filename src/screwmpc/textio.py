@@ -30,8 +30,16 @@ def floats(fields) -> list[float]:
         raise ValueError(f"non-numeric field ({err})") from None
 
 
+_NUMBER = "%.17g"
+
+
 def fmt(x: float) -> str:
-    return f"{x:.17g}"
+    return _NUMBER % x
+
+
+def record_format(n: int) -> str:
+    """%-format string writing a sequence of n numbers as one comma-separated record."""
+    return ",".join([_NUMBER] * n)
 
 
 def write_lines(path: str | Path, lines) -> None:

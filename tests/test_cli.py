@@ -1,21 +1,31 @@
 import dataclasses
+import math
 import re
 from importlib import resources
 
 import numpy as np
 import pytest
 
-from screwmpc.cli import main
+from screwmpc import kinematics
+from screwmpc.cli import _random_keypoints, main
 from screwmpc.config import RunConfig, load_config, parse_config_text
-from screwmpc.dualquat import PureDualQuaternion, exp
-from screwmpc.kinematics import forward_kinematics, load_robot_model, packaged_model_path
+from screwmpc.dualquat import PureDualQuaternion, UnitDualQuaternion, exp
+from screwmpc.kinematics import (
+    forward_kinematics,
+    inner_control,
+    load_robot_model,
+    packaged_model_path,
+    pose_error,
+)
 from screwmpc.mpc import LimitSet, MpcConfig
-from screwmpc.screwpath import load_keypoints, write_keypoints
+from screwmpc.screwpath import generate_path, load_keypoints, write_keypoints
 from screwmpc.simulate import (
     LOG_COLUMNS,
+    SimulationResult,
     read_trajectory_csv,
     run_closed_loop,
     verify_trajectory,
+    write_trajectory_csv,
 )
 
 from helpers import pose_rotation_translation
@@ -429,6 +439,74 @@ def test_simulate_rejects_start_outside_joint_limits(tmp_path, capsys, panda):
     assert "joint 1 at 9 " in err and "joint 7 at 9 " in err
     assert not (tmp_path / "out" / "trajectory.csv").exists()
     assert not (tmp_path / "out").exists()
+
+
+# the CI smoke run with the QP active
+QP_ACTIVE = TRACK_TIGHT_LIMITS + "samples_per_segment = 20\nmax_duration_s = 3\n"
+
+
+@pytest.mark.parametrize("body, seed", [
+    pytest.param("", 7, id="default"),
+    pytest.param(QP_ACTIVE, 1, id="qp-active"),
+])
+def test_closed_loop_replays_on_the_public_kinematics(tmp_path, panda, body, seed):
+    # the loop carries each inner tick's pose and Jacobian to the next; a plain
+    # loop over the public functions, each making its own chain pass, gives
+    # the same joints, poses and errors bit for bit
+    cfg = load_config(write_cfg(tmp_path, body))
+    keypoints = _random_keypoints(panda, cfg.q0, 4, seed)
+    result = run_closed_loop(cfg, panda, keypoints)
+    goal = generate_path(keypoints, cfg.samples_per_segment, cfg.sample_time_s).samples[-1].pose
+    cols = [f"q{j}" for j in range(1, 8)] + [f"xeff_h{j}" for j in range(1, 9)]
+    cols = [result.columns.index(name) for name in cols + ["err_track", "err_goal"]]
+    x_d_at = result.columns.index("xd_h1")
+    q = np.array(cfg.q0, dtype=float)
+    for row in result.rows:
+        x_d = UnitDualQuaternion.from_vec8(row[x_d_at:x_d_at + 8])
+        for _ in range(result.inner_ticks_per_mpc):
+            qd = panda.scale_velocity(inner_control(panda, q, x_d, cfg.gain_matrix).qdot)
+            q = panda.clamp_position(q + cfg.inner_dt * qd)
+        x_eff = forward_kinematics(panda, q)
+        errors = [np.linalg.norm(pose_error(x_ref, x_eff).vec8()) for x_ref in (x_d, goal)]
+        assert np.array_equal(row[cols], [*q, *x_eff.vec8(), *errors])
+    if body:
+        assert result.rows[:, result.columns.index("qp_active")].any()
+
+
+def test_closed_loop_makes_one_chain_pass_per_inner_tick(panda, ready_pose, monkeypatch):
+    calls = []
+    chain_pass = kinematics._suffix_vectors
+    monkeypatch.setattr(kinematics, "_suffix_vectors",
+                        lambda *args: calls.append(1) or chain_pass(*args))
+    cfg = load_config(None)
+    result = run_closed_loop(cfg, panda, [ready_pose, translated(ready_pose, [0.05, 0.0, 0.0])])
+    assert len(calls) == result.n_records * result.inner_ticks_per_mpc + 1
+    assert result.inner_ticks_per_mpc == 9 and result.n_records > 10
+
+
+def test_closed_loop_rejects_a_chain_off_unit(panda, ready_pose):
+    model = load_robot_model(packaged_model_path())
+    m, k, flange = model._chain
+    model.__dict__["_chain"] = (m, k, flange * (1.0 + 1e-6))  # the cached chain
+    keypoints = [ready_pose, translated(ready_pose, [0.05, 0.0, 0.0])]
+    with pytest.raises(ValueError, match="not a unit dual quaternion"):
+        run_closed_loop(load_config(None), model, keypoints)
+
+
+def test_log_records_keep_the_number_format(tmp_path):
+    # one %-format per record writes what formatting each number alone wrote
+    row = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e-300, 1e300, 0.1, -1.0 / 3.0,
+           2.0 ** 53 + 2.0, 123456789.125, 1.0, -7.0]
+    rows = np.array([row, row[::-1]])
+    columns = [f"c{i}" for i in range(len(row))]
+    path = tmp_path / "trajectory.csv"
+    write_trajectory_csv(path, SimulationResult(columns, rows, "tolerance", 0.0, 9, 0, 0))
+    expected = [",".join(columns)] + [",".join(f"{x:.17g}" for x in r) for r in rows.tolist()]
+    assert path.read_text() == "\n".join(expected) + "\n"
+    assert "nan,inf,-inf,-0,0,4.9406564584124654e-324," in path.read_text()
+    _, back = read_trajectory_csv(path)
+    assert np.array_equal(back, rows, equal_nan=True)
+    assert np.array_equal(np.signbit(back), np.signbit(rows))
 
 
 # ---------------------------------------------------------------------------

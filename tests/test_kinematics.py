@@ -391,3 +391,19 @@ def test_velocity_scaling_preserves_direction(panda):
 def test_position_clamp(panda):
     q = panda.q_max + 1.0
     np.testing.assert_array_equal(panda.clamp_position(q), panda.q_max)
+
+
+@pytest.mark.parametrize("q_min, q_max", [(-0.0, 1.0), (0.0, 1.0), (-1.0, -0.0), (-1.0, 0.0)])
+def test_position_clamp_is_np_clip_bit_for_bit(q_min, q_max):
+    # signed zeros at and against a bound of either sign, NaN and infinities,
+    # on lengths that take the vectorized loops and their scalar tails
+    rng = np.random.default_rng(5)
+    values = [-0.0, 0.0, -1.0, 1.0, 0.5, -2.0, 2.0, math.nan, math.inf, -math.inf]
+    for dof in (1, 3, 7, 16, 33):
+        joints = (ChainElement(UnitDualQuaternion.identity(), "z"),) * dof
+        model = RobotModel(joints, np.full(dof, q_min), np.full(dof, q_max), np.ones(dof))
+        for _ in range(50):
+            q = rng.choice(values, size=dof)
+            clamped, clipped = model.clamp_position(q), np.clip(q, q_min, q_max)
+            assert np.array_equal(clamped, clipped, equal_nan=True)
+            assert np.array_equal(np.signbit(clamped), np.signbit(clipped))

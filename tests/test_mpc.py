@@ -374,6 +374,30 @@ def test_smoother_carries_the_working_set_between_ticks():
     assert sm.step(np.full(6, 1.0)).iterations > 0
 
 
+def test_unconverged_axis_carries_no_working_set():
+    # the conflicting limits of test_step_bounded_on_conflicting_limits: at a
+    # reference of 3 the first three axes' QPs cannot be met from tick 34 on,
+    # with z > s on far more than n rows when the interior point stops, while
+    # the other three axes, at 0.9, still converge with rows active.  An axis
+    # whose solve did not converge leaves no working set; the others keep theirs.
+    cfg, limits = MpcConfig(), limits_of(vel=1.0, acc=10.0, jerk=20.0)
+    shape = (6, 6 * cfg.n_c)  # per axis: jerk, acceleration and velocity row pairs
+    sm = TwistSmoother(cfg, limits, UnitDualQuaternion.identity())
+    for tick in range(35):
+        res = sm.step(np.array([3.0, 3.0, 3.0, 0.9, 0.9, 0.9]))
+        assert res.converged == (tick < 34)
+    working = sm.state.working_set
+    assert working.shape == shape
+    assert not working[:3].any() and working[3:].any()
+    assert res.active_count > working.sum() + 3 * cfg.n_c
+    # every axis unconverged: the set is empty, and keeps its shape
+    sm = TwistSmoother(cfg, limits, UnitDualQuaternion.identity())
+    for _ in range(35):
+        res = sm.step(np.full(6, 3.0))
+    assert not res.converged and res.active_count > 0
+    assert sm.state.working_set.shape == shape and not sm.state.working_set.any()
+
+
 # track-tight limits (benchmark seed 1, line 1, MPC tick 2): a tick that is
 # hard to solve as one dense 60-variable QP (a dual sweep method needed 3600
 # sweeps).  Axes wx, wy, wz are at rest.
@@ -418,6 +442,7 @@ def test_solver_stack_reports_per_problem_solves():
     assert np.array_equal(stack.lam, [s.lam for s in singles])
     assert stack.iterations == max(s.iterations for s in singles) > 0
     assert stack.converged == all(s.converged for s in singles)
+    assert np.array_equal(stack.solved, [s.converged for s in singles])
     assert stack.active_count == sum(s.active_count for s in singles) > 0
     assert stack.max_violation == max(s.max_violation for s in singles)
 
