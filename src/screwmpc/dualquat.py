@@ -40,6 +40,17 @@ PURE_TOL = 1e-9
 _SMALL_ANGLE = 1e-8
 
 
+def _check_unit(w: float, x: float, y: float, z: float,
+                dw: float, dx: float, dy: float, dz: float) -> None:
+    """Raise ValueError unless (w, x, y, z) + eps (dw, dx, dy, dz) is unit:
+    |primary| = 1 and <primary, dual> = 0, each within UNIT_TOL (NaN fails)."""
+    n = math.sqrt(w * w + x * x + y * y + z * z)
+    dot = w * dw + x * dx + y * dy + z * dz
+    if not (abs(n - 1.0) <= UNIT_TOL and abs(dot) <= UNIT_TOL):
+        raise ValueError(
+            f"not a unit dual quaternion: |primary| = {n:.12g}, <primary, dual> = {dot:.3g}")
+
+
 class Quaternion:
     """Hamilton quaternion w + x*i + y*j + z*k.
 
@@ -235,12 +246,7 @@ class UnitDualQuaternion(DualQuaternion):
 
     def __init__(self, primary: Quaternion, dual: Quaternion):
         super().__init__(primary, dual)
-        n = primary.norm()
-        if not (abs(n - 1.0) <= UNIT_TOL and abs(primary.dot(dual)) <= UNIT_TOL):
-            raise ValueError(
-                "not a unit dual quaternion: "
-                f"|primary| = {n:.12g}, <primary, dual> = {primary.dot(dual):.3g}"
-            )
+        _check_unit(primary.w, primary.x, primary.y, primary.z, dual.w, dual.x, dual.y, dual.z)
 
     @classmethod
     def identity(cls) -> "UnitDualQuaternion":

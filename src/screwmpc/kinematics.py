@@ -6,12 +6,14 @@ end-effector pose is the ordered product of the elements; the 8x7 pose
 Jacobian maps joint rates to the time derivative of the vec8 pose
 coefficients.  The inner loop commands joint rates from the conjugation
 error e = 1 - x_d^* x_eff through a damped pseudo-inverse.  All three run
-on stacked 8x8 Hamilton matrices in numpy, one chain pass per call; the
-closed loop's inner ticks (``_track_tick``) make one pass each and hand its
-pose and Jacobian to the next, through the same control law.  The
-matrices and the conjugation signs come from ``screwmpc.dualquat``, which
-reads them off its own product and conjugation; its algebra classes only
-wrap the inputs and outputs.
+on stacked 8x8 Hamilton matrices in numpy, one chain pass per call: one
+sweep from the flange gives the suffix products s_j, s_0 the pose, and
+Jacobian column j is the pose times s_(j+1)^* (a_j/2) s_(j+1) for joint
+j's axis a_j.  The closed loop's inner ticks (``_track_tick``) make one
+pass each and hand its pose and Jacobian to the next, through the same
+control law.  The matrices and the conjugation signs come from
+``screwmpc.dualquat``, which reads them off its own product and
+conjugation; its algebra classes only wrap the inputs and outputs.
 
 Robot geometry is data, not code: models load from a text file listing,
 per joint, the fixed offset (vec8), the rotation axis label and the
@@ -30,7 +32,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import textio
-from .dualquat import _CONJ, DualQuaternion, UnitDualQuaternion, _hamilton8
+from .dualquat import (_CONJ, _HAMILTON_BASIS, DualQuaternion, UnitDualQuaternion,
+                       _check_unit, _hamilton8)
 
 __all__ = [
     "ChainElement",
@@ -44,17 +47,16 @@ __all__ = [
     "packaged_model_path",
 ]
 
-_AXES = {
-    "x": np.array([1.0, 0.0, 0.0]),
-    "y": np.array([0.0, 1.0, 0.0]),
-    "z": np.array([0.0, 0.0, 1.0]),
-}
+_AXES = {"x": 1, "y": 2, "z": 3}  # axis label -> vec8 index of its unit quaternion
 _EYE8 = np.eye(8)
-_EYE8.setflags(write=False)
 # H8^-(h) C8 is linear in vec8(h): row i holds its 64 entries for h = e_i, so
 # vec8(h) @ _TASK_BASIS is H8^-(h) C8 flattened (each entry a single signed term).
 _TASK_BASIS = np.array([(_hamilton8(e, -1) * _CONJ).ravel() for e in _EYE8])
-_TASK_BASIS.setflags(write=False)
+# vec8(h) @ _STAR_BASIS is H8^+(h^*) flattened, for a stack of h too.
+_STAR_BASIS = _CONJ[:, None] * _HAMILTON_BASIS[1]
+_NEG_CONJ = -_CONJ
+for _table in (_EYE8, _TASK_BASIS, _STAR_BASIS, _NEG_CONJ):
+    _table.setflags(write=False)
 
 SV_CUTOFF = 1e-8
 DLS_DAMPING = 1e-4
@@ -99,25 +101,25 @@ class RobotModel:
         return sum(1 for e in self.elements if e.axis is not None)
 
     @cached_property
-    def _chain(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Per-joint Hamilton matrices M_j, K_j (dof x 8 x 8) and the flange column.
+    def _chain(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Per-joint Hamilton matrices M_j, K_j, A_j (dof x 8 x 8) and the flange column.
 
         F_j is the product of the fixed offsets from just after joint j-1's
-        rotation up to and including joint j's own offset; M_j = H8^+(F_j)
-        and K_j = M_j H8^+(a_j) for the joint axis a_j, so that
-        H8^+(F_j R_j(q)) = cos(q/2) M_j + sin(q/2) K_j.  The flange column is
-        vec8 of the product of the offsets after the last joint.
+        rotation up to and including joint j's own offset; M_j = H8^+(F_j),
+        A_j = H8^+(a_j / 2) for the joint axis a_j and K_j = 2 M_j A_j, so
+        that H8^+(F_j R_j(q)) = cos(q/2) M_j + sin(q/2) K_j.  The flange
+        column is vec8 of the product of the offsets after the last joint.
         """
         folded = np.eye(8)
-        m, k = [], []
+        m, k, a = [], [], []
         for elem in self.elements:
             folded = folded @ _hamilton8(elem.offset.vec8(), 1)
             if elem.axis is not None:
-                axis = np.concatenate([[0.0], _AXES[elem.axis], np.zeros(4)])
+                a.append(_hamilton8(0.5 * _EYE8[_AXES[elem.axis]], 1))
                 m.append(folded)
-                k.append(folded @ _hamilton8(axis, 1))
+                k.append(folded @ (2.0 * a[-1]))
                 folded = np.eye(8)
-        chain = (np.array(m).reshape(-1, 8, 8), np.array(k).reshape(-1, 8, 8),
+        chain = (*(np.array(h).reshape(-1, 8, 8) for h in (m, k, a)),
                  folded[:, 0].copy())  # H8^+(F) e_1 = vec8(F)
         for arr in chain:
             arr.setflags(write=False)
@@ -146,44 +148,34 @@ def _check_q(model: RobotModel, q) -> np.ndarray:
     return q
 
 
-def _half_angles(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """cos(q_j/2) and sin(q_j/2), shaped (dof, 1, 1) to scale per-joint matrices."""
-    half = 0.5 * q
-    return np.cos(half)[:, None, None], np.sin(half)[:, None, None]
-
-
-def _suffix_vectors(model: RobotModel, c: np.ndarray,
-                    s: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Joint elements G_j and suffix vectors s_j = G_j ... G_{n-1} f, s_n = f.
+def _suffix_vectors(model: RobotModel, q: np.ndarray) -> list[np.ndarray]:
+    """Suffix vectors s_j = G_j ... G_{n-1} f, s_n = f, of the joint elements G_j.
 
     Joint j's element is G_j = H8^+(F_j R_j(q_j)) = cos(q_j/2) M_j + sin(q_j/2) K_j
     (see ``RobotModel._chain``), so the chain product is G_0 ... G_{n-1} f
     for the flange column f, and s_0 = vec8(x_eff).
     """
-    m, k, flange = model._chain
-    g = c * m + s * k
+    m, k, _, flange = model._chain
+    half = 0.5 * q
+    c, s = np.cos(half)[:, None, None], np.sin(half)[:, None, None]
     suffix = [flange]
-    for gj in g[::-1]:
+    for gj in (c * m + s * k)[::-1]:
         suffix.append(gj.dot(suffix[-1]))
-    return g, suffix[::-1]
+    return suffix[::-1]
 
 
 def _pose_and_jacobian(model: RobotModel, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One pass over the chain: vec8(x_eff) and the 8 x dof pose Jacobian.
+    """One suffix sweep: vec8(x_eff) and the 8 x dof pose Jacobian.
 
-    With the suffix vectors s_j of ``_suffix_vectors`` and prefix products
-    P_j = G_0 ... G_{j-1}, column j of the Jacobian is P_j dG_j s_{j+1},
-    where dG_j = d G_j / d q_j.
+    dG_j/dq_j = G_j A_j, so column j is vec8 of P_j G_j (a_j/2) s_{j+1} for the
+    prefix P_j = G_0 ... G_{j-1}; as x_eff = P_j G_j s_{j+1} and s_{j+1} is
+    unit, that is x_eff times the body column s_{j+1}^* (a_j/2) s_{j+1}.
     """
-    m, k, _ = model._chain
-    c, s = _half_angles(q)
-    g, suffix = _suffix_vectors(model, c, s)
-    dg = 0.5 * (c * k - s * m)
-    prefix = [_EYE8]
-    for gj in g[:-1]:
-        prefix.append(prefix[-1].dot(gj))
-    jac = np.matmul(prefix, np.matmul(dg, np.array(suffix[1:]).reshape(-1, 8, 1)))
-    return suffix[0], jac[:, :, 0].T
+    suffix = np.array(_suffix_vectors(model, q))
+    after = suffix[1:]
+    body = np.matmul((after @ _STAR_BASIS).reshape(-1, 8, 8),
+                     np.matmul(model._chain[2], after[:, :, None]))
+    return suffix[0], _hamilton8(suffix[0], 1) @ body[:, :, 0].T
 
 
 def _task_map(x_d8: np.ndarray) -> np.ndarray:
@@ -198,22 +190,21 @@ def _error8(task_map: np.ndarray, x_d8: np.ndarray, x_eff8: np.ndarray) -> np.nd
     """
     if x_d8 @ x_eff8 < 0.0:
         x_eff8 = -x_eff8
-    err = -_CONJ * (task_map @ x_eff8)
+    err = _NEG_CONJ * (task_map @ x_eff8)
     err[0] += 1.0
     return err
 
 
 def forward_kinematics(model: RobotModel, q) -> UnitDualQuaternion:
     """End-effector pose as the ordered product of the chain elements."""
-    _, suffix = _suffix_vectors(model, *_half_angles(_check_q(model, q)))
-    return UnitDualQuaternion.from_vec8(suffix[0])
+    return UnitDualQuaternion.from_vec8(_suffix_vectors(model, _check_q(model, q))[0])
 
 
 def pose_jacobian(model: RobotModel, q) -> np.ndarray:
     """Analytic 8x7 Jacobian with d/dt vec8(x_eff) = J @ qdot.
 
-    Column j is vec8 of the pose derivative w.r.t. joint j, using
-    d/dq R(q) = (1/2) * axis * R(q) inside the chain product.
+    Column j is vec8 of the pose derivative w.r.t. joint j, x_eff s^* (axis/2) s
+    for the product s of the chain after joint j, as d/dq R(q) = R(q) * axis/2.
     """
     return _pose_and_jacobian(model, _check_q(model, q))[1]
 
@@ -243,7 +234,7 @@ def _check_gain(gain) -> np.ndarray:
 def _unit_pose_and_jacobian(model: RobotModel, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``_pose_and_jacobian``, raising if the chain product drifted off unit."""
     x_eff8, jac = _pose_and_jacobian(model, q)
-    UnitDualQuaternion.from_vec8(x_eff8)
+    _check_unit(*x_eff8.tolist())
     return x_eff8, jac
 
 
@@ -294,14 +285,20 @@ def _track_tick(model: RobotModel, q: np.ndarray, x_eff8: np.ndarray, jac: np.nd
     step of length dt, clamps to the position limits and makes the one chain
     pass at the new q, whose pose and Jacobian the next inner tick (or the
     next MPC tick) uses.  Returns the new (q, x_eff8, jac) and whether any
-    inner tick was singular; q and gain must be checked by the caller.
+    inner tick was singular; q and gain must be checked by the caller, who
+    also checks for NaN: a q that turns NaN ends the tick, with the last pose.
     """
     singular = False
     for _ in range(ticks):
         cmd = _control_law(model, x_eff8, jac, x_d8, task_map, gain)
         singular = singular or cmd.singular
         q = model.clamp_position(q + dt * model.scale_velocity(cmd.qdot))
-        x_eff8, jac = _unit_pose_and_jacobian(model, q)
+        try:
+            x_eff8, jac = _unit_pose_and_jacobian(model, q)
+        except ValueError:
+            if np.isnan(q).any():
+                break
+            raise
     return q, x_eff8, jac, singular
 
 

@@ -112,8 +112,9 @@ def run_closed_loop(cfg: RunConfig, model: RobotModel,
     duration.  After the reference series is exhausted the smoother is fed
     the twist that closes the remaining gap to the final keypoint, so the
     lag accumulated while constraints were active is wound down (still
-    under the configured limits).  NaN anywhere in the state is a hard
-    failure, and a start pose q0 outside the joint limits is rejected.
+    under the configured limits).  NaN in the joints or the smoothed twist
+    raises FloatingPointError with the tick's time, and a start pose q0
+    outside the joint limits is rejected.
     """
     if model.dof != 7:
         raise ValueError(f"simulator expects a 7-joint model, got {model.dof}")

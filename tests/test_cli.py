@@ -28,7 +28,7 @@ from screwmpc.simulate import (
     write_trajectory_csv,
 )
 
-from helpers import pose_rotation_translation
+from helpers import chain_product_oracle, pose_jacobian_oracle, pose_rotation_translation
 
 AXES = ("wx", "wy", "wz", "vx", "vy", "vz")
 
@@ -486,11 +486,53 @@ def test_closed_loop_makes_one_chain_pass_per_inner_tick(panda, ready_pose, monk
 
 def test_closed_loop_rejects_a_chain_off_unit(panda, ready_pose):
     model = load_robot_model(packaged_model_path())
-    m, k, flange = model._chain
-    model.__dict__["_chain"] = (m, k, flange * (1.0 + 1e-6))  # the cached chain
+    *matrices, flange = model._chain
+    model.__dict__["_chain"] = (*matrices, flange * (1.0 + 1e-6))  # the cached chain
     keypoints = [ready_pose, translated(ready_pose, [0.05, 0.0, 0.0])]
     with pytest.raises(ValueError, match="not a unit dual quaternion"):
         run_closed_loop(load_config(None), model, keypoints)
+
+
+@pytest.mark.parametrize("site, fault, error, match", [
+    # a NaN rate at inner tick 50 (MPC tick 5) reaches the loop's NaN check
+    ("_control_law", lambda cmd: cmd._replace(qdot=cmd.qdot * math.nan),
+     FloatingPointError, r"^NaN in simulation state at t = 0\.045000 s$"),
+    # a finite pose off unit at chain pass 50 is still rejected as such
+    ("_pose_and_jacobian", lambda pass_: (pass_[0] * (1.0 + 1e-6), pass_[1]),
+     ValueError, "^not a unit dual quaternion: "),
+], ids=["nan-rate", "finite-pose-off-unit"])
+def test_closed_loop_fault_at_an_inner_tick(panda, ready_pose, monkeypatch, site, fault,
+                                            error, match):
+    calls = []
+    clean = getattr(kinematics, site)
+
+    def faulty(*args):
+        calls.append(1)
+        out = clean(*args)
+        return fault(out) if len(calls) == 50 else out
+
+    monkeypatch.setattr(kinematics, site, faulty)
+    keypoints = [ready_pose, translated(ready_pose, [0.05, 0.0, 0.0])]
+    with pytest.raises(error, match=match):
+        run_closed_loop(load_config(None), panda, keypoints)
+    assert len(calls) == 50
+
+
+def test_closed_loop_agrees_with_the_textbook_chain_pass(panda, monkeypatch):
+    # the suffix sweep against the plain chain product and the product-rule
+    # Jacobian, in the whole loop: every log column within 1e-9
+    cfg = load_config(None)
+    keypoints = _random_keypoints(panda, cfg.q0, 2, 7)
+    sweep = run_closed_loop(cfg, panda, keypoints)
+    monkeypatch.setattr(kinematics, "_pose_and_jacobian", lambda model, q: (
+        chain_product_oracle(model, q).vec8(), pose_jacobian_oracle(model, q)))
+    textbook = run_closed_loop(cfg, panda, keypoints)
+    assert textbook.columns == sweep.columns and textbook.rows.shape == sweep.rows.shape
+    np.testing.assert_allclose(sweep.rows, textbook.rows, rtol=0.0, atol=1e-9)
+    for name in ("qp_active", "qp_converged", "singular"):
+        at = sweep.columns.index(name)
+        assert np.array_equal(sweep.rows[:, at], textbook.rows[:, at])
+    assert sweep.n_records > 50
 
 
 def test_log_records_keep_the_number_format(tmp_path):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from screwmpc import kinematics
 from screwmpc.dualquat import DualQuaternion, Quaternion, UnitDualQuaternion, c8, hamilton_minus8
 from screwmpc.kinematics import (
     ChainElement,
@@ -52,9 +53,21 @@ def joint_vectors(model: RobotModel):
                      ).map(np.array)
 
 
+def random_chain() -> RobotModel:
+    """Seeded random offsets, the first one too: joints about every axis label,
+    two fixed elements in a row between two joints, and no trailing flange."""
+    rng = np.random.default_rng(64)
+    layout = ("z", "x", None, None, "y", "z")
+    elements = tuple(ChainElement(UnitDualQuaternion.from_vec8(random_pose_vec8(rng, 0.3)), axis)
+                     for axis in layout)
+    dof = len(layout) - layout.count(None)
+    return RobotModel(elements, -np.ones(dof) * 3, np.ones(dof) * 3, np.ones(dof) * 2)
+
+
 REFERENCE_MODELS = {
     "panda": load_robot_model(packaged_model_path()),
     "two_joint": two_joint_chain(),
+    "random_chain": random_chain(),
 }
 
 
@@ -315,6 +328,18 @@ def test_hot_path_builds_no_quaternion_products(panda, monkeypatch):
     assert len(calls) == 0
     Quaternion.identity() * Quaternion.identity()  # the counter itself is live
     assert len(calls) == 1
+    # one MPC tick of the closed loop builds no algebra object at all
+    x_eff8, jac = kinematics._unit_pose_and_jacobian(panda, q)
+    x_d8 = x_d.vec8()
+    built = []
+    init = Quaternion.__init__
+    monkeypatch.setattr(Quaternion, "__init__",
+                        lambda self, *args: built.append(1) or init(self, *args))
+    q9, *_ = kinematics._track_tick(panda, q, x_eff8, jac, x_d8, kinematics._task_map(x_d8),
+                                    10.0 * np.eye(8), 1e-3, 9)
+    assert not built and not np.array_equal(q9, q)
+    Quaternion.identity()
+    assert len(built) == 1
 
 
 # ---------------------------------------------------------------------------
