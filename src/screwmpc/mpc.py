@@ -8,9 +8,11 @@ per-step input increment equals T*jerk.  Nothing couples the axes, so the
 smoother models one axis as a 3-state chain augmented with backward
 differences for offset-free tracking, condenses predictions into (F, Phi)
 and each tick solves the six QPs (jerk, acceleration and velocity rows) in
-one batched, iteration-capped interior-point solve.  The rows that end a
-tick with a positive multiplier are its working set.  On the next tick, a
-problem whose unconstrained optimum breaks a row first holds those rows
+one batched, iteration-capped interior-point solve.  What the horizons,
+weights and limits fix is built once per smoother; a tick forms only f and
+V from its reference and state.  The rows that end a tick with a positive
+multiplier are its working set.  On the next tick, a problem whose
+unconstrained optimum breaks a row first holds those rows
 (then the same rows one step along the horizon) as equalities, and keeps
 the result only if its multipliers are nonnegative, it passes the interior
 point's own stop test and it meets every row within FEAS_TOL; the problems
@@ -210,16 +212,52 @@ def _pair(minus: np.ndarray, plus: np.ndarray) -> np.ndarray:
     return np.stack([minus, plus], axis=1).reshape((-1,) + minus.shape[1:])
 
 
+class _QpParts(NamedTuple):
+    """What a stack of QPs sharing W fixes before its f and V: E^-1, |E|, the
+    row scale and, per problem, the rows with a finite bound and the stop
+    test's rows (see _StopTest), scaled to unit norm.  A row with an infinite
+    bound or zero W can never activate: it is 0 in the scaled rows."""
+
+    e_inv: np.ndarray   # (k, n, n)
+    e_abs: np.ndarray   # (k, n, n)
+    scale: np.ndarray   # (m, 1) row norms, at least 1e-12
+    finite: np.ndarray  # (k, m) rows with a finite bound
+    rows: np.ndarray    # (k, m, 1) rows that can activate
+    w: np.ndarray       # (k, m, n) scaled rows
+    w_abs: np.ndarray   # (k, m, n)
+
+    @classmethod
+    def of(cls, e, w, finite, e_inv=None) -> "_QpParts":
+        scale = np.maximum(np.linalg.norm(w, axis=1, keepdims=True), 1e-12)
+        rows = finite[..., None] & (scale > 1e-12)
+        w_scaled = np.where(rows, w / scale, 0.0)
+        e_inv = np.linalg.inv(e) if e_inv is None else e_inv
+        return cls(e_inv, np.abs(e), scale, finite, rows, w_scaled, np.abs(w_scaled))
+
+
+class _TickQp(QpProblem):
+    """A QpProblem the smoother assembled, with the parts fixed at its construction."""
+
+    def __init__(self, e, f, w, v, parts: _QpParts):
+        super().__init__(e, f, w, v)
+        object.__setattr__(self, "parts", parts)
+
+
 @dataclass(frozen=True)
 class _AxisQp:
-    """The per-axis QP parts fixed by horizons, weights and limits; W is shared."""
+    """Everything a smoother's six per-axis QPs fix at construction; W is
+    shared.  Horizons, weights and limits fix E, W, V at rest and the QP parts
+    (E^-1, |E|, the row scale and the stop test's rows); a tick only forms f
+    and writes u_prev and the free response into the offset template."""
 
-    e: np.ndarray        # (6, n_c, n_c)
-    w: np.ndarray        # (6 n_c, n_c)
-    v_zero: np.ndarray   # (6, 6 n_c)
-    phi_t_q: np.ndarray  # (6, n_c, n_p): q_a Phi_s^T
-    f_mat: np.ndarray    # F_s (n_p, 3)
-    shift: np.ndarray    # (6 n_c,): row r of the next tick is row shift[r] of this one
+    e: np.ndarray         # (6, n_c, n_c)
+    w: np.ndarray         # (6 n_c, n_c)
+    v_zero: np.ndarray    # (6, 6 n_c)
+    v_offset: np.ndarray  # (6, 3, n_c, 2): axis x group x step x sign
+    phi_t_q: np.ndarray   # (6, n_c, n_p): q_a Phi_s^T
+    f_mat: np.ndarray     # F_s (n_p, 3)
+    shift: np.ndarray     # (6 n_c,): row r of the next tick is row shift[r] of this one
+    parts: _QpParts       # of the six problems; the finite rows are v_zero's
 
 
 def _axis_qp(f_mat: np.ndarray, phi: np.ndarray, cfg: MpcConfig,
@@ -232,26 +270,35 @@ def _axis_qp(f_mat: np.ndarray, phi: np.ndarray, cfg: MpcConfig,
     T = cfg.sample_time
     lo = np.repeat([T * limits.jerk_min, limits.acc_min, limits.vel_min], n_c, axis=0)
     hi = np.repeat([T * limits.jerk_max, limits.acc_max, limits.vel_max], n_c, axis=0)
+    w, v_zero = _pair(-rows, rows), _pair(-lo, hi).T.copy()
     # rows run group x step x sign; a step's rows move one step earlier each
     # tick, and the last step keeps its own
     step = np.minimum(np.arange(n_c) + 1, n_c - 1)
     shift = (2 * (n_c * np.arange(3)[:, None, None] + step[:, None]) + np.arange(2)).ravel()
-    return _AxisQp(e, _pair(-rows, rows), _pair(-lo, hi).T.copy(), phi_t_q, f_mat, shift)
+    v_offset = np.zeros((N_AXES, 3, n_c, 2))
+    v_offset[:, 0, :, 1] = -0.0  # the jerk rows' offsets are +0 and -0
+    return _AxisQp(e, w, v_zero, v_offset, phi_t_q, f_mat, shift,
+                   _QpParts.of(e, w, np.isfinite(v_zero)))
 
 
-def _tick_qp(axis_qp: _AxisQp, state: np.ndarray, setpoint: np.ndarray,
-             u_prev: np.ndarray) -> QpProblem:
+def _tick_qp(axis_qp: _AxisQp, state: np.ndarray, target: np.ndarray,
+             u_prev: np.ndarray) -> _TickQp:
     """The stack of six per-axis QPs; column a of state.reshape(3, 6) is axis a's.
 
-    f_a = -q_a Phi_s^T (setpoint_a - F_s x_a).  The row offsets are 0 (jerk),
-    u_prev (acceleration) and the free response F_s x_a (velocity): -rows
-    gain +offset, +rows gain -offset.
+    f_a = -q_a Phi_s^T (target_a - F_s x_a) for a 6-vector target held over
+    the horizon, or one per prediction step ((n_p, 6)).  The row offsets are
+    0 (jerk), u_prev (acceleration) and the free response F_s x_a
+    (velocity): -rows gain +offset, +rows gain -offset.
     """
     n_c = axis_qp.e.shape[1]
     free = axis_qp.f_mat @ state.reshape(-1, N_AXES)
-    f = -(axis_qp.phi_t_q @ (setpoint.reshape(-1, N_AXES) - free).T[:, :, None])[:, :, 0]
-    offset = np.vstack([np.zeros((n_c, N_AXES)), np.tile(u_prev, (n_c, 1)), free[:n_c]])
-    return QpProblem(axis_qp.e, f, axis_qp.w, axis_qp.v_zero + _pair(offset, -offset).T)
+    f = -(axis_qp.phi_t_q @ (target - free).T[:, :, None])[:, :, 0]
+    offset = axis_qp.v_offset.copy()
+    offset[:, 1, :, 0] = u_prev[:, None]
+    offset[:, 2, :, 0] = free[:n_c].T
+    np.negative(offset[:, 1:, :, 0], out=offset[:, 1:, :, 1])
+    return _TickQp(axis_qp.e, f, axis_qp.w, axis_qp.v_zero + offset.reshape(N_AXES, -1),
+                   axis_qp.parts)
 
 
 def build_qp(state, setpoint, prediction: PredictionMatrices, cfg: MpcConfig,
@@ -278,7 +325,8 @@ def build_qp(state, setpoint, prediction: PredictionMatrices, cfg: MpcConfig,
     if u_prev.shape != (N_AXES,):
         raise ValueError(f"u_prev must have {N_AXES} components")
     axis_qp = _axis_qp(*_unlift(prediction.f, prediction.phi), cfg, limits)
-    qp = _tick_qp(axis_qp, state, np.asarray(setpoint, dtype=float), u_prev)
+    setpoint = np.asarray(setpoint, dtype=float).reshape(-1, N_AXES)
+    qp = _tick_qp(axis_qp, state, setpoint, u_prev)
     eye = np.eye(N_AXES)
     e = np.einsum("aij,ab->iajb", qp.e, eye).reshape(N_AXES * cfg.n_c, -1)
     return QpProblem(e, qp.f.T.ravel(), np.kron(qp.w, eye), qp.v.T.ravel())
@@ -334,12 +382,13 @@ class _StopTest(NamedTuple):
     multiplier: np.ndarray  # (k, m, 1) multiplier scales
 
     @classmethod
-    def of(cls, e, f, w, v, scale, x_free) -> "_StopTest":
-        rows = np.isfinite(v) & (scale > 1e-12)  # the rows that can activate
-        w, v = np.where(rows, w / scale, 0.0), np.where(rows, v / scale, 1.0)
-        w_abs = np.abs(w)
-        dual = np.maximum(1.0, np.abs(e) @ np.abs(x_free) + np.abs(f))
-        return cls(w, v, w_abs, np.abs(v), dual, np.maximum(1.0, w_abs @ dual))
+    def of(cls, parts: _QpParts, problems, f, v, x_free) -> "_StopTest":
+        """The test of the stack's problems `problems`, from the parts fixed
+        for the stack and these problems' f, v and x_free."""
+        v = np.where(parts.rows[problems], v / parts.scale, 1.0)
+        w_abs = parts.w_abs[problems]
+        dual = np.maximum(1.0, parts.e_abs[problems] @ np.abs(x_free) + np.abs(f))
+        return cls(parts.w[problems], v, w_abs, np.abs(v), dual, np.maximum(1.0, w_abs @ dual))
 
     def take(self, problems) -> "_StopTest":
         return _StopTest(*(m[problems] for m in self))
@@ -392,12 +441,11 @@ def _interior_point(e, f, test: _StopTest, scale):
 def _on_working_set(e, e_inv, f, w, v, x_free, test: _StopTest, scale, working):
     """Each problem's QP with its working rows held as equalities, on (k, ., 1)
     columns: lambda from the Schur complement W_A E^-1 W_A^T, padded to
-    min(n, m) rows, then x = x_free - E^-1 W_A^T lambda.  Returns x, the
-    multipliers of all rows and whether the point is verified: lambda >= 0,
-    it passes the interior point's stop test and it meets every finite row
-    within FEAS_TOL."""
+    min(n, m) rows, then x = x_free - E^-1 W_A^T lambda.  `working` marks
+    rows with a finite bound only.  Returns x, the multipliers of all rows and
+    whether the point is verified: lambda >= 0, it passes the interior
+    point's stop test and it meets every finite row within FEAS_TOL."""
     m, n = w.shape
-    working = working & np.isfinite(v)
     count = working.sum(axis=1)
     count[count > n] = 0  # more than n rows cannot be independent: no candidate
     width = min(n, m)
@@ -441,38 +489,41 @@ def solve_qp(qp: QpProblem, e_inv: np.ndarray | None = None,
     v (k, m), shared w) is solved per problem, each bit for bit as alone, and
     reports the largest iteration count, whether each converged and the
     largest violation.  A problem has converged if it met the stop test and
-    meets every finite row within FEAS_TOL.  E^-1 (stacked like E) may be
-    passed in precomputed.
+    meets every finite row within FEAS_TOL.
+
+    What E, W and the finite rows fix (E^-1, |E|, the row scale and the stop
+    test's scaled rows) is built on each call; E^-1 (stacked like E) may be
+    passed in precomputed.  A smoother's tick problem carries all of these,
+    built once per smoother, and each call forms only what f and V change.
     """
     stack = (qp.e, qp.f, qp.v, e_inv)
     if qp.f.ndim == 1:  # a single problem is a stack of one
         stack = tuple(None if m is None else m[None] for m in stack)
     e, f, v, e_inv = stack
     w = qp.w
-    e_inv = np.linalg.inv(e) if e_inv is None else e_inv
-    x = (-e_inv @ f[:, :, None])[:, :, 0]
+    parts = qp.parts if isinstance(qp, _TickQp) else _QpParts.of(e, w, np.isfinite(v), e_inv)
+    x = (-parts.e_inv @ f[:, :, None])[:, :, 0]
     lam = np.zeros(v.shape)
     iterations, solved = 0, np.ones(len(v), dtype=bool)
-    finite = np.isfinite(v)
     residual = (w @ x[:, :, None])[:, :, 0] - v
     todo = np.flatnonzero(~(residual <= 1e-12).all(axis=1))
     if todo.size:
-        scale = np.maximum(np.linalg.norm(w, axis=1, keepdims=True), 1e-12)
-        test = _StopTest.of(e[todo], f[todo, :, None], w, v[todo, :, None], scale,
-                            x[todo, :, None])
+        test = _StopTest.of(parts, todo, f[todo, :, None], v[todo, :, None], x[todo, :, None])
         for working in working_sets:
-            working = np.asarray(working, dtype=bool).reshape(v.shape)[todo]
-            if working.any():
-                x_w, lam_w, held = _on_working_set(e[todo], e_inv[todo], f[todo, :, None], w,
-                                                   v[todo], x[todo, :, None], test, scale,
-                                                   working)
+            working = np.asarray(working, dtype=bool).reshape(v.shape)[todo] & parts.finite[todo]
+            if not working.any():
+                continue
+            x_w, lam_w, held = _on_working_set(e[todo], parts.e_inv[todo], f[todo, :, None], w,
+                                               v[todo], x[todo, :, None], test, parts.scale,
+                                               working)
+            if held.any():
                 x[todo[held]], lam[todo[held]] = x_w[held], lam_w[held]
                 todo, test = todo[~held], test.take(~held)
         if todo.size:
             x[todo], lam[todo], iterations, solved[todo] = _interior_point(
-                e[todo], f[todo, :, None], test, scale)
+                e[todo], f[todo, :, None], test, parts.scale)
         residual = (w @ x[:, :, None])[:, :, 0] - v
-    violation = np.where(finite, residual, 0.0).max(axis=1, initial=0.0)
+    violation = np.where(parts.finite, residual, 0.0).max(axis=1, initial=0.0)
     solved &= violation <= FEAS_TOL
     if qp.f.ndim == 1:
         x, lam, solved = x[0], lam[0], solved[0]
@@ -489,6 +540,8 @@ class SmootherState:
     marks, per axis, the QP rows that ended the last tick with a positive
     multiplier, none on an axis whose solve did not converge; it only speeds
     the next solve, and a state with none marked (the default) solves cold.
+    `augmented` and `u_prev` must be finite: the smoother's QP parts take
+    the rows with a finite bound from the limits alone.
     """
 
     augmented: np.ndarray
@@ -503,6 +556,8 @@ class SmootherState:
         self.u_prev = np.asarray(self.u_prev, dtype=float).reshape(-1)
         if self.u_prev.shape != (N_AXES,):
             raise ValueError(f"u_prev must have {N_AXES} components")
+        if not (np.isfinite(self.augmented).all() and np.isfinite(self.u_prev).all()):
+            raise ValueError("augmented state and u_prev must be finite")
         self.working_set = np.asarray(self.working_set, dtype=bool).reshape(N_AXES, -1)
 
     @classmethod
@@ -538,7 +593,6 @@ class TwistSmoother:
         self.state = SmootherState.at_rest(initial_pose)
         self._model = _scalar_model(cfg.sample_time)
         self._qp = _axis_qp(*_scalar_prediction(self._model, cfg.n_p, cfg.n_c), cfg, limits)
-        self._e_inv = np.linalg.inv(self._qp.e)
 
     @property
     def pose(self) -> UnitDualQuaternion:
@@ -549,13 +603,19 @@ class TwistSmoother:
         return self.state.augmented[-N_AXES:].copy()
 
     def step(self, target) -> StepResult:
-        """Advance one MPC tick toward the 6-vector reference twist."""
-        cfg = self.cfg
-        setpoint = build_setpoint(target, cfg.n_p)
-        qp = _tick_qp(self._qp, self.state.augmented, setpoint, self.state.u_prev)
+        """Advance one MPC tick toward the 6-vector reference twist.
+
+        A target that is not six finite numbers raises ValueError and leaves
+        the state as it was."""
+        target = np.asarray(target, dtype=float).reshape(-1)
+        if target.shape != (N_AXES,):
+            raise ValueError(f"target twist must have {N_AXES} components")
+        if not np.isfinite(target).all():
+            raise ValueError(f"target twist must be finite, got {target.tolist()}")
+        qp = _tick_qp(self._qp, self.state.augmented, target, self.state.u_prev)
         working = self.state.working_set
         guesses = (working, working[:, self._qp.shift]) if working.any() else ()
-        sol = solve_qp(qp, e_inv=self._e_inv, working_sets=guesses)
+        sol = solve_qp(qp, working_sets=guesses)
         self.state.working_set = (sol.lam > 0.0) & sol.solved[:, None]
         du = sol.delta_u[:, 0]
 
@@ -565,7 +625,7 @@ class TwistSmoother:
         self.state.u_prev = self.state.u_prev + du
         twist = self.twist
 
-        half_step = 0.5 * cfg.sample_time
+        half_step = 0.5 * self.cfg.sample_time
         motion = exp(PureDualQuaternion.from_vec6(twist) * half_step)
         self.state.pose = (motion * self.state.pose).normalized()
         return StepResult(twist, self.state.pose, du, sol.iterations,

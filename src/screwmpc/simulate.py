@@ -112,9 +112,10 @@ def run_closed_loop(cfg: RunConfig, model: RobotModel,
     duration.  After the reference series is exhausted the smoother is fed
     the twist that closes the remaining gap to the final keypoint, so the
     lag accumulated while constraints were active is wound down (still
-    under the configured limits).  NaN in the joints or the smoothed twist
-    raises FloatingPointError with the tick's time, and a start pose q0
-    outside the joint limits is rejected.
+    under the configured limits).  NaN in the joints or the smoothed twist,
+    or a reference twist that is not finite, raises FloatingPointError with
+    the tick's time, and a start pose q0 outside the joint limits is
+    rejected.
     """
     if model.dof != 7:
         raise ValueError(f"simulator expects a 7-joint model, got {model.dof}")
@@ -152,6 +153,9 @@ def run_closed_loop(cfg: RunConfig, model: RobotModel,
         else:
             gap_rate = 2.0 / (_GAP_CLOSE_TICKS * T)
             ref = (log(goal * smoother.pose.inverse()) * gap_rate).vec6()
+        t = tick * T
+        if not np.isfinite(ref).all():
+            raise FloatingPointError(f"non-finite reference twist at t = {t:.6f} s")
         step = smoother.step(ref)
 
         x_d8 = step.pose.vec8()
@@ -160,7 +164,6 @@ def run_closed_loop(cfg: RunConfig, model: RobotModel,
                                                gain, inner_dt, ratio)
         err_track = float(np.linalg.norm(_error8(task_map, x_d8, x_eff8)))
         err_goal = float(np.linalg.norm(_error8(goal_map, goal8, x_eff8)))
-        t = tick * T
 
         if np.isnan(q).any() or np.isnan(step.twist).any():
             raise FloatingPointError(f"NaN in simulation state at t = {t:.6f} s")

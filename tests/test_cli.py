@@ -6,7 +6,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from screwmpc import kinematics
+from screwmpc import kinematics, simulate
 from screwmpc.cli import _random_keypoints, main
 from screwmpc.config import RunConfig, load_config, parse_config_text
 from screwmpc.dualquat import PureDualQuaternion, UnitDualQuaternion, exp
@@ -18,7 +18,12 @@ from screwmpc.kinematics import (
     pose_error,
 )
 from screwmpc.mpc import LimitSet, MpcConfig
-from screwmpc.screwpath import generate_path, load_keypoints, write_keypoints
+from screwmpc.screwpath import (
+    generate_path,
+    load_keypoints,
+    reference_twists,
+    write_keypoints,
+)
 from screwmpc.simulate import (
     LOG_COLUMNS,
     SimulationResult,
@@ -516,6 +521,28 @@ def test_closed_loop_fault_at_an_inner_tick(panda, ready_pose, monkeypatch, site
     with pytest.raises(error, match=match):
         run_closed_loop(load_config(None), panda, keypoints)
     assert len(calls) == 50
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_closed_loop_rejects_a_non_finite_reference(panda, ready_pose, monkeypatch, bad):
+    # the gap servo's log turns non-finite on its third call, after the
+    # reference series: the loop stops with that tick's time
+    cfg = load_config(None)
+    keypoints = [ready_pose, translated(ready_pose, [0.05, 0.0, 0.0])]
+    series = len(reference_twists(generate_path(keypoints, cfg.samples_per_segment,
+                                                cfg.sample_time_s)))
+    calls = []
+    clean = simulate.log
+
+    def faulty(g):
+        calls.append(1)
+        return PureDualQuaternion.from_vec6(np.full(6, bad)) if len(calls) == 3 else clean(g)
+
+    monkeypatch.setattr(simulate, "log", faulty)
+    at = f"{(series + 2) * cfg.sample_time_s:.6f}"
+    with pytest.raises(FloatingPointError, match=rf"^non-finite reference twist at t = {at} s$"):
+        run_closed_loop(cfg, panda, keypoints)
+    assert len(calls) == 3
 
 
 def test_closed_loop_agrees_with_the_textbook_chain_pass(panda, monkeypatch):

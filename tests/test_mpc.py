@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,17 +8,21 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from screwmpc import mpc
 from screwmpc.dualquat import UnitDualQuaternion
 from screwmpc.mpc import (
     _MAX_ITERATIONS,
     AUG_DIM,
     FEAS_TOL,
     N_AXES,
+    _QpParts,
+    _StopTest,
     LimitSet,
     MpcConfig,
     QpProblem,
     SmootherState,
     TwistSmoother,
+    _tick_qp,
     build_model,
     build_prediction,
     build_qp,
@@ -396,6 +401,120 @@ def test_unconverged_axis_carries_no_working_set():
         res = sm.step(np.full(6, 3.0))
     assert not res.converged and res.active_count > 0
     assert sm.state.working_set.shape == shape and not sm.state.working_set.any()
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def tick_vectors_oracle(axis_qp, state, target, u_prev):
+    """f and V of a tick from the stacked setpoint and the paired row offsets:
+    the jerk rows' offsets are +0 and -0."""
+    n_p, n_c = axis_qp.phi_t_q.shape[2], axis_qp.e.shape[1]
+    free = axis_qp.f_mat @ state.reshape(-1, N_AXES)
+    setpoint = build_setpoint(target, n_p).reshape(-1, N_AXES)
+    f = -(axis_qp.phi_t_q @ (setpoint - free).T[:, :, None])[:, :, 0]
+    offset = np.vstack([np.zeros((n_c, N_AXES)), np.tile(u_prev, (n_c, 1)), free[:n_c]])
+    paired = np.stack([offset, -offset], axis=1).reshape(-1, N_AXES)
+    return f, axis_qp.v_zero + paired.T
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_step_is_the_generic_solve_bit_for_bit(data):
+    # a step solves its tick on the QP parts built once per smoother; the
+    # public solve_qp of the same tick as a bare QpProblem, which builds them
+    # on the call, gives the same bits on QP-active sequences whose ticks try
+    # the carried and the shifted working set: infinite velocity rows, a zero
+    # jerk bound on some axes (signed zeros in V) and n_c = 1 included
+    n_c = data.draw(st.integers(1, 4), label="n_c")
+    n_p = data.draw(st.integers(n_c, n_c + 6), label="n_p")
+    cfg = MpcConfig(n_c=n_c, n_p=n_p, sample_time=0.009,
+                    q_weight=data.draw(arrays(float, 6, elements=st.floats(0.1, 5.0))),
+                    r_weight=data.draw(arrays(float, 6, elements=st.floats(0.01, 1.0))))
+    vel = data.draw(st.none() | st.floats(0.2, 2.0), label="vel")
+    acc = data.draw(st.floats(0.5, 3.0), label="acc")
+    jerk = data.draw(st.floats(5.0, 60.0), label="jerk")
+    zero_jerk_min = data.draw(arrays(bool, 6), label="zero_jerk_min")
+    limits = limits_of(vel=vel, acc=acc, jerk=jerk)
+    limits = dataclasses.replace(limits, jerk_min=np.where(zero_jerk_min, 0.0, -jerk))
+    holds = data.draw(st.lists(st.tuples(arrays(float, 6, elements=st.floats(-2.0, 2.0)),
+                                         st.integers(1, 4)), min_size=1, max_size=4),
+                      label="targets")
+    sm = TwistSmoother(cfg, limits, UnitDualQuaternion.identity())
+    solves = []
+    solve = mpc.solve_qp
+
+    def recorded(*args, **kwargs):
+        solves.append(solve(*args, **kwargs))
+        return solves[-1]
+
+    for target, hold in holds:
+        for _ in range(hold):
+            state, u_prev = sm.state.augmented.copy(), sm.state.u_prev.copy()
+            working = sm.state.working_set
+            guesses = (working, shifted_rows(working, n_c)) if working.any() else ()
+            qp = _tick_qp(sm._qp, state, target, u_prev)
+            f, v = tick_vectors_oracle(sm._qp, state, target, u_prev)
+            assert same_bits(qp.f, f) and same_bits(qp.v, v)
+            bare = QpProblem(qp.e, qp.f, qp.w, qp.v)
+            fresh = _QpParts.of(bare.e, bare.w, np.isfinite(bare.v))
+            assert all(np.array_equal(a, b) for a, b in zip(sm._qp.parts, fresh))
+            x_free = -fresh.e_inv @ bare.f[:, :, None]
+            tick = (np.arange(N_AXES), bare.f[:, :, None], bare.v[:, :, None], x_free)
+            assert all(np.array_equal(a, b) for a, b in zip(_StopTest.of(sm._qp.parts, *tick),
+                                                            _StopTest.of(fresh, *tick)))
+
+            expected = solve_qp(bare, working_sets=guesses)
+            with mock.patch.object(mpc, "solve_qp", recorded):
+                step = sm.step(target)
+            sol = solves[-1]
+            for name in ("delta_u", "lam", "solved"):
+                assert same_bits(getattr(sol, name), getattr(expected, name)), name
+            assert (sol.iterations, sol.max_violation) == (expected.iterations,
+                                                          expected.max_violation)
+            assert same_bits(step.delta_u, expected.delta_u[:, 0])
+            assert same_bits(sm.state.working_set, (expected.lam > 0.0) & expected.solved[:, None])
+
+
+def test_step_calls_solve_qp_and_exp_once(monkeypatch):
+    # perfbench/tracing.py times the QP and the pose update by wrapping the
+    # module-level names mpc.solve_qp and mpc.exp: a step routed around them
+    # would read 0 in the per-layer mpc metrics
+    counts = dict.fromkeys(("solve_qp", "exp"), 0)
+    for name in counts:
+        def counted(*args, _name=name, _fn=getattr(mpc, name), **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(mpc, name, counted)
+    sm = TwistSmoother(MpcConfig(), limits_of(acc=1.0, jerk=50.0), UnitDualQuaternion.identity())
+    # at rest (no row broken), cold on the interior point, then on the carried set
+    for tick, target in enumerate((0.0, 1.0, 1.0), start=1):
+        sm.step(np.full(6, target))
+        assert counts == {"solve_qp": tick, "exp": tick}
+    assert sm.state.working_set.any()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_step_rejects_a_non_finite_target(bad):
+    # a non-finite reference fails before the smoother moves: the state, the
+    # working set it carries and the next step are those of a smoother that
+    # never saw it
+    cfg, limits = MpcConfig(), limits_of(acc=1.0, jerk=50.0)
+    sm, twin = (TwistSmoother(cfg, limits, UnitDualQuaternion.identity()) for _ in range(2))
+    for smoother in (sm, twin):
+        smoother.step(np.full(6, 1.0))
+    target = np.full(6, 1.0)
+    target[4] = bad
+    with pytest.raises(ValueError, match="^target twist must be finite"):
+        sm.step(target)
+    for name in ("augmented", "u_prev", "working_set"):
+        assert same_bits(getattr(sm.state, name), getattr(twin.state, name))
+    assert same_bits(sm.pose.vec8(), twin.pose.vec8())
+    assert same_bits(sm.step(np.full(6, 1.0)).delta_u, twin.step(np.full(6, 1.0)).delta_u)
+    with pytest.raises(ValueError, match="^target twist must have 6 components"):
+        sm.step(np.ones(5))
 
 
 # track-tight limits (benchmark seed 1, line 1, MPC tick 2): a tick that is
@@ -944,3 +1063,7 @@ def test_pose_stays_unit_over_long_run():
 def test_smoother_state_validation():
     with pytest.raises(ValueError, match="18"):
         SmootherState(np.zeros(12), np.zeros(6), UnitDualQuaternion.identity())
+    # a NaN bound would read as a row that never activates
+    for augmented, u_prev in ((np.full(18, np.nan), np.zeros(6)), (np.zeros(18), [np.inf] * 6)):
+        with pytest.raises(ValueError, match="must be finite"):
+            SmootherState(augmented, u_prev, UnitDualQuaternion.identity())
