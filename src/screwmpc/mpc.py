@@ -227,12 +227,11 @@ class _QpParts(NamedTuple):
     w_abs: np.ndarray   # (k, m, n)
 
     @classmethod
-    def of(cls, e, w, finite, e_inv=None) -> "_QpParts":
+    def of(cls, e, w, finite) -> "_QpParts":
         scale = np.maximum(np.linalg.norm(w, axis=1, keepdims=True), 1e-12)
         rows = finite[..., None] & (scale > 1e-12)
         w_scaled = np.where(rows, w / scale, 0.0)
-        e_inv = np.linalg.inv(e) if e_inv is None else e_inv
-        return cls(e_inv, np.abs(e), scale, finite, rows, w_scaled, np.abs(w_scaled))
+        return cls(np.linalg.inv(e), np.abs(e), scale, finite, rows, w_scaled, np.abs(w_scaled))
 
 
 class _TickQp(QpProblem):
@@ -469,8 +468,7 @@ def _on_working_set(e, e_inv, f, w, v, x_free, test: _StopTest, scale, working):
     return x[..., 0], lam, held
 
 
-def solve_qp(qp: QpProblem, e_inv: np.ndarray | None = None,
-             working_sets: Sequence[np.ndarray] = ()) -> QpSolution:
+def solve_qp(qp: QpProblem, *, working_sets: Sequence[np.ndarray] = ()) -> QpSolution:
     """Primal-dual interior-point solve of the dense inequality QP.
 
     -E^-1 f is the result when it violates no row.  Otherwise each
@@ -492,16 +490,13 @@ def solve_qp(qp: QpProblem, e_inv: np.ndarray | None = None,
     meets every finite row within FEAS_TOL.
 
     What E, W and the finite rows fix (E^-1, |E|, the row scale and the stop
-    test's scaled rows) is built on each call; E^-1 (stacked like E) may be
-    passed in precomputed.  A smoother's tick problem carries all of these,
-    built once per smoother, and each call forms only what f and V change.
+    test's scaled rows) is built on each call.  A smoother's tick problem
+    carries all of these, built once per smoother, and each call forms only
+    what f and V change.
     """
-    stack = (qp.e, qp.f, qp.v, e_inv)
-    if qp.f.ndim == 1:  # a single problem is a stack of one
-        stack = tuple(None if m is None else m[None] for m in stack)
-    e, f, v, e_inv = stack
+    e, f, v = (m[None] if qp.f.ndim == 1 else m for m in (qp.e, qp.f, qp.v))  # a stack of one
     w = qp.w
-    parts = qp.parts if isinstance(qp, _TickQp) else _QpParts.of(e, w, np.isfinite(v), e_inv)
+    parts = qp.parts if isinstance(qp, _TickQp) else _QpParts.of(e, w, np.isfinite(v))
     x = (-parts.e_inv @ f[:, :, None])[:, :, 0]
     lam = np.zeros(v.shape)
     iterations, solved = 0, np.ones(len(v), dtype=bool)
@@ -541,7 +536,8 @@ class SmootherState:
     multiplier, none on an axis whose solve did not converge; it only speeds
     the next solve, and a state with none marked (the default) solves cold.
     `augmented` and `u_prev` must be finite: the smoother's QP parts take
-    the rows with a finite bound from the limits alone.
+    the rows with a finite bound from the limits alone.  A step writes all
+    four at once, after its whole tick is computed.
     """
 
     augmented: np.ndarray
@@ -605,28 +601,32 @@ class TwistSmoother:
     def step(self, target) -> StepResult:
         """Advance one MPC tick toward the 6-vector reference twist.
 
-        A target that is not six finite numbers raises ValueError and leaves
-        the state as it was."""
+        A target that is not six finite numbers raises ValueError and a twist
+        that is not finite FloatingPointError; neither changes the state."""
         target = np.asarray(target, dtype=float).reshape(-1)
         if target.shape != (N_AXES,):
             raise ValueError(f"target twist must have {N_AXES} components")
         if not np.isfinite(target).all():
             raise ValueError(f"target twist must be finite, got {target.tolist()}")
-        qp = _tick_qp(self._qp, self.state.augmented, target, self.state.u_prev)
-        working = self.state.working_set
+        state = self.state
+        qp = _tick_qp(self._qp, state.augmented, target, state.u_prev)
+        working = state.working_set
         guesses = (working, working[:, self._qp.shift]) if working.any() else ()
         sol = solve_qp(qp, working_sets=guesses)
-        self.state.working_set = (sol.lam > 0.0) & sol.solved[:, None]
         du = sol.delta_u[:, 0]
 
         a, b, _ = self._model
-        per_axis = self.state.augmented.reshape(-1, N_AXES)  # column a: axis a's 3 states
-        self.state.augmented = (a @ per_axis + b @ du[None]).ravel()
-        self.state.u_prev = self.state.u_prev + du
-        twist = self.twist
-
-        half_step = 0.5 * self.cfg.sample_time
-        motion = exp(PureDualQuaternion.from_vec6(twist) * half_step)
-        self.state.pose = (motion * self.state.pose).normalized()
-        return StepResult(twist, self.state.pose, du, sol.iterations,
+        per_axis = state.augmented.reshape(-1, N_AXES)  # column a: axis a's 3 states
+        augmented = (a @ per_axis + b @ du[None]).ravel()
+        twist = augmented[-N_AXES:].copy()
+        try:
+            motion = exp(PureDualQuaternion.from_vec6(twist) * (0.5 * self.cfg.sample_time))
+            pose = (motion * state.pose).normalized()
+        except ValueError:  # the unit check fails on a twist that is not finite
+            if np.isfinite(twist).all():
+                raise
+            raise FloatingPointError(f"smoothed twist is not finite: {twist.tolist()}") from None
+        state.augmented, state.u_prev, state.pose, state.working_set = (
+            augmented, state.u_prev + du, pose, (sol.lam > 0.0) & sol.solved[:, None])
+        return StepResult(twist, pose, du, sol.iterations,
                           sol.converged, sol.active_count, sol.max_violation)

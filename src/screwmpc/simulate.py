@@ -28,7 +28,6 @@ from .config import RunConfig
 from .dualquat import log
 from .kinematics import (
     RobotModel,
-    _check_gain,
     _error8,
     _task_map,
     _track_tick,
@@ -112,10 +111,10 @@ def run_closed_loop(cfg: RunConfig, model: RobotModel,
     duration.  After the reference series is exhausted the smoother is fed
     the twist that closes the remaining gap to the final keypoint, so the
     lag accumulated while constraints were active is wound down (still
-    under the configured limits).  NaN in the joints or the smoothed twist,
-    or a reference twist that is not finite, raises FloatingPointError with
-    the tick's time, and a start pose q0 outside the joint limits is
-    rejected.
+    under the configured limits).  NaN in the joints or a reference twist
+    that is not finite raises FloatingPointError with the tick's time, a
+    smoothed twist that is not finite raises it from the smoother's step,
+    and a start pose q0 outside the joint limits is rejected.
     """
     if model.dof != 7:
         raise ValueError(f"simulator expects a 7-joint model, got {model.dof}")
@@ -136,7 +135,7 @@ def run_closed_loop(cfg: RunConfig, model: RobotModel,
     T = cfg.sample_time_s
     ratio = cfg.inner_ticks_per_mpc
     inner_dt = cfg.inner_dt
-    gain = _check_gain(cfg.gain_matrix)
+    gain = cfg.gain_matrix
     smoother = TwistSmoother(cfg.mpc, cfg.limits, path.samples[0].pose)
     goal8 = goal.vec8()
     goal_map = _task_map(goal8)
@@ -165,7 +164,7 @@ def run_closed_loop(cfg: RunConfig, model: RobotModel,
         err_track = float(np.linalg.norm(_error8(task_map, x_d8, x_eff8)))
         err_goal = float(np.linalg.norm(_error8(goal_map, goal8, x_eff8)))
 
-        if np.isnan(q).any() or np.isnan(step.twist).any():
+        if np.isnan(q).any():
             raise FloatingPointError(f"NaN in simulation state at t = {t:.6f} s")
 
         records.append(

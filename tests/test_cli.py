@@ -6,7 +6,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from screwmpc import kinematics, simulate
+from screwmpc import kinematics, mpc, simulate
 from screwmpc.cli import _random_keypoints, main
 from screwmpc.config import RunConfig, load_config, parse_config_text
 from screwmpc.dualquat import PureDualQuaternion, UnitDualQuaternion, exp
@@ -543,6 +543,24 @@ def test_closed_loop_rejects_a_non_finite_reference(panda, ready_pose, monkeypat
     with pytest.raises(FloatingPointError, match=rf"^non-finite reference twist at t = {at} s$"):
         run_closed_loop(cfg, panda, keypoints)
     assert len(calls) == 3
+
+
+def test_closed_loop_stops_on_a_nan_smoothed_twist(panda, ready_pose, monkeypatch):
+    # the 5th QP solution's increment turns NaN: the smoother's step raises
+    # FloatingPointError, the error the loop promises for a NaN smoothed twist
+    calls = []
+    clean = mpc.solve_qp
+
+    def faulty(*args, **kwargs):
+        calls.append(1)
+        sol = clean(*args, **kwargs)
+        return dataclasses.replace(sol, delta_u=sol.delta_u * math.nan) if len(calls) == 5 else sol
+
+    monkeypatch.setattr(mpc, "solve_qp", faulty)
+    keypoints = [ready_pose, translated(ready_pose, [0.05, 0.0, 0.0])]
+    with pytest.raises(FloatingPointError, match="^smoothed twist is not finite: "):
+        run_closed_loop(load_config(None), panda, keypoints)
+    assert len(calls) == 5
 
 
 def test_closed_loop_agrees_with_the_textbook_chain_pass(panda, monkeypatch):

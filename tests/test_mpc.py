@@ -496,6 +496,29 @@ def test_step_calls_solve_qp_and_exp_once(monkeypatch):
     assert sm.state.working_set.any()
 
 
+def assert_unmoved_by(fault, error, match, sm, twin, target):
+    """`fault` makes sm's step raise `error`; sm's state then holds the bits
+    it held before, and its next step toward `target` is its twin's."""
+    names = ("augmented", "u_prev", "working_set")
+    before = [getattr(sm.state, name).copy() for name in names] + [sm.pose.vec8()]
+    with pytest.raises(error, match=match):
+        fault()
+    after = [getattr(sm.state, name) for name in names] + [sm.pose.vec8()]
+    assert all(same_bits(a, b) for a, b in zip(after, before))
+    step, twin_step = sm.step(target), twin.step(target)
+    for name in ("twist", "delta_u"):
+        assert same_bits(getattr(step, name), getattr(twin_step, name)), name
+    assert same_bits(step.pose.vec8(), twin_step.pose.vec8())
+    assert same_bits(sm.state.working_set, twin.state.working_set)
+
+
+def test_solve_qp_takes_the_working_sets_by_keyword_only():
+    qp = QpProblem(np.eye(2), np.array([-1.0, -1.0]), np.array([[1.0, 1.0]]), np.array([1.0]))
+    with pytest.raises(TypeError):
+        solve_qp(qp, np.eye(2))
+    assert solve_qp(qp, working_sets=[np.array([True])]).converged
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_step_rejects_a_non_finite_target(bad):
     # a non-finite reference fails before the smoother moves: the state, the
@@ -503,18 +526,49 @@ def test_step_rejects_a_non_finite_target(bad):
     # never saw it
     cfg, limits = MpcConfig(), limits_of(acc=1.0, jerk=50.0)
     sm, twin = (TwistSmoother(cfg, limits, UnitDualQuaternion.identity()) for _ in range(2))
-    for smoother in (sm, twin):
-        smoother.step(np.full(6, 1.0))
     target = np.full(6, 1.0)
-    target[4] = bad
-    with pytest.raises(ValueError, match="^target twist must be finite"):
-        sm.step(target)
-    for name in ("augmented", "u_prev", "working_set"):
-        assert same_bits(getattr(sm.state, name), getattr(twin.state, name))
-    assert same_bits(sm.pose.vec8(), twin.pose.vec8())
-    assert same_bits(sm.step(np.full(6, 1.0)).delta_u, twin.step(np.full(6, 1.0)).delta_u)
+    for smoother in (sm, twin):
+        smoother.step(target)
+    bad_target = target.copy()
+    bad_target[4] = bad
+    assert_unmoved_by(lambda: sm.step(bad_target), ValueError, "^target twist must be finite",
+                      sm, twin, target)
     with pytest.raises(ValueError, match="^target twist must have 6 components"):
         sm.step(np.ones(5))
+
+
+def test_step_that_overflows_leaves_the_state_as_it_was():
+    # a finite but huge target overflows the QP into a NaN increment; the step
+    # raises before it writes anything.  Warnings are off: an overflow warning
+    # raised as an error would stop the step before the NaN reached its state
+    cfg, limits = MpcConfig(), limits_of(acc=1.0, jerk=20.0)
+    sm, twin = (TwistSmoother(cfg, limits, UnitDualQuaternion.identity()) for _ in range(2))
+    target = np.full(6, 0.3)
+    with np.errstate(all="ignore"):
+        for smoother in (sm, twin):
+            smoother.step(target)
+        assert_unmoved_by(lambda: sm.step(np.full(6, 1e300)), FloatingPointError,
+                          "^smoothed twist is not finite", sm, twin, target)
+
+
+def test_step_raises_floating_point_error_on_a_nan_increment(monkeypatch):
+    # the 5th QP solution's increment turns NaN: the twist is not finite
+    cfg, limits = MpcConfig(), limits_of(acc=1.0, jerk=50.0)
+    sm, twin = (TwistSmoother(cfg, limits, UnitDualQuaternion.identity()) for _ in range(2))
+    target = np.full(6, 1.0)
+    for _ in range(4):
+        for smoother in (sm, twin):
+            smoother.step(target)
+    solve = mpc.solve_qp
+
+    def nan_increment():
+        with monkeypatch.context() as patch:
+            patch.setattr(mpc, "solve_qp", lambda *args, **kwargs: dataclasses.replace(
+                solve(*args, **kwargs), delta_u=np.full((N_AXES, cfg.n_c), np.nan)))
+            sm.step(target)
+
+    assert_unmoved_by(nan_increment, FloatingPointError, "^smoothed twist is not finite",
+                      sm, twin, target)
 
 
 # track-tight limits (benchmark seed 1, line 1, MPC tick 2): a tick that is
