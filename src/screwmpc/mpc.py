@@ -8,15 +8,19 @@ per-step input increment equals T*jerk.  Nothing couples the axes, so the
 smoother models one axis as a 3-state chain augmented with backward
 differences for offset-free tracking, condenses predictions into (F, Phi)
 and each tick solves the six QPs (jerk, acceleration and velocity rows) in
-one batched, iteration-capped interior-point solve.  What the horizons,
-weights and limits fix is built once per smoother; a tick forms only f and
-V from its reference and state.  The rows that end a tick with a positive
-multiplier are its working set.  On the next tick, a problem whose
-unconstrained optimum breaks a row first holds those rows
-(then the same rows one step along the horizon) as equalities, and keeps
-the result only if its multipliers are nonnegative, it passes the interior
-point's own stop test and it meets every row within FEAS_TOL; the problems
-left go to the interior point, which solves them as it would cold.
+one batched solve.  What the horizons, weights and limits fix is built once
+per smoother; a tick forms only f and V from its reference and state, both
+affine in an axis's parameters theta = [its 3 states, target, u_prev, 1].
+The rows that end a tick with a positive multiplier are its working set.
+Holding a set as equalities, the solution is affine in theta too: its law
+is built on first use and cached, so trying a set costs one product.  On
+the next tick, a problem whose unconstrained optimum breaks a row
+evaluates the laws of the carried set and of the same rows one step along
+the horizon, screens them (nonnegative multipliers, every row met within
+FEAS_TOL) and verifies the first that passes with the interior point's own
+stop test.  A problem left tries up to two active-set repairs (the rows
+with a positive multiplier stay, the rows broken join); only the problems
+still left go to the interior point, which solves them as it would cold.
 ``build_model``, ``build_prediction`` and ``build_qp`` give its dense
 18-state lifts (x I6).
 
@@ -57,6 +61,8 @@ AUG_DIM = 18
 FEAS_TOL = 1e-6
 _MAX_ITERATIONS = 30
 _KKT_TOL = 1e-10
+_REPAIRS = 2  # active-set updates a problem tries after its working sets
+_CACHED = 64  # solution laws a smoother keeps
 
 
 def _limit_pair(min_v, max_v, name: str) -> tuple[np.ndarray, np.ndarray]:
@@ -234,20 +240,88 @@ class _QpParts(NamedTuple):
         return cls(np.linalg.inv(e), np.abs(e), scale, finite, rows, w_scaled, np.abs(w_scaled))
 
 
-class _TickQp(QpProblem):
-    """A QpProblem the smoother assembled, with the parts fixed at its construction."""
+class _Laws:
+    """Solution laws of a stack of QPs sharing W whose f and V are affine in p
+    parameters per problem: f = P_f theta, and V = P_V theta on the finite rows.
 
-    def __init__(self, e, f, w, v, parts: _QpParts):
+    Holding a working set A as equalities, the solution is affine in theta
+    too: x_free = X theta with X = -E^-1 P_f, lambda_A = S^-1 (W_A X - P_V,A)
+    theta with S = W_A E^-1 W_A^T, and x = x_free - E^-1 W_A^T lambda_A.  A
+    problem's law for A maps theta to [x; lambda over all m rows (0 off A); the
+    slack V - W x (0 on rows with an infinite bound)], (n + 2m, p).  A set of more
+    than n rows or of dependent rows (S_ii (S^-1)_ii above 1e12, or S singular)
+    has no candidate: its law is NaN, which no screen passes.  A law is built
+    on first use and kept among the _CACHED laws built last; problems whose
+    E^-1, X, P_V and finite rows are equal bit for bit share their laws."""
+
+    def __init__(self, parts: _QpParts, w, p_f, p_v):
+        self.parts, self.w = parts, w
+        self.x_free = -parts.e_inv @ p_f                      # (k, n, p)
+        self.p_v = np.where(parts.finite[..., None], p_v, 0.0)  # (k, m, p)
+        self.floor = np.repeat([0.0, -FEAS_TOL], len(w))  # of lambda and the slack
+        flat = np.concatenate([m.reshape(len(p_f), -1) for m in
+                               (parts.e_inv, self.x_free, self.p_v, parts.finite)], axis=1)
+        data = [problem.tobytes() for problem in flat]
+        self.alike = [data.index(problem) for problem in data]  # the first equal problem
+        self.cache: dict = {}  # (first equal problem, rows) -> law, oldest first
+
+    def of(self, problems, masks) -> np.ndarray:
+        """The laws of problem problems[i] on the rows masks[i], (b, n + 2m, p)."""
+        keys = [(self.alike[p], mask.tobytes()) for p, mask in zip(problems.tolist(), masks)]
+        cache = self.cache
+        missing = {key: i for i, key in enumerate(keys) if key not in cache}
+        if missing:
+            new = list(missing.values())
+            cache.update(zip(missing, self._build(problems[new], masks[new])))
+        laws = np.stack([cache[key] for key in keys])
+        while len(cache) > _CACHED:
+            del cache[next(iter(cache))]
+        return laws
+
+    def _build(self, problems, masks) -> np.ndarray:
+        """The laws, batched with padding: a padded row is 0 in W_A and 1 on S's diagonal."""
+        (n, p), m = self.x_free.shape[1:], masks.shape[1]
+        count, width = masks.sum(axis=1), min(n, m)
+        rows = np.argsort(~masks, axis=1, kind="stable")[:, :width]  # working rows first
+        pad = np.arange(width) >= count[:, None]
+        w_a = np.where(pad[..., None], 0.0, self.w[rows])
+        g = self.parts.e_inv[problems] @ w_a.transpose(0, 2, 1)
+        x_free = self.x_free[problems]
+        v_a = np.where(pad[..., None], 0.0, self.p_v[problems[:, None], rows])
+        eye = np.eye(width)
+        schur = w_a @ g + pad[:, None, :] * eye
+        rhs = np.concatenate([w_a @ x_free - v_a, np.broadcast_to(eye, schur.shape)], axis=2)
+        with np.errstate(all="ignore"):  # dependent rows may solve to inf; their law is NaN
+            sol = _solve(schur, rhs, lambda mat, rhs: np.full(rhs.shape, np.nan))
+            diag = np.diagonal(schur, axis1=1, axis2=2) * np.diagonal(sol[..., p:], axis1=1, axis2=2)
+            x = x_free - g @ sol[..., :p]
+            slack = np.where(self.parts.finite[problems][..., None],
+                             self.p_v[problems] - self.w @ x, 0.0)
+        lam = np.zeros((len(problems), m, p))
+        lam[np.arange(len(problems))[:, None], rows] = sol[..., :p]  # 0 on the padding
+        law = np.concatenate([x, lam, slack], axis=1)
+        law[(count > n) | ~(diag <= 1e12).all(axis=1)] = np.nan
+        return law
+
+
+class _TickQp(QpProblem):
+    """A QpProblem the smoother assembled: its laws carry the parts fixed at the
+    smoother's construction, and theta (6, 6) is this tick's parameters."""
+
+    def __init__(self, e, f, w, v, laws: _Laws, theta):
         super().__init__(e, f, w, v)
-        object.__setattr__(self, "parts", parts)
+        object.__setattr__(self, "laws", laws)
+        object.__setattr__(self, "theta", theta)
 
 
 @dataclass(frozen=True)
 class _AxisQp:
     """Everything a smoother's six per-axis QPs fix at construction; W is
-    shared.  Horizons, weights and limits fix E, W, V at rest and the QP parts
-    (E^-1, |E|, the row scale and the stop test's rows); a tick only forms f
-    and writes u_prev and the free response into the offset template."""
+    shared.  Horizons, weights and limits fix E, W, V at rest, the QP parts
+    (E^-1, |E|, the row scale and the stop test's rows) and the maps P_f and
+    P_V from an axis's parameters theta_a = [its 3 states, target_a,
+    u_prev_a, 1] to its f and V, which its laws take; a tick only forms f and
+    writes u_prev and the free response into the offset template."""
 
     e: np.ndarray         # (6, n_c, n_c)
     w: np.ndarray         # (6 n_c, n_c)
@@ -256,7 +330,7 @@ class _AxisQp:
     phi_t_q: np.ndarray   # (6, n_c, n_p): q_a Phi_s^T
     f_mat: np.ndarray     # F_s (n_p, 3)
     shift: np.ndarray     # (6 n_c,): row r of the next tick is row shift[r] of this one
-    parts: _QpParts       # of the six problems; the finite rows are v_zero's
+    laws: _Laws           # of the six problems; the finite rows are v_zero's
 
 
 def _axis_qp(f_mat: np.ndarray, phi: np.ndarray, cfg: MpcConfig,
@@ -276,8 +350,15 @@ def _axis_qp(f_mat: np.ndarray, phi: np.ndarray, cfg: MpcConfig,
     shift = (2 * (n_c * np.arange(3)[:, None, None] + step[:, None]) + np.arange(2)).ravel()
     v_offset = np.zeros((N_AXES, 3, n_c, 2))
     v_offset[:, 0, :, 1] = -0.0  # the jerk rows' offsets are +0 and -0
+    p_f = np.zeros((N_AXES, n_c, 6))
+    p_f[..., :3], p_f[..., 3] = phi_t_q @ f_mat, -phi_t_q.sum(axis=2)
+    p_v = np.zeros((N_AXES, 3, n_c, 2, 6))
+    p_v[:, 1, ..., 4] = [1.0, -1.0]
+    p_v[:, 2, ..., :3] = np.stack([f_mat[:n_c], -f_mat[:n_c]], axis=1)
+    p_v = p_v.reshape(N_AXES, -1, 6)
+    p_v[..., 5] = v_zero
     return _AxisQp(e, w, v_zero, v_offset, phi_t_q, f_mat, shift,
-                   _QpParts.of(e, w, np.isfinite(v_zero)))
+                   _Laws(_QpParts.of(e, w, np.isfinite(v_zero)), w, p_f, p_v))
 
 
 def _tick_qp(axis_qp: _AxisQp, state: np.ndarray, target: np.ndarray,
@@ -285,9 +366,9 @@ def _tick_qp(axis_qp: _AxisQp, state: np.ndarray, target: np.ndarray,
     """The stack of six per-axis QPs; column a of state.reshape(3, 6) is axis a's.
 
     f_a = -q_a Phi_s^T (target_a - F_s x_a) for a 6-vector target held over
-    the horizon, or one per prediction step ((n_p, 6)).  The row offsets are
-    0 (jerk), u_prev (acceleration) and the free response F_s x_a
-    (velocity): -rows gain +offset, +rows gain -offset.
+    the horizon, or one per prediction step ((n_p, 6); such a tick has no
+    theta).  The row offsets are 0 (jerk), u_prev (acceleration) and the free
+    response F_s x_a (velocity): -rows gain +offset, +rows gain -offset.
     """
     n_c = axis_qp.e.shape[1]
     free = axis_qp.f_mat @ state.reshape(-1, N_AXES)
@@ -296,8 +377,10 @@ def _tick_qp(axis_qp: _AxisQp, state: np.ndarray, target: np.ndarray,
     offset[:, 1, :, 0] = u_prev[:, None]
     offset[:, 2, :, 0] = free[:n_c].T
     np.negative(offset[:, 1:, :, 0], out=offset[:, 1:, :, 1])
+    theta = None if target.ndim > 1 else np.concatenate(
+        [state, target, u_prev, np.ones(N_AXES)]).reshape(-1, N_AXES).T
     return _TickQp(axis_qp.e, f, axis_qp.w, axis_qp.v_zero + offset.reshape(N_AXES, -1),
-                   axis_qp.parts)
+                   axis_qp.laws, theta)
 
 
 def build_qp(state, setpoint, prediction: PredictionMatrices, cfg: MpcConfig,
@@ -352,16 +435,16 @@ class QpSolution:
         return int(np.count_nonzero(self.lam > 1e-12))
 
 
-def _solve(mat, rhs):
+def _solve(mat, rhs, singular=lambda mat, rhs: np.linalg.pinv(mat) @ rhs):
     """np.linalg.solve per problem of a stack; a matrix that rounding made exactly
-    singular (z/s large enough to swamp E's smallest eigenvalue) gets the
-    least-squares step instead, and only that problem."""
+    singular (z/s large enough to swamp E's smallest eigenvalue) gets
+    ``singular`` instead, by default the least-squares step, and only that problem."""
     try:
         return np.linalg.solve(mat, rhs)
     except np.linalg.LinAlgError:
         if len(mat) == 1:
-            return np.linalg.pinv(mat) @ rhs
-        return np.concatenate([_solve(m, r) for m, r in zip(mat[:, None], rhs[:, None])])
+            return singular(mat, rhs)
+        return np.concatenate([_solve(m, r, singular) for m, r in zip(mat[:, None], rhs[:, None])])
 
 
 class _StopTest(NamedTuple):
@@ -388,9 +471,6 @@ class _StopTest(NamedTuple):
         w_abs = parts.w_abs[problems]
         dual = np.maximum(1.0, parts.e_abs[problems] @ np.abs(x_free) + np.abs(f))
         return cls(parts.w[problems], v, w_abs, np.abs(v), dual, np.maximum(1.0, w_abs @ dual))
-
-    def take(self, problems) -> "_StopTest":
-        return _StopTest(*(m[problems] for m in self))
 
     def error(self, x, r_d, r_p, s, z) -> np.ndarray:
         primal = np.maximum(1.0, self.w_abs @ np.abs(x) + self.v_abs)
@@ -437,47 +517,65 @@ def _interior_point(e, f, test: _StopTest, scale):
         z += step * dz
 
 
-def _on_working_set(e, e_inv, f, w, v, x_free, test: _StopTest, scale, working):
-    """Each problem's QP with its working rows held as equalities, on (k, ., 1)
-    columns: lambda from the Schur complement W_A E^-1 W_A^T, padded to
-    min(n, m) rows, then x = x_free - E^-1 W_A^T lambda.  `working` marks
-    rows with a finite bound only.  Returns x, the multipliers of all rows and
-    whether the point is verified: lambda >= 0, it passes the interior
-    point's stop test and it meets every finite row within FEAS_TOL."""
-    m, n = w.shape
-    count = working.sum(axis=1)
-    count[count > n] = 0  # more than n rows cannot be independent: no candidate
-    width = min(n, m)
-    problem = np.arange(len(v))[:, None]
-    rows = np.argsort(~working, axis=1, kind="stable")[:, :width]  # working rows first
-    pad = np.arange(width) >= count[:, None]
-    w_a = np.where(pad[..., None], 0.0, w[rows])
-    g = e_inv @ w_a.transpose(0, 2, 1)
-    v_a = np.where(pad, 0.0, v[problem, rows])[..., None]
-    lam_a = _solve(w_a @ g + pad[:, None, :] * np.eye(width), w_a @ x_free - v_a)
-    x = x_free - g @ lam_a
-    lam = np.zeros(working.shape)
-    lam[problem, rows] = lam_a[..., 0]  # 0 on the padding
-
-    residual = (w @ x)[..., 0] - v
-    s = -residual[..., None] / scale  # the scaled slack, +inf on a row without a bound
-    kkt = test.error(x, e @ x + f + w.T @ lam[..., None], np.zeros(s.shape), s,
-                     lam[..., None] * scale)
-    held = (count > 0) & (lam >= 0.0).all(axis=1)
-    held &= (kkt <= _KKT_TOL) & (residual <= FEAS_TOL).all(axis=1)
-    return x[..., 0], lam, held
+def _on_laws(laws: _Laws, theta, broken, sets, e, f, v, w, x, lam):
+    """The problems `broken` on their working sets' laws, then on up to
+    _REPAIRS updates (see solve_qp).  Writes each held problem's point into
+    x and its multipliers into lam, which hold x_free and 0 on the call;
+    returns which problems are held."""
+    parts, (k, n), m = laws.parts, x.shape, w.shape[0]
+    test = _StopTest.of(parts, slice(None), f[..., None], v[..., None], x[..., None])
+    rows = parts.rows[..., 0] & broken[:, None]
+    masks = np.asarray(sets, dtype=bool).reshape((-1, k, m)) & rows
+    held, every = np.zeros(k, dtype=bool), np.arange(k)
+    for _ in range(1 + _REPAIRS):
+        at, problem = np.nonzero(masks.any(axis=2))
+        if not at.size:
+            break
+        y = np.full(masks.shape[:2] + (n + 2 * m,), np.nan)  # NaN passes no screen
+        y[at, problem] = (laws.of(problem, masks[at, problem]) @ theta[problem, :, None])[..., 0]
+        passed = (y[..., n:] >= laws.floor).all(axis=2)
+        pick = y[passed.argmax(axis=0), every, :, None]  # each problem's first that passed
+        x_c, lam_c = pick[:, :n], pick[:, n:n + m]
+        kkt = test.error(x_c, e @ x_c + f[..., None] + w.T @ lam_c, 0.0,
+                         pick[:, n + m:] / parts.scale, lam_c * parts.scale)
+        good = passed.any(axis=0) & (kkt <= _KKT_TOL)
+        x[good], lam[good], held = x_c[good, :, 0], lam_c[good, :, 0], held | good
+        rows[good] = False
+        if not rows.any():
+            break
+        # a repair updates the problem's last candidate: the rows with a
+        # positive multiplier stay (of a set with no law, the rows x_free
+        # breaks) and the rows it breaks join, only the worst if that would
+        # make more than n rows
+        last = len(y) - 1 - masks.any(axis=2)[::-1].argmax(axis=0)
+        lam_l, slack_l, tried = y[last, every, n:n + m], y[last, every, n + m:], masks[last, every]
+        keep = np.where(np.isnan(lam_l), tried & ((w @ x[..., None])[..., 0] - v > FEAS_TOL),
+                        lam_l > 0.0)
+        join = slack_l < -FEAS_TOL
+        join &= (np.arange(m) == slack_l.argmin(axis=1)[:, None]) \
+            | ((keep | join).sum(axis=1) <= n)[:, None]
+        masks = ((keep | join) & rows)[None]
+        masks[0, (masks[0] == tried).all(axis=1)] = False
+    return held
 
 
 def solve_qp(qp: QpProblem, *, working_sets: Sequence[np.ndarray] = ()) -> QpSolution:
-    """Primal-dual interior-point solve of the dense inequality QP.
+    """Solve the dense inequality QP on cached solution laws, with a
+    primal-dual interior point as the last resort.
 
-    -E^-1 f is the result when it violates no row.  Otherwise each
-    ``working_sets`` entry (a bool mask over the rows, shaped like v) is
-    tried in turn: the rows it marks are held as equalities, and the point
-    is kept only if its multipliers are nonnegative, it passes the interior
-    point's stop test and it meets every finite row within FEAS_TOL; such a
-    problem takes no iteration and ``lam`` is its exact multiplier.  The rest
-    run Mehrotra's predictor-corrector on rows scaled to unit norm until
+    -E^-1 f is the result when it violates no row.  Otherwise a problem tries
+    its ``working_sets`` entries (bool masks over the rows, shaped like v) on
+    their solution laws (see _Laws), all in one batched product: the point
+    and multipliers with the marked rows held as equalities.  The screen
+    passes a candidate whose multipliers are nonnegative and that meets
+    every finite row within FEAS_TOL; the first that passes must also pass
+    the interior point's stop test.  A problem left gets up to _REPAIRS
+    repair candidates, each the update of its last one: the rows with a
+    positive multiplier stay and the rows it breaks join (only the worst if
+    that would make more than n rows); of a set with no law, the rows -E^-1 f
+    breaks stay.  A problem solved on a law takes no iteration and ``lam`` is
+    its exact multiplier.  The rest run Mehrotra's predictor-corrector from
+    x = 0 on rows scaled to unit norm until
     every KKT residual and each row's min(s, z) is at most 1e-10 of the size
     of the terms of its own equation (and of 1), a row's at the iterate and
     the rest at -E^-1 f, until z proves the rows cannot all hold or up to an
@@ -490,33 +588,30 @@ def solve_qp(qp: QpProblem, *, working_sets: Sequence[np.ndarray] = ()) -> QpSol
     meets every finite row within FEAS_TOL.
 
     What E, W and the finite rows fix (E^-1, |E|, the row scale and the stop
-    test's scaled rows) is built on each call.  A smoother's tick problem
-    carries all of these, built once per smoother, and each call forms only
+    test's scaled rows) is built on each call, and the laws of a plain
+    problem take theta = [1] (P_f = f, P_V = V).  A smoother's tick problem
+    carries all of these, built once per smoother, with its laws cached
+    across ticks and evaluated at the tick's theta, and each call forms only
     what f and V change.
     """
     e, f, v = (m[None] if qp.f.ndim == 1 else m for m in (qp.e, qp.f, qp.v))  # a stack of one
     w = qp.w
-    parts = qp.parts if isinstance(qp, _TickQp) else _QpParts.of(e, w, np.isfinite(v))
+    parts = qp.laws.parts if isinstance(qp, _TickQp) else _QpParts.of(e, w, np.isfinite(v))
     x = (-parts.e_inv @ f[:, :, None])[:, :, 0]
     lam = np.zeros(v.shape)
     iterations, solved = 0, np.ones(len(v), dtype=bool)
     residual = (w @ x[:, :, None])[:, :, 0] - v
-    todo = np.flatnonzero(~(residual <= 1e-12).all(axis=1))
+    broken = ~(residual <= 1e-12).all(axis=1)
+    if broken.any() and len(working_sets):
+        laws, theta = ((qp.laws, qp.theta) if isinstance(qp, _TickQp) else
+                       (_Laws(parts, w, f[..., None], v[..., None]), np.ones((len(v), 1))))
+        broken &= ~_on_laws(laws, theta, broken, working_sets, e, f, v, w, x, lam)
+        residual = (w @ x[:, :, None])[:, :, 0] - v
+    todo = np.flatnonzero(broken)
     if todo.size:
         test = _StopTest.of(parts, todo, f[todo, :, None], v[todo, :, None], x[todo, :, None])
-        for working in working_sets:
-            working = np.asarray(working, dtype=bool).reshape(v.shape)[todo] & parts.finite[todo]
-            if not working.any():
-                continue
-            x_w, lam_w, held = _on_working_set(e[todo], parts.e_inv[todo], f[todo, :, None], w,
-                                               v[todo], x[todo, :, None], test, parts.scale,
-                                               working)
-            if held.any():
-                x[todo[held]], lam[todo[held]] = x_w[held], lam_w[held]
-                todo, test = todo[~held], test.take(~held)
-        if todo.size:
-            x[todo], lam[todo], iterations, solved[todo] = _interior_point(
-                e[todo], f[todo, :, None], test, parts.scale)
+        x[todo], lam[todo], iterations, solved[todo] = _interior_point(
+            e[todo], f[todo, :, None], test, parts.scale)
         residual = (w @ x[:, :, None])[:, :, 0] - v
     violation = np.where(parts.finite, residual, 0.0).max(axis=1, initial=0.0)
     solved &= violation <= FEAS_TOL

@@ -111,10 +111,9 @@ def run_closed_loop(cfg: RunConfig, model: RobotModel,
     duration.  After the reference series is exhausted the smoother is fed
     the twist that closes the remaining gap to the final keypoint, so the
     lag accumulated while constraints were active is wound down (still
-    under the configured limits).  NaN in the joints or a reference twist
-    that is not finite raises FloatingPointError with the tick's time, a
-    smoothed twist that is not finite raises it from the smoother's step,
-    and a start pose q0 outside the joint limits is rejected.
+    under the configured limits).  NaN in the joints, a reference twist or a
+    smoothed twist that is not finite raises FloatingPointError with the
+    tick's time, and a start pose q0 outside the joint limits is rejected.
     """
     if model.dof != 7:
         raise ValueError(f"simulator expects a 7-joint model, got {model.dof}")
@@ -155,7 +154,10 @@ def run_closed_loop(cfg: RunConfig, model: RobotModel,
         t = tick * T
         if not np.isfinite(ref).all():
             raise FloatingPointError(f"non-finite reference twist at t = {t:.6f} s")
-        step = smoother.step(ref)
+        try:
+            step = smoother.step(ref)
+        except FloatingPointError as err:
+            raise FloatingPointError(f"{err} at t = {t:.6f} s") from None
 
         x_d8 = step.pose.vec8()
         task_map = _task_map(x_d8)

@@ -547,7 +547,7 @@ def test_closed_loop_rejects_a_non_finite_reference(panda, ready_pose, monkeypat
 
 def test_closed_loop_stops_on_a_nan_smoothed_twist(panda, ready_pose, monkeypatch):
     # the 5th QP solution's increment turns NaN: the smoother's step raises
-    # FloatingPointError, the error the loop promises for a NaN smoothed twist
+    # FloatingPointError, which the loop re-raises with the tick's time
     calls = []
     clean = mpc.solve_qp
 
@@ -558,7 +558,8 @@ def test_closed_loop_stops_on_a_nan_smoothed_twist(panda, ready_pose, monkeypatc
 
     monkeypatch.setattr(mpc, "solve_qp", faulty)
     keypoints = [ready_pose, translated(ready_pose, [0.05, 0.0, 0.0])]
-    with pytest.raises(FloatingPointError, match="^smoothed twist is not finite: "):
+    with pytest.raises(FloatingPointError,
+                       match=r"^smoothed twist is not finite: \[.*\] at t = 0\.036000 s$"):
         run_closed_loop(load_config(None), panda, keypoints)
     assert len(calls) == 5
 
