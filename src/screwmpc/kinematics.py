@@ -5,7 +5,9 @@ offset optionally followed by a revolute rotation about a local axis.  The
 end-effector pose is the ordered product of the elements; the 8x7 pose
 Jacobian maps joint rates to the time derivative of the vec8 pose
 coefficients.  The inner loop commands joint rates from the conjugation
-error e = 1 - x_d^* x_eff through a damped pseudo-inverse.  All three run
+error e = 1 - x_d^* x_eff through the task matrix's pseudo-inverse: one
+8x8 inverse, certified well conditioned, away from singularities, and an
+SVD (damped where the task rank collapses) near them.  All three run
 on stacked 8x8 Hamilton matrices in numpy, one chain pass per call: one
 sweep from the flange gives the suffix products s_j, s_0 the pose, and
 Jacobian column j is the pose times s_(j+1)^* (a_j/2) s_(j+1) for joint
@@ -55,8 +57,15 @@ _TASK_BASIS = np.array([(_hamilton8(e, -1) * _CONJ).ravel() for e in _EYE8])
 # vec8(h) @ _STAR_BASIS is H8^+(h^*) flattened, for a stack of h too.
 _STAR_BASIS = _CONJ[:, None] * _HAMILTON_BASIS[1]
 _NEG_CONJ = -_CONJ
-for _table in (_EYE8, _TASK_BASIS, _STAR_BASIS, _NEG_CONJ):
+# (vec8(r) @ _NORMAL_BASIS).reshape(8, 2) has the columns (r_P, 0) and (r_D, r_P), the
+# normals at a unit r of its 6-dimensional manifold (gradients of |r_P|^2, <r_P, r_D>).
+_NORMAL_BASIS = np.zeros((8, 8, 2))
+_NORMAL_BASIS[:4, :4, 0] = _NORMAL_BASIS[4:, :4, 1] = _NORMAL_BASIS[:4, 4:, 1] = np.eye(4)
+_NORMAL_BASIS = _NORMAL_BASIS.reshape(8, 16)
+for _table in (_EYE8, _TASK_BASIS, _STAR_BASIS, _NEG_CONJ, _NORMAL_BASIS):
     _table.setflags(write=False)
+# ||M^-1||_F^2 below this certifies sigma_6(N) > 1e-3, as 1 / sigma_6^4 <= ||M^-1||_F^2
+_CERTIFIED_INV_SQ = 1e12
 
 SV_CUTOFF = 1e-8
 DLS_DAMPING = 1e-4
@@ -188,9 +197,12 @@ def _error8(task_map: np.ndarray, x_d8: np.ndarray, x_eff8: np.ndarray) -> np.nd
 
     (x_d^* x_eff)^* = x_eff^* x_d, so vec8(x_d^* x_eff) = C8 H8^-(x_d) C8 vec8(x_eff).
     """
-    if x_d8 @ x_eff8 < 0.0:
-        x_eff8 = -x_eff8
-    err = _NEG_CONJ * (task_map @ x_eff8)
+    return _relative_error8(task_map @ x_eff8, x_d8 @ x_eff8 < 0.0)
+
+
+def _relative_error8(rel8: np.ndarray, flip: bool) -> np.ndarray:
+    """``_error8`` from rel8 = vec8(x_eff^* x_d), which negating x_eff negates exactly."""
+    err = (_CONJ if flip else _NEG_CONJ) * rel8
     err[0] += 1.0
     return err
 
@@ -242,12 +254,15 @@ def inner_control(model: RobotModel, q, x_d: UnitDualQuaternion,
                   gain: np.ndarray) -> ControlCommand:
     """Kinematic control law qdot = -(H8(x_d) C8 J)^+ K vec8(e).
 
-    The pseudo-inverse is computed from an SVD with singular-value cutoff
-    1e-8.  The pose manifold is 6-dimensional, so the task matrix of a
-    redundant arm is nominally rank 6 (with dof extra null directions
-    dropped by the cutoff); when the rank-revealing decomposition shows the
-    task rank itself collapsing below that, a damped least-squares fallback
-    (damping 1e-4) is used and reported in the flag.
+    The columns of the task matrix N = H8(x_d) C8 J are rates of the unit
+    r = x_eff^* x_d, so they lie in its 6-dimensional tangent space, with
+    normals n_1 = (r_P, 0), n_2 = (r_D, r_P).  So for 6 or more joints
+    N^+ = N^T M^-1, M = N N^T + n_1 n_1^T + n_2 n_2^T, one 8x8 inverse,
+    used when ||M^-1||_F^2 < 1e12 certifies sigma_6(N) > 1e-3.  Otherwise
+    (near a singularity, M not invertible, or fewer than 6 joints) the
+    pseudo-inverse comes from an SVD with singular-value cutoff 1e-8; when
+    it shows the nominal rank min(dof, 6) collapsing, a damped
+    least-squares fallback (damping 1e-4) is used and reported in the flag.
     """
     q = _check_q(model, q)
     gain = _check_gain(gain)
@@ -259,8 +274,18 @@ def inner_control(model: RobotModel, q, x_d: UnitDualQuaternion,
 def _control_law(model: RobotModel, x_eff8: np.ndarray, jac: np.ndarray, x_d8: np.ndarray,
                  task_map: np.ndarray, gain: np.ndarray) -> ControlCommand:
     """``inner_control`` at a pose and Jacobian already computed, for checked inputs."""
-    err = _error8(task_map, x_d8, x_eff8)
+    rel = task_map @ x_eff8
+    err = _relative_error8(rel, x_d8 @ x_eff8 < 0.0)
     task = task_map @ jac
+    if model.dof >= 6:
+        aug = np.concatenate((task, (rel @ _NORMAL_BASIS).reshape(8, 2)), axis=1)
+        try:
+            m_inv = np.linalg.inv(aug @ aug.T)
+        except np.linalg.LinAlgError:
+            pass
+        else:
+            if np.vdot(m_inv, m_inv) < _CERTIFIED_INV_SQ:
+                return ControlCommand(-(task.T @ (m_inv @ (gain @ err))), False)
 
     u_svd, sigma, vt = np.linalg.svd(task, full_matrices=False)
     nominal_rank = min(model.dof, 6)

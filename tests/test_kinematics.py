@@ -3,7 +3,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from screwmpc import kinematics
@@ -30,6 +30,15 @@ from helpers import (
 
 READY_Q = np.array([0.0, -math.pi / 4, 0.0, -3 * math.pi / 4, 0.0,
                     math.pi / 2, math.pi / 4])
+# The packaged Panda's joints and desired pose at the record of smallest
+# sigma_6 (3.2e-5, q_3 and q_5 near 0) of the `track-tight` benchmark's line 3,
+# seed 1 (t = 1.224 s): the closed loop's nearest approach to a singularity.
+LINE3_Q = np.array([0.015104995412278308, 0.35765683457457975, 0.00046310912379117643,
+                    -0.46655798453850394, -0.00019840096720718462, 0.824215084899107,
+                    0.8008158907351753])
+LINE3_XD = np.array([-2.672328571229755e-33, 0.9238795325112867, -0.38268343236508995,
+                     8.326672684688677e-17, -0.22511930438948766, 0.15845146644335428,
+                     0.38253567926545107, -0.09742634219130838])
 
 
 @pytest.fixture(scope="module")
@@ -252,14 +261,34 @@ def test_inner_control_isotropic_gain_scaling(panda):
     np.testing.assert_allclose(cmd4.qdot, 4.0 * cmd1.qdot, rtol=1e-9)
 
 
-def test_inner_control_pinv_contract(panda):
-    rng = np.random.default_rng(69)
-    q = rng.uniform(panda.q_min, panda.q_max)
-    x_d = forward_kinematics(panda, READY_Q)
-    task = hamilton_minus8(x_d) @ c8() @ pose_jacobian(panda, q)
-    pinv = np.linalg.pinv(task, rcond=1e-8)
-    assert np.abs(pinv @ task @ pinv - pinv).max() < 1e-9
-    assert np.abs(task @ pinv @ task - task).max() < 1e-9
+def task_matrix(model: RobotModel, q, x_d) -> np.ndarray:
+    """N = H8^-(x_d) C8 J from the public Jacobian."""
+    return hamilton_minus8(x_d) @ c8() @ pose_jacobian(model, q)
+
+
+def rounding_bound(sigma, qdot) -> float:
+    """8 eps kappa(N)^2 max(1, ||qdot||), kappa = sigma_1 / sigma_6: the normwise
+    rounding of N^+ b through N^T (N N^T + ...)^-1, whose condition is kappa^2."""
+    kappa = sigma[0] / sigma[5]
+    return 8.0 * np.finfo(float).eps * kappa * kappa * max(1.0, float(np.linalg.norm(qdot)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(q=joint_vectors(REFERENCE_MODELS["panda"]), q_d=joint_vectors(REFERENCE_MODELS["panda"]))
+@example(q=LINE3_Q, q_d=READY_Q)  # sigma_6 = 3.2e-5: the SVD route
+def test_inner_control_pinv_contract(q, q_d):
+    # qdot = -N^+ K e: its task rate is K e projected onto range(N), and it
+    # has no component along N's null vector v_7 (the minimum-norm solution)
+    panda = REFERENCE_MODELS["panda"]
+    x_d = forward_kinematics(panda, q_d)
+    gain = 10.0 * np.eye(8)
+    qdot = inner_control(panda, q, x_d, gain).qdot
+    task = task_matrix(panda, q, x_d)
+    u_svd, sigma, vt = np.linalg.svd(task)
+    k_e = gain @ pose_error(x_d, forward_kinematics(panda, q)).vec8()
+    bound = rounding_bound(sigma, qdot)
+    assert np.linalg.norm(task @ qdot + u_svd[:, :6] @ (u_svd[:, :6].T @ k_e)) <= bound
+    assert abs(vt[6] @ qdot) <= bound
 
 
 def test_inner_control_singularity_flag():
@@ -307,7 +336,36 @@ def test_inner_control_matches_composed_law(name, data):
     cmd = inner_control(model, q, x_d, gain)
     qdot, singular = control_law_oracle(model, q, x_d, gain)
     assert cmd.singular == singular
-    np.testing.assert_allclose(cmd.qdot, qdot, rtol=1e-12, atol=1e-12)
+    if model.dof < 6:
+        # the SVD route: the oracle's own decomposition
+        np.testing.assert_allclose(cmd.qdot, qdot, rtol=1e-12, atol=1e-12)
+    else:
+        # the certified inverse rounds as kappa^2, the SVD as kappa: both
+        # are within the rounding bound of the exact law, not of each other's bits
+        sigma = np.linalg.svd(task_matrix(model, q, x_d), compute_uv=False)
+        assert np.linalg.norm(cmd.qdot - qdot) <= rounding_bound(sigma, qdot)
+
+
+@pytest.mark.parametrize("case", ["line-3", "inv-raises"])
+def test_inner_control_off_the_certificate_is_the_svd_law(panda, monkeypatch, case):
+    # Inputs the certified 8x8 inverse does not serve run the SVD law, bit for
+    # bit: near a singularity, where the certificate fails, and where inv raises
+    x_d = UnitDualQuaternion.from_vec8(LINE3_XD)
+    q = LINE3_Q
+    if case == "inv-raises":
+        q, x_d = READY_Q + 0.1, forward_kinematics(panda, READY_Q)
+
+        def singular_inv(matrix):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "inv", singular_inv)
+    else:
+        assert np.linalg.svd(task_matrix(panda, q, x_d), compute_uv=False)[5] < 1e-4
+    gain = 10.0 * np.eye(8)
+    cmd = inner_control(panda, q, x_d, gain)
+    qdot, singular = control_law_oracle(panda, q, x_d, gain)
+    assert (cmd.singular, singular) == (False, False)
+    assert np.array_equal(cmd.qdot, qdot)
 
 
 def test_hot_path_builds_no_quaternion_products(panda, monkeypatch):
