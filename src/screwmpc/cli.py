@@ -42,7 +42,10 @@ def _load_model(cfg: RunConfig):
 
 
 def _random_keypoints(model, q0, count: int, seed: int):
-    """Seeded random reachable keypoints: random screws from the start pose."""
+    """Seeded random keypoints: random screws from the start pose.
+
+    Nothing checks that the arm can reach them: seed 3 (4 keypoints) draws a
+    path the packaged config never settles on, which runs to max_duration_s."""
     rng = np.random.default_rng(seed)
     pose = forward_kinematics(model, q0)
     keypoints = [pose]

@@ -9,9 +9,11 @@ smoother models one axis as a 3-state chain augmented with backward
 differences for offset-free tracking, condenses predictions into (F, Phi)
 and each tick solves the six QPs (jerk, acceleration and velocity rows) in
 one batched solve.  What the horizons, weights and limits fix is built once
-per smoother; a tick forms only f and V from its reference and state, both
-affine in an axis's parameters theta = [its 3 states, target, u_prev, 1].
-The rows that end a tick with a positive multiplier are its working set.
+per smoother, with the maps P_f and P_V from an axis's parameters theta =
+[its 3 states, target, u_prev, 1] to its f and V (the reference is held
+over the horizon): a tick forms theta and evaluates f = P_f theta and
+V = P_V theta.  The rows that end a tick with a positive multiplier are its
+working set.
 Holding a set as equalities, the solution is affine in theta too: its law
 is built on first use and cached, so trying a set costs one product.  On
 the next tick, a problem whose unconstrained optimum breaks a row
@@ -22,7 +24,7 @@ stop test.  A problem left tries up to two active-set repairs (the rows
 with a positive multiplier stay, the rows broken join); only the problems
 still left go to the interior point, which solves them as it would cold.
 ``build_model``, ``build_prediction`` and ``build_qp`` give its dense
-18-state lifts (x I6).
+18-state lifts (x I6); ``build_qp`` takes n_p copies of one target.
 
 Twist vectors are ordered [wx, wy, wz, vx, vy, vz] (vec6 of a pure dual
 quaternion).
@@ -255,9 +257,9 @@ class _Laws:
     E^-1, X, P_V and finite rows are equal bit for bit share their laws."""
 
     def __init__(self, parts: _QpParts, w, p_f, p_v):
-        self.parts, self.w = parts, w
-        self.x_free = -parts.e_inv @ p_f                      # (k, n, p)
-        self.p_v = np.where(parts.finite[..., None], p_v, 0.0)  # (k, m, p)
+        self.parts, self.w, self.p_f = parts, w, p_f          # P_f (k, n, p)
+        self.x_free = -parts.e_inv @ p_f                      # X (k, n, p)
+        self.p_v = np.where(parts.finite[..., None], p_v, 0.0)  # P_V (k, m, p), 0 if infinite
         self.floor = np.repeat([0.0, -FEAS_TOL], len(w))  # of lambda and the slack
         flat = np.concatenate([m.reshape(len(p_f), -1) for m in
                                (parts.e_inv, self.x_free, self.p_v, parts.finite)], axis=1)
@@ -317,20 +319,15 @@ class _TickQp(QpProblem):
 @dataclass(frozen=True)
 class _AxisQp:
     """Everything a smoother's six per-axis QPs fix at construction; W is
-    shared.  Horizons, weights and limits fix E, W, V at rest, the QP parts
-    (E^-1, |E|, the row scale and the stop test's rows) and the maps P_f and
-    P_V from an axis's parameters theta_a = [its 3 states, target_a,
-    u_prev_a, 1] to its f and V, which its laws take; a tick only forms f and
-    writes u_prev and the free response into the offset template."""
+    shared.  Horizons, weights and limits fix E, W, the QP parts (E^-1, |E|,
+    the row scale and the stop test's rows) and the maps P_f and P_V from an
+    axis's theta_a = [its 3 states, target_a, u_prev_a, 1] to its f and V
+    (see build_qp), which its laws hold; a tick only forms theta."""
 
     e: np.ndarray         # (6, n_c, n_c)
     w: np.ndarray         # (6 n_c, n_c)
-    v_zero: np.ndarray    # (6, 6 n_c)
-    v_offset: np.ndarray  # (6, 3, n_c, 2): axis x group x step x sign
-    phi_t_q: np.ndarray   # (6, n_c, n_p): q_a Phi_s^T
-    f_mat: np.ndarray     # F_s (n_p, 3)
     shift: np.ndarray     # (6 n_c,): row r of the next tick is row shift[r] of this one
-    laws: _Laws           # of the six problems; the finite rows are v_zero's
+    laws: _Laws           # of the six problems, with P_f and P_V
 
 
 def _axis_qp(f_mat: np.ndarray, phi: np.ndarray, cfg: MpcConfig,
@@ -343,13 +340,11 @@ def _axis_qp(f_mat: np.ndarray, phi: np.ndarray, cfg: MpcConfig,
     T = cfg.sample_time
     lo = np.repeat([T * limits.jerk_min, limits.acc_min, limits.vel_min], n_c, axis=0)
     hi = np.repeat([T * limits.jerk_max, limits.acc_max, limits.vel_max], n_c, axis=0)
-    w, v_zero = _pair(-rows, rows), _pair(-lo, hi).T.copy()
+    w, v_zero = _pair(-rows, rows), _pair(-lo, hi).T
     # rows run group x step x sign; a step's rows move one step earlier each
     # tick, and the last step keeps its own
     step = np.minimum(np.arange(n_c) + 1, n_c - 1)
     shift = (2 * (n_c * np.arange(3)[:, None, None] + step[:, None]) + np.arange(2)).ravel()
-    v_offset = np.zeros((N_AXES, 3, n_c, 2))
-    v_offset[:, 0, :, 1] = -0.0  # the jerk rows' offsets are +0 and -0
     p_f = np.zeros((N_AXES, n_c, 6))
     p_f[..., :3], p_f[..., 3] = phi_t_q @ f_mat, -phi_t_q.sum(axis=2)
     p_v = np.zeros((N_AXES, 3, n_c, 2, 6))
@@ -357,39 +352,28 @@ def _axis_qp(f_mat: np.ndarray, phi: np.ndarray, cfg: MpcConfig,
     p_v[:, 2, ..., :3] = np.stack([f_mat[:n_c], -f_mat[:n_c]], axis=1)
     p_v = p_v.reshape(N_AXES, -1, 6)
     p_v[..., 5] = v_zero
-    return _AxisQp(e, w, v_zero, v_offset, phi_t_q, f_mat, shift,
-                   _Laws(_QpParts.of(e, w, np.isfinite(v_zero)), w, p_f, p_v))
+    return _AxisQp(e, w, shift, _Laws(_QpParts.of(e, w, np.isfinite(v_zero)), w, p_f, p_v))
 
 
 def _tick_qp(axis_qp: _AxisQp, state: np.ndarray, target: np.ndarray,
              u_prev: np.ndarray) -> _TickQp:
-    """The stack of six per-axis QPs; column a of state.reshape(3, 6) is axis a's.
-
-    f_a = -q_a Phi_s^T (target_a - F_s x_a) for a 6-vector target held over
-    the horizon, or one per prediction step ((n_p, 6); such a tick has no
-    theta).  The row offsets are 0 (jerk), u_prev (acceleration) and the free
-    response F_s x_a (velocity): -rows gain +offset, +rows gain -offset.
-    """
-    n_c = axis_qp.e.shape[1]
-    free = axis_qp.f_mat @ state.reshape(-1, N_AXES)
-    f = -(axis_qp.phi_t_q @ (target - free).T[:, :, None])[:, :, 0]
-    offset = axis_qp.v_offset.copy()
-    offset[:, 1, :, 0] = u_prev[:, None]
-    offset[:, 2, :, 0] = free[:n_c].T
-    np.negative(offset[:, 1:, :, 0], out=offset[:, 1:, :, 1])
-    theta = None if target.ndim > 1 else np.concatenate(
-        [state, target, u_prev, np.ones(N_AXES)]).reshape(-1, N_AXES).T
-    return _TickQp(axis_qp.e, f, axis_qp.w, axis_qp.v_zero + offset.reshape(N_AXES, -1),
-                   axis_qp.laws, theta)
+    """The stack of six per-axis QPs at theta: row a is [column a of
+    state.reshape(3, 6), target_a, u_prev_a, 1], f = P_f theta, and V = P_V
+    theta on the rows with a finite bound and inf on the rest."""
+    laws = axis_qp.laws
+    theta = np.concatenate([state, target, u_prev, np.ones(N_AXES)]).reshape(-1, N_AXES).T
+    f, v = ((m @ theta[:, :, None])[:, :, 0] for m in (laws.p_f, laws.p_v))
+    return _TickQp(axis_qp.e, f, axis_qp.w, np.where(laws.parts.finite, v, np.inf), laws, theta)
 
 
 def build_qp(state, setpoint, prediction: PredictionMatrices, cfg: MpcConfig,
              limits: LimitSet, u_prev) -> QpProblem:
     """Assemble the tracking QP for the current augmented state.
 
-    E = Phi^T Q Phi + R and f = -Phi^T Q (setpoint - F state).  Constraint
-    rows come in three stacked groups of 12 n_c rows each (-min row then
-    +max row per block):
+    The setpoint is n_p copies of one target (build_setpoint; else
+    ValueError).  E = Phi^T Q Phi + R and f = -Phi^T Q (setpoint - F state).
+    Constraint rows come in three stacked groups of 12 n_c rows each (-min
+    row then +max row per block):
 
     1. jerk:         +-du_k        <= T * jerk bounds (du is an acceleration
                                       increment, so jerk = du/T),
@@ -397,7 +381,7 @@ def build_qp(state, setpoint, prediction: PredictionMatrices, cfg: MpcConfig,
     3. velocity:     +-(F state + Phi dU) output rows for the first n_c
                      prediction blocks <= vel bounds.
 
-    This is the smoother's stack of six per-axis problems, interleaved:
+    This is the smoother's _tick_qp, six per-axis problems interleaved:
     variable 6j + a and row 6r + a are axis a's variable j and row r.
     """
     state = np.asarray(state, dtype=float).reshape(-1)
@@ -406,9 +390,15 @@ def build_qp(state, setpoint, prediction: PredictionMatrices, cfg: MpcConfig,
     u_prev = np.asarray(u_prev, dtype=float).reshape(-1)
     if u_prev.shape != (N_AXES,):
         raise ValueError(f"u_prev must have {N_AXES} components")
+    setpoint = np.asarray(setpoint, dtype=float).reshape(-1)
+    if setpoint.shape != (N_AXES * cfg.n_p,):
+        raise ValueError(f"setpoint must have 6 n_p = {N_AXES * cfg.n_p} entries, "
+                         f"got {setpoint.size}")
+    target = setpoint[:N_AXES]
+    if not np.array_equal(setpoint, np.tile(target, cfg.n_p), equal_nan=True):
+        raise ValueError("setpoint must be n_p copies of one target")
     axis_qp = _axis_qp(*_unlift(prediction.f, prediction.phi), cfg, limits)
-    setpoint = np.asarray(setpoint, dtype=float).reshape(-1, N_AXES)
-    qp = _tick_qp(axis_qp, state, setpoint, u_prev)
+    qp = _tick_qp(axis_qp, state, target, u_prev)
     eye = np.eye(N_AXES)
     e = np.einsum("aij,ab->iajb", qp.e, eye).reshape(N_AXES * cfg.n_c, -1)
     return QpProblem(e, qp.f.T.ravel(), np.kron(qp.w, eye), qp.v.T.ravel())
@@ -464,13 +454,11 @@ class _StopTest(NamedTuple):
     multiplier: np.ndarray  # (k, m, 1) multiplier scales
 
     @classmethod
-    def of(cls, parts: _QpParts, problems, f, v, x_free) -> "_StopTest":
-        """The test of the stack's problems `problems`, from the parts fixed
-        for the stack and these problems' f, v and x_free."""
-        v = np.where(parts.rows[problems], v / parts.scale, 1.0)
-        w_abs = parts.w_abs[problems]
-        dual = np.maximum(1.0, parts.e_abs[problems] @ np.abs(x_free) + np.abs(f))
-        return cls(parts.w[problems], v, w_abs, np.abs(v), dual, np.maximum(1.0, w_abs @ dual))
+    def of(cls, parts: _QpParts, f, v, x_free) -> "_StopTest":
+        """The test of a stack from the parts fixed for it and its f, v and x_free."""
+        v = np.where(parts.rows, v / parts.scale, 1.0)
+        dual = np.maximum(1.0, parts.e_abs @ np.abs(x_free) + np.abs(f))
+        return cls(parts.w, v, parts.w_abs, np.abs(v), dual, np.maximum(1.0, parts.w_abs @ dual))
 
     def error(self, x, r_d, r_p, s, z) -> np.ndarray:
         primal = np.maximum(1.0, self.w_abs @ np.abs(x) + self.v_abs)
@@ -517,13 +505,12 @@ def _interior_point(e, f, test: _StopTest, scale):
         z += step * dz
 
 
-def _on_laws(laws: _Laws, theta, broken, sets, e, f, v, w, x, lam):
+def _on_laws(laws: _Laws, theta, test: _StopTest, broken, sets, e, f, v, w, x, lam):
     """The problems `broken` on their working sets' laws, then on up to
-    _REPAIRS updates (see solve_qp).  Writes each held problem's point into
-    x and its multipliers into lam, which hold x_free and 0 on the call;
-    returns which problems are held."""
+    _REPAIRS updates (see solve_qp), each checked by the stack's stop test.
+    Writes each held problem's point into x and its multipliers into lam,
+    which hold x_free and 0 on the call; returns which problems are held."""
     parts, (k, n), m = laws.parts, x.shape, w.shape[0]
-    test = _StopTest.of(parts, slice(None), f[..., None], v[..., None], x[..., None])
     rows = parts.rows[..., 0] & broken[:, None]
     masks = np.asarray(sets, dtype=bool).reshape((-1, k, m)) & rows
     held, every = np.zeros(k, dtype=bool), np.arange(k)
@@ -591,8 +578,8 @@ def solve_qp(qp: QpProblem, *, working_sets: Sequence[np.ndarray] = ()) -> QpSol
     test's scaled rows) is built on each call, and the laws of a plain
     problem take theta = [1] (P_f = f, P_V = V).  A smoother's tick problem
     carries all of these, built once per smoother, with its laws cached
-    across ticks and evaluated at the tick's theta, and each call forms only
-    what f and V change.
+    across ticks and evaluated at the tick's theta.  A call builds the stop
+    test once for the stack; the interior point takes its rows of the rest.
     """
     e, f, v = (m[None] if qp.f.ndim == 1 else m for m in (qp.e, qp.f, qp.v))  # a stack of one
     w = qp.w
@@ -602,16 +589,17 @@ def solve_qp(qp: QpProblem, *, working_sets: Sequence[np.ndarray] = ()) -> QpSol
     iterations, solved = 0, np.ones(len(v), dtype=bool)
     residual = (w @ x[:, :, None])[:, :, 0] - v
     broken = ~(residual <= 1e-12).all(axis=1)
-    if broken.any() and len(working_sets):
-        laws, theta = ((qp.laws, qp.theta) if isinstance(qp, _TickQp) else
-                       (_Laws(parts, w, f[..., None], v[..., None]), np.ones((len(v), 1))))
-        broken &= ~_on_laws(laws, theta, broken, working_sets, e, f, v, w, x, lam)
-        residual = (w @ x[:, :, None])[:, :, 0] - v
+    if broken.any():
+        test = _StopTest.of(parts, f[..., None], v[..., None], x[..., None])
+        if len(working_sets):
+            laws, theta = ((qp.laws, qp.theta) if isinstance(qp, _TickQp) else
+                           (_Laws(parts, w, f[..., None], v[..., None]), np.ones((len(v), 1))))
+            broken &= ~_on_laws(laws, theta, test, broken, working_sets, e, f, v, w, x, lam)
+            residual = (w @ x[:, :, None])[:, :, 0] - v
     todo = np.flatnonzero(broken)
     if todo.size:
-        test = _StopTest.of(parts, todo, f[todo, :, None], v[todo, :, None], x[todo, :, None])
         x[todo], lam[todo], iterations, solved[todo] = _interior_point(
-            e[todo], f[todo, :, None], test, parts.scale)
+            e[todo], f[todo, :, None], test._make(m[todo] for m in test), parts.scale)
         residual = (w @ x[:, :, None])[:, :, 0] - v
     violation = np.where(parts.finite, residual, 0.0).max(axis=1, initial=0.0)
     solved &= violation <= FEAS_TOL
@@ -696,16 +684,20 @@ class TwistSmoother:
     def step(self, target) -> StepResult:
         """Advance one MPC tick toward the 6-vector reference twist.
 
-        A target that is not six finite numbers raises ValueError and a twist
-        that is not finite FloatingPointError; neither changes the state."""
+        A target that is not six finite numbers or a working set not 0 or 6 n_c
+        rows wide raises ValueError and a twist that is not finite
+        FloatingPointError; none of them changes the state."""
         target = np.asarray(target, dtype=float).reshape(-1)
         if target.shape != (N_AXES,):
             raise ValueError(f"target twist must have {N_AXES} components")
         if not np.isfinite(target).all():
             raise ValueError(f"target twist must be finite, got {target.tolist()}")
-        state = self.state
-        qp = _tick_qp(self._qp, state.augmented, target, state.u_prev)
+        state, rows = self.state, len(self._qp.shift)
         working = state.working_set
+        if working.shape[1] not in (0, rows):
+            raise ValueError(f"working set must be 0 or 6 n_c = {rows} rows wide per axis, "
+                             f"got {working.shape[1]}")
+        qp = _tick_qp(self._qp, state.augmented, target, state.u_prev)
         guesses = (working, working[:, self._qp.shift]) if working.any() else ()
         sol = solve_qp(qp, working_sets=guesses)
         du = sol.delta_u[:, 0]

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import re
 from importlib import resources
@@ -33,7 +34,9 @@ from screwmpc.simulate import (
     write_trajectory_csv,
 )
 
+import reference_runs
 from helpers import chain_product_oracle, pose_jacobian_oracle, pose_rotation_translation
+from reference_runs import QP_ACTIVE, TRACK_TIGHT_LIMITS
 
 AXES = ("wx", "wy", "wz", "vx", "vy", "vz")
 
@@ -403,12 +406,6 @@ def test_simulate_log_derived_columns_agree_with_verify(panda, ready_pose):
     assert result.qp_failures == np.count_nonzero(rows[:, col("qp_converged")] == 0)
 
 
-TRACK_TIGHT_LIMITS = "".join(
-    f"limits.{group}.{end} = {' '.join([sign + bound] * 6)}\n"
-    for group, bound in (("vel", "1"), ("acc", "10"), ("jerk", "20"))
-    for end, sign in (("min", "-"), ("max", "")))
-
-
 @pytest.mark.parametrize("limits", [
     pytest.param("", id="packaged-limits"),
     # the QP is active: some ticks are solved on the working set carried from
@@ -446,10 +443,6 @@ def test_simulate_rejects_start_outside_joint_limits(tmp_path, capsys, panda):
     assert not (tmp_path / "out").exists()
 
 
-# the CI smoke run with the QP active
-QP_ACTIVE = TRACK_TIGHT_LIMITS + "samples_per_segment = 20\nmax_duration_s = 3\n"
-
-
 @pytest.mark.parametrize("body, seed", [
     pytest.param("", 7, id="default"),
     pytest.param(QP_ACTIVE, 1, id="qp-active"),
@@ -476,6 +469,21 @@ def test_closed_loop_replays_on_the_public_kinematics(tmp_path, panda, body, see
         assert np.array_equal(row[cols], [*q, *x_eff.vec8(), *errors])
     if body:
         assert result.rows[:, result.columns.index("qp_active")].any()
+
+
+@pytest.mark.parametrize("name", list(reference_runs.RUNS))
+def test_closed_loop_matches_the_recorded_runs(panda, name):
+    # a refactor keeps what the runs recorded in data/reference_runs.json do:
+    # the record count, stop reason and flag-column sums exactly, and q, x_eff
+    # and twist of every tenth record within 1e-9 (see reference_runs.py)
+    recorded = json.loads(reference_runs.REFERENCE.read_text())
+    assert recorded["every"] == reference_runs.EVERY
+    assert recorded["columns"] == reference_runs.SAMPLED
+    expected = recorded["runs"][name]
+    got = reference_runs.summarize(reference_runs.run(name, panda))
+    for key in ("records", "reason", "sums"):
+        assert got[key] == expected[key], key
+    np.testing.assert_allclose(got["rows"], expected["rows"], rtol=0.0, atol=1e-9)
 
 
 def test_closed_loop_makes_one_chain_pass_per_inner_tick(panda, ready_pose, monkeypatch):

@@ -220,6 +220,28 @@ def test_qp_unconstrained_zero_state_zero_target():
     assert sol.converged
 
 
+@pytest.mark.parametrize("n_p, setpoint, match", [
+    pytest.param(5, np.ones(6), "6 n_p = 30", id="one-6-vector"),
+    pytest.param(5, np.ones(18), "6 n_p = 30", id="18-entries"),
+    pytest.param(5, np.array([]), "6 n_p = 30", id="empty"),
+    pytest.param(5, np.arange(30.0), "one target", id="rows-differ"),
+    pytest.param(2, np.array([*np.ones(6), *np.ones(5), 2.0]), "one target", id="last-differs"),
+])
+def test_qp_takes_one_target_held_over_the_horizon(n_p, setpoint, match):
+    # the setpoint is n_p copies of one target, as build_setpoint stacks it
+    cfg = MpcConfig(n_c=2, n_p=n_p)
+    pred = build_prediction(build_model(cfg.sample_time), cfg.n_p, cfg.n_c)
+    args = (pred, cfg, limits_of(acc=1.0), np.zeros(6))
+    with pytest.raises(ValueError, match=match):
+        build_qp(np.zeros(AUG_DIM), setpoint, *args)
+    target = np.arange(1.0, 7.0)
+    qp = build_qp(np.zeros(AUG_DIM), build_setpoint(target, n_p), *args)
+    assert np.all(qp.f != 0.0)
+    one = MpcConfig(n_c=1, n_p=1)
+    pred = build_prediction(build_model(one.sample_time), 1, 1)
+    assert build_qp(np.zeros(AUG_DIM), target, pred, one, limits_of(), np.zeros(6)).f.shape == (6,)
+
+
 def test_qp_hessian_symmetric_positive_definite():
     rng = np.random.default_rng(52)
     for _ in range(10):
@@ -227,7 +249,7 @@ def test_qp_hessian_symmetric_positive_definite():
         r = rng.uniform(0.1, 1.0, size=6)
         cfg = MpcConfig(n_c=4, n_p=8, sample_time=0.02, q_weight=q, r_weight=r)
         pred = build_prediction(build_model(cfg.sample_time), cfg.n_p, cfg.n_c)
-        qp = build_qp(rng.normal(size=AUG_DIM), rng.normal(size=6 * cfg.n_p),
+        qp = build_qp(rng.normal(size=AUG_DIM), build_setpoint(rng.normal(size=6), cfg.n_p),
                       pred, cfg, LimitSet.unbounded(), rng.normal(size=6))
         np.testing.assert_allclose(qp.e, qp.e.T, atol=1e-12)
         assert np.linalg.eigvalsh(qp.e).min() > 0.0
@@ -346,14 +368,28 @@ def shifted_rows(working: np.ndarray, n_c: int) -> np.ndarray:
     return np.concatenate([rows[:, :, 1:], rows[:, :, -1:]], axis=2).reshape(N_AXES, -1)
 
 
-def tick_sizes(axis_qp, state, target, u_prev):
+def scalar_tick_parts(cfg, limits):
+    """F_s, q_a Phi_s^T and V at rest of a smoother's per-axis QPs, from the
+    public prediction and the limits: rows run group (jerk, acceleration,
+    velocity) x step x sign, the -min row before the +max row."""
+    pred = build_prediction(build_model(cfg.sample_time), cfg.n_p, cfg.n_c)
+    f_s, phi_s = pred.f[::N_AXES, ::N_AXES], pred.phi[::N_AXES, ::N_AXES]
+    T = cfg.sample_time
+    lo = np.repeat([T * limits.jerk_min, limits.acc_min, limits.vel_min], cfg.n_c, axis=0)
+    hi = np.repeat([T * limits.jerk_max, limits.acc_max, limits.vel_max], cfg.n_c, axis=0)
+    v_zero = np.stack([-lo, hi], axis=1).reshape(-1, N_AXES).T
+    return f_s, cfg.q_weight[:, None, None] * phi_s.T, v_zero
+
+
+def tick_sizes(cfg, limits, state, target, u_prev):
     """The size of the terms that sum to each entry of a tick's f and V (see
     tick_vectors_oracle), 0 on a row with an infinite bound."""
-    n_c = axis_qp.e.shape[1]
-    free = np.abs(axis_qp.f_mat) @ np.abs(state.reshape(-1, N_AXES))
-    f = (np.abs(axis_qp.phi_t_q) @ (np.abs(target) + free).T[:, :, None])[:, :, 0]
-    offset = np.vstack([np.zeros((n_c, N_AXES)), np.tile(np.abs(u_prev), (n_c, 1)), free[:n_c]])
-    v = np.where(np.isfinite(axis_qp.v_zero), np.abs(axis_qp.v_zero), 0.0)
+    f_s, phi_t_q, v_zero = scalar_tick_parts(cfg, limits)
+    free = np.abs(f_s) @ np.abs(state.reshape(-1, N_AXES))
+    f = (np.abs(phi_t_q) @ (np.abs(target) + free).T[:, :, None])[:, :, 0]
+    offset = np.vstack([np.zeros((cfg.n_c, N_AXES)), np.tile(np.abs(u_prev), (cfg.n_c, 1)),
+                        free[:cfg.n_c]])
+    v = np.where(np.isfinite(v_zero), np.abs(v_zero), 0.0)
     return f, v + np.repeat(offset, 2, axis=0).T
 
 
@@ -393,7 +429,7 @@ def test_law_is_the_equality_constrained_solve(data):
     sm = TwistSmoother(cfg, limits, UnitDualQuaternion.identity())
     qp = _tick_qp(sm._qp, state, target, u_prev)
     laws, n = sm._qp.laws, cfg.n_c
-    f_size, v_size = tick_sizes(sm._qp, state, target, u_prev)
+    f_size, v_size = tick_sizes(cfg, limits, state, target, u_prev)
     cold = solve_qp(qp).lam > 0.0
     for working in (cold, shifted_rows(cold, n)):
         for axis in np.flatnonzero(working.any(axis=1)):
@@ -482,24 +518,28 @@ def same_bits(a, b) -> bool:
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def tick_vectors_oracle(axis_qp, state, target, u_prev):
+def tick_vectors_oracle(cfg, limits, state, target, u_prev):
     """f and V of a tick from the stacked setpoint and the paired row offsets:
     the jerk rows' offsets are +0 and -0."""
-    n_p, n_c = axis_qp.phi_t_q.shape[2], axis_qp.e.shape[1]
-    free = axis_qp.f_mat @ state.reshape(-1, N_AXES)
-    setpoint = build_setpoint(target, n_p).reshape(-1, N_AXES)
-    f = -(axis_qp.phi_t_q @ (setpoint - free).T[:, :, None])[:, :, 0]
-    offset = np.vstack([np.zeros((n_c, N_AXES)), np.tile(u_prev, (n_c, 1)), free[:n_c]])
+    f_s, phi_t_q, v_zero = scalar_tick_parts(cfg, limits)
+    free = f_s @ state.reshape(-1, N_AXES)
+    setpoint = build_setpoint(target, cfg.n_p).reshape(-1, N_AXES)
+    f = -(phi_t_q @ (setpoint - free).T[:, :, None])[:, :, 0]
+    offset = np.vstack([np.zeros((cfg.n_c, N_AXES)), np.tile(u_prev, (cfg.n_c, 1)),
+                        free[:cfg.n_c]])
     paired = np.stack([offset, -offset], axis=1).reshape(-1, N_AXES)
-    return f, axis_qp.v_zero + paired.T
+    return f, v_zero + paired.T
 
 
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_step_is_the_generic_solve_bit_for_bit(data):
-    # a step solves its tick on the QP parts built once per smoother; the
-    # public solve_qp of the same tick as a bare QpProblem, which builds them
-    # on the call, gives the same bits on a tick with no carried row.  A tick
+    # a tick's V is the paired-offset oracle's bit for bit (signed zeros
+    # included) and its f within 1e-12 of its terms' size (and of the
+    # smallest normal number, where the terms underflow).  A step solves its
+    # tick on the QP parts built once per smoother; the public solve_qp of
+    # the same tick as a bare QpProblem, which builds them on the call,
+    # gives the same bits on a tick with no carried row.  A tick
     # that tries the carried and the shifted working set evaluates the
     # smoother's laws at its theta and the bare problem's own laws at theta =
     # [1]: the same verdicts and iterations, and points within 1e-9 of each
@@ -534,13 +574,16 @@ def test_step_is_the_generic_solve_bit_for_bit(data):
             working = sm.state.working_set
             guesses = (working, shifted_rows(working, n_c)) if working.any() else ()
             qp = _tick_qp(sm._qp, state, target, u_prev)
-            f, v = tick_vectors_oracle(sm._qp, state, target, u_prev)
-            assert same_bits(qp.f, f) and same_bits(qp.v, v)
+            f, v = tick_vectors_oracle(cfg, limits, state, target, u_prev)
+            f_size, _ = tick_sizes(cfg, limits, state, target, u_prev)
+            assert same_bits(qp.v, v)
+            assert qp.f.shape == f.shape
+            assert np.all(np.abs(qp.f - f) <= 1e-12 * f_size + np.finfo(float).tiny)
             bare = QpProblem(qp.e, qp.f, qp.w, qp.v)
             fresh = _QpParts.of(bare.e, bare.w, np.isfinite(bare.v))
             assert all(np.array_equal(a, b) for a, b in zip(sm._qp.laws.parts, fresh))
             x_free = -fresh.e_inv @ bare.f[:, :, None]
-            tick = (np.arange(N_AXES), bare.f[:, :, None], bare.v[:, :, None], x_free)
+            tick = (bare.f[:, :, None], bare.v[:, :, None], x_free)
             assert all(np.array_equal(a, b) for a, b in zip(_StopTest.of(sm._qp.laws.parts, *tick),
                                                             _StopTest.of(fresh, *tick)))
 
@@ -617,6 +660,28 @@ def test_step_rejects_a_non_finite_target(bad):
                       sm, twin, target)
     with pytest.raises(ValueError, match="^target twist must have 6 components"):
         sm.step(np.ones(5))
+
+
+@pytest.mark.parametrize("width", [4, 59, 61, 120])
+def test_step_rejects_a_working_set_of_another_width(width):
+    # a carried working set is 0 or 6 n_c rows wide per axis; another width
+    # fails before the smoother moves, naming both widths
+    cfg, limits = MpcConfig(), limits_of(acc=1.0, jerk=50.0)
+    sm, twin = (TwistSmoother(cfg, limits, UnitDualQuaternion.identity()) for _ in range(2))
+    target = np.full(6, 1.0)
+    for smoother in (sm, twin):
+        smoother.step(target)
+
+    def step_on_a_bad_set():
+        bad = np.ones((N_AXES, width), dtype=bool)
+        with mock.patch.object(sm.state, "working_set", bad):
+            try:
+                sm.step(target)
+            finally:
+                assert sm.state.working_set is bad
+    assert_unmoved_by(step_on_a_bad_set, ValueError,
+                      f"^working set must be 0 or 6 n_c = 60 rows wide per axis, got {width}$",
+                      sm, twin, target)
 
 
 def test_step_that_overflows_leaves_the_state_as_it_was():
