@@ -8,21 +8,23 @@ per-step input increment equals T*jerk.  Nothing couples the axes, so the
 smoother models one axis as a 3-state chain augmented with backward
 differences for offset-free tracking, condenses predictions into (F, Phi)
 and each tick solves the six QPs (jerk, acceleration and velocity rows) in
-one batched solve.  What the horizons, weights and limits fix is built once
-per smoother, with the maps P_f and P_V from an axis's parameters theta =
-[its 3 states, target, u_prev, 1] to its f and V (the reference is held
-over the horizon): a tick forms theta and evaluates f = P_f theta and
-V = P_V theta.  The rows that end a tick with a positive multiplier are its
-working set.
+one batched solve.  The six QPs share W, and one object (_Laws) holds the
+stack: E, W and what they fix, and the maps P_f and P_V from an axis's
+parameters theta = [its 3 states, target, u_prev, 1] to its f and V (the
+reference is held over the horizon).  The smoother builds it once; a tick
+forms theta and evaluates f = P_f theta and V = P_V theta.  The rows that
+end a tick with a positive multiplier are its working set.
 Holding a set as equalities, the solution is affine in theta too: its law
-is built on first use and cached, so trying a set costs one product.  On
-the next tick, a problem whose unconstrained optimum breaks a row
-evaluates the laws of the carried set and of the same rows one step along
-the horizon, screens them (nonnegative multipliers, every row met within
-FEAS_TOL) and verifies the first that passes with the interior point's own
-stop test.  A problem left tries up to two active-set repairs (the rows
-with a positive multiplier stay, the rows broken join); only the problems
-still left go to the interior point, which solves them as it would cold.
+is built on first use and cached in the same object, so trying a set costs
+one product; a plain QpProblem builds that object on each solve, with
+theta = [1].  On the next tick, a problem whose unconstrained optimum
+breaks a row evaluates the laws of the carried set and of the same rows
+one step along the horizon, screens them (nonnegative multipliers, every
+row met within FEAS_TOL) and verifies the first that passes with the
+interior point's own stop test.  A problem left tries up to two
+active-set repairs (the rows with a positive multiplier stay, the rows
+broken join); only the problems still left go to the interior point,
+which solves them as it would cold.
 ``build_model``, ``build_prediction`` and ``build_qp`` give its dense
 18-state lifts (x I6); ``build_qp`` takes n_p copies of one target.
 
@@ -34,6 +36,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -114,6 +117,9 @@ class MpcConfig:
     r_weight: np.ndarray = field(default_factory=lambda: 0.1 * np.ones(N_AXES))
 
     def __post_init__(self):
+        for name in ("n_c", "n_p"):
+            if not isinstance(getattr(self, name), (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if not (1 <= self.n_c <= self.n_p):
             raise ValueError(f"need 1 <= n_c <= n_p, got n_c={self.n_c}, n_p={self.n_p}")
         if not (np.isfinite(self.sample_time) and self.sample_time > 0.0):
@@ -220,31 +226,12 @@ def _pair(minus: np.ndarray, plus: np.ndarray) -> np.ndarray:
     return np.stack([minus, plus], axis=1).reshape((-1,) + minus.shape[1:])
 
 
-class _QpParts(NamedTuple):
-    """What a stack of QPs sharing W fixes before its f and V: E^-1, |E|, the
-    row scale and, per problem, the rows with a finite bound and the stop
-    test's rows (see _StopTest), scaled to unit norm.  A row with an infinite
-    bound or zero W can never activate: it is 0 in the scaled rows."""
-
-    e_inv: np.ndarray   # (k, n, n)
-    e_abs: np.ndarray   # (k, n, n)
-    scale: np.ndarray   # (m, 1) row norms, at least 1e-12
-    finite: np.ndarray  # (k, m) rows with a finite bound
-    rows: np.ndarray    # (k, m, 1) rows that can activate
-    w: np.ndarray       # (k, m, n) scaled rows
-    w_abs: np.ndarray   # (k, m, n)
-
-    @classmethod
-    def of(cls, e, w, finite) -> "_QpParts":
-        scale = np.maximum(np.linalg.norm(w, axis=1, keepdims=True), 1e-12)
-        rows = finite[..., None] & (scale > 1e-12)
-        w_scaled = np.where(rows, w / scale, 0.0)
-        return cls(np.linalg.inv(e), np.abs(e), scale, finite, rows, w_scaled, np.abs(w_scaled))
-
-
 class _Laws:
-    """Solution laws of a stack of QPs sharing W whose f and V are affine in p
-    parameters per problem: f = P_f theta, and V = P_V theta on the finite rows.
+    """A stack of k QPs sharing W whose f and V are affine in p parameters per
+    problem: f = P_f theta, and V = P_V theta on the finite rows.  It holds E
+    and W, what they and the finite rows fix (E^-1, |E|, the row scale and the
+    stop test's rows, scaled to unit norm; a row with an infinite bound or
+    zero W can never activate and is 0 there) and the problems' solution laws.
 
     Holding a working set A as equalities, the solution is affine in theta
     too: x_free = X theta with X = -E^-1 P_f, lambda_A = S^-1 (W_A X - P_V,A)
@@ -256,16 +243,26 @@ class _Laws:
     on first use and kept among the _CACHED laws built last; problems whose
     E^-1, X, P_V and finite rows are equal bit for bit share their laws."""
 
-    def __init__(self, parts: _QpParts, w, p_f, p_v):
-        self.parts, self.w, self.p_f = parts, w, p_f          # P_f (k, n, p)
-        self.x_free = -parts.e_inv @ p_f                      # X (k, n, p)
-        self.p_v = np.where(parts.finite[..., None], p_v, 0.0)  # P_V (k, m, p), 0 if infinite
+    def __init__(self, e, w, p_f, p_v, finite):
+        self.e, self.w = e, w                      # (k, n, n), (m, n)
+        self.p_f, self.finite = p_f, finite        # P_f (k, n, p), (k, m) rows with a finite bound
+        self.e_inv, self.e_abs = np.linalg.inv(e), np.abs(e)
+        self.scale = np.maximum(np.linalg.norm(w, axis=1, keepdims=True), 1e-12)  # (m, 1)
+        self.rows = finite[..., None] & (self.scale > 1e-12)  # (k, m, 1) rows that can activate
+        self.w_unit = np.where(self.rows, w / self.scale, 0.0)  # (k, m, n) scaled rows
+        self.w_unit_abs = np.abs(self.w_unit)
+        self.x_free = -self.e_inv @ p_f                          # X (k, n, p)
+        self.p_v = np.where(finite[..., None], p_v, 0.0)        # P_V (k, m, p), 0 if infinite
         self.floor = np.repeat([0.0, -FEAS_TOL], len(w))  # of lambda and the slack
-        flat = np.concatenate([m.reshape(len(p_f), -1) for m in
-                               (parts.e_inv, self.x_free, self.p_v, parts.finite)], axis=1)
-        data = [problem.tobytes() for problem in flat]
-        self.alike = [data.index(problem) for problem in data]  # the first equal problem
         self.cache: dict = {}  # (first equal problem, rows) -> law, oldest first
+
+    @cached_property
+    def alike(self) -> list:
+        """Per problem, the first problem equal to it."""
+        flat = np.concatenate([m.reshape(len(self.p_f), -1) for m in
+                               (self.e_inv, self.x_free, self.p_v, self.finite)], axis=1)
+        data = [problem.tobytes() for problem in flat]
+        return [data.index(problem) for problem in data]
 
     def of(self, problems, masks) -> np.ndarray:
         """The laws of problem problems[i] on the rows masks[i], (b, n + 2m, p)."""
@@ -287,7 +284,7 @@ class _Laws:
         rows = np.argsort(~masks, axis=1, kind="stable")[:, :width]  # working rows first
         pad = np.arange(width) >= count[:, None]
         w_a = np.where(pad[..., None], 0.0, self.w[rows])
-        g = self.parts.e_inv[problems] @ w_a.transpose(0, 2, 1)
+        g = self.e_inv[problems] @ w_a.transpose(0, 2, 1)
         x_free = self.x_free[problems]
         v_a = np.where(pad[..., None], 0.0, self.p_v[problems[:, None], rows])
         eye = np.eye(width)
@@ -297,7 +294,7 @@ class _Laws:
             sol = _solve(schur, rhs, lambda mat, rhs: np.full(rhs.shape, np.nan))
             diag = np.diagonal(schur, axis1=1, axis2=2) * np.diagonal(sol[..., p:], axis1=1, axis2=2)
             x = x_free - g @ sol[..., :p]
-            slack = np.where(self.parts.finite[problems][..., None],
+            slack = np.where(self.finite[problems][..., None],
                              self.p_v[problems] - self.w @ x, 0.0)
         lam = np.zeros((len(problems), m, p))
         lam[np.arange(len(problems))[:, None], rows] = sol[..., :p]  # 0 on the padding
@@ -307,8 +304,8 @@ class _Laws:
 
 
 class _TickQp(QpProblem):
-    """A QpProblem the smoother assembled: its laws carry the parts fixed at the
-    smoother's construction, and theta (6, 6) is this tick's parameters."""
+    """A QpProblem the smoother assembled: its laws are the smoother's, built
+    at its construction, and theta (6, 6) is this tick's parameters."""
 
     def __init__(self, e, f, w, v, laws: _Laws, theta):
         super().__init__(e, f, w, v)
@@ -316,22 +313,11 @@ class _TickQp(QpProblem):
         object.__setattr__(self, "theta", theta)
 
 
-@dataclass(frozen=True)
-class _AxisQp:
-    """Everything a smoother's six per-axis QPs fix at construction; W is
-    shared.  Horizons, weights and limits fix E, W, the QP parts (E^-1, |E|,
-    the row scale and the stop test's rows) and the maps P_f and P_V from an
-    axis's theta_a = [its 3 states, target_a, u_prev_a, 1] to its f and V
-    (see build_qp), which its laws hold; a tick only forms theta."""
-
-    e: np.ndarray         # (6, n_c, n_c)
-    w: np.ndarray         # (6 n_c, n_c)
-    shift: np.ndarray     # (6 n_c,): row r of the next tick is row shift[r] of this one
-    laws: _Laws           # of the six problems, with P_f and P_V
-
-
-def _axis_qp(f_mat: np.ndarray, phi: np.ndarray, cfg: MpcConfig,
-             limits: LimitSet) -> _AxisQp:
+def _axis_qp(f_mat: np.ndarray, phi: np.ndarray, cfg: MpcConfig, limits: LimitSet) -> _Laws:
+    """The laws of a smoother's six per-axis QPs, which share W.  Horizons,
+    weights and limits fix E, W and the maps P_f and P_V from an axis's
+    theta_a = [its 3 states, target_a, u_prev_a, 1] to its f and V (see
+    build_qp); a tick only forms theta."""
     n_c = cfg.n_c
     phi_t_q = cfg.q_weight[:, None, None] * phi.T
     e = phi_t_q @ phi + cfg.r_weight[:, None, None] * np.eye(n_c)
@@ -341,10 +327,6 @@ def _axis_qp(f_mat: np.ndarray, phi: np.ndarray, cfg: MpcConfig,
     lo = np.repeat([T * limits.jerk_min, limits.acc_min, limits.vel_min], n_c, axis=0)
     hi = np.repeat([T * limits.jerk_max, limits.acc_max, limits.vel_max], n_c, axis=0)
     w, v_zero = _pair(-rows, rows), _pair(-lo, hi).T
-    # rows run group x step x sign; a step's rows move one step earlier each
-    # tick, and the last step keeps its own
-    step = np.minimum(np.arange(n_c) + 1, n_c - 1)
-    shift = (2 * (n_c * np.arange(3)[:, None, None] + step[:, None]) + np.arange(2)).ravel()
     p_f = np.zeros((N_AXES, n_c, 6))
     p_f[..., :3], p_f[..., 3] = phi_t_q @ f_mat, -phi_t_q.sum(axis=2)
     p_v = np.zeros((N_AXES, 3, n_c, 2, 6))
@@ -352,18 +334,18 @@ def _axis_qp(f_mat: np.ndarray, phi: np.ndarray, cfg: MpcConfig,
     p_v[:, 2, ..., :3] = np.stack([f_mat[:n_c], -f_mat[:n_c]], axis=1)
     p_v = p_v.reshape(N_AXES, -1, 6)
     p_v[..., 5] = v_zero
-    return _AxisQp(e, w, shift, _Laws(_QpParts.of(e, w, np.isfinite(v_zero)), w, p_f, p_v))
+    return _Laws(e, w, p_f, p_v, np.isfinite(v_zero))
 
 
-def _tick_qp(axis_qp: _AxisQp, state: np.ndarray, target: np.ndarray,
+def _tick_qp(laws: _Laws, state: np.ndarray, target: np.ndarray,
              u_prev: np.ndarray) -> _TickQp:
     """The stack of six per-axis QPs at theta: row a is [column a of
-    state.reshape(3, 6), target_a, u_prev_a, 1], f = P_f theta, and V = P_V
-    theta on the rows with a finite bound and inf on the rest."""
-    laws = axis_qp.laws
+    state.reshape(3, 6), target_a, u_prev_a, 1], E and W are the laws', f =
+    P_f theta, and V = P_V theta on the rows with a finite bound and inf on
+    the rest."""
     theta = np.concatenate([state, target, u_prev, np.ones(N_AXES)]).reshape(-1, N_AXES).T
     f, v = ((m @ theta[:, :, None])[:, :, 0] for m in (laws.p_f, laws.p_v))
-    return _TickQp(axis_qp.e, f, axis_qp.w, np.where(laws.parts.finite, v, np.inf), laws, theta)
+    return _TickQp(laws.e, f, laws.w, np.where(laws.finite, v, np.inf), laws, theta)
 
 
 def build_qp(state, setpoint, prediction: PredictionMatrices, cfg: MpcConfig,
@@ -397,8 +379,8 @@ def build_qp(state, setpoint, prediction: PredictionMatrices, cfg: MpcConfig,
     target = setpoint[:N_AXES]
     if not np.array_equal(setpoint, np.tile(target, cfg.n_p), equal_nan=True):
         raise ValueError("setpoint must be n_p copies of one target")
-    axis_qp = _axis_qp(*_unlift(prediction.f, prediction.phi), cfg, limits)
-    qp = _tick_qp(axis_qp, state, target, u_prev)
+    qp = _tick_qp(_axis_qp(*_unlift(prediction.f, prediction.phi), cfg, limits),
+                  state, target, u_prev)
     eye = np.eye(N_AXES)
     e = np.einsum("aij,ab->iajb", qp.e, eye).reshape(N_AXES * cfg.n_c, -1)
     return QpProblem(e, qp.f.T.ravel(), np.kron(qp.w, eye), qp.v.T.ravel())
@@ -454,11 +436,13 @@ class _StopTest(NamedTuple):
     multiplier: np.ndarray  # (k, m, 1) multiplier scales
 
     @classmethod
-    def of(cls, parts: _QpParts, f, v, x_free) -> "_StopTest":
-        """The test of a stack from the parts fixed for it and its f, v and x_free."""
-        v = np.where(parts.rows, v / parts.scale, 1.0)
-        dual = np.maximum(1.0, parts.e_abs @ np.abs(x_free) + np.abs(f))
-        return cls(parts.w, v, parts.w_abs, np.abs(v), dual, np.maximum(1.0, parts.w_abs @ dual))
+    def of(cls, laws: _Laws, f, v, x_free) -> "_StopTest":
+        """The test of a stack from its laws' |E|, scaled rows and row scale
+        and its f, v and x_free."""
+        v = np.where(laws.rows, v / laws.scale, 1.0)
+        dual = np.maximum(1.0, laws.e_abs @ np.abs(x_free) + np.abs(f))
+        return cls(laws.w_unit, v, laws.w_unit_abs, np.abs(v), dual,
+                   np.maximum(1.0, laws.w_unit_abs @ dual))
 
     def error(self, x, r_d, r_p, s, z) -> np.ndarray:
         primal = np.maximum(1.0, self.w_abs @ np.abs(x) + self.v_abs)
@@ -505,13 +489,13 @@ def _interior_point(e, f, test: _StopTest, scale):
         z += step * dz
 
 
-def _on_laws(laws: _Laws, theta, test: _StopTest, broken, sets, e, f, v, w, x, lam):
+def _on_laws(laws: _Laws, theta, test: _StopTest, broken, sets, f, v, x, lam):
     """The problems `broken` on their working sets' laws, then on up to
     _REPAIRS updates (see solve_qp), each checked by the stack's stop test.
     Writes each held problem's point into x and its multipliers into lam,
     which hold x_free and 0 on the call; returns which problems are held."""
-    parts, (k, n), m = laws.parts, x.shape, w.shape[0]
-    rows = parts.rows[..., 0] & broken[:, None]
+    e, w, (k, n), m = laws.e, laws.w, x.shape, len(laws.w)
+    rows = laws.rows[..., 0] & broken[:, None]
     masks = np.asarray(sets, dtype=bool).reshape((-1, k, m)) & rows
     held, every = np.zeros(k, dtype=bool), np.arange(k)
     for _ in range(1 + _REPAIRS):
@@ -524,7 +508,7 @@ def _on_laws(laws: _Laws, theta, test: _StopTest, broken, sets, e, f, v, w, x, l
         pick = y[passed.argmax(axis=0), every, :, None]  # each problem's first that passed
         x_c, lam_c = pick[:, :n], pick[:, n:n + m]
         kkt = test.error(x_c, e @ x_c + f[..., None] + w.T @ lam_c, 0.0,
-                         pick[:, n + m:] / parts.scale, lam_c * parts.scale)
+                         pick[:, n + m:] / laws.scale, lam_c * laws.scale)
         good = passed.any(axis=0) & (kkt <= _KKT_TOL)
         x[good], lam[good], held = x_c[good, :, 0], lam_c[good, :, 0], held | good
         rows[good] = False
@@ -544,6 +528,19 @@ def _on_laws(laws: _Laws, theta, test: _StopTest, broken, sets, e, f, v, w, x, l
         masks = ((keep | join) & rows)[None]
         masks[0, (masks[0] == tried).all(axis=1)] = False
     return held
+
+
+def _check_shapes(qp: QpProblem) -> None:
+    """ValueError unless e, w and v fit f (n,) or a stack f (k, n)."""
+    f_shape, w_shape = np.shape(qp.f), np.shape(qp.w)
+    if len(f_shape) not in (1, 2) or len(w_shape) != 2:
+        raise ValueError(f"QP f must be (n,) or (k, n) and w (m, n), got f {f_shape}, w {w_shape}")
+    stack, n, m = f_shape[:-1], f_shape[-1], w_shape[0]
+    for name, expected in (("e", stack + (n, n)), ("w", (m, n)), ("v", stack + (m,))):
+        given = np.shape(getattr(qp, name))
+        if given != expected:
+            raise ValueError(f"QP {name} must have shape {expected} for f {f_shape} "
+                             f"and w {w_shape}, got {given}")
 
 
 def solve_qp(qp: QpProblem, *, working_sets: Sequence[np.ndarray] = ()) -> QpSolution:
@@ -574,34 +571,36 @@ def solve_qp(qp: QpProblem, *, working_sets: Sequence[np.ndarray] = ()) -> QpSol
     largest violation.  A problem has converged if it met the stop test and
     meets every finite row within FEAS_TOL.
 
-    What E, W and the finite rows fix (E^-1, |E|, the row scale and the stop
-    test's scaled rows) is built on each call, and the laws of a plain
-    problem take theta = [1] (P_f = f, P_V = V).  A smoother's tick problem
-    carries all of these, built once per smoother, with its laws cached
-    across ticks and evaluated at the tick's theta.  A call builds the stop
+    A call solves on one _Laws and its theta.  A plain problem builds its
+    own on each call, with theta = [1] (P_f = f, P_V = V); its shapes must
+    agree (e (n, n), f (n,), w (m, n), v (m,), or a stack), else ValueError.
+    A smoother's tick problem carries the smoother's, built once with its
+    laws cached across ticks, and the tick's theta.  A call builds the stop
     test once for the stack; the interior point takes its rows of the rest.
     """
     e, f, v = (m[None] if qp.f.ndim == 1 else m for m in (qp.e, qp.f, qp.v))  # a stack of one
     w = qp.w
-    parts = qp.laws.parts if isinstance(qp, _TickQp) else _QpParts.of(e, w, np.isfinite(v))
-    x = (-parts.e_inv @ f[:, :, None])[:, :, 0]
+    if isinstance(qp, _TickQp):
+        laws, theta = qp.laws, qp.theta
+    else:
+        _check_shapes(qp)
+        laws, theta = _Laws(e, w, f[..., None], v[..., None], np.isfinite(v)), np.ones((len(v), 1))
+    x = (-laws.e_inv @ f[:, :, None])[:, :, 0]
     lam = np.zeros(v.shape)
     iterations, solved = 0, np.ones(len(v), dtype=bool)
     residual = (w @ x[:, :, None])[:, :, 0] - v
     broken = ~(residual <= 1e-12).all(axis=1)
     if broken.any():
-        test = _StopTest.of(parts, f[..., None], v[..., None], x[..., None])
+        test = _StopTest.of(laws, f[..., None], v[..., None], x[..., None])
         if len(working_sets):
-            laws, theta = ((qp.laws, qp.theta) if isinstance(qp, _TickQp) else
-                           (_Laws(parts, w, f[..., None], v[..., None]), np.ones((len(v), 1))))
-            broken &= ~_on_laws(laws, theta, test, broken, working_sets, e, f, v, w, x, lam)
+            broken &= ~_on_laws(laws, theta, test, broken, working_sets, f, v, x, lam)
             residual = (w @ x[:, :, None])[:, :, 0] - v
     todo = np.flatnonzero(broken)
     if todo.size:
         x[todo], lam[todo], iterations, solved[todo] = _interior_point(
-            e[todo], f[todo, :, None], test._make(m[todo] for m in test), parts.scale)
+            e[todo], f[todo, :, None], test._make(m[todo] for m in test), laws.scale)
         residual = (w @ x[:, :, None])[:, :, 0] - v
-    violation = np.where(parts.finite, residual, 0.0).max(axis=1, initial=0.0)
+    violation = np.where(laws.finite, residual, 0.0).max(axis=1, initial=0.0)
     solved &= violation <= FEAS_TOL
     if qp.f.ndim == 1:
         x, lam, solved = x[0], lam[0], solved[0]
@@ -618,7 +617,7 @@ class SmootherState:
     marks, per axis, the QP rows that ended the last tick with a positive
     multiplier, none on an axis whose solve did not converge; it only speeds
     the next solve, and a state with none marked (the default) solves cold.
-    `augmented` and `u_prev` must be finite: the smoother's QP parts take
+    `augmented` and `u_prev` must be finite: the smoother's laws take
     the rows with a finite bound from the limits alone.  A step writes all
     four at once, after its whole tick is computed.
     """
@@ -671,7 +670,13 @@ class TwistSmoother:
         self.limits = limits
         self.state = SmootherState.at_rest(initial_pose)
         self._model = _scalar_model(cfg.sample_time)
-        self._qp = _axis_qp(*_scalar_prediction(self._model, cfg.n_p, cfg.n_c), cfg, limits)
+        self._laws = _axis_qp(*_scalar_prediction(self._model, cfg.n_p, cfg.n_c), cfg, limits)
+        # rows run group x step x sign; a step's rows move one step earlier each
+        # tick, and the last step keeps its own: row r of the next tick is row
+        # shift[r] of this one
+        step = np.minimum(np.arange(cfg.n_c) + 1, cfg.n_c - 1)
+        self._shift = (2 * (cfg.n_c * np.arange(3)[:, None, None] + step[:, None])
+                       + np.arange(2)).ravel()
 
     @property
     def pose(self) -> UnitDualQuaternion:
@@ -692,13 +697,13 @@ class TwistSmoother:
             raise ValueError(f"target twist must have {N_AXES} components")
         if not np.isfinite(target).all():
             raise ValueError(f"target twist must be finite, got {target.tolist()}")
-        state, rows = self.state, len(self._qp.shift)
+        state, rows = self.state, len(self._shift)
         working = state.working_set
         if working.shape[1] not in (0, rows):
             raise ValueError(f"working set must be 0 or 6 n_c = {rows} rows wide per axis, "
                              f"got {working.shape[1]}")
-        qp = _tick_qp(self._qp, state.augmented, target, state.u_prev)
-        guesses = (working, working[:, self._qp.shift]) if working.any() else ()
+        qp = _tick_qp(self._laws, state.augmented, target, state.u_prev)
+        guesses = (working, working[:, self._shift]) if working.any() else ()
         sol = solve_qp(qp, working_sets=guesses)
         du = sol.delta_u[:, 0]
 

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import re
 from unittest import mock
 
 import numpy as np
@@ -15,7 +16,7 @@ from screwmpc.mpc import (
     AUG_DIM,
     FEAS_TOL,
     N_AXES,
-    _QpParts,
+    _Laws,
     _StopTest,
     LimitSet,
     MpcConfig,
@@ -427,8 +428,8 @@ def test_law_is_the_equality_constrained_solve(data):
     # law is NaN, which no screen passes
     cfg, limits, state, u_prev, target = draw_tick(data)
     sm = TwistSmoother(cfg, limits, UnitDualQuaternion.identity())
-    qp = _tick_qp(sm._qp, state, target, u_prev)
-    laws, n = sm._qp.laws, cfg.n_c
+    qp = _tick_qp(sm._laws, state, target, u_prev)
+    laws, n = sm._laws, cfg.n_c
     f_size, v_size = tick_sizes(cfg, limits, state, target, u_prev)
     cold = solve_qp(qp).lam > 0.0
     for working in (cold, shifted_rows(cold, n)):
@@ -451,7 +452,7 @@ def test_dependent_rows_have_no_law_and_no_warning():
     q_weight = np.zeros(6)
     q_weight[0] = float.fromhex("0x1.f16416f930652p-966")
     cfg = MpcConfig(n_c=3, n_p=3, q_weight=q_weight, r_weight=np.full(6, 4.5))
-    laws = TwistSmoother(cfg, limits_of(acc=1.0, jerk=5.0), UnitDualQuaternion.identity())._qp.laws
+    laws = TwistSmoother(cfg, limits_of(acc=1.0, jerk=5.0), UnitDualQuaternion.identity())._laws
     for rows in ([0, 1, 2, 3], [0, 1]):
         assert np.isnan(laws.of(np.arange(N_AXES), np.tile(rows_of(18, rows), (N_AXES, 1)))).all()
 
@@ -537,8 +538,8 @@ def test_step_is_the_generic_solve_bit_for_bit(data):
     # a tick's V is the paired-offset oracle's bit for bit (signed zeros
     # included) and its f within 1e-12 of its terms' size (and of the
     # smallest normal number, where the terms underflow).  A step solves its
-    # tick on the QP parts built once per smoother; the public solve_qp of
-    # the same tick as a bare QpProblem, which builds them on the call,
+    # tick on the _Laws built once per smoother; the public solve_qp of
+    # the same tick as a bare QpProblem, which builds its own on the call,
     # gives the same bits on a tick with no carried row.  A tick
     # that tries the carried and the shifted working set evaluates the
     # smoother's laws at its theta and the bare problem's own laws at theta =
@@ -573,18 +574,21 @@ def test_step_is_the_generic_solve_bit_for_bit(data):
             state, u_prev = sm.state.augmented.copy(), sm.state.u_prev.copy()
             working = sm.state.working_set
             guesses = (working, shifted_rows(working, n_c)) if working.any() else ()
-            qp = _tick_qp(sm._qp, state, target, u_prev)
+            qp = _tick_qp(sm._laws, state, target, u_prev)
             f, v = tick_vectors_oracle(cfg, limits, state, target, u_prev)
             f_size, _ = tick_sizes(cfg, limits, state, target, u_prev)
             assert same_bits(qp.v, v)
             assert qp.f.shape == f.shape
             assert np.all(np.abs(qp.f - f) <= 1e-12 * f_size + np.finfo(float).tiny)
             bare = QpProblem(qp.e, qp.f, qp.w, qp.v)
-            fresh = _QpParts.of(bare.e, bare.w, np.isfinite(bare.v))
-            assert all(np.array_equal(a, b) for a, b in zip(sm._qp.laws.parts, fresh))
+            fresh = _Laws(bare.e, bare.w, bare.f[..., None], bare.v[..., None],
+                          np.isfinite(bare.v))
+            assert all(np.array_equal(getattr(sm._laws, name), getattr(fresh, name)) for name in
+                       ("e", "w", "finite", "e_inv", "e_abs", "scale", "rows", "w_unit",
+                        "w_unit_abs"))
             x_free = -fresh.e_inv @ bare.f[:, :, None]
             tick = (bare.f[:, :, None], bare.v[:, :, None], x_free)
-            assert all(np.array_equal(a, b) for a, b in zip(_StopTest.of(sm._qp.laws.parts, *tick),
+            assert all(np.array_equal(a, b) for a, b in zip(_StopTest.of(sm._laws, *tick),
                                                             _StopTest.of(fresh, *tick)))
 
             expected = solve_qp(bare, working_sets=guesses)
@@ -642,6 +646,26 @@ def test_solve_qp_takes_the_working_sets_by_keyword_only():
     with pytest.raises(TypeError):
         solve_qp(qp, np.eye(2))
     assert solve_qp(qp, working_sets=[np.array([True])]).converged
+
+
+TWO = np.array([-2.0, -1.0])
+STACKED_E, STACKED_F = np.tile(np.eye(2), (3, 1, 1)), np.tile(TWO, (3, 1))
+
+
+@pytest.mark.parametrize("qp, name, expected, given", [
+    (QpProblem(np.eye(2), TWO, np.array([[1.0, 0.0]]), np.ones(2)), "v", (1,), (2,)),
+    (QpProblem(np.eye(2), STACKED_F, np.eye(2), np.ones((3, 2))), "e", (3, 2, 2), (2, 2)),
+    (QpProblem(np.eye(2), TWO, np.eye(2), np.ones(1)), "v", (2,), (1,)),
+    (QpProblem(STACKED_E, STACKED_F, np.eye(2), np.ones(2)), "v", (3, 2), (2,)),
+    (QpProblem(np.eye(3), TWO, np.eye(2), np.ones(2)), "e", (2, 2), (3, 3)),
+], ids=["v-wider-than-w", "flat-e-under-a-stack", "v-narrower-than-w", "flat-v-under-a-stack",
+        "e-of-another-n"])
+def test_solve_qp_rejects_shapes_that_disagree(qp, name, expected, given):
+    # every case has a row x = -E^-1 f breaks, so a solve would reach the
+    # interior point: the shapes are checked before it
+    with pytest.raises(ValueError, match=re.escape(f"{name} must have shape {expected}")) as err:
+        solve_qp(qp)
+    assert f"got {given}" in str(err.value)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -793,6 +817,18 @@ def test_mpcconfig_validation():
         MpcConfig(q_weight=np.full(6, np.nan))
     with pytest.raises(ValueError, match="r_weight must be positive"):
         MpcConfig(r_weight=np.full(6, np.nan))
+
+
+@pytest.mark.parametrize("name, value", [("n_c", 2.0), ("n_p", 50.5), ("n_c", "3")])
+def test_mpcconfig_rejects_a_horizon_that_is_not_an_integer(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        MpcConfig(**{name: value})
+
+
+def test_mpcconfig_takes_numpy_integer_horizons():
+    cfg = MpcConfig(n_c=np.int64(3), n_p=np.int32(5))
+    sm = TwistSmoother(cfg, limits_of(acc=1.0), UnitDualQuaternion.identity())
+    assert sm.step(np.ones(6)).converged
 
 
 # ---------------------------------------------------------------------------
@@ -1139,10 +1175,45 @@ def test_interior_point_ticks_on_a_criterion_6_run(monkeypatch):
     solve = mpc._interior_point
     monkeypatch.setattr(mpc, "_interior_point", lambda *args: ticks.append(1) or solve(*args))
     sm = TwistSmoother(MpcConfig(), limits_of(acc=1.0, jerk=50.0), UnitDualQuaternion.identity())
-    assert not sm._qp.laws.cache
+    assert not sm._laws.cache
     assert all(sm.step(ref).converged for ref in smooth_tight_references([1, 0]))
     assert len(ticks) == 6
-    assert 0 < len(sm._qp.laws.cache) <= mpc._CACHED
+    assert 0 < len(sm._laws.cache) <= mpc._CACHED
+
+
+def capped_run(limits, refs, cap: int):
+    """The steps of a default smoother along refs with at most `cap` cached
+    laws, the most it held after a step and the laws it built."""
+    built, build = [], mpc._Laws._build
+
+    def counted(laws, problems, masks):
+        built.append(len(problems))
+        return build(laws, problems, masks)
+
+    with mock.patch.object(mpc, "_CACHED", cap), mock.patch.object(mpc._Laws, "_build", counted):
+        sm = TwistSmoother(MpcConfig(), limits, UnitDualQuaternion.identity())
+        steps, held = [], 0
+        for ref in refs:
+            steps.append(sm.step(ref))
+            held = max(held, len(sm._laws.cache))
+    return steps, held, sum(built)
+
+
+@pytest.mark.parametrize("limits, scale", [(limits_of(acc=1.0, jerk=50.0), 1.0),
+                                           (limits_of(vel=1.0, acc=10.0, jerk=20.0), 3.0)],
+                         ids=["smooth-tight", "track-tight"])
+def test_evicted_laws_give_the_same_steps(limits, scale):
+    # a cache of 2 laws evicts and rebuilds them: every step is bit for bit
+    # the step at the default cap, and the cache never holds more than 2
+    refs = scale * smooth_tight_references([1, 0])
+    steps, _, built = capped_run(limits, refs, mpc._CACHED)
+    capped, held, rebuilt = capped_run(limits, refs, 2)
+    assert held <= 2 < built < rebuilt
+    for a, b in zip(capped, steps, strict=True):
+        assert all(same_bits(getattr(a, name), getattr(b, name)) for name in
+                   ("twist", "delta_u", "iterations", "converged", "active_count",
+                    "max_violation"))
+        assert same_bits(a.pose.vec8(), b.pose.vec8())
 
 
 @pytest.mark.parametrize("seed", [2, 411, 430, 5])
