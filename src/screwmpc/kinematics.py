@@ -8,12 +8,16 @@ coefficients.  The inner loop commands joint rates from the conjugation
 error e = 1 - x_d^* x_eff through the task matrix's pseudo-inverse: one
 8x8 inverse, certified well conditioned, away from singularities, and an
 SVD (damped where the task rank collapses) near them.  All three run
-on stacked 8x8 Hamilton matrices in numpy, one chain pass per call: one
-sweep from the flange gives the suffix products s_j, s_0 the pose, and
-Jacobian column j is the pose times s_(j+1)^* (a_j/2) s_(j+1) for joint
-j's axis a_j.  The closed loop's inner ticks (``_track_tick``) make one
-pass each and hand its pose and Jacobian to the next, through the same
-control law.  The matrices and the conjugation signs come from
+on stacked 8x8 Hamilton matrices in numpy.  One function walks the chain
+(``_pose_and_jacobian``): one sweep from the flange gives the suffix
+products s_j, s_0 the pose, checked unit, and Jacobian column j is the
+pose times s_(j+1)^* (a_j/2) s_(j+1) for joint j's axis a_j.  Every
+caller makes that one pass: ``forward_kinematics``, ``pose_jacobian`` and
+``inner_control`` once per call, the closed loop's inner ticks
+(``_track_tick``) once per tick, each handing its pose and Jacobian to the
+next through the same control law (``_control_law``).  A NaN joint vector
+fails the unit check; the inner ticks raise it as FloatingPointError.
+The matrices and the conjugation signs come from
 ``screwmpc.dualquat``, which reads them off its own product and
 conjugation; its algebra classes only wrap the inputs and outputs.
 
@@ -157,34 +161,28 @@ def _check_q(model: RobotModel, q) -> np.ndarray:
     return q
 
 
-def _suffix_vectors(model: RobotModel, q: np.ndarray) -> list[np.ndarray]:
-    """Suffix vectors s_j = G_j ... G_{n-1} f, s_n = f, of the joint elements G_j.
+def _pose_and_jacobian(model: RobotModel, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The one chain pass: vec8(x_eff), checked unit, and the 8 x dof pose Jacobian.
 
     Joint j's element is G_j = H8^+(F_j R_j(q_j)) = cos(q_j/2) M_j + sin(q_j/2) K_j
-    (see ``RobotModel._chain``), so the chain product is G_0 ... G_{n-1} f
-    for the flange column f, and s_0 = vec8(x_eff).
+    (see ``RobotModel._chain``), so one sweep from the flange column f gives
+    the suffix vectors s_j = G_j ... G_{n-1} f, s_n = f, and s_0 = vec8(x_eff).
+    A pose off unit (NaN joints, a drifted chain) raises ValueError.
+    dG_j/dq_j = G_j A_j, so column j is vec8 of P_j G_j (a_j/2) s_{j+1} for the
+    prefix P_j = G_0 ... G_{j-1}; as x_eff = P_j G_j s_{j+1} and s_{j+1} is
+    unit, that is x_eff times the body column s_{j+1}^* (a_j/2) s_{j+1}.
     """
-    m, k, _, flange = model._chain
+    m, k, a, flange = model._chain
     half = 0.5 * q
     c, s = np.cos(half)[:, None, None], np.sin(half)[:, None, None]
     suffix = [flange]
     for gj in (c * m + s * k)[::-1]:
         suffix.append(gj.dot(suffix[-1]))
-    return suffix[::-1]
-
-
-def _pose_and_jacobian(model: RobotModel, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One suffix sweep: vec8(x_eff) and the 8 x dof pose Jacobian.
-
-    dG_j/dq_j = G_j A_j, so column j is vec8 of P_j G_j (a_j/2) s_{j+1} for the
-    prefix P_j = G_0 ... G_{j-1}; as x_eff = P_j G_j s_{j+1} and s_{j+1} is
-    unit, that is x_eff times the body column s_{j+1}^* (a_j/2) s_{j+1}.
-    """
-    suffix = np.array(_suffix_vectors(model, q))
-    after = suffix[1:]
-    body = np.matmul((after @ _STAR_BASIS).reshape(-1, 8, 8),
-                     np.matmul(model._chain[2], after[:, :, None]))
-    return suffix[0], _hamilton8(suffix[0], 1) @ body[:, :, 0].T
+    suffix = np.array(suffix[::-1])
+    x_eff8, after = suffix[0], suffix[1:]
+    _check_unit(*x_eff8.tolist())
+    body = np.matmul((after @ _STAR_BASIS).reshape(-1, 8, 8), np.matmul(a, after[:, :, None]))
+    return x_eff8, _hamilton8(x_eff8, 1) @ body[:, :, 0].T
 
 
 def _task_map(x_d8: np.ndarray) -> np.ndarray:
@@ -209,7 +207,7 @@ def _relative_error8(rel8: np.ndarray, flip: bool) -> np.ndarray:
 
 def forward_kinematics(model: RobotModel, q) -> UnitDualQuaternion:
     """End-effector pose as the ordered product of the chain elements."""
-    return UnitDualQuaternion.from_vec8(_suffix_vectors(model, _check_q(model, q))[0])
+    return UnitDualQuaternion.from_vec8(_pose_and_jacobian(model, _check_q(model, q))[0])
 
 
 def pose_jacobian(model: RobotModel, q) -> np.ndarray:
@@ -217,18 +215,27 @@ def pose_jacobian(model: RobotModel, q) -> np.ndarray:
 
     Column j is vec8 of the pose derivative w.r.t. joint j, x_eff s^* (axis/2) s
     for the product s of the chain after joint j, as d/dq R(q) = R(q) * axis/2.
+    A chain product off unit (NaN joints) raises ValueError, as in
+    ``forward_kinematics``.
     """
     return _pose_and_jacobian(model, _check_q(model, q))[1]
+
+
+def _unit_vec8(pose: DualQuaternion) -> np.ndarray:
+    """vec8 of a pose, ValueError unless it is a unit dual quaternion."""
+    pose8 = pose.vec8()
+    _check_unit(*pose8.tolist())
+    return pose8
 
 
 def pose_error(x_d: UnitDualQuaternion, x_eff: UnitDualQuaternion) -> DualQuaternion:
     """Conjugation error e = 1 - x_d^* x_eff, double-cover aligned.
 
     x_eff is negated first when <vec8(x_d), vec8(x_eff)> < 0, so identical
-    poses always give e = 0.
+    poses always give e = 0.  A pose that is not unit raises ValueError.
     """
-    x_d8 = x_d.vec8()
-    return DualQuaternion.from_vec8(_error8(_task_map(x_d8), x_d8, x_eff.vec8()))
+    x_d8 = _unit_vec8(x_d)
+    return DualQuaternion.from_vec8(_error8(_task_map(x_d8), x_d8, _unit_vec8(x_eff)))
 
 
 class ControlCommand(NamedTuple):
@@ -241,13 +248,6 @@ def _check_gain(gain) -> np.ndarray:
     if gain.shape != (8, 8):
         raise ValueError("gain matrix must be 8x8")
     return gain
-
-
-def _unit_pose_and_jacobian(model: RobotModel, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``_pose_and_jacobian``, raising if the chain product drifted off unit."""
-    x_eff8, jac = _pose_and_jacobian(model, q)
-    _check_unit(*x_eff8.tolist())
-    return x_eff8, jac
 
 
 def inner_control(model: RobotModel, q, x_d: UnitDualQuaternion,
@@ -263,11 +263,12 @@ def inner_control(model: RobotModel, q, x_d: UnitDualQuaternion,
     pseudo-inverse comes from an SVD with singular-value cutoff 1e-8; when
     it shows the nominal rank min(dof, 6) collapsing, a damped
     least-squares fallback (damping 1e-4) is used and reported in the flag.
+    An x_d or a chain product that is not unit raises ValueError.
     """
     q = _check_q(model, q)
     gain = _check_gain(gain)
-    x_eff8, jac = _unit_pose_and_jacobian(model, q)
-    x_d8 = x_d.vec8()
+    x_d8 = _unit_vec8(x_d)
+    x_eff8, jac = _pose_and_jacobian(model, q)
     return _control_law(model, x_eff8, jac, x_d8, _task_map(x_d8), gain)
 
 
@@ -306,12 +307,14 @@ def _track_tick(model: RobotModel, q: np.ndarray, x_eff8: np.ndarray, jac: np.nd
 
     (q, x_eff8, jac) is the joint vector with its unit pose and Jacobian, and
     task_map = H8^-(x_d) C8 (``_task_map``).  Each inner tick applies the
-    control law, scales qdot into the velocity box, takes an explicit Euler
-    step of length dt, clamps to the position limits and makes the one chain
-    pass at the new q, whose pose and Jacobian the next inner tick (or the
-    next MPC tick) uses.  Returns the new (q, x_eff8, jac) and whether any
-    inner tick was singular; q and gain must be checked by the caller, who
-    also checks for NaN: a q that turns NaN ends the tick, with the last pose.
+    control law (``_control_law``), scales qdot into the velocity box, takes
+    an explicit Euler step of length dt, clamps to the position limits and
+    makes the one chain pass (``_pose_and_jacobian``) at the new q, whose pose
+    and Jacobian the next inner tick (or the next MPC tick) uses.  Returns the
+    new (q, x_eff8, jac) and whether any inner tick was singular; q and gain
+    must be checked by the caller.  A q that turns NaN fails the pass's unit
+    check and raises FloatingPointError("NaN in simulation state"); a finite
+    pose off unit keeps the pass's ValueError.
     """
     singular = False
     for _ in range(ticks):
@@ -319,10 +322,10 @@ def _track_tick(model: RobotModel, q: np.ndarray, x_eff8: np.ndarray, jac: np.nd
         singular = singular or cmd.singular
         q = model.clamp_position(q + dt * model.scale_velocity(cmd.qdot))
         try:
-            x_eff8, jac = _unit_pose_and_jacobian(model, q)
+            x_eff8, jac = _pose_and_jacobian(model, q)
         except ValueError:
             if np.isnan(q).any():
-                break
+                raise FloatingPointError("NaN in simulation state") from None
             raise
     return q, x_eff8, jac, singular
 

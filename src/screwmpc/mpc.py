@@ -530,14 +530,16 @@ def _on_laws(laws: _Laws, theta, test: _StopTest, broken, sets, f, v, x, lam):
     return held
 
 
-def _check_shapes(qp: QpProblem) -> None:
-    """ValueError unless e, w and v fit f (n,) or a stack f (k, n)."""
+def _check_shapes(qp: QpProblem, working_sets: Sequence[np.ndarray]) -> None:
+    """ValueError unless e, w, v and each working set fit f (n,) or a stack f (k, n)."""
     f_shape, w_shape = np.shape(qp.f), np.shape(qp.w)
     if len(f_shape) not in (1, 2) or len(w_shape) != 2:
         raise ValueError(f"QP f must be (n,) or (k, n) and w (m, n), got f {f_shape}, w {w_shape}")
     stack, n, m = f_shape[:-1], f_shape[-1], w_shape[0]
-    for name, expected in (("e", stack + (n, n)), ("w", (m, n)), ("v", stack + (m,))):
-        given = np.shape(getattr(qp, name))
+    shapes = [(name, expected, np.shape(getattr(qp, name)))
+              for name, expected in (("e", stack + (n, n)), ("w", (m, n)), ("v", stack + (m,)))]
+    shapes += [("working set", stack + (m,), np.shape(mask)) for mask in working_sets]
+    for name, expected, given in shapes:
         if given != expected:
             raise ValueError(f"QP {name} must have shape {expected} for f {f_shape} "
                              f"and w {w_shape}, got {given}")
@@ -573,7 +575,8 @@ def solve_qp(qp: QpProblem, *, working_sets: Sequence[np.ndarray] = ()) -> QpSol
 
     A call solves on one _Laws and its theta.  A plain problem builds its
     own on each call, with theta = [1] (P_f = f, P_V = V); its shapes must
-    agree (e (n, n), f (n,), w (m, n), v (m,), or a stack), else ValueError.
+    agree (e (n, n), f (n,), w (m, n), v (m,), or a stack, and each working
+    set shaped like v), else ValueError.
     A smoother's tick problem carries the smoother's, built once with its
     laws cached across ticks, and the tick's theta.  A call builds the stop
     test once for the stack; the interior point takes its rows of the rest.
@@ -583,7 +586,7 @@ def solve_qp(qp: QpProblem, *, working_sets: Sequence[np.ndarray] = ()) -> QpSol
     if isinstance(qp, _TickQp):
         laws, theta = qp.laws, qp.theta
     else:
-        _check_shapes(qp)
+        _check_shapes(qp, working_sets)
         laws, theta = _Laws(e, w, f[..., None], v[..., None], np.isfinite(v)), np.ones((len(v), 1))
     x = (-laws.e_inv @ f[:, :, None])[:, :, 0]
     lam = np.zeros(v.shape)
@@ -690,8 +693,11 @@ class TwistSmoother:
         """Advance one MPC tick toward the 6-vector reference twist.
 
         A target that is not six finite numbers or a working set not 0 or 6 n_c
-        rows wide raises ValueError and a twist that is not finite
-        FloatingPointError; none of them changes the state."""
+        rows wide raises ValueError.  A finite target too large for floating
+        point raises FloatingPointError, whichever step it overflows: the
+        QP's unconstrained optimum -E^-1 f (checked only when the solve did
+        not converge), the increment (a smoothed twist that is not finite) or
+        the pose integration.  None of them changes the state."""
         target = np.asarray(target, dtype=float).reshape(-1)
         if target.shape != (N_AXES,):
             raise ValueError(f"target twist must have {N_AXES} components")
@@ -705,6 +711,8 @@ class TwistSmoother:
         qp = _tick_qp(self._laws, state.augmented, target, state.u_prev)
         guesses = (working, working[:, self._shift]) if working.any() else ()
         sol = solve_qp(qp, working_sets=guesses)
+        if not (sol.converged or np.isfinite(self._laws.e_inv @ qp.f[..., None]).all()):
+            raise FloatingPointError(f"QP overflows at target twist {target.tolist()}")
         du = sol.delta_u[:, 0]
 
         a, b, _ = self._model
@@ -714,10 +722,9 @@ class TwistSmoother:
         try:
             motion = exp(PureDualQuaternion.from_vec6(twist) * (0.5 * self.cfg.sample_time))
             pose = (motion * state.pose).normalized()
-        except ValueError:  # the unit check fails on a twist that is not finite
-            if np.isfinite(twist).all():
-                raise
-            raise FloatingPointError(f"smoothed twist is not finite: {twist.tolist()}") from None
+        except (ValueError, OverflowError):  # exp fails on a twist not finite or beyond ~1e10
+            fault = "overflows the pose" if np.isfinite(twist).all() else "is not finite"
+            raise FloatingPointError(f"smoothed twist {fault}: {twist.tolist()}") from None
         state.augmented, state.u_prev, state.pose, state.working_set = (
             augmented, state.u_prev + du, pose, (sol.lam > 0.0) & sol.solved[:, None])
         return StepResult(twist, pose, du, sol.iterations,

@@ -3,16 +3,17 @@
 Every MPC tick the smoother advances one step toward the current reference
 twist and the desired pose is held (zero-order) for a fixed number of inner
 ticks, each of which runs the kinematic controller and integrates the
-joints by explicit Euler.  Each inner tick makes one chain pass, at the
-joints it has just integrated; that pose and Jacobian are carried to the
-next inner tick, and the last one of an MPC tick is the pose it logs and
-measures both errors at.  The desired pose's task map is formed once per
-MPC tick, the goal's once per run.  One log record is written per MPC
-tick; numbers are serialized with 17 significant digits so identical
-configurations give byte-identical logs.  The tick loop records what it
-measures; the realized acceleration, jerk and bound flags are differenced
-from rest afterwards by the one function ``verify_trajectory`` also checks
-a log with; a NaN sample counts as a violation.
+joints by explicit Euler.  Each inner tick makes one chain pass
+(``kinematics._pose_and_jacobian``) at the joints it has just integrated;
+that pose and Jacobian are carried to the next inner tick, and the last one
+of an MPC tick is the pose it logs and measures both errors at.  The
+desired pose's task map is formed once per MPC tick, the goal's once per
+run.  One log record is written per MPC tick; numbers are serialized with
+17 significant digits so identical configurations give byte-identical
+logs.  The tick loop records what it measures; the realized acceleration,
+jerk and bound flags are differenced from rest afterwards by the one
+function ``verify_trajectory`` also checks a log with; a NaN sample counts
+as a violation.
 """
 
 from __future__ import annotations
@@ -26,13 +27,7 @@ import numpy as np
 from . import textio
 from .config import RunConfig
 from .dualquat import log
-from .kinematics import (
-    RobotModel,
-    _error8,
-    _task_map,
-    _track_tick,
-    _unit_pose_and_jacobian,
-)
+from .kinematics import RobotModel, _error8, _pose_and_jacobian, _task_map, _track_tick
 # not called here: perfbench/tracing.py wraps these three names in this namespace
 from .kinematics import forward_kinematics, inner_control, pose_error  # noqa: F401
 from .mpc import FEAS_TOL, N_AXES, TwistSmoother
@@ -111,9 +106,11 @@ def run_closed_loop(cfg: RunConfig, model: RobotModel,
     duration.  After the reference series is exhausted the smoother is fed
     the twist that closes the remaining gap to the final keypoint, so the
     lag accumulated while constraints were active is wound down (still
-    under the configured limits).  NaN in the joints, a reference twist or a
-    smoothed twist that is not finite raises FloatingPointError with the
-    tick's time, and a start pose q0 outside the joint limits is rejected.
+    under the configured limits).  A tick has one fault path: a reference
+    twist that is not finite, a smoother step that raises FloatingPointError
+    (a smoothed twist that is not finite) and inner ticks whose joints turn
+    NaN all raise FloatingPointError with the tick's time appended.  A start
+    pose q0 outside the joint limits is rejected.
     """
     if model.dof != 7:
         raise ValueError(f"simulator expects a 7-joint model, got {model.dof}")
@@ -138,7 +135,7 @@ def run_closed_loop(cfg: RunConfig, model: RobotModel,
     smoother = TwistSmoother(cfg.mpc, cfg.limits, path.samples[0].pose)
     goal8 = goal.vec8()
     goal_map = _task_map(goal8)
-    x_eff8, jac = _unit_pose_and_jacobian(model, q)
+    x_eff8, jac = _pose_and_jacobian(model, q)
 
     max_ticks = max(1, int(math.ceil(cfg.max_duration_s / T)))
     records: list[list[float]] = []
@@ -152,22 +149,18 @@ def run_closed_loop(cfg: RunConfig, model: RobotModel,
             gap_rate = 2.0 / (_GAP_CLOSE_TICKS * T)
             ref = (log(goal * smoother.pose.inverse()) * gap_rate).vec6()
         t = tick * T
-        if not np.isfinite(ref).all():
-            raise FloatingPointError(f"non-finite reference twist at t = {t:.6f} s")
         try:
+            if not np.isfinite(ref).all():
+                raise FloatingPointError("non-finite reference twist")
             step = smoother.step(ref)
+            x_d8 = step.pose.vec8()
+            task_map = _task_map(x_d8)
+            q, x_eff8, jac, singular = _track_tick(model, q, x_eff8, jac, x_d8, task_map,
+                                                   gain, inner_dt, ratio)
         except FloatingPointError as err:
             raise FloatingPointError(f"{err} at t = {t:.6f} s") from None
-
-        x_d8 = step.pose.vec8()
-        task_map = _task_map(x_d8)
-        q, x_eff8, jac, singular = _track_tick(model, q, x_eff8, jac, x_d8, task_map,
-                                               gain, inner_dt, ratio)
         err_track = float(np.linalg.norm(_error8(task_map, x_d8, x_eff8)))
         err_goal = float(np.linalg.norm(_error8(goal_map, goal8, x_eff8)))
-
-        if np.isnan(q).any():
-            raise FloatingPointError(f"NaN in simulation state at t = {t:.6f} s")
 
         records.append(
             [t, *q, *x_eff8, *x_d8, *ref, *step.twist, *step.delta_u,

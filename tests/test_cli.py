@@ -487,10 +487,13 @@ def test_closed_loop_matches_the_recorded_runs(panda, name):
 
 
 def test_closed_loop_makes_one_chain_pass_per_inner_tick(panda, ready_pose, monkeypatch):
+    # the one function that walks the chain runs once at the start pose and
+    # once per inner tick
     calls = []
-    chain_pass = kinematics._suffix_vectors
-    monkeypatch.setattr(kinematics, "_suffix_vectors",
-                        lambda *args: calls.append(1) or chain_pass(*args))
+    chain_pass = kinematics._pose_and_jacobian
+    for module in (kinematics, simulate):
+        monkeypatch.setattr(module, "_pose_and_jacobian",
+                            lambda *args: calls.append(1) or chain_pass(*args))
     cfg = load_config(None)
     result = run_closed_loop(cfg, panda, [ready_pose, translated(ready_pose, [0.05, 0.0, 0.0])])
     assert len(calls) == result.n_records * result.inner_ticks_per_mpc + 1
@@ -507,11 +510,13 @@ def test_closed_loop_rejects_a_chain_off_unit(panda, ready_pose):
 
 
 @pytest.mark.parametrize("site, fault, error, match", [
-    # a NaN rate at inner tick 50 (MPC tick 5) reaches the loop's NaN check
-    ("_control_law", lambda cmd: cmd._replace(qdot=cmd.qdot * math.nan),
+    # a NaN rate at inner tick 50 (MPC tick 5): the next chain pass fails its
+    # unit check, which the inner ticks raise as NaN with the tick's time
+    ("_control_law", lambda clean, args: clean(*args)._replace(qdot=np.full(7, math.nan)),
      FloatingPointError, r"^NaN in simulation state at t = 0\.045000 s$"),
-    # a finite pose off unit at chain pass 50 is still rejected as such
-    ("_pose_and_jacobian", lambda pass_: (pass_[0] * (1.0 + 1e-6), pass_[1]),
+    # a finite pose off unit at the unit check of chain pass 50 (the start
+    # pose's is the first) is still rejected as such
+    ("_check_unit", lambda clean, args: clean(*(x * (1.0 + 1e-6) for x in args)),
      ValueError, "^not a unit dual quaternion: "),
 ], ids=["nan-rate", "finite-pose-off-unit"])
 def test_closed_loop_fault_at_an_inner_tick(panda, ready_pose, monkeypatch, site, fault,
@@ -521,8 +526,7 @@ def test_closed_loop_fault_at_an_inner_tick(panda, ready_pose, monkeypatch, site
 
     def faulty(*args):
         calls.append(1)
-        out = clean(*args)
-        return fault(out) if len(calls) == 50 else out
+        return fault(clean, args) if len(calls) == 50 else clean(*args)
 
     monkeypatch.setattr(kinematics, site, faulty)
     keypoints = [ready_pose, translated(ready_pose, [0.05, 0.0, 0.0])]
@@ -578,8 +582,9 @@ def test_closed_loop_agrees_with_the_textbook_chain_pass(panda, monkeypatch):
     cfg = load_config(None)
     keypoints = _random_keypoints(panda, cfg.q0, 2, 7)
     sweep = run_closed_loop(cfg, panda, keypoints)
-    monkeypatch.setattr(kinematics, "_pose_and_jacobian", lambda model, q: (
-        chain_product_oracle(model, q).vec8(), pose_jacobian_oracle(model, q)))
+    for module in (kinematics, simulate):
+        monkeypatch.setattr(module, "_pose_and_jacobian", lambda model, q: (
+            chain_product_oracle(model, q).vec8(), pose_jacobian_oracle(model, q)))
     textbook = run_closed_loop(cfg, panda, keypoints)
     assert textbook.columns == sweep.columns and textbook.rows.shape == sweep.rows.shape
     np.testing.assert_allclose(sweep.rows, textbook.rows, rtol=0.0, atol=1e-9)

@@ -234,6 +234,30 @@ def test_inner_control_zero_error(panda):
     assert not cmd.singular
 
 
+def test_pose_error_and_inner_control_reject_a_pose_off_unit(panda):
+    # 2 x is no pose: read as one, pose_error(2 x, x) would be e = (-1, 0, ...)
+    # and inner_control toward 2 x from x would command qdot ~ 1e-19, on target
+    x = forward_kinematics(panda, READY_Q)
+    doubled = DualQuaternion.from_vec8(2.0 * x.vec8())
+    for call in (lambda: pose_error(doubled, x), lambda: pose_error(x, doubled),
+                 lambda: inner_control(panda, READY_Q, doubled, 10.0 * np.eye(8))):
+        with pytest.raises(ValueError, match="^not a unit dual quaternion: "):
+            call()
+
+
+@pytest.mark.parametrize("call", [
+    forward_kinematics,
+    pose_jacobian,
+    lambda model, q: inner_control(model, q, forward_kinematics(model, READY_Q), np.eye(8)),
+], ids=["forward_kinematics", "pose_jacobian", "inner_control"])
+def test_chain_pass_rejects_a_nan_joint(panda, call):
+    # the one chain pass checks its pose: a NaN joint gives no NaN matrix
+    q = READY_Q.copy()
+    q[3] = math.nan
+    with pytest.raises(ValueError, match="^not a unit dual quaternion: "):
+        call(panda, q)
+
+
 def test_inner_control_closed_loop_regulation(panda):
     rng = np.random.default_rng(67)
     gain = 10.0 * np.eye(8)
@@ -387,7 +411,7 @@ def test_hot_path_builds_no_quaternion_products(panda, monkeypatch):
     Quaternion.identity() * Quaternion.identity()  # the counter itself is live
     assert len(calls) == 1
     # one MPC tick of the closed loop builds no algebra object at all
-    x_eff8, jac = kinematics._unit_pose_and_jacobian(panda, q)
+    x_eff8, jac = kinematics._pose_and_jacobian(panda, q)
     x_d8 = x_d.vec8()
     built = []
     init = Quaternion.__init__

@@ -668,6 +668,23 @@ def test_solve_qp_rejects_shapes_that_disagree(qp, name, expected, given):
     assert f"got {given}" in str(err.value)
 
 
+@pytest.mark.parametrize("qp, sets, expected, given", [
+    (QpProblem(np.eye(2), TWO, np.eye(2), np.ones(2)),
+     [np.array([True, True, False, False])], (2,), (4,)),
+    (QpProblem(np.eye(2), TWO, np.eye(2), np.ones(2)),
+     [np.array([True, False]), np.array([True, False, True])], (2,), (3,)),
+    (QpProblem(STACKED_E, STACKED_F, np.eye(2), np.ones((3, 2))),
+     [np.array([True, False])], (3, 2), (2,)),
+], ids=["two-sets-in-one-mask", "three-entry-mask", "flat-mask-under-a-stack"])
+def test_solve_qp_rejects_working_sets_not_shaped_like_v(qp, sets, expected, given):
+    # x = -E^-1 f breaks row 1, so the sets would be tried: a mask twice as
+    # wide as v must not be read as two sets, nor a 3-entry one fail in a reshape
+    with pytest.raises(ValueError,
+                       match=re.escape(f"working set must have shape {expected}")) as err:
+        solve_qp(qp, working_sets=sets)
+    assert f"got {given}" in str(err.value)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_step_rejects_a_non_finite_target(bad):
     # a non-finite reference fails before the smoother moves: the state, the
@@ -709,17 +726,26 @@ def test_step_rejects_a_working_set_of_another_width(width):
 
 
 def test_step_that_overflows_leaves_the_state_as_it_was():
-    # a finite but huge target overflows the QP into a NaN increment; the step
-    # raises before it writes anything.  Warnings are off: an overflow warning
-    # raised as an error would stop the step before the NaN reached its state
-    cfg, limits = MpcConfig(), limits_of(acc=1.0, jerk=20.0)
-    sm, twin = (TwistSmoother(cfg, limits, UnitDualQuaternion.identity()) for _ in range(2))
-    target = np.full(6, 0.3)
-    with np.errstate(all="ignore"):
-        for smoother in (sm, twin):
-            smoother.step(target)
-        assert_unmoved_by(lambda: sm.step(np.full(6, 1e300)), FloatingPointError,
-                          "^smoothed twist is not finite", sm, twin, target)
+    # a finite but huge target overflows one part of the step, whichever part
+    # it is, and the step raises FloatingPointError before it writes anything:
+    # - 1e300 under acc/jerk bounds overflows the QP into a NaN increment;
+    # - 1e300 unbounded gives a finite twist too large for exp;
+    # - 1e307 overflows -E^-1 f, and the solve ends unconverged.
+    # Warnings are off: an overflow warning raised as an error would stop the
+    # step before the overflow reached its result
+    bounded = limits_of(acc=1.0, jerk=20.0)
+    for limits, huge, match in (
+            (bounded, 1e300, r"^smoothed twist is not finite: \[nan"),
+            (LimitSet.unbounded(), 1e300, r"^smoothed twist overflows the pose: \[\d"),
+            (bounded, 1e307, r"^QP overflows at target twist \[1e\+307, ")):
+        sm, twin = (TwistSmoother(MpcConfig(), limits, UnitDualQuaternion.identity())
+                    for _ in range(2))
+        target = np.full(6, 0.3)
+        with np.errstate(all="ignore"):
+            for smoother in (sm, twin):
+                smoother.step(target)
+            assert_unmoved_by(lambda: sm.step(np.full(6, huge)), FloatingPointError, match,
+                              sm, twin, target)
 
 
 def test_step_raises_floating_point_error_on_a_nan_increment(monkeypatch):
