@@ -8,20 +8,27 @@ requires the record counts, stop reasons and flag-column sums recorded in
 behaviour regenerates the file (and says so in its change notes):
 
     PYTHONPATH=src python tests/reference_runs.py
+
+Naming runs (``... reference_runs.py near-singular``) records only those and
+keeps the others as they were recorded, so that adding a run does not move
+the reference of the existing ones.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 import tempfile
 from pathlib import Path
 
 from screwmpc.cli import _random_keypoints
 from screwmpc.config import load_config
 from screwmpc.kinematics import load_robot_model, packaged_model_path
+from screwmpc.screwpath import load_keypoints
 from screwmpc.simulate import run_closed_loop
 
-REFERENCE = Path(__file__).parent / "data" / "reference_runs.json"
+DATA = Path(__file__).parent / "data"
+REFERENCE = DATA / "reference_runs.json"
 EVERY = 10
 FLAGS = ("qp_converged", "qp_active", "singular", "viol_vel", "viol_acc", "viol_jerk")
 SAMPLED = ([f"q{j}" for j in range(1, 8)] + [f"xeff_h{j}" for j in range(1, 9)]
@@ -34,8 +41,12 @@ TRACK_TIGHT_LIMITS = "".join(
 # the CI smoke run with the QP active
 QP_ACTIVE = TRACK_TIGHT_LIMITS + "samples_per_segment = 20\nmax_duration_s = 3\n"
 
-# name -> (config text over the packaged defaults, --random 4 seed)
-RUNS = {"default-seed-7": ("", 7), "qp-active-seed-1": (QP_ACTIVE, 1)}
+# name -> (config text over the packaged defaults, --random 4 seed), or (config
+# file, None) for a run along the keypoint file the config names
+RUNS = {"default-seed-7": ("", 7), "qp-active-seed-1": (QP_ACTIVE, 1),
+        # sigma_6 dips to 3.2e-5: the control law's SVD route, where the
+        # Jacobian's rounding is amplified most
+        "near-singular": (DATA / "near_singular.cfg", None)}
 
 
 def summarize(result) -> dict:
@@ -50,22 +61,30 @@ def summarize(result) -> dict:
 
 
 def run(name: str, model=None):
-    """Run `name` of RUNS: `simulate --random 4 --seed <seed>` under its config."""
-    body, seed = RUNS[name]
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "run.cfg"
-        path.write_text(body)
-        cfg = load_config(path)
+    """Run `name` of RUNS: `simulate --random 4 --seed <seed>` under its config
+    text, or `simulate --config <file>` for a config file."""
+    source, seed = RUNS[name]
+    if seed is None:
+        cfg = load_config(source)
+    else:
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "run.cfg"
+            path.write_text(source)
+            cfg = load_config(path)
     model = model if model is not None else load_robot_model(packaged_model_path())
-    return run_closed_loop(cfg, model, _random_keypoints(model, cfg.q0, 4, seed))
+    keypoints = (load_keypoints(cfg.keypoints) if seed is None
+                 else _random_keypoints(model, cfg.q0, 4, seed))
+    return run_closed_loop(cfg, model, keypoints)
 
 
-def main() -> None:
+def main(names: list[str]) -> None:
     model = load_robot_model(packaged_model_path())
-    runs = {name: summarize(run(name, model)) for name in RUNS}
+    runs = json.loads(REFERENCE.read_text())["runs"] if names else {}
+    runs.update({name: summarize(run(name, model)) for name in names or RUNS})
+    runs = {name: runs[name] for name in RUNS}
     REFERENCE.write_text(json.dumps({"every": EVERY, "columns": SAMPLED, "runs": runs}) + "\n")
     print(f"wrote {REFERENCE} ({REFERENCE.stat().st_size} bytes)")
 
 
 if __name__ == "__main__":
-    main()
+    main(sys.argv[1:])
