@@ -9,14 +9,22 @@ error e = 1 - x_d^* x_eff through the task matrix's pseudo-inverse: one
 8x8 inverse, certified well conditioned, away from singularities, and an
 SVD (damped where the task rank collapses) near them.  All three run
 on stacked 8x8 Hamilton matrices in numpy.  One function walks the chain
-(``_pose_and_jacobian``): one sweep from the flange gives the suffix
-products s_j, s_0 the pose, checked unit, and Jacobian column j is the
-pose times s_(j+1)^* (a_j/2) s_(j+1) for joint j's axis a_j.  Every
-caller makes that one pass: ``forward_kinematics``, ``pose_jacobian`` and
-``inner_control`` once per call, the closed loop's inner ticks
-(``_track_tick``) once per tick, each handing its pose and Jacobian to the
-next through the same control law (``_control_law``).  A NaN joint vector
-fails the unit check; the inner ticks raise it as FloatingPointError.
+(``_pose_and_jacobian``), as one product with a table fixed per model:
+joint j's factor cos(q_j/2) M_j + sin(q_j/2) K_j is affine in the pair
+(cos(q_j/2), sin(q_j/2)), so the pose is multilinear in the n pairs,
+vec8(x_eff) = sum_t mu_t(q) V_t over the 2^n bit patterns t, with the
+monomial mu_t taking sin(q_j/2) where bit j of t is set and cos(q_j/2)
+where it is not.  A derivative swaps one factor, d mu_t/dq_j =
++-1/2 mu_(t xor 2^j), so each Jacobian column is a sum over the same
+monomials, and [V | W_0 ... W_(n-1)] is one table: the pass forms the
+2^n monomials and takes one vector-matrix product, then checks the pose
+unit.  Chains longer than 8 joints split into blocks of at most 8, one
+table each, combined by Hamilton products.  Every caller makes that one
+pass: ``forward_kinematics``, ``pose_jacobian`` and ``inner_control``
+once per call, the closed loop's inner ticks (``_track_tick``) once per
+tick, each handing its pose and Jacobian to the next through the same
+control law (``_control_law``).  A NaN joint vector fails the unit check;
+the inner ticks raise it as FloatingPointError.
 The matrices and the conjugation signs come from
 ``screwmpc.dualquat``, which reads them off its own product and
 conjugation; its algebra classes only wrap the inputs and outputs.
@@ -38,8 +46,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import textio
-from .dualquat import (_CONJ, _HAMILTON_BASIS, DualQuaternion, UnitDualQuaternion,
-                       _check_unit, _hamilton8)
+from .dualquat import _CONJ, DualQuaternion, UnitDualQuaternion, _check_unit, _hamilton8
 
 __all__ = [
     "ChainElement",
@@ -58,18 +65,18 @@ _EYE8 = np.eye(8)
 # H8^-(h) C8 is linear in vec8(h): row i holds its 64 entries for h = e_i, so
 # vec8(h) @ _TASK_BASIS is H8^-(h) C8 flattened (each entry a single signed term).
 _TASK_BASIS = np.array([(_hamilton8(e, -1) * _CONJ).ravel() for e in _EYE8])
-# vec8(h) @ _STAR_BASIS is H8^+(h^*) flattened, for a stack of h too.
-_STAR_BASIS = _CONJ[:, None] * _HAMILTON_BASIS[1]
 _NEG_CONJ = -_CONJ
 # (vec8(r) @ _NORMAL_BASIS).reshape(8, 2) has the columns (r_P, 0) and (r_D, r_P), the
 # normals at a unit r of its 6-dimensional manifold (gradients of |r_P|^2, <r_P, r_D>).
 _NORMAL_BASIS = np.zeros((8, 8, 2))
 _NORMAL_BASIS[:4, :4, 0] = _NORMAL_BASIS[4:, :4, 1] = _NORMAL_BASIS[:4, 4:, 1] = np.eye(4)
 _NORMAL_BASIS = _NORMAL_BASIS.reshape(8, 16)
-for _table in (_EYE8, _TASK_BASIS, _STAR_BASIS, _NEG_CONJ, _NORMAL_BASIS):
+for _table in (_EYE8, _TASK_BASIS, _NEG_CONJ, _NORMAL_BASIS):
     _table.setflags(write=False)
 # ||M^-1||_F^2 below this certifies sigma_6(N) > 1e-3, as 1 / sigma_6^4 <= ||M^-1||_F^2
 _CERTIFIED_INV_SQ = 1e12
+# joints per chain-pass table: 2^8 x 72 entries (147 kB) for a full block
+_BLOCK_JOINTS = 8
 
 SV_CUTOFF = 1e-8
 DLS_DAMPING = 1e-4
@@ -114,29 +121,27 @@ class RobotModel:
         return sum(1 for e in self.elements if e.axis is not None)
 
     @cached_property
-    def _chain(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Per-joint Hamilton matrices M_j, K_j, A_j (dof x 8 x 8) and the flange column.
+    def _chain(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """The chain pass's (index, table) per block of at most 8 consecutive joints.
 
         F_j is the product of the fixed offsets from just after joint j-1's
-        rotation up to and including joint j's own offset; M_j = H8^+(F_j),
-        A_j = H8^+(a_j / 2) for the joint axis a_j and K_j = 2 M_j A_j, so
-        that H8^+(F_j R_j(q)) = cos(q/2) M_j + sin(q/2) K_j.  The flange
-        column is vec8 of the product of the offsets after the last joint.
+        rotation up to and including joint j's own offset; M_j = H8^+(F_j)
+        and K_j = M_j H8^+(a_j) for the joint axis a_j, so that
+        H8^+(F_j R_j(q)) = cos(q/2) M_j + sin(q/2) K_j.  The last block ends
+        with the flange, the product of the offsets after the last joint;
+        a chain without joints is one empty block.  See ``_block_table``.
         """
         folded = np.eye(8)
-        m, k, a = [], [], []
+        factors = []
         for elem in self.elements:
             folded = folded @ _hamilton8(elem.offset.vec8(), 1)
             if elem.axis is not None:
-                a.append(_hamilton8(0.5 * _EYE8[_AXES[elem.axis]], 1))
-                m.append(folded)
-                k.append(folded @ (2.0 * a[-1]))
+                factors.append((folded, folded @ _hamilton8(_EYE8[_AXES[elem.axis]], 1)))
                 folded = np.eye(8)
-        chain = (*(np.array(h).reshape(-1, 8, 8) for h in (m, k, a)),
-                 folded[:, 0].copy())  # H8^+(F) e_1 = vec8(F)
-        for arr in chain:
-            arr.setflags(write=False)
-        return chain
+        starts = range(0, max(self.dof, 1), _BLOCK_JOINTS)
+        return tuple(_block_table(factors[j:j + _BLOCK_JOINTS], j,
+                                  folded[:, 0] if j + _BLOCK_JOINTS >= self.dof else _EYE8[0])
+                     for j in starts)  # H8^+(F) e_1 = vec8(F)
 
     def clamp_position(self, q: np.ndarray) -> np.ndarray:
         # np.clip(q, q_min, q_max) bit for bit (operands in its comparison
@@ -161,28 +166,57 @@ def _check_q(model: RobotModel, q) -> np.ndarray:
     return q
 
 
+def _block_table(factors: list[tuple[np.ndarray, np.ndarray]], first: int,
+                 tail: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(index, table) of the block x_b = G_0 ... G_(k-1) tail of k = len(factors) joints.
+
+    G_j = c_j M_j + s_j K_j for (M_j, K_j) = factors[j] and c_j, s_j =
+    cos, sin of half joint ``first`` + j.  Expanding the product,
+    vec8(x_b) = sum_t mu_t V_t over the 2^k bit patterns t, where
+    mu_t = prod_j (s_j if bit j of t is set, else c_j) and
+    V_t = prod_j (K_j if bit j of t is set, else M_j) tail.  As
+    d mu_t/dq_j = +-1/2 mu_(t xor 2^j), column j of the block's Jacobian is
+    sum_u mu_u W_(j,u) with W_(j,u) = (-1/2 if bit j of u is set, else 1/2)
+    V_(u xor 2^j).  table is [V | W] (2^k x 8(k+1)), W's columns ordered as
+    the 8 x k Jacobian's entries, and index (k x 2^k) picks mu_t's factors out
+    of the joint vector's interleaved (c_0, s_0, c_1, s_1, ...).
+    """
+    vectors = tail[None]
+    for m, k in reversed(factors):  # bit j of the row index picks K_j for M_j
+        vectors = np.stack((vectors @ m.T, vectors @ k.T), axis=1).reshape(-1, 8)
+    joints = np.arange(len(factors))
+    patterns = np.arange(len(vectors))[:, None]
+    bits = (patterns >> joints) & 1
+    w = (0.5 - bits)[:, :, None] * vectors[patterns ^ (1 << joints)]
+    table = np.concatenate((vectors, w.transpose(0, 2, 1).reshape(len(vectors), -1)), axis=1)
+    index = (2 * (first + joints) + bits).T
+    for arr in (index, table):
+        arr.setflags(write=False)
+    return index, table
+
+
 def _pose_and_jacobian(model: RobotModel, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The one chain pass: vec8(x_eff), checked unit, and the 8 x dof pose Jacobian.
 
-    Joint j's element is G_j = H8^+(F_j R_j(q_j)) = cos(q_j/2) M_j + sin(q_j/2) K_j
-    (see ``RobotModel._chain``), so one sweep from the flange column f gives
-    the suffix vectors s_j = G_j ... G_{n-1} f, s_n = f, and s_0 = vec8(x_eff).
+    Each block of ``model._chain`` gives its pose and Jacobian as one product,
+    monomials mu(q) times its table (see ``_block_table``): with at most 8
+    joints, one block is the whole chain.  Longer chains combine the blocks
+    by Hamilton products, x = x_1 x_2 ..., so a column of block b is
+    H8^+(x_1 ... x_(b-1)) H8^-(x_(b+1) ...) times the block's own.
     A pose off unit (NaN joints, a drifted chain) raises ValueError.
-    dG_j/dq_j = G_j A_j, so column j is vec8 of P_j G_j (a_j/2) s_{j+1} for the
-    prefix P_j = G_0 ... G_{j-1}; as x_eff = P_j G_j s_{j+1} and s_{j+1} is
-    unit, that is x_eff times the body column s_{j+1}^* (a_j/2) s_{j+1}.
     """
-    m, k, a, flange = model._chain
-    half = 0.5 * q
-    c, s = np.cos(half)[:, None, None], np.sin(half)[:, None, None]
-    suffix = [flange]
-    for gj in (c * m + s * k)[::-1]:
-        suffix.append(gj.dot(suffix[-1]))
-    suffix = np.array(suffix[::-1])
-    x_eff8, after = suffix[0], suffix[1:]
+    cos_sin = np.exp(0.5j * q).view(float)  # cos(q_j/2), sin(q_j/2) interleaved
+    (index, table), *rest = model._chain
+    out = cos_sin[index].prod(axis=0).dot(table)
+    x_eff8, jac = out[:8], out[8:].reshape(8, -1)
+    for index, table in rest:
+        out = cos_sin[index].prod(axis=0).dot(table)
+        left = _hamilton8(x_eff8, 1)
+        jac = np.concatenate((_hamilton8(out[:8], -1) @ jac, left @ out[8:].reshape(8, -1)),
+                             axis=1)
+        x_eff8 = left @ out[:8]
     _check_unit(*x_eff8.tolist())
-    body = np.matmul((after @ _STAR_BASIS).reshape(-1, 8, 8), np.matmul(a, after[:, :, None]))
-    return x_eff8, _hamilton8(x_eff8, 1) @ body[:, :, 0].T
+    return x_eff8, jac
 
 
 def _task_map(x_d8: np.ndarray) -> np.ndarray:

@@ -502,8 +502,8 @@ def test_closed_loop_makes_one_chain_pass_per_inner_tick(panda, ready_pose, monk
 
 def test_closed_loop_rejects_a_chain_off_unit(panda, ready_pose):
     model = load_robot_model(packaged_model_path())
-    *matrices, flange = model._chain
-    model.__dict__["_chain"] = (*matrices, flange * (1.0 + 1e-6))  # the cached chain
+    model.__dict__["_chain"] = tuple(  # the cached chain-pass table, scaled
+        (index, table * (1.0 + 1e-6)) for index, table in model._chain)
     keypoints = [ready_pose, translated(ready_pose, [0.05, 0.0, 0.0])]
     with pytest.raises(ValueError, match="not a unit dual quaternion"):
         run_closed_loop(load_config(None), model, keypoints)

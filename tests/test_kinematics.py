@@ -349,6 +349,36 @@ def test_jacobian_matches_product_rule_oracle(name, data):
                                rtol=0.0, atol=1e-12)
 
 
+def block_chain(dof: int) -> RobotModel:
+    """Seeded random offsets: a fixed element before the first joint, after
+    every third joint and two after the last, joints cycling through x, y, z."""
+    rng = np.random.default_rng(dof)
+    layout = [None]
+    for j in range(dof):
+        layout += ["xyz"[j % 3]] + [None] * (j % 3 == 1)
+    layout += [None, None]
+    elements = tuple(ChainElement(UnitDualQuaternion.from_vec8(random_pose_vec8(rng, 0.3)), axis)
+                     for axis in layout)
+    return RobotModel(elements, -np.ones(dof) * 3, np.ones(dof) * 3, np.ones(dof) * 2)
+
+
+@pytest.mark.parametrize("dof", [0, 1, 7, 8, 9, 17])
+def test_chain_pass_tables_on_any_chain(dof):
+    # one block (0-7 joints), one full block (8), two and three combined
+    # blocks (9, 17): pose and Jacobian against the plain chain product and
+    # the product-rule Jacobian
+    model = block_chain(dof)
+    assert len(model._chain) == max(1, -(-dof // 8))
+    rng = np.random.default_rng(100 + dof)
+    for _ in range(5):
+        q = rng.uniform(-3.0, 3.0, dof)
+        x_eff8, jac = kinematics._pose_and_jacobian(model, q)
+        assert jac.shape == (8, dof)
+        np.testing.assert_allclose(x_eff8, chain_product_oracle(model, q).vec8(),
+                                   rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(jac, pose_jacobian_oracle(model, q), rtol=0.0, atol=1e-12)
+
+
 @pytest.mark.parametrize("name", REFERENCE_MODELS)
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
