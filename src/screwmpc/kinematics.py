@@ -138,10 +138,10 @@ class RobotModel:
             if elem.axis is not None:
                 factors.append((folded, folded @ _hamilton8(_EYE8[_AXES[elem.axis]], 1)))
                 folded = np.eye(8)
-        starts = range(0, max(self.dof, 1), _BLOCK_JOINTS)
+        flange = folded[:, 0]  # H8^+(F) e_1 = vec8(F)
         return tuple(_block_table(factors[j:j + _BLOCK_JOINTS], j,
-                                  folded[:, 0] if j + _BLOCK_JOINTS >= self.dof else _EYE8[0])
-                     for j in starts)  # H8^+(F) e_1 = vec8(F)
+                                  flange if j + _BLOCK_JOINTS >= self.dof else _EYE8[0])
+                     for j in range(0, max(self.dof, 1), _BLOCK_JOINTS))
 
     def clamp_position(self, q: np.ndarray) -> np.ndarray:
         # np.clip(q, q_min, q_max) bit for bit (operands in its comparison

@@ -64,17 +64,15 @@ def run(name: str, model=None):
     """Run `name` of RUNS: `simulate --random 4 --seed <seed>` under its config
     text, or `simulate --config <file>` for a config file."""
     source, seed = RUNS[name]
+    model = model if model is not None else load_robot_model(packaged_model_path())
     if seed is None:
         cfg = load_config(source)
-    else:
-        with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "run.cfg"
-            path.write_text(source)
-            cfg = load_config(path)
-    model = model if model is not None else load_robot_model(packaged_model_path())
-    keypoints = (load_keypoints(cfg.keypoints) if seed is None
-                 else _random_keypoints(model, cfg.q0, 4, seed))
-    return run_closed_loop(cfg, model, keypoints)
+        return run_closed_loop(cfg, model, load_keypoints(cfg.keypoints))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "run.cfg"
+        path.write_text(source)
+        cfg = load_config(path)
+    return run_closed_loop(cfg, model, _random_keypoints(model, cfg.q0, 4, seed))
 
 
 def main(names: list[str]) -> None:

@@ -577,21 +577,21 @@ def test_closed_loop_stops_on_a_nan_smoothed_twist(panda, ready_pose, monkeypatc
 
 
 def test_closed_loop_agrees_with_the_textbook_chain_pass(panda, monkeypatch):
-    # the suffix sweep against the plain chain product and the product-rule
+    # the table product against the plain chain product and the product-rule
     # Jacobian, in the whole loop: every log column within 1e-9
     cfg = load_config(None)
     keypoints = _random_keypoints(panda, cfg.q0, 2, 7)
-    sweep = run_closed_loop(cfg, panda, keypoints)
+    table = run_closed_loop(cfg, panda, keypoints)
     for module in (kinematics, simulate):
         monkeypatch.setattr(module, "_pose_and_jacobian", lambda model, q: (
             chain_product_oracle(model, q).vec8(), pose_jacobian_oracle(model, q)))
     textbook = run_closed_loop(cfg, panda, keypoints)
-    assert textbook.columns == sweep.columns and textbook.rows.shape == sweep.rows.shape
-    np.testing.assert_allclose(sweep.rows, textbook.rows, rtol=0.0, atol=1e-9)
+    assert textbook.columns == table.columns and textbook.rows.shape == table.rows.shape
+    np.testing.assert_allclose(table.rows, textbook.rows, rtol=0.0, atol=1e-9)
     for name in ("qp_active", "qp_converged", "singular"):
-        at = sweep.columns.index(name)
-        assert np.array_equal(sweep.rows[:, at], textbook.rows[:, at])
-    assert sweep.n_records > 50
+        at = table.columns.index(name)
+        assert np.array_equal(table.rows[:, at], textbook.rows[:, at])
+    assert table.n_records > 50
 
 
 def test_log_records_keep_the_number_format(tmp_path):

@@ -333,8 +333,9 @@ def test_inner_control_singularity_flag():
 def test_fk_equals_plain_chain_product(name, data):
     model = REFERENCE_MODELS[name]
     q = data.draw(joint_vectors(model))
-    # The stacked-matrix walk sums in another order than the plain product:
-    # vec8 entries are <= 1 in magnitude, 16 products add a few ulp each.
+    # The table product sums the 2^n monomial terms in another order than the
+    # plain product: table entries are <= 1 in magnitude here and
+    # sum |mu_t| <= 2^(n/2), a few ulp each.
     np.testing.assert_allclose(forward_kinematics(model, q).vec8(),
                                chain_product_oracle(model, q).vec8(), rtol=0.0, atol=1e-14)
 
