@@ -34,16 +34,11 @@ from .kinematics import (
 from .mpc import (
     LimitSet,
     MpcConfig,
-    PredictionMatrices,
     QpProblem,
     QpSolution,
     SmootherState,
     StepResult,
     TwistSmoother,
-    build_model,
-    build_prediction,
-    build_qp,
-    build_setpoint,
     solve_qp,
 )
 from .screwpath import (

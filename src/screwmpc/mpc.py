@@ -25,8 +25,9 @@ interior point's own stop test.  A problem left tries up to two
 active-set repairs (the rows with a positive multiplier stay, the rows
 broken join); only the problems still left go to the interior point,
 which solves them as it would cold.
-``build_model``, ``build_prediction`` and ``build_qp`` give its dense
-18-state lifts (x I6); ``build_qp`` takes n_p copies of one target.
+The paper's dense 18-state model, prediction and QP are these per-axis
+forms lifted by Kronecker products with I6; only the tests build them, as
+an oracle.
 
 Twist vectors are ordered [wx, wy, wz, vx, vy, vz] (vec6 of a pure dual
 quaternion).
@@ -46,16 +47,11 @@ from .dualquat import PureDualQuaternion, UnitDualQuaternion, exp
 __all__ = [
     "MpcConfig",
     "LimitSet",
-    "PredictionMatrices",
     "QpProblem",
     "QpSolution",
     "SmootherState",
     "StepResult",
     "TwistSmoother",
-    "build_model",
-    "build_prediction",
-    "build_setpoint",
-    "build_qp",
     "solve_qp",
 ]
 
@@ -142,45 +138,15 @@ def _scalar_model(sample_time: float):
     Plant a_m = [[1, T], [0, 1]], b_m = [T^2/2, T]^T, c_m = [0, 1] (exact ZOH of
     the double integrator); A = [[a_m, 0], [c_m a_m, 1]], B = [b_m; c_m b_m]."""
     T = float(sample_time)
-    if not (np.isfinite(T) and T > 0.0):
-        raise ValueError("sample_time must be positive and finite")
     a = np.array([[1.0, T, 0.0], [0.0, 1.0, 0.0], [0.0, 1.0, 1.0]])
     b = np.array([[0.5 * T * T], [T], [T]])
     c = np.array([[0.0, 0.0, 1.0]])
     return a, b, c
 
 
-def _unlift(*dense):
-    """The per-axis matrices whose Kronecker products with I6 are `dense`."""
-    scalar = tuple(m[::N_AXES, ::N_AXES].copy() for m in dense)
-    if not all(np.array_equal(np.kron(s, np.eye(N_AXES)), m) for s, m in zip(scalar, dense)):
-        raise ValueError("matrices must act on each axis alike (kron(scalar, I6))")
-    return scalar
-
-
-def build_model(sample_time: float):
-    """Difference-augmented model for sample time T: the scalar one x I6.
-
-    Plant A_m = [[I, T*I], [0, I]], B_m = [[T^2/2*I], [T*I]], C_m = [0, I];
-    augmented (18 states = 12 backward differences + 6 outputs):
-    A = [[A_m, 0], [C_m A_m, I]], B = [[B_m], [C_m B_m]], C = [0, I].
-    """
-    return tuple(np.kron(m, np.eye(N_AXES)) for m in _scalar_model(sample_time))
-
-
-@dataclass(frozen=True)
-class PredictionMatrices:
-    """Condensed prediction Y = F @ state + Phi @ delta_u_sequence."""
-
-    f: np.ndarray    # (6 n_p, 18)
-    phi: np.ndarray  # (6 n_p, 6 n_c), lower block-triangular
-
-
 def _scalar_prediction(model, n_p: int, n_c: int) -> tuple[np.ndarray, np.ndarray]:
     """Stack C A^k rows into F_s (n_p x 3) and the Toeplitz convolution into Phi_s."""
     a, b, c = model
-    if not (1 <= n_c <= n_p):
-        raise ValueError(f"need 1 <= n_c <= n_p, got n_c={n_c}, n_p={n_p}")
     f = np.zeros((n_p, a.shape[0]))
     markov = np.zeros(n_p)  # markov[k] = C A^k B
     ca = c
@@ -192,20 +158,6 @@ def _scalar_prediction(model, n_p: int, n_c: int) -> tuple[np.ndarray, np.ndarra
     for col in range(n_c):
         phi[col:, col] = markov[:n_p - col]
     return f, phi
-
-
-def build_prediction(model, n_p: int, n_c: int) -> PredictionMatrices:
-    """F = kron(F_s, I6) and Phi = kron(Phi_s, I6) from the per-axis prediction."""
-    scalar = _scalar_prediction(_unlift(*model), n_p, n_c)
-    return PredictionMatrices(*(np.kron(m, np.eye(N_AXES)) for m in scalar))
-
-
-def build_setpoint(target: np.ndarray, n_p: int) -> np.ndarray:
-    """Stack n_p copies of the current 6-vector reference twist."""
-    target = np.asarray(target, dtype=float).reshape(-1)
-    if target.shape != (N_AXES,):
-        raise ValueError(f"target twist must have {N_AXES} components")
-    return np.tile(target, n_p)
 
 
 @dataclass(frozen=True)
@@ -315,9 +267,15 @@ class _TickQp(QpProblem):
 
 def _axis_qp(f_mat: np.ndarray, phi: np.ndarray, cfg: MpcConfig, limits: LimitSet) -> _Laws:
     """The laws of a smoother's six per-axis QPs, which share W.  Horizons,
-    weights and limits fix E, W and the maps P_f and P_V from an axis's
-    theta_a = [its 3 states, target_a, u_prev_a, 1] to its f and V (see
-    build_qp); a tick only forms theta."""
+    weights and limits fix E = Phi^T Q Phi + R, W and the maps P_f and P_V
+    from an axis's theta_a = [its 3 states s_a, target_a, u_prev_a, 1] to its
+    f = -Phi^T Q (target_a - F s_a) (the target held over the horizon) and V;
+    a tick only forms theta.  W stacks three groups of 2 n_c rows, a -min row
+    then a +max row per step: jerk +-du_k <= T * jerk bounds (du is an
+    acceleration increment), acceleration +-(u_prev + sum_{j<=k} du_j) <= acc
+    bounds, and velocity +-(F s_a + Phi dU) over the first n_c predicted
+    outputs <= vel bounds.  V is each bound less its row's offset (0,
+    +-u_prev or +-F s_a)."""
     n_c = cfg.n_c
     phi_t_q = cfg.q_weight[:, None, None] * phi.T
     e = phi_t_q @ phi + cfg.r_weight[:, None, None] * np.eye(n_c)
@@ -346,44 +304,6 @@ def _tick_qp(laws: _Laws, state: np.ndarray, target: np.ndarray,
     theta = np.concatenate([state, target, u_prev, np.ones(N_AXES)]).reshape(-1, N_AXES).T
     f, v = ((m @ theta[:, :, None])[:, :, 0] for m in (laws.p_f, laws.p_v))
     return _TickQp(laws.e, f, laws.w, np.where(laws.finite, v, np.inf), laws, theta)
-
-
-def build_qp(state, setpoint, prediction: PredictionMatrices, cfg: MpcConfig,
-             limits: LimitSet, u_prev) -> QpProblem:
-    """Assemble the tracking QP for the current augmented state.
-
-    The setpoint is n_p copies of one target (build_setpoint; else
-    ValueError).  E = Phi^T Q Phi + R and f = -Phi^T Q (setpoint - F state).
-    Constraint rows come in three stacked groups of 12 n_c rows each (-min
-    row then +max row per block):
-
-    1. jerk:         +-du_k        <= T * jerk bounds (du is an acceleration
-                                      increment, so jerk = du/T),
-    2. acceleration: +-(u_prev + sum_{j<=k} du_j) <= acc bounds, and
-    3. velocity:     +-(F state + Phi dU) output rows for the first n_c
-                     prediction blocks <= vel bounds.
-
-    This is the smoother's _tick_qp, six per-axis problems interleaved:
-    variable 6j + a and row 6r + a are axis a's variable j and row r.
-    """
-    state = np.asarray(state, dtype=float).reshape(-1)
-    if state.shape != (AUG_DIM,):
-        raise ValueError(f"augmented state must have {AUG_DIM} components")
-    u_prev = np.asarray(u_prev, dtype=float).reshape(-1)
-    if u_prev.shape != (N_AXES,):
-        raise ValueError(f"u_prev must have {N_AXES} components")
-    setpoint = np.asarray(setpoint, dtype=float).reshape(-1)
-    if setpoint.shape != (N_AXES * cfg.n_p,):
-        raise ValueError(f"setpoint must have 6 n_p = {N_AXES * cfg.n_p} entries, "
-                         f"got {setpoint.size}")
-    target = setpoint[:N_AXES]
-    if not np.array_equal(setpoint, np.tile(target, cfg.n_p), equal_nan=True):
-        raise ValueError("setpoint must be n_p copies of one target")
-    qp = _tick_qp(_axis_qp(*_unlift(prediction.f, prediction.phi), cfg, limits),
-                  state, target, u_prev)
-    eye = np.eye(N_AXES)
-    e = np.einsum("aij,ab->iajb", qp.e, eye).reshape(N_AXES * cfg.n_c, -1)
-    return QpProblem(e, qp.f.T.ravel(), np.kron(qp.w, eye), qp.v.T.ravel())
 
 
 @dataclass

@@ -9,6 +9,7 @@ Files hold one record per line, numbers with 17 significant digits.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -81,16 +82,19 @@ def generate_path(keypoints, samples_per_segment: int,
 
     Each of the n-1 segments is sampled at tau in {0, 1/m, ..., 1}; the
     duplicate pose at every junction (a segment start equals the previous
-    segment end) is dropped, so the path has m*(n-1) + 1 samples.
+    segment end) is dropped, so the path has m*(n-1) + 1 samples.  m must be
+    an integer and tau_step positive and finite.
     """
     keypoints = list(keypoints)
     if len(keypoints) < 2:
         raise ValueError(f"need at least 2 keypoints, got {len(keypoints)}")
+    if not isinstance(samples_per_segment, numbers.Integral):
+        raise ValueError(f"samples_per_segment must be an integer, got {samples_per_segment!r}")
     m = int(samples_per_segment)
     if m < 1:
         raise ValueError("samples_per_segment must be >= 1")
-    if not tau_step > 0.0:
-        raise ValueError("tau_step must be positive")
+    if not 0.0 < tau_step < float("inf"):
+        raise ValueError("tau_step must be positive and finite")
 
     samples: list[PathSample] = []
     index = 0
@@ -111,8 +115,8 @@ def reference_twists(path: DiscretePath) -> list[PureDualQuaternion]:
     """
     if len(path) < 2:
         raise ValueError("path must have at least 2 samples")
-    if not path.tau_step > 0.0:
-        raise ValueError("tau_step must be positive")
+    if not 0.0 < path.tau_step < float("inf"):
+        raise ValueError("tau_step must be positive and finite")
     scale = 2.0 / path.tau_step
     twists = [PureDualQuaternion.zero()]
     poses = path.poses()

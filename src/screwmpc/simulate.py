@@ -27,7 +27,7 @@ import numpy as np
 from . import textio
 from .config import RunConfig
 from .dualquat import log
-from .kinematics import RobotModel, _error8, _pose_and_jacobian, _task_map, _track_tick
+from .kinematics import RobotModel, _check_q, _error8, _pose_and_jacobian, _task_map, _track_tick
 # not called here: perfbench/tracing.py wraps these three names in this namespace
 from .kinematics import forward_kinematics, inner_control, pose_error  # noqa: F401
 from .mpc import FEAS_TOL, N_AXES, TwistSmoother
@@ -110,11 +110,12 @@ def run_closed_loop(cfg: RunConfig, model: RobotModel,
     twist that is not finite, a smoother step that raises FloatingPointError
     (a smoothed twist that is not finite) and inner ticks whose joints turn
     NaN all raise FloatingPointError with the tick's time appended.  A start
-    pose q0 outside the joint limits is rejected.
+    pose q0 without one entry per joint or outside the joint limits is
+    rejected.
     """
     if model.dof != 7:
         raise ValueError(f"simulator expects a 7-joint model, got {model.dof}")
-    q = np.asarray(cfg.q0, dtype=float).copy()
+    q = _check_q(model, cfg.q0).copy()
     outside = np.flatnonzero(~((model.q_min <= q) & (q <= model.q_max)))
     if outside.size:
         raise ValueError("start pose q0 is outside the joint limits: " + "; ".join(

@@ -6,10 +6,15 @@ not depend on the code paths under test.  The kinematics references are the
 exception: they use the library's algebra classes, but in the textbook form
 (a plain chain product, the product-rule Jacobian over prefix and suffix
 products, the control law composed from the public functions), so they do
-not share the single chain walk of ``screwmpc.kinematics``.
+not share the single chain walk of ``screwmpc.kinematics``.  The dense
+18-state MPC forms are the second exception: they are the smoother's own
+per-axis model, prediction and tick QP lifted by Kronecker products with I6,
+the paper's form against which the tests check the per-axis design.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,6 +31,14 @@ from screwmpc.kinematics import (
     forward_kinematics,
     pose_error,
     pose_jacobian,
+)
+from screwmpc.mpc import (
+    N_AXES,
+    QpProblem,
+    _axis_qp,
+    _scalar_model,
+    _scalar_prediction,
+    _tick_qp,
 )
 
 # ---------------------------------------------------------------------------
@@ -197,6 +210,92 @@ def qp_enumeration_oracle(e, f, w, v):
         if obj < best_obj:
             best_x, best_obj = x, obj
     return best_x, best_obj
+
+
+# ---------------------------------------------------------------------------
+# MPC prediction by simulation
+
+
+def prediction_rollout_oracle(sample_time: float, n_p: int, n_c: int):
+    """One axis's (F, Phi) by stepping the paper's difference-augmented model.
+
+    Plant a_m = [[1, T], [0, 1]], b_m = [T^2/2, T]^T, c_m = [0, 1] (the double
+    integrator's exact zero-order hold); the state is [its backward
+    differences; the output]: A = [[a_m, 0], [c_m a_m, 1]], B = [b_m; c_m b_m],
+    C = [0, 0, 1].  Column i of F is the output sequence from state e_i with no
+    input, column j of Phi the one from rest under a unit increment at step j.
+    """
+    T = float(sample_time)
+    a_m, b_m = np.array([[1.0, T], [0.0, 1.0]]), np.array([0.5 * T * T, T])
+    c_m = np.array([0.0, 1.0])
+    a = np.block([[a_m, np.zeros((2, 1))], [c_m @ a_m, np.ones((1, 1))]])
+    b = np.append(b_m, c_m @ b_m)
+
+    def outputs(x, du):
+        out = []
+        for k in range(n_p):
+            x = a @ x + b * du[k]
+            out.append(x[2])
+        return out
+
+    f = np.column_stack([outputs(e, np.zeros(n_p)) for e in np.eye(3)])
+    phi = np.column_stack([outputs(np.zeros(3), np.eye(n_p)[j]) for j in range(n_c)])
+    return f, phi
+
+
+# ---------------------------------------------------------------------------
+# Dense 18-state MPC forms: the smoother's per-axis forms x I6, so variable
+# 6j + a and row 6r + a are axis a's variable j and row r
+
+
+def _per_axis(*dense):
+    """The per-axis matrices whose Kronecker products with I6 are `dense`
+    (contiguous copies: a strided view sums its products in another order)."""
+    return tuple(m[::N_AXES, ::N_AXES].copy() for m in dense)
+
+
+def build_model(sample_time: float):
+    """Difference-augmented model for sample time T: the scalar one x I6.
+
+    Plant A_m = [[I, T*I], [0, I]], B_m = [[T^2/2*I], [T*I]], C_m = [0, I];
+    augmented (18 states = 12 backward differences + 6 outputs):
+    A = [[A_m, 0], [C_m A_m, I]], B = [[B_m], [C_m B_m]], C = [0, I].
+    """
+    return tuple(np.kron(m, np.eye(N_AXES)) for m in _scalar_model(sample_time))
+
+
+@dataclass(frozen=True)
+class PredictionMatrices:
+    """Condensed prediction Y = F @ state + Phi @ delta_u_sequence."""
+
+    f: np.ndarray    # (6 n_p, 18)
+    phi: np.ndarray  # (6 n_p, 6 n_c), lower block-triangular
+
+
+def build_prediction(model, n_p: int, n_c: int) -> PredictionMatrices:
+    """F = kron(F_s, I6) and Phi = kron(Phi_s, I6) from the per-axis prediction."""
+    scalar = _scalar_prediction(_per_axis(*model), n_p, n_c)
+    return PredictionMatrices(*(np.kron(m, np.eye(N_AXES)) for m in scalar))
+
+
+def build_setpoint(target, n_p: int) -> np.ndarray:
+    """Stack n_p copies of the current 6-vector reference twist."""
+    return np.tile(np.asarray(target, dtype=float).reshape(-1), n_p)
+
+
+def build_qp(state, setpoint, prediction: PredictionMatrices, cfg, limits, u_prev) -> QpProblem:
+    """The smoother's tick QP (``_tick_qp``, rows as ``_axis_qp`` describes)
+    as one dense QP: E = Phi^T Q Phi + R, f = -Phi^T Q (setpoint - F state).
+    The setpoint must be n_p copies of one target (build_setpoint)."""
+    setpoint = np.asarray(setpoint, dtype=float).reshape(-1)
+    target = setpoint[:N_AXES]
+    if not np.array_equal(setpoint, np.tile(target, cfg.n_p), equal_nan=True):
+        raise ValueError("setpoint must be n_p copies of one target")
+    qp = _tick_qp(_axis_qp(*_per_axis(prediction.f, prediction.phi), cfg, limits),
+                  state, target, u_prev)
+    eye = np.eye(N_AXES)
+    e = np.einsum("aij,ab->iajb", qp.e, eye).reshape(N_AXES * cfg.n_c, -1)
+    return QpProblem(e, qp.f.T.ravel(), np.kron(qp.w, eye), qp.v.T.ravel())
 
 
 # ---------------------------------------------------------------------------

@@ -35,8 +35,6 @@ from screwmpc.mpc import (
     MpcConfig,
     QpProblem,
     TwistSmoother,
-    build_model,
-    build_prediction,
     solve_qp,
 )
 from screwmpc.screwpath import sclerp, write_keypoints
@@ -44,6 +42,8 @@ from screwmpc.simulate import read_trajectory_csv, verify_trajectory
 
 from helpers import (
     adjoint_matrix_oracle,
+    build_model,
+    build_prediction,
     hamilton_plus8_oracle,
     qp_enumeration_oracle,
     random_pose_vec8,

@@ -429,6 +429,14 @@ def test_simulate_determinism(tmp_path, ready_pose, limits):
         assert np.any((active > 0) & (iters == 0)) and np.any(iters > 0)
 
 
+@pytest.mark.parametrize("joints", [6, 8])
+def test_closed_loop_rejects_q0_of_another_joint_count(panda, ready_pose, joints):
+    cfg = dataclasses.replace(load_config(None), q0=np.zeros(joints))
+    with pytest.raises(ValueError, match=f"joint vector has {joints} entries but the model "
+                                         "has 7 joints"):
+        run_closed_loop(cfg, panda, [ready_pose] * 2)
+
+
 def test_simulate_rejects_start_outside_joint_limits(tmp_path, capsys, panda):
     cfg = load_config(write_cfg(tmp_path, "q0 = 0 0 0 -2 9 1.5 0.7\n"))
     with pytest.raises(ValueError, match=r"q0 is outside the joint limits: joint 5 at 9 "):

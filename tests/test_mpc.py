@@ -24,14 +24,18 @@ from screwmpc.mpc import (
     SmootherState,
     TwistSmoother,
     _tick_qp,
+    solve_qp,
+)
+
+from helpers import (
     build_model,
     build_prediction,
     build_qp,
     build_setpoint,
-    solve_qp,
+    prediction_rollout_oracle,
+    qp_enumeration_oracle,
+    qp_feasible_oracle,
 )
-
-from helpers import qp_enumeration_oracle, qp_feasible_oracle
 
 INF6 = np.full(6, np.inf)
 
@@ -107,9 +111,9 @@ def test_model_matches_scalar_rollout():
 
 def test_model_rejects_bad_sample_time():
     with pytest.raises(ValueError, match="positive"):
-        build_model(0.0)
+        MpcConfig(sample_time=0.0)
     with pytest.raises(ValueError, match="positive and finite"):
-        build_model(float("inf"))
+        MpcConfig(sample_time=float("inf"))
 
 
 # ---------------------------------------------------------------------------
@@ -149,60 +153,11 @@ def test_prediction_matches_rollout():
         np.testing.assert_allclose(predicted, np.concatenate(outputs), atol=1e-12)
 
 
-def _unlike_axes(m: np.ndarray, coupled: bool) -> np.ndarray:
-    """A copy of the lifted `m` that couples axes 0 and 1 or gives axis 1 its own entry."""
-    m = m.copy()
-    if coupled:
-        m[0, 1] += 1.0
-    else:
-        m[1, 1] += 1.0
-    return m
-
-
-@pytest.mark.parametrize("coupled", [True, False])
-@pytest.mark.parametrize("which", [0, 1, 2])
-def test_prediction_rejects_model_not_lifted_per_axis(which, coupled):
-    model = list(build_model(0.009))
-    model[which] = _unlike_axes(model[which], coupled)
-    with pytest.raises(ValueError, match="act on each axis alike"):
-        build_prediction(tuple(model), 3, 2)
-
-
-@pytest.mark.parametrize("coupled", [True, False])
-@pytest.mark.parametrize("which", ["f", "phi"])
-def test_qp_rejects_prediction_not_lifted_per_axis(which, coupled):
-    pred = build_prediction(build_model(0.009), 3, 2)
-    bad = dataclasses.replace(pred, **{which: _unlike_axes(getattr(pred, which), coupled)})
-    with pytest.raises(ValueError, match="act on each axis alike"):
-        build_qp(np.zeros(AUG_DIM), build_setpoint(np.zeros(6), 3), bad,
-                 MpcConfig(n_c=2, n_p=3), limits_of(), np.zeros(6))
-
-
 def test_prediction_shapes():
     model = build_model(0.009)
     pred = build_prediction(model, 50, 10)
     assert pred.f.shape == (300, 18)
     assert pred.phi.shape == (300, 60)
-
-
-# ---------------------------------------------------------------------------
-# setpoint
-
-
-def test_setpoint_zero():
-    np.testing.assert_array_equal(build_setpoint(np.zeros(6), 4), np.zeros(24))
-
-
-def test_setpoint_replicates():
-    t = np.arange(6.0)
-    np.testing.assert_array_equal(build_setpoint(t, 2), np.concatenate([t, t]))
-
-
-def test_setpoint_norm():
-    t = np.array([1.0, -2.0, 0.5, 0.0, 3.0, -1.0])
-    n_p = 7
-    assert np.linalg.norm(build_setpoint(t, n_p)) == pytest.approx(
-        np.sqrt(n_p) * np.linalg.norm(t))
 
 
 # ---------------------------------------------------------------------------
@@ -219,28 +174,6 @@ def test_qp_unconstrained_zero_state_zero_target():
     sol = solve_qp(qp)
     np.testing.assert_allclose(sol.delta_u, np.zeros(18), atol=1e-12)
     assert sol.converged
-
-
-@pytest.mark.parametrize("n_p, setpoint, match", [
-    pytest.param(5, np.ones(6), "6 n_p = 30", id="one-6-vector"),
-    pytest.param(5, np.ones(18), "6 n_p = 30", id="18-entries"),
-    pytest.param(5, np.array([]), "6 n_p = 30", id="empty"),
-    pytest.param(5, np.arange(30.0), "one target", id="rows-differ"),
-    pytest.param(2, np.array([*np.ones(6), *np.ones(5), 2.0]), "one target", id="last-differs"),
-])
-def test_qp_takes_one_target_held_over_the_horizon(n_p, setpoint, match):
-    # the setpoint is n_p copies of one target, as build_setpoint stacks it
-    cfg = MpcConfig(n_c=2, n_p=n_p)
-    pred = build_prediction(build_model(cfg.sample_time), cfg.n_p, cfg.n_c)
-    args = (pred, cfg, limits_of(acc=1.0), np.zeros(6))
-    with pytest.raises(ValueError, match=match):
-        build_qp(np.zeros(AUG_DIM), setpoint, *args)
-    target = np.arange(1.0, 7.0)
-    qp = build_qp(np.zeros(AUG_DIM), build_setpoint(target, n_p), *args)
-    assert np.all(qp.f != 0.0)
-    one = MpcConfig(n_c=1, n_p=1)
-    pred = build_prediction(build_model(one.sample_time), 1, 1)
-    assert build_qp(np.zeros(AUG_DIM), target, pred, one, limits_of(), np.zeros(6)).f.shape == (6,)
 
 
 def test_qp_hessian_symmetric_positive_definite():
@@ -305,6 +238,33 @@ def draw_tick(data):
     u_prev = data.draw(arrays(float, 6, elements=st.floats(-acc, acc)), label="u_prev")
     target = data.draw(arrays(float, 6, elements=st.floats(-2.0, 2.0)), label="target")
     return cfg, limits, state, u_prev, target
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_tick_qp_is_the_tracking_qp_of_the_rolled_out_model(data):
+    # per axis a, the tick's QP against (F, Phi) from stepping the paper's
+    # model: E = q_a Phi^T Phi + r_a I and f = -q_a Phi^T (target_a - F s_a)
+    # within 1e-12 of their terms' size (and of the smallest normal number,
+    # where the terms underflow); W is the jerk, acceleration and velocity
+    # rows +-I, +-tril(1) and +-Phi[:n_c], each -min row before its +max row
+    cfg, limits, state, u_prev, target = draw_tick(data)
+    n_c, tiny = cfg.n_c, np.finfo(float).tiny
+    qp = _tick_qp(TwistSmoother(cfg, limits, UnitDualQuaternion.identity())._laws,
+                  state, target, u_prev)
+    f_roll, phi = prediction_rollout_oracle(cfg.sample_time, cfg.n_p, n_c)
+    paired = [np.stack([-rows, rows], axis=1).reshape(-1, n_c)
+              for rows in (np.eye(n_c), np.tril(np.ones((n_c, n_c))), phi[:n_c])]
+    assert np.array_equal(qp.w, np.vstack(paired))
+    for a, (q, r) in enumerate(zip(cfg.q_weight, cfg.r_weight)):
+        s_a = state.reshape(3, N_AXES)[:, a]
+        e = q * phi.T @ phi + r * np.eye(n_c)
+        e_size = q * np.abs(phi).T @ np.abs(phi) + r * np.eye(n_c)
+        assert np.all(np.abs(qp.e[a] - e) <= 1e-12 * e_size + tiny)
+        gap = target[a] - f_roll @ s_a
+        f = -q * phi.T @ gap
+        f_size = q * np.abs(phi).T @ (abs(target[a]) + np.abs(f_roll) @ np.abs(s_a))
+        assert np.all(np.abs(qp.f[a] - f) <= 1e-12 * f_size + tiny)
 
 
 def step_and_dense_qp(cfg, limits, state, u_prev, target):

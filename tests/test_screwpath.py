@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -172,6 +173,26 @@ def test_generate_path_rejects_bad_inputs():
     for tau_step in (0.0, float("nan")):
         with pytest.raises(ValueError, match="tau_step"):
             generate_path([x, x], 5, tau_step)
+
+
+@pytest.mark.parametrize("samples, tau_step, match", [
+    pytest.param(2.7, 0.01, "samples_per_segment must be an integer, got 2.7", id="fractional"),
+    pytest.param(2.0, 0.01, "samples_per_segment must be an integer", id="integral-float"),
+    pytest.param(5, math.inf, "tau_step must be positive and finite", id="inf-tau"),
+    pytest.param(5, -math.inf, "tau_step must be positive and finite", id="minus-inf-tau"),
+])
+def test_generate_path_rejects_bad_sampling(samples, tau_step, match):
+    # 2.7 samples a segment twice and tau_step = inf gives all-zero twists
+    x = random_pose(np.random.default_rng(38))
+    with pytest.raises(ValueError, match=match):
+        generate_path([x, x], samples, tau_step)
+
+
+@pytest.mark.parametrize("tau_step", [0.0, -0.01, math.nan, math.inf])
+def test_reference_twists_rejects_bad_tau_step(tau_step):
+    path = generate_path([random_pose(np.random.default_rng(38))] * 2, 5, 0.01)
+    with pytest.raises(ValueError, match="tau_step must be positive and finite"):
+        reference_twists(dataclasses.replace(path, tau_step=tau_step))
 
 
 # ---------------------------------------------------------------------------
