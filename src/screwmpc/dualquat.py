@@ -40,6 +40,22 @@ PURE_TOL = 1e-9
 _SMALL_ANGLE = 1e-8
 
 
+def _product(p: "Quaternion", q: "Quaternion") -> tuple[float, float, float, float]:
+    """The Hamilton product p * q as its four floats [w, x, y, z]."""
+    a1, b1, c1, d1 = p.w, p.x, p.y, p.z
+    a2, b2, c2, d2 = q.w, q.x, q.y, q.z
+    return (a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2,
+            a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
+            a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2,
+            a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2)
+
+
+def _check_pure(w: float, dw: float) -> None:
+    """Raise ValueError unless both real parts are within PURE_TOL of zero (NaN fails)."""
+    if not (abs(w) <= PURE_TOL and abs(dw) <= PURE_TOL):
+        raise ValueError(f"not a pure dual quaternion: Re parts ({w:.3g}, {dw:.3g})")
+
+
 def _check_unit(w: float, x: float, y: float, z: float,
                 dw: float, dx: float, dy: float, dz: float) -> None:
     """Raise ValueError unless (w, x, y, z) + eps (dw, dx, dy, dz) is unit:
@@ -99,14 +115,7 @@ class Quaternion:
 
     def __mul__(self, other):
         if isinstance(other, Quaternion):
-            a1, b1, c1, d1 = self.w, self.x, self.y, self.z
-            a2, b2, c2, d2 = other.w, other.x, other.y, other.z
-            return Quaternion(
-                a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2,
-                a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
-                a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2,
-                a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2,
-            )
+            return Quaternion(*_product(self, other))
         if isinstance(other, (int, float)):
             k = float(other)
             return Quaternion(self.w * k, self.x * k, self.y * k, self.z * k)
@@ -181,8 +190,10 @@ class DualQuaternion:
 
     def __mul__(self, other):
         if isinstance(other, DualQuaternion):
-            primary = self.primary * other.primary
-            dual = self.primary * other.dual + self.dual * other.primary
+            primary = Quaternion(*_product(self.primary, other.primary))
+            pw, px, py, pz = _product(self.primary, other.dual)
+            dw, dx, dy, dz = _product(self.dual, other.primary)
+            dual = Quaternion(pw + dw, px + dx, py + dy, pz + dz)
             if isinstance(self, UnitDualQuaternion) and isinstance(other, UnitDualQuaternion):
                 return UnitDualQuaternion(primary, dual)
             return DualQuaternion(primary, dual)
@@ -228,9 +239,10 @@ class DualQuaternion:
     def normalized(self) -> "UnitDualQuaternion":
         """Project onto the unit subset by dividing by the dual-scalar norm."""
         n_p, n_d = self.norm()
-        primary = self.primary * (1.0 / n_p)
-        dual = self.dual * (1.0 / n_p) - self.primary * (n_d / (n_p * n_p))
-        return UnitDualQuaternion(primary, dual)
+        p, d, a, b = self.primary, self.dual, 1.0 / n_p, n_d / (n_p * n_p)
+        return UnitDualQuaternion(
+            Quaternion(p.w * a, p.x * a, p.y * a, p.z * a),
+            Quaternion(d.w * a - p.w * b, d.x * a - p.x * b, d.y * a - p.y * b, d.z * a - p.z * b))
 
     def allclose(self, other: "DualQuaternion", atol: float = 1e-12) -> bool:
         return bool(np.allclose(self.vec8(), other.vec8(), rtol=0.0, atol=atol))
@@ -278,14 +290,9 @@ class PureDualQuaternion(DualQuaternion):
     __slots__ = ()
 
     def __init__(self, primary: Quaternion, dual: Quaternion):
-        if not (abs(primary.w) <= PURE_TOL and abs(dual.w) <= PURE_TOL):
-            raise ValueError(
-                f"not a pure dual quaternion: Re parts ({primary.w:.3g}, {dual.w:.3g})"
-            )
-        super().__init__(
-            Quaternion(0.0, primary.x, primary.y, primary.z),
-            Quaternion(0.0, dual.x, dual.y, dual.z),
-        )
+        _check_pure(primary.w, dual.w)
+        super().__init__(Quaternion(0.0, primary.x, primary.y, primary.z),
+                         Quaternion(0.0, dual.x, dual.y, dual.z))
 
     @classmethod
     def zero(cls) -> "PureDualQuaternion":
@@ -296,7 +303,7 @@ class PureDualQuaternion(DualQuaternion):
         v = np.asarray(v, dtype=float)
         if v.shape != (6,):
             raise ValueError(f"vec6 must have 6 coefficients, got shape {v.shape}")
-        return cls(Quaternion(0.0, v[0], v[1], v[2]), Quaternion(0.0, v[3], v[4], v[5]))
+        return _pure(*v.tolist())
 
     def vec6(self) -> np.ndarray:
         p, d = self.primary, self.dual
@@ -304,13 +311,13 @@ class PureDualQuaternion(DualQuaternion):
 
     def __mul__(self, other):
         if isinstance(other, (int, float)):
-            return PureDualQuaternion(self.primary * other, self.dual * other)
+            k, p, d = float(other), self.primary, self.dual
+            _check_pure(p.w * k, d.w * k)  # 0 * k is NaN for k infinite or NaN
+            return _pure(p.x * k, p.y * k, p.z * k, d.x * k, d.y * k, d.z * k)
         return super().__mul__(other)
 
     def __rmul__(self, other):
-        if isinstance(other, (int, float)):
-            return PureDualQuaternion(self.primary * other, self.dual * other)
-        return NotImplemented
+        return self * other if isinstance(other, (int, float)) else NotImplemented
 
 
 @dataclass(frozen=True)
@@ -328,8 +335,12 @@ class ScrewParameters:
     moment: Quaternion
 
 
-def _pure(q: Quaternion) -> Quaternion:
-    return Quaternion(0.0, q.x, q.y, q.z)
+def _pure(px: float, py: float, pz: float, dx: float, dy: float, dz: float) -> PureDualQuaternion:
+    """The pure dual quaternion (px, py, pz) + eps (dx, dy, dz) for from_vec6, scaling and
+    log; its real parts are the literal 0.0, so it skips __init__'s purity check."""
+    g = PureDualQuaternion.__new__(PureDualQuaternion)
+    DualQuaternion.__init__(g, Quaternion(0.0, px, py, pz), Quaternion(0.0, dx, dy, dz))
+    return g
 
 
 def _as_pure(g: DualQuaternion, what: str) -> DualQuaternion:
@@ -383,13 +394,14 @@ def log(x: UnitDualQuaternion) -> PureDualQuaternion:
     in Im(x_P), the primary part is Im(x_P) and the dual part
     p/2 + (1/2) p x Im(x_P) with p = 2 * x_D * x_P^* the translation.
     """
-    if x.primary.w < 0.0:
-        x = -x
     r, d_ = x.primary, x.dual
+    if r.w < 0.0:
+        r, d_ = -r, -d_
     s = math.sqrt(r.x ** 2 + r.y ** 2 + r.z ** 2)
-    if s < _SMALL_ANGLE:
-        p = x.translation() / 2.0
-        return PureDualQuaternion(_pure(r), Quaternion.from_vector(p + np.cross(p, r.vector)))
+    if s < _SMALL_ANGLE:  # p/2 = Im(x_D x_P^*), and (p/2) x Im(x_P) added
+        _, px, py, pz = _product(d_, r.conjugate())
+        return _pure(r.x, r.y, r.z, px + (py * r.z - pz * r.y), py + (pz * r.x - px * r.z),
+                     pz + (px * r.y - py * r.x))
     half_theta = math.atan2(s, r.w)
     lx, ly, lz = r.x / s, r.y / s, r.z / s
     half_d = -d_.w / s
@@ -397,14 +409,8 @@ def log(x: UnitDualQuaternion) -> PureDualQuaternion:
     mx = d_.x / s - hc * lx
     my = d_.y / s - hc * ly
     mz = d_.z / s - hc * lz
-    primary = Quaternion(0.0, half_theta * lx, half_theta * ly, half_theta * lz)
-    dual = Quaternion(
-        0.0,
-        half_d * lx + half_theta * mx,
-        half_d * ly + half_theta * my,
-        half_d * lz + half_theta * mz,
-    )
-    return PureDualQuaternion(primary, dual)
+    return _pure(half_theta * lx, half_theta * ly, half_theta * lz, half_d * lx + half_theta * mx,
+                 half_d * ly + half_theta * my, half_d * lz + half_theta * mz)
 
 
 def screw_parameters(x: UnitDualQuaternion) -> ScrewParameters:

@@ -151,7 +151,7 @@ class RobotModel:
 
     def scale_velocity(self, qd: np.ndarray) -> np.ndarray:
         """Uniformly scale qd into the velocity box, preserving direction."""
-        ratio = (np.abs(qd) / self.qd_max).max()
+        ratio = np.maximum.reduce(np.abs(qd) / self.qd_max)
         if ratio > 1.0:
             return qd / ratio
         return qd
@@ -206,11 +206,12 @@ def _pose_and_jacobian(model: RobotModel, q: np.ndarray) -> tuple[np.ndarray, np
     A pose off unit (NaN joints, a drifted chain) raises ValueError.
     """
     cos_sin = np.exp(0.5j * q).view(float)  # cos(q_j/2), sin(q_j/2) interleaved
-    (index, table), *rest = model._chain
-    out = cos_sin[index].prod(axis=0).dot(table)
+    # the monomials, prod(axis=0) of the gathered factors, without the method's wrapper
+    index, table = model._chain[0]
+    out = np.multiply.reduce(cos_sin.take(index), axis=0).dot(table)
     x_eff8, jac = out[:8], out[8:].reshape(8, -1)
-    for index, table in rest:
-        out = cos_sin[index].prod(axis=0).dot(table)
+    for index, table in model._chain[1:]:
+        out = np.multiply.reduce(cos_sin.take(index), axis=0).dot(table)
         left = _hamilton8(x_eff8, 1)
         jac = np.concatenate((_hamilton8(out[:8], -1) @ jac, left @ out[8:].reshape(8, -1)),
                              axis=1)
@@ -221,7 +222,7 @@ def _pose_and_jacobian(model: RobotModel, q: np.ndarray) -> tuple[np.ndarray, np
 
 def _task_map(x_d8: np.ndarray) -> np.ndarray:
     """H8^-(x_d) C8 from vec8(x_d)."""
-    return (x_d8 @ _TASK_BASIS).reshape(8, 8)
+    return x_d8.dot(_TASK_BASIS).reshape(8, 8)
 
 
 def _error8(task_map: np.ndarray, x_d8: np.ndarray, x_eff8: np.ndarray) -> np.ndarray:
@@ -229,7 +230,7 @@ def _error8(task_map: np.ndarray, x_d8: np.ndarray, x_eff8: np.ndarray) -> np.nd
 
     (x_d^* x_eff)^* = x_eff^* x_d, so vec8(x_d^* x_eff) = C8 H8^-(x_d) C8 vec8(x_eff).
     """
-    return _relative_error8(task_map @ x_eff8, x_d8 @ x_eff8 < 0.0)
+    return _relative_error8(task_map.dot(x_eff8), x_d8.dot(x_eff8) < 0.0)
 
 
 def _relative_error8(rel8: np.ndarray, flip: bool) -> np.ndarray:
@@ -309,18 +310,19 @@ def inner_control(model: RobotModel, q, x_d: UnitDualQuaternion,
 def _control_law(model: RobotModel, x_eff8: np.ndarray, jac: np.ndarray, x_d8: np.ndarray,
                  task_map: np.ndarray, gain: np.ndarray) -> ControlCommand:
     """``inner_control`` at a pose and Jacobian already computed, for checked inputs."""
-    rel = task_map @ x_eff8
-    err = _relative_error8(rel, x_d8 @ x_eff8 < 0.0)
-    task = task_map @ jac
+    # products by ndarray.dot, which calls the same BLAS routine as @ at half its overhead
+    rel = task_map.dot(x_eff8)
+    err = _relative_error8(rel, x_d8.dot(x_eff8) < 0.0)
+    task = task_map.dot(jac)
     if model.dof >= 6:
-        aug = np.concatenate((task, (rel @ _NORMAL_BASIS).reshape(8, 2)), axis=1)
+        aug = np.concatenate((task, rel.dot(_NORMAL_BASIS).reshape(8, 2)), axis=1)
         try:
-            m_inv = np.linalg.inv(aug @ aug.T)
+            m_inv = np.linalg.inv(aug.dot(aug.T))
         except np.linalg.LinAlgError:
             pass
         else:
             if np.vdot(m_inv, m_inv) < _CERTIFIED_INV_SQ:
-                return ControlCommand(-(task.T @ (m_inv @ (gain @ err))), False)
+                return ControlCommand(-task.T.dot(m_inv.dot(gain.dot(err))), False)
 
     u_svd, sigma, vt = np.linalg.svd(task, full_matrices=False)
     nominal_rank = min(model.dof, 6)
@@ -329,8 +331,8 @@ def _control_law(model: RobotModel, x_eff8: np.ndarray, jac: np.ndarray, x_d8: n
         inv_sigma = sigma / (sigma * sigma + DLS_DAMPING * DLS_DAMPING)
     else:
         inv_sigma = np.where(sigma >= SV_CUTOFF, 1.0 / np.where(sigma > 0, sigma, 1.0), 0.0)
-    task_pinv = (vt.T * inv_sigma) @ u_svd.T
-    qdot = -task_pinv @ (gain @ err)
+    task_pinv = (vt.T * inv_sigma).dot(u_svd.T)
+    qdot = (-task_pinv).dot(gain.dot(err))
     return ControlCommand(qdot, singular)
 
 
@@ -352,9 +354,9 @@ def _track_tick(model: RobotModel, q: np.ndarray, x_eff8: np.ndarray, jac: np.nd
     """
     singular = False
     for _ in range(ticks):
-        cmd = _control_law(model, x_eff8, jac, x_d8, task_map, gain)
-        singular = singular or cmd.singular
-        q = model.clamp_position(q + dt * model.scale_velocity(cmd.qdot))
+        qdot, tick_singular = _control_law(model, x_eff8, jac, x_d8, task_map, gain)
+        singular = singular or tick_singular
+        q = model.clamp_position(q + dt * model.scale_velocity(qdot))
         try:
             x_eff8, jac = _pose_and_jacobian(model, q)
         except ValueError:

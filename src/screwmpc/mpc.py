@@ -518,11 +518,11 @@ def solve_qp(qp: QpProblem, *, working_sets: Sequence[np.ndarray] = ()) -> QpSol
         if len(working_sets):
             broken &= ~_on_laws(laws, theta, test, broken, working_sets, f, v, x, lam)
             residual = (w @ x[:, :, None])[:, :, 0] - v
-    todo = np.flatnonzero(broken)
-    if todo.size:
-        x[todo], lam[todo], iterations, solved[todo] = _interior_point(
-            e[todo], f[todo, :, None], test._make(m[todo] for m in test), laws.scale)
-        residual = (w @ x[:, :, None])[:, :, 0] - v
+        todo = np.flatnonzero(broken)
+        if todo.size:
+            x[todo], lam[todo], iterations, solved[todo] = _interior_point(
+                e[todo], f[todo, :, None], test._make(m[todo] for m in test), laws.scale)
+            residual = (w @ x[:, :, None])[:, :, 0] - v
     violation = np.where(laws.finite, residual, 0.0).max(axis=1, initial=0.0)
     solved &= violation <= FEAS_TOL
     if qp.f.ndim == 1:

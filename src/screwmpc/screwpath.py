@@ -18,6 +18,7 @@ from .dualquat import (
     PureDualQuaternion,
     Quaternion,
     UnitDualQuaternion,
+    exp,
     log,
     power,
 )
@@ -60,6 +61,11 @@ class DiscretePath:
         return [s.pose for s in self.samples]
 
 
+def _relative(x_a: UnitDualQuaternion, x_b: UnitDualQuaternion) -> UnitDualQuaternion:
+    """The segment's relative pose x_a^-1 x_b, x_b double-cover aligned with x_a first."""
+    return x_a.inverse() * (-x_b if x_a.primary.dot(x_b.primary) < 0.0 else x_b)
+
+
 def sclerp(x_a: UnitDualQuaternion, x_b: UnitDualQuaternion,
            tau: float) -> UnitDualQuaternion:
     """Screw linear interpolation between two poses at parameter tau in [0, 1].
@@ -71,9 +77,7 @@ def sclerp(x_a: UnitDualQuaternion, x_b: UnitDualQuaternion,
     tau = float(tau)
     if not 0.0 <= tau <= 1.0:
         raise ValueError(f"interpolation parameter must be in [0, 1], got {tau}")
-    if x_a.primary.dot(x_b.primary) < 0.0:
-        x_b = -x_b
-    return x_a * power(x_a.inverse() * x_b, tau)
+    return x_a * power(_relative(x_a, x_b), tau)
 
 
 def generate_path(keypoints, samples_per_segment: int,
@@ -83,7 +87,8 @@ def generate_path(keypoints, samples_per_segment: int,
     Each of the n-1 segments is sampled at tau in {0, 1/m, ..., 1}; the
     duplicate pose at every junction (a segment start equals the previous
     segment end) is dropped, so the path has m*(n-1) + 1 samples.  m must be
-    an integer and tau_step positive and finite.
+    an integer and tau_step positive and finite.  Sample k of a segment is
+    sclerp(x_a, x_b, k/m) bit for bit, from the one screw log(x_a^-1 x_b).
     """
     keypoints = list(keypoints)
     if len(keypoints) < 2:
@@ -99,11 +104,11 @@ def generate_path(keypoints, samples_per_segment: int,
     samples: list[PathSample] = []
     index = 0
     for seg in range(len(keypoints) - 1):
-        x_a, x_b = keypoints[seg], keypoints[seg + 1]
-        first = 0 if seg == 0 else 1
-        for k in range(first, m + 1):
+        x_a = keypoints[seg]
+        screw = log(_relative(x_a, keypoints[seg + 1]))
+        for k in range(0 if seg == 0 else 1, m + 1):
             tau = k / m
-            samples.append(PathSample(index, seg, tau, sclerp(x_a, x_b, tau)))
+            samples.append(PathSample(index, seg, tau, x_a * exp(screw * tau)))
             index += 1
     return DiscretePath(tuple(samples), float(tau_step))
 

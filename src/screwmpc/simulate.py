@@ -160,11 +160,12 @@ def run_closed_loop(cfg: RunConfig, model: RobotModel,
                                                    gain, inner_dt, ratio)
         except FloatingPointError as err:
             raise FloatingPointError(f"{err} at t = {t:.6f} s") from None
-        err_track = float(np.linalg.norm(_error8(task_map, x_d8, x_eff8)))
-        err_goal = float(np.linalg.norm(_error8(goal_map, goal8, x_eff8)))
+        # |e| as np.linalg.norm takes it, sqrt(e . e), without its wrapper
+        err_track, err_goal = (math.sqrt(e.dot(e)) for e in (
+            _error8(task_map, x_d8, x_eff8), _error8(goal_map, goal8, x_eff8)))
 
         records.append(
-            [t, *q, *x_eff8, *x_d8, *ref, *step.twist, *step.delta_u,
+            [t, *np.concatenate((q, x_eff8, x_d8, ref, step.twist, step.delta_u)).tolist(),
              err_track, err_goal, float(step.iterations), float(step.converged),
              float(step.active_count), float(singular)]
         )

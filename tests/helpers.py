@@ -9,7 +9,11 @@ products, the control law composed from the public functions), so they do
 not share the single chain walk of ``screwmpc.kinematics``.  The dense
 18-state MPC forms are the second exception: they are the smoother's own
 per-axis model, prediction and tick QP lifted by Kronecker products with I6,
-the paper's form against which the tests check the per-axis design.
+the paper's form against which the tests check the per-axis design.  The
+object-by-object pose algebra is the third: the dual quaternion product,
+``normalized``, the pure construction and scaling and ``log``'s small-angle
+branch composed from ``Quaternion`` operations and numpy, the reference the
+float forms of ``screwmpc.dualquat`` must equal bit for bit.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ import numpy as np
 
 from screwmpc.dualquat import (
     DualQuaternion,
+    PureDualQuaternion,
     Quaternion,
     UnitDualQuaternion,
     c8,
@@ -171,6 +176,54 @@ def random_pure_vec6(rng, max_half_angle: float, dual_scale: float = 1.0) -> np.
     axis /= np.linalg.norm(axis)
     half_angle = rng.uniform(0.0, max_half_angle)
     return np.concatenate([half_angle * axis, rng.normal(scale=dual_scale, size=3)])
+
+
+def same_bits(a, b) -> bool:
+    """Equal dtype, shape and bytes: signed zeros and NaN payloads included."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# The pose algebra object by object, from Quaternion operations
+
+
+def dq_product_oracle(a: DualQuaternion, b: DualQuaternion) -> DualQuaternion:
+    """a * b = a_P b_P + eps (a_P b_D + a_D b_P), unit when both factors are."""
+    primary = a.primary * b.primary
+    dual = a.primary * b.dual + a.dual * b.primary
+    if isinstance(a, UnitDualQuaternion) and isinstance(b, UnitDualQuaternion):
+        return UnitDualQuaternion(primary, dual)
+    return DualQuaternion(primary, dual)
+
+
+def normalized_oracle(h: DualQuaternion) -> UnitDualQuaternion:
+    """h divided by its dual-scalar norm (n_p, n_d):
+    h_P / n_p + eps (h_D / n_p - h_P n_d / n_p^2)."""
+    n_p, n_d = h.norm()
+    primary = h.primary * (1.0 / n_p)
+    dual = h.dual * (1.0 / n_p) - h.primary * (n_d / (n_p * n_p))
+    return UnitDualQuaternion(primary, dual)
+
+
+def pure_from_vec6_oracle(v) -> PureDualQuaternion:
+    v = np.asarray(v, dtype=float)
+    return PureDualQuaternion(Quaternion(0.0, v[0], v[1], v[2]), Quaternion(0.0, v[3], v[4], v[5]))
+
+
+def pure_scaled_oracle(g: PureDualQuaternion, k) -> PureDualQuaternion:
+    return PureDualQuaternion(g.primary * k, g.dual * k)
+
+
+def small_angle_log_oracle(x: UnitDualQuaternion) -> PureDualQuaternion:
+    """log(x) for |Im(x_P)| < 1e-8, sign-aligned: Im(x_P) + eps (p/2 + (p/2) x Im(x_P))
+    with p = 2 x_D x_P^* the translation."""
+    if x.primary.w < 0.0:
+        x = -x
+    r = x.primary
+    p = x.translation() / 2.0
+    return PureDualQuaternion(Quaternion(0.0, r.x, r.y, r.z),
+                              Quaternion.from_vector(p + np.cross(p, r.vector)))
 
 
 # ---------------------------------------------------------------------------

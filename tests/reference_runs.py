@@ -12,10 +12,19 @@ behaviour regenerates the file (and says so in its change notes):
 Naming runs (``... reference_runs.py near-singular``) records only those and
 keeps the others as they were recorded, so that adding a run does not move
 the reference of the existing ones.
+
+A change that means to keep the logs byte for byte shows it with
+
+    PYTHONPATH=src python tests/reference_runs.py --digest [name ...]
+
+which prints the SHA-256 of the ``trajectory.csv`` each run (all, or those
+named) writes with the current code, one ``<digest>  <name>`` line per run,
+and leaves the recorded file as it is; run it on both commits and compare.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import sys
 import tempfile
@@ -25,7 +34,7 @@ from screwmpc.cli import _random_keypoints
 from screwmpc.config import load_config
 from screwmpc.kinematics import load_robot_model, packaged_model_path
 from screwmpc.screwpath import load_keypoints
-from screwmpc.simulate import run_closed_loop
+from screwmpc.simulate import run_closed_loop, write_trajectory_csv
 
 DATA = Path(__file__).parent / "data"
 REFERENCE = DATA / "reference_runs.json"
@@ -75,6 +84,14 @@ def run(name: str, model=None):
     return run_closed_loop(cfg, model, _random_keypoints(model, cfg.q0, 4, seed))
 
 
+def digest(name: str, model=None) -> str:
+    """SHA-256 of the trajectory.csv that run `name` of RUNS writes."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "trajectory.csv"
+        write_trajectory_csv(path, run(name, model))
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 def main(names: list[str]) -> None:
     model = load_robot_model(packaged_model_path())
     runs = json.loads(REFERENCE.read_text())["runs"] if names else {}
@@ -85,4 +102,9 @@ def main(names: list[str]) -> None:
 
 
 if __name__ == "__main__":
-    main(sys.argv[1:])
+    if sys.argv[1:2] == ["--digest"]:
+        panda = load_robot_model(packaged_model_path())
+        for name in sys.argv[2:] or RUNS:
+            print(f"{digest(name, panda)}  {name}")
+    else:
+        main(sys.argv[1:])

@@ -22,12 +22,18 @@ from screwmpc.dualquat import (
 
 from helpers import (
     adjoint_matrix_oracle,
+    dq_product_oracle,
     hamilton_plus8_oracle,
     mul_oracle,
+    normalized_oracle,
     pose_rotation_translation,
+    pure_from_vec6_oracle,
+    pure_scaled_oracle,
     random_pose_vec8,
     random_pure_vec6,
+    same_bits,
     se3_expm_oracle,
+    small_angle_log_oracle,
 )
 
 I_HAT = DualQuaternion.from_vec8([0, 1, 0, 0, 0, 0, 0, 0])
@@ -433,3 +439,101 @@ def test_unit_constructor_rejects_non_unit():
     for v in ([np.nan] * 8, [1, 0, 0, 0, np.nan, 0, 0, 0], [np.nan, 0, 0, 0, 0, 0, 0, 0]):
         with pytest.raises(ValueError, match="unit"):
             UnitDualQuaternion.from_vec8(v)
+
+
+# ---------------------------------------------------------------------------
+# the float forms are the object algebra, bit for bit
+
+coefficient = st.floats(-1e3, 1e3)
+
+
+@st.composite
+def unit_poses(draw, rotation=st.sampled_from(["any", "small", "none"])):
+    """Unit dual quaternions: any rotation, one with |Im(r)| < 1e-8 (the
+    small-angle branch of log) or none, either sign of r."""
+    kind = draw(rotation)
+    if kind == "any":
+        r = np.array(draw(st.tuples(*[st.floats(-1.0, 1.0)] * 4).filter(
+            lambda v: np.linalg.norm(v) > 0.1)))
+        r /= np.linalg.norm(r)
+    else:
+        axis = np.array(draw(st.tuples(*[st.floats(-1.0, 1.0)] * 3)))
+        size = draw(st.floats(0.0, 5e-9)) if kind == "small" else 0.0
+        r = np.concatenate([[1.0], axis * size])
+    if draw(st.booleans()):
+        r = -r
+    return UnitDualQuaternion.from_rotation_translation(Quaternion(*r),
+                                                        draw(st.tuples(*[coefficient] * 3)))
+
+
+@st.composite
+def pure_vectors(draw):
+    """vec6 of pure dual quaternions, some with |g_P| < 1e-8 or g_P = 0."""
+    v = np.array(draw(st.tuples(*[coefficient] * 6)))
+    v[:3] *= draw(st.sampled_from([1.0, 1e-12, 0.0]))
+    return v
+
+
+@given(a=unit_poses(), b=unit_poses(), h=st.tuples(*[coefficient] * 8), v=pure_vectors())
+@settings(max_examples=300, deadline=None)
+def test_product_is_the_object_product_bit_for_bit(a, b, h, v):
+    general, pure = DualQuaternion.from_vec8(h), PureDualQuaternion.from_vec6(v)
+    for x, y in ((a, b), (b, a), (a, general), (general, b), (general, general),
+                 (general, pure), (pure, general), (a, pure), (pure, b), (pure, pure)):
+        got, expected = x * y, dq_product_oracle(x, y)
+        assert type(got) is type(expected)
+        assert same_bits(got.vec8(), expected.vec8())
+
+
+@given(a=unit_poses(), b=unit_poses(), h=st.tuples(*[coefficient] * 8).filter(
+    lambda v: np.linalg.norm(v[:4]) > 1e-3))
+@settings(max_examples=300, deadline=None)
+def test_normalized_is_the_object_normalization_bit_for_bit(a, b, h):
+    for x in (a * b, DualQuaternion.from_vec8(h)):
+        got, expected = x.normalized(), normalized_oracle(x)
+        assert type(got) is UnitDualQuaternion
+        assert same_bits(got.vec8(), expected.vec8())
+
+
+@given(v=pure_vectors(), k=st.floats(-1e3, 1e3))
+@settings(max_examples=300, deadline=None)
+def test_pure_construction_and_scaling_are_the_object_forms_bit_for_bit(v, k):
+    g = PureDualQuaternion.from_vec6(v)
+    expected = pure_from_vec6_oracle(v)
+    assert same_bits(g.vec8(), expected.vec8())
+    for got in (g * k, k * g):
+        assert type(got) is PureDualQuaternion
+        assert same_bits(got.vec8(), pure_scaled_oracle(expected, k).vec8())
+
+
+@given(x=unit_poses(rotation=st.sampled_from(["small", "none"])))
+@settings(max_examples=300, deadline=None)
+def test_small_angle_log_is_the_object_form_bit_for_bit(x):
+    r = x.primary
+    assert math.sqrt(r.x ** 2 + r.y ** 2 + r.z ** 2) < 1e-8
+    assert same_bits(log(x).vec8(), small_angle_log_oracle(x).vec8())
+
+
+def _pose_update(twist, pose, from_vec6, scaled, product, normalized):
+    """The smoother's pose update, (exp(g (T/2)) pose).normalized(), from the given forms."""
+    return normalized(product(exp(scaled(from_vec6(twist), 0.0045)), pose))
+
+
+@pytest.mark.parametrize("twist, error", [(np.full(6, np.nan), ValueError),
+                                          (np.full(6, 1e200), OverflowError)])
+def test_float_forms_fail_as_the_object_forms(twist, error):
+    pose = UnitDualQuaternion.from_vec8(random_pose_vec8(np.random.default_rng(3)))
+    float_forms = (PureDualQuaternion.from_vec6, lambda g, k: g * k, lambda a, b: a * b,
+                   lambda h: h.normalized())
+    object_forms = (pure_from_vec6_oracle, pure_scaled_oracle, dq_product_oracle,
+                    normalized_oracle)
+    for forms in (float_forms, object_forms):
+        with pytest.raises(error):
+            _pose_update(twist, pose, *forms)
+    zero_primary = DualQuaternion(Quaternion.zero(), Quaternion(0.0, 1.0, 0.0, 0.0))
+    g = PureDualQuaternion.from_vec6(np.ones(6))
+    for fail in (zero_primary.normalized, lambda: normalized_oracle(zero_primary),
+                 lambda: g * math.inf, lambda: pure_scaled_oracle(g, math.inf),
+                 lambda: g * math.nan, lambda: pure_scaled_oracle(g, math.nan)):
+        with pytest.raises(ValueError):
+            fail()

@@ -24,6 +24,7 @@ from screwmpc.mpc import (
     SmootherState,
     TwistSmoother,
     _tick_qp,
+    _TickQp,
     solve_qp,
 )
 
@@ -35,6 +36,7 @@ from helpers import (
     prediction_rollout_oracle,
     qp_enumeration_oracle,
     qp_feasible_oracle,
+    same_bits,
 )
 
 INF6 = np.full(6, np.inf)
@@ -474,11 +476,6 @@ def test_unconverged_axis_carries_no_working_set():
     assert sm.state.working_set.shape == shape and not sm.state.working_set.any()
 
 
-def same_bits(a, b) -> bool:
-    a, b = np.asarray(a), np.asarray(b)
-    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
-
-
 def tick_vectors_oracle(cfg, limits, state, target, u_prev):
     """f and V of a tick from the stacked setpoint and the paired row offsets:
     the jerk rows' offsets are +0 and -0."""
@@ -830,6 +827,49 @@ def test_solver_unconstrained_optimum():
     sol = solve_qp(qp)
     np.testing.assert_allclose(sol.delta_u, -np.linalg.solve(e, f), atol=1e-10)
     assert sol.converged and sol.active_count == 0
+
+
+@pytest.mark.parametrize("stack", [True, False])
+def test_free_stack_is_the_unconstrained_optimum_bit_for_bit(stack):
+    # every problem's -E^-1 f meets every row (one within 1e-12, one row with
+    # an infinite bound): the solve returns it with zero multipliers, no
+    # iteration and max(0, largest residual on a finite row)
+    rng = np.random.default_rng(56)
+    k, n, m = 4, 3, 5
+    a = rng.normal(size=(k, n, n))
+    e = a @ a.transpose(0, 2, 1) + 0.5 * np.eye(n)
+    f, w = rng.normal(size=(k, n)), rng.normal(size=(m, n))
+    x_free = (-np.linalg.inv(e) @ f[:, :, None])[:, :, 0]
+    v = (w @ x_free[:, :, None])[:, :, 0] + rng.uniform(0.1, 1.0, size=(k, m))
+    v[0, 1], v[1, 2] = np.inf, (w @ x_free[1])[2] - 5e-13
+    if not stack:
+        e, f, v, x_free = e[1], f[1], v[1], x_free[1]
+    sol = solve_qp(QpProblem(e, f, w, v))
+    residual = (w @ x_free[..., None])[..., 0] - v
+    assert 0.0 < residual[np.isfinite(v)].max() <= 1e-12
+    assert same_bits(sol.delta_u, x_free)
+    assert same_bits(sol.lam, np.zeros(v.shape))
+    assert sol.iterations == 0 and sol.converged and np.all(sol.solved)
+    assert sol.max_violation == max(0.0, residual[np.isfinite(v)].max())
+
+
+def test_a_broken_problem_still_tries_its_working_sets():
+    # of three problems sharing W, only the second's optimum (2, 0) breaks
+    # x_1 <= 1: it is solved on its working set's law, built into the laws'
+    # cache, as the plain problem solves
+    e, w = np.stack([np.eye(2)] * 3), np.eye(2)
+    f, v = np.array([[-0.5, 0.1], [-2.0, 0.0], [0.0, 0.5]]), np.ones((3, 2))
+    laws = _Laws(e, w, f[..., None], v[..., None], np.isfinite(v))
+    mask = np.zeros((3, 2), dtype=bool)
+    mask[1, 0] = True
+    sol = solve_qp(_TickQp(e, f, w, v, laws, np.ones((3, 1))), working_sets=[mask])
+    assert len(laws.cache) == 1
+    assert sol.iterations == 0 and sol.converged
+    np.testing.assert_array_equal(sol.delta_u[1], [1.0, 0.0])
+    np.testing.assert_array_equal(sol.lam, [[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]])
+    plain = solve_qp(QpProblem(e, f, w, v), working_sets=[mask])
+    assert all(same_bits(getattr(sol, name), getattr(plain, name))
+               for name in ("delta_u", "lam", "solved"))
 
 
 def test_solver_scalar_clipping():

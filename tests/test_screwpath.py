@@ -21,7 +21,7 @@ from screwmpc.screwpath import (
     write_twists_csv,
 )
 
-from helpers import pose_rotation_translation, random_pose_vec8
+from helpers import pose_rotation_translation, random_pose_vec8, same_bits
 
 
 def pose(r: Quaternion, p) -> UnitDualQuaternion:
@@ -161,6 +161,23 @@ def test_generate_path_endpoint_and_unit_invariants():
         n_p, n_d = s.pose.norm()
         assert abs(n_p - 1.0) < 1e-9
         assert abs(n_d) < 1e-9
+
+
+@pytest.mark.parametrize("seed, m", [(41, 1), (42, 4), (43, 9)])
+def test_generate_path_is_sclerp_bit_for_bit(seed, m):
+    # one screw per segment gives each sample exactly sclerp(x_a, x_b, k/m),
+    # on random keypoints and on a segment that needs the double-cover flip
+    rng = np.random.default_rng(seed)
+    kps = [random_pose(rng) for _ in range(4)]
+    kps.append(-(exp(PureDualQuaternion.from_vec6(rng.normal(scale=0.3, size=6))) * kps[-1]))
+    assert kps[-2].primary.dot(kps[-1].primary) < 0.0
+    path = generate_path(kps, m, 0.01)
+    assert len(path) == m * (len(kps) - 1) + 1
+    for s in path.samples:
+        k = s.index - m * s.segment
+        assert s.tau == k / m
+        expected = sclerp(kps[s.segment], kps[s.segment + 1], k / m)
+        assert same_bits(s.pose.vec8(), expected.vec8()), (s.segment, k)
 
 
 def test_generate_path_rejects_bad_inputs():
