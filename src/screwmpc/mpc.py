@@ -11,17 +11,20 @@ and each tick solves the six QPs (jerk, acceleration and velocity rows) in
 one batched solve.  The six QPs share W, and one object (_Laws) holds the
 stack: E, W and what they fix, and the maps P_f and P_V from an axis's
 parameters theta = [its 3 states, target, u_prev, 1] to its f and V (the
-reference is held over the horizon).  The smoother builds it once; a tick
-forms theta and evaluates f = P_f theta and V = P_V theta.  The rows that
-end a tick with a positive multiplier are its working set.
+reference is held over the horizon).  It is built once per configuration
+(horizons, sample time, weights and limits): every smoother of that
+configuration shares it, and a registry keeps the _STACKS used last.  A
+tick forms theta and evaluates f = P_f theta and V = P_V theta.  The rows
+that end a tick with a positive multiplier are its working set.
 Holding a set as equalities, the solution is affine in theta too: its law
-is built on first use and cached in the same object, so trying a set costs
-one product; a plain QpProblem builds that object on each solve, with
-theta = [1].  On the next tick, a problem whose unconstrained optimum
-breaks a row evaluates the laws of the carried set and of the same rows
-one step along the horizon, screens them (nonnegative multipliers, every
-row met within FEAS_TOL) and verifies the first that passes with the
-interior point's own stop test.  A problem left tries up to two
+is built on first use and cached in the same object (the _CACHED used
+last), so trying a set costs one product, and a smoother starts with the
+laws that the smoothers before it built; a plain QpProblem builds that
+object on each solve, with theta = [1].  On the next tick, a problem whose
+unconstrained optimum breaks a row evaluates the laws of the carried set
+and of the same rows one step along the horizon, screens them (nonnegative
+multipliers, every row met within FEAS_TOL) and verifies the first that
+passes with the interior point's own stop test.  A problem left tries up to two
 active-set repairs (the rows with a positive multiplier stay, the rows
 broken join); only the problems still left go to the interior point,
 which solves them as it would cold.
@@ -35,6 +38,7 @@ quaternion).
 
 from __future__ import annotations
 
+import threading
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -42,7 +46,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dualquat import PureDualQuaternion, UnitDualQuaternion, exp
+from .dualquat import UnitDualQuaternion, _pure, exp
 
 __all__ = [
     "MpcConfig",
@@ -63,7 +67,9 @@ FEAS_TOL = 1e-6
 _MAX_ITERATIONS = 30
 _KKT_TOL = 1e-10
 _REPAIRS = 2  # active-set updates a problem tries after its working sets
-_CACHED = 64  # solution laws a smoother keeps
+_CACHED = 64  # solution laws a QP stack keeps
+_STACKS = 4  # QP stacks the smoothers' registry keeps
+_ONES = np.ones(N_AXES)
 
 
 def _limit_pair(min_v, max_v, name: str) -> tuple[np.ndarray, np.ndarray]:
@@ -192,21 +198,25 @@ class _Laws:
     slack V - W x (0 on rows with an infinite bound)], (n + 2m, p).  A set of more
     than n rows or of dependent rows (S_ii (S^-1)_ii above 1e12, or S singular)
     has no candidate: its law is NaN, which no screen passes.  A law is built
-    on first use and kept among the _CACHED laws built last; problems whose
-    E^-1, X, P_V and finite rows are equal bit for bit share their laws."""
+    on first use and kept among the _CACHED laws used last; problems whose
+    E^-1, X, P_V and finite rows are equal bit for bit share their laws.  A
+    law depends on nothing else, so smoothers in several threads may share
+    one stack: a lock guards its cache."""
 
     def __init__(self, e, w, p_f, p_v, finite):
         self.e, self.w = e, w                      # (k, n, n), (m, n)
         self.p_f, self.finite = p_f, finite        # P_f (k, n, p), (k, m) rows with a finite bound
         self.e_inv, self.e_abs = np.linalg.inv(e), np.abs(e)
+        self.minus_e_inv = -self.e_inv
         self.scale = np.maximum(np.linalg.norm(w, axis=1, keepdims=True), 1e-12)  # (m, 1)
         self.rows = finite[..., None] & (self.scale > 1e-12)  # (k, m, 1) rows that can activate
         self.w_unit = np.where(self.rows, w / self.scale, 0.0)  # (k, m, n) scaled rows
         self.w_unit_abs = np.abs(self.w_unit)
-        self.x_free = -self.e_inv @ p_f                          # X (k, n, p)
+        self.x_free = self.minus_e_inv @ p_f                     # X (k, n, p)
         self.p_v = np.where(finite[..., None], p_v, 0.0)        # P_V (k, m, p), 0 if infinite
         self.floor = np.repeat([0.0, -FEAS_TOL], len(w))  # of lambda and the slack
-        self.cache: dict = {}  # (first equal problem, rows) -> law, oldest first
+        self.cache: dict = {}  # (first equal problem, rows) -> law (1, n + 2m, p), LRU first
+        self.lock = threading.Lock()
 
     @cached_property
     def alike(self) -> list:
@@ -218,15 +228,22 @@ class _Laws:
 
     def of(self, problems, masks) -> np.ndarray:
         """The laws of problem problems[i] on the rows masks[i], (b, n + 2m, p)."""
-        keys = [(self.alike[p], mask.tobytes()) for p, mask in zip(problems.tolist(), masks)]
-        cache = self.cache
-        missing = {key: i for i, key in enumerate(keys) if key not in cache}
-        if missing:
-            new = list(missing.values())
-            cache.update(zip(missing, self._build(problems[new], masks[new])))
-        laws = np.stack([cache[key] for key in keys])
-        while len(cache) > _CACHED:
-            del cache[next(iter(cache))]
+        alike = self.alike
+        keys = [(alike[p], mask.tobytes()) for p, mask in zip(problems.tolist(), masks)]
+        cache, missing = self.cache, {}
+        with self.lock:
+            for i, key in enumerate(keys):
+                law = cache.pop(key, None)
+                if law is None:
+                    missing[key] = i
+                else:
+                    cache[key] = law  # used last
+            if missing:
+                new = list(missing.values())
+                cache.update(zip(missing, self._build(problems[new], masks[new])[:, None]))
+            laws = np.concatenate([cache[key] for key in keys])
+            while len(cache) > _CACHED:
+                del cache[next(iter(cache))]
         return laws
 
     def _build(self, problems, masks) -> np.ndarray:
@@ -256,8 +273,8 @@ class _Laws:
 
 
 class _TickQp(QpProblem):
-    """A QpProblem the smoother assembled: its laws are the smoother's, built
-    at its construction, and theta (6, 6) is this tick's parameters."""
+    """A QpProblem the smoother assembled: its laws are the smoother's stack,
+    and theta (6, 6) is this tick's parameters."""
 
     def __init__(self, e, f, w, v, laws: _Laws, theta):
         super().__init__(e, f, w, v)
@@ -301,8 +318,9 @@ def _tick_qp(laws: _Laws, state: np.ndarray, target: np.ndarray,
     state.reshape(3, 6), target_a, u_prev_a, 1], E and W are the laws', f =
     P_f theta, and V = P_V theta on the rows with a finite bound and inf on
     the rest."""
-    theta = np.concatenate([state, target, u_prev, np.ones(N_AXES)]).reshape(-1, N_AXES).T
-    f, v = ((m @ theta[:, :, None])[:, :, 0] for m in (laws.p_f, laws.p_v))
+    theta = np.concatenate([state, target, u_prev, _ONES]).reshape(-1, N_AXES).T
+    column = theta[:, :, None]
+    f, v = (laws.p_f @ column)[:, :, 0], (laws.p_v @ column)[:, :, 0]
     return _TickQp(laws.e, f, laws.w, np.where(laws.finite, v, np.inf), laws, theta)
 
 
@@ -400,9 +418,10 @@ def _interior_point(e, f, test: _StopTest, scale):
             ds = -r_p - w @ dx
             dz = -(r_c + z * ds) / s_n
             return dx, ds, dz, np.concatenate([-ds / s, -dz / z], 1).max(1, keepdims=True)
-        dx, ds, dz, rate = newton(s * z)
-        sigma_mu = (1 - 1 / np.maximum(1, rate)) ** 3 * (s * z).mean(axis=1, keepdims=True)
-        dx, ds, dz, rate = newton(s * z + ds * dz - sigma_mu)
+        sz = s * z
+        dx, ds, dz, rate = newton(sz)
+        sigma_mu = (1 - 1 / np.maximum(1, rate)) ** 3 * sz.mean(axis=1, keepdims=True)
+        dx, ds, dz, rate = newton(sz + ds * dz - sigma_mu)
         step = 0.995 / np.maximum(0.995, rate) * live[:, None, None]  # stopped ones stay put
         x += step * dx
         s += step * ds
@@ -497,18 +516,19 @@ def solve_qp(qp: QpProblem, *, working_sets: Sequence[np.ndarray] = ()) -> QpSol
     own on each call, with theta = [1] (P_f = f, P_V = V); its shapes must
     agree (e (n, n), f (n,), w (m, n), v (m,), or a stack, and each working
     set shaped like v), else ValueError.
-    A smoother's tick problem carries the smoother's, built once with its
-    laws cached across ticks, and the tick's theta.  A call builds the stop
-    test once for the stack; the interior point takes its rows of the rest.
+    A smoother's tick problem carries the stack of the smoother's
+    configuration, with its laws cached across ticks and smoothers, and the
+    tick's theta.  A call builds the stop test once for the stack; the
+    interior point takes its rows of the rest.
     """
-    e, f, v = (m[None] if qp.f.ndim == 1 else m for m in (qp.e, qp.f, qp.v))  # a stack of one
     w = qp.w
     if isinstance(qp, _TickQp):
-        laws, theta = qp.laws, qp.theta
+        e, f, v, laws, theta = qp.e, qp.f, qp.v, qp.laws, qp.theta
     else:
+        e, f, v = (m[None] if qp.f.ndim == 1 else m for m in (qp.e, qp.f, qp.v))  # a stack of one
         _check_shapes(qp, working_sets)
         laws, theta = _Laws(e, w, f[..., None], v[..., None], np.isfinite(v)), np.ones((len(v), 1))
-    x = (-laws.e_inv @ f[:, :, None])[:, :, 0]
+    x = (laws.minus_e_inv @ f[:, :, None])[:, :, 0]
     lam = np.zeros(v.shape)
     iterations, solved = 0, np.ones(len(v), dtype=bool)
     residual = (w @ x[:, :, None])[:, :, 0] - v
@@ -518,7 +538,7 @@ def solve_qp(qp: QpProblem, *, working_sets: Sequence[np.ndarray] = ()) -> QpSol
         if len(working_sets):
             broken &= ~_on_laws(laws, theta, test, broken, working_sets, f, v, x, lam)
             residual = (w @ x[:, :, None])[:, :, 0] - v
-        todo = np.flatnonzero(broken)
+        todo = broken.nonzero()[0]
         if todo.size:
             x[todo], lam[todo], iterations, solved[todo] = _interior_point(
                 e[todo], f[todo, :, None], test._make(m[todo] for m in test), laws.scale)
@@ -577,6 +597,11 @@ class StepResult:
     max_violation: float
 
 
+# configuration bytes -> the QP stack its smoothers share, least recently used first
+_stacks: dict = {}
+_stacks_lock = threading.Lock()
+
+
 class TwistSmoother:
     """Receding-horizon smoother owning one SmootherState.
 
@@ -585,6 +610,7 @@ class TwistSmoother:
     integrates the pose with x[i] = exp((T/2) * xi[i+1]) * x[i-1]
     (renormalized every step to suppress drift).  Construction functions
     are pure; a single logical controller thread advances the state.
+    Smoothers of one configuration share one QP stack, also across threads.
     """
 
     def __init__(self, cfg: MpcConfig, limits: LimitSet,
@@ -593,7 +619,17 @@ class TwistSmoother:
         self.limits = limits
         self.state = SmootherState.at_rest(initial_pose)
         self._model = _scalar_model(cfg.sample_time)
-        self._laws = _axis_qp(*_scalar_prediction(self._model, cfg.n_p, cfg.n_c), cfg, limits)
+        key = np.concatenate([[cfg.n_c, cfg.n_p, cfg.sample_time], cfg.q_weight, cfg.r_weight,
+                              limits.vel_min, limits.vel_max, limits.acc_min, limits.acc_max,
+                              limits.jerk_min, limits.jerk_max]).tobytes()
+        with _stacks_lock:
+            laws = _stacks.pop(key, None)
+            if laws is None:
+                laws = _axis_qp(*_scalar_prediction(self._model, cfg.n_p, cfg.n_c), cfg, limits)
+            _stacks[key] = laws  # used last
+            while len(_stacks) > _STACKS:
+                del _stacks[next(iter(_stacks))]
+        self._laws = laws
         # rows run group x step x sign; a step's rows move one step earlier each
         # tick, and the last step keeps its own: row r of the next tick is row
         # shift[r] of this one
@@ -640,7 +676,8 @@ class TwistSmoother:
         augmented = (a @ per_axis + b @ du[None]).ravel()
         twist = augmented[-N_AXES:].copy()
         try:
-            motion = exp(PureDualQuaternion.from_vec6(twist) * (0.5 * self.cfg.sample_time))
+            k = 0.5 * self.cfg.sample_time
+            motion = exp(_pure(*[c * k for c in twist.tolist()]))
             pose = (motion * state.pose).normalized()
         except (ValueError, OverflowError):  # exp fails on a twist not finite or beyond ~1e10
             fault = "overflows the pose" if np.isfinite(twist).all() else "is not finite"

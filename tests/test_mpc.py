@@ -1,6 +1,8 @@
 import dataclasses
 import itertools
 import re
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
 import numpy as np
@@ -40,6 +42,13 @@ from helpers import (
 )
 
 INF6 = np.full(6, np.inf)
+
+
+@pytest.fixture(autouse=True)
+def no_shared_stack():
+    """Each test starts from an empty registry of QP stacks: a smoother it
+    builds shares no law with one an earlier test built."""
+    mpc._stacks.clear()
 
 
 def limits_of(vel=None, acc=None, jerk=None) -> LimitSet:
@@ -1196,7 +1205,8 @@ def test_interior_point_ticks_on_a_criterion_6_run(monkeypatch):
     # acc +-1 and jerk +-50 under smooth-tight's reference: the ticks that
     # reach the interior point are the first and those at reference switches.
     # Trying only the carried and the shifted set, 15 of the 200 did.  A
-    # smoother is built with no law; it keeps at most _CACHED
+    # smoother of a configuration no smoother had is built with no law; its
+    # stack keeps at most _CACHED
     ticks = []
     solve = mpc._interior_point
     monkeypatch.setattr(mpc, "_interior_point", lambda *args: ticks.append(1) or solve(*args))
@@ -1207,22 +1217,41 @@ def test_interior_point_ticks_on_a_criterion_6_run(monkeypatch):
     assert 0 < len(sm._laws.cache) <= mpc._CACHED
 
 
-def capped_run(limits, refs, cap: int):
-    """The steps of a default smoother along refs with at most `cap` cached
-    laws, the most it held after a step and the laws it built."""
-    built, build = [], mpc._Laws._build
+def assert_same_steps(steps, expected):
+    """Each StepResult of `steps` is its peer's in `expected` bit for bit."""
+    for a, b in zip(steps, expected, strict=True):
+        assert all(same_bits(getattr(a, name), getattr(b, name)) for name in
+                   ("twist", "delta_u", "iterations", "converged", "active_count",
+                    "max_violation"))
+        assert same_bits(a.pose.vec8(), b.pose.vec8())
 
-    def counted(laws, problems, masks):
-        built.append(len(problems))
+
+def capped_run(limits, refs, cap: int):
+    """The steps of a default smoother along refs, from an empty registry of
+    stacks, with at most `cap` cached laws; the most it held after a step,
+    and per call of _Laws.of the keys of the laws it used and of those it built."""
+    calls, of, build = [], mpc._Laws.of, mpc._Laws._build
+
+    def keys(laws, problems, masks):
+        return {(laws.alike[p], mask.tobytes()) for p, mask in zip(problems.tolist(), masks)}
+
+    def used(laws, problems, masks):
+        calls.append((keys(laws, problems, masks), set()))
+        return of(laws, problems, masks)
+
+    def built(laws, problems, masks):
+        calls[-1][1].update(keys(laws, problems, masks))
         return build(laws, problems, masks)
 
-    with mock.patch.object(mpc, "_CACHED", cap), mock.patch.object(mpc._Laws, "_build", counted):
+    mpc._stacks.clear()
+    with mock.patch.object(mpc, "_CACHED", cap), mock.patch.object(mpc._Laws, "of", used), \
+            mock.patch.object(mpc._Laws, "_build", built):
         sm = TwistSmoother(MpcConfig(), limits, UnitDualQuaternion.identity())
         steps, held = [], 0
         for ref in refs:
             steps.append(sm.step(ref))
             held = max(held, len(sm._laws.cache))
-    return steps, held, sum(built)
+    return steps, held, calls
 
 
 @pytest.mark.parametrize("limits, scale", [(limits_of(acc=1.0, jerk=50.0), 1.0),
@@ -1230,16 +1259,89 @@ def capped_run(limits, refs, cap: int):
                          ids=["smooth-tight", "track-tight"])
 def test_evicted_laws_give_the_same_steps(limits, scale):
     # a cache of 2 laws evicts and rebuilds them: every step is bit for bit
-    # the step at the default cap, and the cache never holds more than 2
+    # the step at the default cap, and the cache never holds more than 2.  It
+    # evicts the law used least recently: a law that a call used right after
+    # a call that used at most 2 laws, it among them, is not rebuilt (evicting
+    # the law built first rebuilds some)
     refs = scale * smooth_tight_references([1, 0])
-    steps, _, built = capped_run(limits, refs, mpc._CACHED)
-    capped, held, rebuilt = capped_run(limits, refs, 2)
+    steps, _, calls = capped_run(limits, refs, mpc._CACHED)
+    capped, held, capped_calls = capped_run(limits, refs, 2)
+    built, rebuilt = (sum(len(new) for _, new in run) for run in (calls, capped_calls))
     assert held <= 2 < built < rebuilt
-    for a, b in zip(capped, steps, strict=True):
-        assert all(same_bits(getattr(a, name), getattr(b, name)) for name in
-                   ("twist", "delta_u", "iterations", "converged", "active_count",
-                    "max_violation"))
-        assert same_bits(a.pose.vec8(), b.pose.vec8())
+    assert_same_steps(capped, steps)
+    kept = [(before & now, new) for (before, _), (now, new) in zip(capped_calls, capped_calls[1:])
+            if len(before) <= 2]
+    assert sum(len(reused) for reused, _ in kept) > 10
+    assert all(not reused & new for reused, new in kept)
+
+
+def test_a_warm_stack_steps_like_a_cold_one():
+    # smoothers of one configuration share one stack: the second starts with
+    # the laws the first built and steps bit for bit as the first did; limits
+    # that differ in one bound get a stack of their own
+    refs = smooth_tight_references([1, 0])
+    cold = TwistSmoother(MpcConfig(), limits_of(acc=1.0, jerk=50.0), UnitDualQuaternion.identity())
+    cold_steps = [cold.step(ref) for ref in refs]
+    warm = TwistSmoother(MpcConfig(q_weight=np.ones(6)), limits_of(acc=1.0, jerk=50.0),
+                         UnitDualQuaternion.identity())
+    assert warm._laws is cold._laws and warm._laws.cache
+    assert_same_steps([warm.step(ref) for ref in refs], cold_steps)
+    other = TwistSmoother(MpcConfig(), limits_of(acc=1.0, jerk=40.0), UnitDualQuaternion.identity())
+    assert other._laws is not cold._laws
+    assert len(mpc._stacks) == 2
+
+
+def test_the_registry_keeps_the_stacks_used_last():
+    # a smoother of a configuration in the registry makes its stack the one
+    # used last; a new configuration drops the stack used least recently.  A
+    # smoother whose stack was dropped keeps stepping on it, bit for bit as a
+    # smoother on a new stack of the same configuration
+    def smoother(acc):
+        return TwistSmoother(MpcConfig(), limits_of(acc=acc, jerk=50.0),
+                             UnitDualQuaternion.identity())
+
+    first, second = smoother(1.0), smoother(2.0)
+    for acc in range(3, 1 + mpc._STACKS):
+        smoother(float(acc))
+    assert smoother(1.0)._laws is first._laws
+    smoother(10.0)
+    stacks = list(mpc._stacks.values())
+    assert len(stacks) == mpc._STACKS
+    assert any(laws is first._laws for laws in stacks)
+    assert not any(laws is second._laws for laws in stacks)
+    refs = smooth_tight_references([1, 0])
+    again = smoother(2.0)
+    assert again._laws is not second._laws
+    assert_same_steps([second.step(ref) for ref in refs], [again.step(ref) for ref in refs])
+
+
+def test_smoothers_in_three_threads_share_a_stack():
+    # three threads (more than the cores of a small machine), each stepping
+    # its own smoother over one shared stack that keeps 2 laws, switching
+    # threads as often as the interpreter can: every step is the step of the
+    # same smoother run alone, and none raises (a cache without its lock
+    # loses laws it is about to return)
+    refs = [smooth_tight_references([1, episode]) for episode in range(3)]
+    limits = limits_of(acc=1.0, jerk=50.0)
+
+    def run(episode_refs):
+        sm = TwistSmoother(MpcConfig(), limits, UnitDualQuaternion.identity())
+        return [sm.step(ref) for ref in episode_refs]
+
+    switch = sys.getswitchinterval()
+    with mock.patch.object(mpc, "_CACHED", 2):
+        alone = [run(episode_refs) for episode_refs in refs]
+        mpc._stacks.clear()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(len(refs)) as pool:
+                futures = [pool.submit(run, episode_refs) for episode_refs in refs]
+                together = [future.result(timeout=120) for future in futures]
+        finally:
+            sys.setswitchinterval(switch)
+    assert len(mpc._stacks) == 1
+    for steps, expected in zip(together, alone, strict=True):
+        assert_same_steps(steps, expected)
 
 
 @pytest.mark.parametrize("seed", [2, 411, 430, 5])
