@@ -11,15 +11,15 @@ and each tick solves the six QPs (jerk, acceleration and velocity rows) in
 one batched solve.  The six QPs share W, and one object (_Laws) holds the
 stack: E, W and what they fix, and the maps P_f and P_V from an axis's
 parameters theta = [its 3 states, target, u_prev, 1] to its f and V (the
-reference is held over the horizon).  It is built once per configuration
-(horizons, sample time, weights and limits): every smoother of that
-configuration shares it, and a registry keeps the _STACKS used last.  A
-tick forms theta and evaluates f = P_f theta and V = P_V theta.  The rows
-that end a tick with a positive multiplier are its working set.
+reference is held over the horizon).  It is fixed by the configuration
+(horizons, sample time, weights and limits), and a smoother built right
+after one of the same configuration shares its stack.  A tick forms theta
+and evaluates f = P_f theta and V = P_V theta.  The rows that end a tick
+with a positive multiplier are its working set.
 Holding a set as equalities, the solution is affine in theta too: its law
 is built on first use and cached in the same object (the _CACHED used
-last), so trying a set costs one product, and a smoother starts with the
-laws that the smoothers before it built; a plain QpProblem builds that
+last), so trying a set costs one product, and a smoother that shares a
+stack starts with the laws built before it; a plain QpProblem builds that
 object on each solve, with theta = [1].  On the next tick, a problem whose
 unconstrained optimum breaks a row evaluates the laws of the carried set
 and of the same rows one step along the horizon, screens them (nonnegative
@@ -46,7 +46,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dualquat import UnitDualQuaternion, _pure, exp
+from .dualquat import PureDualQuaternion, UnitDualQuaternion, exp
 
 __all__ = [
     "MpcConfig",
@@ -68,7 +68,6 @@ _MAX_ITERATIONS = 30
 _KKT_TOL = 1e-10
 _REPAIRS = 2  # active-set updates a problem tries after its working sets
 _CACHED = 64  # solution laws a QP stack keeps
-_STACKS = 4  # QP stacks the smoothers' registry keeps
 _ONES = np.ones(N_AXES)
 
 
@@ -240,7 +239,9 @@ class _Laws:
                     cache[key] = law  # used last
             if missing:
                 new = list(missing.values())
-                cache.update(zip(missing, self._build(problems[new], masks[new])[:, None]))
+                # a copy per law: a view would keep its whole build batch alive
+                built = self._build(problems[new], masks[new])[:, None]
+                cache.update(zip(missing, map(np.copy, built)))
             laws = np.concatenate([cache[key] for key in keys])
             while len(cache) > _CACHED:
                 del cache[next(iter(cache))]
@@ -597,9 +598,10 @@ class StepResult:
     max_violation: float
 
 
-# configuration bytes -> the QP stack its smoothers share, least recently used first
-_stacks: dict = {}
-_stacks_lock = threading.Lock()
+# (configuration bytes, its QP stack): the stack of the smoother built last,
+# which the next smoother of that configuration shares
+_stack: tuple = (None, None)
+_stack_lock = threading.Lock()
 
 
 class TwistSmoother:
@@ -610,7 +612,8 @@ class TwistSmoother:
     integrates the pose with x[i] = exp((T/2) * xi[i+1]) * x[i-1]
     (renormalized every step to suppress drift).  Construction functions
     are pure; a single logical controller thread advances the state.
-    Smoothers of one configuration share one QP stack, also across threads.
+    A smoother built right after one of the same configuration shares its
+    QP stack, also across threads.
     """
 
     def __init__(self, cfg: MpcConfig, limits: LimitSet,
@@ -622,14 +625,12 @@ class TwistSmoother:
         key = np.concatenate([[cfg.n_c, cfg.n_p, cfg.sample_time], cfg.q_weight, cfg.r_weight,
                               limits.vel_min, limits.vel_max, limits.acc_min, limits.acc_max,
                               limits.jerk_min, limits.jerk_max]).tobytes()
-        with _stacks_lock:
-            laws = _stacks.pop(key, None)
-            if laws is None:
-                laws = _axis_qp(*_scalar_prediction(self._model, cfg.n_p, cfg.n_c), cfg, limits)
-            _stacks[key] = laws  # used last
-            while len(_stacks) > _STACKS:
-                del _stacks[next(iter(_stacks))]
-        self._laws = laws
+        global _stack
+        with _stack_lock:
+            if _stack[0] != key:
+                _stack = key, _axis_qp(*_scalar_prediction(self._model, cfg.n_p, cfg.n_c),
+                                       cfg, limits)
+            self._laws = _stack[1]
         # rows run group x step x sign; a step's rows move one step earlier each
         # tick, and the last step keeps its own: row r of the next tick is row
         # shift[r] of this one
@@ -676,8 +677,7 @@ class TwistSmoother:
         augmented = (a @ per_axis + b @ du[None]).ravel()
         twist = augmented[-N_AXES:].copy()
         try:
-            k = 0.5 * self.cfg.sample_time
-            motion = exp(_pure(*[c * k for c in twist.tolist()]))
+            motion = exp(PureDualQuaternion.from_vec6(twist * (0.5 * self.cfg.sample_time)))
             pose = (motion * state.pose).normalized()
         except (ValueError, OverflowError):  # exp fails on a twist not finite or beyond ~1e10
             fault = "overflows the pose" if np.isfinite(twist).all() else "is not finite"

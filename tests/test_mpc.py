@@ -46,9 +46,9 @@ INF6 = np.full(6, np.inf)
 
 @pytest.fixture(autouse=True)
 def no_shared_stack():
-    """Each test starts from an empty registry of QP stacks: a smoother it
-    builds shares no law with one an earlier test built."""
-    mpc._stacks.clear()
+    """Each test starts with no shared QP stack: a smoother it builds shares
+    no law with one an earlier test built."""
+    mpc._stack = (None, None)
 
 
 def limits_of(vel=None, acc=None, jerk=None) -> LimitSet:
@@ -1227,8 +1227,8 @@ def assert_same_steps(steps, expected):
 
 
 def capped_run(limits, refs, cap: int):
-    """The steps of a default smoother along refs, from an empty registry of
-    stacks, with at most `cap` cached laws; the most it held after a step,
+    """The steps of a default smoother along refs, from no shared stack, with
+    at most `cap` cached laws; the most it held after a step,
     and per call of _Laws.of the keys of the laws it used and of those it built."""
     calls, of, build = [], mpc._Laws.of, mpc._Laws._build
 
@@ -1243,7 +1243,7 @@ def capped_run(limits, refs, cap: int):
         calls[-1][1].update(keys(laws, problems, masks))
         return build(laws, problems, masks)
 
-    mpc._stacks.clear()
+    mpc._stack = (None, None)
     with mock.patch.object(mpc, "_CACHED", cap), mock.patch.object(mpc._Laws, "of", used), \
             mock.patch.object(mpc._Laws, "_build", built):
         sm = TwistSmoother(MpcConfig(), limits, UnitDualQuaternion.identity())
@@ -1276,9 +1276,9 @@ def test_evicted_laws_give_the_same_steps(limits, scale):
 
 
 def test_a_warm_stack_steps_like_a_cold_one():
-    # smoothers of one configuration share one stack: the second starts with
-    # the laws the first built and steps bit for bit as the first did; limits
-    # that differ in one bound get a stack of their own
+    # a smoother built right after one of the same configuration shares its
+    # stack: it starts with the laws the first built and steps bit for bit as
+    # the first did
     refs = smooth_tight_references([1, 0])
     cold = TwistSmoother(MpcConfig(), limits_of(acc=1.0, jerk=50.0), UnitDualQuaternion.identity())
     cold_steps = [cold.step(ref) for ref in refs]
@@ -1286,33 +1286,24 @@ def test_a_warm_stack_steps_like_a_cold_one():
                          UnitDualQuaternion.identity())
     assert warm._laws is cold._laws and warm._laws.cache
     assert_same_steps([warm.step(ref) for ref in refs], cold_steps)
-    other = TwistSmoother(MpcConfig(), limits_of(acc=1.0, jerk=40.0), UnitDualQuaternion.identity())
-    assert other._laws is not cold._laws
-    assert len(mpc._stacks) == 2
 
 
-def test_the_registry_keeps_the_stacks_used_last():
-    # a smoother of a configuration in the registry makes its stack the one
-    # used last; a new configuration drops the stack used least recently.  A
-    # smoother whose stack was dropped keeps stepping on it, bit for bit as a
-    # smoother on a new stack of the same configuration
-    def smoother(acc):
-        return TwistSmoother(MpcConfig(), limits_of(acc=acc, jerk=50.0),
+def test_a_new_configuration_replaces_the_shared_stack():
+    # limits that differ in one bound get a stack of their own, which the
+    # next smoother shares; a smoother whose stack was replaced keeps
+    # stepping on it, bit for bit as a smoother on a new stack of its
+    # configuration
+    def smoother(jerk):
+        return TwistSmoother(MpcConfig(), limits_of(acc=1.0, jerk=jerk),
                              UnitDualQuaternion.identity())
 
-    first, second = smoother(1.0), smoother(2.0)
-    for acc in range(3, 1 + mpc._STACKS):
-        smoother(float(acc))
-    assert smoother(1.0)._laws is first._laws
-    smoother(10.0)
-    stacks = list(mpc._stacks.values())
-    assert len(stacks) == mpc._STACKS
-    assert any(laws is first._laws for laws in stacks)
-    assert not any(laws is second._laws for laws in stacks)
+    first, other = smoother(50.0), smoother(40.0)
+    assert other._laws is not first._laws and mpc._stack[1] is other._laws
     refs = smooth_tight_references([1, 0])
-    again = smoother(2.0)
-    assert again._laws is not second._laws
-    assert_same_steps([second.step(ref) for ref in refs], [again.step(ref) for ref in refs])
+    replaced = [first.step(ref) for ref in refs]
+    again = smoother(50.0)
+    assert again._laws is not first._laws
+    assert_same_steps(replaced, [again.step(ref) for ref in refs])
 
 
 def test_smoothers_in_three_threads_share_a_stack():
@@ -1323,15 +1314,17 @@ def test_smoothers_in_three_threads_share_a_stack():
     # loses laws it is about to return)
     refs = [smooth_tight_references([1, episode]) for episode in range(3)]
     limits = limits_of(acc=1.0, jerk=50.0)
+    stacks = []
 
     def run(episode_refs):
         sm = TwistSmoother(MpcConfig(), limits, UnitDualQuaternion.identity())
+        stacks.append(sm._laws)
         return [sm.step(ref) for ref in episode_refs]
 
     switch = sys.getswitchinterval()
     with mock.patch.object(mpc, "_CACHED", 2):
         alone = [run(episode_refs) for episode_refs in refs]
-        mpc._stacks.clear()
+        mpc._stack, stacks[:] = (None, None), []
         sys.setswitchinterval(1e-6)
         try:
             with ThreadPoolExecutor(len(refs)) as pool:
@@ -1339,7 +1332,7 @@ def test_smoothers_in_three_threads_share_a_stack():
                 together = [future.result(timeout=120) for future in futures]
         finally:
             sys.setswitchinterval(switch)
-    assert len(mpc._stacks) == 1
+    assert len(stacks) == 3 and all(laws is stacks[0] for laws in stacks)
     for steps, expected in zip(together, alone, strict=True):
         assert_same_steps(steps, expected)
 
