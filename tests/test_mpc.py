@@ -1206,7 +1206,8 @@ def test_interior_point_ticks_on_a_criterion_6_run(monkeypatch):
     # reach the interior point are the first and those at reference switches.
     # Trying only the carried and the shifted set, 15 of the 200 did.  A
     # smoother of a configuration no smoother had is built with no law; its
-    # stack keeps at most _CACHED
+    # stack keeps at most _CACHED, each in memory of its own (a view of its
+    # build batch would keep the whole batch while the stack lives)
     ticks = []
     solve = mpc._interior_point
     monkeypatch.setattr(mpc, "_interior_point", lambda *args: ticks.append(1) or solve(*args))
@@ -1215,6 +1216,7 @@ def test_interior_point_ticks_on_a_criterion_6_run(monkeypatch):
     assert all(sm.step(ref).converged for ref in smooth_tight_references([1, 0]))
     assert len(ticks) == 6
     assert 0 < len(sm._laws.cache) <= mpc._CACHED
+    assert all(law.base is None for law in sm._laws.cache.values())
 
 
 def assert_same_steps(steps, expected):
