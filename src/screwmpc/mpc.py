@@ -17,17 +17,25 @@ after one of the same configuration shares its stack.  A tick forms theta
 and evaluates f = P_f theta and V = P_V theta.  The rows that end a tick
 with a positive multiplier are its working set.
 Holding a set as equalities, the solution is affine in theta too: its law
-is built on first use and cached in the same object (the _CACHED used
-last), so trying a set costs one product, and a smoother that shares a
-stack starts with the laws built before it; a plain QpProblem builds that
-object on each solve, with theta = [1].  On the next tick, a problem whose
-unconstrained optimum breaks a row evaluates the laws of the carried set
-and of the same rows one step along the horizon, screens them (nonnegative
-multipliers, every row met within FEAS_TOL) and verifies the first that
-passes with the interior point's own stop test.  A problem left tries up to two
-active-set repairs (the rows with a positive multiplier stay, the rows
-broken join); only the problems still left go to the interior point,
-which solves them as it would cold.
+is built on first use and kept in the same object, so trying a set costs
+one product, and a smoother that shares a stack starts with the laws built
+before it; a plain QpProblem builds that object on each solve, with theta =
+[1].  A problem whose unconstrained optimum breaks a row tries the laws of
+its working sets: the smoother gives the set it carried from the last tick
+and the same rows one step along the horizon, or the empty set where it
+carries none, and none to an axis whose last solve did not converge.  A
+problem they leave walks from the last: each step is one law product,
+which drops the row with the most negative multiplier or adds the most
+broken row (one joining a vertex swaps in for the row that a dual step on
+it zeroes first), and the steps of all problems walking are batched.  The
+walk crosses from region to region of the explicit MPC
+partition (Bemporad, Morari, Dua & Pistikopoulos 2002), as the online
+active-set method of qpOASES does (Ferreau, Bock & Diehl 2008), with the
+cached laws as its factorizations.  Every candidate passes a screen on the
+stop test's terms (and every row met within FEAS_TOL) and then the interior
+point's own stop test.  A walk ends after _WALK steps or on a set it had;
+only its problem goes to the interior point, which solves it as it would
+cold.
 The paper's dense 18-state model, prediction and QP are these per-axis
 forms lifted by Kronecker products with I6; only the tests build them, as
 an oracle.
@@ -38,6 +46,7 @@ quaternion).
 
 from __future__ import annotations
 
+import math
 import threading
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -66,8 +75,8 @@ AUG_DIM = 18
 FEAS_TOL = 1e-6
 _MAX_ITERATIONS = 30
 _KKT_TOL = 1e-10
-_REPAIRS = 2  # active-set updates a problem tries after its working sets
-_CACHED = 64  # solution laws a QP stack keeps
+_WALK = 40  # law steps a walk takes at most (the longest measured took 29)
+_CACHED = 2048  # solution laws a QP stack keeps (one measured run built at most 453)
 _ONES = np.ones(N_AXES)
 
 
@@ -187,20 +196,23 @@ class _Laws:
     """A stack of k QPs sharing W whose f and V are affine in p parameters per
     problem: f = P_f theta, and V = P_V theta on the finite rows.  It holds E
     and W, what they and the finite rows fix (E^-1, |E|, the row scale and the
-    stop test's rows, scaled to unit norm; a row with an infinite bound or
-    zero W can never activate and is 0 there) and the problems' solution laws.
+    stop test's rows, scaled to unit norm: a row with an infinite bound or
+    zero W can never activate and is 0 there; one copy of them when every
+    problem has the same such rows) and the problems' solution laws.
 
     Holding a working set A as equalities, the solution is affine in theta
     too: x_free = X theta with X = -E^-1 P_f, lambda_A = S^-1 (W_A X - P_V,A)
     theta with S = W_A E^-1 W_A^T, and x = x_free - E^-1 W_A^T lambda_A.  A
-    problem's law for A maps theta to [x; lambda over all m rows (0 off A); the
-    slack V - W x (0 on rows with an infinite bound)], (n + 2m, p).  A set of more
-    than n rows or of dependent rows (S_ii (S^-1)_ii above 1e12, or S singular)
-    has no candidate: its law is NaN, which no screen passes.  A law is built
-    on first use and kept among the _CACHED laws used last; problems whose
-    E^-1, X, P_V and finite rows are equal bit for bit share their laws.  A
-    law depends on nothing else, so smoothers in several threads may share
-    one stack: a lock guards its cache."""
+    problem's law for A maps theta to x and to A's multipliers in row order,
+    0 past them (n + min(n, m), p); the caller takes the slack V - W x from
+    its own V.  A set of more than n rows or of dependent rows (S_ii
+    (S^-1)_ii above 1e12, or S singular) has no candidate: its law is NaN,
+    which no screen passes.  A law is built on first use and kept as the
+    bytes of its n + |A| rows; problems whose E^-1, X, P_V and finite rows
+    are equal bit for bit share their laws.  _CACHED is a guard far above the
+    laws a run builds: past it the stack drops the laws built first and
+    warns, once.  A law depends on nothing else, so smoothers in several
+    threads may share one stack: a lock guards its cache."""
 
     def __init__(self, e, w, p_f, p_v, finite):
         self.e, self.w = e, w                      # (k, n, n), (m, n)
@@ -208,13 +220,19 @@ class _Laws:
         self.e_inv, self.e_abs = np.linalg.inv(e), np.abs(e)
         self.minus_e_inv = -self.e_inv
         self.scale = np.maximum(np.linalg.norm(w, axis=1, keepdims=True), 1e-12)  # (m, 1)
-        self.rows = finite[..., None] & (self.scale > 1e-12)  # (k, m, 1) rows that can activate
-        self.w_unit = np.where(self.rows, w / self.scale, 0.0)  # (k, m, n) scaled rows
+        self.rows = finite & (self.scale[:, 0] > 1e-12)  # (k, m) rows that can activate
+        rows = self.rows[:1] if (self.rows == self.rows[0]).all() else self.rows
+        self.w_unit = np.where(rows[..., None], w / self.scale, 0.0)  # (1 or k, m, n) scaled rows
         self.w_unit_abs = np.abs(self.w_unit)
         self.x_free = self.minus_e_inv @ p_f                     # X (k, n, p)
         self.p_v = np.where(finite[..., None], p_v, 0.0)        # P_V (k, m, p), 0 if infinite
-        self.floor = np.repeat([0.0, -FEAS_TOL], len(w))  # of lambda and the slack
-        self.cache: dict = {}  # (first equal problem, rows) -> law (1, n + 2m, p), LRU first
+        (n, p), m = self.x_free.shape[1:], len(w)
+        self.shape = (n + min(n, m), p)  # of a law, padded
+        self.no_law = np.full(self.shape, np.nan).tobytes()
+        # a slack on the unit rows of at least this meets the stop test and FEAS_TOL
+        self.floor = max(-_KKT_TOL, -FEAS_TOL / float(self.scale.max(initial=1.0)))
+        self.cache: dict = {}  # (first equal problem, rows' mask) -> law's bytes, oldest first
+        self.evicted = False
         self.lock = threading.Lock()
 
     @cached_property
@@ -226,31 +244,33 @@ class _Laws:
         return [data.index(problem) for problem in data]
 
     def of(self, problems, masks) -> np.ndarray:
-        """The laws of problem problems[i] on the rows masks[i], (b, n + 2m, p)."""
-        alike = self.alike
+        """The laws of problem problems[i] on the rows masks[i], (b, n + min(n, m), p)."""
+        alike, size = self.alike, len(self.no_law)
         keys = [(alike[p], mask.tobytes()) for p, mask in zip(problems.tolist(), masks)]
-        cache, missing = self.cache, {}
+        cache = self.cache
         with self.lock:
-            for i, key in enumerate(keys):
-                law = cache.pop(key, None)
-                if law is None:
-                    missing[key] = i
-                else:
-                    cache[key] = law  # used last
+            missing = {key: i for i, key in enumerate(keys) if key not in cache}
             if missing:
                 new = list(missing.values())
-                # a copy per law: a view would keep its whole build batch alive
-                built = self._build(problems[new], masks[new])[:, None]
-                cache.update(zip(missing, map(np.copy, built)))
-            laws = np.concatenate([cache[key] for key in keys])
-            while len(cache) > _CACHED:
-                del cache[next(iter(cache))]
-        return laws
+                cache.update(zip(missing, self._build(problems[new], masks[new])))
+            laws = b"".join([cache[key].ljust(size, b"\0") for key in keys])  # padded with 0
+            if len(cache) > _CACHED:
+                if not self.evicted:
+                    import logging  # only here: the import costs every process milliseconds
+                    logging.getLogger(__name__).warning(
+                        "a QP stack holds more than %d solution laws: it drops the oldest, "
+                        "to be rebuilt when used", _CACHED)
+                    self.evicted = True
+                for key in list(cache)[:len(cache) - _CACHED]:
+                    del cache[key]
+        return np.frombuffer(laws).reshape((len(keys),) + self.shape)
 
-    def _build(self, problems, masks) -> np.ndarray:
-        """The laws, batched with padding: a padded row is 0 in W_A and 1 on S's diagonal."""
-        (n, p), m = self.x_free.shape[1:], masks.shape[1]
-        count, width = masks.sum(axis=1), min(n, m)
+    def _build(self, problems, masks) -> list:
+        """The laws, batched with padding: a padded row is 0 in W_A and 1 on
+        S's diagonal.  Each is the bytes of x and its set's multipliers,
+        without the padding; a set with no law gets the NaN law, padded."""
+        (n, p), width = self.x_free.shape[1:], self.shape[0] - self.x_free.shape[1]
+        count = masks.sum(axis=1)
         rows = np.argsort(~masks, axis=1, kind="stable")[:, :width]  # working rows first
         pad = np.arange(width) >= count[:, None]
         w_a = np.where(pad[..., None], 0.0, self.w[rows])
@@ -261,26 +281,24 @@ class _Laws:
         schur = w_a @ g + pad[:, None, :] * eye
         rhs = np.concatenate([w_a @ x_free - v_a, np.broadcast_to(eye, schur.shape)], axis=2)
         with np.errstate(all="ignore"):  # dependent rows may solve to inf; their law is NaN
-            sol = _solve(schur, rhs, lambda mat, rhs: np.full(rhs.shape, np.nan))
+            sol = _solve(schur, rhs, _no_solution)
             diag = np.diagonal(schur, axis1=1, axis2=2) * np.diagonal(sol[..., p:], axis1=1, axis2=2)
             x = x_free - g @ sol[..., :p]
-            slack = np.where(self.finite[problems][..., None],
-                             self.p_v[problems] - self.w @ x, 0.0)
-        lam = np.zeros((len(problems), m, p))
-        lam[np.arange(len(problems))[:, None], rows] = sol[..., :p]  # 0 on the padding
-        law = np.concatenate([x, lam, slack], axis=1)
-        law[(count > n) | ~(diag <= 1e12).all(axis=1)] = np.nan
-        return law
+        none = (count > n) | ~(diag <= 1e12).all(axis=1)
+        return [self.no_law if no else x_a.tobytes() + lam_a[:k].tobytes()
+                for no, x_a, lam_a, k in zip(none, x, sol[..., :p], count.tolist())]
 
 
 class _TickQp(QpProblem):
     """A QpProblem the smoother assembled: its laws are the smoother's stack,
-    and theta (6, 6) is this tick's parameters."""
+    theta (6, 6) is this tick's parameters, and the problems `cold` marks
+    (None: none) skip their working sets."""
 
-    def __init__(self, e, f, w, v, laws: _Laws, theta):
+    def __init__(self, e, f, w, v, laws: _Laws, theta, cold=None):
         super().__init__(e, f, w, v)
         object.__setattr__(self, "laws", laws)
         object.__setattr__(self, "theta", theta)
+        object.__setattr__(self, "cold", cold)
 
 
 def _axis_qp(f_mat: np.ndarray, phi: np.ndarray, cfg: MpcConfig, limits: LimitSet) -> _Laws:
@@ -314,15 +332,15 @@ def _axis_qp(f_mat: np.ndarray, phi: np.ndarray, cfg: MpcConfig, limits: LimitSe
 
 
 def _tick_qp(laws: _Laws, state: np.ndarray, target: np.ndarray,
-             u_prev: np.ndarray) -> _TickQp:
+             u_prev: np.ndarray, cold=None) -> _TickQp:
     """The stack of six per-axis QPs at theta: row a is [column a of
     state.reshape(3, 6), target_a, u_prev_a, 1], E and W are the laws', f =
     P_f theta, and V = P_V theta on the rows with a finite bound and inf on
-    the rest."""
+    the rest; the axes `cold` marks (None: none) skip their working sets."""
     theta = np.concatenate([state, target, u_prev, _ONES]).reshape(-1, N_AXES).T
     column = theta[:, :, None]
     f, v = (laws.p_f @ column)[:, :, 0], (laws.p_v @ column)[:, :, 0]
-    return _TickQp(laws.e, f, laws.w, np.where(laws.finite, v, np.inf), laws, theta)
+    return _TickQp(laws.e, f, laws.w, np.where(laws.finite, v, np.inf), laws, theta, cold)
 
 
 @dataclass
@@ -346,6 +364,10 @@ class QpSolution:
         return int(np.count_nonzero(self.lam > 1e-12))
 
 
+def _no_solution(mat, rhs):
+    return np.full(rhs.shape, np.nan)
+
+
 def _solve(mat, rhs, singular=lambda mat, rhs: np.linalg.pinv(mat) @ rhs):
     """np.linalg.solve per problem of a stack; a matrix that rounding made exactly
     singular (z/s large enough to swamp E's smallest eigenvalue) gets
@@ -367,7 +389,7 @@ class _StopTest(NamedTuple):
     out: multipliers can drift off in opposite pairs); a multiplier against
     the stationarity rows of the variables its row touches."""
 
-    w: np.ndarray           # (k, m, n) scaled rows
+    w: np.ndarray           # (1 or k, m, n) scaled rows
     v: np.ndarray           # (k, m, 1) scaled bounds
     w_abs: np.ndarray
     v_abs: np.ndarray
@@ -378,10 +400,14 @@ class _StopTest(NamedTuple):
     def of(cls, laws: _Laws, f, v, x_free) -> "_StopTest":
         """The test of a stack from its laws' |E|, scaled rows and row scale
         and its f, v and x_free."""
-        v = np.where(laws.rows, v / laws.scale, 1.0)
+        v = np.where(laws.rows[..., None], v / laws.scale, 1.0)
         dual = np.maximum(1.0, laws.e_abs @ np.abs(x_free) + np.abs(f))
         return cls(laws.w_unit, v, laws.w_unit_abs, np.abs(v), dual,
                    np.maximum(1.0, laws.w_unit_abs @ dual))
+
+    def take(self, index) -> "_StopTest":
+        """The test of problems `index` (a field of one problem is shared)."""
+        return self._make(m if len(m) == 1 else m[index] for m in self)
 
     def error(self, x, r_d, r_p, s, z) -> np.ndarray:
         primal = np.maximum(1.0, self.w_abs @ np.abs(x) + self.v_abs)
@@ -429,44 +455,115 @@ def _interior_point(e, f, test: _StopTest, scale):
         z += step * dz
 
 
-def _on_laws(laws: _Laws, theta, test: _StopTest, broken, sets, f, v, x, lam):
-    """The problems `broken` on their working sets' laws, then on up to
-    _REPAIRS updates (see solve_qp), each checked by the stack's stop test.
-    Writes each held problem's point into x and its multipliers into lam,
-    which hold x_free and 0 on the call; returns which problems are held."""
-    e, w, (k, n), m = laws.e, laws.w, x.shape, len(laws.w)
-    rows = laws.rows[..., 0] & broken[:, None]
-    masks = np.asarray(sets, dtype=bool).reshape((-1, k, m)) & rows
-    held, every = np.zeros(k, dtype=bool), np.arange(k)
-    for _ in range(1 + _REPAIRS):
-        at, problem = np.nonzero(masks.any(axis=2))
-        if not at.size:
+def _on_laws(laws: _Laws, theta, test: _StopTest, todo, sets, f, x, lam, residual) -> set:
+    """The problems `todo` on laws (see solve_qp): each tries its working
+    sets, then walks from the last, all problems batched.  Writes each held
+    problem's point into x and its multipliers into lam, which hold x_free
+    and 0 on the call; returns the problems held."""
+    (k, n), m = x.shape, len(laws.w)
+    width = laws.shape[0] - n
+    w_u, w_abs = (test.w[0], test.w_abs[0]) if len(test.w) == 1 else (test.w, test.w_abs)
+    # candidate c: problem owner[c] on the rows masks[c], each problem's sets
+    # in order; a problem's walk starts from its last, last[p]
+    masks = (np.asarray(sets, dtype=bool).reshape(-1, k, m) & laws.rows)[:, todo].reshape(-1, m)
+    owner = todo.tolist() * (len(masks) // len(todo))
+    last = {p: c for c, p in enumerate(owner)}
+    held, seen = set(), {}
+
+    def met(c):  # the screen's slack terms (see below) of candidate c
+        if a_min[c] >= laws.floor:
+            return True
+        p, x_c = owner[c], y[c, :n, 0]
+        # each scale is at most 1 + |x| + |V| on unit rows, so this fails
+        if a_min[c] < -2 * _KKT_TOL * (1.0 + math.sqrt(x_c @ x_c) + test.v_abs[p].max()):
+            return False
+        scale = np.maximum(1.0, (w_abs if w_abs.ndim == 2 else w_abs[p]) @ np.abs(x_c)
+                           + test.v_abs[p, :, 0])
+        return min((s[c] / scale).min(), (s[c] * laws.scale[:, 0]).min() / FEAS_TOL * _KKT_TOL) \
+            >= -_KKT_TOL
+
+    for _ in range(_WALK + 1):
+        problems = np.array(owner)
+        y = laws.of(problems, masks) @ theta[problems, :, None]
+        work = np.argsort(~masks, axis=1, kind="stable")[:, :width]  # working rows first
+        count = masks.sum(axis=1).tolist()
+        # the screen, on the stop test's terms: each working row's
+        # multiplier and each row's slack, over their scales, at least
+        # -1e-10, and every row met within FEAS_TOL; a slack on the unit
+        # rows of at least laws.floor meets both
+        s = test.v[problems, :, 0] - ((w_u if w_u.ndim == 2 else w_u[problems]) @ y[:, :n])[..., 0]
+        z = y[:, n:, 0] * laws.scale[work, 0]
+        z_rel = z / test.multiplier[problems[:, None], work, 0]
+        d_min, a_min = z_rel.min(axis=1).tolist(), s.min(axis=1).tolist()
+        first, failed = {}, set()  # each problem's first candidate that passes
+        for c, p in enumerate(owner):
+            if p not in first and p not in held and d_min[c] >= -_KKT_TOL:
+                if met(c):
+                    first[p] = c
+                else:
+                    failed.add(c)
+        for p, c in first.items():
+            # the screen met the stop test's other terms but two: the
+            # stationarity residual and each working row's min(slack,
+            # multiplier), met if its slack is at most 1e-10
+            rows, x_c = work[c, :count[c]], y[c, :n, 0]
+            lam_c = y[c, n:n + count[c], 0]
+            r_d = laws.e[p] @ x_c + f[p] + lam_c @ laws.w[rows]
+            if max(np.abs(r_d / test.dual[p, :, 0]).max(), s[c, rows].max(initial=0.0)) > _KKT_TOL:
+                z_c = np.zeros((1, m, 1))  # the stop test itself
+                z_c[0, rows, 0] = z[c, :count[c]]
+                if test.take([p]).error(x_c[None, :, None], r_d[None, :, None], 0.0,
+                                        s[c, None, :, None], z_c)[0] > _KKT_TOL:
+                    continue
+            held.add(p)
+            x[p], lam[p, rows] = x_c, np.maximum(lam_c, 0.0)
+        if len(held) == len(todo):
             break
-        y = np.full(masks.shape[:2] + (n + 2 * m,), np.nan)  # NaN passes no screen
-        y[at, problem] = (laws.of(problem, masks[at, problem]) @ theta[problem, :, None])[..., 0]
-        passed = (y[..., n:] >= laws.floor).all(axis=2)
-        pick = y[passed.argmax(axis=0), every, :, None]  # each problem's first that passed
-        x_c, lam_c = pick[:, :n], pick[:, n:n + m]
-        kkt = test.error(x_c, e @ x_c + f[..., None] + w.T @ lam_c, 0.0,
-                         pick[:, n + m:] / laws.scale, lam_c * laws.scale)
-        good = passed.any(axis=0) & (kkt <= _KKT_TOL)
-        x[good], lam[good], held = x_c[good, :, 0], lam_c[good, :, 0], held | good
-        rows[good] = False
-        if not rows.any():
+        # each problem left steps from its last set: a set with no law keeps
+        # its rows x_free breaks, else the row with the most negative
+        # multiplier leaves or, with none, the most broken row joins
+        lawless = np.isnan(y[:, 0, 0]).tolist()
+        d_at, a_at = z_rel.argmin(axis=1).tolist(), s.argmin(axis=1).tolist()
+        new, steps, moved = masks.copy(), [], []
+        for p, c in last.items():
+            if p in held:
+                continue
+            if lawless[c]:
+                new[c] &= residual[p] > FEAS_TOL
+            elif d_min[c] < -_KKT_TOL:
+                new[c, work[c, d_at[c]]] = False
+            elif new[c, a_at[c]] or c not in failed and met(c):
+                continue  # passed the screen, not the stop test
+            else:
+                new[c, a_at[c]] = True
+                if count[c] == n:
+                    steps.append((c, a_at[c]))
+            moved.append((p, c))
+        if steps:
+            # a row joining a vertex depends on its n rows: it swaps in for
+            # the row whose multiplier a dual step on it zeroes first, and
+            # with none the rows cannot all hold
+            c, added = (np.array(a) for a in zip(*steps))
+            w_a = laws.w[work[c]] / laws.scale[work[c]]
+            w_r = laws.w[added, :, None] / laws.scale[added, :, None]
+            d = _solve(w_a.transpose(0, 2, 1), w_r, _no_solution)[..., 0]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ratio = np.where(d > 1e-9, np.where(z_rel[c] > _KKT_TOL, z[c], 0.0) / d, np.inf)
+            out = ratio.argmin(axis=1)
+            bound = np.isfinite(ratio[np.arange(len(c)), out])
+            new[c[bound], work[c, out][bound]] = False
+            new[c[~bound]] = masks[c[~bound]]  # no move: the walk ends
+        owner, kept, last = [], [], {}
+        for p, c in moved:  # a walk that repeats a set ends
+            path, key = seen.get(p) or seen.setdefault(p, {masks[c].tobytes()}), new[c].tobytes()
+            if key not in path:
+                path.add(key)
+                last[p] = len(owner)
+                owner.append(p)
+                kept.append(c)
+        if not owner:
             break
-        # a repair updates the problem's last candidate: the rows with a
-        # positive multiplier stay (of a set with no law, the rows x_free
-        # breaks) and the rows it breaks join, only the worst if that would
-        # make more than n rows
-        last = len(y) - 1 - masks.any(axis=2)[::-1].argmax(axis=0)
-        lam_l, slack_l, tried = y[last, every, n:n + m], y[last, every, n + m:], masks[last, every]
-        keep = np.where(np.isnan(lam_l), tried & ((w @ x[..., None])[..., 0] - v > FEAS_TOL),
-                        lam_l > 0.0)
-        join = slack_l < -FEAS_TOL
-        join &= (np.arange(m) == slack_l.argmin(axis=1)[:, None]) \
-            | ((keep | join).sum(axis=1) <= n)[:, None]
-        masks = ((keep | join) & rows)[None]
-        masks[0, (masks[0] == tried).all(axis=1)] = False
+        masks = new[kept]
     return held
 
 
@@ -492,15 +589,20 @@ def solve_qp(qp: QpProblem, *, working_sets: Sequence[np.ndarray] = ()) -> QpSol
     -E^-1 f is the result when it violates no row.  Otherwise a problem tries
     its ``working_sets`` entries (bool masks over the rows, shaped like v) on
     their solution laws (see _Laws), all in one batched product: the point
-    and multipliers with the marked rows held as equalities.  The screen
-    passes a candidate whose multipliers are nonnegative and that meets
-    every finite row within FEAS_TOL; the first that passes must also pass
-    the interior point's stop test.  A problem left gets up to _REPAIRS
-    repair candidates, each the update of its last one: the rows with a
-    positive multiplier stay and the rows it breaks join (only the worst if
-    that would make more than n rows); of a set with no law, the rows -E^-1 f
-    breaks stay.  A problem solved on a law takes no iteration and ``lam`` is
-    its exact multiplier.  The rest run Mehrotra's predictor-corrector from
+    and multipliers with the marked rows held as equalities.  A problem that
+    none of them solves walks from its last set, one law product per step,
+    the steps of all problems walking batched: a set with no law keeps the
+    rows -E^-1 f breaks; else the row with the most negative multiplier
+    leaves or, with none, the most broken row (on unit rows) joins, and a
+    row that joins a vertex of n rows swaps in for the row whose multiplier
+    a dual step on it zeroes first (none: the rows cannot all hold).  A
+    walk ends after _WALK steps or on a set it had.  The screen passes a
+    candidate whose multipliers and slacks are each at least -1e-10 of
+    their scales in the stop test below and that meets every finite row
+    within FEAS_TOL; the first that passes must also pass that stop test.
+    A problem solved on a law takes no iteration, and ``lam`` is its exact
+    multiplier (one above -1e-10 of its scale reads 0).  The rest run
+    Mehrotra's predictor-corrector from
     x = 0 on rows scaled to unit norm until
     every KKT residual and each row's min(s, z) is at most 1e-10 of the size
     of the terms of its own equation (and of 1), a row's at the iterate and
@@ -519,16 +621,18 @@ def solve_qp(qp: QpProblem, *, working_sets: Sequence[np.ndarray] = ()) -> QpSol
     set shaped like v), else ValueError.
     A smoother's tick problem carries the stack of the smoother's
     configuration, with its laws cached across ticks and smoothers, and the
-    tick's theta.  A call builds the stop test once for the stack; the
-    interior point takes its rows of the rest.
+    tick's theta.  A call builds the stop test's scales once for the stack
+    and evaluates the test only on candidates; the interior point takes its
+    rows of the rest.
     """
     w = qp.w
     if isinstance(qp, _TickQp):
-        e, f, v, laws, theta = qp.e, qp.f, qp.v, qp.laws, qp.theta
+        e, f, v, laws, theta, cold = qp.e, qp.f, qp.v, qp.laws, qp.theta, qp.cold
     else:
         e, f, v = (m[None] if qp.f.ndim == 1 else m for m in (qp.e, qp.f, qp.v))  # a stack of one
         _check_shapes(qp, working_sets)
         laws, theta = _Laws(e, w, f[..., None], v[..., None], np.isfinite(v)), np.ones((len(v), 1))
+        cold = None
     x = (laws.minus_e_inv @ f[:, :, None])[:, :, 0]
     lam = np.zeros(v.shape)
     iterations, solved = 0, np.ones(len(v), dtype=bool)
@@ -536,14 +640,15 @@ def solve_qp(qp: QpProblem, *, working_sets: Sequence[np.ndarray] = ()) -> QpSol
     broken = ~(residual <= 1e-12).all(axis=1)
     if broken.any():
         test = _StopTest.of(laws, f[..., None], v[..., None], x[..., None])
-        if len(working_sets):
-            broken &= ~_on_laws(laws, theta, test, broken, working_sets, f, v, x, lam)
-            residual = (w @ x[:, :, None])[:, :, 0] - v
-        todo = broken.nonzero()[0]
-        if todo.size:
-            x[todo], lam[todo], iterations, solved[todo] = _interior_point(
-                e[todo], f[todo, :, None], test._make(m[todo] for m in test), laws.scale)
-            residual = (w @ x[:, :, None])[:, :, 0] - v
+        left = broken.nonzero()[0]
+        warm = left if cold is None else left[~cold[left]]
+        if len(working_sets) and warm.size:
+            held = _on_laws(laws, theta, test, warm, working_sets, f, x, lam, residual)
+            left = [p for p in left.tolist() if p not in held]
+        if len(left):
+            x[left], lam[left], iterations, solved[left] = _interior_point(
+                e[left], f[left, :, None], test.take(left), laws.scale)
+        residual = (w @ x[:, :, None])[:, :, 0] - v
     violation = np.where(laws.finite, residual, 0.0).max(axis=1, initial=0.0)
     solved &= violation <= FEAS_TOL
     if qp.f.ndim == 1:
@@ -560,16 +665,21 @@ class SmootherState:
     acceleration and `pose` the integrated smoothed pose.  `working_set`
     marks, per axis, the QP rows that ended the last tick with a positive
     multiplier, none on an axis whose solve did not converge; it only speeds
-    the next solve, and a state with none marked (the default) solves cold.
+    the next solve, and from a state with none marked (the default) the next
+    tick walks from the empty set.  `unsolved` (not an argument; None where
+    every axis converged) marks the axes whose solve did not converge: the
+    next tick's laws would most likely fail on them again (their rows could
+    not all hold), so they go straight to the interior point.
     `augmented` and `u_prev` must be finite: the smoother's laws take
     the rows with a finite bound from the limits alone.  A step writes all
-    four at once, after its whole tick is computed.
+    five at once, after its whole tick is computed.
     """
 
     augmented: np.ndarray
     u_prev: np.ndarray
     pose: UnitDualQuaternion
     working_set: np.ndarray = field(default_factory=lambda: np.zeros((N_AXES, 0), dtype=bool))
+    unsolved: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.augmented = np.asarray(self.augmented, dtype=float).reshape(-1)
@@ -665,10 +775,14 @@ class TwistSmoother:
         if working.shape[1] not in (0, rows):
             raise ValueError(f"working set must be 0 or 6 n_c = {rows} rows wide per axis, "
                              f"got {working.shape[1]}")
-        qp = _tick_qp(self._laws, state.augmented, target, state.u_prev)
-        guesses = (working, working[:, self._shift]) if working.any() else ()
+        qp = _tick_qp(self._laws, state.augmented, target, state.u_prev, state.unsolved)
+        if not working.any():
+            guesses = (np.zeros((N_AXES, rows), dtype=bool),)
+        else:
+            guesses = (working, working[:, self._shift])
         sol = solve_qp(qp, working_sets=guesses)
-        if not (sol.converged or np.isfinite(self._laws.e_inv @ qp.f[..., None]).all()):
+        converged = sol.converged
+        if not (converged or np.isfinite(self._laws.e_inv @ qp.f[..., None]).all()):
             raise FloatingPointError(f"QP overflows at target twist {target.tolist()}")
         du = sol.delta_u[:, 0]
 
@@ -682,7 +796,8 @@ class TwistSmoother:
         except (ValueError, OverflowError):  # exp fails on a twist not finite or beyond ~1e10
             fault = "overflows the pose" if np.isfinite(twist).all() else "is not finite"
             raise FloatingPointError(f"smoothed twist {fault}: {twist.tolist()}") from None
-        state.augmented, state.u_prev, state.pose, state.working_set = (
-            augmented, state.u_prev + du, pose, (sol.lam > 0.0) & sol.solved[:, None])
+        state.augmented, state.u_prev, state.pose, state.working_set, state.unsolved = (
+            augmented, state.u_prev + du, pose, (sol.lam > 0.0) & sol.solved[:, None],
+            None if converged else ~sol.solved)
         return StepResult(twist, pose, du, sol.iterations,
-                          sol.converged, sol.active_count, sol.max_violation)
+                          converged, sol.active_count, sol.max_violation)

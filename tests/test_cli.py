@@ -406,13 +406,18 @@ def test_simulate_log_derived_columns_agree_with_verify(panda, ready_pose):
     assert result.qp_failures == np.count_nonzero(rows[:, col("qp_converged")] == 0)
 
 
-@pytest.mark.parametrize("limits", [
-    pytest.param("", id="packaged-limits"),
-    # the QP is active: some ticks are solved on the working set carried from
-    # the tick before, the rest by the interior point
-    pytest.param(TRACK_TIGHT_LIMITS, id="track-tight-limits"),
+@pytest.mark.parametrize("limits, walk", [
+    pytest.param("", None, id="packaged-limits"),
+    # the QP is active: every tick is solved on laws, of the working set
+    # carried from the tick before or of a walk from it
+    pytest.param(TRACK_TIGHT_LIMITS, None, id="track-tight-limits"),
+    # a walk capped at no step: the ticks the carried sets leave go to the
+    # interior point
+    pytest.param(TRACK_TIGHT_LIMITS, 0, id="track-tight-limits-no-walk"),
 ])
-def test_simulate_determinism(tmp_path, ready_pose, limits):
+def test_simulate_determinism(tmp_path, ready_pose, limits, walk, monkeypatch):
+    if walk is not None:
+        monkeypatch.setattr(mpc, "_WALK", walk)
     goal = translated(ready_pose, [0.05, 0.02, 0.0])
     write_keypoints(tmp_path / "kp.txt", [ready_pose, goal])
     cfg = write_cfg(tmp_path, "keypoints = kp.txt\nsamples_per_segment = 15\n"
@@ -426,7 +431,7 @@ def test_simulate_determinism(tmp_path, ready_pose, limits):
     if limits:
         columns, rows = read_trajectory_csv(tmp_path / "out0" / "trajectory.csv")
         iters, active = rows[:, columns.index("qp_iters")], rows[:, columns.index("qp_active")]
-        assert np.any((active > 0) & (iters == 0)) and np.any(iters > 0)
+        assert np.any((active > 0) & (iters == 0)) and np.any(iters > 0) == (walk == 0)
 
 
 @pytest.mark.parametrize("joints", [6, 8])
