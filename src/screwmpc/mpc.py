@@ -14,8 +14,10 @@ parameters theta = [its 3 states, target, u_prev, 1] to its f and V (the
 reference is held over the horizon).  It is fixed by the configuration
 (horizons, sample time, weights and limits), and a smoother built right
 after one of the same configuration shares its stack.  A tick forms theta
-and evaluates f = P_f theta and V = P_V theta.  The rows that end a tick
-with a positive multiplier are its working set.
+and evaluates f = P_f theta, V = P_V theta and the unconstrained optimum
+-E^-1 f; where that breaks no row it is the tick's solution, and no QP is
+formed.  The rows that end a tick with a positive multiplier are its
+working set.
 Holding a set as equalities, the solution is affine in theta too: its law
 is built on first use and kept in the same object, so trying a set costs
 one product, and a smoother that shares a stack starts with the laws built
@@ -26,8 +28,9 @@ and the same rows one step along the horizon, or the empty set where it
 carries none, and none to an axis whose last solve did not converge.  A
 problem they leave walks from the last: each step is one law product,
 which drops the row with the most negative multiplier or adds the most
-broken row (one joining a vertex swaps in for the row that a dual step on
-it zeroes first), and the steps of all problems walking are batched.  The
+broken row (one that depends on the working rows swaps in for the row that
+a dual step on it zeroes first), and the steps of all problems walking are
+batched.  The
 walk crosses from region to region of the explicit MPC
 partition (Bemporad, Morari, Dua & Pistikopoulos 2002), as the online
 active-set method of qpOASES does (Ferreau, Bock & Diehl 2008), with the
@@ -205,8 +208,8 @@ class _Laws:
     theta with S = W_A E^-1 W_A^T, and x = x_free - E^-1 W_A^T lambda_A.  A
     problem's law for A maps theta to x and to A's multipliers in row order,
     0 past them (n + min(n, m), p); the caller takes the slack V - W x from
-    its own V.  A set of more than n rows or of dependent rows (S_ii
-    (S^-1)_ii above 1e12, or S singular) has no candidate: its law is NaN,
+    its own V.  A set of more than n rows or of dependent rows (|S_ii
+    (S^-1)_ii| above 1e12, or S singular) has no candidate: its law is NaN,
     which no screen passes.  A law is built on first use and kept as the
     bytes of its n + |A| rows; problems whose E^-1, X, P_V and finite rows
     are equal bit for bit share their laws.  _CACHED is a guard far above the
@@ -284,21 +287,22 @@ class _Laws:
             sol = _solve(schur, rhs, _no_solution)
             diag = np.diagonal(schur, axis1=1, axis2=2) * np.diagonal(sol[..., p:], axis1=1, axis2=2)
             x = x_free - g @ sol[..., :p]
-        none = (count > n) | ~(diag <= 1e12).all(axis=1)
+        none = (count > n) | ~(abs(diag) <= 1e12).all(axis=1)
         return [self.no_law if no else x_a.tobytes() + lam_a[:k].tobytes()
                 for no, x_a, lam_a, k in zip(none, x, sol[..., :p], count.tolist())]
 
 
 class _TickQp(QpProblem):
     """A QpProblem the smoother assembled: its laws are the smoother's stack,
-    theta (6, 6) is this tick's parameters, and the problems `cold` marks
-    (None: none) skip their working sets."""
+    theta (6, 6) is this tick's parameters, the problems `cold` marks (None:
+    none) skip their working sets, and x and residual are -E^-1 f and W x - V
+    (None: computed here)."""
 
-    def __init__(self, e, f, w, v, laws: _Laws, theta, cold=None):
+    def __init__(self, e, f, w, v, laws: _Laws, theta, cold=None, x=None, residual=None):
         super().__init__(e, f, w, v)
-        object.__setattr__(self, "laws", laws)
-        object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "cold", cold)
+        if x is None:
+            x, residual = _optimum(laws, f, v)
+        self.__dict__.update(laws=laws, theta=theta, cold=cold, x=x, residual=residual)
 
 
 def _axis_qp(f_mat: np.ndarray, phi: np.ndarray, cfg: MpcConfig, limits: LimitSet) -> _Laws:
@@ -331,16 +335,35 @@ def _axis_qp(f_mat: np.ndarray, phi: np.ndarray, cfg: MpcConfig, limits: LimitSe
     return _Laws(e, w, p_f, p_v, np.isfinite(v_zero))
 
 
-def _tick_qp(laws: _Laws, state: np.ndarray, target: np.ndarray,
-             u_prev: np.ndarray, cold=None) -> _TickQp:
-    """The stack of six per-axis QPs at theta: row a is [column a of
-    state.reshape(3, 6), target_a, u_prev_a, 1], E and W are the laws', f =
+def _optimum(laws: _Laws, f, v):
+    """Each problem's unconstrained optimum x = -E^-1 f and its residual W x - V."""
+    x = (laws.minus_e_inv @ f[:, :, None])[:, :, 0]
+    return x, (laws.w @ x[:, :, None])[:, :, 0] - v
+
+
+def _violation(laws: _Laws, residual) -> np.ndarray:
+    """Each problem's largest residual on a finite row, or 0."""
+    return np.where(laws.finite, residual, 0.0).max(axis=1, initial=0.0)
+
+
+def _tick(laws: _Laws, state: np.ndarray, target: np.ndarray, u_prev: np.ndarray):
+    """A tick's theta, f, V and its optimum x and residual (_optimum): row a
+    of theta is [column a of state.reshape(3, 6), target_a, u_prev_a, 1], f =
     P_f theta, and V = P_V theta on the rows with a finite bound and inf on
-    the rest; the axes `cold` marks (None: none) skip their working sets."""
+    the rest."""
     theta = np.concatenate([state, target, u_prev, _ONES]).reshape(-1, N_AXES).T
     column = theta[:, :, None]
     f, v = (laws.p_f @ column)[:, :, 0], (laws.p_v @ column)[:, :, 0]
-    return _TickQp(laws.e, f, laws.w, np.where(laws.finite, v, np.inf), laws, theta, cold)
+    v[~laws.finite] = np.inf
+    return (theta, f, v) + _optimum(laws, f, v)
+
+
+def _tick_qp(laws: _Laws, state: np.ndarray, target: np.ndarray,
+             u_prev: np.ndarray, cold=None) -> _TickQp:
+    """The stack of six per-axis QPs of a tick (_tick), E and W the laws';
+    the axes `cold` marks (None: none) skip their working sets."""
+    theta, f, v, x, residual = _tick(laws, state, target, u_prev)
+    return _TickQp(laws.e, f, laws.w, v, laws, theta, cold, x, residual)
 
 
 @dataclass
@@ -468,7 +491,7 @@ def _on_laws(laws: _Laws, theta, test: _StopTest, todo, sets, f, x, lam, residua
     masks = (np.asarray(sets, dtype=bool).reshape(-1, k, m) & laws.rows)[:, todo].reshape(-1, m)
     owner = todo.tolist() * (len(masks) // len(todo))
     last = {p: c for c, p in enumerate(owner)}
-    held, seen = set(), {}
+    held, seen, joined = set(), {}, {}  # joined: candidate -> (its parent, the row that joined)
 
     def met(c):  # the screen's slack terms (see below) of candidate c
         if a_min[c] >= laws.floor:
@@ -521,14 +544,18 @@ def _on_laws(laws: _Laws, theta, test: _StopTest, todo, sets, f, x, lam, residua
             break
         # each problem left steps from its last set: a set with no law keeps
         # its rows x_free breaks, else the row with the most negative
-        # multiplier leaves or, with none, the most broken row joins
+        # multiplier leaves or, with none, the most broken row joins; a
+        # joining row that depends on the working rows (at a vertex, or
+        # where the set it made has no law) swaps in
         lawless = np.isnan(y[:, 0, 0]).tolist()
         d_at, a_at = z_rel.argmin(axis=1).tolist(), s.argmin(axis=1).tolist()
-        new, steps, moved = masks.copy(), [], []
+        new, steps, dependent, joins, moved = masks.copy(), [], [], {}, []
         for p, c in last.items():
             if p in held:
                 continue
-            if lawless[c]:
+            if lawless[c] and c in joined:
+                dependent.append((c, *joined[c]))
+            elif lawless[c]:
                 new[c] &= residual[p] > FEAS_TOL
             elif d_min[c] < -_KKT_TOL:
                 new[c, work[c, d_at[c]]] = False
@@ -537,34 +564,56 @@ def _on_laws(laws: _Laws, theta, test: _StopTest, todo, sets, f, x, lam, residua
             else:
                 new[c, a_at[c]] = True
                 if count[c] == n:
-                    steps.append((c, a_at[c]))
+                    steps.append((c, c, a_at[c]))
+                else:
+                    joins[c] = a_at[c]
             moved.append((p, c))
         if steps:
-            # a row joining a vertex depends on its n rows: it swaps in for
-            # the row whose multiplier a dual step on it zeroes first, and
-            # with none the rows cannot all hold
-            c, added = (np.array(a) for a in zip(*steps))
-            w_a = laws.w[work[c]] / laws.scale[work[c]]
-            w_r = laws.w[added, :, None] / laws.scale[added, :, None]
-            d = _solve(w_a.transpose(0, 2, 1), w_r, _no_solution)[..., 0]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ratio = np.where(d > 1e-9, np.where(z_rel[c] > _KKT_TOL, z[c], 0.0) / d, np.inf)
-            out = ratio.argmin(axis=1)
-            bound = np.isfinite(ratio[np.arange(len(c)), out])
-            new[c[bound], work[c, out][bound]] = False
-            new[c[~bound]] = masks[c[~bound]]  # no move: the walk ends
-        owner, kept, last = [], [], {}
+            _swap(laws, new, masks, steps, work, z, z_rel)
+        if dependent:
+            _swap(laws, new, masks, dependent, *parents)
+        owner, kept, last, joined = [], [], {}, {}
         for p, c in moved:  # a walk that repeats a set ends
             path, key = seen.get(p) or seen.setdefault(p, {masks[c].tobytes()}), new[c].tobytes()
             if key not in path:
                 path.add(key)
                 last[p] = len(owner)
+                if c in joins:
+                    joined[len(owner)] = c, joins[c]
                 owner.append(p)
                 kept.append(c)
         if not owner:
             break
-        masks = new[kept]
+        masks, parents = new[kept], (work, z, z_rel, count)
     return held
+
+
+def _swap(laws: _Laws, new, masks, swaps, work, z, z_rel, count=None) -> None:
+    """Each (c, parent, row) of swaps: `row` joins the working rows of
+    candidate `parent` (work, z, z_rel and count of its round), on which it
+    depends, with weights d: their solve at a vertex of n rows (count
+    None), else their least-squares fit (normal equations; a padded row
+    gets d = 0).  It swaps in for the row whose multiplier a dual step on
+    it zeroes first (the least z / d over d > 1e-9), which leaves new[c];
+    with none the rows cannot all hold, and new[c] keeps masks[c], which
+    ends the walk."""
+    c, parent, added = (np.array(a) for a in zip(*swaps))
+    rows = work[parent]
+    w_a = laws.w[rows] / laws.scale[rows]
+    w_r = laws.w[added, :, None] / laws.scale[added, :, None]
+    if count is None:
+        d = _solve(w_a.transpose(0, 2, 1), w_r, _no_solution)[..., 0]
+    else:
+        pad = (np.arange(rows.shape[1]) >= np.array(count)[parent, None])[..., None]
+        w_a = np.where(pad, 0.0, w_a)
+        d = _solve(w_a @ w_a.transpose(0, 2, 1) + pad * np.eye(len(pad[0])), w_a @ w_r,
+                   _no_solution)[..., 0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(d > 1e-9, np.where(z_rel[parent] > _KKT_TOL, z[parent], 0.0) / d, np.inf)
+    out = ratio.argmin(axis=1)
+    bound = np.isfinite(ratio[np.arange(len(c)), out])
+    new[c[bound], rows[np.arange(len(c)), out][bound]] = False
+    new[c[~bound]] = masks[c[~bound]]
 
 
 def _check_shapes(qp: QpProblem, working_sets: Sequence[np.ndarray]) -> None:
@@ -594,8 +643,9 @@ def solve_qp(qp: QpProblem, *, working_sets: Sequence[np.ndarray] = ()) -> QpSol
     the steps of all problems walking batched: a set with no law keeps the
     rows -E^-1 f breaks; else the row with the most negative multiplier
     leaves or, with none, the most broken row (on unit rows) joins, and a
-    row that joins a vertex of n rows swaps in for the row whose multiplier
-    a dual step on it zeroes first (none: the rows cannot all hold).  A
+    row that depends on the working rows (it joins a vertex of n rows, or
+    its set has no law) swaps in for the row whose multiplier a dual step
+    on it zeroes first (none: the rows cannot all hold).  A
     walk ends after _WALK steps or on a set it had.  The screen passes a
     candidate whose multipliers and slacks are each at least -1e-10 of
     their scales in the stop test below and that meets every finite row
@@ -628,17 +678,18 @@ def solve_qp(qp: QpProblem, *, working_sets: Sequence[np.ndarray] = ()) -> QpSol
     w = qp.w
     if isinstance(qp, _TickQp):
         e, f, v, laws, theta, cold = qp.e, qp.f, qp.v, qp.laws, qp.theta, qp.cold
+        x, residual = qp.x, qp.residual
     else:
         e, f, v = (m[None] if qp.f.ndim == 1 else m for m in (qp.e, qp.f, qp.v))  # a stack of one
         _check_shapes(qp, working_sets)
         laws, theta = _Laws(e, w, f[..., None], v[..., None], np.isfinite(v)), np.ones((len(v), 1))
         cold = None
-    x = (laws.minus_e_inv @ f[:, :, None])[:, :, 0]
+        x, residual = _optimum(laws, f, v)
     lam = np.zeros(v.shape)
     iterations, solved = 0, np.ones(len(v), dtype=bool)
-    residual = (w @ x[:, :, None])[:, :, 0] - v
     broken = ~(residual <= 1e-12).all(axis=1)
     if broken.any():
+        x = x.copy()  # a tick problem's x stays its optimum
         test = _StopTest.of(laws, f[..., None], v[..., None], x[..., None])
         left = broken.nonzero()[0]
         warm = left if cold is None else left[~cold[left]]
@@ -649,7 +700,7 @@ def solve_qp(qp: QpProblem, *, working_sets: Sequence[np.ndarray] = ()) -> QpSol
             x[left], lam[left], iterations, solved[left] = _interior_point(
                 e[left], f[left, :, None], test.take(left), laws.scale)
         residual = (w @ x[:, :, None])[:, :, 0] - v
-    violation = np.where(laws.finite, residual, 0.0).max(axis=1, initial=0.0)
+    violation = _violation(laws, residual)
     solved &= violation <= FEAS_TOL
     if qp.f.ndim == 1:
         x, lam, solved = x[0], lam[0], solved[0]
@@ -759,9 +810,12 @@ class TwistSmoother:
     def step(self, target) -> StepResult:
         """Advance one MPC tick toward the 6-vector reference twist.
 
-        A target that is not six finite numbers or a working set not 0 or 6 n_c
-        rows wide raises ValueError.  A finite target too large for floating
-        point raises FloatingPointError, whichever step it overflows: the
+        A tick whose unconstrained optimum breaks no row (every residual at
+        most 1e-12) applies it without forming a QP, with the result
+        solve_qp would give.  A target that is not six finite numbers or a
+        working set not 0 or 6 n_c rows wide raises ValueError.  A finite
+        target too large for floating point raises FloatingPointError,
+        whichever step it overflows: the
         QP's unconstrained optimum -E^-1 f (checked only when the solve did
         not converge), the increment (a smoothed twist that is not finite) or
         the pose integration.  None of them changes the state."""
@@ -770,21 +824,30 @@ class TwistSmoother:
             raise ValueError(f"target twist must have {N_AXES} components")
         if not np.isfinite(target).all():
             raise ValueError(f"target twist must be finite, got {target.tolist()}")
-        state, rows = self.state, len(self._shift)
+        state, rows, laws = self.state, len(self._shift), self._laws
         working = state.working_set
         if working.shape[1] not in (0, rows):
             raise ValueError(f"working set must be 0 or 6 n_c = {rows} rows wide per axis, "
                              f"got {working.shape[1]}")
-        qp = _tick_qp(self._laws, state.augmented, target, state.u_prev, state.unsolved)
-        if not working.any():
-            guesses = (np.zeros((N_AXES, rows), dtype=bool),)
+        theta, f, v, x, residual = _tick(laws, state.augmented, target, state.u_prev)
+        worst = residual.max()  # NaN where any residual is
+        if worst <= 1e-12:  # free: solve_qp's solution, without forming the QP
+            du, iterations, converged, active = x[:, 0], 0, True, 0
+            # 0 when every residual is negative, else solve_qp's reduction (and its signed zero)
+            violation = 0.0 if worst < 0.0 else float(_violation(laws, residual).max(initial=0.0))
+            working, unsolved = np.zeros(residual.shape, dtype=bool), None
         else:
-            guesses = (working, working[:, self._shift])
-        sol = solve_qp(qp, working_sets=guesses)
-        converged = sol.converged
-        if not (converged or np.isfinite(self._laws.e_inv @ qp.f[..., None]).all()):
-            raise FloatingPointError(f"QP overflows at target twist {target.tolist()}")
-        du = sol.delta_u[:, 0]
+            guesses = ((working, working[:, self._shift]) if working.any()
+                       else (np.zeros((N_AXES, rows), dtype=bool),))
+            sol = solve_qp(_TickQp(laws.e, f, laws.w, v, laws, theta, state.unsolved, x,
+                                   residual), working_sets=guesses)
+            converged = sol.converged
+            if not (converged or np.isfinite(x).all()):
+                raise FloatingPointError(f"QP overflows at target twist {target.tolist()}")
+            du, iterations, active, violation = (sol.delta_u[:, 0], sol.iterations,
+                                                 sol.active_count, sol.max_violation)
+            working, unsolved = (sol.lam > 0.0) & sol.solved[:, None], (
+                None if converged else ~sol.solved)
 
         a, b, _ = self._model
         per_axis = state.augmented.reshape(-1, N_AXES)  # column a: axis a's 3 states
@@ -797,7 +860,5 @@ class TwistSmoother:
             fault = "overflows the pose" if np.isfinite(twist).all() else "is not finite"
             raise FloatingPointError(f"smoothed twist {fault}: {twist.tolist()}") from None
         state.augmented, state.u_prev, state.pose, state.working_set, state.unsolved = (
-            augmented, state.u_prev + du, pose, (sol.lam > 0.0) & sol.solved[:, None],
-            None if converged else ~sol.solved)
-        return StepResult(twist, pose, du, sol.iterations,
-                          converged, sol.active_count, sol.max_violation)
+            augmented, state.u_prev + du, pose, working, unsolved)
+        return StepResult(twist, pose, du, iterations, converged, active, violation)

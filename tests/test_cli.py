@@ -571,17 +571,19 @@ def test_closed_loop_rejects_a_non_finite_reference(panda, ready_pose, monkeypat
 
 
 def test_closed_loop_stops_on_a_nan_smoothed_twist(panda, ready_pose, monkeypatch):
-    # the 5th QP solution's increment turns NaN: the smoother's step raises
-    # FloatingPointError, which the loop re-raises with the tick's time
+    # the 5th tick's unconstrained optimum turns NaN (the run's QP never
+    # activates, so the step applies it as its increment): the smoother's
+    # step raises FloatingPointError, which the loop re-raises with the
+    # tick's time
     calls = []
-    clean = mpc.solve_qp
+    clean = mpc._tick
 
-    def faulty(*args, **kwargs):
+    def faulty(*args):
         calls.append(1)
-        sol = clean(*args, **kwargs)
-        return dataclasses.replace(sol, delta_u=sol.delta_u * math.nan) if len(calls) == 5 else sol
+        theta, f, v, x, residual = clean(*args)
+        return theta, f, v, x * math.nan if len(calls) == 5 else x, residual
 
-    monkeypatch.setattr(mpc, "solve_qp", faulty)
+    monkeypatch.setattr(mpc, "_tick", faulty)
     keypoints = [ready_pose, translated(ready_pose, [0.05, 0.0, 0.0])]
     with pytest.raises(FloatingPointError,
                        match=r"^smoothed twist is not finite: \[.*\] at t = 0\.036000 s$"):
