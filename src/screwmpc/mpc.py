@@ -36,9 +36,14 @@ partition (Bemporad, Morari, Dua & Pistikopoulos 2002), as the online
 active-set method of qpOASES does (Ferreau, Bock & Diehl 2008), with the
 cached laws as its factorizations.  Every candidate passes a screen on the
 stop test's terms (and every row met within FEAS_TOL) and then the interior
-point's own stop test.  A walk ends after _WALK steps or on a set it had;
-only its problem goes to the interior point, which solves it as it would
-cold.
+point's own stop test.  The test's stationarity and multiplier scales are
+formed on first read, and only a verdict that depends on them reads them (a
+multiplier the screen visits between 0 and -_KKT_TOL times a bound on every
+scale, a stationarity residual above _KKT_TOL, a walk that steps on, the
+full stop test, the interior point), so a tick that its carried sets settle
+in one round usually forms none.  A walk ends after _WALK steps or on a set
+it had; only its problem goes to the interior point, which solves it as it
+would cold.
 The paper's dense 18-state model, prediction and QP are these per-axis
 forms lifted by Kronecker products with I6; only the tests build them, as
 an oracle.
@@ -54,11 +59,11 @@ import threading
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
-from .dualquat import PureDualQuaternion, UnitDualQuaternion, exp
+from .dualquat import (PureDualQuaternion, Quaternion, UnitDualQuaternion, _check_unit, _product,
+                       exp)
 
 __all__ = [
     "MpcConfig",
@@ -234,6 +239,7 @@ class _Laws:
         self.no_law = np.full(self.shape, np.nan).tobytes()
         # a slack on the unit rows of at least this meets the stop test and FEAS_TOL
         self.floor = max(-_KKT_TOL, -FEAS_TOL / float(self.scale.max(initial=1.0)))
+        self.e_rows = float(self.e_abs.sum(axis=-1).max())  # |E|'s largest row sum
         self.cache: dict = {}  # (first equal problem, rows' mask) -> law's bytes, oldest first
         self.evicted = False
         self.lock = threading.Lock()
@@ -403,34 +409,60 @@ def _solve(mat, rhs, singular=lambda mat, rhs: np.linalg.pinv(mat) @ rhs):
         return np.concatenate([_solve(m, r, singular) for m, r in zip(mat[:, None], rhs[:, None])])
 
 
-class _StopTest(NamedTuple):
+class _StopTest:
     """The interior point's stop test for a stack of problems, on (k, ., 1)
     columns.  Rows are scaled to unit norm; a row with an infinite bound or
     zero W reads 0 <= 1.  ``error`` is a problem's largest KKT residual: each
     residual is measured against the size of the terms of its own equation, a
     row's at the iterate x and a stationarity row's at x_free (W^T z is left
     out: multipliers can drift off in opposite pairs); a multiplier against
-    the stationarity rows of the variables its row touches."""
+    the stationarity rows of the variables its row touches.
 
-    w: np.ndarray           # (1 or k, m, n) scaled rows
-    v: np.ndarray           # (k, m, 1) scaled bounds
-    w_abs: np.ndarray
-    v_abs: np.ndarray
-    dual: np.ndarray        # (k, n, 1) stationarity scales
-    multiplier: np.ndarray  # (k, m, 1) multiplier scales
+    The rows and scaled bounds are formed with the test; |bounds|, the
+    stationarity scales ``dual`` (k, n, 1) and the multiplier scales
+    ``multiplier`` (k, m, 1), each at least 1, on first read.  Every scale
+    is at most sqrt(n) (1 + |E|'s largest row sum |x_free| + |f|), on
+    2-norms over the stack.  ``bounded``: that bound is finite, so a
+    multiplier of at least 0 or a stationarity residual of at most 1e-10
+    meets the test on any scale, and a multiplier below ``lowest`` fails it
+    on any."""
+
+    FIELDS = ("w", "v", "w_abs", "v_abs", "dual", "multiplier")
 
     @classmethod
     def of(cls, laws: _Laws, f, v, x_free) -> "_StopTest":
         """The test of a stack from its laws' |E|, scaled rows and row scale
-        and its f, v and x_free."""
-        v = np.where(laws.rows[..., None], v / laws.scale, 1.0)
-        dual = np.maximum(1.0, laws.e_abs @ np.abs(x_free) + np.abs(f))
-        return cls(laws.w_unit, v, laws.w_unit_abs, np.abs(v), dual,
-                   np.maximum(1.0, laws.w_unit_abs @ dual))
+        and its f, v and x_free (which must not change while the test lives)."""
+        test = cls()
+        test.w, test.w_abs = laws.w_unit, laws.w_unit_abs
+        test.v = np.where(laws.rows[..., None], v / laws.scale, 1.0)
+        top = 2.0 * math.sqrt(x_free.shape[1]) * (  # twice the bound, for rounding
+            1.0 + laws.e_rows * math.sqrt(np.vdot(x_free, x_free)) + math.sqrt(np.vdot(f, f)))
+        test.bounded, test.lowest = top <= 1e300, -_KKT_TOL * top  # NaN top: not bounded
+        test.terms = laws.e_abs, f, x_free
+        return test
+
+    @cached_property
+    def v_abs(self) -> np.ndarray:
+        return np.abs(self.v)
+
+    @cached_property
+    def dual(self) -> np.ndarray:
+        e_abs, f, x_free = self.terms
+        return np.maximum(1.0, e_abs @ np.abs(x_free) + np.abs(f))
+
+    @cached_property
+    def multiplier(self) -> np.ndarray:
+        return np.maximum(1.0, self.w_abs @ self.dual)
 
     def take(self, index) -> "_StopTest":
-        """The test of problems `index` (a field of one problem is shared)."""
-        return self._make(m if len(m) == 1 else m[index] for m in self)
+        """The test of problems `index`, its scales formed (a field of one
+        problem is shared)."""
+        test = _StopTest()
+        for name in self.FIELDS:
+            m = getattr(self, name)
+            setattr(test, name, m if len(m) == 1 else m[index])
+        return test
 
     def error(self, x, r_d, r_p, s, z) -> np.ndarray:
         primal = np.maximum(1.0, self.w_abs @ np.abs(x) + self.v_abs)
@@ -493,6 +525,10 @@ def _on_laws(laws: _Laws, theta, test: _StopTest, todo, sets, f, x, lam, residua
     last = {p: c for c, p in enumerate(owner)}
     held, seen, joined = set(), {}, {}  # joined: candidate -> (its parent, the row that joined)
 
+    def relative():  # the multipliers over their scales, and each candidate's least
+        z_rel = z / test.multiplier[problems[:, None], work, 0]
+        return z_rel, z_rel.min(axis=1).tolist()
+
     def met(c):  # the screen's slack terms (see below) of candidate c
         if a_min[c] >= laws.floor:
             return True
@@ -513,14 +549,21 @@ def _on_laws(laws: _Laws, theta, test: _StopTest, todo, sets, f, x, lam, residua
         # the screen, on the stop test's terms: each working row's
         # multiplier and each row's slack, over their scales, at least
         # -1e-10, and every row met within FEAS_TOL; a slack on the unit
-        # rows of at least laws.floor meets both
+        # rows of at least laws.floor meets both.  A multiplier of at least 0
+        # meets its bounded scale and one below test.lowest fails it: the
+        # scales are read only where a visited candidate has one between, or
+        # the walk steps on
         s = test.v[problems, :, 0] - ((w_u if w_u.ndim == 2 else w_u[problems]) @ y[:, :n])[..., 0]
         z = y[:, n:, 0] * laws.scale[work, 0]
-        z_rel = z / test.multiplier[problems[:, None], work, 0]
-        d_min, a_min = z_rel.min(axis=1).tolist(), s.min(axis=1).tolist()
+        z_rel, d_min = (None, z.min(axis=1).tolist()) if test.bounded else relative()
+        a_min = s.min(axis=1).tolist()
         first, failed = {}, set()  # each problem's first candidate that passes
         for c, p in enumerate(owner):
-            if p not in first and p not in held and d_min[c] >= -_KKT_TOL:
+            if p in first or p in held:
+                continue
+            if z_rel is None and test.lowest <= d_min[c] < 0.0:
+                z_rel, d_min = relative()
+            if d_min[c] >= -_KKT_TOL:
                 if met(c):
                     first[p] = c
                 else:
@@ -528,11 +571,15 @@ def _on_laws(laws: _Laws, theta, test: _StopTest, todo, sets, f, x, lam, residua
         for p, c in first.items():
             # the screen met the stop test's other terms but two: the
             # stationarity residual and each working row's min(slack,
-            # multiplier), met if its slack is at most 1e-10
+            # multiplier), met if its slack is at most 1e-10; a residual of at
+            # most 1e-10 meets its bounded scale unread
             rows, x_c = work[c, :count[c]], y[c, :n, 0]
             lam_c = y[c, n:n + count[c], 0]
             r_d = laws.e[p] @ x_c + f[p] + lam_c @ laws.w[rows]
-            if max(np.abs(r_d / test.dual[p, :, 0]).max(), s[c, rows].max(initial=0.0)) > _KKT_TOL:
+            r = np.abs(r_d).max()
+            if r > _KKT_TOL or not test.bounded:
+                r = np.abs(r_d / test.dual[p, :, 0]).max()
+            if max(r, s[c, rows].max(initial=0.0)) > _KKT_TOL:
                 z_c = np.zeros((1, m, 1))  # the stop test itself
                 z_c[0, rows, 0] = z[c, :count[c]]
                 if test.take([p]).error(x_c[None, :, None], r_d[None, :, None], 0.0,
@@ -542,6 +589,8 @@ def _on_laws(laws: _Laws, theta, test: _StopTest, todo, sets, f, x, lam, residua
             x[p], lam[p, rows] = x_c, np.maximum(lam_c, 0.0)
         if len(held) == len(todo):
             break
+        if z_rel is None:
+            z_rel, d_min = relative()
         # each problem left steps from its last set: a set with no law keeps
         # its rows x_free breaks, else the row with the most negative
         # multiplier leaves or, with none, the most broken row joins; a
@@ -671,9 +720,15 @@ def solve_qp(qp: QpProblem, *, working_sets: Sequence[np.ndarray] = ()) -> QpSol
     set shaped like v), else ValueError.
     A smoother's tick problem carries the stack of the smoother's
     configuration, with its laws cached across ticks and smoothers, and the
-    tick's theta.  A call builds the stop test's scales once for the stack
-    and evaluates the test only on candidates; the interior point takes its
-    rows of the rest.
+    tick's theta.  A call with a broken row builds the stop test's scaled
+    bounds for the stack and its stationarity and multiplier scales on
+    first read, once: the screen reads the multiplier scales only where a
+    candidate it visits has a multiplier between 0 and -1e-10 times a bound
+    on every scale (each is at least 1) or the walk steps on, and a
+    stationarity scale only where the residual is above 1e-10; the full stop
+    test and the interior point read them (where the bound, from |x|, |f|
+    and |E|, overflows, every verdict does).  It evaluates the test only on
+    candidates; the interior point takes its rows of the rest.
     """
     w = qp.w
     if isinstance(qp, _TickQp):
@@ -689,8 +744,8 @@ def solve_qp(qp: QpProblem, *, working_sets: Sequence[np.ndarray] = ()) -> QpSol
     iterations, solved = 0, np.ones(len(v), dtype=bool)
     broken = ~(residual <= 1e-12).all(axis=1)
     if broken.any():
-        x = x.copy()  # a tick problem's x stays its optimum
         test = _StopTest.of(laws, f[..., None], v[..., None], x[..., None])
+        x = x.copy()  # the test's x_free, and a tick problem's optimum, stay
         left = broken.nonzero()[0]
         warm = left if cold is None else left[~cold[left]]
         if len(working_sets) and warm.size:
@@ -759,6 +814,25 @@ class StepResult:
     max_violation: float
 
 
+def _moved(motion: UnitDualQuaternion, pose: UnitDualQuaternion) -> UnitDualQuaternion:
+    """(motion * pose).normalized() bit for bit, on floats: the products, sums
+    and unit check of DualQuaternion.__mul__, then the norm, the degenerate
+    check and the scaling of normalized, in their order, and the unit check
+    of the one dual quaternion built, the result."""
+    w, x, y, z = _product(motion.primary, pose.primary)
+    pw, px, py, pz = _product(motion.primary, pose.dual)
+    qw, qx, qy, qz = _product(motion.dual, pose.primary)
+    dw, dx, dy, dz = pw + qw, px + qx, py + qy, pz + qz
+    _check_unit(w, x, y, z, dw, dx, dy, dz)
+    n_p = math.sqrt(w ** 2 + x ** 2 + y ** 2 + z ** 2)
+    if n_p < 1e-12:
+        raise ValueError("dual quaternion norm is degenerate: zero primary part")
+    a, b = 1.0 / n_p, (w * dw + x * dx + y * dy + z * dz) / n_p / (n_p * n_p)
+    return UnitDualQuaternion(Quaternion(w * a, x * a, y * a, z * a),
+                              Quaternion(dw * a - w * b, dx * a - x * b, dy * a - y * b,
+                                         dz * a - z * b))
+
+
 # (configuration bytes, its QP stack): the stack of the smoother built last,
 # which the next smoother of that configuration shares
 _stack: tuple = (None, None)
@@ -771,7 +845,10 @@ class TwistSmoother:
     Applies only the first increment of each axis's optimized sequence each
     tick, advances each axis's scalar model, recovers the smoothed twist and
     integrates the pose with x[i] = exp((T/2) * xi[i+1]) * x[i-1]
-    (renormalized every step to suppress drift).  Construction functions
+    (renormalized every step to suppress drift): one call of exp, then the
+    product and the renormalization on floats (_moved), which give
+    (exp(...) * x[i-1]).normalized() bit for bit, with its checks and
+    errors, building one dual quaternion.  Construction functions
     are pure; a single logical controller thread advances the state.
     A smoother built right after one of the same configuration shares its
     QP stack, also across threads.
@@ -855,7 +932,7 @@ class TwistSmoother:
         twist = augmented[-N_AXES:].copy()
         try:
             motion = exp(PureDualQuaternion.from_vec6(twist * (0.5 * self.cfg.sample_time)))
-            pose = (motion * state.pose).normalized()
+            pose = _moved(motion, state.pose)
         except (ValueError, OverflowError):  # exp fails on a twist not finite or beyond ~1e10
             fault = "overflows the pose" if np.isfinite(twist).all() else "is not finite"
             raise FloatingPointError(f"smoothed twist {fault}: {twist.tolist()}") from None
