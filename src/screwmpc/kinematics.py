@@ -17,14 +17,20 @@ monomial mu_t taking sin(q_j/2) where bit j of t is set and cos(q_j/2)
 where it is not.  A derivative swaps one factor, d mu_t/dq_j =
 +-1/2 mu_(t xor 2^j), so each Jacobian column is a sum over the same
 monomials, and [V | W_0 ... W_(n-1)] is one table: the pass forms the
-2^n monomials and takes one vector-matrix product, then checks the pose
-unit.  Chains longer than 8 joints split into blocks of at most 8, one
-table each, combined by Hamilton products.  Every caller makes that one
-pass: ``forward_kinematics``, ``pose_jacobian`` and ``inner_control``
-once per call, the closed loop's inner ticks (``_track_tick``) once per
-tick, each handing its pose and Jacobian to the next through the same
-control law (``_control_law``).  A NaN joint vector fails the unit check;
-the inner ticks raise it as FloatingPointError.
+2^n monomials and takes one vector-matrix product, read as the block
+[vec8(x_eff); J^T], then checks the pose unit.  Chains longer than 8
+joints split into blocks of at most 8, one table each, combined by
+Hamilton products.  Every caller makes that one pass: ``forward_kinematics``,
+``pose_jacobian`` and ``inner_control`` once per call, the closed loop's
+inner ticks (``_track_tick``) once per tick, each handing its pose and
+Jacobian to the next through the same control law (``_control_law``).
+The law runs on terms and a workspace formed once per desired pose
+(``_law``): one product J^T T^T, T = H8^-(x_d) C8, writes the task
+matrix's rows N^T; one product of the pose with rows formed for x_d
+writes after them the normals n_1, n_2, then K C8 r, the gain folded with
+the conjugation, and <x_d, x_eff>; M = aug^T aug is formed from the rows
+[N^T; n_1; n_2].  A NaN joint vector fails the unit check; the inner
+ticks raise it as FloatingPointError.
 The matrices and the conjugation signs come from
 ``screwmpc.dualquat``, which reads them off its own product and
 conjugation; its algebra classes only wrap the inputs and outputs.
@@ -66,12 +72,11 @@ _EYE8 = np.eye(8)
 # vec8(h) @ _TASK_BASIS is H8^-(h) C8 flattened (each entry a single signed term).
 _TASK_BASIS = np.array([(_hamilton8(e, -1) * _CONJ).ravel() for e in _EYE8])
 _NEG_CONJ = -_CONJ
-# (vec8(r) @ _NORMAL_BASIS).reshape(8, 2) has the columns (r_P, 0) and (r_D, r_P), the
-# normals at a unit r of its 6-dimensional manifold (gradients of |r_P|^2, <r_P, r_D>).
-_NORMAL_BASIS = np.zeros((8, 8, 2))
-_NORMAL_BASIS[:4, :4, 0] = _NORMAL_BASIS[4:, :4, 1] = _NORMAL_BASIS[:4, 4:, 1] = np.eye(4)
-_NORMAL_BASIS = _NORMAL_BASIS.reshape(8, 16)
-for _table in (_EYE8, _TASK_BASIS, _NEG_CONJ, _NORMAL_BASIS):
+# _NORMAL_ROWS @ vec8(r) is (n_1, n_2) = ((r_P, 0), (r_D, r_P)), the normals at a unit r
+# of its 6-dimensional manifold (gradients of |r_P|^2, <r_P, r_D>), one after the other.
+_NORMAL_ROWS = np.zeros((16, 8))
+_NORMAL_ROWS[:4, :4] = _NORMAL_ROWS[8:12, 4:] = _NORMAL_ROWS[12:, :4] = np.eye(4)
+for _table in (_EYE8, _TASK_BASIS, _NEG_CONJ, _NORMAL_ROWS):
     _table.setflags(write=False)
 # ||M^-1||_F^2 below this certifies sigma_6(N) > 1e-3, as 1 / sigma_6^4 <= ||M^-1||_F^2
 _CERTIFIED_INV_SQ = 1e12
@@ -178,8 +183,10 @@ def _block_table(factors: list[tuple[np.ndarray, np.ndarray]], first: int,
     d mu_t/dq_j = +-1/2 mu_(t xor 2^j), column j of the block's Jacobian is
     sum_u mu_u W_(j,u) with W_(j,u) = (-1/2 if bit j of u is set, else 1/2)
     V_(u xor 2^j).  table is [V | W] (2^k x 8(k+1)), W's columns ordered as
-    the 8 x k Jacobian's entries, and index (k x 2^k) picks mu_t's factors out
-    of the joint vector's interleaved (c_0, s_0, c_1, s_1, ...).
+    the entries of the k x 8 transposed Jacobian, so that the product
+    mu @ table, read as a (k + 1) x 8 block, is [vec8(x_b); J_b^T]; index
+    (k x 2^k) picks mu_t's factors out of the joint vector's interleaved
+    (c_0, s_0, c_1, s_1, ...).
     """
     vectors = tail[None]
     for m, k in reversed(factors):  # bit j of the row index picks K_j for M_j
@@ -188,7 +195,7 @@ def _block_table(factors: list[tuple[np.ndarray, np.ndarray]], first: int,
     patterns = np.arange(len(vectors))[:, None]
     bits = (patterns >> joints) & 1
     w = (0.5 - bits)[:, :, None] * vectors[patterns ^ (1 << joints)]
-    table = np.concatenate((vectors, w.transpose(0, 2, 1).reshape(len(vectors), -1)), axis=1)
+    table = np.concatenate((vectors, w.reshape(len(vectors), -1)), axis=1)
     index = (2 * (first + joints) + bits).T
     for arr in (index, table):
         arr.setflags(write=False)
@@ -199,23 +206,23 @@ def _pose_and_jacobian(model: RobotModel, q: np.ndarray) -> tuple[np.ndarray, np
     """The one chain pass: vec8(x_eff), checked unit, and the 8 x dof pose Jacobian.
 
     Each block of ``model._chain`` gives its pose and Jacobian as one product,
-    monomials mu(q) times its table (see ``_block_table``): with at most 8
-    joints, one block is the whole chain.  Longer chains combine the blocks
-    by Hamilton products, x = x_1 x_2 ..., so a column of block b is
-    H8^+(x_1 ... x_(b-1)) H8^-(x_(b+1) ...) times the block's own.
+    monomials mu(q) times its table, read as the block [vec8(x_b); J_b^T]
+    (see ``_block_table``): with at most 8 joints, one block is the whole
+    chain, and the pose and the Jacobian are views of it.  Longer chains
+    combine the blocks by Hamilton products, x = x_1 x_2 ..., so a column of
+    block b is H8^+(x_1 ... x_(b-1)) H8^-(x_(b+1) ...) times the block's own.
     A pose off unit (NaN joints, a drifted chain) raises ValueError.
     """
     cos_sin = np.exp(0.5j * q).view(float)  # cos(q_j/2), sin(q_j/2) interleaved
     # the monomials, prod(axis=0) of the gathered factors, without the method's wrapper
     index, table = model._chain[0]
-    out = np.multiply.reduce(cos_sin.take(index), axis=0).dot(table)
-    x_eff8, jac = out[:8], out[8:].reshape(8, -1)
+    block = np.multiply.reduce(cos_sin.take(index), axis=0).dot(table).reshape(-1, 8)
+    x_eff8, jac = block[0], block[1:].T
     for index, table in model._chain[1:]:
-        out = np.multiply.reduce(cos_sin.take(index), axis=0).dot(table)
+        block = np.multiply.reduce(cos_sin.take(index), axis=0).dot(table).reshape(-1, 8)
         left = _hamilton8(x_eff8, 1)
-        jac = np.concatenate((_hamilton8(out[:8], -1) @ jac, left @ out[8:].reshape(8, -1)),
-                             axis=1)
-        x_eff8 = left @ out[:8]
+        jac = np.concatenate((_hamilton8(block[0], -1) @ jac, left @ block[1:].T), axis=1)
+        x_eff8 = left @ block[0]
     _check_unit(*x_eff8.tolist())
     return x_eff8, jac
 
@@ -228,14 +235,10 @@ def _task_map(x_d8: np.ndarray) -> np.ndarray:
 def _error8(task_map: np.ndarray, x_d8: np.ndarray, x_eff8: np.ndarray) -> np.ndarray:
     """vec8(1 - x_d^* x_eff) from task_map = H8^-(x_d) C8, double-cover aligned.
 
-    (x_d^* x_eff)^* = x_eff^* x_d, so vec8(x_d^* x_eff) = C8 H8^-(x_d) C8 vec8(x_eff).
+    (x_d^* x_eff)^* = x_eff^* x_d, so vec8(x_d^* x_eff) = C8 H8^-(x_d) C8 vec8(x_eff),
+    which negating x_eff negates exactly.
     """
-    return _relative_error8(task_map.dot(x_eff8), x_d8.dot(x_eff8) < 0.0)
-
-
-def _relative_error8(rel8: np.ndarray, flip: bool) -> np.ndarray:
-    """``_error8`` from rel8 = vec8(x_eff^* x_d), which negating x_eff negates exactly."""
-    err = (_CONJ if flip else _NEG_CONJ) * rel8
+    err = (_CONJ if x_d8.dot(x_eff8) < 0.0 else _NEG_CONJ) * task_map.dot(x_eff8)
     err[0] += 1.0
     return err
 
@@ -253,7 +256,7 @@ def pose_jacobian(model: RobotModel, q) -> np.ndarray:
     A chain product off unit (NaN joints) raises ValueError, as in
     ``forward_kinematics``.
     """
-    return _pose_and_jacobian(model, _check_q(model, q))[1]
+    return _pose_and_jacobian(model, _check_q(model, q))[1].copy()
 
 
 def _unit_vec8(pose: DualQuaternion) -> np.ndarray:
@@ -304,26 +307,65 @@ def inner_control(model: RobotModel, q, x_d: UnitDualQuaternion,
     gain = _check_gain(gain)
     x_d8 = _unit_vec8(x_d)
     x_eff8, jac = _pose_and_jacobian(model, q)
-    return _control_law(model, x_eff8, jac, x_d8, _task_map(x_d8), gain)
+    return _control_law(model, x_eff8, jac, _law(model.dof, x_d8, _task_map(x_d8), gain))
 
 
-def _control_law(model: RobotModel, x_eff8: np.ndarray, jac: np.ndarray, x_d8: np.ndarray,
-                 task_map: np.ndarray, gain: np.ndarray) -> ControlCommand:
+class _Law(NamedTuple):
+    """The control law's terms for one x_d and gain K, and its workspace.
+
+    ``rows`` (25 x 8) is _NORMAL_ROWS T, K C8 T and vec8(x_d) for the task
+    map T = H8^-(x_d) C8, so rows @ vec8(x_eff) is (n_1, n_2, K C8 r,
+    <x_d, x_eff>) at r = T vec8(x_eff).  The workspace holds N^T and then
+    that product: its first dof + 2 rows of 8 are ``aug`` = [N^T; n_1; n_2].
+    """
+
+    x_d8: np.ndarray
+    task_map: np.ndarray
+    gain: np.ndarray
+    task_t: np.ndarray    # T^T
+    rows: np.ndarray
+    task_rows: np.ndarray  # N^T, the workspace's first dof rows
+    tail: np.ndarray       # rows @ vec8(x_eff), the workspace after N^T
+    aug: np.ndarray
+    aug_t: np.ndarray
+    k_conj_r: np.ndarray   # K C8 r, a view of tail
+    k_e1: np.ndarray       # K e_1
+
+
+def _law(dof: int, x_d8: np.ndarray, task_map: np.ndarray, gain: np.ndarray) -> _Law:
+    """The ``_Law`` of x_d for a chain of dof joints, from task_map = H8^-(x_d) C8."""
+    rows = np.empty((25, 8))
+    _NORMAL_ROWS.dot(task_map, out=rows[:16])
+    (gain * _CONJ).dot(task_map, out=rows[16:24])
+    rows[24] = x_d8
+    work = np.empty(8 * dof + 25)
+    aug = work[:8 * dof + 16].reshape(dof + 2, 8)
+    return _Law(x_d8, task_map, gain, task_map.T, rows, aug[:dof], work[8 * dof:], aug, aug.T,
+                work[8 * dof + 16:8 * dof + 24], gain[:, 0])
+
+
+def _control_law(model: RobotModel, x_eff8: np.ndarray, jac: np.ndarray,
+                 law: _Law) -> ControlCommand:
     """``inner_control`` at a pose and Jacobian already computed, for checked inputs."""
-    # products by ndarray.dot, which calls the same BLAS routine as @ at half its overhead
-    rel = task_map.dot(x_eff8)
-    err = _relative_error8(rel, x_d8.dot(x_eff8) < 0.0)
-    task = task_map.dot(jac)
+    # products by ndarray.dot, which calls the same BLAS routine as @ at half its overhead;
+    # BLAS forms N^T = J^T T^T with the bits of T J
+    jac.T.dot(law.task_t, out=law.task_rows)
     if model.dof >= 6:
-        aug = np.concatenate((task, rel.dot(_NORMAL_BASIS).reshape(8, 2)), axis=1)
+        tail = law.rows.dot(x_eff8, out=law.tail)
         try:
-            m_inv = np.linalg.inv(aug.dot(aug.T))
+            m_inv = np.linalg.inv(law.aug_t.dot(law.aug))
         except np.linalg.LinAlgError:
             pass
         else:
             if np.vdot(m_inv, m_inv) < _CERTIFIED_INV_SQ:
-                return ControlCommand(-task.T.dot(m_inv.dot(gain.dot(err))), False)
+                # -K vec8(e) for e = e_1 - C8 r, or e_1 + C8 r where <x_d, x_eff> < 0
+                neg_gain_err = (-(law.k_conj_r + law.k_e1) if tail[24] < 0.0
+                                else law.k_conj_r - law.k_e1)
+                return ControlCommand(law.task_rows.dot(m_inv.dot(neg_gain_err)), False)
 
+    # the SVD route, on N and on e as pose_error forms it
+    task = law.task_rows.T
+    err = _error8(law.task_map, law.x_d8, x_eff8)
     u_svd, sigma, vt = np.linalg.svd(task, full_matrices=False)
     nominal_rank = min(model.dof, 6)
     singular = bool(sigma[nominal_rank - 1] < SV_CUTOFF)
@@ -332,7 +374,7 @@ def _control_law(model: RobotModel, x_eff8: np.ndarray, jac: np.ndarray, x_d8: n
     else:
         inv_sigma = np.where(sigma >= SV_CUTOFF, 1.0 / np.where(sigma > 0, sigma, 1.0), 0.0)
     task_pinv = (vt.T * inv_sigma).dot(u_svd.T)
-    qdot = (-task_pinv).dot(gain.dot(err))
+    qdot = (-task_pinv).dot(law.gain.dot(err))
     return ControlCommand(qdot, singular)
 
 
@@ -342,7 +384,8 @@ def _track_tick(model: RobotModel, q: np.ndarray, x_eff8: np.ndarray, jac: np.nd
     """Track x_d for one MPC tick of ``ticks`` inner ticks from a carried state.
 
     (q, x_eff8, jac) is the joint vector with its unit pose and Jacobian, and
-    task_map = H8^-(x_d) C8 (``_task_map``).  Each inner tick applies the
+    task_map = H8^-(x_d) C8 (``_task_map``), from which the call forms the
+    law's terms and workspace once (``_law``).  Each inner tick applies the
     control law (``_control_law``), scales qdot into the velocity box, takes
     an explicit Euler step of length dt, clamps to the position limits and
     makes the one chain pass (``_pose_and_jacobian``) at the new q, whose pose
@@ -352,9 +395,10 @@ def _track_tick(model: RobotModel, q: np.ndarray, x_eff8: np.ndarray, jac: np.nd
     check and raises FloatingPointError("NaN in simulation state"); a finite
     pose off unit keeps the pass's ValueError.
     """
+    law = _law(model.dof, x_d8, task_map, gain)
     singular = False
     for _ in range(ticks):
-        qdot, tick_singular = _control_law(model, x_eff8, jac, x_d8, task_map, gain)
+        qdot, tick_singular = _control_law(model, x_eff8, jac, law)
         singular = singular or tick_singular
         q = model.clamp_position(q + dt * model.scale_velocity(qdot))
         try:

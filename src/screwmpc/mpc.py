@@ -534,7 +534,8 @@ def _on_laws(laws: _Laws, theta, test: _StopTest, todo, sets, f, x, lam, residua
             return True
         p, x_c = owner[c], y[c, :n, 0]
         # each scale is at most 1 + |x| + |V| on unit rows, so this fails
-        if a_min[c] < -2 * _KKT_TOL * (1.0 + math.sqrt(x_c @ x_c) + test.v_abs[p].max()):
+        # (|x| by hypot, which does not overflow where x . x does)
+        if a_min[c] < -2 * _KKT_TOL * (1.0 + math.hypot(*x_c.tolist()) + test.v_abs[p].max()):
             return False
         scale = np.maximum(1.0, (w_abs if w_abs.ndim == 2 else w_abs[p]) @ np.abs(x_c)
                            + test.v_abs[p, :, 0])

@@ -1,5 +1,6 @@
 import math
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -453,6 +454,83 @@ def test_hot_path_builds_no_quaternion_products(panda, monkeypatch):
     assert not built and not np.array_equal(q9, q)
     Quaternion.identity()
     assert len(built) == 1
+
+
+def kernel_inputs(case: str, data) -> tuple[np.ndarray, UnitDualQuaternion]:
+    """Joints and a desired pose for the inner ticks: "limit" puts a joint
+    within 1e-4 of a limit and x_d 0.5 rad past it (the clamp acts), "far"
+    draws both anywhere (large errors: the velocity box acts) and "line-3"
+    is line 3's nearest approach to a singularity (the SVD route)."""
+    panda = REFERENCE_MODELS["panda"]
+    if case == "line-3":
+        shift = data.draw(st.tuples(*[st.floats(-1e-6, 1e-6)] * 7).map(np.array))
+        return LINE3_Q + shift, UnitDualQuaternion.from_vec8(LINE3_XD)
+    q = data.draw(joint_vectors(panda))
+    if case == "far":
+        return q, forward_kinematics(panda, data.draw(joint_vectors(panda)))
+    j, upper, gap = data.draw(st.tuples(st.integers(0, 6), st.booleans(), st.floats(0.0, 1e-4)))
+    q[j] = panda.q_max[j] - gap if upper else panda.q_min[j] + gap
+    q_d = q.copy()
+    q_d[j] += 0.5 if upper else -0.5
+    return q, forward_kinematics(panda, q_d)
+
+
+@pytest.mark.parametrize("case", ["limit", "far", "line-3"])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_track_tick_is_the_composed_inner_loop(case, data):
+    # 1-9 inner ticks of the kernel against inner_control, scale_velocity,
+    # clamp_position, forward_kinematics and pose_jacobian called one by
+    # one: within 1e-12 where the certificate holds, and within the SVD
+    # route's rounding bound, amplified over the ticks, where it does not
+    panda = REFERENCE_MODELS["panda"]
+    q, x_d = kernel_inputs(case, data)
+    ticks = data.draw(st.integers(1, 9))
+    # a full gain: diagonal terms 1-20, the others seeded in [-1, 1]
+    gain = (np.diag(data.draw(st.tuples(*[st.floats(1.0, 20.0)] * 8)))
+            + np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1))).uniform(-1, 1, (8, 8)))
+    dt = 1e-3
+    x_d8 = x_d.vec8()
+    start = (forward_kinematics(panda, q).vec8(), pose_jacobian(panda, q))
+
+    passes, applied = [], []
+    chain_pass, law = kinematics._pose_and_jacobian, kinematics._control_law
+    with mock.patch.object(kinematics, "_pose_and_jacobian",
+                           lambda model, q: passes.append(q) or chain_pass(model, q)), \
+            mock.patch.object(kinematics, "_control_law",
+                              lambda *args: applied.append(law(*args)) or applied[-1]):
+        q_tt, x_tt, jac_tt, singular_tt = kinematics._track_tick(
+            panda, q, *start, x_d8, kinematics._task_map(x_d8), gain, dt, ticks)
+    assert len(applied) == len(passes) == ticks
+
+    q_ref, singular_ref, tol = q, False, 1e-12
+    for tick in range(ticks):
+        # the law the kernel applied is inner_control at the same joints, bit for bit
+        cmd = inner_control(panda, q if tick == 0 else passes[tick - 1], x_d, gain)
+        assert np.array_equal(applied[tick].qdot, cmd.qdot)
+        assert applied[tick].singular == cmd.singular
+        ref = inner_control(panda, q_ref, x_d, gain)
+        sigma = np.linalg.svd(task_matrix(panda, q_ref, x_d), compute_uv=False)
+        tol += dt * rounding_bound(sigma, ref.qdot)
+        singular_ref = singular_ref or ref.singular
+        q_ref = panda.clamp_position(q_ref + dt * panda.scale_velocity(ref.qdot))
+    assert singular_tt == singular_ref
+    np.testing.assert_allclose(q_tt, q_ref, rtol=0.0, atol=tol)
+    np.testing.assert_allclose(x_tt, forward_kinematics(panda, q_ref).vec8(), rtol=0.0,
+                               atol=tol + 1e-12)
+    np.testing.assert_allclose(jac_tt, pose_jacobian(panda, q_ref), rtol=0.0, atol=tol + 1e-12)
+
+
+@pytest.mark.parametrize("dof", [1, 7, 9])
+def test_pose_jacobian_owns_its_array(dof):
+    # the pass's Jacobian is a view of the block it shares with the pose; the
+    # public Jacobian is an 8 x dof array of its own
+    model = REFERENCE_MODELS["panda"] if dof == 7 else block_chain(dof)
+    q = np.linspace(-1.0, 1.0, dof)
+    x_eff8, jac = kinematics._pose_and_jacobian(model, q)
+    public = pose_jacobian(model, q)
+    assert public.shape == (8, dof) and public.flags.owndata
+    assert not np.shares_memory(public, x_eff8) and np.array_equal(public, jac)
 
 
 # ---------------------------------------------------------------------------

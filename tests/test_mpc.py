@@ -1475,6 +1475,17 @@ def test_step_converges_on_a_large_finite_target():
     assert sm.step(np.full(6, 10 ** 9.5)).converged
 
 
+def test_step_on_a_huge_target_ends_without_a_warning():
+    # a candidate |x| above 1e154 overflowed x . x in the walk's early
+    # reject; under filterwarnings = error both huge ticks must end as they
+    # end, unconverged at the iteration cap
+    sm = TwistSmoother(MpcConfig(), limits_of(acc=1.0, jerk=20.0), UnitDualQuaternion.identity())
+    assert sm.step(np.full(6, 0.3)).converged
+    for _ in range(2):
+        res = sm.step(np.full(6, 1e159))
+        assert (res.converged, res.iterations) == (False, _MAX_ITERATIONS)
+
+
 def assert_same_solution(a, b):
     assert np.array_equal(a.delta_u, b.delta_u) and np.array_equal(a.lam, b.lam)
     assert (a.iterations, a.converged, a.max_violation) == (b.iterations, b.converged,
