@@ -26,24 +26,25 @@ before it; a plain QpProblem builds that object on each solve, with theta =
 its working sets: the smoother gives the set it carried from the last tick
 and the same rows one step along the horizon, or the empty set where it
 carries none, and none to an axis whose last solve did not converge.  A
-problem they leave walks from the last: each step is one law product,
-which drops the row with the most negative multiplier or adds the most
-broken row (one that depends on the working rows swaps in for the row that
-a dual step on it zeroes first), and the steps of all problems walking are
-batched.  The
-walk crosses from region to region of the explicit MPC
-partition (Bemporad, Morari, Dua & Pistikopoulos 2002), as the online
-active-set method of qpOASES does (Ferreau, Bock & Diehl 2008), with the
-cached laws as its factorizations.  Every candidate passes a screen on the
-stop test's terms (and every row met within FEAS_TOL) and then the interior
-point's own stop test.  The test's stationarity and multiplier scales are
-formed on first read, and only a verdict that depends on them reads them (a
-multiplier the screen visits between 0 and -_KKT_TOL times a bound on every
-scale, a stationarity residual above _KKT_TOL, a walk that steps on, the
-full stop test, the interior point), so a tick that its carried sets settle
-in one round usually forms none.  A walk ends after _WALK steps or on a set
-it had; only its problem goes to the interior point, which solves it as it
-would cold.
+problem they leave locates its region of the explicit MPC partition
+(Bemporad, Morari, Dua & Pistikopoulos 2002; Tondel, Johansen & Bemporad
+2003) in one product of the laws its stack stored before the call: the
+one law with every multiplier at least 0 that meets every row.
+Else it walks from its last set: each step is one law product, which drops
+the row with the most negative multiplier or adds the most broken row (one
+that depends on the working rows swaps in for the row that a dual step on
+it zeroes first), the steps of all problems walking batched, as the online
+active-set method of qpOASES crosses the partition (Ferreau, Bock & Diehl
+2008), with the cached laws as its factorizations.  Every candidate passes
+a screen on the stop test's terms (and every row met within FEAS_TOL) and
+then the interior point's own stop test.  The test's stationarity and
+multiplier scales are formed on first read, and only a verdict that depends
+on them reads them (a multiplier the screen visits between 0 and -_KKT_TOL
+times a bound on every scale, a stationarity residual above _KKT_TOL, a
+walk that steps on, the full stop test, the interior point), so a tick that
+its carried sets or a location settle usually forms none.  A walk ends
+after _WALK steps or on a set it had; only its problem goes to the interior
+point, which solves it as it would cold.
 The paper's dense 18-state model, prediction and QP are these per-axis
 forms lifted by Kronecker products with I6; only the tests build them, as
 an oracle.
@@ -136,8 +137,9 @@ class MpcConfig:
 
     def __post_init__(self):
         for name in ("n_c", "n_p"):
-            if not isinstance(getattr(self, name), (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+            horizon = getattr(self, name)  # a bool is an int, but no horizon
+            if isinstance(horizon, bool) or not isinstance(horizon, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {horizon!r}")
         if not (1 <= self.n_c <= self.n_p):
             raise ValueError(f"need 1 <= n_c <= n_p, got n_c={self.n_c}, n_p={self.n_p}")
         if not (np.isfinite(self.sample_time) and self.sample_time > 0.0):
@@ -215,12 +217,14 @@ class _Laws:
     0 past them (n + min(n, m), p); the caller takes the slack V - W x from
     its own V.  A set of more than n rows or of dependent rows (|S_ii
     (S^-1)_ii| above 1e12, or S singular) has no candidate: its law is NaN,
-    which no screen passes.  A law is built on first use and kept as the
-    bytes of its n + |A| rows; problems whose E^-1, X, P_V and finite rows
-    are equal bit for bit share their laws.  _CACHED is a guard far above the
+    which no screen passes and no location finds.  A law is built on first
+    use and kept in one dense store, per slot the law (its L laws read as
+    one L (n + min(n, m)) by p matrix), its rows' mask and its class:
+    problems whose E^-1, X, P_V and finite rows are equal bit for bit are
+    of one class and share their laws.  _CACHED is a guard far above the
     laws a run builds: past it the stack drops the laws built first and
     warns, once.  A law depends on nothing else, so smoothers in several
-    threads may share one stack: a lock guards its cache."""
+    threads may share one stack: a lock guards its store."""
 
     def __init__(self, e, w, p_f, p_v, finite):
         self.e, self.w = e, w                      # (k, n, n), (m, n)
@@ -236,17 +240,18 @@ class _Laws:
         self.p_v = np.where(finite[..., None], p_v, 0.0)        # P_V (k, m, p), 0 if infinite
         (n, p), m = self.x_free.shape[1:], len(w)
         self.shape = (n + min(n, m), p)  # of a law, padded
-        self.no_law = np.full(self.shape, np.nan).tobytes()
         # a slack on the unit rows of at least this meets the stop test and FEAS_TOL
         self.floor = max(-_KKT_TOL, -FEAS_TOL / float(self.scale.max(initial=1.0)))
         self.e_rows = float(self.e_abs.sum(axis=-1).max())  # |E|'s largest row sum
-        self.cache: dict = {}  # (first equal problem, rows' mask) -> law's bytes, oldest first
-        self.evicted = False
+        self.store, self.masks = np.empty((0,) + self.shape), np.empty((0, m), dtype=bool)
+        self.kind = np.empty(0, dtype=int)
+        self.cache: dict = {}  # (class, rows' mask) -> slot, oldest first
+        self.stored, self.evicted = 0, False  # laws ever stored; warned
         self.lock = threading.Lock()
 
     @cached_property
     def alike(self) -> list:
-        """Per problem, the first problem equal to it."""
+        """Per problem, its class: the first problem equal to it."""
         flat = np.concatenate([m.reshape(len(self.p_f), -1) for m in
                                (self.e_inv, self.x_free, self.p_v, self.finite)], axis=1)
         data = [problem.tobytes() for problem in flat]
@@ -254,15 +259,15 @@ class _Laws:
 
     def of(self, problems, masks) -> np.ndarray:
         """The laws of problem problems[i] on the rows masks[i], (b, n + min(n, m), p)."""
-        alike, size = self.alike, len(self.no_law)
+        alike = self.alike
         keys = [(alike[p], mask.tobytes()) for p, mask in zip(problems.tolist(), masks)]
-        cache = self.cache
         with self.lock:
+            cache = self.cache
             missing = {key: i for i, key in enumerate(keys) if key not in cache}
             if missing:
                 new = list(missing.values())
-                cache.update(zip(missing, self._build(problems[new], masks[new])))
-            laws = b"".join([cache[key].ljust(size, b"\0") for key in keys])  # padded with 0
+                self._build(problems[new], masks[new])
+            laws = self.store[[cache[key] for key in keys]]
             if len(cache) > _CACHED:
                 if not self.evicted:
                     import logging  # only here: the import costs every process milliseconds
@@ -270,14 +275,16 @@ class _Laws:
                         "a QP stack holds more than %d solution laws: it drops the oldest, "
                         "to be rebuilt when used", _CACHED)
                     self.evicted = True
-                for key in list(cache)[:len(cache) - _CACHED]:
-                    del cache[key]
-        return np.frombuffer(laws).reshape((len(keys),) + self.shape)
+                drop = len(cache) - _CACHED
+                self.store, self.masks = self.store[drop:], self.masks[drop:]
+                self.kind = self.kind[drop:]
+                self.cache = dict(zip(list(cache)[drop:], range(_CACHED)))
+        return laws
 
-    def _build(self, problems, masks) -> list:
-        """The laws, batched with padding: a padded row is 0 in W_A and 1 on
-        S's diagonal.  Each is the bytes of x and its set's multipliers,
-        without the padding; a set with no law gets the NaN law, padded."""
+    def _build(self, problems, masks) -> None:
+        """Store the laws, built batched with padding: a padded row is 0 in
+        W_A and 1 on S's diagonal, and its multiplier 0; a set with no law
+        is NaN."""
         (n, p), width = self.x_free.shape[1:], self.shape[0] - self.x_free.shape[1]
         count = masks.sum(axis=1)
         rows = np.argsort(~masks, axis=1, kind="stable")[:, :width]  # working rows first
@@ -293,9 +300,38 @@ class _Laws:
             sol = _solve(schur, rhs, _no_solution)
             diag = np.diagonal(schur, axis1=1, axis2=2) * np.diagonal(sol[..., p:], axis1=1, axis2=2)
             x = x_free - g @ sol[..., :p]
-        none = (count > n) | ~(abs(diag) <= 1e12).all(axis=1)
-        return [self.no_law if no else x_a.tobytes() + lam_a[:k].tobytes()
-                for no, x_a, lam_a, k in zip(none, x, sol[..., :p], count.tolist())]
+        laws = np.concatenate([x, np.where(pad[..., None], 0.0, sol[..., :p])], axis=1)
+        laws[(count > n) | ~(abs(diag) <= 1e12).all(axis=1)] = np.nan
+        kind, used = [self.alike[q] for q in problems.tolist()], len(self.kind)
+        self.cache.update(zip(zip(kind, [mask.tobytes() for mask in masks]),
+                              range(used, used + len(kind))))
+        self.store = np.concatenate([self.store, laws])
+        self.masks = np.concatenate([self.masks, masks])
+        self.kind = np.concatenate([self.kind, kind])
+        self.stored += len(kind)
+
+    def locate(self, problems: list, theta, test, before: int) -> dict:
+        """Per problem, the rows of the one law of its class, of the first
+        `before` the stack stored, whose multipliers at its theta are at
+        least 0 and whose x meets every unit row of `test` by floor, if one
+        alone does (explicit MPC's point location)."""
+        n = self.x_free.shape[1]
+        with self.lock, np.errstate(all="ignore"):  # a law may overflow at a large theta
+            count = len(self.cache) - (self.stored - before)
+            if count <= 0:
+                return {}
+            y = (self.store[:count].reshape(-1, self.shape[1])
+                 @ np.ascontiguousarray(theta[problems].T)).reshape(count, -1, len(problems))
+            # every multiplier at least 0 (NaN: no law), over the rows made the
+            # outer axis (a reduction over a short inner axis is slow)
+            slot, j = ((np.ascontiguousarray(y[:, n:].transpose(1, 0, 2)).min(axis=0) >= 0.0)
+                       & (self.kind[:count, None] == [self.alike[p] for p in problems])).nonzero()
+            # of those, the laws whose x meets every unit row
+            p, x = np.array(problems)[j], y[slot, :n, j]
+            w_x = x @ test.w[0].T if len(test.w) == 1 else (test.w[p] @ x[..., None])[..., 0]
+            met = (test.v[p, :, 0] - w_x).min(axis=1) >= self.floor
+            slot, j = slot[met].tolist(), j[met].tolist()
+            return {problems[i]: self.masks[slot[j.index(i)]] for i in set(j) if j.count(i) == 1}
 
 
 class _TickQp(QpProblem):
@@ -512,9 +548,9 @@ def _interior_point(e, f, test: _StopTest, scale):
 
 def _on_laws(laws: _Laws, theta, test: _StopTest, todo, sets, f, x, lam, residual) -> set:
     """The problems `todo` on laws (see solve_qp): each tries its working
-    sets, then walks from the last, all problems batched.  Writes each held
-    problem's point into x and its multipliers into lam, which hold x_free
-    and 0 on the call; returns the problems held."""
+    sets, then the one law it locates, or walks from the last, all problems
+    batched.  Writes each held problem's point into x and its multipliers
+    into lam, which hold x_free and 0 on the call; returns the problems held."""
     (k, n), m = x.shape, len(laws.w)
     width = laws.shape[0] - n
     w_u, w_abs = (test.w[0], test.w_abs[0]) if len(test.w) == 1 else (test.w, test.w_abs)
@@ -524,6 +560,7 @@ def _on_laws(laws: _Laws, theta, test: _StopTest, todo, sets, f, x, lam, residua
     owner = todo.tolist() * (len(masks) // len(todo))
     last = {p: c for c, p in enumerate(owner)}
     held, seen, joined = set(), {}, {}  # joined: candidate -> (its parent, the row that joined)
+    before = laws.stored  # only laws stored before the call are located
 
     def relative():  # the multipliers over their scales, and each candidate's least
         z_rel = z / test.multiplier[problems[:, None], work, 0]
@@ -542,7 +579,7 @@ def _on_laws(laws: _Laws, theta, test: _StopTest, todo, sets, f, x, lam, residua
         return min((s[c] / scale).min(), (s[c] * laws.scale[:, 0]).min() / FEAS_TOL * _KKT_TOL) \
             >= -_KKT_TOL
 
-    for _ in range(_WALK + 1):
+    for walk in range(_WALK + 1):
         problems = np.array(owner)
         y = laws.of(problems, masks) @ theta[problems, :, None]
         work = np.argsort(~masks, axis=1, kind="stable")[:, :width]  # working rows first
@@ -590,20 +627,24 @@ def _on_laws(laws: _Laws, theta, test: _StopTest, todo, sets, f, x, lam, residua
             x[p], lam[p, rows] = x_c, np.maximum(lam_c, 0.0)
         if len(held) == len(todo):
             break
-        if z_rel is None:
+        located = {} if walk else laws.locate([p for p in last if p not in held], theta, test,
+                                              before)
+        if z_rel is None and len(held) + len(located) < len(todo):
             z_rel, d_min = relative()
-        # each problem left steps from its last set: a set with no law keeps
-        # its rows x_free breaks, else the row with the most negative
-        # multiplier leaves or, with none, the most broken row joins; a
-        # joining row that depends on the working rows (at a vertex, or
-        # where the set it made has no law) swaps in
-        lawless = np.isnan(y[:, 0, 0]).tolist()
-        d_at, a_at = z_rel.argmin(axis=1).tolist(), s.argmin(axis=1).tolist()
+        # each problem left goes to the law it located or steps from its
+        # last set: a set with no law keeps its rows x_free breaks, else the
+        # row with the most negative multiplier leaves or, with none, the
+        # most broken row joins; a joining row that depends on the working
+        # rows (at a vertex, or where the set it made has no law) swaps in
+        lawless, a_at = np.isnan(y[:, 0, 0]).tolist(), s.argmin(axis=1).tolist()
+        d_at = None if z_rel is None else z_rel.argmin(axis=1).tolist()
         new, steps, dependent, joins, moved = masks.copy(), [], [], {}, []
         for p, c in last.items():
             if p in held:
                 continue
-            if lawless[c] and c in joined:
+            if p in located:
+                new[c] = located[p]
+            elif lawless[c] and c in joined:
                 dependent.append((c, *joined[c]))
             elif lawless[c]:
                 new[c] &= residual[p] > FEAS_TOL
@@ -689,14 +730,16 @@ def solve_qp(qp: QpProblem, *, working_sets: Sequence[np.ndarray] = ()) -> QpSol
     its ``working_sets`` entries (bool masks over the rows, shaped like v) on
     their solution laws (see _Laws), all in one batched product: the point
     and multipliers with the marked rows held as equalities.  A problem that
-    none of them solves walks from its last set, one law product per step,
-    the steps of all problems walking batched: a set with no law keeps the
-    rows -E^-1 f breaks; else the row with the most negative multiplier
-    leaves or, with none, the most broken row (on unit rows) joins, and a
-    row that depends on the working rows (it joins a vertex of n rows, or
-    its set has no law) swaps in for the row whose multiplier a dual step
-    on it zeroes first (none: the rows cannot all hold).  A
-    walk ends after _WALK steps or on a set it had.  The screen passes a
+    none of them solves tries the one law stored before the call with every
+    multiplier at least 0 that meets every unit row within the screen's
+    floor (none for a plain problem), else walks from its last set, one law
+    product per step, the steps of all problems walking batched: a set with
+    no law keeps the rows -E^-1 f breaks; else the row with the most
+    negative multiplier leaves or, with none, the most broken row (on unit
+    rows) joins, and a row that depends on the working rows (it joins a
+    vertex of n rows, or its set has no law) swaps in for the row whose
+    multiplier a dual step on it zeroes first (none: the rows cannot all
+    hold).  A walk ends after _WALK steps or on a set it had.  The screen passes a
     candidate whose multipliers and slacks are each at least -1e-10 of
     their scales in the stop test below and that meets every finite row
     within FEAS_TOL; the first that passes must also pass that stop test.

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import functools
 import itertools
@@ -564,12 +565,16 @@ def assert_steps_are_the_generic_solve(cfg, limits, holds):
     of cfg and limits stepped toward each target of holds for its hold."""
     n_c = cfg.n_c
     sm = TwistSmoother(cfg, limits, UnitDualQuaternion.identity())
-    solves = []
-    solve = mpc.solve_qp
+    solves, found = [], []
+    solve, locate = mpc.solve_qp, mpc._Laws.locate
 
     def recorded(*args, **kwargs):
         solves.append(solve(*args, **kwargs))
         return solves[-1]
+
+    def located(*args):
+        found.append(locate(*args))
+        return found[-1]
 
     for target, hold in holds:
         for _ in range(hold):
@@ -602,8 +607,21 @@ def assert_steps_are_the_generic_solve(cfg, limits, holds):
             assert all(same_bits(getattr(ipm, name), getattr(cold, name)) for name in
                        ("delta_u", "lam", "iterations", "solved", "max_violation"))
 
-            expected = solve_qp(bare, working_sets=guesses)
             cold = sm.state.unsolved
+            # a free tick (no row broken at x_free) forms no QP: its step is
+            # the bare solve's, bit for bit
+            free = ((bare.w @ x_free)[..., 0] - bare.v <= 1e-12).all()
+            before = len(solves)
+            found.clear()
+            with mock.patch.object(mpc, "solve_qp", recorded), \
+                    mock.patch.object(mpc._Laws, "locate", located):
+                step = sm.step(target)
+            assert len(solves) == before + (not free) and len(found) <= 1
+            if found and found[0]:  # the bare solve's laws are new: it gets the located sets
+                guesses += (guesses[-1].copy(),)
+                for axis, rows in found[0].items():
+                    guesses[-1][axis] = rows
+            expected = solve_qp(bare, working_sets=guesses)
             if cold is not None:  # an axis the last tick left unsolved skips its sets
                 alone = [solve_qp(QpProblem(bare.e[a], bare.f[a], bare.w, bare.v[a]),
                                   working_sets=() if cold[a] else [g[a] for g in guesses])
@@ -612,13 +630,6 @@ def assert_steps_are_the_generic_solve(cfg, limits, holds):
                     np.array([one.delta_u for one in alone]), np.array([one.lam for one in alone]),
                     max(one.iterations for one in alone), np.array([one.solved for one in alone]),
                     max(one.max_violation for one in alone))
-            # a free tick (no row broken at x_free) forms no QP: its step is
-            # the bare solve's, bit for bit
-            free = ((bare.w @ x_free)[..., 0] - bare.v <= 1e-12).all()
-            before = len(solves)
-            with mock.patch.object(mpc, "solve_qp", recorded):
-                step = sm.step(target)
-            assert len(solves) == before + (not free)
             sol = expected if free else solves[-1]
             assert (step.iterations, step.converged, step.active_count, step.max_violation) == (
                 sol.iterations, sol.converged, sol.active_count, sol.max_violation)
@@ -661,11 +672,13 @@ def test_step_is_the_generic_solve_bit_for_bit(data):
     # the same tick as a bare QpProblem, which builds its own on the call,
     # gives the same bits where both reach the interior point.  The step
     # tries the carried and the shifted working set (the empty set where
-    # none is carried) and walks from them on the smoother's laws evaluated
-    # at its theta, the bare problem on its own laws at theta = [1]: the
-    # same verdicts and iterations, and points within 1e-9 of each other (at
-    # a degenerate vertex the two may hold different rows, with the same
-    # point)
+    # none is carried), then a law it locates among those its stack stored
+    # before, or walks from them, on the smoother's laws evaluated at its
+    # theta; the bare problem, whose laws are new on each call and locate
+    # nothing, tries the same sets and the step's located ones, and walks,
+    # on its own laws at theta = [1]: the same verdicts and iterations, and
+    # points within 1e-9 of each other (at a degenerate vertex the two may
+    # hold different rows, with the same point)
     assert_steps_are_the_generic_solve(*generic_solve_case(data))
 
 
@@ -692,12 +705,17 @@ def assert_lazy_steps_as_eager(cfg, limits, targets, pair=None):
                      "max_violation"):
             assert same_bits(getattr(step, name), getattr(twin, name)), name
         assert same_bits(step.pose.vec8(), twin.pose.vec8())
-        for name in ("augmented", "u_prev", "working_set"):
-            assert same_bits(getattr(lazy.state, name), getattr(eager.state, name)), name
-        assert same_bits(lazy.state.pose.vec8(), eager.state.pose.vec8())
-        a, b = lazy.state.unsolved, eager.state.unsolved
-        assert (a is None and b is None) or same_bits(a, b)
+        assert_same_state(lazy.state, eager.state)
     return lazy, eager
+
+
+def assert_same_state(state: SmootherState, expected: SmootherState) -> None:
+    """Every field of state is expected's, bit for bit."""
+    for name in ("augmented", "u_prev", "working_set"):
+        assert same_bits(getattr(state, name), getattr(expected, name)), name
+    assert same_bits(state.pose.vec8(), expected.pose.vec8())
+    a, b = state.unsolved, expected.unsolved
+    assert (a is None and b is None) or same_bits(a, b)
 
 
 @settings(max_examples=40, deadline=None)
@@ -710,19 +728,38 @@ def test_lazy_scales_step_as_eager_ones_bit_for_bit(data):
     assert_lazy_steps_as_eager(cfg, limits, [t for t, hold in holds for _ in range(hold)])
 
 
+def no_location(*args):
+    """An injected failure of _Laws.locate: it finds no law."""
+    return {}
+
+
+def own_stack(cfg, limits) -> TwistSmoother:
+    """A smoother on a QP stack that no other smoother shares."""
+    mpc._stack = (None, None)
+    return TwistSmoother(cfg, limits, UnitDualQuaternion.identity())
+
+
 def test_lazy_scales_step_as_eager_ones_on_recorded_walks():
     # smooth-tight seed 1: episode 0 up to tick 37, whose walk takes 21
     # rounds, and episode 1 up to tick 147, the dependent swap of
     # test_a_row_that_depends_on_fewer_than_n_working_rows_swaps_in (26
-    # rounds); a walk reads the scales
+    # rounds); a walk reads the scales.  The pair walks with the location
+    # patched out; a second pair on the same stack, which holds the laws
+    # the walks ended on, locates them in one round more and steps alike
     limits, rounds, of = limits_of(acc=1.0, jerk=50.0), [], mpc._Laws.of
     with mock.patch.object(mpc._Laws, "of", lambda *args: rounds.append(1) or of(*args)):
         for episode, ticks, walk in ((0, 38, 21), (1, 148, 26)):
             refs = smooth_tight_references([1, episode], ticks)
-            pair = assert_lazy_steps_as_eager(MpcConfig(), limits, refs[:-1])
+            walked = assert_lazy_steps_as_eager(MpcConfig(), limits, refs[:-1])
             rounds.clear()
-            assert_lazy_steps_as_eager(MpcConfig(), limits, refs[-1:], pair)
+            with mock.patch.object(mpc._Laws, "locate", no_location):
+                assert_lazy_steps_as_eager(MpcConfig(), limits, refs[-1:], walked)
             assert len(rounds) == 2 * walk  # the lazy smoother's and its twin's
+            located = assert_lazy_steps_as_eager(MpcConfig(), limits, refs[:-1])
+            rounds.clear()
+            assert_lazy_steps_as_eager(MpcConfig(), limits, refs[-1:], located)
+            assert len(rounds) == 2 * 2 and located[0]._laws is walked[0]._laws
+            assert_same_state(located[0].state, walked[0].state)
 
 
 @pytest.mark.parametrize("limits", [limits_of(acc=1.0, jerk=20.0),
@@ -879,28 +916,40 @@ def counted_scales(monkeypatch) -> list:
 
 
 def test_a_tick_held_in_one_round_forms_no_scales(monkeypatch):
-    # smooth-tight seed 1, episode 0: the stop test's stationarity and
-    # multiplier scales are formed on first read.  A tick that its carried
-    # or shifted set settles in one round forms neither; a tick that walks
-    # forms each once, in its one solve_qp call
-    formed, rounds, solves = counted_scales(monkeypatch), [], []
-    of, solve = mpc._Laws.of, mpc.solve_qp
+    # smooth-tight seed 1, episode 0, on a stack that starts empty: the stop
+    # test's stationarity and multiplier scales are formed on first read.
+    # A tick that its carried or shifted set settles in one round forms
+    # neither, nor does a tick that locates a law for each problem those
+    # sets leave (in one round more); a tick that walks forms each once, in
+    # its one solve_qp call
+    formed, rounds, solves, located = counted_scales(monkeypatch), [], [], []
+    of, solve, locate = mpc._Laws.of, mpc.solve_qp, mpc._Laws.locate
+
+    def recorded(laws, problems, *args):
+        found = locate(laws, problems, *args)
+        located.append(len(found) == len(problems))
+        return found
+
     monkeypatch.setattr(mpc._Laws, "of", lambda *args: rounds.append(1) or of(*args))
+    monkeypatch.setattr(mpc._Laws, "locate", recorded)
     monkeypatch.setattr(mpc, "solve_qp", lambda *args, **kw: solves.append(1) or solve(*args, **kw))
     sm = TwistSmoother(MpcConfig(), limits_of(acc=1.0, jerk=50.0), UnitDualQuaternion.identity())
-    held = walked = 0
+    held = found = walked = 0
     for ref in smooth_tight_references([1, 0]):
-        for calls in (formed, rounds, solves):
+        for calls in (formed, rounds, solves, located):
             calls.clear()
         step = sm.step(ref)
         assert step.converged and step.iterations == 0
         if len(rounds) == 1:
             held += 1
-            assert formed == []
+            assert formed == [] and located == []
+        elif located == [True]:
+            found += 1
+            assert formed == [] and len(rounds) == 2
         elif rounds:
             walked += 1
             assert sorted(formed) == ["dual", "multiplier"] and len(solves) == 1
-    assert (held, walked) == (185, 15)
+    assert (held, found, walked) == (185, 5, 10)
 
 
 def pose_or_fault(update):
@@ -1164,7 +1213,8 @@ def test_mpcconfig_validation():
         MpcConfig(r_weight=np.full(6, np.nan))
 
 
-@pytest.mark.parametrize("name, value", [("n_c", 2.0), ("n_p", 50.5), ("n_c", "3")])
+@pytest.mark.parametrize("name, value", [("n_c", 2.0), ("n_p", 50.5), ("n_c", "3"), ("n_c", True),
+                                         ("n_p", True), ("n_c", np.True_), ("n_p", np.False_)])
 def test_mpcconfig_rejects_a_horizon_that_is_not_an_integer(name, value):
     with pytest.raises(ValueError, match=f"{name} must be an integer"):
         MpcConfig(**{name: value})
@@ -1692,19 +1742,33 @@ def test_interior_point_ticks_on_a_criterion_6_run(monkeypatch):
     # switches too.  Trying only the carried and the shifted set, 15 of the
     # 200 reached the interior point; with two repairs after them, 6.  A
     # smoother of a configuration no smoother had is built with no law; its
-    # stack keeps every law the run builds, each the bytes of x and of its
-    # set's multipliers alone (a view of its build batch would keep the
-    # whole batch while the stack lives)
+    # stack keeps every law the run builds in one dense store: per slot the
+    # law, its x map and its multiplier map of n x p floats each, its rows'
+    # mask and its class.  The store owns its arrays (a law that viewed its
+    # build batch would keep the whole batch while the stack lives), and a
+    # set with no law is NaN in both maps
     ticks = []
     solve = mpc._interior_point
     monkeypatch.setattr(mpc, "_interior_point", lambda *args: ticks.append(1) or solve(*args))
     sm = TwistSmoother(MpcConfig(), limits_of(acc=1.0, jerk=50.0), UnitDualQuaternion.identity())
-    assert not sm._laws.cache
+    laws = sm._laws
+    assert not laws.cache
     assert all(sm.step(ref).converged for ref in smooth_tight_references([1, 0]))
     assert not ticks
-    assert 0 < len(sm._laws.cache) <= mpc._CACHED and not sm._laws.evicted
-    assert all(law == sm._laws.no_law or len(law) == 8 * 6 * (10 + sum(rows))
-               for (_, rows), law in sm._laws.cache.items())
+    count = len(laws.cache)
+    assert 0 < count <= mpc._CACHED and not laws.evicted and laws.stored == count
+    stores = (laws.store, laws.masks, laws.kind)
+    assert all(store.base is None and len(store) == count for store in stores)
+    assert laws.store.shape[1:] == (10 + 10, 6)
+    assert sum(store.nbytes for store in stores) == count * (8 * (10 + 10) * 6 + 60 + 8)
+    assert sorted(laws.cache.values()) == list(range(count))
+    for (kind, rows), slot in laws.cache.items():
+        assert laws.kind[slot] == kind and laws.masks[slot].tobytes() == rows
+        x, z = laws.store[slot, :10], laws.store[slot, 10:]
+        if np.isnan(x).any() or np.isnan(z).any():
+            assert np.isnan(x).all() and np.isnan(z).all()
+        else:
+            assert not z[laws.masks[slot].sum():].any()  # 0 past the set's multipliers
 
 
 def test_a_row_that_depends_on_fewer_than_n_working_rows_swaps_in(monkeypatch):
@@ -1715,7 +1779,9 @@ def test_a_row_that_depends_on_fewer_than_n_working_rows_swaps_in(monkeypatch):
     # and 27.  As a row joining a vertex does, each swaps in for the row
     # whose multiplier a dual step on its least-squares fit zeroes first,
     # and the walk holds the tick on a law; repeating the lawless set sent
-    # it to the interior point
+    # it to the interior point.  The episode stored that law before the
+    # tick: the walk runs with the location patched out, and a smoother on
+    # the same stack locates the law, with no swap, and steps alike
     ticks, swaps = [], []
     solve, swap = mpc._interior_point, mpc._swap
     monkeypatch.setattr(mpc, "_interior_point", lambda *args: ticks.append(1) or solve(*args))
@@ -1730,10 +1796,18 @@ def test_a_row_that_depends_on_fewer_than_n_working_rows_swaps_in(monkeypatch):
     refs = smooth_tight_references([1, 1], ticks=148)
     assert all(sm.step(ref).converged for ref in refs[:-1])
     swaps.clear()
-    step = sm.step(refs[-1])
+    with mock.patch.object(mpc._Laws, "locate", no_location):
+        step = sm.step(refs[-1])
     assert step.converged and step.iterations == 0 and not ticks
     assert swaps == [([1, 3, 5, 9, 19, 27, 29, 31, 33, 37], 9, 29),
                      ([1, 3, 5, 7, 19, 27, 29, 31, 33, 37], 9, 7)]
+    twin = TwistSmoother(MpcConfig(), limits_of(acc=1.0, jerk=50.0), UnitDualQuaternion.identity())
+    assert twin._laws is sm._laws
+    for ref in refs[:-1]:
+        twin.step(ref)
+    swaps.clear()
+    assert_same_steps([twin.step(refs[-1])], [step])
+    assert not swaps and not ticks
 
 
 def assert_same_steps(steps, expected):
@@ -1796,6 +1870,105 @@ def test_a_warm_stack_steps_like_a_cold_one():
                          UnitDualQuaternion.identity())
     assert warm._laws is cold._laws and warm._laws.cache
     assert_same_steps([warm.step(ref) for ref in refs], cold_steps)
+
+
+def assert_filled_stack_steps_as_own(cfg, limits, targets) -> int:
+    """A smoother on a stack that another smoother filled along the same
+    targets and one on a stack that no other shares, stepped from the same
+    state toward each target: the same verdicts and iterations, the same
+    bits where they hold the same rows, and points within 1e-9 where, at a
+    degenerate vertex, they hold different ones; returns how many laws the
+    first located."""
+    filler = own_stack(cfg, limits)
+    for target in targets:
+        filler.step(target)
+    warm, alone = TwistSmoother(cfg, limits, UnitDualQuaternion.identity()), own_stack(cfg, limits)
+    assert warm._laws is filler._laws is not alone._laws
+    found, locate = [], mpc._Laws.locate
+    for target in targets:
+        alone.state = copy.copy(warm.state)
+        with mock.patch.object(mpc._Laws, "locate",
+                               lambda *args: found.append(locate(*args)) or found[-1]):
+            step = warm.step(target)
+        expected = alone.step(target)
+        assert (step.iterations, step.converged) == (expected.iterations, expected.converged)
+        if same_bits(warm.state.working_set, alone.state.working_set):
+            assert_same_steps([step], [expected])
+            assert_same_state(warm.state, alone.state)
+        else:
+            np.testing.assert_allclose(step.delta_u, expected.delta_u, rtol=0, atol=1e-9)
+    return sum(map(len, found))
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_a_filled_stack_steps_as_one_of_its_own(data):
+    # the laws a stack holds decide no step: a smoother locates the laws
+    # another smoother's walks ended on, and one on a stack of its own
+    # walks to them (assert_filled_stack_steps_as_own)
+    cfg, limits, holds = generic_solve_case(data)
+    assert_filled_stack_steps_as_own(cfg, limits, [t for t, hold in holds for _ in range(hold)])
+
+
+def test_a_filled_stack_steps_as_one_of_its_own_with_rows_per_axis():
+    # velocity bounds on three axes only: the axes' QPs differ in the rows
+    # that can activate, and the location meets each problem's own rows
+    vel = np.where(np.arange(6) % 2 == 0, 1.0, np.inf)
+    limits = dataclasses.replace(limits_of(acc=10.0, jerk=20.0), vel_min=-vel, vel_max=vel)
+    refs = 3.0 * smooth_tight_references([1, 0])
+    mpc._stack = (None, None)
+    assert len(TwistSmoother(MpcConfig(), limits, UnitDualQuaternion.identity())._laws.w_unit) == 6
+    assert assert_filled_stack_steps_as_own(MpcConfig(), limits, refs) > 0
+
+
+def test_a_located_law_was_stored_before_the_call_and_alone_passed(monkeypatch):
+    # smooth-tight seed 1, episodes 0 and 1 on one stack: a law the location
+    # finds was stored before its solve_qp call, and of the laws of its
+    # problem's class stored before, it alone has every multiplier at least
+    # 0 and a slack of at least laws.floor on every unit row, each law
+    # evaluated on its own; a problem with none or several locates nothing
+    locate, located = mpc._Laws.locate, []
+
+    def checked(laws, problems, theta, test, before):
+        stored = list(laws.cache)[:len(laws.cache) - (laws.stored - before)]
+        found = locate(laws, problems, theta, test, before)
+        n = laws.x_free.shape[1]
+        for p in problems:
+            passed = []
+            for kind, rows in stored:
+                y = laws.of(np.array([p]), np.frombuffer(rows, dtype=bool)[None])[0] @ theta[p]
+                if (kind == laws.alike[p] and (y[n:] >= 0.0).all()
+                        and (test.v[p, :, 0] - test.w[0] @ y[:n]).min() >= laws.floor):
+                    passed.append(rows)
+            assert passed == [found[p].tobytes()] if p in found else len(passed) != 1
+        located.append(len(found))
+        return found
+
+    monkeypatch.setattr(mpc._Laws, "locate", checked)
+    for episode in (0, 1):
+        sm = TwistSmoother(MpcConfig(), limits_of(acc=1.0, jerk=50.0),
+                           UnitDualQuaternion.identity())
+        assert all(sm.step(ref).converged for ref in smooth_tight_references([1, episode]))
+    assert sum(located) > 0 and 0 in located
+
+
+@settings(max_examples=100, deadline=None)
+@given(stack_and_infeasible=qp_stacks(), data=st.data())
+def test_plain_solve_locates_nothing_on_random_stacks(stack_and_infeasible, data):
+    # a plain QpProblem builds its laws on each call, so none was stored
+    # before the call: solve_qp locates none, and gives the same bits with
+    # the location patched out
+    qp, _ = stack_and_infeasible
+    sets = data.draw(st.lists(arrays(bool, qp.v.shape), max_size=2), label="working sets")
+    found, locate = [], mpc._Laws.locate
+    with mock.patch.object(mpc._Laws, "locate",
+                           lambda *args: found.append(locate(*args)) or found[-1]):
+        sol = solve_qp(qp, working_sets=sets)
+    assert not any(found)
+    with mock.patch.object(mpc._Laws, "locate", no_location):
+        expected = solve_qp(qp, working_sets=sets)
+    assert all(same_bits(getattr(sol, name), getattr(expected, name))
+               for name in ("delta_u", "lam", "iterations", "solved", "max_violation"))
 
 
 def test_a_new_configuration_replaces_the_shared_stack():
