@@ -22,14 +22,14 @@ monomials, and [V | W_0 ... W_(n-1)] is one table: the pass forms the
 joints split into blocks of at most 8, one table each, combined by
 Hamilton products.  Every caller makes that one pass: ``forward_kinematics``,
 ``pose_jacobian`` and ``inner_control`` once per call, the closed loop's
-inner ticks (``_track_tick``) once per tick, each handing its pose and
-Jacobian to the next through the same control law (``_control_law``).
-The law runs on terms and a workspace formed once per desired pose
-(``_law``): one product J^T T^T, T = H8^-(x_d) C8, writes the task
-matrix's rows N^T; one product of the pose with rows formed for x_d
-writes after them the normals n_1, n_2, then K C8 r, the gain folded with
-the conjugation, and <x_d, x_eff>; M = aug^T aug is formed from the rows
-[N^T; n_1; n_2].  A NaN joint vector fails the unit check; the inner
+inner ticks once per tick, each handing its pose and Jacobian to the next
+through the same control law (``_control_law``) on one object per run
+(``_InnerLoop``), which forms K C8, K e_1 and its buffers once and writes
+into them per desired pose: one product J^T T^T, T = H8^-(x_d) C8, writes
+the task matrix's rows N^T; one product of the pose with rows formed for
+x_d writes after them the normals n_1, n_2, then K C8 r, the gain folded
+with the conjugation, and <x_d, x_eff>; M = aug^T aug is formed from the
+rows [N^T; n_1; n_2].  A NaN joint vector fails the unit check; the inner
 ticks raise it as FloatingPointError.
 The matrices and the conjugation signs come from
 ``screwmpc.dualquat``, which reads them off its own product and
@@ -43,6 +43,7 @@ from the manufacturer's public kinematic parameters.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from importlib import resources
@@ -285,6 +286,8 @@ def _check_gain(gain) -> np.ndarray:
     gain = np.asarray(gain, dtype=float)
     if gain.shape != (8, 8):
         raise ValueError("gain matrix must be 8x8")
+    if not np.isfinite(gain).all():
+        raise ValueError("gain matrix must be finite")
     return gain
 
 
@@ -301,113 +304,111 @@ def inner_control(model: RobotModel, q, x_d: UnitDualQuaternion,
     pseudo-inverse comes from an SVD with singular-value cutoff 1e-8; when
     it shows the nominal rank min(dof, 6) collapsing, a damped
     least-squares fallback (damping 1e-4) is used and reported in the flag.
-    An x_d or a chain product that is not unit raises ValueError.
+    A gain that is not a finite 8x8 matrix, or an x_d or a chain product
+    that is not unit, raises ValueError.
     """
-    q = _check_q(model, q)
-    gain = _check_gain(gain)
-    x_d8 = _unit_vec8(x_d)
-    x_eff8, jac = _pose_and_jacobian(model, q)
-    return _control_law(model, x_eff8, jac, _law(model.dof, x_d8, _task_map(x_d8), gain))
+    loop = _InnerLoop(model, q, gain)
+    loop.aim(_unit_vec8(x_d))
+    return _control_law(loop)
 
 
-class _Law(NamedTuple):
-    """The control law's terms for one x_d and gain K, and its workspace.
+class _InnerLoop:
+    """The inner loop of one run: what the run fixes, formed once, and its state.
 
-    ``rows`` (25 x 8) is _NORMAL_ROWS T, K C8 T and vec8(x_d) for the task
-    map T = H8^-(x_d) C8, so rows @ vec8(x_eff) is (n_1, n_2, K C8 r,
-    <x_d, x_eff>) at r = T vec8(x_eff).  The workspace holds N^T and then
-    that product: its first dof + 2 rows of 8 are ``aug`` = [N^T; n_1; n_2].
+    Built at joints q (one chain pass) for gain K and ``ticks`` inner ticks of
+    length dt per MPC tick (``inner_control``'s runs none), it carries
+    (q, x_eff8, jac), the joints with their unit pose and Jacobian.  ``aim``
+    writes, for x_d, ``task_map`` T = H8^-(x_d) C8 and ``rows`` (25 x 8),
+    _NORMAL_ROWS T, K C8 T and vec8(x_d): rows @ vec8(x_eff) is (n_1, n_2,
+    K C8 r, <x_d, x_eff>) at r = T vec8(x_eff).  The workspace holds N^T and
+    then that product: its first dof + 2 rows of 8 are ``aug`` = [N^T; n_1; n_2].
     """
 
-    x_d8: np.ndarray
-    task_map: np.ndarray
-    gain: np.ndarray
-    task_t: np.ndarray    # T^T
-    rows: np.ndarray
-    task_rows: np.ndarray  # N^T, the workspace's first dof rows
-    tail: np.ndarray       # rows @ vec8(x_eff), the workspace after N^T
-    aug: np.ndarray
-    aug_t: np.ndarray
-    k_conj_r: np.ndarray   # K C8 r, a view of tail
-    k_e1: np.ndarray       # K e_1
+    def __init__(self, model: RobotModel, q, gain, dt: float = 0.0, ticks: int = 0):
+        self.model, self.dt, self.ticks = model, dt, ticks
+        self.q = _check_q(model, q)
+        self.gain = _check_gain(gain)
+        self.k_conj, self.k_e1 = self.gain * _CONJ, self.gain[:, 0]  # K C8, K e_1
+        self.task_flat = np.empty(64)
+        self.task_map = self.task_flat.reshape(8, 8)
+        self.task_t = self.task_map.T
+        self.rows = np.empty((25, 8))
+        self.x_d8 = self.rows[24]
+        dof = model.dof
+        work = np.empty(8 * dof + 25)
+        self.aug = work[:8 * dof + 16].reshape(dof + 2, 8)
+        self.aug_t, self.task_rows = self.aug.T, self.aug[:dof]  # aug^T, N^T
+        # rows @ vec8(x_eff) and its K C8 r
+        self.tail, self.k_conj_r = work[8 * dof:], work[8 * dof + 16:8 * dof + 24]
+        self.x_eff8, self.jac = _pose_and_jacobian(model, self.q)
+
+    def aim(self, x_d8: np.ndarray) -> None:
+        """Write the task map and the rows of the law for x_d."""
+        x_d8.dot(_TASK_BASIS, out=self.task_flat)
+        _NORMAL_ROWS.dot(self.task_map, out=self.rows[:16])
+        self.k_conj.dot(self.task_map, out=self.rows[16:24])
+        self.x_d8[:] = x_d8
+
+    def track(self, x_d8: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool, float]:
+        """One MPC tick toward x_d: the new q and x_eff8, whether an inner tick
+        was singular, and |1 - x_d^* x_eff| at the new pose.
+
+        Each inner tick applies the control law (``_control_law``), scales qdot
+        into the velocity box, takes an explicit Euler step of length dt,
+        clamps to the position limits and makes the one chain pass
+        (``_pose_and_jacobian``) at the new q.  A q that turns NaN fails the
+        pass's unit check and raises FloatingPointError("NaN in simulation
+        state"); a finite pose off unit keeps the pass's ValueError.
+        """
+        self.aim(x_d8)
+        model, dt = self.model, self.dt
+        singular = False
+        for _ in range(self.ticks):
+            qdot, tick_singular = _control_law(self)
+            singular = singular or tick_singular
+            self.q = q = model.clamp_position(self.q + dt * model.scale_velocity(qdot))
+            try:
+                self.x_eff8, self.jac = _pose_and_jacobian(model, q)
+            except ValueError:
+                if np.isnan(q).any():
+                    raise FloatingPointError("NaN in simulation state") from None
+                raise
+        err = _error8(self.task_map, x_d8, self.x_eff8)
+        # as np.linalg.norm takes it, sqrt(e . e), without its wrapper
+        return self.q, self.x_eff8, singular, math.sqrt(err.dot(err))
 
 
-def _law(dof: int, x_d8: np.ndarray, task_map: np.ndarray, gain: np.ndarray) -> _Law:
-    """The ``_Law`` of x_d for a chain of dof joints, from task_map = H8^-(x_d) C8."""
-    rows = np.empty((25, 8))
-    _NORMAL_ROWS.dot(task_map, out=rows[:16])
-    (gain * _CONJ).dot(task_map, out=rows[16:24])
-    rows[24] = x_d8
-    work = np.empty(8 * dof + 25)
-    aug = work[:8 * dof + 16].reshape(dof + 2, 8)
-    return _Law(x_d8, task_map, gain, task_map.T, rows, aug[:dof], work[8 * dof:], aug, aug.T,
-                work[8 * dof + 16:8 * dof + 24], gain[:, 0])
-
-
-def _control_law(model: RobotModel, x_eff8: np.ndarray, jac: np.ndarray,
-                 law: _Law) -> ControlCommand:
-    """``inner_control`` at a pose and Jacobian already computed, for checked inputs."""
+def _control_law(loop: _InnerLoop) -> ControlCommand:
+    """``inner_control`` at the loop's pose and Jacobian, for its last aimed x_d."""
     # products by ndarray.dot, which calls the same BLAS routine as @ at half its overhead;
     # BLAS forms N^T = J^T T^T with the bits of T J
-    jac.T.dot(law.task_t, out=law.task_rows)
-    if model.dof >= 6:
-        tail = law.rows.dot(x_eff8, out=law.tail)
+    loop.jac.T.dot(loop.task_t, out=loop.task_rows)
+    if loop.model.dof >= 6:
+        tail = loop.rows.dot(loop.x_eff8, out=loop.tail)
         try:
-            m_inv = np.linalg.inv(law.aug_t.dot(law.aug))
+            m_inv = np.linalg.inv(loop.aug_t.dot(loop.aug))
         except np.linalg.LinAlgError:
             pass
         else:
             if np.vdot(m_inv, m_inv) < _CERTIFIED_INV_SQ:
                 # -K vec8(e) for e = e_1 - C8 r, or e_1 + C8 r where <x_d, x_eff> < 0
-                neg_gain_err = (-(law.k_conj_r + law.k_e1) if tail[24] < 0.0
-                                else law.k_conj_r - law.k_e1)
-                return ControlCommand(law.task_rows.dot(m_inv.dot(neg_gain_err)), False)
+                neg_gain_err = (-(loop.k_conj_r + loop.k_e1) if tail[24] < 0.0
+                                else loop.k_conj_r - loop.k_e1)
+                return ControlCommand(loop.task_rows.dot(m_inv.dot(neg_gain_err)), False)
 
     # the SVD route, on N and on e as pose_error forms it
-    task = law.task_rows.T
-    err = _error8(law.task_map, law.x_d8, x_eff8)
+    task = loop.task_rows.T
+    err = _error8(loop.task_map, loop.x_d8, loop.x_eff8)
     u_svd, sigma, vt = np.linalg.svd(task, full_matrices=False)
-    nominal_rank = min(model.dof, 6)
+    nominal_rank = min(loop.model.dof, 6)
     singular = bool(sigma[nominal_rank - 1] < SV_CUTOFF)
     if singular:
         inv_sigma = sigma / (sigma * sigma + DLS_DAMPING * DLS_DAMPING)
     else:
         inv_sigma = np.where(sigma >= SV_CUTOFF, 1.0 / np.where(sigma > 0, sigma, 1.0), 0.0)
     task_pinv = (vt.T * inv_sigma).dot(u_svd.T)
-    qdot = (-task_pinv).dot(law.gain.dot(err))
+    qdot = (-task_pinv).dot(loop.gain.dot(err))
     return ControlCommand(qdot, singular)
-
-
-def _track_tick(model: RobotModel, q: np.ndarray, x_eff8: np.ndarray, jac: np.ndarray,
-                x_d8: np.ndarray, task_map: np.ndarray, gain: np.ndarray, dt: float,
-                ticks: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
-    """Track x_d for one MPC tick of ``ticks`` inner ticks from a carried state.
-
-    (q, x_eff8, jac) is the joint vector with its unit pose and Jacobian, and
-    task_map = H8^-(x_d) C8 (``_task_map``), from which the call forms the
-    law's terms and workspace once (``_law``).  Each inner tick applies the
-    control law (``_control_law``), scales qdot into the velocity box, takes
-    an explicit Euler step of length dt, clamps to the position limits and
-    makes the one chain pass (``_pose_and_jacobian``) at the new q, whose pose
-    and Jacobian the next inner tick (or the next MPC tick) uses.  Returns the
-    new (q, x_eff8, jac) and whether any inner tick was singular; q and gain
-    must be checked by the caller.  A q that turns NaN fails the pass's unit
-    check and raises FloatingPointError("NaN in simulation state"); a finite
-    pose off unit keeps the pass's ValueError.
-    """
-    law = _law(model.dof, x_d8, task_map, gain)
-    singular = False
-    for _ in range(ticks):
-        qdot, tick_singular = _control_law(model, x_eff8, jac, law)
-        singular = singular or tick_singular
-        q = model.clamp_position(q + dt * model.scale_velocity(qdot))
-        try:
-            x_eff8, jac = _pose_and_jacobian(model, q)
-        except ValueError:
-            if np.isnan(q).any():
-                raise FloatingPointError("NaN in simulation state") from None
-            raise
-    return q, x_eff8, jac, singular
 
 
 # ---------------------------------------------------------------------------

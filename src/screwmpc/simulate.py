@@ -6,14 +6,15 @@ ticks, each of which runs the kinematic controller and integrates the
 joints by explicit Euler.  Each inner tick makes one chain pass
 (``kinematics._pose_and_jacobian``) at the joints it has just integrated;
 that pose and Jacobian are carried to the next inner tick, and the last one
-of an MPC tick is the pose it logs and measures both errors at.  The
-desired pose's task map is formed once per MPC tick, the goal's once per
-run.  One log record is written per MPC tick; numbers are serialized with
-17 significant digits so identical configurations give byte-identical
-logs.  The tick loop records what it measures; the realized acceleration,
-jerk and bound flags are differenced from rest afterwards by the one
-function ``verify_trajectory`` also checks a log with; a NaN sample counts
-as a violation.
+of an MPC tick is the pose it logs and measures both errors at.  One
+object per run (``kinematics._InnerLoop``) carries them, forms what the run
+fixes once and writes the desired pose's rows of the law per MPC tick; the
+goal's task map is formed once per run.  One log record is written per MPC
+tick; numbers are serialized with 17 significant digits so identical
+configurations give byte-identical logs.  The tick loop records what it
+measures; the realized acceleration, jerk and bound flags are differenced
+from rest afterwards by the one function ``verify_trajectory`` also checks
+a log with; a NaN sample counts as a violation.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import numpy as np
 from . import textio
 from .config import RunConfig
 from .dualquat import log
-from .kinematics import RobotModel, _check_q, _error8, _pose_and_jacobian, _task_map, _track_tick
+from .kinematics import RobotModel, _check_q, _error8, _InnerLoop, _task_map
 # not called here: perfbench/tracing.py wraps these three names in this namespace
 from .kinematics import forward_kinematics, inner_control, pose_error  # noqa: F401
 from .mpc import FEAS_TOL, N_AXES, TwistSmoother
@@ -115,7 +116,7 @@ def run_closed_loop(cfg: RunConfig, model: RobotModel,
     """
     if model.dof != 7:
         raise ValueError(f"simulator expects a 7-joint model, got {model.dof}")
-    q = _check_q(model, cfg.q0).copy()
+    q = _check_q(model, cfg.q0)
     outside = np.flatnonzero(~((model.q_min <= q) & (q <= model.q_max)))
     if outside.size:
         raise ValueError("start pose q0 is outside the joint limits: " + "; ".join(
@@ -131,12 +132,10 @@ def run_closed_loop(cfg: RunConfig, model: RobotModel,
 
     T = cfg.sample_time_s
     ratio = cfg.inner_ticks_per_mpc
-    inner_dt = cfg.inner_dt
-    gain = cfg.gain_matrix
     smoother = TwistSmoother(cfg.mpc, cfg.limits, path.samples[0].pose)
     goal8 = goal.vec8()
     goal_map = _task_map(goal8)
-    x_eff8, jac = _pose_and_jacobian(model, q)
+    loop = _InnerLoop(model, q, cfg.gain_matrix, cfg.inner_dt, ratio)
 
     max_ticks = max(1, int(math.ceil(cfg.max_duration_s / T)))
     records: list[list[float]] = []
@@ -155,14 +154,12 @@ def run_closed_loop(cfg: RunConfig, model: RobotModel,
                 raise FloatingPointError("non-finite reference twist")
             step = smoother.step(ref)
             x_d8 = step.pose.vec8()
-            task_map = _task_map(x_d8)
-            q, x_eff8, jac, singular = _track_tick(model, q, x_eff8, jac, x_d8, task_map,
-                                                   gain, inner_dt, ratio)
+            q, x_eff8, singular, err_track = loop.track(x_d8)
         except FloatingPointError as err:
             raise FloatingPointError(f"{err} at t = {t:.6f} s") from None
         # |e| as np.linalg.norm takes it, sqrt(e . e), without its wrapper
-        err_track, err_goal = (math.sqrt(e.dot(e)) for e in (
-            _error8(task_map, x_d8, x_eff8), _error8(goal_map, goal8, x_eff8)))
+        e = _error8(goal_map, goal8, x_eff8)
+        err_goal = math.sqrt(e.dot(e))
 
         records.append(
             [t, *np.concatenate((q, x_eff8, x_d8, ref, step.twist, step.delta_u)).tolist(),

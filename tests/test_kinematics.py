@@ -442,15 +442,15 @@ def test_hot_path_builds_no_quaternion_products(panda, monkeypatch):
     assert len(calls) == 0
     Quaternion.identity() * Quaternion.identity()  # the counter itself is live
     assert len(calls) == 1
-    # one MPC tick of the closed loop builds no algebra object at all
-    x_eff8, jac = kinematics._pose_and_jacobian(panda, q)
+    # the closed loop's inner loop, built and run for one MPC tick, builds no
+    # algebra object at all
     x_d8 = x_d.vec8()
     built = []
     init = Quaternion.__init__
     monkeypatch.setattr(Quaternion, "__init__",
                         lambda self, *args: built.append(1) or init(self, *args))
-    q9, *_ = kinematics._track_tick(panda, q, x_eff8, jac, x_d8, kinematics._task_map(x_d8),
-                                    10.0 * np.eye(8), 1e-3, 9)
+    loop = kinematics._InnerLoop(panda, q, 10.0 * np.eye(8), 1e-3, 9)
+    q9, *_ = loop.track(x_d8)
     assert not built and not np.array_equal(q9, q)
     Quaternion.identity()
     assert len(built) == 1
@@ -479,10 +479,11 @@ def kernel_inputs(case: str, data) -> tuple[np.ndarray, UnitDualQuaternion]:
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
 def test_track_tick_is_the_composed_inner_loop(case, data):
-    # 1-9 inner ticks of the kernel against inner_control, scale_velocity,
-    # clamp_position, forward_kinematics and pose_jacobian called one by
-    # one: within 1e-12 where the certificate holds, and within the SVD
-    # route's rounding bound, amplified over the ticks, where it does not
+    # one MPC tick of 1-9 inner ticks of the inner loop against inner_control,
+    # scale_velocity, clamp_position, forward_kinematics, pose_jacobian and
+    # pose_error called one by one: within 1e-12 where the certificate holds,
+    # and within the SVD route's rounding bound, amplified over the ticks,
+    # where it does not
     panda = REFERENCE_MODELS["panda"]
     q, x_d = kernel_inputs(case, data)
     ticks = data.draw(st.integers(1, 9))
@@ -490,8 +491,10 @@ def test_track_tick_is_the_composed_inner_loop(case, data):
     gain = (np.diag(data.draw(st.tuples(*[st.floats(1.0, 20.0)] * 8)))
             + np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1))).uniform(-1, 1, (8, 8)))
     dt = 1e-3
-    x_d8 = x_d.vec8()
-    start = (forward_kinematics(panda, q).vec8(), pose_jacobian(panda, q))
+    loop = kinematics._InnerLoop(panda, q, gain, dt, ticks)
+    # the start pose's chain pass, bit for bit the public one
+    assert np.array_equal(loop.x_eff8, forward_kinematics(panda, q).vec8())
+    assert np.array_equal(loop.jac, pose_jacobian(panda, q))
 
     passes, applied = [], []
     chain_pass, law = kinematics._pose_and_jacobian, kinematics._control_law
@@ -499,9 +502,11 @@ def test_track_tick_is_the_composed_inner_loop(case, data):
                            lambda model, q: passes.append(q) or chain_pass(model, q)), \
             mock.patch.object(kinematics, "_control_law",
                               lambda *args: applied.append(law(*args)) or applied[-1]):
-        q_tt, x_tt, jac_tt, singular_tt = kinematics._track_tick(
-            panda, q, *start, x_d8, kinematics._task_map(x_d8), gain, dt, ticks)
+        q_tt, x_tt, singular_tt, err_tt = loop.track(x_d.vec8())
+    jac_tt = loop.jac
     assert len(applied) == len(passes) == ticks
+    # the error norm is the one the log records, at the tick's last pose, bit for bit
+    assert err_tt == np.linalg.norm(pose_error(x_d, forward_kinematics(panda, q_tt)).vec8())
 
     q_ref, singular_ref, tol = q, False, 1e-12
     for tick in range(ticks):
@@ -519,6 +524,20 @@ def test_track_tick_is_the_composed_inner_loop(case, data):
     np.testing.assert_allclose(x_tt, forward_kinematics(panda, q_ref).vec8(), rtol=0.0,
                                atol=tol + 1e-12)
     np.testing.assert_allclose(jac_tt, pose_jacobian(panda, q_ref), rtol=0.0, atol=tol + 1e-12)
+
+
+@pytest.mark.parametrize("gain, match", [
+    (np.eye(7), "8x8"),
+    (np.full((8, 8), math.nan), "finite"),
+    (np.where(np.eye(8, dtype=bool), math.inf, 0.0), "finite"),
+], ids=["shape", "nan", "inf"])
+def test_gain_is_rejected_unless_finite_8x8(panda, gain, match):
+    # where a gain enters, once per call of inner_control and once per run
+    x_d = forward_kinematics(panda, READY_Q)
+    with pytest.raises(ValueError, match=f"^gain matrix must be {match}$"):
+        inner_control(panda, READY_Q + 0.1, x_d, gain)
+    with pytest.raises(ValueError, match=f"^gain matrix must be {match}$"):
+        kinematics._InnerLoop(panda, READY_Q + 0.1, gain, 1e-3, 9)
 
 
 @pytest.mark.parametrize("dof", [1, 7, 9])
