@@ -7,8 +7,12 @@ Jacobian maps joint rates to the time derivative of the vec8 pose
 coefficients.  The inner loop commands joint rates from the conjugation
 error e = 1 - x_d^* x_eff through the task matrix's pseudo-inverse: one
 8x8 inverse, certified well conditioned, away from singularities, and an
-SVD (damped where the task rank collapses) near them.  All three run
-on stacked 8x8 Hamilton matrices in numpy.  One function walks the chain
+SVD (damped where the task rank collapses) near them.  The inverse is
+``numpy.linalg._umath_linalg.inv``, the LAPACK gufunc ``np.linalg.inv``
+calls, without that wrapper, which cost more than the call: a singular M
+comes back NaN, unwarned under ``errstate(invalid="ignore")``, set once per
+call and per MPC tick.  All three run on stacked 8x8 Hamilton matrices in
+numpy.  One function walks the chain
 (``_pose_and_jacobian``), as one product with a table fixed per model:
 joint j's factor cos(q_j/2) M_j + sin(q_j/2) K_j is affine in the pair
 (cos(q_j/2), sin(q_j/2)), so the pose is multilinear in the n pairs,
@@ -51,6 +55,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
+from numpy.linalg._umath_linalg import inv as _inv
 
 from . import textio
 from .dualquat import _CONJ, DualQuaternion, UnitDualQuaternion, _check_unit, _hamilton8
@@ -300,7 +305,7 @@ def inner_control(model: RobotModel, q, x_d: UnitDualQuaternion,
     normals n_1 = (r_P, 0), n_2 = (r_D, r_P).  So for 6 or more joints
     N^+ = N^T M^-1, M = N N^T + n_1 n_1^T + n_2 n_2^T, one 8x8 inverse,
     used when ||M^-1||_F^2 < 1e12 certifies sigma_6(N) > 1e-3.  Otherwise
-    (near a singularity, M not invertible, or fewer than 6 joints) the
+    (near a singularity, M's inverse not finite, or fewer than 6 joints) the
     pseudo-inverse comes from an SVD with singular-value cutoff 1e-8; when
     it shows the nominal rank min(dof, 6) collapsing, a damped
     least-squares fallback (damping 1e-4) is used and reported in the flag.
@@ -309,7 +314,8 @@ def inner_control(model: RobotModel, q, x_d: UnitDualQuaternion,
     """
     loop = _InnerLoop(model, q, gain)
     loop.aim(_unit_vec8(x_d))
-    return _control_law(loop)
+    with np.errstate(invalid="ignore"):  # the NaN inverse of a singular M, unwarned
+        return _control_law(loop)
 
 
 class _InnerLoop:
@@ -363,16 +369,17 @@ class _InnerLoop:
         self.aim(x_d8)
         model, dt = self.model, self.dt
         singular = False
-        for _ in range(self.ticks):
-            qdot, tick_singular = _control_law(self)
-            singular = singular or tick_singular
-            self.q = q = model.clamp_position(self.q + dt * model.scale_velocity(qdot))
-            try:
-                self.x_eff8, self.jac = _pose_and_jacobian(model, q)
-            except ValueError:
-                if np.isnan(q).any():
-                    raise FloatingPointError("NaN in simulation state") from None
-                raise
+        with np.errstate(invalid="ignore"):  # as in inner_control, once per MPC tick
+            for _ in range(self.ticks):
+                qdot, tick_singular = _control_law(self)
+                singular = singular or tick_singular
+                self.q = q = model.clamp_position(self.q + dt * model.scale_velocity(qdot))
+                try:
+                    self.x_eff8, self.jac = _pose_and_jacobian(model, q)
+                except ValueError:
+                    if np.isnan(q).any():
+                        raise FloatingPointError("NaN in simulation state") from None
+                    raise
         err = _error8(self.task_map, x_d8, self.x_eff8)
         # as np.linalg.norm takes it, sqrt(e . e), without its wrapper
         return self.q, self.x_eff8, singular, math.sqrt(err.dot(err))
@@ -385,16 +392,13 @@ def _control_law(loop: _InnerLoop) -> ControlCommand:
     loop.jac.T.dot(loop.task_t, out=loop.task_rows)
     if loop.model.dof >= 6:
         tail = loop.rows.dot(loop.x_eff8, out=loop.tail)
-        try:
-            m_inv = np.linalg.inv(loop.aug_t.dot(loop.aug))
-        except np.linalg.LinAlgError:
-            pass
-        else:
-            if np.vdot(m_inv, m_inv) < _CERTIFIED_INV_SQ:
-                # -K vec8(e) for e = e_1 - C8 r, or e_1 + C8 r where <x_d, x_eff> < 0
-                neg_gain_err = (-(loop.k_conj_r + loop.k_e1) if tail[24] < 0.0
-                                else loop.k_conj_r - loop.k_e1)
-                return ControlCommand(loop.task_rows.dot(m_inv.dot(neg_gain_err)), False)
+        # np.linalg.inv's gufunc, bit for bit: a singular M comes back NaN, failing the certificate
+        m_inv = _inv(loop.aug_t.dot(loop.aug), signature="d->d")
+        if np.vdot(m_inv, m_inv) < _CERTIFIED_INV_SQ:
+            # -K vec8(e) for e = e_1 - C8 r, or e_1 + C8 r where <x_d, x_eff> < 0
+            neg_gain_err = (-(loop.k_conj_r + loop.k_e1) if tail[24] < 0.0
+                            else loop.k_conj_r - loop.k_e1)
+            return ControlCommand(loop.task_rows.dot(m_inv.dot(neg_gain_err)), False)
 
     # the SVD route, on N and on e as pose_error forms it
     task = loop.task_rows.T

@@ -501,16 +501,21 @@ def test_closed_loop_matches_the_recorded_runs(panda, name):
 
 def test_closed_loop_makes_one_chain_pass_per_inner_tick(panda, ready_pose, monkeypatch):
     # the one function that walks the chain runs once at the start pose (the
-    # inner loop's construction) and once per inner tick; the loop reaches it
-    # only through the kinematics module
-    calls = []
-    chain_pass = kinematics._pose_and_jacobian
+    # inner loop's construction) and once per inner tick, and the law's 8x8
+    # inverse kernel once per inner tick (with 6 or more joints every tick
+    # forms M^-1 before its certificate); the loop reaches both only through
+    # the kinematics module
+    calls, inverses = [], []
+    chain_pass, inverse = kinematics._pose_and_jacobian, kinematics._inv
     monkeypatch.setattr(kinematics, "_pose_and_jacobian",
                         lambda *args: calls.append(1) or chain_pass(*args))
+    monkeypatch.setattr(kinematics, "_inv",
+                        lambda *args, **kwargs: inverses.append(1) or inverse(*args, **kwargs))
     assert not hasattr(simulate, "_pose_and_jacobian")
     cfg = load_config(None)
     result = run_closed_loop(cfg, panda, [ready_pose, translated(ready_pose, [0.05, 0.0, 0.0])])
     assert len(calls) == result.n_records * result.inner_ticks_per_mpc + 1
+    assert len(inverses) == result.n_records * result.inner_ticks_per_mpc
     assert result.inner_ticks_per_mpc == 9 and result.n_records > 10
 
 

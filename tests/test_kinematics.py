@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -55,6 +56,25 @@ def two_joint_chain() -> RobotModel:
         (ChainElement(UnitDualQuaternion.identity(), "z"),
          ChainElement(trans, "z")),
         -np.ones(2) * 3, np.ones(2) * 3, np.ones(2) * 2)
+
+
+def coincident_chain() -> RobotModel:
+    """Seven z joints with identity offsets, all on one axis: the task matrix
+    has rank 1 at every q, so the law's M = N N^T + n_1 n_1^T + n_2 n_2^T has
+    rank 3 and no inverse."""
+    return RobotModel(tuple(ChainElement(UnitDualQuaternion.identity(), "z") for _ in range(7)),
+                      -np.ones(7) * 3, np.ones(7) * 3, np.ones(7) * 2)
+
+
+def recording_inverse(record: list):
+    """The law's inverse kernel, appending each (M, M^-1) it forms to record."""
+    kernel = kinematics._inv
+
+    def recorded(matrix, **kwargs):
+        record.append((matrix.copy(), kernel(matrix, **kwargs)))
+        return record[-1][1]
+
+    return recorded
 
 
 def joint_vectors(model: RobotModel):
@@ -402,26 +422,34 @@ def test_inner_control_matches_composed_law(name, data):
         assert np.linalg.norm(cmd.qdot - qdot) <= rounding_bound(sigma, qdot)
 
 
-@pytest.mark.parametrize("case", ["line-3", "inv-raises"])
-def test_inner_control_off_the_certificate_is_the_svd_law(panda, monkeypatch, case):
+@pytest.mark.parametrize("case", ["line-3", "singular-m"])
+def test_inner_control_off_the_certificate_is_the_svd_law(panda, case):
     # Inputs the certified 8x8 inverse does not serve run the SVD law, bit for
-    # bit: near a singularity, where the certificate fails, and where inv raises
-    x_d = UnitDualQuaternion.from_vec8(LINE3_XD)
-    q = LINE3_Q
-    if case == "inv-raises":
-        q, x_d = READY_Q + 0.1, forward_kinematics(panda, READY_Q)
-
-        def singular_inv(matrix):
-            raise np.linalg.LinAlgError("Singular matrix")
-
-        monkeypatch.setattr(np.linalg, "inv", singular_inv)
-    else:
-        assert np.linalg.svd(task_matrix(panda, q, x_d), compute_uv=False)[5] < 1e-4
+    # bit: near a singularity, where the certificate fails, and where M is
+    # singular (np.linalg.inv raises on it), whose inverse the law forms as NaN
+    # without a warning, in inner_control and in one MPC tick of the inner loop
     gain = 10.0 * np.eye(8)
-    cmd = inner_control(panda, q, x_d, gain)
-    qdot, singular = control_law_oracle(panda, q, x_d, gain)
-    assert (cmd.singular, singular) == (False, False)
+    if case == "line-3":
+        model, q, x_d = panda, LINE3_Q, UnitDualQuaternion.from_vec8(LINE3_XD)
+        assert np.linalg.svd(task_matrix(panda, q, x_d), compute_uv=False)[5] < 1e-4
+    else:
+        model, q = coincident_chain(), np.linspace(0.1, 0.7, 7)
+        x_d = forward_kinematics(model, 0.5 * q)
+    inverses = []
+    with warnings.catch_warnings(), \
+            mock.patch.object(kinematics, "_inv", recording_inverse(inverses)):
+        warnings.simplefilter("error")
+        cmd = inner_control(model, q, x_d, gain)
+        loop = kinematics._InnerLoop(model, q, gain, 1e-3, 9)
+        q9, _, singular9, _ = loop.track(x_d.vec8())
+    qdot, singular = control_law_oracle(model, q, x_d, gain)
+    assert (cmd.singular, singular) == (case == "singular-m",) * 2
     assert np.array_equal(cmd.qdot, qdot)
+    assert len(inverses) == 10 and singular9 == singular and np.isfinite(q9).all()
+    if case == "singular-m":
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.inv(inverses[0][0])
+        assert all(np.isnan(m_inv).all() for _, m_inv in inverses)
 
 
 def test_hot_path_builds_no_quaternion_products(panda, monkeypatch):
@@ -454,6 +482,30 @@ def test_hot_path_builds_no_quaternion_products(panda, monkeypatch):
     assert not built and not np.array_equal(q9, q)
     Quaternion.identity()
     assert len(built) == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(q=joint_vectors(REFERENCE_MODELS["panda"]), q_d=joint_vectors(REFERENCE_MODELS["panda"]))
+@example(q=LINE3_Q, q_d=READY_Q)  # sigma_6 = 3.2e-5: the certificate fails
+def test_law_inverse_kernel_is_np_linalg_inv(q, q_d):
+    """The law inverts M with ``numpy.linalg._umath_linalg.inv``, the LAPACK
+    gufunc that ``np.linalg.inv`` wraps, called without the wrapper.  Pinned
+    here: on the M of the inner loop's workspace, at Panda joints and desired
+    poses, it is ``np.linalg.inv(M)`` bit for bit; on the coincident chain's
+    M (rank 3), inside the law's error state, it is all NaN and warns nothing.
+    A numpy release that moves or changes that function fails here.  Checked
+    on numpy 2.4.6 only; the ``numpy>=1.23`` floor is unverified for it."""
+    gain = 10.0 * np.eye(8)
+    inverses = []
+    with warnings.catch_warnings(), \
+            mock.patch.object(kinematics, "_inv", recording_inverse(inverses)):
+        warnings.simplefilter("error")
+        for model in (REFERENCE_MODELS["panda"], coincident_chain()):
+            loop = kinematics._InnerLoop(model, q, gain, 1e-3, 1)
+            loop.track(forward_kinematics(model, q_d).vec8())
+    (m, m_inv), (m_singular, m_singular_inv) = inverses
+    assert np.array_equal(m_inv, np.linalg.inv(m))
+    assert np.linalg.matrix_rank(m_singular) == 3 and np.isnan(m_singular_inv).all()
 
 
 def kernel_inputs(case: str, data) -> tuple[np.ndarray, UnitDualQuaternion]:
