@@ -1,9 +1,10 @@
 """Run configuration: flat ``key = value`` text files.
 
 Values are scalars or space-separated real lists; blank lines and '#'
-comments are skipped, a malformed line is reported as ``file:line:`` and a
-value out of range as ``file:``.  Dotted keys group the task-space limit
-bounds (``limits.vel.min`` etc.).  Defaults, including the manufacturer limit
+comments are skipped, a malformed line, a key given twice and a key with no
+value are reported as ``file:line:`` and a value out of range as
+``file:``.  Dotted keys group the task-space limit bounds
+(``limits.vel.min`` etc.).  Defaults, including the manufacturer limit
 values, live in the packaged ``data/default.cfg`` and are overridden by
 the user file key by key.  Paths in a config file are resolved relative
 to the file's directory.
@@ -45,13 +46,20 @@ def parse_config_text(text: str, *, source: str = "<config>",
                       base_dir: Path | None = None) -> dict:
     """Parse ``key = value`` lines into typed values.
 
-    Unknown keys, malformed numbers and wrong list lengths raise ValueError
-    prefixed with ``source:lineno:``.
+    Unknown keys, a key given twice or with no value, malformed numbers and
+    wrong list lengths raise ValueError prefixed with ``source:lineno:``.
     """
+    first: dict = {}  # key -> the line that gave it
+
     def parse(line: str):
         if "=" not in line:
             raise ValueError("expected 'key = value'")
         key, _, rhs = (part.strip() for part in line.partition("="))
+        if key in first:
+            raise ValueError(f"{key} given twice, first on line {first[key]}")
+        if not rhs:
+            raise ValueError(f"{key} has no value")
+        first[key] = lineno
         if key in _LIST_KEYS:
             vals = np.array(textio.floats(rhs.split()))
             if vals.shape != (_LIST_KEYS[key],):
@@ -65,7 +73,10 @@ def parse_config_text(text: str, *, source: str = "<config>",
             return key, Path(base_dir or "", rhs)  # an absolute rhs drops base_dir
         raise ValueError(f"unknown key {key!r}")
 
-    return dict(textio.records(text, source, parse))
+    values = {}
+    for lineno, line in enumerate(text.splitlines(), start=1):  # parse reads lineno
+        values.update(textio.records(line, source, parse, lineno))
+    return values
 
 
 @dataclass(kw_only=True)

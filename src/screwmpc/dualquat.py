@@ -343,12 +343,6 @@ def _pure(px: float, py: float, pz: float, dx: float, dy: float, dz: float) -> P
     return g
 
 
-def _as_pure(g: DualQuaternion, what: str) -> DualQuaternion:
-    if not (abs(g.primary.w) <= PURE_TOL and abs(g.dual.w) <= PURE_TOL):
-        raise ValueError(f"{what} requires a pure dual quaternion input")
-    return g
-
-
 def exp(g: DualQuaternion) -> UnitDualQuaternion:
     """Exponential of a pure dual quaternion onto the unit subset.
 
@@ -363,8 +357,8 @@ def exp(g: DualQuaternion) -> UnitDualQuaternion:
     Below theta/2 = 1e-8 the screw axis is ill-conditioned and the expansion
     to first order in g_P, (1 + g_P) + eps*(g_D - <g_P, g_D>), is returned.
     """
-    _as_pure(g, "exp")
     gp, gd = g.primary, g.dual
+    _check_pure(gp.w, gd.w)
     half_theta = math.sqrt(gp.x ** 2 + gp.y ** 2 + gp.z ** 2)
     if half_theta < _SMALL_ANGLE:
         dual = Quaternion(-(gp.x * gd.x + gp.y * gd.y + gp.z * gd.z), gd.x, gd.y, gd.z)
@@ -442,7 +436,7 @@ def power(x: UnitDualQuaternion, tau: float) -> UnitDualQuaternion:
 
 def adjoint(x: UnitDualQuaternion, xi: DualQuaternion) -> PureDualQuaternion:
     """Re-express the twist xi in the frame given by x: returns x * xi * x^*."""
-    _as_pure(xi, "adjoint")
+    _check_pure(xi.primary.w, xi.dual.w)
     h = x * xi * x.conjugate()
     return PureDualQuaternion(h.primary, h.dual)
 

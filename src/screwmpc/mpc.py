@@ -15,9 +15,9 @@ reference is held over the horizon).  It is fixed by the configuration
 (horizons, sample time, weights and limits), and a smoother built right
 after one of the same configuration shares its stack.  A tick forms theta
 and evaluates f = P_f theta, V = P_V theta and the unconstrained optimum
--E^-1 f; where that breaks no row it is the tick's solution, and no QP is
-formed.  The rows that end a tick with a positive multiplier are its
-working set.
+-E^-1 f in one function (_tick_qp); where that optimum breaks no row it is
+the tick's solution, and solve_qp is not called.  The rows that end a tick
+with a positive multiplier are its working set.
 Holding a set as equalities, the solution is affine in theta too: its law
 is built on first use and kept in the same object, so trying a set costs
 one product, and a smoother that shares a stack starts with the laws built
@@ -45,6 +45,8 @@ walk that steps on, the full stop test, the interior point), so a tick that
 its carried sets or a location settle usually forms none.  A walk ends
 after _WALK steps or on a set it had; only its problem goes to the interior
 point, which solves it as it would cold.
+The smoothed pose is integrated in the dual-quaternion algebra, x[i] =
+(exp((T/2) xi[i+1]) x[i-1]).normalized().
 The paper's dense 18-state model, prediction and QP are these per-axis
 forms lifted by Kronecker products with I6; only the tests build them, as
 an oracle.
@@ -63,8 +65,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .dualquat import (PureDualQuaternion, Quaternion, UnitDualQuaternion, _check_unit, _product,
-                       exp)
+from .dualquat import PureDualQuaternion, UnitDualQuaternion, exp
 
 __all__ = [
     "MpcConfig",
@@ -335,15 +336,13 @@ class _Laws:
 
 
 class _TickQp(QpProblem):
-    """A QpProblem the smoother assembled: its laws are the smoother's stack,
-    theta (6, 6) is this tick's parameters, the problems `cold` marks (None:
-    none) skip their working sets, and x and residual are -E^-1 f and W x - V
-    (None: computed here)."""
+    """A QpProblem the smoother assembled (_tick_qp): its laws are the
+    smoother's stack, theta (6, 6) is this tick's parameters, the problems
+    `cold` marks (None: none) skip their working sets, and x and residual
+    are -E^-1 f and W x - V (_optimum)."""
 
-    def __init__(self, e, f, w, v, laws: _Laws, theta, cold=None, x=None, residual=None):
+    def __init__(self, e, f, w, v, laws: _Laws, theta, cold, x, residual):
         super().__init__(e, f, w, v)
-        if x is None:
-            x, residual = _optimum(laws, f, v)
         self.__dict__.update(laws=laws, theta=theta, cold=cold, x=x, residual=residual)
 
 
@@ -388,24 +387,18 @@ def _violation(laws: _Laws, residual) -> np.ndarray:
     return np.where(laws.finite, residual, 0.0).max(axis=1, initial=0.0)
 
 
-def _tick(laws: _Laws, state: np.ndarray, target: np.ndarray, u_prev: np.ndarray):
-    """A tick's theta, f, V and its optimum x and residual (_optimum): row a
-    of theta is [column a of state.reshape(3, 6), target_a, u_prev_a, 1], f =
-    P_f theta, and V = P_V theta on the rows with a finite bound and inf on
-    the rest."""
+def _tick_qp(laws: _Laws, state: np.ndarray, target: np.ndarray,
+             u_prev: np.ndarray, cold=None) -> _TickQp:
+    """The stack of six per-axis QPs of a tick, E and W the laws': row a of
+    theta is [column a of state.reshape(3, 6), target_a, u_prev_a, 1], f =
+    P_f theta, V = P_V theta on the rows with a finite bound and inf on the
+    rest, with its optimum x and residual (_optimum); the axes `cold` marks
+    (None: none) skip their working sets."""
     theta = np.concatenate([state, target, u_prev, _ONES]).reshape(-1, N_AXES).T
     column = theta[:, :, None]
     f, v = (laws.p_f @ column)[:, :, 0], (laws.p_v @ column)[:, :, 0]
     v[~laws.finite] = np.inf
-    return (theta, f, v) + _optimum(laws, f, v)
-
-
-def _tick_qp(laws: _Laws, state: np.ndarray, target: np.ndarray,
-             u_prev: np.ndarray, cold=None) -> _TickQp:
-    """The stack of six per-axis QPs of a tick (_tick), E and W the laws';
-    the axes `cold` marks (None: none) skip their working sets."""
-    theta, f, v, x, residual = _tick(laws, state, target, u_prev)
-    return _TickQp(laws.e, f, laws.w, v, laws, theta, cold, x, residual)
+    return _TickQp(laws.e, f, laws.w, v, laws, theta, cold, *_optimum(laws, f, v))
 
 
 @dataclass
@@ -858,25 +851,6 @@ class StepResult:
     max_violation: float
 
 
-def _moved(motion: UnitDualQuaternion, pose: UnitDualQuaternion) -> UnitDualQuaternion:
-    """(motion * pose).normalized() bit for bit, on floats: the products, sums
-    and unit check of DualQuaternion.__mul__, then the norm, the degenerate
-    check and the scaling of normalized, in their order, and the unit check
-    of the one dual quaternion built, the result."""
-    w, x, y, z = _product(motion.primary, pose.primary)
-    pw, px, py, pz = _product(motion.primary, pose.dual)
-    qw, qx, qy, qz = _product(motion.dual, pose.primary)
-    dw, dx, dy, dz = pw + qw, px + qx, py + qy, pz + qz
-    _check_unit(w, x, y, z, dw, dx, dy, dz)
-    n_p = math.sqrt(w ** 2 + x ** 2 + y ** 2 + z ** 2)
-    if n_p < 1e-12:
-        raise ValueError("dual quaternion norm is degenerate: zero primary part")
-    a, b = 1.0 / n_p, (w * dw + x * dx + y * dy + z * dz) / n_p / (n_p * n_p)
-    return UnitDualQuaternion(Quaternion(w * a, x * a, y * a, z * a),
-                              Quaternion(dw * a - w * b, dx * a - x * b, dy * a - y * b,
-                                         dz * a - z * b))
-
-
 # (configuration bytes, its QP stack): the stack of the smoother built last,
 # which the next smoother of that configuration shares
 _stack: tuple = (None, None)
@@ -886,13 +860,11 @@ _stack_lock = threading.Lock()
 class TwistSmoother:
     """Receding-horizon smoother owning one SmootherState.
 
-    Applies only the first increment of each axis's optimized sequence each
-    tick, advances each axis's scalar model, recovers the smoothed twist and
-    integrates the pose with x[i] = exp((T/2) * xi[i+1]) * x[i-1]
-    (renormalized every step to suppress drift): one call of exp, then the
-    product and the renormalization on floats (_moved), which give
-    (exp(...) * x[i-1]).normalized() bit for bit, with its checks and
-    errors, building one dual quaternion.  Construction functions
+    Each tick assembles its QP stack (_tick_qp), applies only the first
+    increment of each axis's optimized sequence, advances each axis's scalar
+    model, recovers the smoothed twist and integrates the pose in the
+    algebra, x[i] = (exp((T/2) * xi[i+1]) * x[i-1]).normalized()
+    (renormalized every step to suppress drift).  Construction functions
     are pure; a single logical controller thread advances the state.
     A smoother built right after one of the same configuration shares its
     QP stack, also across threads.
@@ -931,15 +903,18 @@ class TwistSmoother:
     def step(self, target) -> StepResult:
         """Advance one MPC tick toward the 6-vector reference twist.
 
-        A tick whose unconstrained optimum breaks no row (every residual at
-        most 1e-12) applies it without forming a QP, with the result
-        solve_qp would give.  A target that is not six finite numbers or a
-        working set not 0 or 6 n_c rows wide raises ValueError.  A finite
+        The tick's QP stack and its unconstrained optimum come from
+        _tick_qp.  A tick whose optimum breaks no row (every residual at
+        most 1e-12) applies it without calling solve_qp, with the result
+        solve_qp would give; any other tick passes the stack to solve_qp.
+        The pose moves by the algebra's exp, product and normalized().  A
+        target that is not six finite numbers or a working set not 0 or 6
+        n_c rows wide raises ValueError.  A finite
         target too large for floating point raises FloatingPointError,
-        whichever step it overflows: the
-        QP's unconstrained optimum -E^-1 f (checked only when the solve did
-        not converge), the increment (a smoothed twist that is not finite) or
-        the pose integration.  None of them changes the state."""
+        whichever step it overflows: the QP's unconstrained optimum -E^-1 f
+        (checked only when the solve did not converge), the increment (a
+        smoothed twist that is not finite) or the pose integration.  None of
+        them changes the state."""
         target = np.asarray(target, dtype=float).reshape(-1)
         if target.shape != (N_AXES,):
             raise ValueError(f"target twist must have {N_AXES} components")
@@ -950,9 +925,10 @@ class TwistSmoother:
         if working.shape[1] not in (0, rows):
             raise ValueError(f"working set must be 0 or 6 n_c = {rows} rows wide per axis, "
                              f"got {working.shape[1]}")
-        theta, f, v, x, residual = _tick(laws, state.augmented, target, state.u_prev)
+        qp = _tick_qp(laws, state.augmented, target, state.u_prev, state.unsolved)
+        x, residual = qp.x, qp.residual
         worst = residual.max()  # NaN where any residual is
-        if worst <= 1e-12:  # free: solve_qp's solution, without forming the QP
+        if worst <= 1e-12:  # free: solve_qp's solution, without calling it
             du, iterations, converged, active = x[:, 0], 0, True, 0
             # 0 when every residual is negative, else solve_qp's reduction (and its signed zero)
             violation = 0.0 if worst < 0.0 else float(_violation(laws, residual).max(initial=0.0))
@@ -960,8 +936,7 @@ class TwistSmoother:
         else:
             guesses = ((working, working[:, self._shift]) if working.any()
                        else (np.zeros((N_AXES, rows), dtype=bool),))
-            sol = solve_qp(_TickQp(laws.e, f, laws.w, v, laws, theta, state.unsolved, x,
-                                   residual), working_sets=guesses)
+            sol = solve_qp(qp, working_sets=guesses)
             converged = sol.converged
             if not (converged or np.isfinite(x).all()):
                 raise FloatingPointError(f"QP overflows at target twist {target.tolist()}")
@@ -975,9 +950,9 @@ class TwistSmoother:
         augmented = (a @ per_axis + b @ du[None]).ravel()
         twist = augmented[-N_AXES:].copy()
         try:
-            motion = exp(PureDualQuaternion.from_vec6(twist * (0.5 * self.cfg.sample_time)))
-            pose = _moved(motion, state.pose)
-        except (ValueError, OverflowError):  # exp fails on a twist not finite or beyond ~1e10
+            pose = (exp(PureDualQuaternion.from_vec6(twist * (0.5 * self.cfg.sample_time)))
+                    * state.pose).normalized()
+        except (ValueError, OverflowError):  # a twist not finite, or too large to keep unit
             fault = "overflows the pose" if np.isfinite(twist).all() else "is not finite"
             raise FloatingPointError(f"smoothed twist {fault}: {twist.tolist()}") from None
         state.augmented, state.u_prev, state.pose, state.working_set, state.unsolved = (

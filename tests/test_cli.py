@@ -120,6 +120,27 @@ def test_config_errors(line, match):
         parse_config_text(line, source="<test>")
 
 
+def test_config_rejects_a_key_given_twice(tmp_path, capsys):
+    # the second value must not silently win: the error names both lines
+    f = write_cfg(tmp_path, "gain = 10\n# a comment\n\nn_c = 4\ngain = 0.5\n")
+    with pytest.raises(ValueError, match=re.escape(f"{f}:5: gain given twice, first on line 1")):
+        load_config(f)
+    assert main(["simulate", "--config", str(f), "--random", "2",
+                 "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {f}:5: gain given twice")
+
+
+@pytest.mark.parametrize("line", ["keypoints =", "gain = \t ", "q_weight ="],
+                         ids=["path", "blank-scalar", "list"])
+def test_config_rejects_a_key_with_no_value(tmp_path, line):
+    # an empty path would resolve to the file's own directory and fail only
+    # when read, with no line number
+    f = write_cfg(tmp_path, "n_c = 4\n" + line + "\n")
+    key = line.partition("=")[0].strip()
+    with pytest.raises(ValueError, match=re.escape(f"{f}:2: {key} has no value")):
+        load_config(f)
+
+
 def test_config_rate_contract_validation(tmp_path):
     f = write_cfg(tmp_path, "inner_rate_hz = 50\n")
     with pytest.raises(ValueError, match="at least as fast"):
@@ -582,14 +603,17 @@ def test_closed_loop_stops_on_a_nan_smoothed_twist(panda, ready_pose, monkeypatc
     # step raises FloatingPointError, which the loop re-raises with the
     # tick's time
     calls = []
-    clean = mpc._tick
+    clean = mpc._tick_qp
 
     def faulty(*args):
         calls.append(1)
-        theta, f, v, x, residual = clean(*args)
-        return theta, f, v, x * math.nan if len(calls) == 5 else x, residual
+        qp = clean(*args)
+        if len(calls) < 5:
+            return qp
+        return mpc._TickQp(qp.e, qp.f, qp.w, qp.v, qp.laws, qp.theta, qp.cold, qp.x * math.nan,
+                           qp.residual)
 
-    monkeypatch.setattr(mpc, "_tick", faulty)
+    monkeypatch.setattr(mpc, "_tick_qp", faulty)
     keypoints = [ready_pose, translated(ready_pose, [0.05, 0.0, 0.0])]
     with pytest.raises(FloatingPointError,
                        match=r"^smoothed twist is not finite: \[.*\] at t = 0\.036000 s$"):

@@ -22,6 +22,7 @@ from screwmpc.mpc import (
     FEAS_TOL,
     N_AXES,
     _Laws,
+    _optimum,
     _scalar_model,
     _scalar_prediction,
     _StopTest,
@@ -952,47 +953,6 @@ def test_a_tick_held_in_one_round_forms_no_scales(monkeypatch):
     assert (held, found, walked) == (185, 5, 10)
 
 
-def pose_or_fault(update):
-    """vec8 of the pose `update` returns, or the type of the error it raises."""
-    try:
-        return update().vec8()
-    except (ValueError, OverflowError) as err:
-        return type(err)
-
-
-def half_step_twists():
-    """Twists whose half-angle is below 1e-8 (exp's first-order branch, up to
-    large translations), moderate ones and large finite ones, some of which
-    exp or the product cannot keep unit."""
-    def twist(angular, linear):
-        return st.tuples(arrays(float, 3, elements=angular),
-                         arrays(float, 3, elements=linear)).map(np.concatenate)
-    return (twist(st.floats(-5e-9, 5e-9), st.floats(-1e16, 1e16))
-            | twist(st.floats(-4.0, 4.0), st.floats(-4.0, 4.0))
-            | twist(st.floats(-1e6, 1e6), st.floats(-1e12, 1e12))
-            | twist(st.floats(-1e200, 1e200), st.floats(-1e200, 1e200)))
-
-
-@settings(max_examples=300, deadline=None)
-@given(h=half_step_twists(), pose=arrays(float, 6, elements=st.floats(-3.0, 3.0)),
-       turns=st.integers(0, 3))
-def test_pose_update_is_the_object_algebra_bit_for_bit(h, pose, turns):
-    # the step's pose update, the product with the carried pose and the
-    # renormalization on floats, is (exp(h) * pose).normalized() bit for
-    # bit, and raises where it raises; the carried pose is the exp of a
-    # twist, squared and renormalized up to three times
-    x = exp(PureDualQuaternion.from_vec6(pose))
-    for _ in range(turns):
-        x = (x * x).normalized()
-    g = PureDualQuaternion.from_vec6(h)
-    expected = pose_or_fault(lambda: (exp(g) * x).normalized())
-    moved = pose_or_fault(lambda: mpc._moved(exp(g), x))
-    if isinstance(expected, type):
-        assert moved is expected
-    else:
-        assert same_bits(moved, expected)
-
-
 def assert_unmoved_by(fault, error, match, sm, twin, target):
     """`fault` makes sm's step raise `error`; sm's state then holds the bits
     it held before, and its next step toward `target` is its twin's."""
@@ -1098,21 +1058,27 @@ def test_step_that_overflows_leaves_the_state_as_it_was():
     # it is, and the step raises FloatingPointError before it writes anything:
     # - 1e300 under acc/jerk bounds overflows the QP into a NaN increment;
     # - 1e300 unbounded gives a finite twist too large for exp;
-    # - 1e307 overflows -E^-1 f, and the solve ends unconverged.
+    # - 1e307 overflows -E^-1 f, and the solve ends unconverged;
+    # - 1e12 on the linear axes, unbounded from a rotated pose, gives a twist
+    #   exp keeps unit but whose product with the pose leaves the unit set
+    #   (<primary, dual> = -2.7e-08, past UNIT_TOL).
     # Warnings are off: an overflow warning raised as an error would stop the
     # step before the overflow reached its result
-    bounded = limits_of(acc=1.0, jerk=20.0)
-    for limits, huge, match in (
-            (bounded, 1e300, r"^smoothed twist is not finite: \[nan"),
-            (LimitSet.unbounded(), 1e300, r"^smoothed twist overflows the pose: \[\d"),
-            (bounded, 1e307, r"^QP overflows at target twist \[1e\+307, ")):
-        sm, twin = (TwistSmoother(MpcConfig(), limits, UnitDualQuaternion.identity())
-                    for _ in range(2))
+    bounded, unbounded = limits_of(acc=1.0, jerk=20.0), LimitSet.unbounded()
+    rest = UnitDualQuaternion.identity()
+    turned = exp(PureDualQuaternion.from_vec6([0.4, -0.3, 0.2, 0.1, 0.2, 0.3]))
+    linear = np.array([0.0, 0.0, 0.0, 1e12, 1e12, 1e12])
+    for limits, pose, huge, match in (
+            (bounded, rest, np.full(6, 1e300), r"^smoothed twist is not finite: \[nan"),
+            (unbounded, rest, np.full(6, 1e300), r"^smoothed twist overflows the pose: \[\d"),
+            (bounded, rest, np.full(6, 1e307), r"^QP overflows at target twist \[1e\+307, "),
+            (unbounded, turned, linear, r"^smoothed twist overflows the pose: \[\d")):
+        sm, twin = (TwistSmoother(MpcConfig(), limits, pose) for _ in range(2))
         target = np.full(6, 0.3)
         with np.errstate(all="ignore"):
             for smoother in (sm, twin):
                 smoother.step(target)
-            assert_unmoved_by(lambda: sm.step(np.full(6, huge)), FloatingPointError, match,
+            assert_unmoved_by(lambda: sm.step(huge), FloatingPointError, match,
                               sm, twin, target)
 
 
@@ -1274,7 +1240,8 @@ def test_a_broken_problem_still_tries_its_working_sets():
     laws = _Laws(e, w, f[..., None], v[..., None], np.isfinite(v))
     mask = np.zeros((3, 2), dtype=bool)
     mask[1, 0] = True
-    sol = solve_qp(_TickQp(e, f, w, v, laws, np.ones((3, 1))), working_sets=[mask])
+    sol = solve_qp(_TickQp(e, f, w, v, laws, np.ones((3, 1)), None, *_optimum(laws, f, v)),
+                   working_sets=[mask])
     assert len(laws.cache) == 1
     assert sol.iterations == 0 and sol.converged
     np.testing.assert_array_equal(sol.delta_u[1], [1.0, 0.0])
