@@ -18,32 +18,33 @@ and evaluates f = P_f theta, V = P_V theta and the unconstrained optimum
 -E^-1 f in one function (_tick_qp); where that optimum breaks no row it is
 the tick's solution, and solve_qp is not called.  The rows that end a tick
 with a positive multiplier are its working set.
-Holding a set as equalities, the solution is affine in theta too: its law
-is built on first use and kept in the same object, so trying a set costs
-one product, and a smoother that shares a stack starts with the laws built
-before it; a plain QpProblem builds that object on each solve, with theta =
-[1].  A problem whose unconstrained optimum breaks a row tries the laws of
-its working sets: the smoother gives the set it carried from the last tick
-and the same rows one step along the horizon, or the empty set where it
-carries none, and none to an axis whose last solve did not converge.  A
-problem they leave locates its region of the explicit MPC partition
-(Bemporad, Morari, Dua & Pistikopoulos 2002; Tondel, Johansen & Bemporad
-2003) in one product of the laws its stack stored before the call: the
-one law with every multiplier at least 0 that meets every row.
-Else it walks from its last set: each step is one law product, which drops
-the row with the most negative multiplier or adds the most broken row (one
-that depends on the working rows swaps in for the row that a dual step on
-it zeroes first), the steps of all problems walking batched, as the online
-active-set method of qpOASES crosses the partition (Ferreau, Bock & Diehl
-2008), with the cached laws as its factorizations.  Every candidate passes
-a screen on the stop test's terms (and every row met within FEAS_TOL) and
-then the interior point's own stop test.  The test's stationarity and
-multiplier scales are formed on first read, and only a verdict that depends
-on them reads them (a multiplier the screen visits between 0 and -_KKT_TOL
-times a bound on every scale, a stationarity residual above _KKT_TOL, a
-walk that steps on, the full stop test, the interior point), so a tick that
-its carried sets or a location settle usually forms none.  A walk ends
-after _WALK steps or on a set it had; only its problem goes to the interior
+Holding a set as equalities, the solution and its stationarity residual are
+affine in theta too: their law is built on first use and kept in the same
+object, so trying a set costs one product, and a smoother that shares a
+stack starts with the laws built before it; a plain QpProblem builds that
+object on each solve, with theta = [1].  A problem whose unconstrained
+optimum breaks a row tries the laws of its working sets: the smoother gives
+the set it carried from the last tick and the same rows one step along the
+horizon, or the empty set where it carries none, and none to an axis whose
+last solve did not converge.  A problem they leave locates its region of
+the explicit MPC partition (Bemporad, Morari, Dua & Pistikopoulos 2002;
+Tondel, Johansen & Bemporad 2003) in one product of the laws its stack
+stored before the call: the one law with every multiplier at least 0 that
+meets every row.  Else it walks from its last set: each step is one law
+product, which drops the row with the most negative multiplier or adds the
+most broken row (one that depends on the working rows swaps in for the row
+that a dual step on it zeroes first), the steps of all problems walking
+batched, as the online active-set method of qpOASES crosses the partition
+(Ferreau, Bock & Diehl 2008), with the cached laws as its factorizations.
+Every candidate passes a screen on the stop test's terms (and every row met
+within FEAS_TOL) and then the interior point's own stop test, whose
+stationarity residual is the law's.  The test's stationarity and multiplier
+scales are formed on first read, and only a verdict that depends on them
+reads them (a multiplier the screen visits between 0 and -_KKT_TOL times a
+bound on every scale, a stationarity residual above _KKT_TOL, a walk that
+steps on, the full stop test, the interior point), so a tick that its
+carried sets or a location settle usually forms none.  A walk ends after
+_WALK steps or on a set it had; only its problem goes to the interior
 point, which solves it as it would cold.
 The smoothed pose is integrated in the dual-quaternion algebra, x[i] =
 (exp((T/2) xi[i+1]) x[i-1]).normalized().
@@ -211,25 +212,27 @@ class _Laws:
     zero W can never activate and is 0 there; one copy of them when every
     problem has the same such rows) and the problems' solution laws.
 
-    Holding a working set A as equalities, the solution is affine in theta
-    too: x_free = X theta with X = -E^-1 P_f, lambda_A = S^-1 (W_A X - P_V,A)
-    theta with S = W_A E^-1 W_A^T, and x = x_free - E^-1 W_A^T lambda_A.  A
-    problem's law for A maps theta to x and to A's multipliers in row order,
-    0 past them (n + min(n, m), p); the caller takes the slack V - W x from
-    its own V.  A set of more than n rows or of dependent rows (|S_ii
-    (S^-1)_ii| above 1e12, or S singular) has no candidate: its law is NaN,
-    which no screen passes and no location finds.  A law is built on first
-    use and kept in one dense store, per slot the law (its L laws read as
-    one L (n + min(n, m)) by p matrix), its rows' mask and its class:
-    problems whose E^-1, X, P_V and finite rows are equal bit for bit are
-    of one class and share their laws.  _CACHED is a guard far above the
-    laws a run builds: past it the stack drops the laws built first and
-    warns, once.  A law depends on nothing else, so smoothers in several
-    threads may share one stack: a lock guards its store."""
+    Holding a working set A as equalities, the solution is affine in theta too:
+    x_free = X theta with X = -E^-1 P_f, lambda_A = S^-1 (W_A X - P_V,A) theta
+    with S = W_A E^-1 W_A^T, and x = x_free - E^-1 W_A^T lambda_A.  A problem's
+    law for A maps theta to x, to A's multipliers in row order, 0 past them,
+    and to the stationarity residual E x + f + W_A^T lambda_A (its map E X +
+    P_f + W_A^T Lambda formed once; (2n + min(n, m), p)); the caller takes the
+    slack V - W x from its own V.  A set of more than n rows or of dependent
+    rows (|S_ii (S^-1)_ii| above 1e12, or S singular) has no candidate: its law
+    is NaN, which no screen passes and no location finds.  A law is built on
+    first use and kept in one dense store, per slot the law (its L laws read as
+    one L (2n + min(n, m)) by p matrix), its rows' mask, its first min(n, m)
+    rows, working rows first, how many work and its class: problems whose E^-1,
+    X, P_V and finite rows are equal bit for bit are of one class and share
+    their laws.  _CACHED is a guard far above the laws a run builds: past it
+    the stack drops the laws built first and warns, once.  A law depends on
+    nothing else, so smoothers in several threads may share one stack: a lock
+    guards its store."""
 
     def __init__(self, e, w, p_f, p_v, finite):
         self.e, self.w = e, w                      # (k, n, n), (m, n)
-        self.p_f, self.finite = p_f, finite        # P_f (k, n, p), (k, m) rows with a finite bound
+        self.finite, self.infinite = finite, ~finite  # (k, m) rows with a finite bound, the rest
         self.e_inv, self.e_abs = np.linalg.inv(e), np.abs(e)
         self.minus_e_inv = -self.e_inv
         self.scale = np.maximum(np.linalg.norm(w, axis=1, keepdims=True), 1e-12)  # (m, 1)
@@ -237,15 +240,17 @@ class _Laws:
         rows = self.rows[:1] if (self.rows == self.rows[0]).all() else self.rows
         self.w_unit = np.where(rows[..., None], w / self.scale, 0.0)  # (1 or k, m, n) scaled rows
         self.w_unit_abs = np.abs(self.w_unit)
+        (n, p), m = p_f.shape[1:], len(w)
+        self.p_fv = np.concatenate([p_f, np.where(finite[..., None], p_v, 0.0)], 1)  # [P_f; P_V]
+        self.p_f, self.p_v = self.p_fv[:, :n], self.p_fv[:, n:]  # P_V 0 on the infinite rows
         self.x_free = self.minus_e_inv @ p_f                     # X (k, n, p)
-        self.p_v = np.where(finite[..., None], p_v, 0.0)        # P_V (k, m, p), 0 if infinite
-        (n, p), m = self.x_free.shape[1:], len(w)
-        self.shape = (n + min(n, m), p)  # of a law, padded
+        self.width = min(n, m)  # multipliers a law holds, padded
         # a slack on the unit rows of at least this meets the stop test and FEAS_TOL
         self.floor = max(-_KKT_TOL, -FEAS_TOL / float(self.scale.max(initial=1.0)))
         self.e_rows = float(self.e_abs.sum(axis=-1).max())  # |E|'s largest row sum
-        self.store, self.masks = np.empty((0,) + self.shape), np.empty((0, m), dtype=bool)
-        self.kind = np.empty(0, dtype=int)
+        self.store = np.empty((0, 2 * n + self.width, p))
+        self.masks, self.work = np.empty((0, m), dtype=bool), np.empty((0, self.width), dtype=int)
+        self.count, self.kind = np.empty(0, dtype=int), np.empty(0, dtype=int)
         self.cache: dict = {}  # (class, rows' mask) -> slot, oldest first
         self.stored, self.evicted = 0, False  # laws ever stored; warned
         self.lock = threading.Lock()
@@ -258,8 +263,8 @@ class _Laws:
         data = [problem.tobytes() for problem in flat]
         return [data.index(problem) for problem in data]
 
-    def of(self, problems, masks) -> np.ndarray:
-        """The laws of problem problems[i] on the rows masks[i], (b, n + min(n, m), p)."""
+    def of(self, problems, masks) -> tuple:
+        """The laws of problem problems[i] on the rows masks[i], their rows and counts."""
         alike = self.alike
         keys = [(alike[p], mask.tobytes()) for p, mask in zip(problems.tolist(), masks)]
         with self.lock:
@@ -268,7 +273,8 @@ class _Laws:
             if missing:
                 new = list(missing.values())
                 self._build(problems[new], masks[new])
-            laws = self.store[[cache[key] for key in keys]]
+            slots = np.array([cache[key] for key in keys])
+            laws = self.store.take(slots, 0), self.work.take(slots, 0), self.count.take(slots)
             if len(cache) > _CACHED:
                 if not self.evicted:
                     import logging  # only here: the import costs every process milliseconds
@@ -277,8 +283,8 @@ class _Laws:
                         "to be rebuilt when used", _CACHED)
                     self.evicted = True
                 drop = len(cache) - _CACHED
-                self.store, self.masks = self.store[drop:], self.masks[drop:]
-                self.kind = self.kind[drop:]
+                self.store, self.masks, self.work, self.count, self.kind = (
+                    a[drop:] for a in (self.store, self.masks, self.work, self.count, self.kind))
                 self.cache = dict(zip(list(cache)[drop:], range(_CACHED)))
         return laws
 
@@ -286,7 +292,7 @@ class _Laws:
         """Store the laws, built batched with padding: a padded row is 0 in
         W_A and 1 on S's diagonal, and its multiplier 0; a set with no law
         is NaN."""
-        (n, p), width = self.x_free.shape[1:], self.shape[0] - self.x_free.shape[1]
+        (n, p), width = self.x_free.shape[1:], self.width
         count = masks.sum(axis=1)
         rows = np.argsort(~masks, axis=1, kind="stable")[:, :width]  # working rows first
         pad = np.arange(width) >= count[:, None]
@@ -301,14 +307,17 @@ class _Laws:
             sol = _solve(schur, rhs, _no_solution)
             diag = np.diagonal(schur, axis1=1, axis2=2) * np.diagonal(sol[..., p:], axis1=1, axis2=2)
             x = x_free - g @ sol[..., :p]
-        laws = np.concatenate([x, np.where(pad[..., None], 0.0, sol[..., :p])], axis=1)
+            lam = np.where(pad[..., None], 0.0, sol[..., :p])
+            # the stationarity residual E x + f + W_A^T lambda_A as a map of theta
+            r_d = self.e[problems] @ x + self.p_f[problems] + w_a.transpose(0, 2, 1) @ lam
+        laws = np.concatenate([x, lam, r_d], axis=1)
         laws[(count > n) | ~(abs(diag) <= 1e12).all(axis=1)] = np.nan
         kind, used = [self.alike[q] for q in problems.tolist()], len(self.kind)
         self.cache.update(zip(zip(kind, [mask.tobytes() for mask in masks]),
                               range(used, used + len(kind))))
-        self.store = np.concatenate([self.store, laws])
-        self.masks = np.concatenate([self.masks, masks])
-        self.kind = np.concatenate([self.kind, kind])
+        self.store, self.masks, self.work, self.count, self.kind = (
+            np.concatenate(pair) for pair in zip((self.store, self.masks, self.work, self.count,
+                                                  self.kind), (laws, masks, rows, count, kind)))
         self.stored += len(kind)
 
     def locate(self, problems: list, theta, test, before: int) -> dict:
@@ -321,11 +330,11 @@ class _Laws:
             count = len(self.cache) - (self.stored - before)
             if count <= 0:
                 return {}
-            y = (self.store[:count].reshape(-1, self.shape[1])
+            y = (self.store[:count].reshape(-1, self.store.shape[2])
                  @ np.ascontiguousarray(theta[problems].T)).reshape(count, -1, len(problems))
             # every multiplier at least 0 (NaN: no law), over the rows made the
             # outer axis (a reduction over a short inner axis is slow)
-            slot, j = ((np.ascontiguousarray(y[:, n:].transpose(1, 0, 2)).min(axis=0) >= 0.0)
+            slot, j = ((np.ascontiguousarray(y[:, n:-n].transpose(1, 0, 2)).min(axis=0) >= 0.0)
                        & (self.kind[:count, None] == [self.alike[p] for p in problems])).nonzero()
             # of those, the laws whose x meets every unit row
             p, x = np.array(problems)[j], y[slot, :n, j]
@@ -339,11 +348,11 @@ class _TickQp(QpProblem):
     """A QpProblem the smoother assembled (_tick_qp): its laws are the
     smoother's stack, theta (6, 6) is this tick's parameters, the problems
     `cold` marks (None: none) skip their working sets, and x and residual
-    are -E^-1 f and W x - V (_optimum)."""
+    are -E^-1 f and W x - V (_optimum); one update fills its fields."""
 
     def __init__(self, e, f, w, v, laws: _Laws, theta, cold, x, residual):
-        super().__init__(e, f, w, v)
-        self.__dict__.update(laws=laws, theta=theta, cold=cold, x=x, residual=residual)
+        self.__dict__.update(e=e, f=f, w=w, v=v, laws=laws, theta=theta, cold=cold, x=x,
+                             residual=residual)
 
 
 def _axis_qp(f_mat: np.ndarray, phi: np.ndarray, cfg: MpcConfig, limits: LimitSet) -> _Laws:
@@ -395,9 +404,9 @@ def _tick_qp(laws: _Laws, state: np.ndarray, target: np.ndarray,
     rest, with its optimum x and residual (_optimum); the axes `cold` marks
     (None: none) skip their working sets."""
     theta = np.concatenate([state, target, u_prev, _ONES]).reshape(-1, N_AXES).T
-    column = theta[:, :, None]
-    f, v = (laws.p_f @ column)[:, :, 0], (laws.p_v @ column)[:, :, 0]
-    v[~laws.finite] = np.inf
+    fv, n = (laws.p_fv @ theta[:, :, None])[:, :, 0], laws.e.shape[2]
+    f, v = fv[:, :n], fv[:, n:]
+    v[laws.infinite] = np.inf
     return _TickQp(laws.e, f, laws.w, v, laws, theta, cold, *_optimum(laws, f, v))
 
 
@@ -539,13 +548,12 @@ def _interior_point(e, f, test: _StopTest, scale):
         z += step * dz
 
 
-def _on_laws(laws: _Laws, theta, test: _StopTest, todo, sets, f, x, lam, residual) -> set:
+def _on_laws(laws: _Laws, theta, test: _StopTest, todo, sets, x, lam, residual) -> set:
     """The problems `todo` on laws (see solve_qp): each tries its working
     sets, then the one law it locates, or walks from the last, all problems
     batched.  Writes each held problem's point into x and its multipliers
     into lam, which hold x_free and 0 on the call; returns the problems held."""
     (k, n), m = x.shape, len(laws.w)
-    width = laws.shape[0] - n
     w_u, w_abs = (test.w[0], test.w_abs[0]) if len(test.w) == 1 else (test.w, test.w_abs)
     # candidate c: problem owner[c] on the rows masks[c], each problem's sets
     # in order; a problem's walk starts from its last, last[p]
@@ -574,9 +582,8 @@ def _on_laws(laws: _Laws, theta, test: _StopTest, todo, sets, f, x, lam, residua
 
     for walk in range(_WALK + 1):
         problems = np.array(owner)
-        y = laws.of(problems, masks) @ theta[problems, :, None]
-        work = np.argsort(~masks, axis=1, kind="stable")[:, :width]  # working rows first
-        count = masks.sum(axis=1).tolist()
+        y, work, count = laws.of(problems, masks)
+        y, count = y @ theta[problems, :, None], count.tolist()  # x, multipliers, residual
         # the screen, on the stop test's terms: each working row's
         # multiplier and each row's slack, over their scales, at least
         # -1e-10, and every row met within FEAS_TOL; a slack on the unit
@@ -585,9 +592,13 @@ def _on_laws(laws: _Laws, theta, test: _StopTest, todo, sets, f, x, lam, residua
         # scales are read only where a visited candidate has one between, or
         # the walk steps on
         s = test.v[problems, :, 0] - ((w_u if w_u.ndim == 2 else w_u[problems]) @ y[:, :n])[..., 0]
-        z = y[:, n:, 0] * laws.scale[work, 0]
+        z = y[:, n:-n, 0] * laws.scale[work, 0]
         z_rel, d_min = (None, z.min(axis=1).tolist()) if test.bounded else relative()
         a_min = s.min(axis=1).tolist()
+        # the stop test's terms the screen leaves, the stationarity residual (the law's)
+        # and each working row's min(slack, multiplier), are met if both are at most 1e-10
+        top = np.maximum(abs(y[:, -n:, 0]).max(axis=1), np.where(masks, s, 0.0).max(axis=1))
+        unread = ((top <= _KKT_TOL) & test.bounded).tolist()
         first, failed = {}, set()  # each problem's first candidate that passes
         for c, p in enumerate(owner):
             if p in first or p in held:
@@ -600,24 +611,20 @@ def _on_laws(laws: _Laws, theta, test: _StopTest, todo, sets, f, x, lam, residua
                 else:
                     failed.add(c)
         for p, c in first.items():
-            # the screen met the stop test's other terms but two: the
-            # stationarity residual and each working row's min(slack,
-            # multiplier), met if its slack is at most 1e-10; a residual of at
-            # most 1e-10 meets its bounded scale unread
-            rows, x_c = work[c, :count[c]], y[c, :n, 0]
-            lam_c = y[c, n:n + count[c], 0]
-            r_d = laws.e[p] @ x_c + f[p] + lam_c @ laws.w[rows]
-            r = np.abs(r_d).max()
-            if r > _KKT_TOL or not test.bounded:
-                r = np.abs(r_d / test.dual[p, :, 0]).max()
-            if max(r, s[c, rows].max(initial=0.0)) > _KKT_TOL:
-                z_c = np.zeros((1, m, 1))  # the stop test itself
-                z_c[0, rows, 0] = z[c, :count[c]]
-                if test.take([p]).error(x_c[None, :, None], r_d[None, :, None], 0.0,
-                                        s[c, None, :, None], z_c)[0] > _KKT_TOL:
-                    continue
+            rows = work[c, :count[c]]
+            if not unread[c]:
+                r_d = y[c, -n:, 0]
+                r = np.abs(r_d).max()
+                if r > _KKT_TOL or not test.bounded:
+                    r = np.abs(r_d / test.dual[p, :, 0]).max()
+                if max(r, s[c, rows].max(initial=0.0)) > _KKT_TOL:
+                    z_c = np.zeros((1, m, 1))  # the stop test itself
+                    z_c[0, rows, 0] = z[c, :count[c]]
+                    if test.take([p]).error(y[c, None, :n], r_d[None, :, None], 0.0,
+                                            s[c, None, :, None], z_c)[0] > _KKT_TOL:
+                        continue
             held.add(p)
-            x[p], lam[p, rows] = x_c, np.maximum(lam_c, 0.0)
+            x[p], lam[p, rows] = y[c, :n, 0], np.maximum(y[c, n:n + count[c], 0], 0.0)
         if len(held) == len(todo):
             break
         located = {} if walk else laws.locate([p for p in last if p not in held], theta, test,
@@ -721,35 +728,36 @@ def solve_qp(qp: QpProblem, *, working_sets: Sequence[np.ndarray] = ()) -> QpSol
 
     -E^-1 f is the result when it violates no row.  Otherwise a problem tries
     its ``working_sets`` entries (bool masks over the rows, shaped like v) on
-    their solution laws (see _Laws), all in one batched product: the point
-    and multipliers with the marked rows held as equalities.  A problem that
-    none of them solves tries the one law stored before the call with every
-    multiplier at least 0 that meets every unit row within the screen's
-    floor (none for a plain problem), else walks from its last set, one law
-    product per step, the steps of all problems walking batched: a set with
-    no law keeps the rows -E^-1 f breaks; else the row with the most
-    negative multiplier leaves or, with none, the most broken row (on unit
-    rows) joins, and a row that depends on the working rows (it joins a
+    their solution laws (see _Laws), all in one batched product: the point,
+    multipliers and stationarity residual with the marked rows held as
+    equalities.  A problem that none of them solves tries the one law stored
+    before the call with every multiplier at least 0 that meets every unit row
+    within the screen's floor (none for a plain problem), else walks from its
+    last set, one law product per step, the steps of all problems walking
+    batched: a set with no law keeps the rows -E^-1 f breaks; else the row with
+    the most negative multiplier leaves or, with none, the most broken row (on
+    unit rows) joins, and a row that depends on the working rows (it joins a
     vertex of n rows, or its set has no law) swaps in for the row whose
-    multiplier a dual step on it zeroes first (none: the rows cannot all
-    hold).  A walk ends after _WALK steps or on a set it had.  The screen passes a
-    candidate whose multipliers and slacks are each at least -1e-10 of
-    their scales in the stop test below and that meets every finite row
-    within FEAS_TOL; the first that passes must also pass that stop test.
+    multiplier a dual step on it zeroes first (none: the rows cannot all hold).
+    A walk ends after _WALK steps or on a set it had.  The screen passes a
+    candidate whose multipliers and slacks are each at least -1e-10 of their
+    scales in the stop test below and that meets every finite row within
+    FEAS_TOL; the first that passes must also pass that stop test, with its
+    law's residual (one whose residual and working rows' slacks are all at most
+    1e-10, found for a round's candidates in array calls, passes unevaluated).
     A problem solved on a law takes no iteration, and ``lam`` is its exact
     multiplier (one above -1e-10 of its scale reads 0).  The rest run
-    Mehrotra's predictor-corrector from
-    x = 0 on rows scaled to unit norm until
-    every KKT residual and each row's min(s, z) is at most 1e-10 of the size
-    of the terms of its own equation (and of 1), a row's at the iterate and
-    the rest at -E^-1 f, until z proves the rows cannot all hold or up to an
+    Mehrotra's predictor-corrector from x = 0 on rows scaled to unit norm until
+    every KKT residual and each row's min(s, z) is at most 1e-10 of the size of
+    the terms of its own equation (and of 1), a row's at the iterate and the
+    rest at -E^-1 f, until z proves the rows cannot all hold or up to an
     iteration cap.  A Newton matrix that rounding makes singular gets a
     least-squares step.  ``lam`` is 0 on rows ending with z <= s; rows with
     infinite bounds or zero W never activate.  A stack (e (k, n, n), f (k, n),
     v (k, m), shared w) is solved per problem, each bit for bit as alone, and
-    reports the largest iteration count, whether each converged and the
-    largest violation.  A problem has converged if it met the stop test and
-    meets every finite row within FEAS_TOL.
+    reports the largest iteration count, whether each converged and the largest
+    violation.  A problem has converged if it met the stop test and meets every
+    finite row within FEAS_TOL.
 
     A call solves on one _Laws and its theta.  A plain problem builds its
     own on each call, with theta = [1] (P_f = f, P_V = V); its shapes must
@@ -786,7 +794,7 @@ def solve_qp(qp: QpProblem, *, working_sets: Sequence[np.ndarray] = ()) -> QpSol
         left = broken.nonzero()[0]
         warm = left if cold is None else left[~cold[left]]
         if len(working_sets) and warm.size:
-            held = _on_laws(laws, theta, test, warm, working_sets, f, x, lam, residual)
+            held = _on_laws(laws, theta, test, warm, working_sets, x, lam, residual)
             left = [p for p in left.tolist() if p not in held]
         if len(left):
             x[left], lam[left], iterations, solved[left] = _interior_point(

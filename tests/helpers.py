@@ -13,7 +13,11 @@ the paper's form against which the tests check the per-axis design.  The
 object-by-object pose algebra is the third: the dual quaternion product,
 ``normalized``, the pure construction and scaling and ``log``'s small-angle
 branch composed from ``Quaternion`` operations and numpy, the reference the
-float forms of ``screwmpc.dualquat`` must equal bit for bit.
+float forms of ``screwmpc.dualquat`` must equal bit for bit.  The QP stop
+test at a candidate's point is the fourth: it forms the candidate's
+stationarity residual at its point and applies the call's own stop test
+(``screwmpc.mpc._StopTest``), the per-point reference for the residual map
+each solution law carries.
 """
 
 from __future__ import annotations
@@ -38,6 +42,7 @@ from screwmpc.kinematics import (
     pose_jacobian,
 )
 from screwmpc.mpc import (
+    FEAS_TOL,
     N_AXES,
     QpProblem,
     _axis_qp,
@@ -263,6 +268,39 @@ def qp_enumeration_oracle(e, f, w, v):
         if obj < best_obj:
             best_x, best_obj = x, obj
     return best_x, best_obj
+
+
+# ---------------------------------------------------------------------------
+# QP stop test formed at a candidate's point
+
+
+def stationarity_at_point(e, f, w, x, rows, lam) -> tuple[np.ndarray, np.ndarray]:
+    """The stationarity residual E x + f + W_A^T lambda_A of a point x with
+    multipliers lam on the rows `rows`, formed at the point, and the size of
+    its terms, |E| |x| + |f| + |W_A|^T |lambda_A|."""
+    return (e @ x + f + lam @ w[rows],
+            np.abs(e) @ np.abs(x) + np.abs(f) + np.abs(lam) @ np.abs(w[rows]))
+
+
+def verdict_at_point(test, p: int, scale, x, rows, lam, r_d) -> tuple[bool, bool]:
+    """Whether solve_qp's screen passes a candidate of problem p (x with
+    multipliers lam on `rows`, stationarity residual r_d) and whether it is
+    held, each formed at the point from the stop test of the call (``test``,
+    a ``_StopTest``) and the row norms ``scale``: the screen asks each
+    working row's multiplier and each row's slack over their scales to be at
+    least -1e-10 and every row to be met within FEAS_TOL; a screened
+    candidate is held if the stop test's largest residual is at most 1e-10."""
+    w_u = test.w[0] if len(test.w) == 1 else test.w[p]
+    w_abs = test.w_abs[0] if len(test.w_abs) == 1 else test.w_abs[p]
+    s = test.v[p, :, 0] - w_u @ x
+    z = np.zeros(len(s))
+    z[rows] = lam * scale[rows, 0]
+    primal = np.maximum(1.0, w_abs @ np.abs(x) + test.v_abs[p, :, 0])
+    screened = bool((z[rows] / test.multiplier[p, rows, 0] >= -1e-10).all()
+                    and (s / primal >= -1e-10).all() and (s * scale[:, 0] >= -FEAS_TOL).all())
+    error = test.take([p]).error(x[None, :, None], r_d[None, :, None], 0.0,
+                                 s[None, :, None], z[None, :, None])[0]
+    return screened, screened and bool(error <= 1e-10)
 
 
 # ---------------------------------------------------------------------------

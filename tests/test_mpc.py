@@ -45,6 +45,8 @@ from helpers import (
     qp_enumeration_oracle,
     qp_feasible_oracle,
     same_bits,
+    stationarity_at_point,
+    verdict_at_point,
 )
 
 INF6 = np.full(6, np.inf)
@@ -411,8 +413,11 @@ def test_law_is_the_equality_constrained_solve(data):
     # the set's multipliers (in row order, then 0) of the bare
     # equality-constrained solve on the tick's f and V, and V - W x its
     # slack, within 1e-12 of each term's size, for the set the cold solve
-    # ends with and for its shift.  A set of more than n rows or with
-    # dependent rows has no candidate: its law is NaN, which no screen passes
+    # ends with and for its shift; after them the law holds its stationarity
+    # residual map (n rows, see test_residual_map_is_the_point_residual...),
+    # and it comes with its rows in order and their count.  A set of more
+    # than n rows or with dependent rows has no candidate: its law is NaN,
+    # which no screen passes
     cfg, limits, state, u_prev, target = draw_tick(data)
     sm = TwistSmoother(cfg, limits, UnitDualQuaternion.identity())
     qp = _tick_qp(sm._laws, state, target, u_prev)
@@ -422,13 +427,16 @@ def test_law_is_the_equality_constrained_solve(data):
     for working in (cold, shifted_rows(cold, n)):
         for axis in np.flatnonzero(working.any(axis=1)):
             rows = np.flatnonzero(working[axis])
-            law = laws.of(np.array([axis]), working[axis][None])[0]
-            assert law.shape == (2 * n, 6)
+            law, work, count = laws.of(np.array([axis]), working[axis][None])
+            law = law[0]
+            assert law.shape == (3 * n, 6)
+            assert count.tolist() == [len(rows)]
+            assert work[0, :len(rows)].tolist() == rows[:n].tolist()  # working rows first
             if np.linalg.matrix_rank(qp.w[rows]) < len(rows):
                 assert np.isnan(law).all()
                 continue
             expected, size = equality_solve(qp, axis, rows, f_size[axis], v_size[axis])
-            x_lam = law @ qp.theta[axis]
+            x_lam = law[:2 * n] @ qp.theta[axis]
             assert np.all(x_lam[n + len(rows):] == 0.0)
             x, lam = x_lam[:n], np.zeros(6 * n)
             lam[rows] = x_lam[n:n + len(rows)]
@@ -436,7 +444,7 @@ def test_law_is_the_equality_constrained_solve(data):
             assert np.all(np.abs(np.concatenate([x, lam, slack]) - expected) <= 1e-12 * size)
     jerk_rows = rows_of(6 * n, range(2 * n))  # every jerk row is finite
     for dependent in (jerk_rows & (np.arange(6 * n) <= n), rows_of(6 * n, [0, 1])):
-        assert np.isnan(laws.of(np.arange(N_AXES), np.tile(dependent, (N_AXES, 1)))).all()
+        assert np.isnan(laws.of(np.arange(N_AXES), np.tile(dependent, (N_AXES, 1)))[0]).all()
 
 
 def test_dependent_rows_have_no_law_and_no_warning():
@@ -447,7 +455,74 @@ def test_dependent_rows_have_no_law_and_no_warning():
     cfg = MpcConfig(n_c=3, n_p=3, q_weight=q_weight, r_weight=np.full(6, 4.5))
     laws = TwistSmoother(cfg, limits_of(acc=1.0, jerk=5.0), UnitDualQuaternion.identity())._laws
     for rows in ([0, 1, 2, 3], [0, 1]):
-        assert np.isnan(laws.of(np.arange(N_AXES), np.tile(rows_of(18, rows), (N_AXES, 1)))).all()
+        law, _, _ = laws.of(np.arange(N_AXES), np.tile(rows_of(18, rows), (N_AXES, 1)))
+        assert np.isnan(law).all()
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_residual_map_is_the_point_residual_and_keeps_every_verdict(data):
+    # on plain QpProblem stacks (theta = [1]) and smoother ticks at random
+    # theta, solved from the cold solve's working set and a random one: at
+    # every candidate of every round, the law's stationarity residual at
+    # theta is E x + f + W_A^T lambda_A formed at its point, within 1e-12 of
+    # the size of the terms of both forms; the point oracle's verdict
+    # (screen, then held) is the same on either residual; and each problem
+    # solve_qp holds in a round is the one the oracle holds, on the first
+    # candidate the oracle screens, bit for bit its point and multipliers
+    if data.draw(st.booleans(), label="tick"):
+        cfg, limits, state, u_prev, target = draw_tick(data)
+        qp = _tick_qp(TwistSmoother(cfg, limits, UnitDualQuaternion.identity())._laws,
+                      state, target, u_prev)
+        theta = qp.theta
+    else:
+        qp, _ = data.draw(qp_stacks(), label="stack")
+        theta = np.ones((len(qp.f), 1))
+    sets = [solve_qp(QpProblem(qp.e, qp.f, qp.w, qp.v)).lam > 0.0,
+            data.draw(arrays(bool, qp.v.shape), label="random set")]
+    calls, rounds = [], []
+    on_laws, of = mpc._on_laws, mpc._Laws.of
+
+    def recorded_call(laws, theta, test, *rest):
+        calls.append((laws, test))
+        return on_laws(laws, theta, test, *rest)
+
+    def recorded_round(laws, problems, masks):
+        rounds.append((problems.tolist(), of(laws, problems, masks)))
+        return rounds[-1][1]
+
+    with mock.patch.object(mpc, "_on_laws", recorded_call), \
+            mock.patch.object(mpc._Laws, "of", recorded_round):
+        sol = solve_qp(qp, working_sets=data.draw(st.permutations(sets), label="order"))
+    assume(calls)
+    (laws, test), tiny = calls[0], np.finfo(float).tiny
+    n, width = laws.x_free.shape[1:][0], laws.width
+    for i, (problems, (law, work, count)) in enumerate(rounds):
+        later = rounds[i + 1][0] if i + 1 < len(rounds) else []
+        decided, points = {}, []  # decided: the first candidate the oracle screens, if held
+        for c, p in enumerate(problems):
+            rows = work[c, :count[c]]
+            y = law[c] @ theta[p]
+            x, lam, r_map = y[:n], y[n:n + count[c]], y[n + width:]
+            points.append((x, rows, lam))
+            if not np.isnan(law[c]).any():
+                r_point, size = stationarity_at_point(laws.e[p], qp.f[p], qp.w, x, rows, lam)
+                size += (np.abs(laws.e[p]) @ np.abs(law[c, :n]) + np.abs(laws.p_f[p])
+                         + np.abs(qp.w[rows]).T @ np.abs(law[c, n:n + count[c]])) @ np.abs(theta[p])
+                assert np.all(np.abs(r_map - r_point) <= 1e-12 * size + tiny)
+                verdict = verdict_at_point(test, p, laws.scale, x, rows, lam, r_point)
+                assert verdict == verdict_at_point(test, p, laws.scale, x, rows, lam, r_map)
+                if verdict[0] and p not in decided:
+                    decided[p] = c if verdict[1] else None
+        for p in set(problems):  # held: gone from the next round, on a candidate's point
+            held = p not in later and any(same_bits(sol.delta_u[p], points[c][0])
+                                          for c, q in enumerate(problems) if q == p)
+            assert held == (decided.get(p) is not None)
+            if held:
+                x, rows, lam = points[decided[p]]
+                expected = np.zeros(len(qp.w))
+                expected[rows] = np.maximum(lam, 0.0)
+                assert same_bits(sol.delta_u[p], x) and same_bits(sol.lam[p], expected)
 
 
 @settings(max_examples=60, deadline=None)
@@ -1710,10 +1785,11 @@ def test_interior_point_ticks_on_a_criterion_6_run(monkeypatch):
     # 200 reached the interior point; with two repairs after them, 6.  A
     # smoother of a configuration no smoother had is built with no law; its
     # stack keeps every law the run builds in one dense store: per slot the
-    # law, its x map and its multiplier map of n x p floats each, its rows'
-    # mask and its class.  The store owns its arrays (a law that viewed its
-    # build batch would keep the whole batch while the stack lives), and a
-    # set with no law is NaN in both maps
+    # law, its x map, its multiplier map and its stationarity residual map
+    # of n x p floats each, its rows' mask, its rows in order (working rows
+    # first; n of them) and their count, and its class.  The store owns its
+    # arrays (a law that viewed its build batch would keep the whole batch
+    # while the stack lives), and a set with no law is NaN in all three maps
     ticks = []
     solve = mpc._interior_point
     monkeypatch.setattr(mpc, "_interior_point", lambda *args: ticks.append(1) or solve(*args))
@@ -1724,18 +1800,21 @@ def test_interior_point_ticks_on_a_criterion_6_run(monkeypatch):
     assert not ticks
     count = len(laws.cache)
     assert 0 < count <= mpc._CACHED and not laws.evicted and laws.stored == count
-    stores = (laws.store, laws.masks, laws.kind)
+    stores = (laws.store, laws.masks, laws.work, laws.count, laws.kind)
     assert all(store.base is None and len(store) == count for store in stores)
-    assert laws.store.shape[1:] == (10 + 10, 6)
-    assert sum(store.nbytes for store in stores) == count * (8 * (10 + 10) * 6 + 60 + 8)
+    assert laws.store.shape[1:] == (10 + 10 + 10, 6)
+    assert sum(store.nbytes for store in stores) == count * (8 * 30 * 6 + 60 + 8 * 10 + 8 + 8)
     assert sorted(laws.cache.values()) == list(range(count))
     for (kind, rows), slot in laws.cache.items():
         assert laws.kind[slot] == kind and laws.masks[slot].tobytes() == rows
-        x, z = laws.store[slot, :10], laws.store[slot, 10:]
-        if np.isnan(x).any() or np.isnan(z).any():
-            assert np.isnan(x).all() and np.isnan(z).all()
+        working = np.flatnonzero(laws.masks[slot])
+        assert laws.count[slot] == len(working)
+        assert laws.work[slot, :len(working)].tolist() == working[:10].tolist()
+        x, z, r = laws.store[slot, :10], laws.store[slot, 10:20], laws.store[slot, 20:]
+        if np.isnan(x).any() or np.isnan(z).any() or np.isnan(r).any():
+            assert np.isnan(x).all() and np.isnan(z).all() and np.isnan(r).all()
         else:
-            assert not z[laws.masks[slot].sum():].any()  # 0 past the set's multipliers
+            assert not z[len(working):].any()  # 0 past the set's multipliers
 
 
 def test_a_row_that_depends_on_fewer_than_n_working_rows_swaps_in(monkeypatch):
@@ -1903,8 +1982,8 @@ def test_a_located_law_was_stored_before_the_call_and_alone_passed(monkeypatch):
         for p in problems:
             passed = []
             for kind, rows in stored:
-                y = laws.of(np.array([p]), np.frombuffer(rows, dtype=bool)[None])[0] @ theta[p]
-                if (kind == laws.alike[p] and (y[n:] >= 0.0).all()
+                y = laws.of(np.array([p]), np.frombuffer(rows, dtype=bool)[None])[0][0] @ theta[p]
+                if (kind == laws.alike[p] and (y[n:n + laws.width] >= 0.0).all()
                         and (test.v[p, :, 0] - test.w[0] @ y[:n]).min() >= laws.floor):
                     passed.append(rows)
             assert passed == [found[p].tobytes()] if p in found else len(passed) != 1
