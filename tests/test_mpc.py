@@ -496,14 +496,14 @@ def test_residual_map_is_the_point_residual_and_keeps_every_verdict(data):
         sol = solve_qp(qp, working_sets=data.draw(st.permutations(sets), label="order"))
     assume(calls)
     (laws, test), tiny = calls[0], np.finfo(float).tiny
-    n, width = laws.x_free.shape[1:][0], laws.width
+    n = laws.x_free.shape[1]
     for i, (problems, (law, work, count)) in enumerate(rounds):
         later = rounds[i + 1][0] if i + 1 < len(rounds) else []
         decided, points = {}, []  # decided: the first candidate the oracle screens, if held
         for c, p in enumerate(problems):
             rows = work[c, :count[c]]
             y = law[c] @ theta[p]
-            x, lam, r_map = y[:n], y[n:n + count[c]], y[n + width:]
+            x, lam, r_map = y[:n], y[n:n + count[c]], y[-n:]
             points.append((x, rows, lam))
             if not np.isnan(law[c]).any():
                 r_point, size = stationarity_at_point(laws.e[p], qp.f[p], qp.w, x, rows, lam)
