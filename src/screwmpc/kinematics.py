@@ -7,12 +7,12 @@ Jacobian maps joint rates to the time derivative of the vec8 pose
 coefficients.  The inner loop commands joint rates from the conjugation
 error e = 1 - x_d^* x_eff through the task matrix's pseudo-inverse: one
 8x8 inverse, certified well conditioned, away from singularities, and an
-SVD (damped where the task rank collapses) near them, by the gufuncs
-``np.linalg.inv`` and ``svd`` call (``numpy.linalg._umath_linalg.inv``,
-``svd_s``), without those wrappers, which cost more than the call: a
-singular M or an unconverged SVD comes back NaN, unwarned under
-``errstate(invalid="ignore")``, set once per call and per MPC tick.  All
-three run on stacked 8x8 Hamilton matrices in numpy.  One function walks the chain
+SVD (damped where the task rank collapses) near them.  The inverse is
+``numpy.linalg._umath_linalg.inv``, the LAPACK gufunc ``np.linalg.inv``
+calls, without that wrapper, which cost more than the call: a singular M
+comes back NaN, unwarned under ``errstate(invalid="ignore")``, set once per
+call and per MPC tick.  All three run on stacked 8x8 Hamilton matrices in
+numpy.  One function walks the chain
 (``_pose_and_jacobian``), as one product with a table fixed per model:
 joint j's factor cos(q_j/2) M_j + sin(q_j/2) K_j is affine in the pair
 (cos(q_j/2), sin(q_j/2)), so the pose is multilinear in the n pairs,
@@ -55,7 +55,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
-from numpy.linalg._umath_linalg import inv as _inv, svd_s as _svd
+from numpy.linalg._umath_linalg import inv as _inv
 
 from . import textio
 from .dualquat import _CONJ, DualQuaternion, UnitDualQuaternion, _check_unit, _hamilton8
@@ -403,9 +403,7 @@ def _control_law(loop: _InnerLoop) -> ControlCommand:
     # the SVD route, on N and on e as pose_error forms it
     task = loop.task_rows.T
     err = _error8(loop.task_map, loop.x_d8, loop.x_eff8)
-    u_svd, sigma, vt = _svd(task, signature="d->ddd")  # np.linalg.svd's gufunc, bit for bit
-    if not np.isfinite(sigma).all():  # NaN where it did not converge, where the wrapper raised
-        raise np.linalg.LinAlgError("SVD did not converge")
+    u_svd, sigma, vt = np.linalg.svd(task, full_matrices=False)
     nominal_rank = min(loop.model.dof, 6)
     singular = bool(sigma[nominal_rank - 1] < SV_CUTOFF)
     if singular:

@@ -508,35 +508,18 @@ def test_law_inverse_kernel_is_np_linalg_inv(q, q_d):
     assert np.linalg.matrix_rank(m_singular) == 3 and np.isnan(m_singular_inv).all()
 
 
-def test_law_svd_kernel_is_np_linalg_svd_and_raises_unconverged(panda):
-    """The SVD route decomposes N with ``numpy.linalg._umath_linalg.svd_s``,
-    the LAPACK gufunc ``np.linalg.svd`` wraps, called without the wrapper.
-    At line 3's nearest approach (the certificate fails) its factors are
-    ``np.linalg.svd(N, full_matrices=False)``'s bit for bit.  On an inner
-    loop whose Jacobian is NaN the gufunc does not converge and returns
-    NaN, unwarned under the law's error state, and the law raises
-    ``LinAlgError("SVD did not converge")``, as ``np.linalg.svd`` does on
-    that N."""
-    factors, kernel = [], kinematics._svd
-
-    def recorded(matrix, **kwargs):
-        factors.append((matrix.copy(), kernel(matrix, **kwargs)))
-        return factors[-1][1]
-
+def test_law_svd_route_raises_unconverged_on_a_nan_jacobian(panda):
+    """An inner loop whose Jacobian is NaN fails the certificate and takes
+    the SVD route, where ``np.linalg.svd`` does not converge: the law raises
+    ``LinAlgError("SVD did not converge")``, unwarned, instead of returning
+    a NaN command."""
     loop = kinematics._InnerLoop(panda, LINE3_Q, 10.0 * np.eye(8))
     loop.aim(LINE3_XD)
-    with warnings.catch_warnings(), np.errstate(invalid="ignore"), \
-            mock.patch.object(kinematics, "_svd", recorded):
+    loop.jac = np.full_like(loop.jac, np.nan)
+    with warnings.catch_warnings():
         warnings.simplefilter("error")
-        kinematics._control_law(loop)
-        loop.jac = np.full_like(loop.jac, np.nan)
         with pytest.raises(np.linalg.LinAlgError, match="^SVD did not converge$"):
             kinematics._control_law(loop)
-    (task, ours), (nan_task, nan_factors) = factors
-    assert all(np.array_equal(a, b) for a, b in zip(ours, np.linalg.svd(task, full_matrices=False)))
-    assert np.isnan(nan_task).all() and np.isnan(nan_factors[1]).all()
-    with pytest.raises(np.linalg.LinAlgError, match="^SVD did not converge$"):
-        np.linalg.svd(nan_task, full_matrices=False)
 
 
 def kernel_inputs(case: str, data) -> tuple[np.ndarray, UnitDualQuaternion]:
