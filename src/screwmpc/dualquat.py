@@ -121,11 +121,6 @@ class Quaternion:
             return Quaternion(self.w * k, self.x * k, self.y * k, self.z * k)
         return NotImplemented
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, float)):
-            return self.__mul__(other)
-        return NotImplemented
-
     def __add__(self, other):
         if isinstance(other, Quaternion):
             return Quaternion(self.w + other.w, self.x + other.x,
@@ -199,21 +194,6 @@ class DualQuaternion:
             return DualQuaternion(primary, dual)
         if isinstance(other, (int, float)):
             return DualQuaternion(self.primary * other, self.dual * other)
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, float)):
-            return DualQuaternion(self.primary * other, self.dual * other)
-        return NotImplemented
-
-    def __add__(self, other):
-        if isinstance(other, DualQuaternion):
-            return DualQuaternion(self.primary + other.primary, self.dual + other.dual)
-        return NotImplemented
-
-    def __sub__(self, other):
-        if isinstance(other, DualQuaternion):
-            return DualQuaternion(self.primary - other.primary, self.dual - other.dual)
         return NotImplemented
 
     def __neg__(self):

@@ -32,20 +32,29 @@ Tondel, Johansen & Bemporad 2003) in one product of the laws its stack
 stored before the call: the one law with every multiplier at least 0 that
 meets every row.  Else it walks from its last set: each step is one law
 product, which drops the row with the most negative multiplier or adds the
-most broken row (one that depends on the working rows swaps in for the row
-that a dual step on it zeroes first), the steps of all problems walking
-batched, as the online active-set method of qpOASES crosses the partition
-(Ferreau, Bock & Diehl 2008), with the cached laws as its factorizations.
+most broken row, the steps of all problems walking batched, as the online
+active-set method of qpOASES crosses the partition (Ferreau, Bock & Diehl
+2008), with the cached laws as its factorizations.  A row that depends on
+the working rows (any row that joins a vertex of n) makes a set with no
+law, and the next step swaps it in for the row that a dual step on its
+least-squares fit zeroes first, one rule for every such row, as Goldfarb &
+Idnani (1983) take one dual step on a dependent constraint.
 Every candidate passes a screen on the stop test's terms (and every row met
-within FEAS_TOL) and then the interior point's own stop test, whose
-stationarity residual is the law's.  The test's stationarity and multiplier
+within FEAS_TOL); one whose law's stationarity residual and working rows'
+slacks are all at most _KKT_TOL (read for all candidates of a round in array
+calls) is held, and the interior point's own stop test, with the law's
+residual, decides the others.  The test's stationarity and multiplier
 scales are formed on first read, and only a verdict that depends on them
 reads them (a multiplier the screen visits between 0 and -_KKT_TOL times a
-bound on every scale, a stationarity residual above _KKT_TOL, a walk that
-steps on, the full stop test, the interior point), so a tick that its
-carried sets or a location settle usually forms none.  A walk ends after
-_WALK steps or on a set it had; only its problem goes to the interior
-point, which solves it as it would cold.
+bound on every scale, a walk that steps on, the full stop test, the
+interior point), so a tick that its carried sets or a location settle
+usually forms none.  A walk ends after _WALK steps or on a set it had; only
+its problem goes to the interior point, which solves it as it would cold.
+The systems of the laws, the swaps and the interior point (a Schur
+complement, a fit, a Newton step) go to LAPACK's solve gufunc, the one
+np.linalg.solve calls, which returns NaN for a singular problem of a stack
+and solves the rest: a set with no law, a swap with no fit, or, for a Newton
+matrix, the least-squares step.
 The smoothed pose is integrated in the dual-quaternion algebra, x[i] =
 (exp((T/2) xi[i+1]) x[i-1]).normalized().
 The paper's dense 18-state model, prediction and QP are these per-axis
@@ -65,6 +74,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+from numpy.linalg._umath_linalg import solve as _gesv
 
 from .dualquat import PureDualQuaternion, UnitDualQuaternion, exp
 
@@ -86,7 +96,7 @@ AUG_DIM = 18
 FEAS_TOL = 1e-6
 _MAX_ITERATIONS = 30
 _KKT_TOL = 1e-10
-_WALK = 40  # law steps a walk takes at most (the longest measured took 29)
+_WALK = 40  # law steps a walk takes at most (the longest measured took 25)
 _CACHED = 2048  # solution laws a QP stack keeps (one measured run built at most 453)
 _ONES = np.ones(N_AXES)
 
@@ -304,7 +314,7 @@ class _Laws:
         schur = w_a @ g + pad[:, None, :] * eye
         rhs = np.concatenate([w_a @ x_free - v_a, np.broadcast_to(eye, schur.shape)], axis=2)
         with np.errstate(all="ignore"):  # dependent rows may solve to inf; their law is NaN
-            sol = _solve(schur, rhs, _no_solution)
+            sol = _solve(schur, rhs)
             diag = np.diagonal(schur, axis1=1, axis2=2) * np.diagonal(sol[..., p:], axis1=1, axis2=2)
             x = x_free - g @ sol[..., :p]
             lam = np.where(pad[..., None], 0.0, sol[..., :p])
@@ -431,20 +441,12 @@ class QpSolution:
         return int(np.count_nonzero(self.lam > 1e-12))
 
 
-def _no_solution(mat, rhs):
-    return np.full(rhs.shape, np.nan)
-
-
-def _solve(mat, rhs, singular=lambda mat, rhs: np.linalg.pinv(mat) @ rhs):
-    """np.linalg.solve per problem of a stack; a matrix that rounding made exactly
-    singular (z/s large enough to swamp E's smallest eigenvalue) gets
-    ``singular`` instead, by default the least-squares step, and only that problem."""
-    try:
-        return np.linalg.solve(mat, rhs)
-    except np.linalg.LinAlgError:
-        if len(mat) == 1:
-            return singular(mat, rhs)
-        return np.concatenate([_solve(m, r, singular) for m, r in zip(mat[:, None], rhs[:, None])])
+def _solve(mat, rhs):
+    """mat^-1 rhs per problem of a stack by LAPACK's solve, the gufunc that
+    np.linalg.solve calls, with floating-point warnings off: a singular
+    problem comes back NaN, only that one, unwarned."""
+    with np.errstate(all="ignore"):
+        return _gesv(mat, rhs, signature="dd->d")
 
 
 class _StopTest:
@@ -534,7 +536,12 @@ def _interior_point(e, f, test: _StopTest, scale):
         mat = e + w_t @ (z / s_n * w)
 
         def newton(r_c):  # the Newton step for (r_d, r_p, r_c) and 1 / its longest length
-            dx = _solve(mat, w_t @ ((r_c - z * r_p) / s_n) - r_d)
+            rhs = w_t @ ((r_c - z * r_p) / s_n) - r_d
+            dx = _solve(mat, rhs)
+            lost = np.isnan(dx).any(axis=(1, 2))
+            if lost.any():  # a finite matrix that rounding made singular: the least-squares step
+                lost &= np.isfinite(mat).all(axis=(1, 2))
+                dx[lost] = np.linalg.pinv(mat[lost]) @ rhs[lost]
             ds = -r_p - w @ dx
             dz = -(r_c + z * ds) / s_n
             return dx, ds, dz, np.concatenate([-ds / s, -dz / z], 1).max(1, keepdims=True)
@@ -612,17 +619,12 @@ def _on_laws(laws: _Laws, theta, test: _StopTest, todo, sets, x, lam, residual) 
                     failed.add(c)
         for p, c in first.items():
             rows = work[c, :count[c]]
-            if not unread[c]:
-                r_d = y[c, -n:, 0]
-                r = np.abs(r_d).max()
-                if r > _KKT_TOL or not test.bounded:
-                    r = np.abs(r_d / test.dual[p, :, 0]).max()
-                if max(r, s[c, rows].max(initial=0.0)) > _KKT_TOL:
-                    z_c = np.zeros((1, m, 1))  # the stop test itself
-                    z_c[0, rows, 0] = z[c, :count[c]]
-                    if test.take([p]).error(y[c, None, :n], r_d[None, :, None], 0.0,
-                                            s[c, None, :, None], z_c)[0] > _KKT_TOL:
-                        continue
+            if not unread[c]:  # the stop test itself
+                z_c = np.zeros((1, m, 1))
+                z_c[0, rows, 0] = z[c, :count[c]]
+                if test.take([p]).error(y[c, None, :n], y[c, None, -n:], 0.0,
+                                        s[c, None, :, None], z_c)[0] > _KKT_TOL:
+                    continue
             held.add(p)
             x[p], lam[p, rows] = y[c, :n, 0], np.maximum(y[c, n:n + count[c], 0], 0.0)
         if len(held) == len(todo):
@@ -632,13 +634,13 @@ def _on_laws(laws: _Laws, theta, test: _StopTest, todo, sets, x, lam, residual) 
         if z_rel is None and len(held) + len(located) < len(todo):
             z_rel, d_min = relative()
         # each problem left goes to the law it located or steps from its
-        # last set: a set with no law keeps its rows x_free breaks, else the
-        # row with the most negative multiplier leaves or, with none, the
-        # most broken row joins; a joining row that depends on the working
-        # rows (at a vertex, or where the set it made has no law) swaps in
+        # last set: the row with the most negative multiplier leaves or, with
+        # none, the most broken row joins; a set a row joined with no law
+        # (the row depends on the working rows, as at a vertex) swaps the row
+        # in, and any other set with no law keeps its rows x_free breaks
         lawless, a_at = np.isnan(y[:, 0, 0]).tolist(), s.argmin(axis=1).tolist()
         d_at = None if z_rel is None else z_rel.argmin(axis=1).tolist()
-        new, steps, dependent, joins, moved = masks.copy(), [], [], {}, []
+        new, dependent, joins, moved = masks.copy(), [], {}, []
         for p, c in last.items():
             if p in held:
                 continue
@@ -653,14 +655,8 @@ def _on_laws(laws: _Laws, theta, test: _StopTest, todo, sets, x, lam, residual) 
             elif new[c, a_at[c]] or c not in failed and met(c):
                 continue  # passed the screen, not the stop test
             else:
-                new[c, a_at[c]] = True
-                if count[c] == n:
-                    steps.append((c, c, a_at[c]))
-                else:
-                    joins[c] = a_at[c]
+                new[c, a_at[c]], joins[c] = True, a_at[c]
             moved.append((p, c))
-        if steps:
-            _swap(laws, new, masks, steps, work, z, z_rel)
         if dependent:
             _swap(laws, new, masks, dependent, *parents)
         owner, kept, last, joined = [], [], {}, {}
@@ -679,26 +675,21 @@ def _on_laws(laws: _Laws, theta, test: _StopTest, todo, sets, x, lam, residual) 
     return held
 
 
-def _swap(laws: _Laws, new, masks, swaps, work, z, z_rel, count=None) -> None:
-    """Each (c, parent, row) of swaps: `row` joins the working rows of
-    candidate `parent` (work, z, z_rel and count of its round), on which it
-    depends, with weights d: their solve at a vertex of n rows (count
-    None), else their least-squares fit (normal equations; a padded row
-    gets d = 0).  It swaps in for the row whose multiplier a dual step on
-    it zeroes first (the least z / d over d > 1e-9), which leaves new[c];
-    with none the rows cannot all hold, and new[c] keeps masks[c], which
-    ends the walk."""
+def _swap(laws: _Laws, new, masks, swaps, work, z, z_rel, count) -> None:
+    """Each (c, parent, row) of swaps: `row` joined the working rows of
+    candidate `parent` (work, z, z_rel and count of its round), and the set
+    they made, masks[c], has no law: the row depends on them.  Its
+    least-squares fit d by them (normal equations, a padded row d = 0; the
+    exact solve at a vertex of n rows) swaps it in for the row whose
+    multiplier a dual step on it zeroes first (the least z / d over
+    d > 1e-9), which leaves new[c]; with none the rows cannot all hold, and
+    new[c] keeps masks[c], which ends the walk."""
     c, parent, added = (np.array(a) for a in zip(*swaps))
     rows = work[parent]
-    w_a = laws.w[rows] / laws.scale[rows]
+    pad = (np.arange(rows.shape[1]) >= np.array(count)[parent, None])[..., None]
+    w_a = np.where(pad, 0.0, laws.w[rows] / laws.scale[rows])
     w_r = laws.w[added, :, None] / laws.scale[added, :, None]
-    if count is None:
-        d = _solve(w_a.transpose(0, 2, 1), w_r, _no_solution)[..., 0]
-    else:
-        pad = (np.arange(rows.shape[1]) >= np.array(count)[parent, None])[..., None]
-        w_a = np.where(pad, 0.0, w_a)
-        d = _solve(w_a @ w_a.transpose(0, 2, 1) + pad * np.eye(len(pad[0])), w_a @ w_r,
-                   _no_solution)[..., 0]
+    d = _solve(w_a @ w_a.transpose(0, 2, 1) + pad * np.eye(len(pad[0])), w_a @ w_r)[..., 0]
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(d > 1e-9, np.where(z_rel[parent] > _KKT_TOL, z[parent], 0.0) / d, np.inf)
     out = ratio.argmin(axis=1)
@@ -734,26 +725,29 @@ def solve_qp(qp: QpProblem, *, working_sets: Sequence[np.ndarray] = ()) -> QpSol
     before the call with every multiplier at least 0 that meets every unit row
     within the screen's floor (none for a plain problem), else walks from its
     last set, one law product per step, the steps of all problems walking
-    batched: a set with no law keeps the rows -E^-1 f breaks; else the row with
-    the most negative multiplier leaves or, with none, the most broken row (on
-    unit rows) joins, and a row that depends on the working rows (it joins a
-    vertex of n rows, or its set has no law) swaps in for the row whose
-    multiplier a dual step on it zeroes first (none: the rows cannot all hold).
+    batched: the row with the most negative multiplier leaves or, with none,
+    the most broken row (on unit rows) joins.  A set a row joined that has no
+    law (the row depends on the working rows, as any row joining a vertex of
+    n does) swaps that row in for the row whose multiplier a dual step on its
+    least-squares fit zeroes first (none: the rows cannot all hold); any other
+    set with no law keeps the rows -E^-1 f breaks.
     A walk ends after _WALK steps or on a set it had.  The screen passes a
     candidate whose multipliers and slacks are each at least -1e-10 of their
     scales in the stop test below and that meets every finite row within
     FEAS_TOL; the first that passes must also pass that stop test, with its
-    law's residual (one whose residual and working rows' slacks are all at most
-    1e-10, found for a round's candidates in array calls, passes unevaluated).
+    law's residual, except one whose residual and working rows' slacks are all
+    at most 1e-10 (found for a round's candidates in array calls), which the
+    screen's terms already give.
     A problem solved on a law takes no iteration, and ``lam`` is its exact
     multiplier (one above -1e-10 of its scale reads 0).  The rest run
     Mehrotra's predictor-corrector from x = 0 on rows scaled to unit norm until
     every KKT residual and each row's min(s, z) is at most 1e-10 of the size of
     the terms of its own equation (and of 1), a row's at the iterate and the
     rest at -E^-1 f, until z proves the rows cannot all hold or up to an
-    iteration cap.  A Newton matrix that rounding makes singular gets a
-    least-squares step.  ``lam`` is 0 on rows ending with z <= s; rows with
-    infinite bounds or zero W never activate.  A stack (e (k, n, n), f (k, n),
+    iteration cap.  A finite Newton matrix that rounding makes singular
+    (LAPACK's solve returns NaN for it alone) gets a least-squares step.
+    ``lam`` is 0 on rows ending with z <= s; rows with infinite bounds or zero
+    W never activate.  A stack (e (k, n, n), f (k, n),
     v (k, m), shared w) is solved per problem, each bit for bit as alone, and
     reports the largest iteration count, whether each converged and the largest
     violation.  A problem has converged if it met the stop test and meets every
@@ -769,8 +763,7 @@ def solve_qp(qp: QpProblem, *, working_sets: Sequence[np.ndarray] = ()) -> QpSol
     bounds for the stack and its stationarity and multiplier scales on
     first read, once: the screen reads the multiplier scales only where a
     candidate it visits has a multiplier between 0 and -1e-10 times a bound
-    on every scale (each is at least 1) or the walk steps on, and a
-    stationarity scale only where the residual is above 1e-10; the full stop
+    on every scale (each is at least 1) or the walk steps on; the full stop
     test and the interior point read them (where the bound, from |x|, |f|
     and |E|, overflows, every verdict does).  It evaluates the test only on
     candidates; the interior point takes its rows of the rest.

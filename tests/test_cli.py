@@ -463,6 +463,25 @@ def test_closed_loop_rejects_q0_of_another_joint_count(panda, ready_pose, joints
         run_closed_loop(cfg, panda, [ready_pose] * 2)
 
 
+def test_closed_loop_rejects_a_model_of_another_joint_count(tmp_path, ready_pose):
+    lines = [line for line in packaged_model_path().read_text().splitlines()
+             if line.startswith("joint")][:6]
+    f = tmp_path / "six.model"
+    f.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="^simulator expects a 7-joint model, got 6$"):
+        run_closed_loop(load_config(None), load_robot_model(f, expected_dof=None),
+                        [ready_pose] * 2)
+
+
+@pytest.mark.parametrize("command", ["plan", "simulate"])
+def test_a_run_without_keypoints_is_rejected(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    assert main([command, "--config", str(write_cfg(tmp_path, "")), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == ("error: no keypoint file configured "
+                                       "(set 'keypoints' or use --random)\n")
+    assert not out.exists()
+
+
 def test_simulate_rejects_start_outside_joint_limits(tmp_path, capsys, panda):
     cfg = load_config(write_cfg(tmp_path, "q0 = 0 0 0 -2 9 1.5 0.7\n"))
     with pytest.raises(ValueError, match=r"q0 is outside the joint limits: joint 5 at 9 "):
@@ -670,6 +689,22 @@ def _synthetic_log(tmp_path, twist_rows, dt=0.009):
     f = tmp_path / "log.csv"
     f.write_text("\n".join(lines) + "\n")
     return f
+
+
+@pytest.mark.parametrize("text, match", [("", "empty log file"),
+                                         ("t,twist_wx\n", "log has no records")])
+def test_log_reader_rejects_a_log_without_records(tmp_path, text, match):
+    f = tmp_path / "log.csv"
+    f.write_text(text)
+    with pytest.raises(ValueError, match="^" + re.escape(f"{f}: {match}") + "$"):
+        read_trajectory_csv(f)
+
+
+def test_verify_rejects_a_time_column_that_does_not_increase(tmp_path):
+    columns, rows = read_trajectory_csv(_synthetic_log(tmp_path, np.zeros((10, 6))))
+    rows[5, columns.index("t")] = rows[4, columns.index("t")]
+    with pytest.raises(ValueError, match="^log time column is not strictly increasing$"):
+        verify_trajectory(columns, rows, load_config(None).limits)
 
 
 def test_verify_all_zero_log(tmp_path):

@@ -433,6 +433,22 @@ def test_screw_parameters_rebuild_the_pose(axis, half_angle, linear, kind, flip)
     assert min(np.abs(back - x.vec8()).max(), np.abs(back + x.vec8()).max()) < 1e-9
 
 
+@pytest.mark.parametrize("build, match", [
+    (lambda: Quaternion.from_axis_angle([0.0, 0.0, 1e-13], 1.0),
+     "^rotation axis has near-zero magnitude$"),
+    (lambda: DualQuaternion.from_vec8(np.zeros(7)),
+     r"^vec8 must have 8 coefficients, got shape \(7,\)$"),
+    (lambda: UnitDualQuaternion.from_rotation_translation(Quaternion(2.0, 0.0, 0.0, 0.0),
+                                                          np.zeros(3)),
+     "^rotation quaternion must be unit$"),
+    (lambda: PureDualQuaternion.from_vec6(np.zeros(8)),
+     r"^vec6 must have 6 coefficients, got shape \(8,\)$"),
+])
+def test_constructors_reject_bad_input(build, match):
+    with pytest.raises(ValueError, match=match):
+        build()
+
+
 def test_unit_constructor_rejects_non_unit():
     with pytest.raises(ValueError, match="unit"):
         UnitDualQuaternion(Quaternion(2.0, 0, 0, 0), Quaternion.zero())

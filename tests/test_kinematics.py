@@ -653,6 +653,23 @@ def test_loader_line_numbered_errors(tmp_path):
 
 
 @pytest.mark.parametrize("record, match", [
+    ("joint w 1 0 0 0 0 0 0 0 -1 1 2", "unknown rotation axis label 'w'"),
+    ("joint z 1 0 0 0 0 0 0 0 -1 1", "joint record needs: axis, 8 pose, 3 limit fields"),
+    ("fixed 1 0 0 0 0 0 0", "fixed record needs 8 pose fields"),
+])
+def test_loader_rejects_a_record_of_the_wrong_form(tmp_path, record, match):
+    f = tmp_path / "bad.model"
+    f.write_text(record + "\n")
+    with pytest.raises(ValueError, match="^" + re.escape(f"{f}:1: {match}") + "$"):
+        load_robot_model(f, expected_dof=None)
+
+
+def test_model_rejects_limits_of_another_joint_count():
+    with pytest.raises(ValueError, match=r"^q_min must have 2 entries, got \(3,\)$"):
+        RobotModel(two_joint_chain().elements, -np.ones(3), np.ones(2), np.ones(2))
+
+
+@pytest.mark.parametrize("record, match", [
     ("joint z 1 0 0 0 nan 0 0 0 -1 1 2", r"bad\.model:1: not a unit dual quaternion"),
     ("joint z 1 0 0 0 0 0 0 0 nan 1 2", r"infeasible: min >= max"),
     ("joint z 1 0 0 0 0 0 0 0 -1 nan 2", r"infeasible: min >= max"),

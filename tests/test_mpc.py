@@ -4,6 +4,7 @@ import functools
 import itertools
 import re
 import sys
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
@@ -817,14 +818,15 @@ def own_stack(cfg, limits) -> TwistSmoother:
 
 def test_lazy_scales_step_as_eager_ones_on_recorded_walks():
     # smooth-tight seed 1: episode 0 up to tick 37, whose walk takes 21
-    # rounds, and episode 1 up to tick 147, the dependent swap of
-    # test_a_row_that_depends_on_fewer_than_n_working_rows_swaps_in (26
-    # rounds); a walk reads the scales.  The pair walks with the location
+    # rounds, and episode 1 up to tick 147, the swaps of
+    # test_a_row_that_depends_on_fewer_than_n_working_rows_swaps_in (27
+    # rounds: axis vz's row joining a vertex takes the round its lawless
+    # set needs); a walk reads the scales.  The pair walks with the location
     # patched out; a second pair on the same stack, which holds the laws
     # the walks ended on, locates them in one round more and steps alike
     limits, rounds, of = limits_of(acc=1.0, jerk=50.0), [], mpc._Laws.of
     with mock.patch.object(mpc._Laws, "of", lambda *args: rounds.append(1) or of(*args)):
-        for episode, ticks, walk in ((0, 38, 21), (1, 148, 26)):
+        for episode, ticks, walk in ((0, 38, 21), (1, 148, 27)):
             refs = smooth_tight_references([1, episode], ticks)
             walked = assert_lazy_steps_as_eager(MpcConfig(), limits, refs[:-1])
             rounds.clear()
@@ -1236,6 +1238,8 @@ def test_limitset_validation():
         LimitSet(-INF6, nan6, -INF6, INF6, -INF6, INF6)
     with pytest.raises(ValueError, match="min >= max"):
         LimitSet(-INF6, INF6, -INF6, INF6, nan6, INF6)
+    with pytest.raises(ValueError, match="^acc limits must have 6 components$"):
+        LimitSet(-INF6, INF6, -np.ones(5), np.ones(5), -INF6, INF6)
     np.testing.assert_array_equal(LimitSet.unbounded().vel_max, INF6)  # +-inf stay legal
 
 
@@ -1252,6 +1256,9 @@ def test_mpcconfig_validation():
         MpcConfig(q_weight=np.full(6, np.nan))
     with pytest.raises(ValueError, match="r_weight must be positive"):
         MpcConfig(r_weight=np.full(6, np.nan))
+    for name in ("q_weight", "r_weight"):
+        with pytest.raises(ValueError, match="^q_weight and r_weight must have 6 entries$"):
+            MpcConfig(**{name: np.ones(7)})
 
 
 @pytest.mark.parametrize("name, value", [("n_c", 2.0), ("n_p", 50.5), ("n_c", "3"), ("n_c", True),
@@ -1529,6 +1536,77 @@ def test_solver_stop_test_measures_rows_at_the_iterate():
     assert sol.converged and sol.max_violation <= FEAS_TOL
     assert 0.5 * x @ qp.e @ x + qp.f @ x == pytest.approx(-1.0, abs=1e-6)
     np.testing.assert_allclose(x, [5e-4, 5e-4], rtol=0.0, atol=1e-9)
+
+
+def test_solve_is_nan_on_a_singular_problem_only():
+    # mpc._solve calls LAPACK's solve gufunc without np.linalg.solve's
+    # wrapper: a stack with one exactly singular matrix (a zero row) comes
+    # back NaN on that problem only, unwarned, and bit for bit
+    # np.linalg.solve on the others
+    rng = np.random.default_rng(37)
+    mat, rhs = rng.normal(size=(4, 5, 5)), rng.normal(size=(4, 5, 3))
+    mat[2, 3] = 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sol = mpc._solve(mat, rhs)
+    assert np.isnan(sol[2]).all()
+    for p in (0, 1, 3):
+        assert same_bits(sol[p], np.linalg.solve(mat[p], rhs[p]))
+
+
+def recorded_pinv(calls):
+    """np.linalg.pinv, recording each matrix it gets."""
+    pinv = np.linalg.pinv
+    return lambda mat: calls.append(mat.copy()) or pinv(mat)
+
+
+def test_a_singular_newton_matrix_takes_the_least_squares_step():
+    # problem 0 is the QP of test_solver_stop_test_measures_rows_at_the_iterate
+    # (E = 1e-5 I): z / s on its row reaches 1e12 and swamps E, so its Newton
+    # matrix is singular in floating point and LAPACK's solve returns NaN for
+    # it.  The interior point takes pinv(mat) rhs for that problem alone, and
+    # problem 1 (E = I), whose matrix stays regular, never; each is solved bit
+    # for bit as alone
+    e = np.array([1e-5 * np.eye(2), np.eye(2)])
+    qp = QpProblem(e, np.array([[-1000.0, -1000.0], [-1.0, -1.0]]), np.array([[1.0, 1.0]]),
+                   np.array([[1e-3], [1e-3]]))
+    calls = []
+    with mock.patch.object(np.linalg, "pinv", recorded_pinv(calls)):
+        stack = solve_qp(qp)
+        alone = [solve_qp(QpProblem(e[p], qp.f[p], qp.w, qp.v[p])) for p in range(2)]
+    assert calls and all(mat.shape == (1, 2, 2) and np.isfinite(mat).all()
+                         and np.isnan(mpc._solve(mat, np.ones((1, 2, 1)))).all() for mat in calls)
+    assert stack.converged
+    np.testing.assert_allclose(stack.delta_u[0], [5e-4, 5e-4], rtol=0.0, atol=1e-9)
+    for p in range(2):
+        assert same_bits(stack.delta_u[p], alone[p].delta_u)
+        assert same_bits(stack.lam[p], alone[p].lam)
+
+
+def test_an_injected_singular_newton_matrix_takes_the_least_squares_step():
+    # LAPACK's solve made to return NaN for problem 1 of every Newton system,
+    # as for a singular matrix: the interior point steps problem 1 on
+    # pinv(mat) rhs, a matrix that is finite, and still converges to its
+    # solution; problem 0 steps bit for bit as without the fault
+    qp = QpProblem(np.array([np.eye(2), 2.0 * np.eye(2)]), np.array([[-1.0, -2.0], [-3.0, 1.0]]),
+                   np.array([[1.0, 1.0], [1.0, -1.0]]), np.array([[0.5, 0.5], [0.5, 0.5]]))
+    gesv, calls = mpc._gesv, []
+
+    def singular_problem_1(mat, rhs, signature):
+        sol = gesv(mat, rhs, signature=signature)
+        sol[1] = np.nan
+        return sol
+
+    with mock.patch.object(mpc, "_gesv", singular_problem_1), \
+            mock.patch.object(np.linalg, "pinv", recorded_pinv(calls)):
+        faulted = solve_qp(qp)
+    clean = solve_qp(qp)
+    assert faulted.iterations > 0 and len(calls) == 2 * faulted.iterations  # each Newton solve
+    assert all(mat.shape == (1, 2, 2) and np.isfinite(mat).all() for mat in calls)
+    assert faulted.converged and np.array_equal(faulted.solved, [True, True])
+    assert same_bits(faulted.delta_u[0], clean.delta_u[0])
+    assert same_bits(faulted.lam[0], clean.lam[0])
+    np.testing.assert_allclose(faulted.delta_u[1], clean.delta_u[1], rtol=0.0, atol=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -1822,19 +1900,20 @@ def test_a_row_that_depends_on_fewer_than_n_working_rows_swaps_in(monkeypatch):
     # row that depends on nine working rows, so the ten have no law:
     # acceleration row 29 (u_prev + du_0 + ... + du_4) to row 27 (the same
     # to du_3) and jerk row 9 (du_4), then jerk row 7 (du_3) to rows 1, 3, 5
-    # and 27.  As a row joining a vertex does, each swaps in for the row
-    # whose multiplier a dual step on its least-squares fit zeroes first,
-    # and the walk holds the tick on a law; repeating the lawless set sent
-    # it to the interior point.  The episode stored that law before the
-    # tick: the walk runs with the location patched out, and a smoother on
-    # the same stack locates the law, with no swap, and steps alike
+    # and 27.  Each swaps in for the row whose multiplier a dual step on its
+    # least-squares fit zeroes first, and the walk holds the tick on a law;
+    # repeating the lawless set sent it to the interior point.  A row
+    # joining a vertex of ten (axis wx five times, then axis vz once) makes
+    # a set of eleven, which has no law either, and takes the same swap.
+    # The episode stored that law before the tick: the walk runs with the
+    # location patched out, and a smoother on the same stack locates the
+    # law, with no swap, and steps alike
     ticks, swaps = [], []
     solve, swap = mpc._interior_point, mpc._swap
     monkeypatch.setattr(mpc, "_interior_point", lambda *args: ticks.append(1) or solve(*args))
 
-    def recorded(laws, new, masks, steps, work, z, z_rel, count=None):
-        if count is not None:  # fewer than n working rows: the least-squares fit
-            swaps.extend((np.flatnonzero(masks[c]).tolist(), count[p], row) for c, p, row in steps)
+    def recorded(laws, new, masks, steps, work, z, z_rel, count):
+        swaps.extend((np.flatnonzero(masks[c]).tolist(), count[p], row) for c, p, row in steps)
         return swap(laws, new, masks, steps, work, z, z_rel, count)
 
     monkeypatch.setattr(mpc, "_swap", recorded)
@@ -1845,8 +1924,14 @@ def test_a_row_that_depends_on_fewer_than_n_working_rows_swaps_in(monkeypatch):
     with mock.patch.object(mpc._Laws, "locate", no_location):
         step = sm.step(refs[-1])
     assert step.converged and step.iterations == 0 and not ticks
-    assert swaps == [([1, 3, 5, 9, 19, 27, 29, 31, 33, 37], 9, 29),
-                     ([1, 3, 5, 7, 19, 27, 29, 31, 33, 37], 9, 7)]
+    assert swaps == [([0, 2, 6, 11, 12, 17, 18, 24, 26, 30, 36], 10, 26),
+                     ([0, 2, 11, 12, 17, 18, 24, 26, 28, 30, 36], 10, 28),
+                     ([0, 2, 12, 17, 18, 24, 26, 28, 30, 32, 36], 10, 32),
+                     ([0, 2, 17, 18, 24, 26, 28, 30, 32, 34, 36], 10, 34),
+                     ([0, 2, 18, 24, 26, 28, 30, 32, 34, 36, 38], 10, 38),
+                     ([1, 3, 5, 9, 19, 27, 29, 31, 33, 37], 9, 29),
+                     ([1, 3, 5, 7, 19, 27, 29, 31, 33, 37], 9, 7),
+                     ([1, 3, 5, 7, 19, 29, 31, 33, 35, 37, 39], 10, 39)]
     twin = TwistSmoother(MpcConfig(), limits_of(acc=1.0, jerk=50.0), UnitDualQuaternion.identity())
     assert twin._laws is sm._laws
     for ref in refs[:-1]:
@@ -2240,6 +2325,8 @@ def test_pose_stays_unit_over_long_run():
 def test_smoother_state_validation():
     with pytest.raises(ValueError, match="18"):
         SmootherState(np.zeros(12), np.zeros(6), UnitDualQuaternion.identity())
+    with pytest.raises(ValueError, match="^u_prev must have 6 components$"):
+        SmootherState(np.zeros(18), np.zeros(5), UnitDualQuaternion.identity())
     # a NaN bound would read as a row that never activates
     for augmented, u_prev in ((np.full(18, np.nan), np.zeros(6)), (np.zeros(18), [np.inf] * 6)):
         with pytest.raises(ValueError, match="must be finite"):

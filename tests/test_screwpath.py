@@ -212,6 +212,12 @@ def test_reference_twists_rejects_bad_tau_step(tau_step):
         reference_twists(dataclasses.replace(path, tau_step=tau_step))
 
 
+def test_reference_twists_rejects_a_path_of_one_sample():
+    path = generate_path([random_pose(np.random.default_rng(38))] * 2, 5, 0.01)
+    with pytest.raises(ValueError, match="^path must have at least 2 samples$"):
+        reference_twists(dataclasses.replace(path, samples=path.samples[:1]))
+
+
 # ---------------------------------------------------------------------------
 # reference twists
 
