@@ -18,43 +18,42 @@ and evaluates f = P_f theta, V = P_V theta and the unconstrained optimum
 -E^-1 f in one function (_tick_qp); where that optimum breaks no row it is
 the tick's solution, and solve_qp is not called.  The rows that end a tick
 with a positive multiplier are its working set.
+Every plan ends at zero acceleration (_axis_qp eliminates its last
+increment), so the shifted previous plan meets every row of the next tick
+and every tick from rest is feasible (Mayne, Rawlings, Rao & Scokaert
+2000); an axis whose solve does not converge applies that plan's first
+increment.
 Holding a set as equalities, the solution and its stationarity residual are
 affine in theta too: their law is built on first use and kept in the same
 object, so trying a set costs one product, and a smoother that shares a
 stack starts with the laws built before it; a plain QpProblem builds that
 object on each solve, with theta = [1].  A problem whose unconstrained
-optimum breaks a row tries the laws of its working sets: the smoother gives
-the set it carried from the last tick and the same rows one step along the
-horizon, or the empty set where it carries none, and none to an axis whose
-last solve did not converge.  A problem they leave locates its region of
-the explicit MPC partition (Bemporad, Morari, Dua & Pistikopoulos 2002;
-Tondel, Johansen & Bemporad 2003) in one product of the laws its stack
-stored before the call: the one law with every multiplier at least 0 that
-meets every row.  Else it walks from its last set: each step is one law
-product, which drops the row with the most negative multiplier or adds the
-most broken row, the steps of all problems walking batched, as the online
-active-set method of qpOASES crosses the partition (Ferreau, Bock & Diehl
-2008), with the cached laws as its factorizations.  A row that depends on
-the working rows (any row that joins a vertex of n) makes a set with no
-law, and the next step swaps it in for the row that a dual step on its
-least-squares fit zeroes first, one rule for every such row, as Goldfarb &
-Idnani (1983) take one dual step on a dependent constraint.
+optimum breaks a row tries the laws of its working sets: the set the
+smoother carried from the last tick, the same rows one step along the
+horizon and the two merged, or the empty set.  A problem they leave locates its region of the
+explicit MPC partition (Bemporad, Morari, Dua & Pistikopoulos 2002; Tondel,
+Johansen & Bemporad 2003) in one product of the laws its stack stored
+before the call: the one law with every multiplier at least 0 that meets
+every row.  Else it walks from its last set by the dual active-set method
+of Goldfarb & Idnani (1983), one law product per round, the rounds of all
+problems batched, the cached laws its factorizations: a set drops its rows
+with negative multipliers; at one with none the most broken row joins, and
+the point moves along the segment to the joined set's law until a
+multiplier reaches 0, whose row leaves.  A joining row that depends on the
+working rows (any row joining a vertex of n) makes a set with no law, and
+a dual step on its least-squares fit zeroes a working row's multiplier
+instead; with none to zero the rows cannot all hold.  The objective rises
+with every row that joins, so no set repeats and every walk ends.
 Every candidate passes a screen on the stop test's terms (and every row met
 within FEAS_TOL); one whose law's stationarity residual and working rows'
 slacks are all at most _KKT_TOL (read for all candidates of a round in array
-calls) is held, and the interior point's own stop test, with the law's
-residual, decides the others.  The test's stationarity and multiplier
-scales are formed on first read, and only a verdict that depends on them
-reads them (a multiplier the screen visits between 0 and -_KKT_TOL times a
-bound on every scale, a walk that steps on, the full stop test, the
-interior point), so a tick that its carried sets or a location settle
-usually forms none.  A walk ends after _WALK steps or on a set it had; only
-its problem goes to the interior point, which solves it as it would cold.
-The systems of the laws, the swaps and the interior point (a Schur
-complement, a fit, a Newton step) go to LAPACK's solve gufunc, the one
+calls) is held, and the stop test (_StopTest) decides the others.  Its
+stationarity and multiplier scales are formed on first read, and only a
+verdict that depends on them reads them, so a tick that its carried sets or
+a location settle usually forms none.
+The laws' systems and the swaps' fits go to LAPACK's solve gufunc, the one
 np.linalg.solve calls, which returns NaN for a singular problem of a stack
-and solves the rest: a set with no law, a swap with no fit, or, for a Newton
-matrix, the least-squares step.
+and solves the rest: a set with no law, or a swap with no fit.
 The smoothed pose is integrated in the dual-quaternion algebra, x[i] =
 (exp((T/2) xi[i+1]) x[i-1]).normalized().
 The paper's dense 18-state model, prediction and QP are these per-axis
@@ -94,9 +93,7 @@ AUG_DIM = 18
 
 # a QP row, a smoother step and a logged sample exceed a bound only beyond this
 FEAS_TOL = 1e-6
-_MAX_ITERATIONS = 30
 _KKT_TOL = 1e-10
-_WALK = 40  # law steps a walk takes at most (the longest measured took 25)
 _CACHED = 2048  # solution laws a QP stack keeps (one measured run built at most 453)
 _ONES = np.ones(N_AXES)
 
@@ -139,7 +136,8 @@ class LimitSet:
 
 @dataclass(frozen=True)
 class MpcConfig:
-    """Horizons, sample time and per-axis diagonal weights for the smoother."""
+    """Horizons, sample time and per-axis diagonal weights for the smoother
+    (n_c >= 2: each plan's last increment ends it at rest, see _axis_qp)."""
 
     n_c: int = 10
     n_p: int = 50
@@ -152,8 +150,10 @@ class MpcConfig:
             horizon = getattr(self, name)  # a bool is an int, but no horizon
             if isinstance(horizon, bool) or not isinstance(horizon, (int, np.integer)):
                 raise ValueError(f"{name} must be an integer, got {horizon!r}")
-        if not (1 <= self.n_c <= self.n_p):
-            raise ValueError(f"need 1 <= n_c <= n_p, got n_c={self.n_c}, n_p={self.n_p}")
+        if not (2 <= self.n_c <= self.n_p):
+            why = (": the terminal zero acceleration fixes the last increment, so n_c = 1 "
+                   "leaves no variable" if self.n_c == 1 else "")
+            raise ValueError(f"need 2 <= n_c <= n_p, got n_c={self.n_c}, n_p={self.n_p}{why}")
         if not (np.isfinite(self.sample_time) and self.sample_time > 0.0):
             raise ValueError("sample_time must be positive and finite")
         q = np.asarray(self.q_weight, dtype=float).reshape(-1)
@@ -301,7 +301,8 @@ class _Laws:
     def _build(self, problems, masks) -> None:
         """Store the laws, built batched with padding: a padded row is 0 in
         W_A and 1 on S's diagonal, and its multiplier 0; a set with no law
-        is NaN."""
+        is NaN.  One step of iterative refinement follows the Schur
+        complement: x cancels the terms of -E^-1 f, which may be far larger."""
         (n, p), width = self.x_free.shape[1:], self.width
         count = masks.sum(axis=1)
         rows = np.argsort(~masks, axis=1, kind="stable")[:, :width]  # working rows first
@@ -316,10 +317,14 @@ class _Laws:
         with np.errstate(all="ignore"):  # dependent rows may solve to inf; their law is NaN
             sol = _solve(schur, rhs)
             diag = np.diagonal(schur, axis1=1, axis2=2) * np.diagonal(sol[..., p:], axis1=1, axis2=2)
-            x = x_free - g @ sol[..., :p]
-            lam = np.where(pad[..., None], 0.0, sol[..., :p])
-            # the stationarity residual E x + f + W_A^T lambda_A as a map of theta
-            r_d = self.e[problems] @ x + self.p_f[problems] + w_a.transpose(0, 2, 1) @ lam
+            e, p_f, w_t = self.e[problems], self.p_f[problems], w_a.transpose(0, 2, 1)
+            x, lam = x_free - g @ sol[..., :p], sol[..., :p]
+            # refined on the rows' slack and the residual E x + f + W_A^T lambda_A
+            r_d = e @ x + p_f + w_t @ lam
+            d_lam = sol[..., p:] @ (g.transpose(0, 2, 1) @ r_d + v_a - w_a @ x)
+            x = x - self.e_inv[problems] @ r_d + g @ d_lam
+            lam = np.where(pad[..., None], 0.0, lam - d_lam)
+            r_d = e @ x + p_f + w_t @ lam  # the residual as a map of theta
         laws = np.concatenate([x, lam, r_d], axis=1)
         laws[(count > n) | ~(abs(diag) <= 1e12).all(axis=1)] = np.nan
         kind, used = [self.alike[q] for q in problems.tolist()], len(self.kind)
@@ -356,30 +361,31 @@ class _Laws:
 
 class _TickQp(QpProblem):
     """A QpProblem the smoother assembled (_tick_qp): its laws are the
-    smoother's stack, theta (6, 6) is this tick's parameters, the problems
-    `cold` marks (None: none) skip their working sets, and x and residual
-    are -E^-1 f and W x - V (_optimum); one update fills its fields."""
+    smoother's stack, theta (6, 6) is this tick's parameters, and x and
+    residual are -E^-1 f and W x - V (_optimum); one update fills its fields."""
 
-    def __init__(self, e, f, w, v, laws: _Laws, theta, cold, x, residual):
-        self.__dict__.update(e=e, f=f, w=w, v=v, laws=laws, theta=theta, cold=cold, x=x,
-                             residual=residual)
+    def __init__(self, e, f, w, v, laws: _Laws, theta, x, residual):
+        self.__dict__.update(e=e, f=f, w=w, v=v, laws=laws, theta=theta, x=x, residual=residual)
 
 
 def _axis_qp(f_mat: np.ndarray, phi: np.ndarray, cfg: MpcConfig, limits: LimitSet) -> _Laws:
     """The laws of a smoother's six per-axis QPs, which share W.  Horizons,
-    weights and limits fix E = Phi^T Q Phi + R, W and the maps P_f and P_V
-    from an axis's theta_a = [its 3 states s_a, target_a, u_prev_a, 1] to its
-    f = -Phi^T Q (target_a - F s_a) (the target held over the horizon) and V;
-    a tick only forms theta.  W stacks three groups of 2 n_c rows, a -min row
-    then a +max row per step: jerk +-du_k <= T * jerk bounds (du is an
-    acceleration increment), acceleration +-(u_prev + sum_{j<=k} du_j) <= acc
-    bounds, and velocity +-(F s_a + Phi dU) over the first n_c predicted
-    outputs <= vel bounds.  V is each bound less its row's offset (0,
-    +-u_prev or +-F s_a)."""
+    weights and limits fix the maps P_f and P_V from an axis's theta_a = [its
+    3 states s_a, target_a, u_prev_a, 1] to its f and V; a tick only forms
+    theta.  In the n_c increments du (acceleration increments), E = Phi^T Q
+    Phi + R, f = -Phi^T Q (target_a - F s_a) and W stacks three groups of 2
+    n_c rows, a -min then a +max row per step: jerk +-du_k <= T * jerk
+    bounds, acceleration +-(u_prev + sum_{j<=k} du_j) <= acc bounds and
+    velocity +-(F s_a + Phi dU) over the first n_c outputs <= vel bounds, V
+    each bound less its row's offset.  Every plan ends at zero acceleration:
+    du = M y - u_prev e_last with M = [I; -1 ... -1], and the QP is in the
+    first n_c - 1 increments y (E' = M^T E M, W' = W M, the u_prev terms
+    folded into P_f and P_V), where the last acceleration row pair is zero.
+    The velocity stays put after a plan, and the shifted previous plan meets
+    every row of the next tick (Mayne, Rawlings, Rao & Scokaert 2000)."""
     n_c = cfg.n_c
     phi_t_q = cfg.q_weight[:, None, None] * phi.T
     e = phi_t_q @ phi + cfg.r_weight[:, None, None] * np.eye(n_c)
-    e = 0.5 * (e + e.transpose(0, 2, 1))
     rows = np.vstack([np.eye(n_c), np.tril(np.ones((n_c, n_c))), phi[:n_c]])
     T = cfg.sample_time
     lo = np.repeat([T * limits.jerk_min, limits.acc_min, limits.vel_min], n_c, axis=0)
@@ -392,7 +398,12 @@ def _axis_qp(f_mat: np.ndarray, phi: np.ndarray, cfg: MpcConfig, limits: LimitSe
     p_v[:, 2, ..., :3] = np.stack([f_mat[:n_c], -f_mat[:n_c]], axis=1)
     p_v = p_v.reshape(N_AXES, -1, 6)
     p_v[..., 5] = v_zero
-    return _Laws(e, w, p_f, p_v, np.isfinite(v_zero))
+    # the elimination of du_last = -u_prev - sum y (u_prev is theta's entry 4)
+    m = np.vstack([np.eye(n_c - 1), -np.ones((1, n_c - 1))])
+    p_f[..., 4] -= e[..., -1]
+    p_v[..., 4] += w[:, -1]
+    e = m.T @ e @ m
+    return _Laws(0.5 * (e + e.transpose(0, 2, 1)), w @ m, m.T @ p_f, p_v, np.isfinite(v_zero))
 
 
 def _optimum(laws: _Laws, f, v):
@@ -406,18 +417,16 @@ def _violation(laws: _Laws, residual) -> np.ndarray:
     return np.where(laws.finite, residual, 0.0).max(axis=1, initial=0.0)
 
 
-def _tick_qp(laws: _Laws, state: np.ndarray, target: np.ndarray,
-             u_prev: np.ndarray, cold=None) -> _TickQp:
+def _tick_qp(laws: _Laws, state: np.ndarray, target: np.ndarray, u_prev: np.ndarray) -> _TickQp:
     """The stack of six per-axis QPs of a tick, E and W the laws': row a of
     theta is [column a of state.reshape(3, 6), target_a, u_prev_a, 1], f =
     P_f theta, V = P_V theta on the rows with a finite bound and inf on the
-    rest, with its optimum x and residual (_optimum); the axes `cold` marks
-    (None: none) skip their working sets."""
+    rest, with its optimum x and residual (_optimum)."""
     theta = np.concatenate([state, target, u_prev, _ONES]).reshape(-1, N_AXES).T
     fv, n = (laws.p_fv @ theta[:, :, None])[:, :, 0], laws.e.shape[2]
     f, v = fv[:, :n], fv[:, n:]
     v[laws.infinite] = np.inf
-    return _TickQp(laws.e, f, laws.w, v, laws, theta, cold, *_optimum(laws, f, v))
+    return _TickQp(laws.e, f, laws.w, v, laws, theta, *_optimum(laws, f, v))
 
 
 @dataclass
@@ -450,24 +459,21 @@ def _solve(mat, rhs):
 
 
 class _StopTest:
-    """The interior point's stop test for a stack of problems, on (k, ., 1)
-    columns.  Rows are scaled to unit norm; a row with an infinite bound or
-    zero W reads 0 <= 1.  ``error`` is a problem's largest KKT residual: each
-    residual is measured against the size of the terms of its own equation, a
-    row's at the iterate x and a stationarity row's at x_free (W^T z is left
-    out: multipliers can drift off in opposite pairs); a multiplier against
-    the stationarity rows of the variables its row touches.
+    """The stop test of a candidate point for a stack of problems, on (k, .,
+    1) columns.  Rows are scaled to unit norm; a row with an infinite bound
+    or zero W reads 0 <= 1.  ``error`` is a candidate's largest KKT residual:
+    each residual is measured against the size of the terms of its own
+    equation, a row's at the point and a stationarity row's at x_free (W^T z
+    is left out); a multiplier against the stationarity rows of the variables
+    its row touches.
 
-    The rows and scaled bounds are formed with the test; |bounds|, the
-    stationarity scales ``dual`` (k, n, 1) and the multiplier scales
-    ``multiplier`` (k, m, 1), each at least 1, on first read.  Every scale
-    is at most sqrt(n) (1 + |E|'s largest row sum |x_free| + |f|), on
-    2-norms over the stack.  ``bounded``: that bound is finite, so a
-    multiplier of at least 0 or a stationarity residual of at most 1e-10
-    meets the test on any scale, and a multiplier below ``lowest`` fails it
-    on any."""
-
-    FIELDS = ("w", "v", "w_abs", "v_abs", "dual", "multiplier")
+    |bounds|, the stationarity scales ``dual`` (k, n, 1) and the multiplier
+    scales ``multiplier`` (k, m, 1), each at least 1, are formed on first
+    read.  Every scale is at most sqrt(n) (1 + |E|'s largest row sum
+    |x_free| + |f|), on 2-norms over the stack.  ``bounded``: that bound is
+    finite, so a multiplier of at least 0 or a stationarity residual of at
+    most 1e-10 meets the test on any scale, and a multiplier below
+    ``lowest`` fails it on any."""
 
     @classmethod
     def of(cls, laws: _Laws, f, v, x_free) -> "_StopTest":
@@ -495,79 +501,29 @@ class _StopTest:
     def multiplier(self) -> np.ndarray:
         return np.maximum(1.0, self.w_abs @ self.dual)
 
-    def take(self, index) -> "_StopTest":
-        """The test of problems `index`, its scales formed (a field of one
-        problem is shared)."""
-        test = _StopTest()
-        for name in self.FIELDS:
-            m = getattr(self, name)
-            setattr(test, name, m if len(m) == 1 else m[index])
-        return test
-
-    def error(self, x, r_d, r_p, s, z) -> np.ndarray:
-        primal = np.maximum(1.0, self.w_abs @ np.abs(x) + self.v_abs)
-        kkt = np.concatenate([r_d / self.dual, r_p / primal,
-                              np.minimum(s / primal, z / self.multiplier)], 1)
-        return np.abs(kkt).max(axis=(1, 2))
+    def error(self, p: int, x, r_d, s, z) -> float:
+        """Problem p's largest KKT residual at the point x with stationarity
+        residual r_d, unit-row slacks s and multipliers z."""
+        w_abs = self.w_abs[0 if len(self.w_abs) == 1 else p]
+        primal = np.maximum(1.0, w_abs @ np.abs(x) + self.v_abs[p, :, 0])
+        return max(np.abs(r_d / self.dual[p, :, 0]).max(),
+                   np.abs(np.minimum(s / primal, z / self.multiplier[p, :, 0])).max())
 
 
-def _interior_point(e, f, test: _StopTest, scale):
-    """Mehrotra's predictor-corrector on (k, ., 1) columns from x = 0 (see solve_qp)."""
-    w, v = test.w, test.v
-    w_t = w.transpose(0, 2, 1)
-    x, iterations = np.zeros(f.shape), np.zeros(len(f), dtype=int)
-    s = np.where(v >= 0.0, np.maximum(v, _KKT_TOL), 1.0)  # rows x = 0 meets keep holding
-    z = np.maximum(1.0, np.abs(f).max(axis=1, keepdims=True)) * np.ones(v.shape)
-    for it in range(_MAX_ITERATIONS + 1):
-        wz = w_t @ z
-        r_d = e @ x + f + wz
-        r_p = w @ x + s - v
-        kkt = test.error(x, r_d, r_p, s, z)
-        farkas = np.sum(v * z, axis=(1, 2)) < 0.0
-        if farkas.any():  # W^T z ~ 0 next to |W|^T z only matters where v^T z < 0
-            farkas &= (np.abs(wz).max(axis=(1, 2))
-                       <= 1e-4 * (test.w_abs.transpose(0, 2, 1) @ z).max(axis=(1, 2)))
-        live = (kkt > _KKT_TOL) & ~farkas
-        if it == _MAX_ITERATIONS or not live.any():
-            lam = np.where(z > s, z / scale, 0.0)[..., 0]
-            return x[..., 0], lam, iterations.max(), kkt <= _KKT_TOL
-        iterations += live
-        s_n = np.maximum(s, 1e-12 * z)  # z/s <= 1e12 keeps the matrix nonsingular
-        mat = e + w_t @ (z / s_n * w)
-
-        def newton(r_c):  # the Newton step for (r_d, r_p, r_c) and 1 / its longest length
-            rhs = w_t @ ((r_c - z * r_p) / s_n) - r_d
-            dx = _solve(mat, rhs)
-            lost = np.isnan(dx).any(axis=(1, 2))
-            if lost.any():  # a finite matrix that rounding made singular: the least-squares step
-                lost &= np.isfinite(mat).all(axis=(1, 2))
-                dx[lost] = np.linalg.pinv(mat[lost]) @ rhs[lost]
-            ds = -r_p - w @ dx
-            dz = -(r_c + z * ds) / s_n
-            return dx, ds, dz, np.concatenate([-ds / s, -dz / z], 1).max(1, keepdims=True)
-        sz = s * z
-        dx, ds, dz, rate = newton(sz)
-        sigma_mu = (1 - 1 / np.maximum(1, rate)) ** 3 * sz.mean(axis=1, keepdims=True)
-        dx, ds, dz, rate = newton(sz + ds * dz - sigma_mu)
-        step = 0.995 / np.maximum(0.995, rate) * live[:, None, None]  # stopped ones stay put
-        x += step * dx
-        s += step * ds
-        z += step * dz
-
-
-def _on_laws(laws: _Laws, theta, test: _StopTest, todo, sets, x, lam, residual) -> set:
-    """The problems `todo` on laws (see solve_qp): each tries its working
-    sets, then the one law it locates, or walks from the last, all problems
-    batched.  Writes each held problem's point into x and its multipliers
-    into lam, which hold x_free and 0 on the call; returns the problems held."""
+def _on_laws(laws: _Laws, theta, test: _StopTest, todo, sets, x, lam) -> tuple[set, int]:
+    """The problems `todo` on laws (see solve_qp), all batched.  Writes each
+    problem's point into x and its multipliers into lam, which hold x_free
+    and 0 on the call; returns the problems held and the rounds after which
+    the last unheld one ended (0: none)."""
     (k, n), m = x.shape, len(laws.w)
     w_u, w_abs = (test.w[0], test.w_abs[0]) if len(test.w) == 1 else (test.w, test.w_abs)
     # candidate c: problem owner[c] on the rows masks[c], each problem's sets
-    # in order; a problem's walk starts from its last, last[p]
+    # in order; a problem's walk starts from its last
     masks = (np.asarray(sets, dtype=bool).reshape(-1, k, m) & laws.rows)[:, todo].reshape(-1, m)
     owner = todo.tolist() * (len(masks) // len(todo))
-    last = {p: c for c, p in enumerate(owner)}
-    held, seen, joined = set(), {}, {}  # joined: candidate -> (its parent, the row that joined)
+    x_free, held, rounds, unheld = x.copy(), set(), 0, 0
+    joining = {}  # problem -> (the row joining, x and multipliers of the walk's point)
+    gap = {}  # problem -> (x - x_free)^T E (x - x_free) at its last dual-feasible law
     before = laws.stored  # only laws stored before the call are located
 
     def relative():  # the multipliers over their scales, and each candidate's least
@@ -587,17 +543,30 @@ def _on_laws(laws: _Laws, theta, test: _StopTest, todo, sets, x, lam, residual) 
         return min((s[c] / scale).min(), (s[c] * laws.scale[:, 0]).min() / FEAS_TOL * _KKT_TOL) \
             >= -_KKT_TOL
 
-    for walk in range(_WALK + 1):
+    def end(p, x_p, lam_p):  # problem p leaves the walk unconverged at this point
+        nonlocal unheld
+        x[p], lam[p], unheld = x_p, np.maximum(lam_p, 0.0), rounds
+
+    def join(p, c):  # dual-feasible candidate c not held: its most broken row joins
+        row, x_c = a_at[c], y[c, :n, 0]
+        with np.errstate(over="ignore"):  # inf at a huge target: only the first rises
+            d = x_c - x_free[p]
+            g = float(d @ laws.e[p] @ d)
+        rise, gap[p] = g > gap.get(p, -math.inf), g
+        if masks[c, row] or not rise:  # no row to add, or no rise (a repeat in rounding)
+            return end(p, x_c, lam_c[c])
+        joining[p] = row, x_c, lam_c[c].copy()
+        return masks[c] | (np.arange(m) == row)
+
+    while owner:
+        rounds += 1
         problems = np.array(owner)
         y, work, count = laws.of(problems, masks)
         y, count = y @ theta[problems, :, None], count.tolist()  # x, multipliers, residual
-        # the screen, on the stop test's terms: each working row's
-        # multiplier and each row's slack, over their scales, at least
-        # -1e-10, and every row met within FEAS_TOL; a slack on the unit
-        # rows of at least laws.floor meets both.  A multiplier of at least 0
-        # meets its bounded scale and one below test.lowest fails it: the
-        # scales are read only where a visited candidate has one between, or
-        # the walk steps on
+        # the screen: each working row's multiplier and each row's slack, over
+        # their scales in the stop test, at least -1e-10, and every row met
+        # within FEAS_TOL (a unit-row slack of at least laws.floor meets both);
+        # the scales are read only for a multiplier between 0 and test.lowest
         s = test.v[problems, :, 0] - ((w_u if w_u.ndim == 2 else w_u[problems]) @ y[:, :n])[..., 0]
         z = y[:, n:-n, 0] * laws.scale[work, 0]
         z_rel, d_min = (None, z.min(axis=1).tolist()) if test.bounded else relative()
@@ -606,96 +575,101 @@ def _on_laws(laws: _Laws, theta, test: _StopTest, todo, sets, x, lam, residual) 
         # and each working row's min(slack, multiplier), are met if both are at most 1e-10
         top = np.maximum(abs(y[:, -n:, 0]).max(axis=1), np.where(masks, s, 0.0).max(axis=1))
         unread = ((top <= _KKT_TOL) & test.bounded).tolist()
-        first, failed = {}, set()  # each problem's first candidate that passes
+        first, last = {}, {}  # each problem's first candidate that passes, and its last
         for c, p in enumerate(owner):
-            if p in first or p in held:
+            last[p] = c
+            if p in first:
                 continue
             if z_rel is None and test.lowest <= d_min[c] < 0.0:
                 z_rel, d_min = relative()
-            if d_min[c] >= -_KKT_TOL:
-                if met(c):
-                    first[p] = c
-                else:
-                    failed.add(c)
-        for p, c in first.items():
+            if d_min[c] >= -_KKT_TOL and met(c):
+                first[p] = c
+        for p, c in first.items():  # held if it passes the stop test, else it ends
             rows = work[c, :count[c]]
-            if not unread[c]:  # the stop test itself
-                z_c = np.zeros((1, m, 1))
-                z_c[0, rows, 0] = z[c, :count[c]]
-                if test.take([p]).error(y[c, None, :n], y[c, None, -n:], 0.0,
-                                        s[c, None, :, None], z_c)[0] > _KKT_TOL:
-                    continue
-            held.add(p)
-            x[p], lam[p, rows] = y[c, :n, 0], np.maximum(y[c, n:n + count[c], 0], 0.0)
-        if len(held) == len(todo):
-            break
-        located = {} if walk else laws.locate([p for p in last if p not in held], theta, test,
-                                              before)
-        if z_rel is None and len(held) + len(located) < len(todo):
-            z_rel, d_min = relative()
-        # each problem left goes to the law it located or steps from its
-        # last set: the row with the most negative multiplier leaves or, with
-        # none, the most broken row joins; a set a row joined with no law
-        # (the row depends on the working rows, as at a vertex) swaps the row
-        # in, and any other set with no law keeps its rows x_free breaks
-        lawless, a_at = np.isnan(y[:, 0, 0]).tolist(), s.argmin(axis=1).tolist()
-        d_at = None if z_rel is None else z_rel.argmin(axis=1).tolist()
-        new, dependent, joins, moved = masks.copy(), [], {}, []
-        for p, c in last.items():
-            if p in held:
-                continue
-            if p in located:
-                new[c] = located[p]
-            elif lawless[c] and c in joined:
-                dependent.append((c, *joined[c]))
-            elif lawless[c]:
-                new[c] &= residual[p] > FEAS_TOL
-            elif d_min[c] < -_KKT_TOL:
-                new[c, work[c, d_at[c]]] = False
-            elif new[c, a_at[c]] or c not in failed and met(c):
-                continue  # passed the screen, not the stop test
+            z_c = np.zeros(m)
+            z_c[rows] = z[c, :count[c]]
+            if unread[c] or test.error(p, y[c, :n, 0], y[c, -n:, 0], s[c], z_c) <= _KKT_TOL:
+                held.add(p)
             else:
-                new[c, a_at[c]], joins[c] = True, a_at[c]
-            moved.append((p, c))
-        if dependent:
-            _swap(laws, new, masks, dependent, *parents)
-        owner, kept, last, joined = [], [], {}, {}
-        for p, c in moved:  # a walk that repeats a set ends
-            path, key = seen.get(p) or seen.setdefault(p, {masks[c].tobytes()}), new[c].tobytes()
-            if key not in path:
-                path.add(key)
-                last[p] = len(owner)
-                if c in joins:
-                    joined[len(owner)] = c, joins[c]
+                unheld = rounds
+            x[p], lam[p, rows] = y[c, :n, 0], np.maximum(y[c, n:n + count[c], 0], 0.0)
+        left = [p for p in last if p not in first]
+        located = {} if rounds > 1 or not left else laws.locate(left, theta, test, before)
+        if len(located) == len(left):
+            owner, masks = left, np.array([located[p] for p in left]).reshape(-1, m)
+            continue
+        lam_c = np.zeros(masks.shape)  # each candidate's multipliers in row order
+        lam_c[np.arange(len(masks))[:, None], work] = y[:, n:-n, 0]
+        a_at = s.argmin(axis=1).tolist()
+        # each problem left steps, as Goldfarb & Idnani (1983): a set with a
+        # negative multiplier drops those rows; a dual-feasible one adds its
+        # most broken row, and the set with it moves the point along the
+        # segment to its law until a multiplier reaches 0, whose row leaves
+        lawless = (~np.isfinite(y[:, :-n, 0]).all(axis=1)).tolist()
+        new, owner = [], []
+        for p in left:
+            c = last[p]
+            if p in located:
+                mask = located[p]
+            elif p in joining:
+                row, x_p, lam_p = joining.pop(p)
+                lam_j, mask = lam_c[c], masks[c].copy()
+                if lawless[c]:  # the row depends on the working rows: a dual step
+                    mask[row] = False
+                    out = _swap(laws, mask, row, lam_p)
+                    if out is None:  # the rows cannot all hold
+                        end(p, x_p, lam_p)
+                        continue
+                    mask[row] = True
+                elif (mask & (lam_j < 0.0)).any():  # a partial step
+                    with np.errstate(divide="ignore", invalid="ignore"):
+                        t = np.where(mask & (lam_j < 0.0), lam_p / (lam_p - lam_j), np.inf)
+                    out = int(t.argmin())
+                    x_p = x_p + t[out] * (y[c, :n, 0] - x_p)
+                    lam_p = lam_p + t[out] * (lam_j - lam_p)
+                    lam_p[out] = 0.0
+                else:  # the full step: the set holds the row
+                    mask, out = join(p, c), None
+                if out is not None:
+                    mask[out] = False
+                    if out != row:
+                        joining[p] = row, x_p, lam_p
+            elif lawless[c]:  # a set with no law walks from the empty set
+                mask = np.zeros(m, dtype=bool) if masks[c].any() else end(p, x_free[p], lam[p])
+            elif (lam_c[c] < 0.0).any():
+                mask = masks[c] & (lam_c[c] >= 0.0)
+            else:
+                mask = join(p, c)
+            if mask is not None:
+                new.append(mask)
                 owner.append(p)
-                kept.append(c)
-        if not owner:
-            break
-        masks, parents = new[kept], (work, z, z_rel, count)
-    return held
+        masks = np.array(new).reshape(-1, m)
+    return held, unheld
 
 
-def _swap(laws: _Laws, new, masks, swaps, work, z, z_rel, count) -> None:
-    """Each (c, parent, row) of swaps: `row` joined the working rows of
-    candidate `parent` (work, z, z_rel and count of its round), and the set
-    they made, masks[c], has no law: the row depends on them.  Its
-    least-squares fit d by them (normal equations, a padded row d = 0; the
-    exact solve at a vertex of n rows) swaps it in for the row whose
-    multiplier a dual step on it zeroes first (the least z / d over
-    d > 1e-9), which leaves new[c]; with none the rows cannot all hold, and
-    new[c] keeps masks[c], which ends the walk."""
-    c, parent, added = (np.array(a) for a in zip(*swaps))
-    rows = work[parent]
-    pad = (np.arange(rows.shape[1]) >= np.array(count)[parent, None])[..., None]
-    w_a = np.where(pad, 0.0, laws.w[rows] / laws.scale[rows])
-    w_r = laws.w[added, :, None] / laws.scale[added, :, None]
-    d = _solve(w_a @ w_a.transpose(0, 2, 1) + pad * np.eye(len(pad[0])), w_a @ w_r)[..., 0]
+def _swap(laws: _Laws, rows, added: int, lam) -> int | None:
+    """The dual step of row `added`, which depends on the rows `rows` (a mask)
+    so that their set with it has no law: the least-squares fit d of its
+    unit row by theirs (normal equations; the exact solve at a vertex of n)
+    moves the unit multipliers z of theirs by -t d and its own by +t, with t
+    the least z / d over d > 1e-9, which zeroes one row's.  Updates lam (in
+    row order) and returns that row, or None where no d is positive (the
+    rows cannot all hold)."""
+    index = np.flatnonzero(rows)
+    if not len(index):
+        return None
+    scale, w_r = laws.scale[index, 0], laws.w[added] / laws.scale[added, 0]
+    w_a = laws.w[index] / scale[:, None]
+    d = _solve((w_a @ w_a.T)[None], (w_a @ w_r)[None, :, None])[0, :, 0]
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(d > 1e-9, np.where(z_rel[parent] > _KKT_TOL, z[parent], 0.0) / d, np.inf)
-    out = ratio.argmin(axis=1)
-    bound = np.isfinite(ratio[np.arange(len(c)), out])
-    new[c[bound], rows[np.arange(len(c)), out][bound]] = False
-    new[c[~bound]] = masks[c[~bound]]
+        ratio = np.where(d > 1e-9, lam[index] * scale / d, np.inf)
+    out = int(ratio.argmin())
+    if not ratio[out] < np.inf:
+        return None
+    lam[index] -= ratio[out] * d / scale
+    lam[added] += ratio[out] / laws.scale[added, 0]
+    lam[index[out]] = 0.0
+    return int(index[out])
 
 
 def _check_shapes(qp: QpProblem, working_sets: Sequence[np.ndarray]) -> None:
@@ -714,90 +688,58 @@ def _check_shapes(qp: QpProblem, working_sets: Sequence[np.ndarray]) -> None:
 
 
 def solve_qp(qp: QpProblem, *, working_sets: Sequence[np.ndarray] = ()) -> QpSolution:
-    """Solve the dense inequality QP on cached solution laws, with a
-    primal-dual interior point as the last resort.
+    """Solve the dense inequality QP by a dual active-set method on cached
+    solution laws (see the module notes and _Laws).
 
     -E^-1 f is the result when it violates no row.  Otherwise a problem tries
-    its ``working_sets`` entries (bool masks over the rows, shaped like v) on
-    their solution laws (see _Laws), all in one batched product: the point,
-    multipliers and stationarity residual with the marked rows held as
-    equalities.  A problem that none of them solves tries the one law stored
-    before the call with every multiplier at least 0 that meets every unit row
-    within the screen's floor (none for a plain problem), else walks from its
-    last set, one law product per step, the steps of all problems walking
-    batched: the row with the most negative multiplier leaves or, with none,
-    the most broken row (on unit rows) joins.  A set a row joined that has no
-    law (the row depends on the working rows, as any row joining a vertex of
-    n does) swaps that row in for the row whose multiplier a dual step on its
-    least-squares fit zeroes first (none: the rows cannot all hold); any other
-    set with no law keeps the rows -E^-1 f breaks.
-    A walk ends after _WALK steps or on a set it had.  The screen passes a
-    candidate whose multipliers and slacks are each at least -1e-10 of their
-    scales in the stop test below and that meets every finite row within
-    FEAS_TOL; the first that passes must also pass that stop test, with its
-    law's residual, except one whose residual and working rows' slacks are all
-    at most 1e-10 (found for a round's candidates in array calls), which the
-    screen's terms already give.
-    A problem solved on a law takes no iteration, and ``lam`` is its exact
-    multiplier (one above -1e-10 of its scale reads 0).  The rest run
-    Mehrotra's predictor-corrector from x = 0 on rows scaled to unit norm until
-    every KKT residual and each row's min(s, z) is at most 1e-10 of the size of
-    the terms of its own equation (and of 1), a row's at the iterate and the
-    rest at -E^-1 f, until z proves the rows cannot all hold or up to an
-    iteration cap.  A finite Newton matrix that rounding makes singular
-    (LAPACK's solve returns NaN for it alone) gets a least-squares step.
-    ``lam`` is 0 on rows ending with z <= s; rows with infinite bounds or zero
-    W never activate.  A stack (e (k, n, n), f (k, n),
-    v (k, m), shared w) is solved per problem, each bit for bit as alone, and
-    reports the largest iteration count, whether each converged and the largest
-    violation.  A problem has converged if it met the stop test and meets every
-    finite row within FEAS_TOL.
-
-    A call solves on one _Laws and its theta.  A plain problem builds its
-    own on each call, with theta = [1] (P_f = f, P_V = V); its shapes must
-    agree (e (n, n), f (n,), w (m, n), v (m,), or a stack, and each working
-    set shaped like v), else ValueError.
-    A smoother's tick problem carries the stack of the smoother's
-    configuration, with its laws cached across ticks and smoothers, and the
-    tick's theta.  A call with a broken row builds the stop test's scaled
-    bounds for the stack and its stationarity and multiplier scales on
-    first read, once: the screen reads the multiplier scales only where a
-    candidate it visits has a multiplier between 0 and -1e-10 times a bound
-    on every scale (each is at least 1) or the walk steps on; the full stop
-    test and the interior point read them (where the bound, from |x|, |f|
-    and |E|, overflows, every verdict does).  It evaluates the test only on
-    candidates; the interior point takes its rows of the rest.
+    its ``working_sets`` entries (bool masks over the rows, shaped like v;
+    none given: the empty set) in one batched product, then the one law its
+    stack stored before the call that holds it (none for a plain problem),
+    else walks from its last set as Goldfarb & Idnani (1983).  The first
+    candidate that passes the screen (multipliers and slacks each at least
+    -1e-10 of their scales in the stop test, every finite row met within
+    FEAS_TOL) is held if it passes the stop test, with its law's residual,
+    and ends unconverged if not; so does a walk whose rows cannot all hold,
+    or whose objective does not rise in rounding.  ``lam`` is the held law's
+    exact multiplier (one above -1e-10 of its scale reads 0); an unconverged
+    problem reports the walk's last point and multipliers (at least 0).
+    Rows with infinite bounds or zero W never activate.  A stack (e (k, n, n),
+    f (k, n), v (k, m), shared w) is solved per problem, each bit for bit as
+    alone, and reports whether each converged (a law held it and it meets
+    every finite row within FEAS_TOL), the largest violation and, as
+    ``iterations``, the law rounds after which its last unconverged problem
+    ended: 0 where a law held every problem, whose rounds depend on the laws
+    its stack stored before the call, so that a smoother's log of them does
+    not.  A plain problem builds its own _Laws on each call, with theta = [1]
+    (P_f = f, P_V = V); its shapes must agree (e (n, n), f (n,), w (m, n),
+    v (m,), or a stack, and each working set shaped like v), else
+    ValueError.  A smoother's tick problem carries its configuration's
+    stack, with its laws cached across ticks and smoothers, and its theta.
     """
     w = qp.w
     if isinstance(qp, _TickQp):
-        e, f, v, laws, theta, cold = qp.e, qp.f, qp.v, qp.laws, qp.theta, qp.cold
-        x, residual = qp.x, qp.residual
+        e, f, v, laws, theta, x, residual = qp.e, qp.f, qp.v, qp.laws, qp.theta, qp.x, qp.residual
     else:
         e, f, v = (m[None] if qp.f.ndim == 1 else m for m in (qp.e, qp.f, qp.v))  # a stack of one
         _check_shapes(qp, working_sets)
         laws, theta = _Laws(e, w, f[..., None], v[..., None], np.isfinite(v)), np.ones((len(v), 1))
-        cold = None
         x, residual = _optimum(laws, f, v)
     lam = np.zeros(v.shape)
-    iterations, solved = 0, np.ones(len(v), dtype=bool)
+    rounds, solved = 0, np.ones(len(v), dtype=bool)
     broken = ~(residual <= 1e-12).all(axis=1)
     if broken.any():
         test = _StopTest.of(laws, f[..., None], v[..., None], x[..., None])
         x = x.copy()  # the test's x_free, and a tick problem's optimum, stay
         left = broken.nonzero()[0]
-        warm = left if cold is None else left[~cold[left]]
-        if len(working_sets) and warm.size:
-            held = _on_laws(laws, theta, test, warm, working_sets, x, lam, residual)
-            left = [p for p in left.tolist() if p not in held]
-        if len(left):
-            x[left], lam[left], iterations, solved[left] = _interior_point(
-                e[left], f[left, :, None], test.take(left), laws.scale)
+        sets = working_sets if len(working_sets) else (np.zeros(v.shape, dtype=bool),)
+        held, rounds = _on_laws(laws, theta, test, left, sets, x, lam)
+        solved[left] = [p in held for p in left.tolist()]
         residual = (w @ x[:, :, None])[:, :, 0] - v
     violation = _violation(laws, residual)
     solved &= violation <= FEAS_TOL
     if qp.f.ndim == 1:
         x, lam, solved = x[0], lam[0], solved[0]
-    return QpSolution(x, lam, int(iterations), solved, float(violation.max(initial=0.0)))
+    return QpSolution(x, lam, rounds, solved, float(violation.max(initial=0.0)))
 
 
 @dataclass
@@ -810,10 +752,11 @@ class SmootherState:
     marks, per axis, the QP rows that ended the last tick with a positive
     multiplier, none on an axis whose solve did not converge; it only speeds
     the next solve, and from a state with none marked (the default) the next
-    tick walks from the empty set.  `unsolved` (not an argument; None where
-    every axis converged) marks the axes whose solve did not converge: the
-    next tick's laws would most likely fail on them again (their rows could
-    not all hold), so they go straight to the interior point.
+    tick walks from the empty set.  `plan` (not an argument; none until the
+    first step) is, per axis, the first n_c - 1 increments the last tick
+    planned (the last ends it at rest): an axis whose solve does not
+    converge applies the first of this plan shifted one step, with 0
+    appended, which meets every row of its tick (see _axis_qp), or 0.
     `augmented` and `u_prev` must be finite: the smoother's laws take
     the rows with a finite bound from the limits alone.  A step writes all
     five at once, after its whole tick is computed.
@@ -823,7 +766,8 @@ class SmootherState:
     u_prev: np.ndarray
     pose: UnitDualQuaternion
     working_set: np.ndarray = field(default_factory=lambda: np.zeros((N_AXES, 0), dtype=bool))
-    unsolved: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    plan: np.ndarray = field(default_factory=lambda: np.zeros((N_AXES, 0)), init=False,
+                             repr=False, compare=False)
 
     def __post_init__(self):
         self.augmented = np.asarray(self.augmented, dtype=float).reshape(-1)
@@ -892,6 +836,7 @@ class TwistSmoother:
         step = np.minimum(np.arange(cfg.n_c) + 1, cfg.n_c - 1)
         self._shift = (2 * (cfg.n_c * np.arange(3)[:, None, None] + step[:, None])
                        + np.arange(2)).ravel()
+        self._jerk = np.arange(len(self._shift)) < 2 * cfg.n_c
 
     @property
     def pose(self) -> UnitDualQuaternion:
@@ -908,6 +853,9 @@ class TwistSmoother:
         _tick_qp.  A tick whose optimum breaks no row (every residual at
         most 1e-12) applies it without calling solve_qp, with the result
         solve_qp would give; any other tick passes the stack to solve_qp.
+        An axis whose solve did not converge applies the first increment
+        of its shifted previous plan (see SmootherState), and the tick
+        reports converged False.
         The pose moves by the algebra's exp, product and normalized().  A
         target that is not six finite numbers or a working set not 0 or 6
         n_c rows wide raises ValueError.  A finite
@@ -926,25 +874,36 @@ class TwistSmoother:
         if working.shape[1] not in (0, rows):
             raise ValueError(f"working set must be 0 or 6 n_c = {rows} rows wide per axis, "
                              f"got {working.shape[1]}")
-        qp = _tick_qp(laws, state.augmented, target, state.u_prev, state.unsolved)
+        qp = _tick_qp(laws, state.augmented, target, state.u_prev)
         x, residual = qp.x, qp.residual
         worst = residual.max()  # NaN where any residual is
         if worst <= 1e-12:  # free: solve_qp's solution, without calling it
-            du, iterations, converged, active = x[:, 0], 0, True, 0
+            y, iterations, converged, active = x, 0, True, 0
             # 0 when every residual is negative, else solve_qp's reduction (and its signed zero)
             violation = 0.0 if worst < 0.0 else float(_violation(laws, residual).max(initial=0.0))
-            working, unsolved = np.zeros(residual.shape, dtype=bool), None
+            working = np.zeros(residual.shape, dtype=bool)
         else:
-            guesses = ((working, working[:, self._shift]) if working.any()
-                       else (np.zeros((N_AXES, rows), dtype=bool),))
+            guesses = (np.zeros((N_AXES, rows), dtype=bool),)
+            if working.any():
+                # a plan brakes to rest over its last steps: the jerk rows of that
+                # tail keep their steps while the limits it reaches move earlier
+                shifted = working[:, self._shift]
+                guesses = (working, shifted,
+                           np.where(self._jerk, working & shifted, working | shifted))
             sol = solve_qp(qp, working_sets=guesses)
             converged = sol.converged
             if not (converged or np.isfinite(x).all()):
                 raise FloatingPointError(f"QP overflows at target twist {target.tolist()}")
-            du, iterations, active, violation = (sol.delta_u[:, 0], sol.iterations,
-                                                 sol.active_count, sol.max_violation)
-            working, unsolved = (sol.lam > 0.0) & sol.solved[:, None], (
-                None if converged else ~sol.solved)
+            y, iterations, active, violation = (sol.delta_u, sol.iterations, sol.active_count,
+                                                sol.max_violation)
+            working = (sol.lam > 0.0) & sol.solved[:, None]
+            if not converged:  # the shifted previous plan; its last increment ends at rest
+                shifted = np.zeros(y.shape)
+                if state.plan.size:
+                    shifted[:, :-1] = state.plan[:, 1:]
+                    shifted[:, -1] = -state.u_prev - state.plan[:, 1:].sum(axis=1)
+                y = np.where(sol.solved[:, None], y, shifted)
+        du = y[:, 0]
 
         a, b, _ = self._model
         per_axis = state.augmented.reshape(-1, N_AXES)  # column a: axis a's 3 states
@@ -956,6 +915,6 @@ class TwistSmoother:
         except (ValueError, OverflowError):  # a twist not finite, or too large to keep unit
             fault = "overflows the pose" if np.isfinite(twist).all() else "is not finite"
             raise FloatingPointError(f"smoothed twist {fault}: {twist.tolist()}") from None
-        state.augmented, state.u_prev, state.pose, state.working_set, state.unsolved = (
-            augmented, state.u_prev + du, pose, working, unsolved)
+        state.augmented, state.u_prev, state.pose, state.working_set, state.plan = (
+            augmented, state.u_prev + du, pose, working, y)
         return StepResult(twist, pose, du, iterations, converged, active, violation)

@@ -9,7 +9,9 @@ products, the control law composed from the public functions), so they do
 not share the single chain walk of ``screwmpc.kinematics``.  The dense
 18-state MPC forms are the second exception: they are the smoother's own
 per-axis model, prediction and tick QP lifted by Kronecker products with I6,
-the paper's form against which the tests check the per-axis design.  The
+the paper's form against which the tests check the per-axis design; the
+terminal zero acceleration is eliminated from them as ``_axis_qp`` does,
+written once here (``eliminate_terminal``) for the oracles.  The
 object-by-object pose algebra is the third: the dual quaternion product,
 ``normalized``, the pure construction and scaling and ``log``'s small-angle
 branch composed from ``Quaternion`` operations and numpy, the reference the
@@ -22,7 +24,7 @@ each solution law carries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -298,9 +300,7 @@ def verdict_at_point(test, p: int, scale, x, rows, lam, r_d) -> tuple[bool, bool
     primal = np.maximum(1.0, w_abs @ np.abs(x) + test.v_abs[p, :, 0])
     screened = bool((z[rows] / test.multiplier[p, rows, 0] >= -1e-10).all()
                     and (s / primal >= -1e-10).all() and (s * scale[:, 0] >= -FEAS_TOL).all())
-    error = test.take([p]).error(x[None, :, None], r_d[None, :, None], 0.0,
-                                 s[None, :, None], z[None, :, None])[0]
-    return screened, screened and bool(error <= 1e-10)
+    return screened, screened and bool(test.error(p, x, r_d, s, z) <= 1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -374,10 +374,30 @@ def build_setpoint(target, n_p: int) -> np.ndarray:
     return np.tile(np.asarray(target, dtype=float).reshape(-1), n_p)
 
 
+def terminal_elimination(n_c: int) -> np.ndarray:
+    """M (n_c x n_c - 1): the increments du = M y - u_prev e_last of a plan
+    that ends at zero acceleration (u_prev + sum du = 0), from its first
+    n_c - 1 increments y."""
+    return np.vstack([np.eye(n_c - 1), -np.ones((1, n_c - 1))])
+
+
+def eliminate_terminal(e, f, w, v, u_prev):
+    """A per-axis QP in the n_c increments du, (1/2) du^T E du + f^T du
+    subject to W du <= V, as the QP in y of the plans that end at zero
+    acceleration (terminal_elimination): E' = M^T E M, f' = M^T (f - E_last
+    u_prev), W' = W M and V' = V + W_last u_prev, with E_last and W_last the
+    last columns of E and W.  Sizes of terms map alike, given |E|, |W| and
+    |u_prev|."""
+    m = terminal_elimination(len(f))
+    return m.T @ e @ m, m.T @ (f - e[:, -1] * u_prev), w @ m, v + w[:, -1] * u_prev
+
+
 def build_qp(state, setpoint, prediction: PredictionMatrices, cfg, limits, u_prev) -> QpProblem:
     """The smoother's tick QP (``_tick_qp``, rows as ``_axis_qp`` describes)
-    as one dense QP: E = Phi^T Q Phi + R, f = -Phi^T Q (setpoint - F state).
-    The setpoint must be n_p copies of one target (build_setpoint)."""
+    as one dense QP: the QP in the first n_c - 1 increments y of each axis
+    (see eliminate_terminal) of E = Phi^T Q Phi + R, f = -Phi^T Q (setpoint
+    - F state), variable 6j + a axis a's y_j.  The setpoint must be n_p
+    copies of one target (build_setpoint)."""
     setpoint = np.asarray(setpoint, dtype=float).reshape(-1)
     target = setpoint[:N_AXES]
     if not np.array_equal(setpoint, np.tile(target, cfg.n_p), equal_nan=True):
@@ -385,8 +405,20 @@ def build_qp(state, setpoint, prediction: PredictionMatrices, cfg, limits, u_pre
     qp = _tick_qp(_axis_qp(*_per_axis(prediction.f, prediction.phi), cfg, limits),
                   state, target, u_prev)
     eye = np.eye(N_AXES)
-    e = np.einsum("aij,ab->iajb", qp.e, eye).reshape(N_AXES * cfg.n_c, -1)
+    e = np.einsum("aij,ab->iajb", qp.e, eye).reshape(N_AXES * (cfg.n_c - 1), -1)
     return QpProblem(e, qp.f.T.ravel(), np.kron(qp.w, eye), qp.v.T.ravel())
+
+
+def failed_solve(solve, axes=slice(None)):
+    """``solve`` (solve_qp) made to fail on the problems ``axes`` of each
+    stack: they read not solved, with NaN points, which a step that applied
+    one would integrate into a NaN twist."""
+    def failing(qp, **kwargs):
+        sol = solve(qp, **kwargs)
+        solved, delta_u = sol.solved.copy(), sol.delta_u.copy()
+        solved[axes], delta_u[axes] = False, np.nan
+        return replace(sol, delta_u=delta_u, solved=solved)
+    return failing
 
 
 # ---------------------------------------------------------------------------
@@ -465,12 +497,3 @@ def control_law_oracle(model, q, x_d, gain) -> tuple[np.ndarray, bool]:
         inv_sigma = np.array([1.0 / s if s >= SV_CUTOFF else 0.0 for s in sigma])
     task_pinv = vt.T @ np.diag(inv_sigma) @ u_svd.T
     return -task_pinv @ (gain @ err.vec8()), singular
-
-
-def qp_feasible_oracle(w, v) -> bool:
-    """Whether W x <= V has a solution, by scipy's LP (HiGHS); infinite rows are dropped."""
-    from scipy.optimize import linprog
-    finite = np.isfinite(v)
-    result = linprog(np.zeros(w.shape[1]), A_ub=w[finite], b_ub=v[finite],
-                     bounds=[(None, None)] * w.shape[1], method="highs")
-    return result.status == 0

@@ -35,7 +35,12 @@ from screwmpc.simulate import (
 )
 
 import reference_runs
-from helpers import chain_product_oracle, pose_jacobian_oracle, pose_rotation_translation
+from helpers import (
+    chain_product_oracle,
+    failed_solve,
+    pose_jacobian_oracle,
+    pose_rotation_translation,
+)
 from reference_runs import QP_ACTIVE, TRACK_TIGHT_LIMITS
 
 AXES = ("wx", "wy", "wz", "vx", "vy", "vz")
@@ -195,6 +200,7 @@ def test_config_rejects_nonpositive_run_bounds(tmp_path, capsys, key, value):
 
 @pytest.mark.parametrize("line, match", [
     ("n_c = 0", "n_c <= n_p"),
+    ("n_c = 1", "n_c = 1 leaves no variable"),
     ("n_c = 60", "n_c <= n_p"),
     ("q_weight = 1 1 1 -1 1 1", "q_weight must be nonnegative"),
     ("r_weight = 0 1 1 1 1 1", "r_weight must be positive"),
@@ -388,13 +394,18 @@ def test_simulate_constrained_run_delays_but_respects_limits(tmp_path, panda, re
     assert acc_vx.max() > 0.9
 
 
-def test_simulate_log_derived_columns_agree_with_verify(panda, ready_pose):
-    # a 1.5 rad turn about the tool z axis under vel 1, acc 10, jerk 20:
-    # some velocity rows cannot be met, so the log carries non-zero flags
+def test_simulate_log_derived_columns_agree_with_verify(panda, ready_pose, monkeypatch):
+    # a 1.5 rad turn about the tool z axis under vel 1, acc 10, jerk 20.
+    # The smoother keeps every bound, so the log is edited by hand: each
+    # smoothed twist the loop logs is scaled by 1.5, and the log carries
+    # non-zero flags
     goal = ready_pose * exp(PureDualQuaternion.from_vec6([0, 0, 0.75, 0, 0, 0]))
     one = np.ones(6)
     limits = LimitSet(-one, one, -10 * one, 10 * one, -20 * one, 20 * one)
     cfg = dataclasses.replace(load_config(None), samples_per_segment=50, limits=limits)
+    step = mpc.TwistSmoother.step
+    monkeypatch.setattr(mpc.TwistSmoother, "step", lambda sm, target: dataclasses.replace(
+        step(sm, target), twist=1.5 * sm.twist))
     result = run_closed_loop(cfg, panda, [ready_pose, goal])
     rows, col = result.rows, result.columns.index
     T = cfg.sample_time_s
@@ -427,18 +438,18 @@ def test_simulate_log_derived_columns_agree_with_verify(panda, ready_pose):
     assert result.qp_failures == np.count_nonzero(rows[:, col("qp_converged")] == 0)
 
 
-@pytest.mark.parametrize("limits, walk", [
-    pytest.param("", None, id="packaged-limits"),
+@pytest.mark.parametrize("limits, failing", [
+    pytest.param("", False, id="packaged-limits"),
     # the QP is active: every tick is solved on laws, of the working set
-    # carried from the tick before or of a walk from it
-    pytest.param(TRACK_TIGHT_LIMITS, None, id="track-tight-limits"),
-    # a walk capped at no step: the ticks the carried sets leave go to the
-    # interior point
-    pytest.param(TRACK_TIGHT_LIMITS, 0, id="track-tight-limits-no-walk"),
+    # carried from the tick before, of a located law or of a walk from them
+    pytest.param(TRACK_TIGHT_LIMITS, False, id="track-tight-limits"),
+    # every solve made to fail: each QP-active tick applies the first
+    # increment of its shifted previous plan and reads unconverged
+    pytest.param(TRACK_TIGHT_LIMITS, True, id="track-tight-limits-no-walk"),
 ])
-def test_simulate_determinism(tmp_path, ready_pose, limits, walk, monkeypatch):
-    if walk is not None:
-        monkeypatch.setattr(mpc, "_WALK", walk)
+def test_simulate_determinism(tmp_path, ready_pose, limits, failing, monkeypatch):
+    if failing:
+        monkeypatch.setattr(mpc, "solve_qp", failed_solve(mpc.solve_qp))
     goal = translated(ready_pose, [0.05, 0.02, 0.0])
     write_keypoints(tmp_path / "kp.txt", [ready_pose, goal])
     cfg = write_cfg(tmp_path, "keypoints = kp.txt\nsamples_per_segment = 15\n"
@@ -452,7 +463,9 @@ def test_simulate_determinism(tmp_path, ready_pose, limits, walk, monkeypatch):
     if limits:
         columns, rows = read_trajectory_csv(tmp_path / "out0" / "trajectory.csv")
         iters, active = rows[:, columns.index("qp_iters")], rows[:, columns.index("qp_active")]
-        assert np.any((active > 0) & (iters == 0)) and np.any(iters > 0) == (walk == 0)
+        converged = rows[:, columns.index("qp_converged")]
+        assert np.any(active > 0) and not iters.any()
+        assert np.array_equal(converged == 0, (active > 0) & failing)
 
 
 @pytest.mark.parametrize("joints", [6, 8])
@@ -629,7 +642,7 @@ def test_closed_loop_stops_on_a_nan_smoothed_twist(panda, ready_pose, monkeypatc
         qp = clean(*args)
         if len(calls) < 5:
             return qp
-        return mpc._TickQp(qp.e, qp.f, qp.w, qp.v, qp.laws, qp.theta, qp.cold, qp.x * math.nan,
+        return mpc._TickQp(qp.e, qp.f, qp.w, qp.v, qp.laws, qp.theta, qp.x * math.nan,
                            qp.residual)
 
     monkeypatch.setattr(mpc, "_tick_qp", faulty)
