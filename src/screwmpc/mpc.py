@@ -23,11 +23,12 @@ increment), so the shifted previous plan meets every row of the next tick
 and every tick from rest is feasible (Mayne, Rawlings, Rao & Scokaert
 2000); an axis whose solve does not converge applies that plan's first
 increment.
-Holding a set as equalities, the solution and its stationarity residual are
-affine in theta too: their law is built on first use and kept in the same
-object, so trying a set costs one product, and a smoother that shares a
-stack starts with the laws built before it; a plain QpProblem builds that
-object on each solve, with theta = [1].  A problem whose unconstrained
+Holding a set as equalities, the solution, its stationarity residual, its
+multipliers over the unit rows and its slacks on them are affine in theta
+too: their law is built on first use and kept in the same object, so trying
+a set costs one product, and a smoother that shares a stack starts with the
+laws built before it; a plain QpProblem builds that object on each solve,
+with theta = [1].  A problem whose unconstrained
 optimum breaks a row tries the laws of its working sets: the set the
 smoother carried from the last tick, the same rows one step along the
 horizon and the two merged, or the empty set.  A problem they leave locates its region of the
@@ -45,12 +46,14 @@ a dual step on its least-squares fit zeroes a working row's multiplier
 instead; with none to zero the rows cannot all hold.  The objective rises
 with every row that joins, so no set repeats and every walk ends.
 Every candidate passes a screen on the stop test's terms (and every row met
-within FEAS_TOL); one whose law's stationarity residual and working rows'
-slacks are all at most _KKT_TOL (read for all candidates of a round in array
-calls) is held, and the stop test (_StopTest) decides the others.  Its
-stationarity and multiplier scales are formed on first read, and only a
-verdict that depends on them reads them, so a tick that its carried sets or
-a location settle usually forms none.
+within FEAS_TOL), read off its law's product: its multipliers and slacks on
+the unit rows, none formed at the point; one whose law's stationarity
+residual and working rows' slacks are all at most _KKT_TOL (read for all
+candidates of a round in array calls) is held, and the stop test
+(_StopTest) decides the others.  Its scaled bounds and its stationarity and
+multiplier scales are formed on first read, and only a verdict that depends
+on them reads them, so a tick that its carried sets settle usually forms
+none.
 The laws' systems and the swaps' fits go to LAPACK's solve gufunc, the one
 np.linalg.solve calls, which returns NaN for a singular problem of a stack
 and solves the rest: a set with no law, or a swap with no fit.
@@ -94,7 +97,7 @@ AUG_DIM = 18
 # a QP row, a smoother step and a logged sample exceed a bound only beyond this
 FEAS_TOL = 1e-6
 _KKT_TOL = 1e-10
-_CACHED = 2048  # solution laws a QP stack keeps (one measured run built at most 453)
+_CACHED = 2048  # sets a QP stack keeps the laws of (one measured run met at most 453)
 _ONES = np.ones(N_AXES)
 
 
@@ -225,20 +228,28 @@ class _Laws:
     Holding a working set A as equalities, the solution is affine in theta too:
     x_free = X theta with X = -E^-1 P_f, lambda_A = S^-1 (W_A X - P_V,A) theta
     with S = W_A E^-1 W_A^T, and x = x_free - E^-1 W_A^T lambda_A.  A problem's
-    law for A maps theta to x, to A's multipliers in row order, 0 past them,
-    and to the stationarity residual E x + f + W_A^T lambda_A (its map E X +
-    P_f + W_A^T Lambda formed once; (2n + min(n, m), p)); the caller takes the
-    slack V - W x from its own V.  A set of more than n rows or of dependent
-    rows (|S_ii (S^-1)_ii| above 1e12, or S singular) has no candidate: its law
-    is NaN, which no screen passes and no location finds.  A law is built on
-    first use and kept in one dense store, per slot the law (its L laws read as
-    one L (2n + min(n, m)) by p matrix), its rows' mask, its first min(n, m)
-    rows, working rows first, how many work and its class: problems whose E^-1,
-    X, P_V and finite rows are equal bit for bit are of one class and share
-    their laws.  _CACHED is a guard far above the laws a run builds: past it
-    the stack drops the laws built first and warns, once.  A law depends on
-    nothing else, so smoothers in several threads may share one stack: a lock
-    guards its store."""
+    law for A maps theta, in the rows of its slot, to
+      x (n rows);
+      A's multipliers lambda_A in row order, 0 past them (min(n, m) rows);
+      the stationarity residual E x + f + W_A^T lambda_A (n rows; its map E X
+        + P_f + W_A^T Lambda formed once);
+      the unit multipliers lambda_A |W_i|, the stop test's (min(n, m) rows);
+      the unit-row slacks S_A = P_V,unit - W_unit X_A (m rows), P_V,unit being
+        P_V / |W_i| on the rows that can activate and theta's constant 1
+        elsewhere, so those read 1, as the stop test's scaled bounds do;
+    so one product gives a candidate all the screen reads.  A set of more
+    than n rows or of dependent rows (|S_ii (S^-1)_ii| above 1e12, or S
+    singular) has no candidate: it points at slot 0, the one NaN law (no
+    rows, no class), which no screen passes and no location finds.  A law is
+    built on first use and kept in one dense store, whose arrays grow by
+    doubling, per slot the law (its L laws read as one L (2 (n + min(n, m))
+    + m) by p matrix), its rows' mask, its first min(n, m) rows, working
+    rows first, how many work and its class: problems whose E^-1, X, P_V
+    and finite rows are equal bit for bit are of one class and share their
+    laws.  _CACHED is a guard far above the
+    sets a run meets: past it the stack drops the sets met first and warns,
+    once.  A law depends on nothing else, so smoothers in several threads may
+    share one stack: a lock guards its store."""
 
     def __init__(self, e, w, p_f, p_v, finite):
         self.e, self.w = e, w                      # (k, n, n), (m, n)
@@ -258,9 +269,13 @@ class _Laws:
         # a slack on the unit rows of at least this meets the stop test and FEAS_TOL
         self.floor = max(-_KKT_TOL, -FEAS_TOL / float(self.scale.max(initial=1.0)))
         self.e_rows = float(self.e_abs.sum(axis=-1).max())  # |E|'s largest row sum
-        self.store = np.empty((0, 2 * n + self.width, p))
-        self.masks, self.work = np.empty((0, m), dtype=bool), np.empty((0, self.width), dtype=int)
-        self.count, self.kind = np.empty(0, dtype=int), np.empty(0, dtype=int)
+        # P_V over the row scale on the rows that can activate, theta's constant elsewhere
+        self.p_v_unit = np.where(self.rows[..., None], self.p_v / self.scale, np.arange(p) == p - 1)
+        # slot 0: the NaN law that every set with no law shares (no rows, no class)
+        self.store = np.full((1, 2 * (n + self.width) + m, p), np.nan)
+        self.masks, self.work = np.zeros((1, m), dtype=bool), np.arange(self.width)[None]
+        self.count, self.kind = np.zeros(1, dtype=int), np.full(1, -1)
+        self.size = 1  # slots in use; the arrays grow by doubling
         self.cache: dict = {}  # (class, rows' mask) -> slot, oldest first
         self.stored, self.evicted = 0, False  # laws ever stored; warned
         self.lock = threading.Lock()
@@ -275,8 +290,7 @@ class _Laws:
 
     def of(self, problems, masks) -> tuple:
         """The laws of problem problems[i] on the rows masks[i], their rows and counts."""
-        alike = self.alike
-        keys = [(alike[p], mask.tobytes()) for p, mask in zip(problems.tolist(), masks)]
+        keys = self._keys(problems, masks)
         with self.lock:
             cache = self.cache
             missing = {key: i for i, key in enumerate(keys) if key not in cache}
@@ -292,16 +306,27 @@ class _Laws:
                         "a QP stack holds more than %d solution laws: it drops the oldest, "
                         "to be rebuilt when used", _CACHED)
                     self.evicted = True
-                drop = len(cache) - _CACHED
+                kept = list(cache.items())[len(cache) - _CACHED:]
+                # the laws dropped hold slots 1 to gone: slot gone becomes slot 0
+                gone = self.size - 1 - sum(slot > 0 for _, slot in kept)
+                arrays = self.store, self.masks, self.work, self.count, self.kind
+                for a in arrays:
+                    a[gone] = a[0]
                 self.store, self.masks, self.work, self.count, self.kind = (
-                    a[drop:] for a in (self.store, self.masks, self.work, self.count, self.kind))
-                self.cache = dict(zip(list(cache)[drop:], range(_CACHED)))
+                    a[gone:] for a in arrays)
+                self.size -= gone
+                self.cache = {key: slot and slot - gone for key, slot in kept}
         return laws
+
+    def _keys(self, problems, masks) -> list:
+        """The cache keys of problem problems[i] on the rows masks[i]."""
+        alike, rows, m = self.alike, masks.tobytes(), masks.shape[1]
+        return [(alike[p], rows[i * m:i * m + m]) for i, p in enumerate(problems.tolist())]
 
     def _build(self, problems, masks) -> None:
         """Store the laws, built batched with padding: a padded row is 0 in
         W_A and 1 on S's diagonal, and its multiplier 0; a set with no law
-        is NaN.  One step of iterative refinement follows the Schur
+        gets slot 0.  One step of iterative refinement follows the Schur
         complement: x cancels the terms of -E^-1 f, which may be far larger."""
         (n, p), width = self.x_free.shape[1:], self.width
         count = masks.sum(axis=1)
@@ -314,7 +339,7 @@ class _Laws:
         eye = np.eye(width)
         schur = w_a @ g + pad[:, None, :] * eye
         rhs = np.concatenate([w_a @ x_free - v_a, np.broadcast_to(eye, schur.shape)], axis=2)
-        with np.errstate(all="ignore"):  # dependent rows may solve to inf; their law is NaN
+        with np.errstate(all="ignore"):  # dependent rows may solve to inf; they have no law
             sol = _solve(schur, rhs)
             diag = np.diagonal(schur, axis1=1, axis2=2) * np.diagonal(sol[..., p:], axis1=1, axis2=2)
             e, p_f, w_t = self.e[problems], self.p_f[problems], w_a.transpose(0, 2, 1)
@@ -325,31 +350,42 @@ class _Laws:
             x = x - self.e_inv[problems] @ r_d + g @ d_lam
             lam = np.where(pad[..., None], 0.0, lam - d_lam)
             r_d = e @ x + p_f + w_t @ lam  # the residual as a map of theta
-        laws = np.concatenate([x, lam, r_d], axis=1)
-        laws[(count > n) | ~(abs(diag) <= 1e12).all(axis=1)] = np.nan
-        kind, used = [self.alike[q] for q in problems.tolist()], len(self.kind)
-        self.cache.update(zip(zip(kind, [mask.tobytes() for mask in masks]),
-                              range(used, used + len(kind))))
-        self.store, self.masks, self.work, self.count, self.kind = (
-            np.concatenate(pair) for pair in zip((self.store, self.masks, self.work, self.count,
-                                                  self.kind), (laws, masks, rows, count, kind)))
-        self.stored += len(kind)
+        lawful = (count <= n) & (abs(diag) <= 1e12).all(axis=1)
+        w_unit = self.w_unit[0] if len(self.w_unit) == 1 else self.w_unit[problems]
+        laws = np.concatenate([x, lam, r_d, lam * self.scale[rows],  # the unit multipliers
+                               self.p_v_unit[problems] - w_unit @ x], axis=1)[lawful]
+        used, new = self.size, len(laws)
+        self.cache.update(zip(self._keys(problems, masks),
+                              np.where(lawful, used + np.cumsum(lawful) - 1, 0).tolist()))
+        arrays = self.store, self.masks, self.work, self.count, self.kind
+        if used + new > len(self.store):  # at least doubled: each law is copied O(1) times
+            grown = [np.empty((used + max(used, new),) + a.shape[1:], a.dtype) for a in arrays]
+            for a, b in zip(grown, arrays):
+                a[:used] = b[:used]  # the rest is written only as laws fill it
+            arrays = grown
+        for a, slots in zip(arrays, (laws, masks[lawful], rows[lawful], count[lawful],
+                                     np.array(self.alike)[problems[lawful]])):
+            a[used:used + new] = slots
+        self.store, self.masks, self.work, self.count, self.kind = arrays
+        self.size += new
+        self.stored += new
 
     def locate(self, problems: list, theta, test, before: int) -> dict:
         """Per problem, the rows of the one law of its class, of the first
         `before` the stack stored, whose multipliers at its theta are at
         least 0 and whose x meets every unit row of `test` by floor, if one
-        alone does (explicit MPC's point location)."""
+        alone does (explicit MPC's point location).  It multiplies only the
+        x and multiplier rows of the stored slots, and forms the slacks at
+        the point for the laws whose multipliers pass."""
         n = self.x_free.shape[1]
         with self.lock, np.errstate(all="ignore"):  # a law may overflow at a large theta
-            count = len(self.cache) - (self.stored - before)
-            if count <= 0:
+            count = self.size - (self.stored - before)
+            if count <= 1:  # slot 0 is no law
                 return {}
-            y = (self.store[:count].reshape(-1, self.store.shape[2])
-                 @ np.ascontiguousarray(theta[problems].T)).reshape(count, -1, len(problems))
+            y = self.store[:count, :n + self.width] @ np.ascontiguousarray(theta[problems].T)
             # every multiplier at least 0 (NaN: no law), over the rows made the
             # outer axis (a reduction over a short inner axis is slow)
-            slot, j = ((np.ascontiguousarray(y[:, n:-n].transpose(1, 0, 2)).min(axis=0) >= 0.0)
+            slot, j = ((np.ascontiguousarray(y[:, n:].transpose(1, 0, 2)).min(axis=0) >= 0.0)
                        & (self.kind[:count, None] == [self.alike[p] for p in problems])).nonzero()
             # of those, the laws whose x meets every unit row
             p, x = np.array(problems)[j], y[slot, :n, j]
@@ -467,10 +503,13 @@ class _StopTest:
     is left out); a multiplier against the stationarity rows of the variables
     its row touches.
 
-    |bounds|, the stationarity scales ``dual`` (k, n, 1) and the multiplier
-    scales ``multiplier`` (k, m, 1), each at least 1, are formed on first
-    read.  Every scale is at most sqrt(n) (1 + |E|'s largest row sum
-    |x_free| + |f|), on 2-norms over the stack.  ``bounded``: that bound is
+    The scaled bounds ``v`` (k, m, 1; 1 on a row that cannot activate) and
+    their absolute values ``v_abs``, the stationarity scales ``dual`` (k, n,
+    1) and the multiplier scales ``multiplier`` (k, m, 1), each at least 1,
+    are formed on first read: a screen reads each candidate's slacks and
+    unit multipliers off its law, so a tick that one round of laws holds
+    usually forms none of them.  Every scale is at most sqrt(n) (1 + |E|'s
+    largest row sum |x_free| + |f|), on 2-norms over the stack.  ``bounded``: that bound is
     finite, so a multiplier of at least 0 or a stationarity residual of at
     most 1e-10 meets the test on any scale, and a multiplier below
     ``lowest`` fails it on any."""
@@ -481,12 +520,16 @@ class _StopTest:
         and its f, v and x_free (which must not change while the test lives)."""
         test = cls()
         test.w, test.w_abs = laws.w_unit, laws.w_unit_abs
-        test.v = np.where(laws.rows[..., None], v / laws.scale, 1.0)
         top = 2.0 * math.sqrt(x_free.shape[1]) * (  # twice the bound, for rounding
             1.0 + laws.e_rows * math.sqrt(np.vdot(x_free, x_free)) + math.sqrt(np.vdot(f, f)))
         test.bounded, test.lowest = top <= 1e300, -_KKT_TOL * top  # NaN top: not bounded
-        test.terms = laws.e_abs, f, x_free
+        test.terms = laws, f, v, x_free
         return test
+
+    @cached_property
+    def v(self) -> np.ndarray:
+        laws, _, v, _ = self.terms
+        return np.where(laws.rows[..., None], v / laws.scale, 1.0)
 
     @cached_property
     def v_abs(self) -> np.ndarray:
@@ -494,20 +537,23 @@ class _StopTest:
 
     @cached_property
     def dual(self) -> np.ndarray:
-        e_abs, f, x_free = self.terms
-        return np.maximum(1.0, e_abs @ np.abs(x_free) + np.abs(f))
+        laws, f, _, x_free = self.terms
+        return np.maximum(1.0, laws.e_abs @ np.abs(x_free) + np.abs(f))
 
     @cached_property
     def multiplier(self) -> np.ndarray:
         return np.maximum(1.0, self.w_abs @ self.dual)
 
-    def error(self, p: int, x, r_d, s, z) -> float:
+    def error(self, p: int, x, r_d, s, rows, z) -> float:
         """Problem p's largest KKT residual at the point x with stationarity
-        residual r_d, unit-row slacks s and multipliers z."""
+        residual r_d, unit-row slacks s and unit multipliers z on the rows
+        `rows` (0 on the others)."""
         w_abs = self.w_abs[0 if len(self.w_abs) == 1 else p]
         primal = np.maximum(1.0, w_abs @ np.abs(x) + self.v_abs[p, :, 0])
+        z_rows = np.zeros(len(s))
+        z_rows[rows] = z
         return max(np.abs(r_d / self.dual[p, :, 0]).max(),
-                   np.abs(np.minimum(s / primal, z / self.multiplier[p, :, 0])).max())
+                   np.abs(np.minimum(s / primal, z_rows / self.multiplier[p, :, 0])).max())
 
 
 def _on_laws(laws: _Laws, theta, test: _StopTest, todo, sets, x, lam) -> tuple[set, int]:
@@ -515,8 +561,8 @@ def _on_laws(laws: _Laws, theta, test: _StopTest, todo, sets, x, lam) -> tuple[s
     problem's point into x and its multipliers into lam, which hold x_free
     and 0 on the call; returns the problems held and the rounds after which
     the last unheld one ended (0: none)."""
-    (k, n), m = x.shape, len(laws.w)
-    w_u, w_abs = (test.w[0], test.w_abs[0]) if len(test.w) == 1 else (test.w, test.w_abs)
+    (k, n), m, width = x.shape, len(laws.w), laws.width
+    w_abs = test.w_abs[0] if len(test.w_abs) == 1 else test.w_abs
     # candidate c: problem owner[c] on the rows masks[c], each problem's sets
     # in order; a problem's walk starts from its last
     masks = (np.asarray(sets, dtype=bool).reshape(-1, k, m) & laws.rows)[:, todo].reshape(-1, m)
@@ -533,7 +579,7 @@ def _on_laws(laws: _Laws, theta, test: _StopTest, todo, sets, x, lam) -> tuple[s
     def met(c):  # the screen's slack terms (see below) of candidate c
         if a_min[c] >= laws.floor:
             return True
-        p, x_c = owner[c], y[c, :n, 0]
+        p, x_c = owner[c], y[c, :n]
         # each scale is at most 1 + |x| + |V| on unit rows, so this fails
         # (|x| by hypot, which does not overflow where x . x does)
         if a_min[c] < -2 * _KKT_TOL * (1.0 + math.hypot(*x_c.tolist()) + test.v_abs[p].max()):
@@ -548,7 +594,7 @@ def _on_laws(laws: _Laws, theta, test: _StopTest, todo, sets, x, lam) -> tuple[s
         x[p], lam[p], unheld = x_p, np.maximum(lam_p, 0.0), rounds
 
     def join(p, c):  # dual-feasible candidate c not held: its most broken row joins
-        row, x_c = a_at[c], y[c, :n, 0]
+        row, x_c = a_at[c], y[c, :n]
         with np.errstate(over="ignore"):  # inf at a huge target: only the first rises
             d = x_c - x_free[p]
             g = float(d @ laws.e[p] @ d)
@@ -562,18 +608,19 @@ def _on_laws(laws: _Laws, theta, test: _StopTest, todo, sets, x, lam) -> tuple[s
         rounds += 1
         problems = np.array(owner)
         y, work, count = laws.of(problems, masks)
-        y, count = y @ theta[problems, :, None], count.tolist()  # x, multipliers, residual
+        y, count = (y @ theta[problems, :, None])[..., 0], count.tolist()
+        # x, multipliers, stationarity residual, unit multipliers, unit-row slacks
+        lam_y, r_d = y[:, n:n + width], y[:, n + width:2 * n + width]
+        z, s = y[:, 2 * n + width:2 * (n + width)], y[:, 2 * (n + width):]
         # the screen: each working row's multiplier and each row's slack, over
         # their scales in the stop test, at least -1e-10, and every row met
         # within FEAS_TOL (a unit-row slack of at least laws.floor meets both);
         # the scales are read only for a multiplier between 0 and test.lowest
-        s = test.v[problems, :, 0] - ((w_u if w_u.ndim == 2 else w_u[problems]) @ y[:, :n])[..., 0]
-        z = y[:, n:-n, 0] * laws.scale[work, 0]
         z_rel, d_min = (None, z.min(axis=1).tolist()) if test.bounded else relative()
         a_min = s.min(axis=1).tolist()
         # the stop test's terms the screen leaves, the stationarity residual (the law's)
         # and each working row's min(slack, multiplier), are met if both are at most 1e-10
-        top = np.maximum(abs(y[:, -n:, 0]).max(axis=1), np.where(masks, s, 0.0).max(axis=1))
+        top = np.maximum(abs(r_d).max(axis=1), s.max(axis=1, where=masks, initial=0.0))
         unread = ((top <= _KKT_TOL) & test.bounded).tolist()
         first, last = {}, {}  # each problem's first candidate that passes, and its last
         for c, p in enumerate(owner):
@@ -585,27 +632,25 @@ def _on_laws(laws: _Laws, theta, test: _StopTest, todo, sets, x, lam) -> tuple[s
             if d_min[c] >= -_KKT_TOL and met(c):
                 first[p] = c
         for p, c in first.items():  # held if it passes the stop test, else it ends
-            rows = work[c, :count[c]]
-            z_c = np.zeros(m)
-            z_c[rows] = z[c, :count[c]]
-            if unread[c] or test.error(p, y[c, :n, 0], y[c, -n:, 0], s[c], z_c) <= _KKT_TOL:
+            rows, z_c = work[c, :count[c]], z[c, :count[c]]
+            if unread[c] or test.error(p, y[c, :n], r_d[c], s[c], rows, z_c) <= _KKT_TOL:
                 held.add(p)
             else:
                 unheld = rounds
-            x[p], lam[p, rows] = y[c, :n, 0], np.maximum(y[c, n:n + count[c], 0], 0.0)
+            x[p], lam[p, rows] = y[c, :n], np.maximum(lam_y[c, :count[c]], 0.0)
         left = [p for p in last if p not in first]
         located = {} if rounds > 1 or not left else laws.locate(left, theta, test, before)
         if len(located) == len(left):
             owner, masks = left, np.array([located[p] for p in left]).reshape(-1, m)
             continue
         lam_c = np.zeros(masks.shape)  # each candidate's multipliers in row order
-        lam_c[np.arange(len(masks))[:, None], work] = y[:, n:-n, 0]
+        lam_c[np.arange(len(masks))[:, None], work] = lam_y
         a_at = s.argmin(axis=1).tolist()
         # each problem left steps, as Goldfarb & Idnani (1983): a set with a
         # negative multiplier drops those rows; a dual-feasible one adds its
         # most broken row, and the set with it moves the point along the
         # segment to its law until a multiplier reaches 0, whose row leaves
-        lawless = (~np.isfinite(y[:, :-n, 0]).all(axis=1)).tolist()
+        lawless = (~np.isfinite(y[:, :n + width]).all(axis=1)).tolist()
         new, owner = [], []
         for p in left:
             c = last[p]
@@ -625,7 +670,7 @@ def _on_laws(laws: _Laws, theta, test: _StopTest, todo, sets, x, lam) -> tuple[s
                     with np.errstate(divide="ignore", invalid="ignore"):
                         t = np.where(mask & (lam_j < 0.0), lam_p / (lam_p - lam_j), np.inf)
                     out = int(t.argmin())
-                    x_p = x_p + t[out] * (y[c, :n, 0] - x_p)
+                    x_p = x_p + t[out] * (y[c, :n] - x_p)
                     lam_p = lam_p + t[out] * (lam_j - lam_p)
                     lam_p[out] = 0.0
                 else:  # the full step: the set holds the row
@@ -661,8 +706,8 @@ def _swap(laws: _Laws, rows, added: int, lam) -> int | None:
     scale, w_r = laws.scale[index, 0], laws.w[added] / laws.scale[added, 0]
     w_a = laws.w[index] / scale[:, None]
     d = _solve((w_a @ w_a.T)[None], (w_a @ w_r)[None, :, None])[0, :, 0]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(d > 1e-9, lam[index] * scale / d, np.inf)
+    ratio, fit = np.full(len(index), np.inf), d > 1e-9  # NaN d (no fit): no ratio
+    ratio[fit] = lam[index[fit]] * scale[fit] / d[fit]
     out = int(ratio.argmin())
     if not ratio[out] < np.inf:
         return None
@@ -734,7 +779,8 @@ def solve_qp(qp: QpProblem, *, working_sets: Sequence[np.ndarray] = ()) -> QpSol
         sets = working_sets if len(working_sets) else (np.zeros(v.shape, dtype=bool),)
         held, rounds = _on_laws(laws, theta, test, left, sets, x, lam)
         solved[left] = [p in held for p in left.tolist()]
-        residual = (w @ x[:, :, None])[:, :, 0] - v
+        residual = residual.copy()  # a tick problem's residual stays
+        residual[left] = (w @ x[left, :, None])[:, :, 0] - v[left]
     violation = _violation(laws, residual)
     solved &= violation <= FEAS_TOL
     if qp.f.ndim == 1:

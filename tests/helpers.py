@@ -17,9 +17,10 @@ object-by-object pose algebra is the third: the dual quaternion product,
 branch composed from ``Quaternion`` operations and numpy, the reference the
 float forms of ``screwmpc.dualquat`` must equal bit for bit.  The QP stop
 test at a candidate's point is the fourth: it forms the candidate's
-stationarity residual at its point and applies the call's own stop test
-(``screwmpc.mpc._StopTest``), the per-point reference for the residual map
-each solution law carries.
+stationarity residual, unit-row slacks and unit multipliers at its point and
+applies the call's own stop test (``screwmpc.mpc._StopTest``), the per-point
+reference for the residual, multiplier and slack maps each solution law
+carries.
 """
 
 from __future__ import annotations
@@ -284,23 +285,33 @@ def stationarity_at_point(e, f, w, x, rows, lam) -> tuple[np.ndarray, np.ndarray
             np.abs(e) @ np.abs(x) + np.abs(f) + np.abs(lam) @ np.abs(w[rows]))
 
 
-def verdict_at_point(test, p: int, scale, x, rows, lam, r_d) -> tuple[bool, bool]:
-    """Whether solve_qp's screen passes a candidate of problem p (x with
-    multipliers lam on `rows`, stationarity residual r_d) and whether it is
-    held, each formed at the point from the stop test of the call (``test``,
-    a ``_StopTest``) and the row norms ``scale``: the screen asks each
-    working row's multiplier and each row's slack over their scales to be at
-    least -1e-10 and every row to be met within FEAS_TOL; a screened
-    candidate is held if the stop test's largest residual is at most 1e-10."""
+def slacks_at_point(test, p: int, scale, x, rows, lam) -> tuple:
+    """The unit-row slacks V / |W_i| - (W_i / |W_i|) x of problem p at the
+    point x on the stop test ``test`` (a ``_StopTest``) and the unit
+    multipliers lam |W_i| of the rows `rows` (in row order, 0 on the other
+    rows), formed at the point, each with the size of its terms."""
     w_u = test.w[0] if len(test.w) == 1 else test.w[p]
-    w_abs = test.w_abs[0] if len(test.w_abs) == 1 else test.w_abs[p]
     s = test.v[p, :, 0] - w_u @ x
-    z = np.zeros(len(s))
+    z, z_size = np.zeros(len(s)), np.zeros(len(s))
     z[rows] = lam * scale[rows, 0]
+    z_size[rows] = np.abs(z[rows])
+    return s, z, test.v_abs[p, :, 0] + np.abs(w_u) @ np.abs(x), z_size
+
+
+def verdict_at_point(test, p: int, scale, x, rows, s, z, r_d) -> tuple[bool, bool]:
+    """Whether solve_qp's screen passes a candidate of problem p (x with unit
+    multipliers z in row order on `rows`, unit-row slacks s and stationarity
+    residual r_d) and whether it is held, each formed from the stop test of
+    the call (``test``, a ``_StopTest``) and the row norms ``scale``: the
+    screen asks each working row's multiplier and each row's slack over
+    their scales to be at least -1e-10 and every row to be met within
+    FEAS_TOL; a screened candidate is held if the stop test's largest
+    residual is at most 1e-10."""
+    w_abs = test.w_abs[0] if len(test.w_abs) == 1 else test.w_abs[p]
     primal = np.maximum(1.0, w_abs @ np.abs(x) + test.v_abs[p, :, 0])
     screened = bool((z[rows] / test.multiplier[p, rows, 0] >= -1e-10).all()
                     and (s / primal >= -1e-10).all() and (s * scale[:, 0] >= -FEAS_TOL).all())
-    return screened, screened and bool(test.error(p, x, r_d, s, z) <= 1e-10)
+    return screened, screened and bool(test.error(p, x, r_d, s, rows, z[rows]) <= 1e-10)
 
 
 # ---------------------------------------------------------------------------

@@ -46,6 +46,7 @@ from helpers import (
     prediction_rollout_oracle,
     qp_enumeration_oracle,
     same_bits,
+    slacks_at_point,
     stationarity_at_point,
     terminal_elimination,
     verdict_at_point,
@@ -443,9 +444,11 @@ def test_law_is_the_equality_constrained_solve(data):
     # slack, within 1e-12 of each term's size, for the set the cold solve
     # ends with and for its shift; after them the law holds its stationarity
     # residual map (n rows, see test_residual_map_is_the_point_residual...),
-    # and it comes with its rows in order and their count.  A set of more
-    # than n rows or with dependent rows has no candidate: its law is NaN,
-    # which no screen passes
+    # its unit multipliers (n rows) and its unit-row slacks (m rows, see
+    # test_slack_map_is_the_point_slack...), and it comes with its rows in
+    # order and their count.  A set of more than n rows or with dependent
+    # rows has no candidate: it shares slot 0, whose law is NaN, which no
+    # screen passes
     cfg, limits, state, u_prev, target = draw_tick(data)
     sm = TwistSmoother(cfg, limits, UnitDualQuaternion.identity())
     qp = _tick_qp(sm._laws, state, target, u_prev)
@@ -457,12 +460,13 @@ def test_law_is_the_equality_constrained_solve(data):
             rows = np.flatnonzero(working[axis])
             law, work, count = laws.of(np.array([axis]), working[axis][None])
             law = law[0]
-            assert law.shape == (3 * n, 6)
-            assert count.tolist() == [len(rows)]
-            assert work[0, :len(rows)].tolist() == rows[:n].tolist()  # working rows first
+            assert law.shape == (4 * n + m, 6)
             if np.linalg.matrix_rank(qp.w[rows]) < len(rows):
                 assert np.isnan(law).all()
+                assert laws.cache[laws.alike[axis], working[axis].tobytes()] == 0
                 continue
+            assert count.tolist() == [len(rows)]
+            assert work[0, :len(rows)].tolist() == rows[:n].tolist()  # working rows first
             expected, size = equality_solve(qp, axis, rows, f_size[axis], v_size[axis])
             x_lam = law[:2 * n] @ qp.theta[axis]
             assert np.all(x_lam[n + len(rows):] == 0.0)
@@ -473,6 +477,7 @@ def test_law_is_the_equality_constrained_solve(data):
     jerk_rows = rows_of(m, range(2 * cfg.n_c))  # every jerk row is finite
     for dependent in (jerk_rows & (np.arange(m) <= n), rows_of(m, [0, 1])):
         assert np.isnan(laws.of(np.arange(N_AXES), np.tile(dependent, (N_AXES, 1)))[0]).all()
+        assert {laws.cache[laws.alike[axis], dependent.tobytes()] for axis in range(N_AXES)} == {0}
 
 
 def test_dependent_rows_have_no_law_and_no_warning():
@@ -487,19 +492,12 @@ def test_dependent_rows_have_no_law_and_no_warning():
         assert np.isnan(law).all()
 
 
-@settings(max_examples=80, deadline=None)
-@given(data=st.data())
-def test_residual_map_is_the_point_residual_and_keeps_every_verdict(data):
-    # on plain QpProblem stacks (theta = [1]) and smoother ticks at random
-    # theta, solved from the cold solve's working set and a random one: at
-    # every candidate of every round, the law's stationarity residual at
-    # theta is E x + f + W_A^T lambda_A formed at its point, within 1e-12 of
-    # the size of the terms of both forms; the point oracle's verdict
-    # (screen, then held) is the same on either residual; a problem whose
-    # first candidate the oracle screens leaves the walk in that round, held
-    # where the oracle holds it, bit for bit on that candidate's point and
-    # multipliers, else unconverged; and a problem no candidate of a round
-    # screens walks on or ends unconverged
+def solve_recording_rounds(data):
+    """A plain QpProblem stack (theta = [1]) or a smoother tick at random
+    theta, solved from the cold solve's working set and a random one,
+    recording its law rounds: the solution, theta, the laws and stop test
+    of the one _on_laws call (None where every problem was free) and, per
+    round, its problems and the laws, rows and counts _Laws.of gave them."""
     if data.draw(st.booleans(), label="tick"):
         cfg, limits, state, u_prev, target = draw_tick(data)
         qp = _tick_qp(TwistSmoother(cfg, limits, UnitDualQuaternion.identity())._laws,
@@ -524,24 +522,50 @@ def test_residual_map_is_the_point_residual_and_keeps_every_verdict(data):
     with mock.patch.object(mpc, "_on_laws", recorded_call), \
             mock.patch.object(mpc._Laws, "of", recorded_round):
         sol = solve_qp(qp, working_sets=data.draw(st.permutations(sets), label="order"))
-    assume(calls)
-    (laws, test), tiny = calls[0], np.finfo(float).tiny
-    n = laws.x_free.shape[1]
+    return qp, theta, sol, *(calls[0] if calls else (None, None)), rounds
+
+
+def law_terms(laws, law, theta):
+    """A law at theta: x, the multipliers (padded), the stationarity
+    residual, the unit multipliers (padded) and the unit-row slacks."""
+    n, width = laws.x_free.shape[1], laws.width
+    y = law @ theta
+    return np.split(y, np.cumsum([n, width, n, width]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_residual_map_is_the_point_residual_and_keeps_every_verdict(data):
+    # on plain QpProblem stacks (theta = [1]) and smoother ticks at random
+    # theta, solved from the cold solve's working set and a random one: at
+    # every candidate of every round, the law's stationarity residual at
+    # theta is E x + f + W_A^T lambda_A formed at its point, within 1e-12 of
+    # the size of the terms of both forms; the point oracle's verdict
+    # (screen, then held; slacks and multipliers formed at the point) is the
+    # same on either residual; a problem whose first candidate the oracle
+    # screens leaves the walk in that round, held where the oracle holds it,
+    # bit for bit on that candidate's point and multipliers, else
+    # unconverged; and a problem no candidate of a round screens walks on or
+    # ends unconverged
+    qp, theta, sol, laws, test, rounds = solve_recording_rounds(data)
+    assume(laws is not None)
+    tiny, n = np.finfo(float).tiny, laws.x_free.shape[1]
     for i, (problems, (law, work, count)) in enumerate(rounds):
         later = rounds[i + 1][0] if i + 1 < len(rounds) else []
         decided, points = {}, []  # decided: the first candidate the oracle screens, if held
         for c, p in enumerate(problems):
             rows = work[c, :count[c]]
-            y = law[c] @ theta[p]
-            x, lam, r_map = y[:n], y[n:n + count[c]], y[-n:]
+            x, lam, r_map, _, _ = law_terms(laws, law[c], theta[p])
+            lam = lam[:count[c]]
             points.append((x, rows, lam))
             if not np.isnan(law[c]).any():
                 r_point, size = stationarity_at_point(laws.e[p], qp.f[p], qp.w, x, rows, lam)
                 size += (np.abs(laws.e[p]) @ np.abs(law[c, :n]) + np.abs(laws.p_f[p])
                          + np.abs(qp.w[rows]).T @ np.abs(law[c, n:n + count[c]])) @ np.abs(theta[p])
                 assert np.all(np.abs(r_map - r_point) <= 1e-12 * size + tiny)
-                verdict = verdict_at_point(test, p, laws.scale, x, rows, lam, r_point)
-                assert verdict == verdict_at_point(test, p, laws.scale, x, rows, lam, r_map)
+                s, z, _, _ = slacks_at_point(test, p, laws.scale, x, rows, lam)
+                verdict = verdict_at_point(test, p, laws.scale, x, rows, s, z, r_point)
+                assert verdict == verdict_at_point(test, p, laws.scale, x, rows, s, z, r_map)
                 if verdict[0] and p not in decided:
                     decided[p] = c if verdict[1] else None
         for p in set(problems):  # a screened problem leaves: held on its point, or unconverged
@@ -554,6 +578,42 @@ def test_residual_map_is_the_point_residual_and_keeps_every_verdict(data):
                 expected = np.zeros(len(qp.w))
                 expected[rows] = np.maximum(lam, 0.0)
                 assert same_bits(sol.delta_u[p], x) and same_bits(sol.lam[p], expected)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_slack_map_is_the_point_slack_and_keeps_every_verdict(data):
+    # on the cases of test_residual_map_is_the_point_residual...: at every
+    # candidate of every round, the law's unit-row slacks at theta are V /
+    # |W_i| - (W_i / |W_i|) x formed at its point (1 on a row that cannot
+    # activate) and its unit multipliers are its multipliers times their
+    # rows' norms (0 past its rows), each within 1e-12 of the size of the
+    # terms of both forms; and the point oracle's verdict (screen, then
+    # held) is the same on the law's slacks and unit multipliers as on
+    # those formed at the point
+    qp, theta, _, laws, test, rounds = solve_recording_rounds(data)
+    assume(laws is not None)
+    tiny, n, width = np.finfo(float).tiny, laws.x_free.shape[1], laws.width
+    w_unit = np.abs(test.w[0] if len(test.w) == 1 else test.w)
+    for problems, (law, work, count) in rounds:
+        for c, p in enumerate(problems):
+            if np.isnan(law[c]).any():
+                continue
+            rows, size = work[c, :count[c]], np.abs(law[c]) @ np.abs(theta[p])
+            x, lam, r_d, z_law, s_law = law_terms(laws, law[c], theta[p])
+            assert not z_law[count[c]:].any()
+            z_map = np.zeros(len(qp.w))
+            z_map[rows] = z_law[:count[c]]
+            s, z, s_size, z_size = slacks_at_point(test, p, laws.scale, x, rows, lam[:count[c]])
+            s_size += size[2 * (n + width):] + (w_unit if w_unit.ndim == 2 else w_unit[p]) @ (
+                np.abs(law[c, :n]) @ np.abs(theta[p]))
+            z_size[rows] += (size[n:n + count[c]] * laws.scale[rows, 0]
+                             + size[2 * n + width:][:count[c]])
+            assert np.all(np.abs(s_law - s) <= 1e-12 * s_size + tiny)
+            assert np.all(np.abs(z_map - z) <= 1e-12 * z_size + tiny)
+            assert (s_law[~laws.rows[p]] == 1.0).all()
+            assert (verdict_at_point(test, p, laws.scale, x, rows, s_law, z_map, r_d)
+                    == verdict_at_point(test, p, laws.scale, x, rows, s, z, r_d))
 
 
 @settings(max_examples=60, deadline=None)
@@ -801,10 +861,10 @@ def test_step_is_the_generic_solve_bit_for_bit(data):
 
 
 def eager_stop_test(*args, _of=_StopTest.of):
-    """_StopTest.of with its scales formed at once and read by every
-    verdict, as a test that is not bounded reads them."""
+    """_StopTest.of with its scaled bounds and scales formed at once and its
+    scales read by every verdict, as a test that is not bounded reads them."""
     test = _of(*args)
-    _ = test.dual, test.multiplier
+    _ = test.v, test.v_abs, test.dual, test.multiplier
     test.bounded = False
     return test
 
@@ -1019,9 +1079,10 @@ def test_a_free_tick_forms_no_qp(monkeypatch):
 
 
 def counted_scales(monkeypatch) -> list:
-    """Patch the stop test's scales to record each one's name as it is formed."""
+    """Patch the stop test's scaled bounds and scales to record each one's
+    name as it is formed."""
     formed = []
-    for name in ("dual", "multiplier"):
+    for name in ("v", "dual", "multiplier"):
         def counted(test, _name=name, _form=getattr(_StopTest, name).func):
             formed.append(_name)
             return _form(test)
@@ -1033,10 +1094,13 @@ def counted_scales(monkeypatch) -> list:
 
 def test_a_tick_held_in_one_round_forms_no_scales(monkeypatch):
     # smooth-tight seed 1, episode 0, on a stack that starts empty: the stop
-    # test's stationarity and multiplier scales are formed on first read.
-    # A tick that its carried or shifted set settles in one round forms
-    # neither, nor does a tick that locates a law for each problem those
-    # sets leave (in one round more); a tick that walks forms both once, in
+    # test's scaled bounds and its stationarity and multiplier scales are
+    # formed on first read.  A tick that its carried or shifted set settles
+    # in one round forms no scale, and most form no scaled bound either (the
+    # screen reads the law's slacks; only a slack below the floor reads the
+    # bounds); a tick that locates a law for each problem those sets leave
+    # (in one round more) forms the scaled bounds (the location's slacks at
+    # the point) and no scale; a tick that walks forms both scales once, in
     # its one solve_qp call, or neither (where the law it holds has its
     # residual and working rows' slacks all at most 1e-10)
     formed, rounds, solves, located = counted_scales(monkeypatch), [], [], []
@@ -1051,7 +1115,7 @@ def test_a_tick_held_in_one_round_forms_no_scales(monkeypatch):
     monkeypatch.setattr(mpc._Laws, "locate", recorded)
     monkeypatch.setattr(mpc, "solve_qp", lambda *args, **kw: solves.append(1) or solve(*args, **kw))
     sm = TwistSmoother(MpcConfig(), limits_of(acc=1.0, jerk=50.0), UnitDualQuaternion.identity())
-    held = found = walked = 0
+    held = bare = found = walked = 0
     for ref in smooth_tight_references([1, 0]):
         for calls in (formed, rounds, solves, located):
             calls.clear()
@@ -1059,14 +1123,16 @@ def test_a_tick_held_in_one_round_forms_no_scales(monkeypatch):
         assert step.converged and step.iterations == 0
         if len(rounds) == 1:
             held += 1
-            assert formed == [] and located == []
+            bare += formed == []
+            assert formed in ([], ["v"]) and located == []
         elif located == [True]:
             found += 1
-            assert formed == [] and len(rounds) == 2
+            assert formed == ["v"] and len(rounds) == 2
         elif rounds:
             walked += 1
-            assert sorted(formed) in ([], ["dual", "multiplier"]) and len(solves) == 1
-    assert (held, found, walked) == (177, 12, 11)
+            scales = sorted(name for name in formed if name != "v")
+            assert scales in ([], ["dual", "multiplier"]) and len(solves) == 1
+    assert (held, bare, found, walked) == (177, 164, 12, 11)
 
 
 def assert_unmoved_by(fault, error, match, sm, twin, target):
@@ -1846,31 +1912,40 @@ def test_the_law_store_on_a_criterion_6_run():
     # with no law; its stack keeps every law the run builds in one dense
     # store: per slot the law, its x map, its multiplier map and its
     # stationarity residual map of n x p floats each (n = n_c - 1 = 9), its
-    # rows' mask, its rows in order (working rows first; n of them) and
-    # their count, and its class.  The store owns its arrays (a law that
-    # viewed its build batch would keep the whole batch while the stack
-    # lives), and a set with no law is NaN in all three maps
+    # unit multiplier map (n x p) and its unit-row slack map (m x p, m =
+    # 6 n_c = 60), its rows' mask, its rows in order (working rows first; n
+    # of them) and their count, and its class.  The store owns its arrays (a
+    # law that viewed its build batch would keep the whole batch while the
+    # stack lives), which grow by doubling, so they hold fewer than twice
+    # the slots in use.  Every set with no law points at slot 0, whose maps
+    # are all NaN and which has no rows and no class; every other slot is
+    # one set's, and no law is NaN
     sm = TwistSmoother(MpcConfig(), limits_of(acc=1.0, jerk=50.0), UnitDualQuaternion.identity())
     laws = sm._laws
-    assert not laws.cache
+    assert not laws.cache and laws.size == 1
     assert all(sm.step(ref).converged for ref in smooth_tight_references([1, 0]))
-    count = len(laws.cache)
-    assert 0 < count <= mpc._CACHED and not laws.evicted and laws.stored == count
+    count = laws.size
+    lawful = sorted(slot for slot in laws.cache.values() if slot)
+    assert lawful == list(range(1, count)) and 0 in laws.cache.values()
+    assert len(laws.cache) <= mpc._CACHED and not laws.evicted and laws.stored == count - 1
     stores = (laws.store, laws.masks, laws.work, laws.count, laws.kind)
-    assert all(store.base is None and len(store) == count for store in stores)
-    assert laws.store.shape[1:] == (9 + 9 + 9, 6)
-    assert sum(store.nbytes for store in stores) == count * (8 * 27 * 6 + 60 + 8 * 9 + 8 + 8)
-    assert sorted(laws.cache.values()) == list(range(count))
+    capacity = len(laws.store)
+    assert all(store.base is None and len(store) == capacity for store in stores)
+    assert count <= capacity < 2 * count
+    assert laws.store.shape[1:] == (9 + 9 + 9 + 9 + 60, 6)
+    assert sum(store.nbytes for store in stores) == capacity * (8 * 96 * 6 + 60 + 8 * 9 + 8 + 8)
+    assert np.isnan(laws.store[0]).all() and not laws.masks[0].any()
+    assert laws.count[0] == 0 and laws.kind[0] == -1
     for (kind, rows), slot in laws.cache.items():
+        if not slot:
+            continue
         assert laws.kind[slot] == kind and laws.masks[slot].tobytes() == rows
         working = np.flatnonzero(laws.masks[slot])
         assert laws.count[slot] == len(working)
         assert laws.work[slot, :len(working)].tolist() == working[:9].tolist()
-        x, z, r = laws.store[slot, :9], laws.store[slot, 9:18], laws.store[slot, 18:]
-        if np.isnan(x).any() or np.isnan(z).any() or np.isnan(r).any():
-            assert np.isnan(x).all() and np.isnan(z).all() and np.isnan(r).all()
-        else:
-            assert not z[len(working):].any()  # 0 past the set's multipliers
+        assert not np.isnan(laws.store[slot]).any()
+        lam, z = laws.store[slot, 9:18], laws.store[slot, 27:36]
+        assert not lam[len(working):].any() and not z[len(working):].any()  # 0 past the set's
 
 
 def test_a_row_that_depends_on_fewer_than_n_working_rows_swaps_in(monkeypatch):
@@ -2040,7 +2115,8 @@ def test_a_located_law_was_stored_before_the_call_and_alone_passed(monkeypatch):
     locate, located = mpc._Laws.locate, []
 
     def checked(laws, problems, theta, test, before):
-        stored = list(laws.cache)[:len(laws.cache) - (laws.stored - before)]
+        count = laws.size - (laws.stored - before)  # the slots stored before
+        stored = [key for key, slot in laws.cache.items() if 0 < slot < count]
         found = locate(laws, problems, theta, test, before)
         n = laws.x_free.shape[1]
         for p in problems:
@@ -2062,14 +2138,28 @@ def test_a_located_law_was_stored_before_the_call_and_alone_passed(monkeypatch):
     assert sum(located) > 0 and 0 in located
 
 
+@st.composite
+def stacks_with_sets(draw):
+    """A stack of qp_stacks() and up to two working sets shaped like its v."""
+    qp, _ = draw(qp_stacks())
+    return qp, draw(st.lists(arrays(bool, qp.v.shape), max_size=2), label="working sets")
+
+
+# rows 2 and 3 (the first axis, with 2.7e-297 on the others) join a set that
+# they depend on: a fit of 0 < d <= 1e-9 whose ratio overflowed in _swap
+SWAP_OVERFLOW_STACK = QpProblem(0.1 * np.eye(3)[None], np.zeros((1, 3)), np.array(
+    [[-0.0, -1.0, 2.0], [0.0, 1.0, -2.0], [-1.0, -2.7e-297, -2.7e-297], [1.0, 2.7e-297, 2.7e-297],
+     [-0.0, -1.0, 2.0]]), np.array([[1.0, -1.0, -1.0, 1.0, -0.0]]))
+
+
 @settings(max_examples=100, deadline=None)
-@given(stack_and_infeasible=qp_stacks(), data=st.data())
-def test_plain_solve_locates_nothing_on_random_stacks(stack_and_infeasible, data):
+@given(stack_and_sets=stacks_with_sets())
+@example(stack_and_sets=(SWAP_OVERFLOW_STACK, []))
+def test_plain_solve_locates_nothing_on_random_stacks(stack_and_sets):
     # a plain QpProblem builds its laws on each call, so none was stored
     # before the call: solve_qp locates none, and gives the same bits with
     # the location patched out
-    qp, _ = stack_and_infeasible
-    sets = data.draw(st.lists(arrays(bool, qp.v.shape), max_size=2), label="working sets")
+    qp, sets = stack_and_sets
     found, locate = [], mpc._Laws.locate
     with mock.patch.object(mpc._Laws, "locate",
                            lambda *args: found.append(locate(*args)) or found[-1]):
@@ -2079,6 +2169,21 @@ def test_plain_solve_locates_nothing_on_random_stacks(stack_and_infeasible, data
         expected = solve_qp(qp, working_sets=sets)
     assert all(same_bits(getattr(sol, name), getattr(expected, name))
                for name in ("delta_u", "lam", "iterations", "solved", "max_violation"))
+
+
+def test_swap_forms_its_ratio_only_over_positive_fits():
+    # row 2, (1, 1e-300), depends on the working rows 0 and 1 (the unit
+    # axes): its fit d = (1, 1e-300) zeroes row 0's multiplier, gives row 2
+    # the step 1 and leaves row 1's 1e10, with no numeric warning: no ratio
+    # is formed over d <= 1e-9, where 1e10 / 1e-300 overflows
+    w = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1e-300]])
+    laws = _Laws(np.eye(2)[None], w, np.zeros((1, 2, 1)), np.ones((1, 3, 1)),
+                 np.ones((1, 3), dtype=bool))
+    lam = np.array([1.0, 1e10, 0.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert mpc._swap(laws, np.array([True, True, False]), 2, lam) == 0
+    assert lam.tolist() == [0.0, 1e10, 1.0]
 
 
 def test_a_new_configuration_replaces_the_shared_stack():
