@@ -155,9 +155,10 @@ class RobotModel:
                      for j in range(0, max(self.dof, 1), _BLOCK_JOINTS))
 
     def clamp_position(self, q: np.ndarray) -> np.ndarray:
-        # np.clip(q, q_min, q_max) bit for bit (operands in its comparison
-        # order, so a signed zero at a bound comes out the same), without the
-        # cost of np.clip's Python wrapper: about a tenth of an inner tick
+        # q raised to q_min, then lowered to q_max, a signed zero that ties a
+        # zero bound keeping q's sign: np.clip(q, lo, hi) bit for bit with scalar
+        # bounds, not with the model's bound arrays (np.clip may return the
+        # bound's zero), without np.clip's wrapper, a tenth of an inner tick
         return np.minimum(self.q_max, np.maximum(self.q_min, q))
 
     def scale_velocity(self, qd: np.ndarray) -> np.ndarray:

@@ -47,13 +47,16 @@ instead; with none to zero the rows cannot all hold.  The objective rises
 with every row that joins, so no set repeats and every walk ends.
 Every candidate passes a screen on the stop test's terms (and every row met
 within FEAS_TOL), read off its law's product: its multipliers and slacks on
-the unit rows, none formed at the point; one whose law's stationarity
-residual and working rows' slacks are all at most _KKT_TOL (read for all
-candidates of a round in array calls) is held, and the stop test
-(_StopTest) decides the others.  Its scaled bounds and its stationarity and
-multiplier scales are formed on first read, and only a verdict that depends
-on them reads them, so a tick that its carried sets settle usually forms
-none.
+the unit rows, none formed at the point.  A round is that product for all
+its candidates and one reduction, each candidate's least unit multiplier
+and least unit-row slack, which decide the screen of almost every one; a
+problem takes its first candidate that passes, and only a candidate before
+it that those two leave open reads more (_screened).  The candidate taken
+is held where its law's stationarity residual and working rows' slacks are
+all at most _KKT_TOL, and the stop test (_StopTest) decides the others.
+The test's scaled bounds and its stationarity and multiplier scales are
+formed on first read, and only a verdict that depends on them reads them,
+so a tick that its carried sets settle usually forms none.
 The laws' systems and the swaps' fits go to LAPACK's solve gufunc, the one
 np.linalg.solve calls, which returns NaN for a singular problem of a stack
 and solves the rest: a set with no law, or a swap with no fit.
@@ -97,7 +100,7 @@ AUG_DIM = 18
 # a QP row, a smoother step and a logged sample exceed a bound only beyond this
 FEAS_TOL = 1e-6
 _KKT_TOL = 1e-10
-_CACHED = 2048  # sets a QP stack keeps the laws of (one measured run met at most 453)
+_CACHED = 2048 * 96 * 6 * 8  # bytes of 2048 default law slots (a measured run met 453 sets)
 _ONES = np.ones(N_AXES)
 
 
@@ -246,10 +249,11 @@ class _Laws:
     + m) by p matrix), its rows' mask, its first min(n, m) rows, working
     rows first, how many work and its class: problems whose E^-1, X, P_V
     and finite rows are equal bit for bit are of one class and share their
-    laws.  _CACHED is a guard far above the
-    sets a run meets: past it the stack drops the sets met first and warns,
-    once.  A law depends on nothing else, so smoothers in several threads may
-    share one stack: a lock guards its store."""
+    laws.  _CACHED bounds the bytes of the slots in use, a guard far above
+    what a run meets: past _CACHED // (a slot's bytes) sets the stack drops
+    the sets met first and warns, once.  A law depends on nothing else, so
+    smoothers in several threads may share one stack: a lock guards its
+    store."""
 
     def __init__(self, e, w, p_f, p_v, finite):
         self.e, self.w = e, w                      # (k, n, n), (m, n)
@@ -273,6 +277,7 @@ class _Laws:
         self.p_v_unit = np.where(self.rows[..., None], self.p_v / self.scale, np.arange(p) == p - 1)
         # slot 0: the NaN law that every set with no law shares (no rows, no class)
         self.store = np.full((1, 2 * (n + self.width) + m, p), np.nan)
+        self.slot_bytes = self.store[0].nbytes
         self.masks, self.work = np.zeros((1, m), dtype=bool), np.arange(self.width)[None]
         self.count, self.kind = np.zeros(1, dtype=int), np.full(1, -1)
         self.size = 1  # slots in use; the arrays grow by doubling
@@ -299,14 +304,15 @@ class _Laws:
                 self._build(problems[new], masks[new])
             slots = np.array([cache[key] for key in keys])
             laws = self.store.take(slots, 0), self.work.take(slots, 0), self.count.take(slots)
-            if len(cache) > _CACHED:
+            cap = _CACHED // self.slot_bytes  # the sets whose slots _CACHED holds
+            if len(cache) > cap:
                 if not self.evicted:
                     import logging  # only here: the import costs every process milliseconds
                     logging.getLogger(__name__).warning(
                         "a QP stack holds more than %d solution laws: it drops the oldest, "
-                        "to be rebuilt when used", _CACHED)
+                        "to be rebuilt when used", cap)
                     self.evicted = True
-                kept = list(cache.items())[len(cache) - _CACHED:]
+                kept = list(cache.items())[len(cache) - cap:]
                 # the laws dropped hold slots 1 to gone: slot gone becomes slot 0
                 gone = self.size - 1 - sum(slot > 0 for _, slot in kept)
                 arrays = self.store, self.masks, self.work, self.count, self.kind
@@ -450,7 +456,7 @@ def _optimum(laws: _Laws, f, v):
 
 def _violation(laws: _Laws, residual) -> np.ndarray:
     """Each problem's largest residual on a finite row, or 0."""
-    return np.where(laws.finite, residual, 0.0).max(axis=1, initial=0.0)
+    return np.maximum.reduce(np.where(laws.finite, residual, 0.0), axis=1, initial=0.0)
 
 
 def _tick_qp(laws: _Laws, state: np.ndarray, target: np.ndarray, u_prev: np.ndarray) -> _TickQp:
@@ -475,7 +481,7 @@ class QpSolution:
 
     @property
     def converged(self) -> bool:
-        return bool(self.solved.all())
+        return bool(np.count_nonzero(self.solved) == np.size(self.solved))
 
     @property
     def feasible(self) -> bool:
@@ -509,10 +515,11 @@ class _StopTest:
     are formed on first read: a screen reads each candidate's slacks and
     unit multipliers off its law, so a tick that one round of laws holds
     usually forms none of them.  Every scale is at most sqrt(n) (1 + |E|'s
-    largest row sum |x_free| + |f|), on 2-norms over the stack.  ``bounded``: that bound is
-    finite, so a multiplier of at least 0 or a stationarity residual of at
-    most 1e-10 meets the test on any scale, and a multiplier below
-    ``lowest`` fails it on any."""
+    largest row sum |x_free| + |f|), on 2-norms over the stack.  ``bounded``:
+    that bound is finite, so a multiplier of at least -1e-10 or a
+    stationarity residual of at most 1e-10 meets the test on any scale, and
+    a multiplier below ``lowest`` fails it on any (unbounded, ``lowest`` is
+    -1e-10 and a screen reads every multiplier over its scale)."""
 
     @classmethod
     def of(cls, laws: _Laws, f, v, x_free) -> "_StopTest":
@@ -522,7 +529,8 @@ class _StopTest:
         test.w, test.w_abs = laws.w_unit, laws.w_unit_abs
         top = 2.0 * math.sqrt(x_free.shape[1]) * (  # twice the bound, for rounding
             1.0 + laws.e_rows * math.sqrt(np.vdot(x_free, x_free)) + math.sqrt(np.vdot(f, f)))
-        test.bounded, test.lowest = top <= 1e300, -_KKT_TOL * top  # NaN top: not bounded
+        # NaN top: not bounded
+        test.bounded, test.lowest = top <= 1e300, -_KKT_TOL * (top if top <= 1e300 else 1.0)
         test.terms = laws, f, v, x_free
         return test
 
@@ -556,38 +564,21 @@ class _StopTest:
                    np.abs(np.minimum(s / primal, z_rows / self.multiplier[p, :, 0])).max())
 
 
-def _on_laws(laws: _Laws, theta, test: _StopTest, todo, sets, x, lam) -> tuple[set, int]:
-    """The problems `todo` on laws (see solve_qp), all batched.  Writes each
-    problem's point into x and its multipliers into lam, which hold x_free
-    and 0 on the call; returns the problems held and the rounds after which
-    the last unheld one ended (0: none)."""
-    (k, n), m, width = x.shape, len(laws.w), laws.width
-    w_abs = test.w_abs[0] if len(test.w_abs) == 1 else test.w_abs
-    # candidate c: problem owner[c] on the rows masks[c], each problem's sets
-    # in order; a problem's walk starts from its last
-    masks = (np.asarray(sets, dtype=bool).reshape(-1, k, m) & laws.rows)[:, todo].reshape(-1, m)
-    owner = todo.tolist() * (len(masks) // len(todo))
-    x_free, held, rounds, unheld = x.copy(), set(), 0, 0
+def _on_laws(laws: _Laws, theta, test: _StopTest, todo, sets, x, lam) -> tuple[list, int]:
+    """The problems `todo` on laws (see solve_qp and the module notes), all
+    batched, from their working sets `sets` (g, len(todo), m; todo[i]'s in
+    order).  Writes each problem's point into x and its multipliers into
+    lam, which hold x_free and 0 on the call; returns the problems held and
+    the rounds after which the last unheld one ended (0: none)."""
+    n, m, width = x.shape[1], len(laws.w), laws.width
+    # candidate c: problem owner[c] on the rows masks[c], set-major; a
+    # problem's walk starts from its last set
+    groups, masks = len(sets), (sets & laws.rows.take(todo, 0)).reshape(-1, m)
+    owner = np.concatenate([todo] * groups)
+    held, rounds, unheld = [], 0, 0
     joining = {}  # problem -> (the row joining, x and multipliers of the walk's point)
     gap = {}  # problem -> (x - x_free)^T E (x - x_free) at its last dual-feasible law
     before = laws.stored  # only laws stored before the call are located
-
-    def relative():  # the multipliers over their scales, and each candidate's least
-        z_rel = z / test.multiplier[problems[:, None], work, 0]
-        return z_rel, z_rel.min(axis=1).tolist()
-
-    def met(c):  # the screen's slack terms (see below) of candidate c
-        if a_min[c] >= laws.floor:
-            return True
-        p, x_c = owner[c], y[c, :n]
-        # each scale is at most 1 + |x| + |V| on unit rows, so this fails
-        # (|x| by hypot, which does not overflow where x . x does)
-        if a_min[c] < -2 * _KKT_TOL * (1.0 + math.hypot(*x_c.tolist()) + test.v_abs[p].max()):
-            return False
-        scale = np.maximum(1.0, (w_abs if w_abs.ndim == 2 else w_abs[p]) @ np.abs(x_c)
-                           + test.v_abs[p, :, 0])
-        return min((s[c] / scale).min(), (s[c] * laws.scale[:, 0]).min() / FEAS_TOL * _KKT_TOL) \
-            >= -_KKT_TOL
 
     def end(p, x_p, lam_p):  # problem p leaves the walk unconverged at this point
         nonlocal unheld
@@ -596,7 +587,7 @@ def _on_laws(laws: _Laws, theta, test: _StopTest, todo, sets, x, lam) -> tuple[s
     def join(p, c):  # dual-feasible candidate c not held: its most broken row joins
         row, x_c = a_at[c], y[c, :n]
         with np.errstate(over="ignore"):  # inf at a huge target: only the first rises
-            d = x_c - x_free[p]
+            d = x_c - x[p]  # x_free: a problem's x is written only as it leaves
             g = float(d @ laws.e[p] @ d)
         rise, gap[p] = g > gap.get(p, -math.inf), g
         if masks[c, row] or not rise:  # no row to add, or no rise (a repeat in rounding)
@@ -604,44 +595,48 @@ def _on_laws(laws: _Laws, theta, test: _StopTest, todo, sets, x, lam) -> tuple[s
         joining[p] = row, x_c, lam_c[c].copy()
         return masks[c] | (np.arange(m) == row)
 
-    while owner:
+    while len(owner):
         rounds += 1
-        problems = np.array(owner)
-        y, work, count = laws.of(problems, masks)
-        y, count = (y @ theta[problems, :, None])[..., 0], count.tolist()
+        y, work, count = laws.of(owner, masks)
+        y, count = (y @ theta.take(owner, 0)[:, :, None])[..., 0], count.tolist()
         # x, multipliers, stationarity residual, unit multipliers, unit-row slacks
         lam_y, r_d = y[:, n:n + width], y[:, n + width:2 * n + width]
         z, s = y[:, 2 * n + width:2 * (n + width)], y[:, 2 * (n + width):]
         # the screen: each working row's multiplier and each row's slack, over
         # their scales in the stop test, at least -1e-10, and every row met
-        # within FEAS_TOL (a unit-row slack of at least laws.floor meets both);
-        # the scales are read only for a multiplier between 0 and test.lowest
-        z_rel, d_min = (None, z.min(axis=1).tolist()) if test.bounded else relative()
-        a_min = s.min(axis=1).tolist()
-        # the stop test's terms the screen leaves, the stationarity residual (the law's)
-        # and each working row's min(slack, multiplier), are met if both are at most 1e-10
-        top = np.maximum(abs(r_d).max(axis=1), s.max(axis=1, where=masks, initial=0.0))
-        unread = ((top <= _KKT_TOL) & test.bounded).tolist()
-        first, last = {}, {}  # each problem's first candidate that passes, and its last
-        for c, p in enumerate(owner):
-            last[p] = c
-            if p in first:
+        # within FEAS_TOL, read off each candidate's least unit multiplier (at
+        # least -1e-10: passes on any scale; below test.lowest: fails on any)
+        # and least unit-row slack (at least laws.floor: meets both)
+        least = np.minimum.reduceat(y, (2 * n + width, 2 * (n + width)), axis=1)
+        if not test.bounded:  # every multiplier is read over its scale
+            least[:, 0] = (z / test.multiplier[owner[:, None], work, 0]).min(axis=1)
+        size, owned, pick = len(owner) // groups, owner.tolist(), {}
+        for c, (d, a) in enumerate(least.tolist()):
+            i = c % size
+            if i in pick or not (d >= -_KKT_TOL and a >= laws.floor or d >= test.lowest
+                                 and _screened(laws, test, owned[c], y[c, :n], z[c], s[c],
+                                               work[c], d, a)):
                 continue
-            if z_rel is None and test.lowest <= d_min[c] < 0.0:
-                z_rel, d_min = relative()
-            if d_min[c] >= -_KKT_TOL and met(c):
-                first[p] = c
-        for p, c in first.items():  # held if it passes the stop test, else it ends
-            rows, z_c = work[c, :count[c]], z[c, :count[c]]
-            if unread[c] or test.error(p, y[c, :n], r_d[c], s[c], rows, z_c) <= _KKT_TOL:
-                held.add(p)
+            pick[i], p, k_c = c, owned[c], count[c]
+            # the stop test's terms the screen leaves, the law's stationarity residual and
+            # each working row's min(slack, multiplier), are met if both are at most 1e-10
+            rows = work[c, :k_c]
+            if (test.bounded and all(-_KKT_TOL <= r <= _KKT_TOL for r in r_d[c].tolist())
+                    and all(t <= _KKT_TOL for t in s[c].take(rows).tolist())
+                    or test.error(p, y[c, :n], r_d[c], s[c], rows, z[c, :k_c]) <= _KKT_TOL):
+                held.append(p)
             else:
                 unheld = rounds
-            x[p], lam[p, rows] = y[c, :n], np.maximum(lam_y[c, :count[c]], 0.0)
-        left = [p for p in last if p not in first]
-        located = {} if rounds > 1 or not left else laws.locate(left, theta, test, before)
+            x[p] = y[c, :n]
+            lam[p].put(rows, np.maximum(lam_y[c, :k_c], 0.0))
+        lost = [i for i in range(size) if i not in pick]
+        if not lost:
+            break
+        left = [owned[i] for i in lost]
+        located = {} if rounds > 1 else laws.locate(left, theta, test, before)
+        last, groups = [i + (groups - 1) * size for i in lost], 1
         if len(located) == len(left):
-            owner, masks = left, np.array([located[p] for p in left]).reshape(-1, m)
+            owner, masks = np.array(left), np.array([located[p] for p in left])
             continue
         lam_c = np.zeros(masks.shape)  # each candidate's multipliers in row order
         lam_c[np.arange(len(masks))[:, None], work] = lam_y
@@ -652,8 +647,7 @@ def _on_laws(laws: _Laws, theta, test: _StopTest, todo, sets, x, lam) -> tuple[s
         # segment to its law until a multiplier reaches 0, whose row leaves
         lawless = (~np.isfinite(y[:, :n + width]).all(axis=1)).tolist()
         new, owner = [], []
-        for p in left:
-            c = last[p]
+        for p, c in zip(left, last):
             if p in located:
                 mask = located[p]
             elif p in joining:
@@ -680,7 +674,7 @@ def _on_laws(laws: _Laws, theta, test: _StopTest, todo, sets, x, lam) -> tuple[s
                     if out != row:
                         joining[p] = row, x_p, lam_p
             elif lawless[c]:  # a set with no law walks from the empty set
-                mask = np.zeros(m, dtype=bool) if masks[c].any() else end(p, x_free[p], lam[p])
+                mask = np.zeros(m, dtype=bool) if masks[c].any() else end(p, x[p], lam[p])
             elif (lam_c[c] < 0.0).any():
                 mask = masks[c] & (lam_c[c] >= 0.0)
             else:
@@ -688,8 +682,26 @@ def _on_laws(laws: _Laws, theta, test: _StopTest, todo, sets, x, lam) -> tuple[s
             if mask is not None:
                 new.append(mask)
                 owner.append(p)
-        masks = np.array(new).reshape(-1, m)
+        owner, masks = np.array(owner), np.array(new).reshape(-1, m)
     return held, unheld
+
+
+def _screened(laws: _Laws, test: _StopTest, p: int, x, z, s, work, d: float, a: float) -> bool:
+    """The screen of a candidate of problem p that its least unit multiplier
+    d and least unit-row slack a leave open (d between test.lowest and
+    -1e-10, or a below laws.floor): x its point, z its unit multipliers on
+    the rows `work` (padded with 0) and s its unit-row slacks."""
+    if d < -_KKT_TOL and not (z / test.multiplier[p, work, 0]).min() >= -_KKT_TOL:
+        return False
+    if a >= laws.floor:
+        return True
+    # each scale is at most 1 + |x| + |V| on unit rows, so this fails
+    # (|x| by hypot, which does not overflow where x . x does)
+    if a < -2 * _KKT_TOL * (1.0 + math.hypot(*x.tolist()) + test.v_abs[p].max()):
+        return False
+    w_abs = test.w_abs[0 if len(test.w_abs) == 1 else p]
+    scale = np.maximum(1.0, w_abs @ np.abs(x) + test.v_abs[p, :, 0])
+    return min((s / scale).min(), (s * laws.scale[:, 0]).min() / FEAS_TOL * _KKT_TOL) >= -_KKT_TOL
 
 
 def _swap(laws: _Laws, rows, added: int, lam) -> int | None:
@@ -737,10 +749,11 @@ def solve_qp(qp: QpProblem, *, working_sets: Sequence[np.ndarray] = ()) -> QpSol
     solution laws (see the module notes and _Laws).
 
     -E^-1 f is the result when it violates no row.  Otherwise a problem tries
-    its ``working_sets`` entries (bool masks over the rows, shaped like v;
-    none given: the empty set) in one batched product, then the one law its
-    stack stored before the call that holds it (none for a plain problem),
-    else walks from its last set as Goldfarb & Idnani (1983).  The first
+    its ``working_sets`` entries (bool masks over the rows, each shaped like
+    v, or one array of them; none given: the empty set) in one batched
+    product, then the one law its stack stored before the call that holds
+    it (none for a plain problem), else walks from its last set as
+    Goldfarb & Idnani (1983).  The first
     candidate that passes the screen (multipliers and slacks each at least
     -1e-10 of their scales in the stop test, every finite row met within
     FEAS_TOL) is held if it passes the stop test, with its law's residual,
@@ -769,23 +782,25 @@ def solve_qp(qp: QpProblem, *, working_sets: Sequence[np.ndarray] = ()) -> QpSol
         _check_shapes(qp, working_sets)
         laws, theta = _Laws(e, w, f[..., None], v[..., None], np.isfinite(v)), np.ones((len(v), 1))
         x, residual = _optimum(laws, f, v)
-    lam = np.zeros(v.shape)
-    rounds, solved = 0, np.ones(len(v), dtype=bool)
-    broken = ~(residual <= 1e-12).all(axis=1)
-    if broken.any():
+    (k, m), lam, rounds = v.shape, np.zeros(v.shape), 0
+    # the free problems: every residual at most 1e-12 (NaN: not free)
+    solved = [r <= 1e-12 for r in np.maximum.reduce(residual, axis=1, initial=-np.inf).tolist()]
+    left = [p for p, free in enumerate(solved) if not free]
+    if left:
         test = _StopTest.of(laws, f[..., None], v[..., None], x[..., None])
         x = x.copy()  # the test's x_free, and a tick problem's optimum, stay
-        left = broken.nonzero()[0]
-        sets = working_sets if len(working_sets) else (np.zeros(v.shape, dtype=bool),)
-        held, rounds = _on_laws(laws, theta, test, left, sets, x, lam)
-        solved[left] = [p in held for p in left.tolist()]
-        residual = residual.copy()  # a tick problem's residual stays
-        residual[left] = (w @ x[left, :, None])[:, :, 0] - v[left]
+        sets = (np.asarray(working_sets, dtype=bool).reshape(-1, k, m) if len(working_sets)
+                else np.zeros((1, k, m), dtype=bool))
+        held, rounds = _on_laws(laws, theta, test, np.array(left), sets.take(left, 1), x, lam)
+        solved = [free or p in held for p, free in enumerate(solved)]
+        # W x - V in one product over the stack: a free problem's x, and so its
+        # residual, is the one it came with, bit for bit
+        residual = (w @ x[:, :, None])[:, :, 0] - v
     violation = _violation(laws, residual)
-    solved &= violation <= FEAS_TOL
+    solved = np.array([free and r <= FEAS_TOL for free, r in zip(solved, violation.tolist())])
     if qp.f.ndim == 1:
         x, lam, solved = x[0], lam[0], solved[0]
-    return QpSolution(x, lam, rounds, solved, float(violation.max(initial=0.0)))
+    return QpSolution(x, lam, rounds, solved, float(np.maximum.reduce(violation, initial=0.0)))
 
 
 @dataclass
@@ -929,21 +944,26 @@ class TwistSmoother:
             violation = 0.0 if worst < 0.0 else float(_violation(laws, residual).max(initial=0.0))
             working = np.zeros(residual.shape, dtype=bool)
         else:
-            guesses = (np.zeros((N_AXES, rows), dtype=bool),)
-            if working.any():
-                # a plan brakes to rest over its last steps: the jerk rows of that
-                # tail keep their steps while the limits it reaches move earlier
-                shifted = working[:, self._shift]
-                guesses = (working, shifted,
-                           np.where(self._jerk, working & shifted, working | shifted))
+            if np.count_nonzero(working):
+                # the carried set, its shift and the two merged: a plan brakes to rest
+                # over its last steps, so the jerk rows of that tail keep their steps
+                # (both must mark them) while the limits it reaches move earlier
+                guesses = np.empty((3, N_AXES, rows), dtype=bool)
+                guesses[0] = working
+                working.take(self._shift, axis=1, out=guesses[1])
+                np.greater(guesses[0].view(np.uint8) + guesses[1].view(np.uint8), self._jerk,
+                           out=guesses[2])
+            else:
+                guesses = np.zeros((1, N_AXES, rows), dtype=bool)
             sol = solve_qp(qp, working_sets=guesses)
             converged = sol.converged
             if not (converged or np.isfinite(x).all()):
                 raise FloatingPointError(f"QP overflows at target twist {target.tolist()}")
             y, iterations, active, violation = (sol.delta_u, sol.iterations, sol.active_count,
                                                 sol.max_violation)
-            working = (sol.lam > 0.0) & sol.solved[:, None]
+            working = sol.lam > 0.0
             if not converged:  # the shifted previous plan; its last increment ends at rest
+                working &= sol.solved[:, None]
                 shifted = np.zeros(y.shape)
                 if state.plan.size:
                     shifted[:, :-1] = state.plan[:, 1:]

@@ -20,11 +20,14 @@ test at a candidate's point is the fourth: it forms the candidate's
 stationarity residual, unit-row slacks and unit multipliers at its point and
 applies the call's own stop test (``screwmpc.mpc._StopTest``), the per-point
 reference for the residual, multiplier and slack maps each solution law
-carries.
+carries.  The QP's law rounds are the fifth: ``on_laws_oracle`` decides each
+candidate one by one, the reference for the batched round of
+``screwmpc.mpc._on_laws``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -45,12 +48,14 @@ from screwmpc.kinematics import (
     pose_jacobian,
 )
 from screwmpc.mpc import (
+    _KKT_TOL,
     FEAS_TOL,
     N_AXES,
     QpProblem,
     _axis_qp,
     _scalar_model,
     _scalar_prediction,
+    _swap,
     _tick_qp,
 )
 
@@ -312,6 +317,128 @@ def verdict_at_point(test, p: int, scale, x, rows, s, z, r_d) -> tuple[bool, boo
     screened = bool((z[rows] / test.multiplier[p, rows, 0] >= -1e-10).all()
                     and (s / primal >= -1e-10).all() and (s * scale[:, 0] >= -FEAS_TOL).all())
     return screened, screened and bool(test.error(p, x, r_d, s, rows, z[rows]) <= 1e-10)
+
+
+def on_laws_oracle(laws, theta, test, todo, sets, x, lam) -> tuple[set, int]:
+    """``screwmpc.mpc._on_laws`` with each candidate decided one by one: its
+    least multiplier read over its scales once any candidate's lies between
+    ``test.lowest`` and 0, its slacks against their rows' terms where the
+    least is below ``laws.floor``, and the stop test run on every held
+    candidate whose stationarity residual or working rows' slacks pass
+    1e-10; each problem's point and multipliers written on its own.  The
+    same arguments and results as ``_on_laws``, whose walk it repeats."""
+    n, m, width = x.shape[1], len(laws.w), laws.width
+    w_abs = test.w_abs[0] if len(test.w_abs) == 1 else test.w_abs
+    masks = (np.asarray(sets, dtype=bool) & laws.rows[todo]).reshape(-1, m)
+    owner = todo.tolist() * (len(masks) // len(todo))
+    x_free, held, rounds, unheld = x.copy(), set(), 0, 0
+    joining, gap, before = {}, {}, laws.stored
+
+    def relative():  # the multipliers over their scales, and each candidate's least
+        z_rel = z / test.multiplier[problems[:, None], work, 0]
+        return z_rel, z_rel.min(axis=1).tolist()
+
+    def met(c):  # the screen's slack terms of candidate c
+        if a_min[c] >= laws.floor:
+            return True
+        p, x_c = owner[c], y[c, :n]
+        if a_min[c] < -2 * _KKT_TOL * (1.0 + math.hypot(*x_c.tolist()) + test.v_abs[p].max()):
+            return False
+        scale = np.maximum(1.0, (w_abs if w_abs.ndim == 2 else w_abs[p]) @ np.abs(x_c)
+                           + test.v_abs[p, :, 0])
+        return min((s[c] / scale).min(), (s[c] * laws.scale[:, 0]).min() / FEAS_TOL * _KKT_TOL) \
+            >= -_KKT_TOL
+
+    def end(p, x_p, lam_p):
+        nonlocal unheld
+        x[p], lam[p], unheld = x_p, np.maximum(lam_p, 0.0), rounds
+
+    def join(p, c):
+        row, x_c = a_at[c], y[c, :n]
+        with np.errstate(over="ignore"):
+            d = x_c - x_free[p]
+            g = float(d @ laws.e[p] @ d)
+        rise, gap[p] = g > gap.get(p, -math.inf), g
+        if masks[c, row] or not rise:
+            return end(p, x_c, lam_c[c])
+        joining[p] = row, x_c, lam_c[c].copy()
+        return masks[c] | (np.arange(m) == row)
+
+    while owner:
+        rounds += 1
+        problems = np.array(owner)
+        y, work, count = laws.of(problems, masks)
+        y, count = (y @ theta[problems, :, None])[..., 0], count.tolist()
+        lam_y, r_d = y[:, n:n + width], y[:, n + width:2 * n + width]
+        z, s = y[:, 2 * n + width:2 * (n + width)], y[:, 2 * (n + width):]
+        z_rel, d_min = (None, z.min(axis=1).tolist()) if test.bounded else relative()
+        a_min = s.min(axis=1).tolist()
+        top = np.maximum(abs(r_d).max(axis=1), s.max(axis=1, where=masks, initial=0.0))
+        unread = ((top <= _KKT_TOL) & test.bounded).tolist()
+        first, last = {}, {}
+        for c, p in enumerate(owner):
+            last[p] = c
+            if p in first:
+                continue
+            if z_rel is None and test.lowest <= d_min[c] < 0.0:
+                z_rel, d_min = relative()
+            if d_min[c] >= -_KKT_TOL and met(c):
+                first[p] = c
+        for p, c in first.items():
+            rows, z_c = work[c, :count[c]], z[c, :count[c]]
+            if unread[c] or test.error(p, y[c, :n], r_d[c], s[c], rows, z_c) <= _KKT_TOL:
+                held.add(p)
+            else:
+                unheld = rounds
+            x[p], lam[p, rows] = y[c, :n], np.maximum(lam_y[c, :count[c]], 0.0)
+        left = [p for p in last if p not in first]
+        located = {} if rounds > 1 or not left else laws.locate(left, theta, test, before)
+        if len(located) == len(left):
+            owner, masks = left, np.array([located[p] for p in left]).reshape(-1, m)
+            continue
+        lam_c = np.zeros(masks.shape)
+        lam_c[np.arange(len(masks))[:, None], work] = lam_y
+        a_at = s.argmin(axis=1).tolist()
+        lawless = (~np.isfinite(y[:, :n + width]).all(axis=1)).tolist()
+        new, owner = [], []
+        for p in left:
+            c = last[p]
+            if p in located:
+                mask = located[p]
+            elif p in joining:
+                row, x_p, lam_p = joining.pop(p)
+                lam_j, mask = lam_c[c], masks[c].copy()
+                if lawless[c]:
+                    mask[row] = False
+                    out = _swap(laws, mask, row, lam_p)
+                    if out is None:
+                        end(p, x_p, lam_p)
+                        continue
+                    mask[row] = True
+                elif (mask & (lam_j < 0.0)).any():
+                    with np.errstate(divide="ignore", invalid="ignore"):
+                        t = np.where(mask & (lam_j < 0.0), lam_p / (lam_p - lam_j), np.inf)
+                    out = int(t.argmin())
+                    x_p = x_p + t[out] * (y[c, :n] - x_p)
+                    lam_p = lam_p + t[out] * (lam_j - lam_p)
+                    lam_p[out] = 0.0
+                else:
+                    mask, out = join(p, c), None
+                if out is not None:
+                    mask[out] = False
+                    if out != row:
+                        joining[p] = row, x_p, lam_p
+            elif lawless[c]:
+                mask = np.zeros(m, dtype=bool) if masks[c].any() else end(p, x_free[p], lam[p])
+            elif (lam_c[c] < 0.0).any():
+                mask = masks[c] & (lam_c[c] >= 0.0)
+            else:
+                mask = join(p, c)
+            if mask is not None:
+                new.append(mask)
+                owner.append(p)
+        masks = np.array(new).reshape(-1, m)
+    return held, unheld
 
 
 # ---------------------------------------------------------------------------

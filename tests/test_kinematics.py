@@ -725,3 +725,20 @@ def test_position_clamp_is_np_clip_bit_for_bit(q_min, q_max):
             clamped, clipped = model.clamp_position(q), np.clip(q, q_min, q_max)
             assert np.array_equal(clamped, clipped, equal_nan=True)
             assert np.array_equal(np.signbit(clamped), np.signbit(clipped))
+
+
+@pytest.mark.parametrize("bound", [-0.0, 0.0])
+@pytest.mark.parametrize("side", ["min", "max"])
+def test_position_clamp_keeps_q_s_zero_at_a_zero_bound(bound, side):
+    # against the model's own bound arrays, a signed zero of q that ties a
+    # zero bound of the other sign comes out with q's sign (np.clip with
+    # those arrays may return the bound's zero instead), on lengths that
+    # take the vectorized loops and their scalar tails
+    for dof in (1, 3, 7, 16, 33):
+        joints = (ChainElement(UnitDualQuaternion.identity(), "z"),) * dof
+        q_min, q_max = (np.full(dof, bound), np.ones(dof)) if side == "min" else (
+            -np.ones(dof), np.full(dof, bound))
+        model = RobotModel(joints, q_min, q_max, np.ones(dof))
+        q = np.full(dof, -bound)  # the zero of the other sign
+        clamped = model.clamp_position(q)
+        assert not clamped.any() and np.array_equal(np.signbit(clamped), np.signbit(q))

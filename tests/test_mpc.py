@@ -43,6 +43,7 @@ from helpers import (
     build_setpoint,
     eliminate_terminal,
     failed_solve,
+    on_laws_oracle,
     prediction_rollout_oracle,
     qp_enumeration_oracle,
     same_bits,
@@ -1927,7 +1928,9 @@ def test_the_law_store_on_a_criterion_6_run():
     count = laws.size
     lawful = sorted(slot for slot in laws.cache.values() if slot)
     assert lawful == list(range(1, count)) and 0 in laws.cache.values()
-    assert len(laws.cache) <= mpc._CACHED and not laws.evicted and laws.stored == count - 1
+    # _CACHED bounds the bytes of the slots in use: 2048 of these 96-row slots
+    assert laws.slot_bytes == 8 * 96 * 6 and mpc._CACHED // laws.slot_bytes == 2048
+    assert len(laws.cache) <= 2048 and not laws.evicted and laws.stored == count - 1
     stores = (laws.store, laws.masks, laws.work, laws.count, laws.kind)
     capacity = len(laws.store)
     assert all(store.base is None and len(store) == capacity for store in stores)
@@ -2004,10 +2007,13 @@ def assert_same_steps(steps, expected):
         assert same_bits(a.pose.vec8(), b.pose.vec8())
 
 
+DEFAULT_SLOT = 8 * 96 * 6  # the bytes of a law slot of MpcConfig() (n_c = 10)
+
+
 def capped_run(limits, refs, cap: int):
     """The steps of a default smoother along refs, from no shared stack, with
-    at most `cap` cached laws; the most it held after a step, and the keys
-    of the laws each call of _Laws.of built."""
+    at most `cap` cached laws (_CACHED the bytes of `cap` slots); the most it
+    held after a step, and the keys of the laws each call of _Laws.of built."""
     built, build = [], mpc._Laws._build
 
     def recorded(laws, problems, masks):
@@ -2016,7 +2022,8 @@ def capped_run(limits, refs, cap: int):
         return build(laws, problems, masks)
 
     mpc._stack = (None, None)
-    with mock.patch.object(mpc, "_CACHED", cap), mock.patch.object(mpc._Laws, "_build", recorded):
+    with mock.patch.object(mpc, "_CACHED", cap * DEFAULT_SLOT), \
+            mock.patch.object(mpc._Laws, "_build", recorded):
         sm = TwistSmoother(MpcConfig(), limits, UnitDualQuaternion.identity())
         steps, held = [], 0
         for ref in refs:
@@ -2035,13 +2042,37 @@ def test_evicted_laws_give_the_same_steps(limits, scale, caplog):
     # once, the first time it drops a law
     refs = scale * smooth_tight_references([1, 0])
     with caplog.at_level("WARNING", logger="screwmpc.mpc"):
-        steps, _, built = capped_run(limits, refs, mpc._CACHED)
+        steps, _, built = capped_run(limits, refs, mpc._CACHED // DEFAULT_SLOT)
         assert not caplog.records
         capped, held, rebuilt = capped_run(limits, refs, 2)
     assert held <= 2 < len(set().union(*built)) == sum(map(len, built)) < sum(map(len, rebuilt))
     assert_same_steps(capped, steps)
     assert [r.getMessage() for r in caplog.records] == [
         "a QP stack holds more than 2 solution laws: it drops the oldest, to be rebuilt when used"]
+
+
+def test_the_law_store_keeps_its_bytes_at_a_long_horizon():
+    # n_c = 47: a slot holds 2 (46 + 46) + 282 = 466 rows of 6 floats, so
+    # the bytes of 2048 default slots hold 421 of them.  References that
+    # switch between +-3 every 5 ticks meet more sets than that: the laws
+    # kept never pass _CACHED bytes, and every step is bit for bit the step
+    # of a stack that drops no law
+    cfg, limits = MpcConfig(n_c=47, n_p=47), limits_of(acc=1.0, jerk=50.0)
+    rng = np.random.default_rng(0)
+    refs = np.repeat(rng.choice([3.0, -3.0], (20, 6)), 5, axis=0)
+    runs = []
+    for cached in (mpc._CACHED, 10 ** 12):
+        sm = own_stack(cfg, limits)
+        with mock.patch.object(mpc, "_CACHED", cached):
+            steps, kept = [], []
+            for ref in refs:
+                steps.append(sm.step(ref))
+                kept.append((sm._laws.size - 1) * sm._laws.slot_bytes)
+        runs.append((steps, max(kept), sm._laws.evicted))
+    (capped, kept, evicted), (uncapped, grown, dropped) = runs
+    assert mpc._CACHED // (8 * 466 * 6) == 421
+    assert evicted and kept <= mpc._CACHED < grown and not dropped
+    assert_same_steps(capped, uncapped)
 
 
 def test_a_warm_stack_steps_like_a_cold_one():
@@ -2186,6 +2217,142 @@ def test_swap_forms_its_ratio_only_over_positive_fits():
     assert lam.tolist() == [0.0, 1e10, 1.0]
 
 
+@st.composite
+def planted_stacks(draw):
+    """A stack of QPs sharing W whose problems each hold a planted working
+    set A: its point x* (scaled by 1, 1e3 or 1e6) and multipliers are drawn,
+    and f and V fit them, so that A's law reads them back; the other rows'
+    unit slacks are drawn too.  A multiplier or a slack may lie just below
+    0, between test.lowest (or the hypot bound) and -1e-10, and at 1e6 the
+    law's residual and working rows' slacks pass 1e-10 in rounding.  A
+    slack of 0 leaves a row active with a zero multiplier, so that A with
+    that row passes as A does.  The working sets, in a drawn order: A, A
+    less a row, A with a row, the empty set, a random set."""
+    k, n = draw(st.integers(1, 3), label="k"), draw(st.integers(1, 4), label="n")
+    m = draw(st.integers(n, n + 4), label="m")
+    w = draw(arrays(float, (m, n), elements=st.floats(-2.0, 2.0)), label="w")
+    assume(np.all(np.linalg.norm(w, axis=1) > 0.1))
+    a = draw(arrays(float, (k, n, n), elements=st.floats(-2.0, 2.0)), label="a")
+    e = a @ a.transpose(0, 2, 1) + 0.1 * np.eye(n)
+    size = draw(arrays(float, (k, 1), elements=st.sampled_from([1.0, 1e3, 1e6])), label="size")
+    x = size * draw(arrays(float, (k, n), elements=st.floats(-1.0, 1.0)), label="x*")
+    count = draw(st.integers(0, n), label="|A|")
+    order = draw(st.permutations(range(m)), label="rows")
+    planted = rows_of(m, order[:count])
+    assume(not count or np.linalg.matrix_rank(w[planted]) == count)
+    near = st.floats(-12.0, -8.0).map(lambda t: -(10.0 ** t))  # just below 0
+    value = st.floats(0.1, 2.0) | near | st.just(0.0)
+    lam = np.where(planted, draw(arrays(float, (k, m), elements=value), label="lambda"), 0.0)
+    slack = draw(arrays(float, (k, m), elements=value), label="slack")
+    norm = np.linalg.norm(w, axis=1)
+    v = x @ w.T + np.where(planted, 0.0, slack * norm)
+    f = -(e @ x[..., None])[..., 0] - (size * lam) @ w
+    sets = [planted, planted & (np.arange(m) != order[0]) if count else planted,
+            planted | rows_of(m, order[count:count + 1]), np.zeros(m, dtype=bool),
+            draw(arrays(bool, m), label="random set")]
+    sets = [np.tile(mask, (k, 1)) for mask in draw(st.permutations(sets), label="order")]
+    return QpProblem(e, f, w, v), sets
+
+
+def assert_round_is_the_oracle(qp, sets, laws_of=None):
+    """solve_qp of qp from the working sets `sets` gives the bits it gives
+    with each law round decided candidate by candidate (on_laws_oracle),
+    each solve on laws of its own (from laws_of, else the plain problem's)."""
+    solves = []
+    for on_laws in (on_laws_oracle, mpc._on_laws):
+        tick = qp if laws_of is None else _tick_qp(laws_of(), *qp)
+        with mock.patch.object(mpc, "_on_laws", on_laws):
+            solves.append(solve_qp(tick, working_sets=sets))
+    expected, sol = solves
+    for name in ("delta_u", "lam", "solved", "iterations", "max_violation"):
+        assert same_bits(getattr(sol, name), getattr(expected, name)), name
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=planted_stacks())
+def test_batched_round_is_the_per_candidate_oracle_bit_for_bit(case):
+    # on planted stacks (see planted_stacks) the batched round holds the
+    # problems the per-candidate loop holds, at its points and multipliers,
+    # bit for bit, in the same rounds; and a law's padded multipliers are
+    # +0 at theta, bit for bit, so the round may write them where the law
+    # has no row (lam is +0 there)
+    qp, sets = case
+    rounds, of = [], mpc._Laws.of
+
+    def recorded(laws, problems, masks):
+        rounds.append((laws, of(laws, problems, masks)))
+        return rounds[-1][1]
+
+    with mock.patch.object(mpc._Laws, "of", recorded):
+        assert_round_is_the_oracle(qp, sets)
+    for laws, (law, _, count) in rounds:
+        for c in range(len(law)):
+            lam = law_terms(laws, law[c], np.ones(1))[1][count[c]:]
+            assert np.isnan(law[c]).all() or same_bits(lam, np.zeros(len(lam)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_batched_round_is_the_per_candidate_oracle_on_ticks(data):
+    # smoother ticks at random theta from the cold solve's set, a random set
+    # and its shift, each solve on a stack of its own: the batched round's
+    # bits are the per-candidate loop's
+    cfg, limits, state, u_prev, target = draw_tick(data)
+    model = _scalar_prediction(_scalar_model(cfg.sample_time), cfg.n_p, cfg.n_c)
+    qp = _tick_qp(mpc._axis_qp(*model, cfg, limits), state, target, u_prev)
+    working = data.draw(arrays(bool, qp.v.shape), label="working")
+    sets = [solve_qp(QpProblem(qp.e, qp.f, qp.w, qp.v)).lam > 0.0, working,
+            shifted_rows(working, cfg.n_c)]
+    assert_round_is_the_oracle((state, target, u_prev), data.draw(st.permutations(sets)),
+                               lambda: mpc._axis_qp(*model, cfg, limits))
+
+
+def test_planted_stacks_reach_every_branch_the_arrays_leave():
+    # over 300 planted stacks (derandomized), the round reads a least
+    # multiplier between test.lowest and -1e-10 over its scales, passes a
+    # least slack below the floor on its rows' terms (above the hypot
+    # bound) and fails one, and runs the stop test on a held candidate
+    reached = set()
+    screened, error = mpc._screened, _StopTest.error
+
+    def recorded_screen(laws, test, p, x, z, s, work, d, a):
+        passed = screened(laws, test, p, x, z, s, work, d, a)
+        reached.update({"multiplier"} if d < -1e-10 else set())
+        reached.update({f"slack {passed}"} if d >= -1e-10 and a < laws.floor else set())
+        return passed
+
+    def recorded_error(*args):
+        reached.add("stop test")
+        return error(*args)
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(case=planted_stacks())
+    def solve(case):
+        solve_qp(case[0], working_sets=case[1])
+
+    with mock.patch.object(mpc, "_screened", recorded_screen), \
+            mock.patch.object(_StopTest, "error", recorded_error):
+        solve()
+    assert reached == {"multiplier", "slack True", "slack False", "stop test"}
+
+
+@pytest.mark.parametrize("first", [0, 1])
+def test_the_first_of_two_passing_sets_is_held(first):
+    # x_free = (1, 1) breaks x_0 <= 0, x_1 <= 0 and x_0 + x_1 <= 0, which all
+    # hold at x = 0: the sets {0, 1} (multipliers 1, 1) and {0, 2}
+    # (multipliers 0, 1) both pass the screen, and the one earlier in the
+    # working sets is held, bit for bit as that set alone gives it
+    qp = QpProblem(np.eye(2), np.array([-1.0, -1.0]),
+                   np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]), np.zeros(3))
+    passing = [rows_of(3, [0, 1]), rows_of(3, [0, 2])]
+    sets = [passing[first], passing[1 - first], rows_of(3, [])]
+    sol, alone = solve_qp(qp, working_sets=sets), solve_qp(qp, working_sets=passing[first:][:1])
+    assert sol.converged and sol.iterations == 0
+    assert same_bits(sol.delta_u, alone.delta_u) and same_bits(sol.lam, alone.lam)
+    assert sol.lam.tolist() == ([1.0, 1.0, 0.0] if first == 0 else [0.0, 0.0, 1.0])
+    assert_round_is_the_oracle(qp, sets)
+
+
 def test_a_new_configuration_replaces_the_shared_stack():
     # limits that differ in one bound get a stack of their own, which the
     # next smoother shares; a smoother whose stack was replaced keeps
@@ -2220,7 +2387,7 @@ def test_smoothers_in_three_threads_share_a_stack():
         return [sm.step(ref) for ref in episode_refs]
 
     switch = sys.getswitchinterval()
-    with mock.patch.object(mpc, "_CACHED", 2):
+    with mock.patch.object(mpc, "_CACHED", 2 * DEFAULT_SLOT):
         alone = [run(episode_refs) for episode_refs in refs]
         mpc._stack, stacks[:] = (None, None), []
         sys.setswitchinterval(1e-6)
