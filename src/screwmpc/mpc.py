@@ -31,11 +31,12 @@ laws built before it; a plain QpProblem builds that object on each solve,
 with theta = [1].  A problem whose unconstrained
 optimum breaks a row tries the laws of its working sets: the set the
 smoother carried from the last tick, the same rows one step along the
-horizon and the two merged, or the empty set.  A problem they leave locates its region of the
-explicit MPC partition (Bemporad, Morari, Dua & Pistikopoulos 2002; Tondel,
-Johansen & Bemporad 2003) in one product of the laws its stack stored
-before the call: the one law with every multiplier at least 0 that meets
-every row.  Else it walks from its last set by the dual active-set method
+horizon and the two merged, or the empty set.  A problem they leave locates
+its region of the explicit MPC partition (Bemporad, Morari, Dua &
+Pistikopoulos 2002; Tondel, Johansen & Bemporad 2003) among the laws its
+stack stored before the call, on the laws' own rows: the one law whose
+multipliers are all at least 0 and whose unit-row slacks all meet the
+screen's floor.  Else it walks from its last set by the dual active-set method
 of Goldfarb & Idnani (1983), one law product per round, the rounds of all
 problems batched, the cached laws its factorizations: a set drops its rows
 with negative multipliers; at one with none the most broken row joins, and
@@ -251,9 +252,10 @@ class _Laws:
     and finite rows are equal bit for bit are of one class and share their
     laws.  _CACHED bounds the bytes of the slots in use, a guard far above
     what a run meets: past _CACHED // (a slot's bytes) sets the stack drops
-    the sets met first and warns, once.  A law depends on nothing else, so
-    smoothers in several threads may share one stack: a lock guards its
-    store."""
+    every law, to be rebuilt when used, and warns, once; its arrays keep
+    their size, and no slot is ever renumbered.  A law depends on nothing
+    else, so smoothers in several threads may share one stack: a lock
+    guards its store."""
 
     def __init__(self, e, w, p_f, p_v, finite):
         self.e, self.w = e, w                      # (k, n, n), (m, n)
@@ -281,7 +283,7 @@ class _Laws:
         self.masks, self.work = np.zeros((1, m), dtype=bool), np.arange(self.width)[None]
         self.count, self.kind = np.zeros(1, dtype=int), np.full(1, -1)
         self.size = 1  # slots in use; the arrays grow by doubling
-        self.cache: dict = {}  # (class, rows' mask) -> slot, oldest first
+        self.cache: dict = {}  # (class, rows' mask) -> slot
         self.stored, self.evicted = 0, False  # laws ever stored; warned
         self.lock = threading.Lock()
 
@@ -305,23 +307,14 @@ class _Laws:
             slots = np.array([cache[key] for key in keys])
             laws = self.store.take(slots, 0), self.work.take(slots, 0), self.count.take(slots)
             cap = _CACHED // self.slot_bytes  # the sets whose slots _CACHED holds
-            if len(cache) > cap:
+            if len(cache) > cap:  # restart cold: the arrays keep their size
                 if not self.evicted:
                     import logging  # only here: the import costs every process milliseconds
                     logging.getLogger(__name__).warning(
-                        "a QP stack holds more than %d solution laws: it drops the oldest, "
+                        "a QP stack holds more than %d solution laws: it drops them all, "
                         "to be rebuilt when used", cap)
                     self.evicted = True
-                kept = list(cache.items())[len(cache) - cap:]
-                # the laws dropped hold slots 1 to gone: slot gone becomes slot 0
-                gone = self.size - 1 - sum(slot > 0 for _, slot in kept)
-                arrays = self.store, self.masks, self.work, self.count, self.kind
-                for a in arrays:
-                    a[gone] = a[0]
-                self.store, self.masks, self.work, self.count, self.kind = (
-                    a[gone:] for a in arrays)
-                self.size -= gone
-                self.cache = {key: slot and slot - gone for key, slot in kept}
+                self.cache, self.size = {}, 1
         return laws
 
     def _keys(self, problems, masks) -> list:
@@ -376,29 +369,30 @@ class _Laws:
         self.size += new
         self.stored += new
 
-    def locate(self, problems: list, theta, test, before: int) -> dict:
+    def locate(self, problems: list, theta, before: int) -> dict:
         """Per problem, the rows of the one law of its class, of the first
         `before` the stack stored, whose multipliers at its theta are at
-        least 0 and whose x meets every unit row of `test` by floor, if one
-        alone does (explicit MPC's point location).  It multiplies only the
-        x and multiplier rows of the stored slots, and forms the slacks at
-        the point for the laws whose multipliers pass."""
-        n = self.x_free.shape[1]
+        least 0 and whose unit-row slacks are at least floor, if one alone
+        does (explicit MPC's point location).  It multiplies the multiplier
+        rows of the stored slots, and the slack rows of the laws whose
+        multipliers pass."""
+        n, width = self.x_free.shape[1], self.width
         with self.lock, np.errstate(all="ignore"):  # a law may overflow at a large theta
             count = self.size - (self.stored - before)
             if count <= 1:  # slot 0 is no law
                 return {}
-            y = self.store[:count, :n + self.width] @ np.ascontiguousarray(theta[problems].T)
+            at = theta[problems]
+            y = self.store[:count, n:n + width] @ np.ascontiguousarray(at.T)
             # every multiplier at least 0 (NaN: no law), over the rows made the
             # outer axis (a reduction over a short inner axis is slow)
-            slot, j = ((np.ascontiguousarray(y[:, n:].transpose(1, 0, 2)).min(axis=0) >= 0.0)
+            slot, j = ((np.ascontiguousarray(y.transpose(1, 0, 2)).min(axis=0) >= 0.0)
                        & (self.kind[:count, None] == [self.alike[p] for p in problems])).nonzero()
-            # of those, the laws whose x meets every unit row
-            p, x = np.array(problems)[j], y[slot, :n, j]
-            w_x = x @ test.w[0].T if len(test.w) == 1 else (test.w[p] @ x[..., None])[..., 0]
-            met = (test.v[p, :, 0] - w_x).min(axis=1) >= self.floor
-            slot, j = slot[met].tolist(), j[met].tolist()
-            return {problems[i]: self.masks[slot[j.index(i)]] for i in set(j) if j.count(i) == 1}
+            # of those, the laws whose slacks meet every unit row
+            s = (self.store[slot, 2 * (n + width):] @ at[j, :, None])[..., 0]
+            met = s.min(axis=1) >= self.floor
+            j = j[met].tolist()
+            rows = self.masks[slot[met]]  # a copy: a restart lets later laws reuse the slots
+            return {problems[i]: rows[j.index(i)] for i in set(j) if j.count(i) == 1}
 
 
 class _TickQp(QpProblem):
@@ -526,7 +520,7 @@ class _StopTest:
         """The test of a stack from its laws' |E|, scaled rows and row scale
         and its f, v and x_free (which must not change while the test lives)."""
         test = cls()
-        test.w, test.w_abs = laws.w_unit, laws.w_unit_abs
+        test.w_abs = laws.w_unit_abs
         top = 2.0 * math.sqrt(x_free.shape[1]) * (  # twice the bound, for rounding
             1.0 + laws.e_rows * math.sqrt(np.vdot(x_free, x_free)) + math.sqrt(np.vdot(f, f)))
         # NaN top: not bounded
@@ -552,16 +546,19 @@ class _StopTest:
     def multiplier(self) -> np.ndarray:
         return np.maximum(1.0, self.w_abs @ self.dual)
 
+    def primal(self, p: int, x) -> np.ndarray:
+        """Problem p's slack scales at the point x, max(1, |W_unit| |x| + |v|)."""
+        w_abs = self.w_abs[0 if len(self.w_abs) == 1 else p]
+        return np.maximum(1.0, w_abs @ np.abs(x) + self.v_abs[p, :, 0])
+
     def error(self, p: int, x, r_d, s, rows, z) -> float:
         """Problem p's largest KKT residual at the point x with stationarity
         residual r_d, unit-row slacks s and unit multipliers z on the rows
         `rows` (0 on the others)."""
-        w_abs = self.w_abs[0 if len(self.w_abs) == 1 else p]
-        primal = np.maximum(1.0, w_abs @ np.abs(x) + self.v_abs[p, :, 0])
         z_rows = np.zeros(len(s))
         z_rows[rows] = z
-        return max(np.abs(r_d / self.dual[p, :, 0]).max(),
-                   np.abs(np.minimum(s / primal, z_rows / self.multiplier[p, :, 0])).max())
+        complement = np.minimum(s / self.primal(p, x), z_rows / self.multiplier[p, :, 0])
+        return max(np.abs(r_d / self.dual[p, :, 0]).max(), np.abs(complement).max())
 
 
 def _on_laws(laws: _Laws, theta, test: _StopTest, todo, sets, x, lam) -> tuple[list, int]:
@@ -633,7 +630,7 @@ def _on_laws(laws: _Laws, theta, test: _StopTest, todo, sets, x, lam) -> tuple[l
         if not lost:
             break
         left = [owned[i] for i in lost]
-        located = {} if rounds > 1 else laws.locate(left, theta, test, before)
+        located = {} if rounds > 1 else laws.locate(left, theta, before)
         last, groups = [i + (groups - 1) * size for i in lost], 1
         if len(located) == len(left):
             owner, masks = np.array(left), np.array([located[p] for p in left])
@@ -699,9 +696,8 @@ def _screened(laws: _Laws, test: _StopTest, p: int, x, z, s, work, d: float, a: 
     # (|x| by hypot, which does not overflow where x . x does)
     if a < -2 * _KKT_TOL * (1.0 + math.hypot(*x.tolist()) + test.v_abs[p].max()):
         return False
-    w_abs = test.w_abs[0 if len(test.w_abs) == 1 else p]
-    scale = np.maximum(1.0, w_abs @ np.abs(x) + test.v_abs[p, :, 0])
-    return min((s / scale).min(), (s * laws.scale[:, 0]).min() / FEAS_TOL * _KKT_TOL) >= -_KKT_TOL
+    relative = (s / test.primal(p, x)).min()
+    return min(relative, (s * laws.scale[:, 0]).min() / FEAS_TOL * _KKT_TOL) >= -_KKT_TOL
 
 
 def _swap(laws: _Laws, rows, added: int, lam) -> int | None:

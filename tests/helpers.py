@@ -290,15 +290,16 @@ def stationarity_at_point(e, f, w, x, rows, lam) -> tuple[np.ndarray, np.ndarray
             np.abs(e) @ np.abs(x) + np.abs(f) + np.abs(lam) @ np.abs(w[rows]))
 
 
-def slacks_at_point(test, p: int, scale, x, rows, lam) -> tuple:
+def slacks_at_point(laws, test, p: int, x, rows, lam) -> tuple:
     """The unit-row slacks V / |W_i| - (W_i / |W_i|) x of problem p at the
-    point x on the stop test ``test`` (a ``_StopTest``) and the unit
-    multipliers lam |W_i| of the rows `rows` (in row order, 0 on the other
-    rows), formed at the point, each with the size of its terms."""
-    w_u = test.w[0] if len(test.w) == 1 else test.w[p]
+    point x, from the scaled bounds of the stop test ``test`` (a
+    ``_StopTest``) and the unit rows and row norms of its ``_Laws``, and the
+    unit multipliers lam |W_i| of the rows `rows` (in row order, 0 on the
+    other rows), formed at the point, each with the size of its terms."""
+    w_u = laws.w_unit[0] if len(laws.w_unit) == 1 else laws.w_unit[p]
     s = test.v[p, :, 0] - w_u @ x
     z, z_size = np.zeros(len(s)), np.zeros(len(s))
-    z[rows] = lam * scale[rows, 0]
+    z[rows] = lam * laws.scale[rows, 0]
     z_size[rows] = np.abs(z[rows])
     return s, z, test.v_abs[p, :, 0] + np.abs(w_u) @ np.abs(x), z_size
 
@@ -392,7 +393,7 @@ def on_laws_oracle(laws, theta, test, todo, sets, x, lam) -> tuple[set, int]:
                 unheld = rounds
             x[p], lam[p, rows] = y[c, :n], np.maximum(lam_y[c, :count[c]], 0.0)
         left = [p for p in last if p not in first]
-        located = {} if rounds > 1 or not left else laws.locate(left, theta, test, before)
+        located = {} if rounds > 1 or not left else laws.locate(left, theta, before)
         if len(located) == len(left):
             owner, masks = left, np.array([located[p] for p in left]).reshape(-1, m)
             continue

@@ -564,7 +564,7 @@ def test_residual_map_is_the_point_residual_and_keeps_every_verdict(data):
                 size += (np.abs(laws.e[p]) @ np.abs(law[c, :n]) + np.abs(laws.p_f[p])
                          + np.abs(qp.w[rows]).T @ np.abs(law[c, n:n + count[c]])) @ np.abs(theta[p])
                 assert np.all(np.abs(r_map - r_point) <= 1e-12 * size + tiny)
-                s, z, _, _ = slacks_at_point(test, p, laws.scale, x, rows, lam)
+                s, z, _, _ = slacks_at_point(laws, test, p, x, rows, lam)
                 verdict = verdict_at_point(test, p, laws.scale, x, rows, s, z, r_point)
                 assert verdict == verdict_at_point(test, p, laws.scale, x, rows, s, z, r_map)
                 if verdict[0] and p not in decided:
@@ -595,7 +595,7 @@ def test_slack_map_is_the_point_slack_and_keeps_every_verdict(data):
     qp, theta, _, laws, test, rounds = solve_recording_rounds(data)
     assume(laws is not None)
     tiny, n, width = np.finfo(float).tiny, laws.x_free.shape[1], laws.width
-    w_unit = np.abs(test.w[0] if len(test.w) == 1 else test.w)
+    w_unit = laws.w_unit_abs[0] if len(laws.w_unit_abs) == 1 else laws.w_unit_abs
     for problems, (law, work, count) in rounds:
         for c, p in enumerate(problems):
             if np.isnan(law[c]).any():
@@ -605,7 +605,7 @@ def test_slack_map_is_the_point_slack_and_keeps_every_verdict(data):
             assert not z_law[count[c]:].any()
             z_map = np.zeros(len(qp.w))
             z_map[rows] = z_law[:count[c]]
-            s, z, s_size, z_size = slacks_at_point(test, p, laws.scale, x, rows, lam[:count[c]])
+            s, z, s_size, z_size = slacks_at_point(laws, test, p, x, rows, lam[:count[c]])
             s_size += size[2 * (n + width):] + (w_unit if w_unit.ndim == 2 else w_unit[p]) @ (
                 np.abs(law[c, :n]) @ np.abs(theta[p]))
             z_size[rows] += (size[n:n + count[c]] * laws.scale[rows, 0]
@@ -790,7 +790,7 @@ def assert_steps_are_the_generic_solve(cfg, limits, holds):
             tick = (bare.f[:, :, None], bare.v[:, :, None], x_free)
             ours, theirs = _StopTest.of(sm._laws, *tick), _StopTest.of(fresh, *tick)
             assert all(np.array_equal(getattr(ours, name), getattr(theirs, name))
-                       for name in ("w", "v", "w_abs", "v_abs", "dual", "multiplier"))
+                       for name in ("v", "w_abs", "v_abs", "dual", "multiplier"))
             # a free tick (no row broken at x_free) forms no QP: its step is
             # the bare solve's, bit for bit
             free = ((bare.w @ x_free)[..., 0] - bare.v <= 1e-12).all()
@@ -1100,15 +1100,18 @@ def test_a_tick_held_in_one_round_forms_no_scales(monkeypatch):
     # in one round forms no scale, and most form no scaled bound either (the
     # screen reads the law's slacks; only a slack below the floor reads the
     # bounds); a tick that locates a law for each problem those sets leave
-    # (in one round more) forms the scaled bounds (the location's slacks at
-    # the point) and no scale; a tick that walks forms both scales once, in
-    # its one solve_qp call, or neither (where the law it holds has its
-    # residual and working rows' slacks all at most 1e-10)
+    # (in one round more) forms no scale either, and the location forms no
+    # scaled bound (it reads the stored laws' slacks, as the screen does),
+    # so only its first round's screen may; a tick that walks forms both
+    # scales once, in its one solve_qp call, or neither (where the law it
+    # holds has its residual and working rows' slacks all at most 1e-10)
     formed, rounds, solves, located = counted_scales(monkeypatch), [], [], []
     of, solve, locate = mpc._Laws.of, mpc.solve_qp, mpc._Laws.locate
 
     def recorded(laws, problems, *args):
+        before = len(formed)
         found = locate(laws, problems, *args)
+        assert len(formed) == before
         located.append(len(found) == len(problems))
         return found
 
@@ -1116,7 +1119,7 @@ def test_a_tick_held_in_one_round_forms_no_scales(monkeypatch):
     monkeypatch.setattr(mpc._Laws, "locate", recorded)
     monkeypatch.setattr(mpc, "solve_qp", lambda *args, **kw: solves.append(1) or solve(*args, **kw))
     sm = TwistSmoother(MpcConfig(), limits_of(acc=1.0, jerk=50.0), UnitDualQuaternion.identity())
-    held = bare = found = walked = 0
+    held = bare = found = found_bare = walked = 0
     for ref in smooth_tight_references([1, 0]):
         for calls in (formed, rounds, solves, located):
             calls.clear()
@@ -1128,12 +1131,13 @@ def test_a_tick_held_in_one_round_forms_no_scales(monkeypatch):
             assert formed in ([], ["v"]) and located == []
         elif located == [True]:
             found += 1
-            assert formed == ["v"] and len(rounds) == 2
+            found_bare += formed == []
+            assert formed in ([], ["v"]) and len(rounds) == 2
         elif rounds:
             walked += 1
             scales = sorted(name for name in formed if name != "v")
             assert scales in ([], ["dual", "multiplier"]) and len(solves) == 1
-    assert (held, bare, found, walked) == (177, 164, 12, 11)
+    assert (held, bare, found, found_bare, walked) == (177, 164, 12, 9, 11)
 
 
 def assert_unmoved_by(fault, error, match, sm, twin, target):
@@ -2036,10 +2040,10 @@ def capped_run(limits, refs, cap: int):
                                            (limits_of(vel=1.0, acc=10.0, jerk=20.0), 3.0)],
                          ids=["smooth-tight", "track-tight"])
 def test_evicted_laws_give_the_same_steps(limits, scale, caplog):
-    # a cache of 2 laws drops the laws built first and rebuilds them when
-    # used: every step is bit for bit the step at the default cap, where no
-    # law is dropped, the cache never holds more than 2, and the stack warns
-    # once, the first time it drops a law
+    # a cache of 2 laws drops them all once it holds more, and rebuilds them
+    # when used: every step is bit for bit the step at the default cap, where
+    # no law is dropped, the cache never holds more than 2, and the stack
+    # warns once, the first time it drops the laws
     refs = scale * smooth_tight_references([1, 0])
     with caplog.at_level("WARNING", logger="screwmpc.mpc"):
         steps, _, built = capped_run(limits, refs, mpc._CACHED // DEFAULT_SLOT)
@@ -2048,7 +2052,7 @@ def test_evicted_laws_give_the_same_steps(limits, scale, caplog):
     assert held <= 2 < len(set().union(*built)) == sum(map(len, built)) < sum(map(len, rebuilt))
     assert_same_steps(capped, steps)
     assert [r.getMessage() for r in caplog.records] == [
-        "a QP stack holds more than 2 solution laws: it drops the oldest, to be rebuilt when used"]
+        "a QP stack holds more than 2 solution laws: it drops them all, to be rebuilt when used"]
 
 
 def test_the_law_store_keeps_its_bytes_at_a_long_horizon():
@@ -2141,21 +2145,23 @@ def test_a_located_law_was_stored_before_the_call_and_alone_passed(monkeypatch):
     # smooth-tight seed 1, episodes 0 and 1 on one stack: a law the location
     # finds was stored before its solve_qp call, and of the laws of its
     # problem's class stored before, it alone has every multiplier at least
-    # 0 and a slack of at least laws.floor on every unit row, each law
-    # evaluated on its own; a problem with none or several locates nothing
+    # 0 and a slack of at least laws.floor on every unit row (formed at its
+    # point from the scaled bounds), each law evaluated on its own; a problem
+    # with none or several locates nothing
     locate, located = mpc._Laws.locate, []
 
-    def checked(laws, problems, theta, test, before):
+    def checked(laws, problems, theta, before):
         count = laws.size - (laws.stored - before)  # the slots stored before
         stored = [key for key, slot in laws.cache.items() if 0 < slot < count]
-        found = locate(laws, problems, theta, test, before)
+        found = locate(laws, problems, theta, before)
         n = laws.x_free.shape[1]
         for p in problems:
             passed = []
+            v = np.where(laws.rows[p], laws.p_v[p] @ theta[p] / laws.scale[:, 0], 1.0)
             for kind, rows in stored:
                 y = laws.of(np.array([p]), np.frombuffer(rows, dtype=bool)[None])[0][0] @ theta[p]
                 if (kind == laws.alike[p] and (y[n:n + laws.width] >= 0.0).all()
-                        and (test.v[p, :, 0] - test.w[0] @ y[:n]).min() >= laws.floor):
+                        and (v - laws.w_unit[0] @ y[:n]).min() >= laws.floor):
                     passed.append(rows)
             assert passed == [found[p].tobytes()] if p in found else len(passed) != 1
         located.append(len(found))
@@ -2351,6 +2357,28 @@ def test_the_first_of_two_passing_sets_is_held(first):
     assert same_bits(sol.delta_u, alone.delta_u) and same_bits(sol.lam, alone.lam)
     assert sol.lam.tolist() == ([1.0, 1.0, 0.0] if first == 0 else [0.0, 0.0, 1.0])
     assert_round_is_the_oracle(qp, sets)
+
+
+def test_a_law_residual_above_1e_10_is_left_to_the_stop_test():
+    # a taken candidate is held without the stop test only where its law's
+    # stationarity residual and working rows' slacks are all at most 1e-10.
+    # Here f = 0, so x_free = 0 and every stationarity scale is 1, and the
+    # one row's bound lies 1e8 away: the residual E x + W^T lambda of that
+    # row's law rounds to 1.5e-8 and its slack to 0.  The stop test reads
+    # the residual over the scale 1 and fails it, so the problem ends
+    # unconverged in the round that tried the law, at its point and with
+    # its multiplier, as the per-candidate oracle decides
+    e, w, v = np.array([[2.0, 0.3], [0.3, 1.0]]), np.array([[1.0, 0.7]]), np.array([-1e8])
+    qp, row, zeros = QpProblem(e, np.zeros(2), w, v), rows_of(1, [0]), np.zeros((1, 2, 1))
+    laws = _Laws(e[None], w, zeros, v[None, :, None], np.ones((1, 1), dtype=bool))
+    x, lam, r_d, z, s = law_terms(laws, laws.of(np.array([0]), row[None])[0][0], np.ones(1))
+    test = _StopTest.of(laws, zeros, v[None, :, None], zeros)
+    assert test.bounded and 1e-10 < np.abs(r_d).max() <= 1e-6 and s.item() <= 1e-10
+    assert test.error(0, x, r_d, s, np.array([0]), z) > 1e-10
+    sol = solve_qp(qp, working_sets=[row])
+    assert not sol.converged and sol.iterations == 1
+    assert same_bits(sol.delta_u, x) and same_bits(sol.lam, np.maximum(lam, 0.0))
+    assert_round_is_the_oracle(qp, [row])
 
 
 def test_a_new_configuration_replaces_the_shared_stack():
