@@ -28,23 +28,23 @@ multipliers over the unit rows and its slacks on them are affine in theta
 too: their law is built on first use and kept in the same object, so trying
 a set costs one product, and a smoother that shares a stack starts with the
 laws built before it; a plain QpProblem builds that object on each solve,
-with theta = [1].  A problem whose unconstrained
-optimum breaks a row tries the laws of its working sets: the set the
-smoother carried from the last tick, the same rows one step along the
-horizon and the two merged, or the empty set.  A problem they leave locates
-its region of the explicit MPC partition (Bemporad, Morari, Dua &
-Pistikopoulos 2002; Tondel, Johansen & Bemporad 2003) among the laws its
-stack stored before the call, on the laws' own rows: the one law whose
-multipliers are all at least 0 and whose unit-row slacks all meet the
-screen's floor.  Else it walks from its last set by the dual active-set method
-of Goldfarb & Idnani (1983), one law product per round, the rounds of all
+with theta = [1].  A problem whose unconstrained optimum breaks a row tries
+the laws of its working sets: the set the smoother carried from the last
+tick, the same rows one step along the horizon and the two merged, or the
+empty set.  A problem they leave locates its region of the explicit MPC
+partition (Bemporad, Morari, Dua & Pistikopoulos 2002; Tondel, Johansen &
+Bemporad 2003) among the laws its stack stored before the call, on the laws'
+own rows: the one law whose multipliers are all at least 0 and whose
+unit-row slacks all meet the screen's floor.  Else it walks from its last
+set by the dual active-set method of Goldfarb & Idnani (1983) on the laws'
+unit multipliers (_walk), one law product per round, the rounds of all
 problems batched, the cached laws its factorizations: a set drops its rows
 with negative multipliers; at one with none the most broken row joins, and
 the point moves along the segment to the joined set's law until a
 multiplier reaches 0, whose row leaves.  A joining row that depends on the
-working rows (any row joining a vertex of n) makes a set with no law, and
-a dual step on its least-squares fit zeroes a working row's multiplier
-instead; with none to zero the rows cannot all hold.  The objective rises
+working rows (any row joining a vertex of n) makes a set with no law, and a
+dual step on its least-squares fit zeroes a working row's multiplier instead
+(_swap); with none to zero the rows cannot all hold.  The objective rises
 with every row that joins, so no set repeats and every walk ends.
 Every candidate passes a screen on the stop test's terms (and every row met
 within FEAS_TOL), read off its law's product: its multipliers and slacks on
@@ -225,9 +225,8 @@ class _Laws:
     """A stack of k QPs sharing W whose f and V are affine in p parameters per
     problem: f = P_f theta, and V = P_V theta on the finite rows.  It holds E
     and W, what they and the finite rows fix (E^-1, |E|, the row scale and the
-    stop test's rows, scaled to unit norm: a row with an infinite bound or
-    zero W can never activate and is 0 there; one copy of them when every
-    problem has the same such rows) and the problems' solution laws.
+    stop test's rows scaled to unit norm per problem, 0 where a row cannot
+    activate (an infinite bound or zero W)) and the problems' solution laws.
 
     Holding a working set A as equalities, the solution is affine in theta too:
     x_free = X theta with X = -E^-1 P_f, lambda_A = S^-1 (W_A X - P_V,A) theta
@@ -264,8 +263,7 @@ class _Laws:
         self.minus_e_inv = -self.e_inv
         self.scale = np.maximum(np.linalg.norm(w, axis=1, keepdims=True), 1e-12)  # (m, 1)
         self.rows = finite & (self.scale[:, 0] > 1e-12)  # (k, m) rows that can activate
-        rows = self.rows[:1] if (self.rows == self.rows[0]).all() else self.rows
-        self.w_unit = np.where(rows[..., None], w / self.scale, 0.0)  # (1 or k, m, n) scaled rows
+        self.w_unit = np.where(self.rows[..., None], w / self.scale, 0.0)  # (k, m, n) scaled rows
         self.w_unit_abs = np.abs(self.w_unit)
         (n, p), m = p_f.shape[1:], len(w)
         self.p_fv = np.concatenate([p_f, np.where(finite[..., None], p_v, 0.0)], 1)  # [P_f; P_V]
@@ -350,9 +348,8 @@ class _Laws:
             lam = np.where(pad[..., None], 0.0, lam - d_lam)
             r_d = e @ x + p_f + w_t @ lam  # the residual as a map of theta
         lawful = (count <= n) & (abs(diag) <= 1e12).all(axis=1)
-        w_unit = self.w_unit[0] if len(self.w_unit) == 1 else self.w_unit[problems]
         laws = np.concatenate([x, lam, r_d, lam * self.scale[rows],  # the unit multipliers
-                               self.p_v_unit[problems] - w_unit @ x], axis=1)[lawful]
+                               self.p_v_unit[problems] - self.w_unit[problems] @ x], axis=1)[lawful]
         used, new = self.size, len(laws)
         self.cache.update(zip(self._keys(problems, masks),
                               np.where(lawful, used + np.cumsum(lawful) - 1, 0).tolist()))
@@ -548,8 +545,7 @@ class _StopTest:
 
     def primal(self, p: int, x) -> np.ndarray:
         """Problem p's slack scales at the point x, max(1, |W_unit| |x| + |v|)."""
-        w_abs = self.w_abs[0 if len(self.w_abs) == 1 else p]
-        return np.maximum(1.0, w_abs @ np.abs(x) + self.v_abs[p, :, 0])
+        return np.maximum(1.0, self.w_abs[p] @ np.abs(x) + self.v_abs[p, :, 0])
 
     def error(self, p: int, x, r_d, s, rows, z) -> float:
         """Problem p's largest KKT residual at the point x with stationarity
@@ -573,31 +569,14 @@ def _on_laws(laws: _Laws, theta, test: _StopTest, todo, sets, x, lam) -> tuple[l
     groups, masks = len(sets), (sets & laws.rows.take(todo, 0)).reshape(-1, m)
     owner = np.concatenate([todo] * groups)
     held, rounds, unheld = [], 0, 0
-    joining = {}  # problem -> (the row joining, x and multipliers of the walk's point)
-    gap = {}  # problem -> (x - x_free)^T E (x - x_free) at its last dual-feasible law
+    joining, gap = {}, {}  # the walks' state across rounds (see _walk)
     before = laws.stored  # only laws stored before the call are located
-
-    def end(p, x_p, lam_p):  # problem p leaves the walk unconverged at this point
-        nonlocal unheld
-        x[p], lam[p], unheld = x_p, np.maximum(lam_p, 0.0), rounds
-
-    def join(p, c):  # dual-feasible candidate c not held: its most broken row joins
-        row, x_c = a_at[c], y[c, :n]
-        with np.errstate(over="ignore"):  # inf at a huge target: only the first rises
-            d = x_c - x[p]  # x_free: a problem's x is written only as it leaves
-            g = float(d @ laws.e[p] @ d)
-        rise, gap[p] = g > gap.get(p, -math.inf), g
-        if masks[c, row] or not rise:  # no row to add, or no rise (a repeat in rounding)
-            return end(p, x_c, lam_c[c])
-        joining[p] = row, x_c, lam_c[c].copy()
-        return masks[c] | (np.arange(m) == row)
-
     while len(owner):
         rounds += 1
         y, work, count = laws.of(owner, masks)
         y, count = (y @ theta.take(owner, 0)[:, :, None])[..., 0], count.tolist()
         # x, multipliers, stationarity residual, unit multipliers, unit-row slacks
-        lam_y, r_d = y[:, n:n + width], y[:, n + width:2 * n + width]
+        r_d = y[:, n + width:2 * n + width]
         z, s = y[:, 2 * n + width:2 * (n + width)], y[:, 2 * (n + width):]
         # the screen: each working row's multiplier and each row's slack, over
         # their scales in the stop test, at least -1e-10, and every row met
@@ -625,7 +604,7 @@ def _on_laws(laws: _Laws, theta, test: _StopTest, todo, sets, x, lam) -> tuple[l
             else:
                 unheld = rounds
             x[p] = y[c, :n]
-            lam[p].put(rows, np.maximum(lam_y[c, :k_c], 0.0))
+            lam[p].put(rows, np.maximum(y[c, n:n + k_c], 0.0))
         lost = [i for i in range(size) if i not in pick]
         if not lost:
             break
@@ -635,52 +614,74 @@ def _on_laws(laws: _Laws, theta, test: _StopTest, todo, sets, x, lam) -> tuple[l
         if len(located) == len(left):
             owner, masks = np.array(left), np.array([located[p] for p in left])
             continue
-        lam_c = np.zeros(masks.shape)  # each candidate's multipliers in row order
-        lam_c[np.arange(len(masks))[:, None], work] = lam_y
-        a_at = s.argmin(axis=1).tolist()
-        # each problem left steps, as Goldfarb & Idnani (1983): a set with a
-        # negative multiplier drops those rows; a dual-feasible one adds its
-        # most broken row, and the set with it moves the point along the
-        # segment to its law until a multiplier reaches 0, whose row leaves
-        lawless = (~np.isfinite(y[:, :n + width]).all(axis=1)).tolist()
-        new, owner = [], []
-        for p, c in zip(left, last):
-            if p in located:
-                mask = located[p]
-            elif p in joining:
-                row, x_p, lam_p = joining.pop(p)
-                lam_j, mask = lam_c[c], masks[c].copy()
-                if lawless[c]:  # the row depends on the working rows: a dual step
-                    mask[row] = False
-                    out = _swap(laws, mask, row, lam_p)
-                    if out is None:  # the rows cannot all hold
-                        end(p, x_p, lam_p)
-                        continue
-                    mask[row] = True
-                elif (mask & (lam_j < 0.0)).any():  # a partial step
-                    with np.errstate(divide="ignore", invalid="ignore"):
-                        t = np.where(mask & (lam_j < 0.0), lam_p / (lam_p - lam_j), np.inf)
-                    out = int(t.argmin())
-                    x_p = x_p + t[out] * (y[c, :n] - x_p)
-                    lam_p = lam_p + t[out] * (lam_j - lam_p)
-                    lam_p[out] = 0.0
-                else:  # the full step: the set holds the row
-                    mask, out = join(p, c), None
-                if out is not None:
-                    mask[out] = False
-                    if out != row:
-                        joining[p] = row, x_p, lam_p
-            elif lawless[c]:  # a set with no law walks from the empty set
-                mask = np.zeros(m, dtype=bool) if masks[c].any() else end(p, x[p], lam[p])
-            elif (lam_c[c] < 0.0).any():
-                mask = masks[c] & (lam_c[c] >= 0.0)
-            else:
-                mask = join(p, c)
-            if mask is not None:
-                new.append(mask)
-                owner.append(p)
-        owner, masks = np.array(owner), np.array(new).reshape(-1, m)
+        owner, masks, unheld = _walk(laws, y, work, masks, left, last, located, joining, gap,
+                                     x, lam, rounds, unheld)
     return held, unheld
+
+
+def _walk(laws: _Laws, y, work, masks, left: list, last: list, located: dict, joining: dict,
+          gap: dict, x, lam, rounds: int, unheld: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """One step of the walk (see the module notes) of each problem left[i]
+    from candidate last[i] of round `rounds` (y[c] its law at theta, masks[c]
+    and work[c] its rows), on unit multipliers.  `joining` (problem -> the row
+    joining, and the point and unit multipliers before it) and `gap` (problem
+    -> (x - x_free)^T E (x - x_free) at its last dual-feasible law) carry it
+    across rounds.  A problem that ends writes x and lam, and unheld `rounds`."""
+    n, m, width = x.shape[1], len(laws.w), laws.width
+    z_c = np.zeros(masks.shape)  # each candidate's unit multipliers in row order
+    z_c[np.arange(len(masks))[:, None], work] = y[:, 2 * n + width:2 * (n + width)]
+    a_at = y[:, 2 * (n + width):].argmin(axis=1).tolist()  # each one's most broken row
+    lawless = (~np.isfinite(y[:, :n + width]).all(axis=1)).tolist()
+    new, owner = [], []
+
+    def end(p, x_p, z_p):  # problem p leaves the walk unconverged at this point
+        nonlocal unheld
+        x[p], lam[p], unheld = x_p, np.maximum(z_p / laws.scale[:, 0], 0.0), rounds
+
+    def join(p, c):  # dual-feasible candidate c not held: its most broken row joins
+        row, x_c = a_at[c], y[c, :n]
+        with np.errstate(over="ignore"):  # inf at a huge target: only the first rises
+            d = x_c - x[p]  # x_free: a problem's x is written only as it leaves
+            g = float(d @ laws.e[p] @ d)
+        rise, gap[p] = g > gap.get(p, -math.inf), g
+        if masks[c, row] or not rise:  # no row to add, or no rise (a repeat in rounding)
+            return end(p, x_c, z_c[c])
+        joining[p] = row, x_c, z_c[c].copy()
+        return masks[c] | (np.arange(m) == row)
+
+    for p, c in zip(left, last):
+        if p in located:
+            mask = located[p]
+        elif p in joining:
+            row, x_p, z_p = joining.pop(p)
+            z_j, mask = z_c[c], masks[c].copy()
+            if lawless[c]:  # the row depends on the working rows: a dual step
+                out = _swap(laws, mask & (np.arange(m) != row), row, z_p)
+                if out is None:  # the rows cannot all hold
+                    mask = end(p, x_p, z_p)
+            elif (mask & (z_j < 0.0)).any():  # a partial step
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    t = np.where(mask & (z_j < 0.0), z_p / (z_p - z_j), np.inf)
+                out = int(t.argmin())
+                x_p = x_p + t[out] * (y[c, :n] - x_p)
+                z_p = z_p + t[out] * (z_j - z_p)
+                z_p[out] = 0.0
+            else:  # the full step: the set holds the row
+                mask, out = join(p, c), None
+            if out is not None:
+                mask[out] = False
+                if out != row:
+                    joining[p] = row, x_p, z_p
+        elif lawless[c]:  # a set with no law walks from the empty set
+            mask = np.zeros(m, dtype=bool) if masks[c].any() else end(p, x[p], lam[p])
+        elif (z_c[c] < 0.0).any():
+            mask = masks[c] & (z_c[c] >= 0.0)
+        else:
+            mask = join(p, c)
+        if mask is not None:
+            new.append(mask)
+            owner.append(p)
+    return np.array(owner, dtype=int), np.array(new).reshape(-1, m), unheld
 
 
 def _screened(laws: _Laws, test: _StopTest, p: int, x, z, s, work, d: float, a: float) -> bool:
@@ -700,28 +701,27 @@ def _screened(laws: _Laws, test: _StopTest, p: int, x, z, s, work, d: float, a: 
     return min(relative, (s * laws.scale[:, 0]).min() / FEAS_TOL * _KKT_TOL) >= -_KKT_TOL
 
 
-def _swap(laws: _Laws, rows, added: int, lam) -> int | None:
+def _swap(laws: _Laws, rows, added: int, z) -> int | None:
     """The dual step of row `added`, which depends on the rows `rows` (a mask)
     so that their set with it has no law: the least-squares fit d of its
     unit row by theirs (normal equations; the exact solve at a vertex of n)
-    moves the unit multipliers z of theirs by -t d and its own by +t, with t
-    the least z / d over d > 1e-9, which zeroes one row's.  Updates lam (in
-    row order) and returns that row, or None where no d is positive (the
-    rows cannot all hold)."""
+    moves their unit multipliers z by -t d and its own by +t, with t the
+    least z / d over d > 1e-9, which zeroes one row's.  Updates z (in row
+    order) and returns that row, or None where no d is positive (the rows
+    cannot all hold)."""
     index = np.flatnonzero(rows)
     if not len(index):
         return None
-    scale, w_r = laws.scale[index, 0], laws.w[added] / laws.scale[added, 0]
-    w_a = laws.w[index] / scale[:, None]
+    w_a, w_r = laws.w[index] / laws.scale[index], laws.w[added] / laws.scale[added, 0]
     d = _solve((w_a @ w_a.T)[None], (w_a @ w_r)[None, :, None])[0, :, 0]
     ratio, fit = np.full(len(index), np.inf), d > 1e-9  # NaN d (no fit): no ratio
-    ratio[fit] = lam[index[fit]] * scale[fit] / d[fit]
+    ratio[fit] = z[index[fit]] / d[fit]
     out = int(ratio.argmin())
     if not ratio[out] < np.inf:
         return None
-    lam[index] -= ratio[out] * d / scale
-    lam[added] += ratio[out] / laws.scale[added, 0]
-    lam[index[out]] = 0.0
+    z[index] -= ratio[out] * d
+    z[added] += ratio[out]
+    z[index[out]] = 0.0
     return int(index[out])
 
 

@@ -22,7 +22,8 @@ applies the call's own stop test (``screwmpc.mpc._StopTest``), the per-point
 reference for the residual, multiplier and slack maps each solution law
 carries.  The QP's law rounds are the fifth: ``on_laws_oracle`` decides each
 candidate one by one, the reference for the batched round of
-``screwmpc.mpc._on_laws``.
+``screwmpc.mpc._on_laws``; the walk step between rounds is not repeated
+here, the oracle calls the solver's own (``screwmpc.mpc._walk``).
 """
 
 from __future__ import annotations
@@ -55,8 +56,8 @@ from screwmpc.mpc import (
     _axis_qp,
     _scalar_model,
     _scalar_prediction,
-    _swap,
     _tick_qp,
+    _walk,
 )
 
 # ---------------------------------------------------------------------------
@@ -296,7 +297,7 @@ def slacks_at_point(laws, test, p: int, x, rows, lam) -> tuple:
     ``_StopTest``) and the unit rows and row norms of its ``_Laws``, and the
     unit multipliers lam |W_i| of the rows `rows` (in row order, 0 on the
     other rows), formed at the point, each with the size of its terms."""
-    w_u = laws.w_unit[0] if len(laws.w_unit) == 1 else laws.w_unit[p]
+    w_u = laws.w_unit[p]
     s = test.v[p, :, 0] - w_u @ x
     z, z_size = np.zeros(len(s)), np.zeros(len(s))
     z[rows] = lam * laws.scale[rows, 0]
@@ -313,8 +314,7 @@ def verdict_at_point(test, p: int, scale, x, rows, s, z, r_d) -> tuple[bool, boo
     their scales to be at least -1e-10 and every row to be met within
     FEAS_TOL; a screened candidate is held if the stop test's largest
     residual is at most 1e-10."""
-    w_abs = test.w_abs[0] if len(test.w_abs) == 1 else test.w_abs[p]
-    primal = np.maximum(1.0, w_abs @ np.abs(x) + test.v_abs[p, :, 0])
+    primal = np.maximum(1.0, test.w_abs[p] @ np.abs(x) + test.v_abs[p, :, 0])
     screened = bool((z[rows] / test.multiplier[p, rows, 0] >= -1e-10).all()
                     and (s / primal >= -1e-10).all() and (s * scale[:, 0] >= -FEAS_TOL).all())
     return screened, screened and bool(test.error(p, x, r_d, s, rows, z[rows]) <= 1e-10)
@@ -327,12 +327,13 @@ def on_laws_oracle(laws, theta, test, todo, sets, x, lam) -> tuple[set, int]:
     least is below ``laws.floor``, and the stop test run on every held
     candidate whose stationarity residual or working rows' slacks pass
     1e-10; each problem's point and multipliers written on its own.  The
-    same arguments and results as ``_on_laws``, whose walk it repeats."""
+    same arguments and results as ``_on_laws``.  The walk step after each
+    round is the solver's own (``screwmpc.mpc._walk``), also where the
+    location found every problem left."""
     n, m, width = x.shape[1], len(laws.w), laws.width
-    w_abs = test.w_abs[0] if len(test.w_abs) == 1 else test.w_abs
     masks = (np.asarray(sets, dtype=bool) & laws.rows[todo]).reshape(-1, m)
     owner = todo.tolist() * (len(masks) // len(todo))
-    x_free, held, rounds, unheld = x.copy(), set(), 0, 0
+    held, rounds, unheld = set(), 0, 0
     joining, gap, before = {}, {}, laws.stored
 
     def relative():  # the multipliers over their scales, and each candidate's least
@@ -345,25 +346,9 @@ def on_laws_oracle(laws, theta, test, todo, sets, x, lam) -> tuple[set, int]:
         p, x_c = owner[c], y[c, :n]
         if a_min[c] < -2 * _KKT_TOL * (1.0 + math.hypot(*x_c.tolist()) + test.v_abs[p].max()):
             return False
-        scale = np.maximum(1.0, (w_abs if w_abs.ndim == 2 else w_abs[p]) @ np.abs(x_c)
-                           + test.v_abs[p, :, 0])
+        scale = np.maximum(1.0, test.w_abs[p] @ np.abs(x_c) + test.v_abs[p, :, 0])
         return min((s[c] / scale).min(), (s[c] * laws.scale[:, 0]).min() / FEAS_TOL * _KKT_TOL) \
             >= -_KKT_TOL
-
-    def end(p, x_p, lam_p):
-        nonlocal unheld
-        x[p], lam[p], unheld = x_p, np.maximum(lam_p, 0.0), rounds
-
-    def join(p, c):
-        row, x_c = a_at[c], y[c, :n]
-        with np.errstate(over="ignore"):
-            d = x_c - x_free[p]
-            g = float(d @ laws.e[p] @ d)
-        rise, gap[p] = g > gap.get(p, -math.inf), g
-        if masks[c, row] or not rise:
-            return end(p, x_c, lam_c[c])
-        joining[p] = row, x_c, lam_c[c].copy()
-        return masks[c] | (np.arange(m) == row)
 
     while owner:
         rounds += 1
@@ -394,51 +379,9 @@ def on_laws_oracle(laws, theta, test, todo, sets, x, lam) -> tuple[set, int]:
             x[p], lam[p, rows] = y[c, :n], np.maximum(lam_y[c, :count[c]], 0.0)
         left = [p for p in last if p not in first]
         located = {} if rounds > 1 or not left else laws.locate(left, theta, before)
-        if len(located) == len(left):
-            owner, masks = left, np.array([located[p] for p in left]).reshape(-1, m)
-            continue
-        lam_c = np.zeros(masks.shape)
-        lam_c[np.arange(len(masks))[:, None], work] = lam_y
-        a_at = s.argmin(axis=1).tolist()
-        lawless = (~np.isfinite(y[:, :n + width]).all(axis=1)).tolist()
-        new, owner = [], []
-        for p in left:
-            c = last[p]
-            if p in located:
-                mask = located[p]
-            elif p in joining:
-                row, x_p, lam_p = joining.pop(p)
-                lam_j, mask = lam_c[c], masks[c].copy()
-                if lawless[c]:
-                    mask[row] = False
-                    out = _swap(laws, mask, row, lam_p)
-                    if out is None:
-                        end(p, x_p, lam_p)
-                        continue
-                    mask[row] = True
-                elif (mask & (lam_j < 0.0)).any():
-                    with np.errstate(divide="ignore", invalid="ignore"):
-                        t = np.where(mask & (lam_j < 0.0), lam_p / (lam_p - lam_j), np.inf)
-                    out = int(t.argmin())
-                    x_p = x_p + t[out] * (y[c, :n] - x_p)
-                    lam_p = lam_p + t[out] * (lam_j - lam_p)
-                    lam_p[out] = 0.0
-                else:
-                    mask, out = join(p, c), None
-                if out is not None:
-                    mask[out] = False
-                    if out != row:
-                        joining[p] = row, x_p, lam_p
-            elif lawless[c]:
-                mask = np.zeros(m, dtype=bool) if masks[c].any() else end(p, x_free[p], lam[p])
-            elif (lam_c[c] < 0.0).any():
-                mask = masks[c] & (lam_c[c] >= 0.0)
-            else:
-                mask = join(p, c)
-            if mask is not None:
-                new.append(mask)
-                owner.append(p)
-        masks = np.array(new).reshape(-1, m)
+        owner, masks, unheld = _walk(laws, y, work, masks, left, [last[p] for p in left],
+                                     located, joining, gap, x, lam, rounds, unheld)
+        owner = owner.tolist()
     return held, unheld
 
 

@@ -10,7 +10,7 @@ import pytest
 from screwmpc import kinematics, mpc, simulate
 from screwmpc.cli import _random_keypoints, main
 from screwmpc.config import RunConfig, load_config, parse_config_text
-from screwmpc.dualquat import PureDualQuaternion, UnitDualQuaternion, exp
+from screwmpc.dualquat import PureDualQuaternion, UnitDualQuaternion, exp, log
 from screwmpc.kinematics import (
     forward_kinematics,
     inner_control,
@@ -570,6 +570,33 @@ def test_closed_loop_makes_one_chain_pass_per_inner_tick(panda, ready_pose, monk
     assert len(calls) == result.n_records * result.inner_ticks_per_mpc + 1
     assert len(inverses) == result.n_records * result.inner_ticks_per_mpc
     assert result.inner_ticks_per_mpc == 9 and result.n_records > 10
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 21: x_d is held over the inner ticks of an MPC tick")
+def test_a_track_tight_line_keeps_its_bounds_at_the_inner_rate(panda, monkeypatch):
+    # ROADMAP item 21: perfbench's track-tight line 0 under seed 1. The
+    # flange's twist at the inner rate, 2 log(x_k x_(k-1)^*) / dt from x_eff
+    # after each chain pass, differenced once and twice, keeps the
+    # acceleration and jerk bounds within 1e-6. It reads 3.87 and 2126 times
+    # them: the inner loop holds x_d over the 9 inner ticks of an MPC tick
+    poses, chain_pass = [], kinematics._pose_and_jacobian
+
+    def recorded(*args):
+        x_eff8, jac = chain_pass(*args)
+        poses.append(UnitDualQuaternion.from_vec8(x_eff8))
+        return x_eff8, jac
+
+    monkeypatch.setattr(kinematics, "_pose_and_jacobian", recorded)
+    cfg = load_config(reference_runs.DATA / "track_tight_line0.cfg")
+    result = run_closed_loop(cfg, panda, load_keypoints(cfg.keypoints))
+    assert len(poses) == result.n_records * result.inner_ticks_per_mpc + 1
+    dt, lim = cfg.inner_dt, cfg.limits
+    twist = np.array([2.0 * log(b * a.conjugate()).vec6() / dt for a, b in zip(poses, poses[1:])])
+    acc = np.diff(twist, axis=0) / dt
+    jerk = np.diff(acc, axis=0) / dt
+    assert (acc <= lim.acc_max + 1e-6).all() and (acc >= lim.acc_min - 1e-6).all()
+    assert (jerk <= lim.jerk_max + 1e-6).all() and (jerk >= lim.jerk_min - 1e-6).all()
 
 
 def test_closed_loop_rejects_a_chain_off_unit(panda, ready_pose):

@@ -595,7 +595,6 @@ def test_slack_map_is_the_point_slack_and_keeps_every_verdict(data):
     qp, theta, _, laws, test, rounds = solve_recording_rounds(data)
     assume(laws is not None)
     tiny, n, width = np.finfo(float).tiny, laws.x_free.shape[1], laws.width
-    w_unit = laws.w_unit_abs[0] if len(laws.w_unit_abs) == 1 else laws.w_unit_abs
     for problems, (law, work, count) in rounds:
         for c, p in enumerate(problems):
             if np.isnan(law[c]).any():
@@ -606,7 +605,7 @@ def test_slack_map_is_the_point_slack_and_keeps_every_verdict(data):
             z_map = np.zeros(len(qp.w))
             z_map[rows] = z_law[:count[c]]
             s, z, s_size, z_size = slacks_at_point(laws, test, p, x, rows, lam[:count[c]])
-            s_size += size[2 * (n + width):] + (w_unit if w_unit.ndim == 2 else w_unit[p]) @ (
+            s_size += size[2 * (n + width):] + laws.w_unit_abs[p] @ (
                 np.abs(law[c, :n]) @ np.abs(theta[p]))
             z_size[rows] += (size[n:n + count[c]] * laws.scale[rows, 0]
                              + size[2 * n + width:][:count[c]])
@@ -1181,6 +1180,19 @@ def test_solve_qp_rejects_shapes_that_disagree(qp, name, expected, given):
     with pytest.raises(ValueError, match=re.escape(f"{name} must have shape {expected}")) as err:
         solve_qp(qp)
     assert f"got {given}" in str(err.value)
+
+
+@pytest.mark.parametrize("qp, given", [
+    (QpProblem(np.eye(2), TWO[None, None], np.eye(2), np.ones(2)), "f (1, 1, 2), w (2, 2)"),
+    (QpProblem(np.eye(2), TWO, np.ones(2), np.ones(2)), "f (2,), w (2,)"),
+    (QpProblem(np.eye(2), TWO, np.eye(2)[None], np.ones(2)), "f (2,), w (1, 2, 2)"),
+], ids=["f-3-d", "w-1-d", "w-3-d"])
+def test_solve_qp_rejects_f_and_w_of_other_ranks(qp, given):
+    # f is neither (n,) nor (k, n), or w is not (m, n): no other shape can
+    # be read off them
+    with pytest.raises(ValueError, match=re.escape(
+            f"QP f must be (n,) or (k, n) and w (m, n), got {given}")):
+        solve_qp(qp)
 
 
 @pytest.mark.parametrize("qp, sets, expected, given", [
@@ -2137,7 +2149,8 @@ def test_a_filled_stack_steps_as_one_of_its_own_with_rows_per_axis():
     limits = dataclasses.replace(limits_of(acc=10.0, jerk=20.0), vel_min=-vel, vel_max=vel)
     refs = 3.0 * smooth_tight_references([1, 0])
     mpc._stack = (None, None)
-    assert len(TwistSmoother(MpcConfig(), limits, UnitDualQuaternion.identity())._laws.w_unit) == 6
+    rows = TwistSmoother(MpcConfig(), limits, UnitDualQuaternion.identity())._laws.rows
+    assert not (rows == rows[0]).all()
     assert assert_filled_stack_steps_as_own(MpcConfig(), limits, refs) > 0
 
 
@@ -2161,7 +2174,7 @@ def test_a_located_law_was_stored_before_the_call_and_alone_passed(monkeypatch):
             for kind, rows in stored:
                 y = laws.of(np.array([p]), np.frombuffer(rows, dtype=bool)[None])[0][0] @ theta[p]
                 if (kind == laws.alike[p] and (y[n:n + laws.width] >= 0.0).all()
-                        and (v - laws.w_unit[0] @ y[:n]).min() >= laws.floor):
+                        and (v - laws.w_unit[p] @ y[:n]).min() >= laws.floor):
                     passed.append(rows)
             assert passed == [found[p].tobytes()] if p in found else len(passed) != 1
         located.append(len(found))
@@ -2206,6 +2219,23 @@ def test_plain_solve_locates_nothing_on_random_stacks(stack_and_sets):
         expected = solve_qp(qp, working_sets=sets)
     assert all(same_bits(getattr(sol, name), getattr(expected, name))
                for name in ("delta_u", "lam", "iterations", "solved", "max_violation"))
+
+
+def test_a_row_alone_whose_law_overflows_ends_the_walk_unconverged():
+    # E = 1e300 I: the one row's multiplier, (1e9 + 2) / 2e-300, overflows,
+    # so the set of that row alone reads as one with no law.  The walk
+    # joined it from the empty set: its dual step has no working row to
+    # fit (_swap's empty-set guard), and the problem ends unconverged at
+    # x_free, with no numeric warning
+    swaps, swap = [], mpc._swap
+    qp = QpProblem(1e300 * np.eye(2), np.array([-1e300, -1e300]), np.array([[1.0, 1.0]]),
+                   np.array([-1e9]))
+    with mock.patch.object(mpc, "_swap", lambda *args: swaps.append(
+            (args[1].tolist(), args[2])) or swap(*args)):
+        sol = solve_qp(qp)
+    assert swaps == [([False], 0)]
+    assert not sol.converged and sol.iterations == 2
+    assert sol.delta_u.tolist() == [1.0, 1.0] and sol.lam.tolist() == [0.0]
 
 
 def test_swap_forms_its_ratio_only_over_positive_fits():
@@ -2522,6 +2552,22 @@ def test_every_tick_from_rest_converges_within_its_bounds(data):
             assert np.abs(realized).max() <= acc + FEAS_TOL
             assert np.abs((realized - prev_acc) / T).max() <= jerk + FEAS_TOL
             prev, prev_acc = res.twist, realized
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 22: every plan ends at zero acceleration at step n_c")
+def test_a_long_reference_reaches_more_acceleration_than_the_terminal_rest_allows():
+    # ROADMAP item 22: under the track-tight limits (vel 1, acc 10, jerk
+    # 20, default horizons) from rest toward vx = 0.9 for 150 ticks, the
+    # velocity bound leaves room, so the applied acceleration should pass
+    # (n_c - 1) T J_max = 1.62, what a plan that must end at rest after
+    # n_c - 1 more increments of at most T J_max can reach.  It reads
+    # 1.6200000000000043: the terminal rest caps it
+    cfg, limits = MpcConfig(), limits_of(vel=1.0, acc=10.0, jerk=20.0)
+    sm = TwistSmoother(cfg, limits, UnitDualQuaternion.identity())
+    twists = [np.zeros(6)] + [sm.step([0.0, 0.0, 0.0, 0.9, 0.0, 0.0]).twist for _ in range(150)]
+    acc = np.abs(np.diff(twists, axis=0)).max() / cfg.sample_time
+    assert acc > (cfg.n_c - 1) * cfg.sample_time * limits.jerk_max.max() + FEAS_TOL
 
 
 def test_step_equilibrium():
