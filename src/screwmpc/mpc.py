@@ -46,18 +46,18 @@ working rows (any row joining a vertex of n) makes a set with no law, and a
 dual step on its least-squares fit zeroes a working row's multiplier instead
 (_swap); with none to zero the rows cannot all hold.  The objective rises
 with every row that joins, so no set repeats and every walk ends.
-Every candidate passes a screen on the stop test's terms (and every row met
-within FEAS_TOL), read off its law's product: its multipliers and slacks on
-the unit rows, none formed at the point.  A round is that product for all
-its candidates and one reduction, each candidate's least unit multiplier
-and least unit-row slack, which decide the screen of almost every one; a
-problem takes its first candidate that passes, and only a candidate before
-it that those two leave open reads more (_screened).  The candidate taken
-is held where its law's stationarity residual and working rows' slacks are
-all at most _KKT_TOL, and the stop test (_StopTest) decides the others.
-The test's scaled bounds and its stationarity and multiplier scales are
-formed on first read, and only a verdict that depends on them reads them,
-so a tick that its carried sets settle usually forms none.
+One function gives a candidate its verdict (_verdict): a screen on the stop
+test's terms (and every row met within FEAS_TOL), read off its law's
+product, its multipliers and slacks on the unit rows, none formed at the
+point; then the stop test, which holds the candidate a problem takes or
+ends it unconverged.  Each term is measured against the size of the terms
+of its own equation at the candidate's point, its own problem's.  A round
+is the law product for all its candidates and one reduction, each
+candidate's least unit multiplier and least unit-row slack, which decide
+the screen of almost every one; a candidate whose law's stationarity
+residual and working rows' slacks are all at most _KKT_TOL passes the test
+on any size, and a bound on the sizes from |x| rejects most others, so a
+candidate forms its sizes only where its verdict depends on them.
 The laws' systems and the swaps' fits go to LAPACK's solve gufunc, the one
 np.linalg.solve calls, which returns NaN for a singular problem of a stack
 and solves the rest: a set with no law, or a swap with no fit.
@@ -239,7 +239,8 @@ class _Laws:
       the unit multipliers lambda_A |W_i|, the stop test's (min(n, m) rows);
       the unit-row slacks S_A = P_V,unit - W_unit X_A (m rows), P_V,unit being
         P_V / |W_i| on the rows that can activate and theta's constant 1
-        elsewhere, so those read 1, as the stop test's scaled bounds do;
+        elsewhere, so those read 1, as the stop test's scaled bounds
+        V_unit do;
     so one product gives a candidate all the screen reads.  A set of more
     than n rows or of dependent rows (|S_ii (S^-1)_ii| above 1e12, or S
     singular) has no candidate: it points at slot 0, the one NaN law (no
@@ -491,78 +492,58 @@ def _solve(mat, rhs):
         return _gesv(mat, rhs, signature="dd->d")
 
 
-class _StopTest:
-    """The stop test of a candidate point for a stack of problems, on (k, .,
-    1) columns.  Rows are scaled to unit norm; a row with an infinite bound
-    or zero W reads 0 <= 1.  ``error`` is a candidate's largest KKT residual:
-    each residual is measured against the size of the terms of its own
-    equation, a row's at the point and a stationarity row's at x_free (W^T z
-    is left out); a multiplier against the stationarity rows of the variables
-    its row touches.
-
-    The scaled bounds ``v`` (k, m, 1; 1 on a row that cannot activate) and
-    their absolute values ``v_abs``, the stationarity scales ``dual`` (k, n,
-    1) and the multiplier scales ``multiplier`` (k, m, 1), each at least 1,
-    are formed on first read: a screen reads each candidate's slacks and
-    unit multipliers off its law, so a tick that one round of laws holds
-    usually forms none of them.  Every scale is at most sqrt(n) (1 + |E|'s
-    largest row sum |x_free| + |f|), on 2-norms over the stack.  ``bounded``:
-    that bound is finite, so a multiplier of at least -1e-10 or a
-    stationarity residual of at most 1e-10 meets the test on any scale, and
-    a multiplier below ``lowest`` fails it on any (unbounded, ``lowest`` is
-    -1e-10 and a screen reads every multiplier over its scale)."""
-
-    @classmethod
-    def of(cls, laws: _Laws, f, v, x_free) -> "_StopTest":
-        """The test of a stack from its laws' |E|, scaled rows and row scale
-        and its f, v and x_free (which must not change while the test lives)."""
-        test = cls()
-        test.w_abs = laws.w_unit_abs
-        top = 2.0 * math.sqrt(x_free.shape[1]) * (  # twice the bound, for rounding
-            1.0 + laws.e_rows * math.sqrt(np.vdot(x_free, x_free)) + math.sqrt(np.vdot(f, f)))
-        # NaN top: not bounded
-        test.bounded, test.lowest = top <= 1e300, -_KKT_TOL * (top if top <= 1e300 else 1.0)
-        test.terms = laws, f, v, x_free
-        return test
-
-    @cached_property
-    def v(self) -> np.ndarray:
-        laws, _, v, _ = self.terms
-        return np.where(laws.rows[..., None], v / laws.scale, 1.0)
-
-    @cached_property
-    def v_abs(self) -> np.ndarray:
-        return np.abs(self.v)
-
-    @cached_property
-    def dual(self) -> np.ndarray:
-        laws, f, _, x_free = self.terms
-        return np.maximum(1.0, laws.e_abs @ np.abs(x_free) + np.abs(f))
-
-    @cached_property
-    def multiplier(self) -> np.ndarray:
-        return np.maximum(1.0, self.w_abs @ self.dual)
-
-    def primal(self, p: int, x) -> np.ndarray:
-        """Problem p's slack scales at the point x, max(1, |W_unit| |x| + |v|)."""
-        return np.maximum(1.0, self.w_abs[p] @ np.abs(x) + self.v_abs[p, :, 0])
-
-    def error(self, p: int, x, r_d, s, rows, z) -> float:
-        """Problem p's largest KKT residual at the point x with stationarity
-        residual r_d, unit-row slacks s and unit multipliers z on the rows
-        `rows` (0 on the others)."""
-        z_rows = np.zeros(len(s))
-        z_rows[rows] = z
-        complement = np.minimum(s / self.primal(p, x), z_rows / self.multiplier[p, :, 0])
-        return max(np.abs(r_d / self.dual[p, :, 0]).max(), np.abs(complement).max())
+def _verdict(laws: _Laws, p: int, f, v, y, rows, d: float, a: float) -> bool | None:
+    """The stop test of a candidate of problem p, whose f and V are f and v:
+    y its law at theta, `rows` its working rows, d and a its least unit
+    multiplier and least unit-row slack.  None where the screen fails it,
+    else whether it is held.  Each term is measured against the size of the
+    terms of its own equation at the candidate's point x, each size at least
+    1: a unit-row slack against max(1, |W_unit| |x| + |V_unit|), a
+    stationarity residual against max(1, |E| |x| + |f|) and a working row's
+    unit multiplier against max(1, |W_unit| times those), the stationarity
+    rows of the variables its row touches.  The screen asks every
+    multiplier and slack to be at least -1e-10 of its size and every row to
+    be met within FEAS_TOL; the test holds a screened candidate whose
+    stationarity residuals and working rows' min(slack, multiplier) are all
+    at most 1e-10 of their sizes.  Each size is at most top/2 = sqrt(n) (1 +
+    |E|'s largest row sum |x| + |f|) (a slack's at most 1 + |x| + |V_unit|),
+    on 2-norms: a term below -1e-10 top fails on any size, and where top is
+    at most 1e300 a term of at least -1e-10 (a residual of at most 1e-10)
+    meets the test on any.  Only what d, a and the residuals leave open forms
+    the sizes, and only problem p's."""
+    n, width, k = len(f), laws.width, len(rows)
+    x, r_d = y[:n], y[n + width:2 * n + width]
+    z, s = y[2 * n + width:2 * n + width + k], y[2 * (n + width):]
+    norm = math.hypot(*x.tolist())  # |x|, which does not overflow where x . x does
+    top = 2.0 * math.sqrt(n) * (1.0 + laws.e_rows * norm + math.hypot(*f.tolist()))
+    if not d >= -_KKT_TOL * top:  # fails on any size (NaN: no law)
+        return None
+    bounded = top <= 1e300
+    if bounded and d >= -_KKT_TOL and a >= laws.floor:  # the screen passes on any size
+        if (all(-_KKT_TOL <= r <= _KKT_TOL for r in r_d.tolist())
+                and all(t <= _KKT_TOL for t in s.take(rows).tolist())):
+            return True  # and so does the test
+    v_unit = np.where(laws.rows[p], v / laws.scale[:, 0], 1.0)
+    if not a >= -2.0 * _KKT_TOL * (1.0 + norm + np.abs(v_unit).max()):  # fails on any size
+        return None
+    w_abs = laws.w_unit_abs[p]
+    slack = s / np.maximum(1.0, w_abs @ np.abs(x) + np.abs(v_unit))
+    dual = np.maximum(1.0, laws.e_abs[p] @ np.abs(x) + np.abs(f))
+    multiplier = z / np.maximum(1.0, w_abs[rows] @ dual)
+    if not ((multiplier >= -_KKT_TOL).all() and min(
+            slack.min(), (s * laws.scale[:, 0]).min() / FEAS_TOL * _KKT_TOL) >= -_KKT_TOL):
+        return None
+    return bool((abs(r_d / dual) <= _KKT_TOL).all()
+                and (np.minimum(slack[rows], multiplier) <= _KKT_TOL).all())
 
 
-def _on_laws(laws: _Laws, theta, test: _StopTest, todo, sets, x, lam) -> tuple[list, int]:
-    """The problems `todo` on laws (see solve_qp and the module notes), all
-    batched, from their working sets `sets` (g, len(todo), m; todo[i]'s in
-    order).  Writes each problem's point into x and its multipliers into
-    lam, which hold x_free and 0 on the call; returns the problems held and
-    the rounds after which the last unheld one ended (0: none)."""
+def _on_laws(laws: _Laws, theta, f, v, todo, sets, x, lam) -> tuple[list, int]:
+    """The problems `todo` of the stack whose f and V are f and v on laws
+    (see solve_qp and the module notes), all batched, from their working
+    sets `sets` (g, len(todo), m; todo[i]'s in order).  Writes each
+    problem's point into x and its multipliers into lam, which hold x_free
+    and 0 on the call; returns the problems held and the rounds after which
+    the last unheld one ended (0: none)."""
     n, m, width = x.shape[1], len(laws.w), laws.width
     # candidate c: problem owner[c] on the rows masks[c], set-major; a
     # problem's walk starts from its last set
@@ -575,36 +556,26 @@ def _on_laws(laws: _Laws, theta, test: _StopTest, todo, sets, x, lam) -> tuple[l
         rounds += 1
         y, work, count = laws.of(owner, masks)
         y, count = (y @ theta.take(owner, 0)[:, :, None])[..., 0], count.tolist()
-        # x, multipliers, stationarity residual, unit multipliers, unit-row slacks
-        r_d = y[:, n + width:2 * n + width]
-        z, s = y[:, 2 * n + width:2 * (n + width)], y[:, 2 * (n + width):]
-        # the screen: each working row's multiplier and each row's slack, over
-        # their scales in the stop test, at least -1e-10, and every row met
-        # within FEAS_TOL, read off each candidate's least unit multiplier (at
-        # least -1e-10: passes on any scale; below test.lowest: fails on any)
-        # and least unit-row slack (at least laws.floor: meets both)
+        # rows of y: x, multipliers, stationarity residual, unit multipliers,
+        # unit-row slacks.  Each candidate's least unit multiplier and least
+        # unit-row slack decide the screen of almost every one (_verdict)
         least = np.minimum.reduceat(y, (2 * n + width, 2 * (n + width)), axis=1)
-        if not test.bounded:  # every multiplier is read over its scale
-            least[:, 0] = (z / test.multiplier[owner[:, None], work, 0]).min(axis=1)
         size, owned, pick = len(owner) // groups, owner.tolist(), {}
         for c, (d, a) in enumerate(least.tolist()):
             i = c % size
-            if i in pick or not (d >= -_KKT_TOL and a >= laws.floor or d >= test.lowest
-                                 and _screened(laws, test, owned[c], y[c, :n], z[c], s[c],
-                                               work[c], d, a)):
+            if i in pick:
                 continue
-            pick[i], p, k_c = c, owned[c], count[c]
-            # the stop test's terms the screen leaves, the law's stationarity residual and
-            # each working row's min(slack, multiplier), are met if both are at most 1e-10
-            rows = work[c, :k_c]
-            if (test.bounded and all(-_KKT_TOL <= r <= _KKT_TOL for r in r_d[c].tolist())
-                    and all(t <= _KKT_TOL for t in s[c].take(rows).tolist())
-                    or test.error(p, y[c, :n], r_d[c], s[c], rows, z[c, :k_c]) <= _KKT_TOL):
+            p, rows = owned[c], work[c, :count[c]]
+            verdict = _verdict(laws, p, f[p], v[p], y[c], rows, d, a)
+            if verdict is None:
+                continue
+            pick[i] = c
+            if verdict:
                 held.append(p)
             else:
                 unheld = rounds
             x[p] = y[c, :n]
-            lam[p].put(rows, np.maximum(y[c, n:n + k_c], 0.0))
+            lam[p].put(rows, np.maximum(y[c, n:n + len(rows)], 0.0))
         lost = [i for i in range(size) if i not in pick]
         if not lost:
             break
@@ -684,23 +655,6 @@ def _walk(laws: _Laws, y, work, masks, left: list, last: list, located: dict, jo
     return np.array(owner, dtype=int), np.array(new).reshape(-1, m), unheld
 
 
-def _screened(laws: _Laws, test: _StopTest, p: int, x, z, s, work, d: float, a: float) -> bool:
-    """The screen of a candidate of problem p that its least unit multiplier
-    d and least unit-row slack a leave open (d between test.lowest and
-    -1e-10, or a below laws.floor): x its point, z its unit multipliers on
-    the rows `work` (padded with 0) and s its unit-row slacks."""
-    if d < -_KKT_TOL and not (z / test.multiplier[p, work, 0]).min() >= -_KKT_TOL:
-        return False
-    if a >= laws.floor:
-        return True
-    # each scale is at most 1 + |x| + |V| on unit rows, so this fails
-    # (|x| by hypot, which does not overflow where x . x does)
-    if a < -2 * _KKT_TOL * (1.0 + math.hypot(*x.tolist()) + test.v_abs[p].max()):
-        return False
-    relative = (s / test.primal(p, x)).min()
-    return min(relative, (s * laws.scale[:, 0]).min() / FEAS_TOL * _KKT_TOL) >= -_KKT_TOL
-
-
 def _swap(laws: _Laws, rows, added: int, z) -> int | None:
     """The dual step of row `added`, which depends on the rows `rows` (a mask)
     so that their set with it has no law: the least-squares fit d of its
@@ -749,13 +703,15 @@ def solve_qp(qp: QpProblem, *, working_sets: Sequence[np.ndarray] = ()) -> QpSol
     v, or one array of them; none given: the empty set) in one batched
     product, then the one law its stack stored before the call that holds
     it (none for a plain problem), else walks from its last set as
-    Goldfarb & Idnani (1983).  The first
-    candidate that passes the screen (multipliers and slacks each at least
-    -1e-10 of their scales in the stop test, every finite row met within
-    FEAS_TOL) is held if it passes the stop test, with its law's residual,
-    and ends unconverged if not; so does a walk whose rows cannot all hold,
-    or whose objective does not rise in rounding.  ``lam`` is the held law's
-    exact multiplier (one above -1e-10 of its scale reads 0); an unconverged
+    Goldfarb & Idnani (1983).  The first candidate that passes the screen
+    (multipliers and slacks each at least -1e-10 of their sizes, every
+    finite row met within FEAS_TOL) is held if it passes the stop test (its
+    law's stationarity residual and each working row's min(slack,
+    multiplier) at most 1e-10 of their sizes), and ends unconverged if not;
+    each size is that of the terms of its own equation at the candidate's
+    point (_verdict).  So does a walk whose rows cannot all hold, or whose
+    objective does not rise in rounding.  ``lam`` is the held law's
+    exact multiplier (one above -1e-10 of its size reads 0); an unconverged
     problem reports the walk's last point and multipliers (at least 0).
     Rows with infinite bounds or zero W never activate.  A stack (e (k, n, n),
     f (k, n), v (k, m), shared w) is solved per problem, each bit for bit as
@@ -783,11 +739,10 @@ def solve_qp(qp: QpProblem, *, working_sets: Sequence[np.ndarray] = ()) -> QpSol
     solved = [r <= 1e-12 for r in np.maximum.reduce(residual, axis=1, initial=-np.inf).tolist()]
     left = [p for p, free in enumerate(solved) if not free]
     if left:
-        test = _StopTest.of(laws, f[..., None], v[..., None], x[..., None])
-        x = x.copy()  # the test's x_free, and a tick problem's optimum, stay
+        x = x.copy()  # a tick problem's optimum stays
         sets = (np.asarray(working_sets, dtype=bool).reshape(-1, k, m) if len(working_sets)
                 else np.zeros((1, k, m), dtype=bool))
-        held, rounds = _on_laws(laws, theta, test, np.array(left), sets.take(left, 1), x, lam)
+        held, rounds = _on_laws(laws, theta, f, v, np.array(left), sets.take(left, 1), x, lam)
         solved = [free or p in held for p, free in enumerate(solved)]
         # W x - V in one product over the stack: a free problem's x, and so its
         # residual, is the one it came with, bit for bit

@@ -17,18 +17,19 @@ object-by-object pose algebra is the third: the dual quaternion product,
 branch composed from ``Quaternion`` operations and numpy, the reference the
 float forms of ``screwmpc.dualquat`` must equal bit for bit.  The QP stop
 test at a candidate's point is the fourth: it forms the candidate's
-stationarity residual, unit-row slacks and unit multipliers at its point and
-applies the call's own stop test (``screwmpc.mpc._StopTest``), the per-point
-reference for the residual, multiplier and slack maps each solution law
-carries.  The QP's law rounds are the fifth: ``on_laws_oracle`` decides each
-candidate one by one, the reference for the batched round of
+stationarity residual, unit-row slacks and unit multipliers at its point,
+and every size the stop test measures them against, and decides the screen
+and the hold on all of them (``verdict_at_point``), the per-point reference
+for the residual, multiplier and slack maps each solution law carries and
+for the shortcuts of ``screwmpc.mpc._verdict``.  The QP's law rounds are
+the fifth: ``on_laws_oracle`` decides each candidate one by one on that
+point verdict, the reference for the batched round of
 ``screwmpc.mpc._on_laws``; the walk step between rounds is not repeated
 here, the oracle calls the solver's own (``screwmpc.mpc._walk``).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -291,65 +292,68 @@ def stationarity_at_point(e, f, w, x, rows, lam) -> tuple[np.ndarray, np.ndarray
             np.abs(e) @ np.abs(x) + np.abs(f) + np.abs(lam) @ np.abs(w[rows]))
 
 
-def slacks_at_point(laws, test, p: int, x, rows, lam) -> tuple:
+def slacks_at_point(laws, p: int, v, x, rows, lam) -> tuple:
     """The unit-row slacks V / |W_i| - (W_i / |W_i|) x of problem p at the
-    point x, from the scaled bounds of the stop test ``test`` (a
-    ``_StopTest``) and the unit rows and row norms of its ``_Laws``, and the
-    unit multipliers lam |W_i| of the rows `rows` (in row order, 0 on the
-    other rows), formed at the point, each with the size of its terms."""
-    w_u = laws.w_unit[p]
-    s = test.v[p, :, 0] - w_u @ x
+    point x, from its bounds v (1 on a row that cannot activate) and the
+    unit rows and row norms of its ``_Laws``, and the unit multipliers lam
+    |W_i| of the rows `rows` (in row order, 0 on the other rows), formed at
+    the point, each with the size of its terms."""
+    w_u, v_u = laws.w_unit[p], unit_bounds(laws, p, v)
+    s = v_u - w_u @ x
     z, z_size = np.zeros(len(s)), np.zeros(len(s))
     z[rows] = lam * laws.scale[rows, 0]
     z_size[rows] = np.abs(z[rows])
-    return s, z, test.v_abs[p, :, 0] + np.abs(w_u) @ np.abs(x), z_size
+    return s, z, np.abs(v_u) + np.abs(w_u) @ np.abs(x), z_size
 
 
-def verdict_at_point(test, p: int, scale, x, rows, s, z, r_d) -> tuple[bool, bool]:
-    """Whether solve_qp's screen passes a candidate of problem p (x with unit
-    multipliers z in row order on `rows`, unit-row slacks s and stationarity
-    residual r_d) and whether it is held, each formed from the stop test of
-    the call (``test``, a ``_StopTest``) and the row norms ``scale``: the
-    screen asks each working row's multiplier and each row's slack over
-    their scales to be at least -1e-10 and every row to be met within
-    FEAS_TOL; a screened candidate is held if the stop test's largest
-    residual is at most 1e-10."""
-    primal = np.maximum(1.0, test.w_abs[p] @ np.abs(x) + test.v_abs[p, :, 0])
-    screened = bool((z[rows] / test.multiplier[p, rows, 0] >= -1e-10).all()
-                    and (s / primal >= -1e-10).all() and (s * scale[:, 0] >= -FEAS_TOL).all())
-    return screened, screened and bool(test.error(p, x, r_d, s, rows, z[rows]) <= 1e-10)
+def unit_bounds(laws, p: int, v) -> np.ndarray:
+    """Problem p's bounds v over its rows' norms, 1 on a row that cannot activate."""
+    return np.where(laws.rows[p], v / laws.scale[:, 0], 1.0)
 
 
-def on_laws_oracle(laws, theta, test, todo, sets, x, lam) -> tuple[set, int]:
-    """``screwmpc.mpc._on_laws`` with each candidate decided one by one: its
-    least multiplier read over its scales once any candidate's lies between
-    ``test.lowest`` and 0, its slacks against their rows' terms where the
-    least is below ``laws.floor``, and the stop test run on every held
-    candidate whose stationarity residual or working rows' slacks pass
-    1e-10; each problem's point and multipliers written on its own.  The
-    same arguments and results as ``_on_laws``.  The walk step after each
-    round is the solver's own (``screwmpc.mpc._walk``), also where the
-    location found every problem left."""
+def point_sizes(laws, p: int, f, v, x, rows) -> tuple:
+    """The sizes the stop test measures a candidate of problem p against,
+    formed at its point x, each at least 1: its unit-row slacks' max(1,
+    |W_unit| |x| + |V_unit|), its stationarity residuals' max(1, |E| |x| +
+    |f|) and its working rows' (`rows`) unit multipliers' max(1, |W_unit|
+    times those)."""
+    w_abs, x_abs = np.abs(laws.w_unit[p]), np.abs(x)
+    dual = np.maximum(1.0, np.abs(laws.e[p]) @ x_abs + np.abs(f))
+    return (np.maximum(1.0, w_abs @ x_abs + np.abs(unit_bounds(laws, p, v))), dual,
+            np.maximum(1.0, w_abs[rows] @ dual))
+
+
+def verdict_at_point(laws, p: int, f, v, x, rows, s, z, r_d) -> tuple[bool, bool]:
+    """Whether solve_qp's screen passes a candidate of problem p, whose f and
+    V are f and v (x with unit multipliers z in row order on `rows`, unit-row
+    slacks s and stationarity residual r_d), and whether it is held, with
+    every size of the stop test formed at the point (point_sizes).  The
+    screen asks each working row's multiplier and each row's slack over its
+    size to be at least -1e-10 and every row to be met within FEAS_TOL; a
+    screened candidate is held if its stationarity residuals and its working
+    rows' min(slack, multiplier) over their sizes are all at most 1e-10."""
+    primal, dual, multiplier = point_sizes(laws, p, f, v, x, rows)
+    slack, multiplier = s / primal, z[rows] / multiplier
+    screened = bool((multiplier >= -_KKT_TOL).all() and (slack >= -_KKT_TOL).all()
+                    and (s * laws.scale[:, 0] >= -FEAS_TOL).all())
+    return screened, screened and bool((np.abs(r_d / dual) <= _KKT_TOL).all() and (
+        np.minimum(slack[rows], multiplier) <= _KKT_TOL).all())
+
+
+def on_laws_oracle(laws, theta, f, v, todo, sets, x, lam) -> tuple[set, int]:
+    """``screwmpc.mpc._on_laws`` with each candidate decided one by one by
+    ``verdict_at_point``, every size of the stop test formed at its point
+    (none of the solver's shortcuts: the least multiplier and slack, the
+    bound on the sizes, the hold on absolute residuals), and each problem's
+    point and multipliers written on its own.  The same arguments and
+    results as ``_on_laws``.  The walk step after each round is the
+    solver's own (``screwmpc.mpc._walk``), also where the location found
+    every problem left."""
     n, m, width = x.shape[1], len(laws.w), laws.width
     masks = (np.asarray(sets, dtype=bool) & laws.rows[todo]).reshape(-1, m)
     owner = todo.tolist() * (len(masks) // len(todo))
     held, rounds, unheld = set(), 0, 0
     joining, gap, before = {}, {}, laws.stored
-
-    def relative():  # the multipliers over their scales, and each candidate's least
-        z_rel = z / test.multiplier[problems[:, None], work, 0]
-        return z_rel, z_rel.min(axis=1).tolist()
-
-    def met(c):  # the screen's slack terms of candidate c
-        if a_min[c] >= laws.floor:
-            return True
-        p, x_c = owner[c], y[c, :n]
-        if a_min[c] < -2 * _KKT_TOL * (1.0 + math.hypot(*x_c.tolist()) + test.v_abs[p].max()):
-            return False
-        scale = np.maximum(1.0, test.w_abs[p] @ np.abs(x_c) + test.v_abs[p, :, 0])
-        return min((s[c] / scale).min(), (s[c] * laws.scale[:, 0]).min() / FEAS_TOL * _KKT_TOL) \
-            >= -_KKT_TOL
-
     while owner:
         rounds += 1
         problems = np.array(owner)
@@ -357,25 +361,23 @@ def on_laws_oracle(laws, theta, test, todo, sets, x, lam) -> tuple[set, int]:
         y, count = (y @ theta[problems, :, None])[..., 0], count.tolist()
         lam_y, r_d = y[:, n:n + width], y[:, n + width:2 * n + width]
         z, s = y[:, 2 * n + width:2 * (n + width)], y[:, 2 * (n + width):]
-        z_rel, d_min = (None, z.min(axis=1).tolist()) if test.bounded else relative()
-        a_min = s.min(axis=1).tolist()
-        top = np.maximum(abs(r_d).max(axis=1), s.max(axis=1, where=masks, initial=0.0))
-        unread = ((top <= _KKT_TOL) & test.bounded).tolist()
         first, last = {}, {}
         for c, p in enumerate(owner):
             last[p] = c
             if p in first:
                 continue
-            if z_rel is None and test.lowest <= d_min[c] < 0.0:
-                z_rel, d_min = relative()
-            if d_min[c] >= -_KKT_TOL and met(c):
-                first[p] = c
-        for p, c in first.items():
-            rows, z_c = work[c, :count[c]], z[c, :count[c]]
-            if unread[c] or test.error(p, y[c, :n], r_d[c], s[c], rows, z_c) <= _KKT_TOL:
+            rows, z_c = work[c, :count[c]], np.zeros(m)
+            z_c[rows] = z[c, :count[c]]
+            screened, taken = verdict_at_point(laws, p, f[p], v[p], y[c, :n], rows, s[c], z_c,
+                                               r_d[c])
+            if screened:
+                first[p] = c, taken
+        for p, (c, taken) in first.items():
+            if taken:
                 held.add(p)
             else:
                 unheld = rounds
+            rows = work[c, :count[c]]
             x[p], lam[p, rows] = y[c, :n], np.maximum(lam_y[c, :count[c]], 0.0)
         left = [p for p in last if p not in first]
         located = {} if rounds > 1 or not left else laws.locate(left, theta, before)

@@ -1,6 +1,5 @@
 import copy
 import dataclasses
-import functools
 import itertools
 import re
 import sys
@@ -25,7 +24,6 @@ from screwmpc.mpc import (
     _optimum,
     _scalar_model,
     _scalar_prediction,
-    _StopTest,
     LimitSet,
     MpcConfig,
     QpProblem,
@@ -44,6 +42,7 @@ from helpers import (
     eliminate_terminal,
     failed_solve,
     on_laws_oracle,
+    point_sizes,
     prediction_rollout_oracle,
     qp_enumeration_oracle,
     same_bits,
@@ -496,9 +495,9 @@ def test_dependent_rows_have_no_law_and_no_warning():
 def solve_recording_rounds(data):
     """A plain QpProblem stack (theta = [1]) or a smoother tick at random
     theta, solved from the cold solve's working set and a random one,
-    recording its law rounds: the solution, theta, the laws and stop test
-    of the one _on_laws call (None where every problem was free) and, per
-    round, its problems and the laws, rows and counts _Laws.of gave them."""
+    recording its law rounds: the solution, theta, the laws, f and v of the
+    one _on_laws call (None where every problem was free) and, per round,
+    its problems and the laws, rows and counts _Laws.of gave them."""
     if data.draw(st.booleans(), label="tick"):
         cfg, limits, state, u_prev, target = draw_tick(data)
         qp = _tick_qp(TwistSmoother(cfg, limits, UnitDualQuaternion.identity())._laws,
@@ -512,9 +511,9 @@ def solve_recording_rounds(data):
     calls, rounds = [], []
     on_laws, of = mpc._on_laws, mpc._Laws.of
 
-    def recorded_call(laws, theta, test, *rest):
-        calls.append((laws, test))
-        return on_laws(laws, theta, test, *rest)
+    def recorded_call(laws, theta, f, v, *rest):
+        calls.append((laws, f, v))
+        return on_laws(laws, theta, f, v, *rest)
 
     def recorded_round(laws, problems, masks):
         rounds.append((problems.tolist(), of(laws, problems, masks)))
@@ -523,7 +522,7 @@ def solve_recording_rounds(data):
     with mock.patch.object(mpc, "_on_laws", recorded_call), \
             mock.patch.object(mpc._Laws, "of", recorded_round):
         sol = solve_qp(qp, working_sets=data.draw(st.permutations(sets), label="order"))
-    return qp, theta, sol, *(calls[0] if calls else (None, None)), rounds
+    return qp, theta, sol, *(calls[0] if calls else (None, None, None)), rounds
 
 
 def law_terms(laws, law, theta):
@@ -532,6 +531,46 @@ def law_terms(laws, law, theta):
     n, width = laws.x_free.shape[1], laws.width
     y = law @ theta
     return np.split(y, np.cumsum([n, width, n, width]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_verdict_is_the_point_verdict_on_random_candidates(data):
+    # a candidate of any magnitude (its point and f up to 1e306, so that the
+    # bound on its sizes may pass 1e300 and the sizes overflow) whose
+    # stationarity residuals, unit multipliers and unit-row slacks are each
+    # its size at the point times a number near 0, on either side of 1e-10,
+    # or of order 1: _verdict, whose shortcuts read its least unit
+    # multiplier and slack, the bound on its sizes and its residuals against
+    # 1e-10, gives the verdict formed with every size (verdict_at_point)
+    n, m = data.draw(st.integers(1, 4), label="n"), data.draw(st.integers(1, 6), label="m")
+    w = data.draw(arrays(float, (m, n), elements=st.floats(-10.0, 10.0)), label="w")
+    a = data.draw(arrays(float, (n, n), elements=st.floats(-2.0, 2.0)), label="a")
+    e = (a @ a.T + 0.1 * np.eye(n)) * 10.0 ** data.draw(st.integers(-3, 3), label="E scale")
+    finite = data.draw(arrays(bool, m), label="finite")
+    v = np.where(finite, 10.0 ** data.draw(st.integers(-3, 3), label="|v|") * data.draw(
+        arrays(float, m, elements=st.floats(-1.0, 1.0)), label="v"), np.inf)
+    laws = _Laws(e[None], w, np.zeros((1, n, 1)), np.where(finite, v, 0.0)[None, :, None],
+                 finite[None])
+    rows = np.flatnonzero(data.draw(arrays(bool, m), label="rows") & laws.rows[0])[:laws.width]
+    x, f = (10.0 ** data.draw(st.sampled_from([0, 3, 8, 150, 299, 306]), label=f"|{name}|")
+            * data.draw(arrays(float, n, elements=st.floats(-1.0, 1.0)), label=name)
+            for name in ("x", "f"))
+    near = st.sampled_from([-3e-10, -1.5e-10, -5e-11, 0.0, 5e-11, 1.5e-10]) | st.floats(-1e-8, 1e-8)
+    met = near | st.sampled_from([1e-9, 1e-7, 1.0]) | st.floats(-2.0, 2.0)
+    with np.errstate(all="ignore"):  # at 1e306 the sizes may overflow, to inf or NaN
+        primal, dual, multiplier = point_sizes(laws, 0, f, v, x, rows)
+        r_d = dual * data.draw(arrays(float, n, elements=near), label="r_d / size")
+        s = primal * data.draw(arrays(float, m, elements=met), label="s / size")
+        z = np.zeros(laws.width)
+        z[:len(rows)] = multiplier * data.draw(arrays(float, len(rows), elements=met),
+                                               label="z / size")
+        z_rows = np.zeros(m)
+        z_rows[rows] = z[:len(rows)]
+        screened, held = verdict_at_point(laws, 0, f, v, x, rows, s, z_rows, r_d)
+        y = np.concatenate([x, np.zeros(laws.width), r_d, z, s])
+        verdict = mpc._verdict(laws, 0, f, v, y, rows, z.min(), s.min())
+    assert verdict == (held if screened else None)
 
 
 @settings(max_examples=80, deadline=None)
@@ -548,7 +587,7 @@ def test_residual_map_is_the_point_residual_and_keeps_every_verdict(data):
     # bit for bit on that candidate's point and multipliers, else
     # unconverged; and a problem no candidate of a round screens walks on or
     # ends unconverged
-    qp, theta, sol, laws, test, rounds = solve_recording_rounds(data)
+    qp, theta, sol, laws, f, v, rounds = solve_recording_rounds(data)
     assume(laws is not None)
     tiny, n = np.finfo(float).tiny, laws.x_free.shape[1]
     for i, (problems, (law, work, count)) in enumerate(rounds):
@@ -564,9 +603,9 @@ def test_residual_map_is_the_point_residual_and_keeps_every_verdict(data):
                 size += (np.abs(laws.e[p]) @ np.abs(law[c, :n]) + np.abs(laws.p_f[p])
                          + np.abs(qp.w[rows]).T @ np.abs(law[c, n:n + count[c]])) @ np.abs(theta[p])
                 assert np.all(np.abs(r_map - r_point) <= 1e-12 * size + tiny)
-                s, z, _, _ = slacks_at_point(laws, test, p, x, rows, lam)
-                verdict = verdict_at_point(test, p, laws.scale, x, rows, s, z, r_point)
-                assert verdict == verdict_at_point(test, p, laws.scale, x, rows, s, z, r_map)
+                s, z, _, _ = slacks_at_point(laws, p, v[p], x, rows, lam)
+                verdict = verdict_at_point(laws, p, f[p], v[p], x, rows, s, z, r_point)
+                assert verdict == verdict_at_point(laws, p, f[p], v[p], x, rows, s, z, r_map)
                 if verdict[0] and p not in decided:
                     decided[p] = c if verdict[1] else None
         for p in set(problems):  # a screened problem leaves: held on its point, or unconverged
@@ -592,7 +631,7 @@ def test_slack_map_is_the_point_slack_and_keeps_every_verdict(data):
     # terms of both forms; and the point oracle's verdict (screen, then
     # held) is the same on the law's slacks and unit multipliers as on
     # those formed at the point
-    qp, theta, _, laws, test, rounds = solve_recording_rounds(data)
+    qp, theta, _, laws, f, v, rounds = solve_recording_rounds(data)
     assume(laws is not None)
     tiny, n, width = np.finfo(float).tiny, laws.x_free.shape[1], laws.width
     for problems, (law, work, count) in rounds:
@@ -604,7 +643,7 @@ def test_slack_map_is_the_point_slack_and_keeps_every_verdict(data):
             assert not z_law[count[c]:].any()
             z_map = np.zeros(len(qp.w))
             z_map[rows] = z_law[:count[c]]
-            s, z, s_size, z_size = slacks_at_point(laws, test, p, x, rows, lam[:count[c]])
+            s, z, s_size, z_size = slacks_at_point(laws, p, v[p], x, rows, lam[:count[c]])
             s_size += size[2 * (n + width):] + laws.w_unit_abs[p] @ (
                 np.abs(law[c, :n]) @ np.abs(theta[p]))
             z_size[rows] += (size[n:n + count[c]] * laws.scale[rows, 0]
@@ -612,8 +651,8 @@ def test_slack_map_is_the_point_slack_and_keeps_every_verdict(data):
             assert np.all(np.abs(s_law - s) <= 1e-12 * s_size + tiny)
             assert np.all(np.abs(z_map - z) <= 1e-12 * z_size + tiny)
             assert (s_law[~laws.rows[p]] == 1.0).all()
-            assert (verdict_at_point(test, p, laws.scale, x, rows, s_law, z_map, r_d)
-                    == verdict_at_point(test, p, laws.scale, x, rows, s, z, r_d))
+            assert (verdict_at_point(laws, p, f[p], v[p], x, rows, s_law, z_map, r_d)
+                    == verdict_at_point(laws, p, f[p], v[p], x, rows, s, z, r_d))
 
 
 @settings(max_examples=60, deadline=None)
@@ -783,13 +822,9 @@ def assert_steps_are_the_generic_solve(cfg, limits, holds):
             fresh = _Laws(bare.e, bare.w, bare.f[..., None], bare.v[..., None],
                           np.isfinite(bare.v))
             assert all(np.array_equal(getattr(sm._laws, name), getattr(fresh, name)) for name in
-                       ("e", "w", "finite", "e_inv", "e_abs", "scale", "rows", "w_unit",
-                        "w_unit_abs"))
+                       ("e", "w", "finite", "e_inv", "e_abs", "e_rows", "scale", "floor", "rows",
+                        "w_unit", "w_unit_abs"))
             x_free = -fresh.e_inv @ bare.f[:, :, None]
-            tick = (bare.f[:, :, None], bare.v[:, :, None], x_free)
-            ours, theirs = _StopTest.of(sm._laws, *tick), _StopTest.of(fresh, *tick)
-            assert all(np.array_equal(getattr(ours, name), getattr(theirs, name))
-                       for name in ("v", "w_abs", "v_abs", "dual", "multiplier"))
             # a free tick (no row broken at x_free) forms no QP: its step is
             # the bare solve's, bit for bit
             free = ((bare.w @ x_free)[..., 0] - bare.v <= 1e-12).all()
@@ -860,24 +895,17 @@ def test_step_is_the_generic_solve_bit_for_bit(data):
     assert_steps_are_the_generic_solve(*generic_solve_case(data))
 
 
-def eager_stop_test(*args, _of=_StopTest.of):
-    """_StopTest.of with its scaled bounds and scales formed at once and its
-    scales read by every verdict, as a test that is not bounded reads them."""
-    test = _of(*args)
-    _ = test.v, test.v_abs, test.dual, test.multiplier
-    test.bounded = False
-    return test
-
-
 def assert_lazy_steps_as_eager(cfg, limits, targets, pair=None):
     """A smoother stepped toward each of targets and its twin stepped with
-    eager_stop_test give the same StepResult and SmootherState, bit for bit;
-    returns the two (new ones, or those of `pair`)."""
+    its law rounds decided by on_laws_oracle, which forms every size of the
+    stop test at every candidate's point, give the same StepResult and
+    SmootherState, bit for bit; returns the two (new ones, or those of
+    `pair`)."""
     lazy, eager = pair or [TwistSmoother(cfg, limits, UnitDualQuaternion.identity())
                            for _ in range(2)]
     for target in targets:
         step = lazy.step(target)
-        with mock.patch.object(_StopTest, "of", eager_stop_test):
+        with mock.patch.object(mpc, "_on_laws", on_laws_oracle):
             twin = eager.step(target)
         for name in ("twist", "delta_u", "iterations", "converged", "active_count",
                      "max_violation"):
@@ -898,9 +926,10 @@ def assert_same_state(state: SmootherState, expected: SmootherState) -> None:
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_lazy_scales_step_as_eager_ones_bit_for_bit(data):
-    # the stop test forms its scales on first read and reads them only
-    # where a verdict depends on them: a step takes the same verdicts,
-    # points and multipliers as one whose test formed them at once
+    # the stop test forms a candidate's sizes only where its verdict
+    # depends on them (the shortcuts of _verdict): a step takes the same
+    # verdicts, points and multipliers as one that forms every size of
+    # every candidate
     cfg, limits, holds = generic_solve_case(data)
     assert_lazy_steps_as_eager(cfg, limits, [t for t, hold in holds for _ in range(hold)])
 
@@ -1062,7 +1091,7 @@ def test_a_free_tick_forms_no_qp(monkeypatch):
     # calls neither solve_qp nor the stop test nor a law, and mpc.exp (which
     # perfbench/tracing.py counts) once
     calls = []
-    for owner, name in ((mpc, "solve_qp"), (mpc._StopTest, "of"), (mpc._Laws, "of"),
+    for owner, name in ((mpc, "solve_qp"), (mpc, "_verdict"), (mpc._Laws, "of"),
                         (mpc, "exp")):
         def counted(*args, _name=name, _fn=getattr(owner, name), **kwargs):
             calls.append(_name)
@@ -1078,39 +1107,54 @@ def test_a_free_tick_forms_no_qp(monkeypatch):
         assert not sm.state.working_set.any()
 
 
-def counted_scales(monkeypatch) -> list:
-    """Patch the stop test's scaled bounds and scales to record each one's
-    name as it is formed."""
-    formed = []
-    for name in ("v", "dual", "multiplier"):
-        def counted(test, _name=name, _form=getattr(_StopTest, name).func):
-            formed.append(_name)
-            return _form(test)
-        scale = functools.cached_property(counted)
-        scale.__set_name__(_StopTest, name)
-        monkeypatch.setattr(_StopTest, name, scale)
-    return formed
+class ReadCounted(np.ndarray):
+    """A view of an array that counts the item reads made through it."""
+
+    def __getitem__(self, key):
+        self.reads += 1
+        return np.asarray(self)[key]
+
+
+def recorded_verdicts(monkeypatch) -> list:
+    """Patch _verdict to record, per call, its d, whether its a meets the
+    floor, its verdict and whether it read its problem's rows that can
+    activate (to form its scaled bounds) and its unit rows (to form its
+    sizes)."""
+    calls, verdict = [], mpc._verdict
+
+    def recorded(laws, *args):
+        arrays = laws.rows, laws.w_unit_abs
+        laws.rows, laws.w_unit_abs = views = [a.view(ReadCounted) for a in arrays]
+        for view in views:
+            view.reads = 0
+        try:
+            out = verdict(laws, *args)
+        finally:
+            laws.rows, laws.w_unit_abs = arrays
+        d, a = args[-2:]
+        calls.append((d, a >= laws.floor, out, *(view.reads > 0 for view in views)))
+        return out
+
+    monkeypatch.setattr(mpc, "_verdict", recorded)
+    return calls
 
 
 def test_a_tick_held_in_one_round_forms_no_scales(monkeypatch):
     # smooth-tight seed 1, episode 0, on a stack that starts empty: the stop
-    # test's scaled bounds and its stationarity and multiplier scales are
-    # formed on first read.  A tick that its carried or shifted set settles
-    # in one round forms no scale, and most form no scaled bound either (the
-    # screen reads the law's slacks; only a slack below the floor reads the
-    # bounds); a tick that locates a law for each problem those sets leave
-    # (in one round more) forms no scale either, and the location forms no
-    # scaled bound (it reads the stored laws' slacks, as the screen does),
-    # so only its first round's screen may; a tick that walks forms both
-    # scales once, in its one solve_qp call, or neither (where the law it
-    # holds has its residual and working rows' slacks all at most 1e-10)
-    formed, rounds, solves, located = counted_scales(monkeypatch), [], [], []
+    # test forms a candidate's scaled bounds and sizes, its own problem's at
+    # its point, only where its verdict depends on them (_verdict).  A tick
+    # that its carried or shifted set settles in one round forms no size,
+    # and most form no scaled bound either (only a slack below the floor
+    # reads them, for its early reject); so does a tick that locates a law
+    # for each problem those sets leave (in one round more; the location
+    # decides no candidate) and a tick that walks
+    calls, rounds, solves, located = recorded_verdicts(monkeypatch), [], [], []
     of, solve, locate = mpc._Laws.of, mpc.solve_qp, mpc._Laws.locate
 
     def recorded(laws, problems, *args):
-        before = len(formed)
+        before = len(calls)
         found = locate(laws, problems, *args)
-        assert len(formed) == before
+        assert len(calls) == before
         located.append(len(found) == len(problems))
         return found
 
@@ -1118,25 +1162,21 @@ def test_a_tick_held_in_one_round_forms_no_scales(monkeypatch):
     monkeypatch.setattr(mpc._Laws, "locate", recorded)
     monkeypatch.setattr(mpc, "solve_qp", lambda *args, **kw: solves.append(1) or solve(*args, **kw))
     sm = TwistSmoother(MpcConfig(), limits_of(acc=1.0, jerk=50.0), UnitDualQuaternion.identity())
-    held = bare = found = found_bare = walked = 0
+    counts = {"one round": [0, 0], "located": [0, 0], "walked": [0, 0]}
     for ref in smooth_tight_references([1, 0]):
-        for calls in (formed, rounds, solves, located):
-            calls.clear()
+        for recorded_calls in (calls, rounds, solves, located):
+            recorded_calls.clear()
         step = sm.step(ref)
         assert step.converged and step.iterations == 0
-        if len(rounds) == 1:
-            held += 1
-            bare += formed == []
-            assert formed in ([], ["v"]) and located == []
-        elif located == [True]:
-            found += 1
-            found_bare += formed == []
-            assert formed in ([], ["v"]) and len(rounds) == 2
-        elif rounds:
-            walked += 1
-            scales = sorted(name for name in formed if name != "v")
-            assert scales in ([], ["dual", "multiplier"]) and len(solves) == 1
-    assert (held, bare, found, found_bare, walked) == (177, 164, 12, 9, 11)
+        assert not any(sizes for *_, sizes in calls)
+        if rounds:
+            assert len(solves) == 1
+            kind = ("one round" if len(rounds) == 1 else "located" if located == [True]
+                    else "walked")
+            assert kind != "located" or len(rounds) == 2
+            counts[kind][0] += 1
+            counts[kind][1] += not any(bounds for *_, bounds, _ in calls)
+    assert counts == {"one round": [177, 164], "located": [12, 9], "walked": [11, 7]}
 
 
 def assert_unmoved_by(fault, error, match, sm, twin, target):
@@ -1849,8 +1889,8 @@ def test_walk_solves_like_the_cold_solve(data):
     working = data.draw(arrays(bool, (N_AXES, m), elements=st.booleans()), label="working")
     walks, on_laws = [], mpc._on_laws
 
-    def recorded(laws, theta, test, todo, *rest):
-        walks.append(on_laws(laws, theta, test, todo, *rest))
+    def recorded(*args):
+        walks.append(on_laws(*args))
         return walks[-1]
 
     with mock.patch.object(mpc, "_on_laws", recorded):
@@ -2259,8 +2299,9 @@ def planted_stacks(draw):
     set A: its point x* (scaled by 1, 1e3 or 1e6) and multipliers are drawn,
     and f and V fit them, so that A's law reads them back; the other rows'
     unit slacks are drawn too.  A multiplier or a slack may lie just below
-    0, between test.lowest (or the hypot bound) and -1e-10, and at 1e6 the
-    law's residual and working rows' slacks pass 1e-10 in rounding.  A
+    0, between -1e-10 times the bound on its sizes (or the hypot bound) and
+    -1e-10, and at 1e6 the law's residual and working rows' slacks pass
+    1e-10 in rounding.  A
     slack of 0 leaves a row active with a zero multiplier, so that A with
     that row passes as A does.  The working sets, in a drawn order: A, A
     less a row, A with a row, the empty set, a random set."""
@@ -2343,32 +2384,27 @@ def test_batched_round_is_the_per_candidate_oracle_on_ticks(data):
                                lambda: mpc._axis_qp(*model, cfg, limits))
 
 
-def test_planted_stacks_reach_every_branch_the_arrays_leave():
-    # over 300 planted stacks (derandomized), the round reads a least
-    # multiplier between test.lowest and -1e-10 over its scales, passes a
-    # least slack below the floor on its rows' terms (above the hypot
-    # bound) and fails one, and runs the stop test on a held candidate
-    reached = set()
-    screened, error = mpc._screened, _StopTest.error
-
-    def recorded_screen(laws, test, p, x, z, s, work, d, a):
-        passed = screened(laws, test, p, x, z, s, work, d, a)
-        reached.update({"multiplier"} if d < -1e-10 else set())
-        reached.update({f"slack {passed}"} if d >= -1e-10 and a < laws.floor else set())
-        return passed
-
-    def recorded_error(*args):
-        reached.add("stop test")
-        return error(*args)
+def test_planted_stacks_reach_every_branch_the_arrays_leave(monkeypatch):
+    # over 300 planted stacks (derandomized), the round forms the sizes of a
+    # candidate whose least multiplier lies between -1e-10 times the bound
+    # and -1e-10, passes a least slack below the floor on its sizes (above
+    # the hypot bound) and fails one, and runs the full stop test on a
+    # screened candidate whose residuals the hold on 1e-10 leaves
+    calls, reached = recorded_verdicts(monkeypatch), set()
 
     @settings(max_examples=300, derandomize=True, database=None, deadline=None)
     @given(case=planted_stacks())
     def solve(case):
         solve_qp(case[0], working_sets=case[1])
 
-    with mock.patch.object(mpc, "_screened", recorded_screen), \
-            mock.patch.object(_StopTest, "error", recorded_error):
-        solve()
+    solve()
+    for d, floor, verdict, _, sizes in calls:
+        if sizes and d < -1e-10:
+            reached.add("multiplier")
+        elif sizes and not floor:
+            reached.add(f"slack {verdict is not None}")
+        elif sizes and verdict is not None:
+            reached.add("stop test")
     assert reached == {"multiplier", "slack True", "slack False", "stop test"}
 
 
@@ -2390,25 +2426,77 @@ def test_the_first_of_two_passing_sets_is_held(first):
 
 
 def test_a_law_residual_above_1e_10_is_left_to_the_stop_test():
-    # a taken candidate is held without the stop test only where its law's
-    # stationarity residual and working rows' slacks are all at most 1e-10.
-    # Here f = 0, so x_free = 0 and every stationarity scale is 1, and the
-    # one row's bound lies 1e8 away: the residual E x + W^T lambda of that
-    # row's law rounds to 1.5e-8 and its slack to 0.  The stop test reads
-    # the residual over the scale 1 and fails it, so the problem ends
-    # unconverged in the round that tried the law, at its point and with
-    # its multiplier, as the per-candidate oracle decides
-    e, w, v = np.array([[2.0, 0.3], [0.3, 1.0]]), np.array([[1.0, 0.7]]), np.array([-1e8])
-    qp, row, zeros = QpProblem(e, np.zeros(2), w, v), rows_of(1, [0]), np.zeros((1, 2, 1))
-    laws = _Laws(e[None], w, zeros, v[None, :, None], np.ones((1, 1), dtype=bool))
+    # a taken candidate is held without forming its sizes only where its
+    # law's stationarity residual and working rows' slacks are all at most
+    # 1e-10.  Here (a draw with E's eigenvalues 4.3e-13 and 0.59) the law of
+    # the one row has residual (6.6e-10, 4.4e-10), 2.5e-10 and 2.6e-10 of
+    # the terms at its point, max(1, |E| |x| + |f|) = (2.6, 1.7), and its
+    # slack 2.7e-11 meets the floor: the stop test fails it, so the problem
+    # ends unconverged in the round that tried the law, at its point and
+    # with its multiplier, as the per-candidate oracle decides
+    e = np.array([[0.41004355105921464, 0.2740856409116749],
+                  [0.2740856409116749, 0.18320721874582305]])
+    f, v = np.array([0.49533904403351714, -0.2733683562723095]), np.array([-1.2319165930936304])
+    w = np.array([[-0.04859694550208832, 0.24791250594130776]])
+    qp, row = QpProblem(e, f, w, v), rows_of(1, [0])
+    laws = _Laws(e[None], w, f[None, :, None], v[None, :, None], np.ones((1, 1), dtype=bool))
     x, lam, r_d, z, s = law_terms(laws, laws.of(np.array([0]), row[None])[0][0], np.ones(1))
-    test = _StopTest.of(laws, zeros, v[None, :, None], zeros)
-    assert test.bounded and 1e-10 < np.abs(r_d).max() <= 1e-6 and s.item() <= 1e-10
-    assert test.error(0, x, r_d, s, np.array([0]), z) > 1e-10
+    assert 1e-10 < np.abs(r_d).max() <= 1e-6 and laws.floor <= s.item() <= 1e-10 and z.item() > 0
+    assert verdict_at_point(laws, 0, f, v, x, np.array([0]), s, z, r_d) == (True, False)
     sol = solve_qp(qp, working_sets=[row])
     assert not sol.converged and sol.iterations == 1
     assert same_bits(sol.delta_u, x) and same_bits(sol.lam, np.maximum(lam, 0.0))
     assert_round_is_the_oracle(qp, [row])
+
+
+def test_a_working_slack_above_1e_10_is_left_to_the_stop_test():
+    # the hold's other half: E = 1, f = -1 and the row x <= 1e-8, and a
+    # candidate at x = 0 that holds the row with multiplier 1: its
+    # stationarity residual is 0, but its working row's slack is 1e-8, 1e-8
+    # of its size 1, so the hold on 1e-10 leaves it and the stop test fails
+    # it, as the point verdict does
+    f, v = np.array([-1.0]), np.array([1e-8])
+    laws = _Laws(np.eye(1)[None], np.eye(1), f[None, :, None], v[None, :, None],
+                 np.ones((1, 1), dtype=bool))
+    x, lam, r_d, z, s = np.zeros(1), np.ones(1), np.zeros(1), np.ones(1), v.copy()
+    rows = np.array([0])
+    assert verdict_at_point(laws, 0, f, v, x, rows, s, z, r_d) == (True, False)
+    y = np.concatenate([x, lam, r_d, z, s])
+    assert mpc._verdict(laws, 0, f, v, y, rows, z.min(), s.min()) is False
+
+
+def ill_conditioned_problem(seed: int, draw: int) -> QpProblem:
+    """Draw `draw` of ill_conditioned_draws(seed) as a plain QpProblem."""
+    qp = next(itertools.islice(ill_conditioned_draws(seed), draw, None))
+    return QpProblem(qp.e[0], qp.f[0], qp.w, qp.v[0])
+
+
+@pytest.mark.parametrize("qp", [
+    pytest.param(QpProblem(np.array([[2.0, 0.3], [0.3, 1.0]]), np.zeros(2),
+                           np.array([[1.0, 0.7]]), np.array([-1e8])), id="far-from-x-free"),
+    pytest.param(ill_conditioned_problem(411, 107), id="ill-conditioned-411-107"),
+    pytest.param(ill_conditioned_problem(411, 273), id="ill-conditioned-411-273"),
+])
+def test_a_solution_is_held_on_the_terms_at_its_point(qp):
+    # the stop test measures each residual against the terms of its
+    # equation at the candidate's point, not at x_free.  In the first case
+    # f = 0, so x_free = 0, and the one row's bound lies 1e8 away: the law
+    # of that row holds the solution, about -(5.1e7, 7.1e7), with a
+    # stationarity residual of 1.5e-8 in rounding against terms of about
+    # 1e8 at the point (and of 1 at x_free).  The two draws of seed 411
+    # ended unconverged, at violations of 1.4e-11 and 1.0e-13, under terms
+    # taken at x_free.  Each converges and meets the KKT conditions at its
+    # point: stationarity within 1e-9 of its terms' size, each row within
+    # FEAS_TOL, multipliers at least 0 and complementarity within 1e-9 of
+    # its terms
+    sol = solve_qp(qp)
+    assert sol.converged
+    e, f, w, v, x, lam = qp.e, qp.f, qp.w, qp.v, sol.delta_u, sol.lam
+    size = np.abs(e) @ np.abs(x) + np.abs(f) + np.abs(w).T @ lam + 1.0
+    assert np.all(np.abs(e @ x + f + w.T @ lam) <= 1e-9 * size)
+    slack = v - w @ x
+    assert np.all(slack >= -FEAS_TOL) and np.all(lam >= 0.0)
+    assert np.all(lam * np.abs(slack) <= 1e-9 * (lam * (np.abs(w) @ np.abs(x) + np.abs(v)) + 1.0))
 
 
 def test_a_new_configuration_replaces_the_shared_stack():
