@@ -29,9 +29,9 @@ too: their law is built on first use and kept in the same object, so trying
 a set costs one product, and a smoother that shares a stack starts with the
 laws built before it; a plain QpProblem builds that object on each solve,
 with theta = [1].  A problem whose unconstrained optimum breaks a row tries
-the laws of its working sets: the set the smoother carried from the last
-tick, the same rows one step along the horizon and the two merged, or the
-empty set.  A problem they leave locates its region of the explicit MPC
+the laws of its working sets: on a smoother's tick the one set carried from
+the last tick, a warm start as in qpOASES (Ferreau, Bock & Diehl 2008), or
+the empty set.  A problem they leave locates its region of the explicit MPC
 partition (Bemporad, Morari, Dua & Pistikopoulos 2002; Tondel, Johansen &
 Bemporad 2003) among the laws its stack stored before the call, on the laws'
 own rows: the one law whose multipliers are all at least 0 and whose
@@ -101,7 +101,7 @@ AUG_DIM = 18
 # a QP row, a smoother step and a logged sample exceed a bound only beyond this
 FEAS_TOL = 1e-6
 _KKT_TOL = 1e-10
-_CACHED = 2048 * 96 * 6 * 8  # bytes of 2048 default law slots (a measured run met 453 sets)
+_CACHED = 2048 * 96 * 6 * 8  # bytes of 2048 default law slots (smooth-tight seed 1 stores 95)
 _ONES = np.ones(N_AXES)
 
 
@@ -763,12 +763,13 @@ class SmootherState:
     acceleration and `pose` the integrated smoothed pose.  `working_set`
     marks, per axis, the QP rows that ended the last tick with a positive
     multiplier, none on an axis whose solve did not converge; it only speeds
-    the next solve, and from a state with none marked (the default) the next
-    tick walks from the empty set.  `plan` (not an argument; none until the
-    first step) is, per axis, the first n_c - 1 increments the last tick
-    planned (the last ends it at rest): an axis whose solve does not
-    converge applies the first of this plan shifted one step, with 0
-    appended, which meets every row of its tick (see _axis_qp), or 0.
+    the next solve, which tries it alone, and from a state with none marked
+    (the default) the next tick starts from the empty set.  `plan` (not an
+    argument; none until the first step) is, per axis, the first n_c - 1
+    increments the last tick planned (the last ends it at rest): an axis
+    whose solve does not converge applies the first of this plan shifted
+    one step, with 0 appended, which meets every row of its tick (see
+    _axis_qp), or 0.
     `augmented` and `u_prev` must be finite: the smoother's laws take
     the rows with a finite bound from the limits alone.  A step writes all
     five at once, after its whole tick is computed.
@@ -842,13 +843,6 @@ class TwistSmoother:
                 _stack = key, _axis_qp(*_scalar_prediction(self._model, cfg.n_p, cfg.n_c),
                                        cfg, limits)
             self._laws = _stack[1]
-        # rows run group x step x sign; a step's rows move one step earlier each
-        # tick, and the last step keeps its own: row r of the next tick is row
-        # shift[r] of this one
-        step = np.minimum(np.arange(cfg.n_c) + 1, cfg.n_c - 1)
-        self._shift = (2 * (cfg.n_c * np.arange(3)[:, None, None] + step[:, None])
-                       + np.arange(2)).ravel()
-        self._jerk = np.arange(len(self._shift)) < 2 * cfg.n_c
 
     @property
     def pose(self) -> UnitDualQuaternion:
@@ -864,7 +858,9 @@ class TwistSmoother:
         The tick's QP stack and its unconstrained optimum come from
         _tick_qp.  A tick whose optimum breaks no row (every residual at
         most 1e-12) applies it without calling solve_qp, with the result
-        solve_qp would give; any other tick passes the stack to solve_qp.
+        solve_qp would give; any other tick passes the stack to solve_qp
+        with one working set, the carried one (the empty set where none is
+        carried).
         An axis whose solve did not converge applies the first increment
         of its shifted previous plan (see SmootherState), and the tick
         reports converged False.
@@ -881,7 +877,7 @@ class TwistSmoother:
             raise ValueError(f"target twist must have {N_AXES} components")
         if not np.isfinite(target).all():
             raise ValueError(f"target twist must be finite, got {target.tolist()}")
-        state, rows, laws = self.state, len(self._shift), self._laws
+        state, rows, laws = self.state, 6 * self.cfg.n_c, self._laws
         working = state.working_set
         if working.shape[1] not in (0, rows):
             raise ValueError(f"working set must be 0 or 6 n_c = {rows} rows wide per axis, "
@@ -895,17 +891,7 @@ class TwistSmoother:
             violation = 0.0 if worst < 0.0 else float(_violation(laws, residual).max(initial=0.0))
             working = np.zeros(residual.shape, dtype=bool)
         else:
-            if np.count_nonzero(working):
-                # the carried set, its shift and the two merged: a plan brakes to rest
-                # over its last steps, so the jerk rows of that tail keep their steps
-                # (both must mark them) while the limits it reaches move earlier
-                guesses = np.empty((3, N_AXES, rows), dtype=bool)
-                guesses[0] = working
-                working.take(self._shift, axis=1, out=guesses[1])
-                np.greater(guesses[0].view(np.uint8) + guesses[1].view(np.uint8), self._jerk,
-                           out=guesses[2])
-            else:
-                guesses = np.zeros((1, N_AXES, rows), dtype=bool)
+            guesses = working[None] if working.size else np.zeros((1, N_AXES, rows), dtype=bool)
             sol = solve_qp(qp, working_sets=guesses)
             converged = sol.converged
             if not (converged or np.isfinite(x).all()):

@@ -87,15 +87,17 @@ def generate_path(keypoints, samples_per_segment: int,
     Each of the n-1 segments is sampled at tau in {0, 1/m, ..., 1}; the
     duplicate pose at every junction (a segment start equals the previous
     segment end) is dropped, so the path has m*(n-1) + 1 samples.  m must be
-    an integer and tau_step positive and finite.  Sample k of a segment is
-    sclerp(x_a, x_b, k/m) bit for bit, from the one screw log(x_a^-1 x_b).
+    an integer (not a bool) and tau_step positive and finite.  Sample k of a
+    segment is sclerp(x_a, x_b, k/m) bit for bit, from the one screw
+    log(x_a^-1 x_b).
     """
     keypoints = list(keypoints)
     if len(keypoints) < 2:
         raise ValueError(f"need at least 2 keypoints, got {len(keypoints)}")
-    if not isinstance(samples_per_segment, numbers.Integral):
-        raise ValueError(f"samples_per_segment must be an integer, got {samples_per_segment!r}")
-    m = int(samples_per_segment)
+    count = samples_per_segment  # a bool is an Integral, but no sample count
+    if isinstance(count, bool) or not isinstance(count, numbers.Integral):
+        raise ValueError(f"samples_per_segment must be an integer, got {count!r}")
+    m = int(count)
     if m < 1:
         raise ValueError("samples_per_segment must be >= 1")
     if not 0.0 < tau_step < float("inf"):

@@ -25,7 +25,10 @@ for the shortcuts of ``screwmpc.mpc._verdict``.  The QP's law rounds are
 the fifth: ``on_laws_oracle`` decides each candidate one by one on that
 point verdict, the reference for the batched round of
 ``screwmpc.mpc._on_laws``; the walk step between rounds is not repeated
-here, the oracle calls the solver's own (``screwmpc.mpc._walk``).
+here, the oracle calls the solver's own (``screwmpc.mpc._walk``).  Beside
+the oracles, ``smooth_tight_references`` draws the benchmark's
+``smooth-tight`` references, which the tests and ``reference_runs.py``
+step the smoother through.
 """
 
 from __future__ import annotations
@@ -503,6 +506,19 @@ def failed_solve(solve, axes=slice(None)):
         solved[axes], delta_u[axes] = False, np.nan
         return replace(sol, delta_u=delta_u, solved=solved)
     return failing
+
+
+def smooth_tight_references(seed, ticks: int = 200) -> np.ndarray:
+    """A piecewise-constant reference: one random axis, sign and level in
+    [0.2, 1], held for 20-55 ticks, then the next (the benchmark's
+    smooth-tight draw of episode seed[1] under seed[0])."""
+    rng = np.random.default_rng(seed)
+    refs, k = np.zeros((ticks, 6)), 0
+    while k < ticks:
+        hold = int(rng.integers(20, 56))
+        refs[k:k + hold, rng.integers(6)] = rng.choice((-1.0, 1.0)) * rng.uniform(0.2, 1.0)
+        k += hold
+    return refs
 
 
 # ---------------------------------------------------------------------------

@@ -20,21 +20,33 @@ A change that means to keep the logs byte for byte shows it with
 which prints the SHA-256 of the ``trajectory.csv`` each run (all, or those
 named) writes with the current code, one ``<digest>  <name>`` line per run,
 and leaves the recorded file as it is; run it on both commits and compare.
+The digests also name the smoother-only runs of ``SMOOTHER``, which have no
+log and are not recorded: ``smooth-tight-seed-1`` is the SHA-256 of every
+``StepResult`` field (the pose as its 8 coefficients) and the working set
+each step leaves, over the benchmark's 19 ``smooth-tight`` episodes of seed
+1, a new smoother per episode, all on one QP stack.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 from screwmpc.cli import _random_keypoints
 from screwmpc.config import load_config
+from screwmpc.dualquat import UnitDualQuaternion
 from screwmpc.kinematics import load_robot_model, packaged_model_path
+from screwmpc.mpc import LimitSet, MpcConfig, TwistSmoother
 from screwmpc.screwpath import load_keypoints
 from screwmpc.simulate import run_closed_loop, write_trajectory_csv
+
+from helpers import smooth_tight_references
 
 DATA = Path(__file__).parent / "data"
 REFERENCE = DATA / "reference_runs.json"
@@ -56,6 +68,9 @@ RUNS = {"default-seed-7": ("", 7), "qp-active-seed-1": (QP_ACTIVE, 1),
         # sigma_6 dips to 3.2e-5: the control law's SVD route, where the
         # Jacobian's rounding is amplified most
         "near-singular": (DATA / "near_singular.cfg", None)}
+# name -> (seed, episodes) of the smoother alone under the smooth-tight
+# limits (acc +-1, jerk +-50, velocity unbounded), digested only
+SMOOTHER = {"smooth-tight-seed-1": (1, 19)}
 
 
 def summarize(result) -> dict:
@@ -92,6 +107,24 @@ def digest(name: str, model=None) -> str:
         return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def smoother_digest(name: str) -> str:
+    """SHA-256 of every StepResult field and the working set of each step of
+    smoother run `name` of SMOOTHER (see the module notes)."""
+    seed, episodes = SMOOTHER[name]
+    inf, one = np.full(6, np.inf), np.ones(6)
+    limits = LimitSet(-inf, inf, -one, one, -50.0 * one, 50.0 * one)
+    sha = hashlib.sha256()
+    for episode in range(episodes):
+        smoother = TwistSmoother(MpcConfig(), limits, UnitDualQuaternion.identity())
+        for ref in smooth_tight_references([seed, episode]):
+            step = smoother.step(ref)
+            for field in dataclasses.fields(step):
+                value = getattr(step, field.name)
+                sha.update(np.asarray(value.vec8() if field.name == "pose" else value).tobytes())
+            sha.update(smoother.state.working_set.tobytes())
+    return sha.hexdigest()
+
+
 def main(names: list[str]) -> None:
     model = load_robot_model(packaged_model_path())
     runs = json.loads(REFERENCE.read_text())["runs"] if names else {}
@@ -104,7 +137,7 @@ def main(names: list[str]) -> None:
 if __name__ == "__main__":
     if sys.argv[1:2] == ["--digest"]:
         panda = load_robot_model(packaged_model_path())
-        for name in sys.argv[2:] or RUNS:
-            print(f"{digest(name, panda)}  {name}")
+        for name in sys.argv[2:] or [*RUNS, *SMOOTHER]:
+            print(f"{smoother_digest(name) if name in SMOOTHER else digest(name, panda)}  {name}")
     else:
         main(sys.argv[1:])

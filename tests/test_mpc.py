@@ -47,6 +47,7 @@ from helpers import (
     qp_enumeration_oracle,
     same_bits,
     slacks_at_point,
+    smooth_tight_references,
     stationarity_at_point,
     terminal_elimination,
     verdict_at_point,
@@ -363,13 +364,9 @@ def shifted_rows(working: np.ndarray, n_c: int) -> np.ndarray:
 
 
 def step_guesses(working: np.ndarray, n_c: int) -> tuple:
-    """The working sets a step tries: the carried set, its shift and the two
-    merged (the jerk rows both mark, the others either), or the empty set
+    """The one working set a step tries: the carried set, or the empty set
     where none is carried."""
-    if not working.any():
-        return (np.zeros((N_AXES, 6 * n_c), dtype=bool),)
-    shifted, jerk = shifted_rows(working, n_c), np.arange(6 * n_c) < 2 * n_c
-    return working, shifted, np.where(jerk, working & shifted, working | shifted)
+    return (working if working.any() else np.zeros((N_AXES, 6 * n_c), dtype=bool),)
 
 
 def scalar_tick_parts(cfg, limits):
@@ -677,8 +674,7 @@ def test_carried_working_set_gives_the_cold_step(data, shift):
 def test_smoother_carries_the_working_set_between_ticks():
     # from rest nothing is carried: the tick walks from the empty set.  Each
     # tick leaves the rows that ended with a positive multiplier, the next
-    # tries them, their shift and the two merged (the jerk rows that both
-    # mark, the other rows either marks), and a replaced state walks from the empty
+    # tries that one set alone, and a replaced state walks from the empty
     # set again.  A law holds each of these ticks, which takes no iteration
     solves, solve = [], mpc.solve_qp
 
@@ -700,7 +696,7 @@ def test_smoother_carries_the_working_set_between_ticks():
         third = sm.step(np.full(6, 1.0))
         assert third.converged and third.iterations == 0
     empty = np.zeros((N_AXES, 6 * sm.cfg.n_c), dtype=bool)
-    assert [len(sets) for sets in solves] == [1, 3, 1]
+    assert [len(sets) for sets in solves] == [1, 1, 1]
     assert same_bits(solves[0][0], empty) and same_bits(solves[2][0], empty)
     assert all(same_bits(a, b) for a, b in zip(solves[1], step_guesses(carried, sm.cfg.n_c)))
 
@@ -882,11 +878,11 @@ def test_step_is_the_generic_solve_bit_for_bit(data):
     # infinite on the same rows.  A step solves its tick on the _Laws built
     # once per smoother; the public solve_qp of the same tick as a bare
     # QpProblem builds its own on the call, with the same stop test.  The step
-    # tries the carried and the shifted working set (the empty set where
-    # none is carried), then a law it locates among those its stack stored
-    # before, or walks from them, on the smoother's laws evaluated at its
-    # theta; the bare problem, whose laws are new on each call and locate
-    # nothing, tries the same sets and the step's located ones, and walks,
+    # tries the carried working set (the empty set where none is carried),
+    # then a law it locates among those its stack stored before, or walks
+    # from it, on the smoother's laws evaluated at its theta; the bare
+    # problem, whose laws are new on each call and locate nothing, tries the
+    # same set and the step's located ones, and walks,
     # on its own laws at theta = [1]: the same verdicts and iterations, and
     # points within 1e-9 of each other (at a degenerate vertex the two may
     # hold different rows, with the same point).  A zero jerk bound leaves
@@ -895,24 +891,24 @@ def test_step_is_the_generic_solve_bit_for_bit(data):
     assert_steps_are_the_generic_solve(*generic_solve_case(data))
 
 
-def assert_lazy_steps_as_eager(cfg, limits, targets, pair=None):
+def assert_steps_as_oracle_twin(cfg, limits, targets, pair=None):
     """A smoother stepped toward each of targets and its twin stepped with
     its law rounds decided by on_laws_oracle, which forms every size of the
     stop test at every candidate's point, give the same StepResult and
     SmootherState, bit for bit; returns the two (new ones, or those of
     `pair`)."""
-    lazy, eager = pair or [TwistSmoother(cfg, limits, UnitDualQuaternion.identity())
-                           for _ in range(2)]
+    sm, oracle = pair or [TwistSmoother(cfg, limits, UnitDualQuaternion.identity())
+                          for _ in range(2)]
     for target in targets:
-        step = lazy.step(target)
+        step = sm.step(target)
         with mock.patch.object(mpc, "_on_laws", on_laws_oracle):
-            twin = eager.step(target)
+            twin = oracle.step(target)
         for name in ("twist", "delta_u", "iterations", "converged", "active_count",
                      "max_violation"):
             assert same_bits(getattr(step, name), getattr(twin, name)), name
         assert same_bits(step.pose.vec8(), twin.pose.vec8())
-        assert_same_state(lazy.state, eager.state)
-    return lazy, eager
+        assert_same_state(sm.state, oracle.state)
+    return sm, oracle
 
 
 def assert_same_state(state: SmootherState, expected: SmootherState) -> None:
@@ -925,13 +921,13 @@ def assert_same_state(state: SmootherState, expected: SmootherState) -> None:
 
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
-def test_lazy_scales_step_as_eager_ones_bit_for_bit(data):
+def test_steps_as_an_oracle_twin_bit_for_bit(data):
     # the stop test forms a candidate's sizes only where its verdict
     # depends on them (the shortcuts of _verdict): a step takes the same
     # verdicts, points and multipliers as one that forms every size of
     # every candidate
     cfg, limits, holds = generic_solve_case(data)
-    assert_lazy_steps_as_eager(cfg, limits, [t for t, hold in holds for _ in range(hold)])
+    assert_steps_as_oracle_twin(cfg, limits, [t for t, hold in holds for _ in range(hold)])
 
 
 def no_location(*args):
@@ -945,7 +941,7 @@ def own_stack(cfg, limits) -> TwistSmoother:
     return TwistSmoother(cfg, limits, UnitDualQuaternion.identity())
 
 
-def test_lazy_scales_step_as_eager_ones_on_recorded_walks():
+def test_steps_as_an_oracle_twin_on_recorded_walks():
     # smooth-tight seed 1: episode 0 up to tick 147, whose walk takes 24
     # rounds, and episode 1 up to tick 147, the swaps of
     # test_a_row_that_depends_on_fewer_than_n_working_rows_swaps_in (24
@@ -957,14 +953,14 @@ def test_lazy_scales_step_as_eager_ones_on_recorded_walks():
     with mock.patch.object(mpc._Laws, "of", lambda *args: rounds.append(1) or of(*args)):
         for episode, ticks, walk in ((0, 148, 24), (1, 148, 24)):
             refs = smooth_tight_references([1, episode], ticks)
-            walked = assert_lazy_steps_as_eager(MpcConfig(), limits, refs[:-1])
+            walked = assert_steps_as_oracle_twin(MpcConfig(), limits, refs[:-1])
             rounds.clear()
             with mock.patch.object(mpc._Laws, "locate", no_location):
-                assert_lazy_steps_as_eager(MpcConfig(), limits, refs[-1:], walked)
-            assert len(rounds) == 2 * walk  # the lazy smoother's and its twin's
-            located = assert_lazy_steps_as_eager(MpcConfig(), limits, refs[:-1])
+                assert_steps_as_oracle_twin(MpcConfig(), limits, refs[-1:], walked)
+            assert len(rounds) == 2 * walk  # the smoother's and its twin's
+            located = assert_steps_as_oracle_twin(MpcConfig(), limits, refs[:-1])
             rounds.clear()
-            assert_lazy_steps_as_eager(MpcConfig(), limits, refs[-1:], located)
+            assert_steps_as_oracle_twin(MpcConfig(), limits, refs[-1:], located)
             assert len(rounds) == 2 * 2 and located[0]._laws is walked[0]._laws
             assert_same_state(located[0].state, walked[0].state)
 
@@ -972,16 +968,16 @@ def test_lazy_scales_step_as_eager_ones_on_recorded_walks():
 @pytest.mark.parametrize("limits", [limits_of(acc=1.0, jerk=20.0),
                                     limits_of(vel=1.0, acc=10.0, jerk=20.0)])
 @pytest.mark.parametrize("huge", [3e9, 1e100, 1e150])
-def test_lazy_scales_step_as_eager_ones_on_large_targets(limits, huge):
+def test_steps_as_an_oracle_twin_on_large_targets(limits, huge):
     # targets with scales up to beyond 1e150, still bounded: ticks that
     # converge at 3e9 and end unconverged at 1e100 and 1e150
-    assert_lazy_steps_as_eager(MpcConfig(), limits,
+    assert_steps_as_oracle_twin(MpcConfig(), limits,
                                [np.full(6, 0.3), np.full(6, huge), np.full(6, huge)])
 
 
 def test_step_is_the_generic_solve_at_a_degenerate_vertex():
-    # a draw of the test above: on the 7th tick axis vy's carried and
-    # shifted sets both fail, at a vertex with du_3 = 0 whose x_3 rounds to
+    # a draw of the test above: on the 7th tick axis vy's carried set
+    # fails, at a vertex with du_3 = 0 whose x_3 rounds to
     # -1.7e-17 on the smoother's laws and +2.4e-17 on the bare problem's; a
     # screen and a walk with exact-sign choices can take different paths there
     cfg = MpcConfig(n_c=4, n_p=4, q_weight=np.full(6, 3.84375),
@@ -1043,7 +1039,7 @@ def test_a_free_tick_steps_as_its_solve_qp_bit_for_bit(data):
     # a tick whose optimum breaks no row (some rows at their bound to the
     # last bits) forms no QP, yet its StepResult and the five SmootherState
     # fields it writes are those of solve_qp on the same tick with the
-    # step's working-set guesses, followed by the step's state update (the
+    # step's working set, followed by the step's state update (the
     # plan it stores is the solution), bit for bit, whatever working set and
     # plan it carried in
     n_p = data.draw(st.integers(2, 12), label="n_p")
@@ -1143,11 +1139,11 @@ def test_a_tick_held_in_one_round_forms_no_scales(monkeypatch):
     # smooth-tight seed 1, episode 0, on a stack that starts empty: the stop
     # test forms a candidate's scaled bounds and sizes, its own problem's at
     # its point, only where its verdict depends on them (_verdict).  A tick
-    # that its carried or shifted set settles in one round forms no size,
-    # and most form no scaled bound either (only a slack below the floor
-    # reads them, for its early reject); so does a tick that locates a law
-    # for each problem those sets leave (in one round more; the location
-    # decides no candidate) and a tick that walks
+    # that its carried set settles in one round forms no size, nor a scaled
+    # bound (only a slack below the floor reads them, for its early reject);
+    # a tick that locates a law for each problem that set leaves (in one
+    # round more; the location decides no candidate) forms no size, and
+    # most no scaled bound either, and so does a tick that walks
     calls, rounds, solves, located = recorded_verdicts(monkeypatch), [], [], []
     of, solve, locate = mpc._Laws.of, mpc.solve_qp, mpc._Laws.locate
 
@@ -1176,7 +1172,7 @@ def test_a_tick_held_in_one_round_forms_no_scales(monkeypatch):
             assert kind != "located" or len(rounds) == 2
             counts[kind][0] += 1
             counts[kind][1] += not any(bounds for *_, bounds, _ in calls)
-    assert counts == {"one round": [177, 164], "located": [12, 9], "walked": [11, 7]}
+    assert counts == {"one round": [147, 147], "located": [29, 19], "walked": [24, 14]}
 
 
 def assert_unmoved_by(fault, error, match, sm, twin, target):
@@ -1761,7 +1757,7 @@ def test_step_on_a_huge_target_ends_without_a_warning():
     # unconverged after the rounds they take, on the shifted previous plan
     sm = TwistSmoother(MpcConfig(), limits_of(acc=1.0, jerk=20.0), UnitDualQuaternion.identity())
     assert sm.step(np.full(6, 0.3)).converged
-    for rounds in (2, 3):
+    for rounds in (3, 3):
         expected = fallback_increments(sm.state)
         res = sm.step(np.full(6, 1e159))
         assert (res.converged, res.iterations) == (False, rounds)
@@ -1947,19 +1943,6 @@ def test_a_warm_stack_steps_like_a_cold_one_under_track_tight_limits():
     warm = TwistSmoother(MpcConfig(), limits, UnitDualQuaternion.identity())
     assert warm._laws is other._laws and warm._laws is not cold._laws
     assert_same_steps([warm.step(ref) for ref in refs], cold_steps)
-
-
-def smooth_tight_references(seed, ticks: int = 200) -> np.ndarray:
-    """A piecewise-constant reference: one random axis, sign and level in
-    [0.2, 1], held for 20-55 ticks, then the next (the benchmark's
-    smooth-tight draw of episode seed[1] under seed[0])."""
-    rng = np.random.default_rng(seed)
-    refs, k = np.zeros((ticks, 6)), 0
-    while k < ticks:
-        hold = int(rng.integers(20, 56))
-        refs[k:k + hold, rng.integers(6)] = rng.choice((-1.0, 1.0)) * rng.uniform(0.2, 1.0)
-        k += hold
-    return refs
 
 
 def test_the_law_store_on_a_criterion_6_run():

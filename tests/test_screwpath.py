@@ -195,11 +195,14 @@ def test_generate_path_rejects_bad_inputs():
 @pytest.mark.parametrize("samples, tau_step, match", [
     pytest.param(2.7, 0.01, "samples_per_segment must be an integer, got 2.7", id="fractional"),
     pytest.param(2.0, 0.01, "samples_per_segment must be an integer", id="integral-float"),
+    pytest.param(True, 0.01, "samples_per_segment must be an integer, got True", id="true"),
+    pytest.param(False, 0.01, "samples_per_segment must be an integer, got False", id="false"),
     pytest.param(5, math.inf, "tau_step must be positive and finite", id="inf-tau"),
     pytest.param(5, -math.inf, "tau_step must be positive and finite", id="minus-inf-tau"),
 ])
 def test_generate_path_rejects_bad_sampling(samples, tau_step, match):
-    # 2.7 samples a segment twice and tau_step = inf gives all-zero twists
+    # 2.7 samples a segment twice, True once, and tau_step = inf gives
+    # all-zero twists
     x = random_pose(np.random.default_rng(38))
     with pytest.raises(ValueError, match=match):
         generate_path([x, x], samples, tau_step)
