@@ -96,6 +96,7 @@ __all__ = [
 ]
 
 N_AXES = 6
+_AXIS_NAMES = ("wx", "wy", "wz", "vx", "vy", "vz")
 AUG_DIM = 18
 
 # a QP row, a smoother step and a logged sample exceed a bound only beyond this
@@ -809,6 +810,19 @@ class StepResult:
     max_violation: float
 
 
+def _warn_out_of_reach(cfg: MpcConfig, limits: LimitSet) -> None:
+    """Warn of each axis and sign whose finite acceleration bound exceeds
+    (n_c - 1) T |J|, J the opposing jerk bound (see TwistSmoother)."""
+    reach = (cfg.n_c - 1) * cfg.sample_time
+    pairs = ("+", limits.acc_max, -limits.jerk_min), ("-", -limits.acc_min, limits.jerk_max)
+    out = [f"{name} {sign}{a:.6g} > {reach * j:.6g}" for sign, acc, jerk in pairs
+           for name, a, j in zip(_AXIS_NAMES, acc, jerk) if reach * j < a < math.inf]
+    if out:
+        import logging  # only here: the import costs every process milliseconds
+        logging.getLogger(__name__).warning(
+            "acceleration bounds above (n_c - 1) T |opposing jerk bound|: %s", ", ".join(out))
+
+
 # (configuration bytes, its QP stack): the stack of the smoother built last,
 # which the next smoother of that configuration shares
 _stack: tuple = (None, None)
@@ -825,7 +839,9 @@ class TwistSmoother:
     (renormalized every step to suppress drift).  Construction functions
     are pure; a single logical controller thread advances the state.
     A smoother built right after one of the same configuration shares its
-    QP stack, also across threads.
+    QP stack, also across threads.  One that builds a stack warns through
+    logging of each acceleration bound above (n_c - 1) T |J| (J the opposing
+    jerk bound): a plan's other n_c - 1 increments must bring it back to 0.
     """
 
     def __init__(self, cfg: MpcConfig, limits: LimitSet,
@@ -842,6 +858,7 @@ class TwistSmoother:
             if _stack[0] != key:
                 _stack = key, _axis_qp(*_scalar_prediction(self._model, cfg.n_p, cfg.n_c),
                                        cfg, limits)
+                _warn_out_of_reach(cfg, limits)
             self._laws = _stack[1]
 
     @property

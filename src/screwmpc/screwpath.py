@@ -165,21 +165,14 @@ def load_keypoints(path: str | Path) -> list[UnitDualQuaternion]:
 
 
 def write_keypoints(path: str | Path, keypoints) -> None:
-    lines = ["# keypoints: h1 ... h8 (vec8 pose coefficients)"]
-    lines += [" ".join(map(textio.fmt, k.vec8())) for k in keypoints]
-    textio.write_lines(path, lines)
+    textio.write_records(path, "# keypoints: h1 ... h8 (vec8 pose coefficients)",
+                         [k.vec8() for k in keypoints], sep=" ")
 
 
 def write_path_csv(path: str | Path, discrete: DiscretePath) -> None:
-    lines = [PATH_CSV_HEADER]
-    for s in discrete.samples:
-        coeffs = ",".join(map(textio.fmt, s.pose.vec8()))
-        lines.append(f"{s.index},{s.segment},{textio.fmt(s.tau)},{coeffs}")
-    textio.write_lines(path, lines)
+    textio.write_records(path, PATH_CSV_HEADER, [(s.index, s.segment, s.tau, *s.pose.vec8())
+                                                 for s in discrete.samples])
 
 
 def write_twists_csv(path: str | Path, twists) -> None:
-    lines = [TWIST_CSV_HEADER]
-    for i, xi in enumerate(twists):
-        lines.append(f"{i}," + ",".join(map(textio.fmt, xi.vec6())))
-    textio.write_lines(path, lines)
+    textio.write_records(path, TWIST_CSV_HEADER, [(i, *xi.vec6()) for i, xi in enumerate(twists)])

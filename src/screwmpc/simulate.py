@@ -31,7 +31,7 @@ from .dualquat import log
 from .kinematics import RobotModel, _check_q, _error8, _InnerLoop, _task_map
 # not called here: perfbench/tracing.py wraps these three names in this namespace
 from .kinematics import forward_kinematics, inner_control, pose_error  # noqa: F401
-from .mpc import FEAS_TOL, N_AXES, TwistSmoother
+from .mpc import FEAS_TOL, N_AXES, TwistSmoother, _AXIS_NAMES
 from .screwpath import generate_path, reference_twists
 
 __all__ = [
@@ -44,7 +44,6 @@ __all__ = [
     "verify_trajectory",
 ]
 
-_AXIS_NAMES = ("wx", "wy", "wz", "vx", "vy", "vz")
 _ZERO_TWIST = 1e-12
 # After the reference series ends, the residual gap to the final keypoint is
 # wound down over this many MPC ticks (a gentle pose servo; driving the gap
@@ -189,10 +188,7 @@ def run_closed_loop(cfg: RunConfig, model: RobotModel,
 
 
 def write_trajectory_csv(path: str | Path, result: SimulationResult) -> None:
-    record = textio.record_format(len(result.columns))
-    lines = [",".join(result.columns)]
-    lines += [record % tuple(row) for row in result.rows.tolist()]
-    textio.write_lines(path, lines)
+    textio.write_records(path, ",".join(result.columns), result.rows.tolist())
 
 
 def read_trajectory_csv(path: str | Path) -> tuple[list[str], np.ndarray]:

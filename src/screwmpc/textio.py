@@ -30,17 +30,9 @@ def floats(fields) -> list[float]:
         raise ValueError(f"non-numeric field ({err})") from None
 
 
-_NUMBER = "%.17g"
-
-
-def fmt(x: float) -> str:
-    return _NUMBER % x
-
-
-def record_format(n: int) -> str:
-    """%-format string writing a sequence of n numbers as one comma-separated record."""
-    return ",".join([_NUMBER] * n)
-
-
-def write_lines(path: str | Path, lines) -> None:
+def write_records(path: str | Path, header: str, rows, sep: str = ",") -> None:
+    """Write the header line, then each of the rows (sequences of numbers of
+    one length) as one record of its numbers, %.17g, joined by sep."""
+    record = sep.join(["%.17g"] * len(rows[0])) if rows else ""
+    lines = [header] + [record % tuple(row) for row in rows]
     Path(path).write_text("\n".join(lines) + "\n")

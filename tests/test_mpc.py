@@ -2078,16 +2078,52 @@ def test_evicted_laws_give_the_same_steps(limits, scale, caplog):
     # a cache of 2 laws drops them all once it holds more, and rebuilds them
     # when used: every step is bit for bit the step at the default cap, where
     # no law is dropped, the cache never holds more than 2, and the stack
-    # warns once, the first time it drops the laws
+    # warns once, the first time it drops the laws (the track-tight stacks
+    # also warn of their acceleration bounds when built:
+    # test_a_new_stack_warns_of_acceleration_bounds_out_of_its_reach)
+    def evictions():
+        return [r.getMessage() for r in caplog.records if "solution laws" in r.getMessage()]
+
     refs = scale * smooth_tight_references([1, 0])
     with caplog.at_level("WARNING", logger="screwmpc.mpc"):
         steps, _, built = capped_run(limits, refs, mpc._CACHED // DEFAULT_SLOT)
-        assert not caplog.records
+        assert not evictions()
         capped, held, rebuilt = capped_run(limits, refs, 2)
     assert held <= 2 < len(set().union(*built)) == sum(map(len, built)) < sum(map(len, rebuilt))
     assert_same_steps(capped, steps)
-    assert [r.getMessage() for r in caplog.records] == [
+    assert evictions() == [
         "a QP stack holds more than 2 solution laws: it drops them all, to be rebuilt when used"]
+
+
+def _out_of_reach(signs: str) -> str:
+    """The warning's list for acceleration bounds of 10 out of a reach of 1.62."""
+    return ", ".join(f"{a} {sign}10 > 1.62" for sign in signs
+                     for a in ("wx", "wy", "wz", "vx", "vy", "vz"))
+
+
+@pytest.mark.parametrize("limits, out_of_reach", [
+    # the packaged limits: (10 - 1) 0.009 |jerk| is 1012.5 and 526.5 against 25 and 13
+    (load_config(None).limits, None),
+    # smooth-tight: 4.05 against 1
+    (limits_of(acc=1.0, jerk=50.0), None),
+    # track-tight: 1.62 against 10, on every axis and sign
+    (limits_of(vel=1.0, acc=10.0, jerk=20.0), _out_of_reach("+-")),
+    # the opposing jerk bound sets each sign's reach: 1.62 for +10, 162 for -10
+    (LimitSet(-INF6, INF6, np.full(6, -10.0), np.full(6, 10.0), np.full(6, -20.0),
+              np.full(6, 2000.0)), _out_of_reach("+")),
+], ids=["packaged", "smooth-tight", "track-tight", "opposing-jerk"])
+def test_a_new_stack_warns_of_acceleration_bounds_out_of_its_reach(caplog, limits,
+                                                                  out_of_reach):
+    # a plan's other n_c - 1 increments, each at most T |J| (J the opposing
+    # jerk bound), must bring its acceleration back to 0: the smoother that
+    # builds a stack warns, once, of each axis and sign whose acceleration
+    # bound is above that; a smoother that shares the stack does not warn
+    with caplog.at_level("WARNING", logger="screwmpc.mpc"):
+        for _ in range(2):
+            TwistSmoother(MpcConfig(), limits, UnitDualQuaternion.identity())
+    assert [r.getMessage() for r in caplog.records] == (
+        [] if out_of_reach is None else
+        ["acceleration bounds above (n_c - 1) T |opposing jerk bound|: " + out_of_reach])
 
 
 def test_the_law_store_keeps_its_bytes_at_a_long_horizon():
