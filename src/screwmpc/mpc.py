@@ -184,24 +184,17 @@ def _scalar_model(sample_time: float):
     T = float(sample_time)
     a = np.array([[1.0, T, 0.0], [0.0, 1.0, 0.0], [0.0, 1.0, 1.0]])
     b = np.array([[0.5 * T * T], [T], [T]])
-    c = np.array([[0.0, 0.0, 1.0]])
-    return a, b, c
+    return a, b
 
 
-def _scalar_prediction(model, n_p: int, n_c: int) -> tuple[np.ndarray, np.ndarray]:
-    """Stack C A^k rows into F_s (n_p x 3) and the Toeplitz convolution into Phi_s."""
-    a, b, c = model
-    f = np.zeros((n_p, a.shape[0]))
-    markov = np.zeros(n_p)  # markov[k] = C A^k B
-    ca = c
-    for k in range(n_p):
-        markov[k] = (ca @ b)[0, 0]
-        ca = ca @ a
-        f[k] = ca[0]
-    phi = np.zeros((n_p, n_c))
-    for col in range(n_c):
-        phi[col:, col] = markov[:n_p - col]
-    return f, phi
+def _scalar_prediction(sample_time: float, n_p: int, n_c: int) -> tuple[np.ndarray, np.ndarray]:
+    """F_s (n_p x 3), row k = C A^(k+1) = [0, k + 1, 1] with the output row
+    C = [0, 0, 1], and the Toeplitz Phi_s (n_p x n_c), Phi_s[i, j] = C A^(i-j) B
+    = (i - j + 1) T for i >= j, formed as (i - j) T + T, the sum C A^m B takes."""
+    T, k = float(sample_time), np.arange(n_p)
+    f = np.column_stack([np.zeros(n_p), k + 1.0, np.ones(n_p)])
+    lag = k[:, None] - np.arange(n_c)
+    return f, np.tril(lag * T + T)
 
 
 @dataclass(frozen=True)
@@ -856,7 +849,7 @@ class TwistSmoother:
         global _stack
         with _stack_lock:
             if _stack[0] != key:
-                _stack = key, _axis_qp(*_scalar_prediction(self._model, cfg.n_p, cfg.n_c),
+                _stack = key, _axis_qp(*_scalar_prediction(cfg.sample_time, cfg.n_p, cfg.n_c),
                                        cfg, limits)
                 _warn_out_of_reach(cfg, limits)
             self._laws = _stack[1]
@@ -925,7 +918,7 @@ class TwistSmoother:
                 y = np.where(sol.solved[:, None], y, shifted)
         du = y[:, 0]
 
-        a, b, _ = self._model
+        a, b = self._model
         per_axis = state.augmented.reshape(-1, N_AXES)  # column a: axis a's 3 states
         augmented = (a @ per_axis + b @ du[None]).ravel()
         twist = augmented[-N_AXES:].copy()

@@ -439,7 +439,8 @@ def build_model(sample_time: float):
     augmented (18 states = 12 backward differences + 6 outputs):
     A = [[A_m, 0], [C_m A_m, I]], B = [[B_m], [C_m B_m]], C = [0, I].
     """
-    return tuple(np.kron(m, np.eye(N_AXES)) for m in _scalar_model(sample_time))
+    c = np.array([[0.0, 0.0, 1.0]])
+    return tuple(np.kron(m, np.eye(N_AXES)) for m in (*_scalar_model(sample_time), c))
 
 
 @dataclass(frozen=True)
@@ -450,9 +451,9 @@ class PredictionMatrices:
     phi: np.ndarray  # (6 n_p, 6 n_c), lower block-triangular
 
 
-def build_prediction(model, n_p: int, n_c: int) -> PredictionMatrices:
+def build_prediction(sample_time: float, n_p: int, n_c: int) -> PredictionMatrices:
     """F = kron(F_s, I6) and Phi = kron(Phi_s, I6) from the per-axis prediction."""
-    scalar = _scalar_prediction(_per_axis(*model), n_p, n_c)
+    scalar = _scalar_prediction(sample_time, n_p, n_c)
     return PredictionMatrices(*(np.kron(m, np.eye(N_AXES)) for m in scalar))
 
 

@@ -4,24 +4,21 @@
 #
 #     PYTHONWARNINGS=error bash tests/qp_active_smoke.sh
 #
-# Under the track-tight limits every plan ends at zero acceleration, so
-# every tick's QP is feasible (ROADMAP item 1).  The run goes through the law
-# builds (LAPACK's solve gufunc), the law rounds, the location and the dual
-# steps.  It writes ci-tight-a and ci-tight-b, which must be the same bytes,
-# and fails unless a law holds every QP-active record: one unconverged
-# record, one with qp_iters > 0 (qp_iters counts the law rounds of a solve
-# that did not converge; 156 of the 246 records are QP-active) or fewer than
-# 100 QP-active records fails it, and so does a violation that verify finds.
+# The run is the track-tight run (tests/data/track_tight.cfg) on the
+# keypoints of `--random 4 --seed 1`.  Under its limits every plan ends at
+# zero acceleration, so every tick's QP is feasible (ROADMAP item 1).  The
+# run goes through the law builds (LAPACK's solve gufunc), the law rounds,
+# the location and the dual steps.  It writes ci-tight-a and ci-tight-b,
+# which must be the same bytes, and fails unless a law holds every QP-active
+# record: one unconverged record, one with qp_iters > 0 (qp_iters counts the
+# law rounds of a solve that did not converge; 156 of the 246 records are
+# QP-active) or fewer than 100 QP-active records fails it, and so does a
+# violation that verify finds.
 set -eo pipefail
 
-mkdir -p ci-tight-a
-printf '%s\n' \
-  'limits.vel.min = -1 -1 -1 -1 -1 -1' 'limits.vel.max = 1 1 1 1 1 1' \
-  'limits.acc.min = -10 -10 -10 -10 -10 -10' 'limits.acc.max = 10 10 10 10 10 10' \
-  'limits.jerk.min = -20 -20 -20 -20 -20 -20' 'limits.jerk.max = 20 20 20 20 20 20' \
-  'samples_per_segment = 20' 'max_duration_s = 3' > ci-tight-a/run.cfg
+cfg=tests/data/track_tight.cfg
 for out in ci-tight-a ci-tight-b; do
-  screwmpc simulate --config ci-tight-a/run.cfg --random 4 --seed 1 --out $out
+  screwmpc simulate --config $cfg --random 4 --seed 1 --out $out
 done
 cmp ci-tight-a/trajectory.csv ci-tight-b/trajectory.csv
 python - ci-tight-a/trajectory.csv <<'PY'
@@ -35,4 +32,4 @@ unconverged, walked = int((col('qp_converged') == 0).sum()), int((col('qp_iters'
 print(f'unconverged records: {unconverged}, records with qp_iters > 0: {walked}')
 sys.exit(int(unconverged > 0 or walked > 0 or active < 100))
 PY
-screwmpc verify --config ci-tight-a/run.cfg --out ci-tight-a
+screwmpc verify --config $cfg --out ci-tight-a

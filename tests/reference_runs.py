@@ -1,5 +1,11 @@
 """Closed-loop runs recorded as a reference for refactors of the program.
 
+Each run of ``RUNS`` is a ``simulate`` run: a config file of ``data/`` (or
+the packaged defaults) and either a ``--random 4`` seed or the keypoint
+file the config names.  ``qp-active-seed-1`` and ``near-singular`` both
+run ``data/track_tight.cfg``, the one definition of the track-tight run,
+which the CI smoke runs use too.
+
 A refactor may change the last bits of the logged floating-point output, but
 not what the runs do: ``test_cli.test_closed_loop_matches_the_recorded_runs``
 requires the record counts, stop reasons and flag-column sums recorded in
@@ -55,19 +61,17 @@ FLAGS = ("qp_converged", "qp_active", "singular", "viol_vel", "viol_acc", "viol_
 SAMPLED = ([f"q{j}" for j in range(1, 8)] + [f"xeff_h{j}" for j in range(1, 9)]
            + [f"twist_{a}" for a in ("wx", "wy", "wz", "vx", "vy", "vz")])
 
-TRACK_TIGHT_LIMITS = "".join(
-    f"limits.{group}.{end} = {' '.join([sign + bound] * 6)}\n"
-    for group, bound in (("vel", "1"), ("acc", "10"), ("jerk", "20"))
-    for end, sign in (("min", "-"), ("max", "")))
-# the CI smoke run with the QP active
-QP_ACTIVE = TRACK_TIGHT_LIMITS + "samples_per_segment = 20\nmax_duration_s = 3\n"
+# the track-tight run: perfbench's track-tight limits and run length
+TRACK_TIGHT = DATA / "track_tight.cfg"
 
-# name -> (config text over the packaged defaults, --random 4 seed), or (config
-# file, None) for a run along the keypoint file the config names
-RUNS = {"default-seed-7": ("", 7), "qp-active-seed-1": (QP_ACTIVE, 1),
+# name -> (config file, or None for the packaged defaults; --random 4 seed,
+# or None for the keypoint file the config names)
+RUNS = {"default-seed-7": (None, 7),
+        # the CI smoke run with the QP active
+        "qp-active-seed-1": (TRACK_TIGHT, 1),
         # sigma_6 dips to 3.2e-5: the control law's SVD route, where the
         # Jacobian's rounding is amplified most
-        "near-singular": (DATA / "near_singular.cfg", None)}
+        "near-singular": (TRACK_TIGHT, None)}
 # name -> (seed, episodes) of the smoother alone under the smooth-tight
 # limits (acc +-1, jerk +-50, velocity unbounded), digested only
 SMOOTHER = {"smooth-tight-seed-1": (1, 19)}
@@ -85,18 +89,14 @@ def summarize(result) -> dict:
 
 
 def run(name: str, model=None):
-    """Run `name` of RUNS: `simulate --random 4 --seed <seed>` under its config
-    text, or `simulate --config <file>` for a config file."""
+    """Run `name` of RUNS: `simulate --config <file>`, with `--random 4 --seed
+    <seed>` where it has a seed."""
     source, seed = RUNS[name]
     model = model if model is not None else load_robot_model(packaged_model_path())
-    if seed is None:
-        cfg = load_config(source)
-        return run_closed_loop(cfg, model, load_keypoints(cfg.keypoints))
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "run.cfg"
-        path.write_text(source)
-        cfg = load_config(path)
-    return run_closed_loop(cfg, model, _random_keypoints(model, cfg.q0, 4, seed))
+    cfg = load_config(source)
+    keypoints = (load_keypoints(cfg.keypoints) if seed is None
+                 else _random_keypoints(model, cfg.q0, 4, seed))
+    return run_closed_loop(cfg, model, keypoints)
 
 
 def digest(name: str, model=None) -> str:

@@ -144,13 +144,12 @@ def test_criterion_3_constant_screw_axis():
 
 def test_criterion_4_prediction_equivalence():
     rng = np.random.default_rng(104)
-    model = build_model(0.02)
-    a, b, c = model
+    a, b, c = build_model(0.02)
     worst = 0.0
     for _ in range(50):
         n_p = int(rng.integers(1, 11))
         n_c = int(rng.integers(1, n_p + 1))
-        pred = build_prediction(model, n_p, n_c)
+        pred = build_prediction(0.02, n_p, n_c)
         state0 = rng.normal(size=AUG_DIM)
         du = rng.normal(size=(n_c, 6))
         condensed = pred.f @ state0 + pred.phi @ du.reshape(-1)

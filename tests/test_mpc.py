@@ -144,24 +144,21 @@ def test_model_rejects_bad_sample_time():
 
 
 def test_prediction_single_step():
-    model = build_model(0.01)
-    a, b, c = model
-    pred = build_prediction(model, 1, 1)
+    a, b, c = build_model(0.01)
+    pred = build_prediction(0.01, 1, 1)
     np.testing.assert_allclose(pred.f, c @ a)
     np.testing.assert_allclose(pred.phi, c @ b)
 
 
 def test_prediction_causality_zero_block():
-    model = build_model(0.01)
-    pred = build_prediction(model, 3, 2)
+    pred = build_prediction(0.01, 3, 2)
     np.testing.assert_array_equal(pred.phi[:6, 6:12], np.zeros((6, 6)))
 
 
 def test_prediction_matches_rollout():
-    model = build_model(0.02)
-    a, b, c = model
+    a, b, c = build_model(0.02)
     n_p, n_c = 3, 2
-    pred = build_prediction(model, n_p, n_c)
+    pred = build_prediction(0.02, n_p, n_c)
     rng = np.random.default_rng(51)
     for _ in range(50):
         state0 = rng.normal(size=AUG_DIM)
@@ -177,8 +174,7 @@ def test_prediction_matches_rollout():
 
 
 def test_prediction_shapes():
-    model = build_model(0.009)
-    pred = build_prediction(model, 50, 10)
+    pred = build_prediction(0.009, 50, 10)
     assert pred.f.shape == (300, 18)
     assert pred.phi.shape == (300, 60)
 
@@ -189,8 +185,7 @@ def test_prediction_shapes():
 
 def test_qp_unconstrained_zero_state_zero_target():
     cfg = MpcConfig(n_c=3, n_p=5, sample_time=0.01)
-    model = build_model(cfg.sample_time)
-    pred = build_prediction(model, cfg.n_p, cfg.n_c)
+    pred = build_prediction(cfg.sample_time, cfg.n_p, cfg.n_c)
     qp = build_qp(np.zeros(AUG_DIM), np.zeros(6 * cfg.n_p), pred, cfg,
                   LimitSet.unbounded(), np.zeros(6))
     np.testing.assert_array_equal(qp.f, np.zeros(12))
@@ -205,7 +200,7 @@ def test_qp_hessian_symmetric_positive_definite():
         q = rng.uniform(0.0, 2.0, size=6)
         r = rng.uniform(0.1, 1.0, size=6)
         cfg = MpcConfig(n_c=4, n_p=8, sample_time=0.02, q_weight=q, r_weight=r)
-        pred = build_prediction(build_model(cfg.sample_time), cfg.n_p, cfg.n_c)
+        pred = build_prediction(cfg.sample_time, cfg.n_p, cfg.n_c)
         qp = build_qp(rng.normal(size=AUG_DIM), build_setpoint(rng.normal(size=6), cfg.n_p),
                       pred, cfg, LimitSet.unbounded(), rng.normal(size=6))
         np.testing.assert_allclose(qp.e, qp.e.T, atol=1e-12)
@@ -218,8 +213,7 @@ def test_qp_constraint_rows_tiny_instance():
     # +-identity-patterned pair per step, rows 6r + a of axis a's row r
     cfg = MpcConfig(n_c=2, n_p=2, sample_time=0.1)
     T = cfg.sample_time
-    model = build_model(T)
-    pred = build_prediction(model, 2, 2)
+    pred = build_prediction(T, 2, 2)
     limits = LimitSet(-np.full(6, 1.0), np.full(6, 1.0),
                       -np.full(6, 2.0), np.full(6, 2.0),
                       -np.full(6, 30.0), np.full(6, 30.0))
@@ -298,7 +292,7 @@ def step_and_dense_qp(cfg, limits, state, u_prev, target):
     """The smoother's step from `state` and the dense build_qp of the same tick."""
     smoother = TwistSmoother(cfg, limits, UnitDualQuaternion.identity())
     smoother.state = SmootherState(state.copy(), u_prev.copy(), smoother.pose)
-    pred = build_prediction(build_model(cfg.sample_time), cfg.n_p, cfg.n_c)
+    pred = build_prediction(cfg.sample_time, cfg.n_p, cfg.n_c)
     qp = build_qp(state, build_setpoint(target, cfg.n_p), pred, cfg, limits, u_prev)
     return smoother.step(target), qp
 
@@ -373,7 +367,7 @@ def scalar_tick_parts(cfg, limits):
     """F_s, q_a Phi_s^T and V at rest of a smoother's per-axis QPs, from the
     public prediction and the limits: rows run group (jerk, acceleration,
     velocity) x step x sign, the -min row before the +max row."""
-    pred = build_prediction(build_model(cfg.sample_time), cfg.n_p, cfg.n_c)
+    pred = build_prediction(cfg.sample_time, cfg.n_p, cfg.n_c)
     f_s, phi_s = pred.f[::N_AXES, ::N_AXES], pred.phi[::N_AXES, ::N_AXES]
     T = cfg.sample_time
     lo = np.repeat([T * limits.jerk_min, limits.acc_min, limits.vel_min], cfg.n_c, axis=0)
@@ -401,7 +395,7 @@ def tick_sizes(cfg, limits, state, target, u_prev):
 def increment_forms(cfg):
     """Each axis's E, q_a Phi_s^T Phi_s + r_a I, and the shared W, group x
     step x sign (see _axis_qp), in the n_c increments."""
-    pred = build_prediction(build_model(cfg.sample_time), cfg.n_p, cfg.n_c)
+    pred = build_prediction(cfg.sample_time, cfg.n_p, cfg.n_c)
     n_c, phi_s = cfg.n_c, pred.phi[::N_AXES, ::N_AXES]
     rows = np.vstack([np.eye(n_c), np.tril(np.ones((n_c, n_c))), phi_s[:n_c]])
     return (cfg.q_weight[:, None, None] * phi_s.T @ phi_s + cfg.r_weight[:, None, None]
@@ -1017,7 +1011,7 @@ def free_tick_limits(data, cfg, state, u_prev, target) -> LimitSet:
     laws = TwistSmoother(cfg, LimitSet.unbounded(), UnitDualQuaternion.identity())._laws
     y = _tick_qp(laws, state, target, u_prev).x  # (6, n_c - 1)
     du = y @ terminal_elimination(cfg.n_c).T - u_prev[:, None] * (np.arange(cfg.n_c) == cfg.n_c - 1)
-    f_mat, phi = _scalar_prediction(_scalar_model(cfg.sample_time), cfg.n_p, cfg.n_c)
+    f_mat, phi = _scalar_prediction(cfg.sample_time, cfg.n_p, cfg.n_c)
     values = {"jerk": du / cfg.sample_time, "acc": u_prev[:, None] + np.cumsum(du, axis=1),
               "vel": (f_mat[:cfg.n_c] @ state.reshape(3, N_AXES)).T + du @ phi[:cfg.n_c].T}
     bounds = {}
@@ -1063,7 +1057,7 @@ def test_a_free_tick_steps_as_its_solve_qp_bit_for_bit(data):
     qp = _tick_qp(sm._laws, state, target, u_prev)
     assert (qp.residual <= 1e-12).all()
     sol = solve_qp(qp, working_sets=step_guesses(carried, n_c))
-    a, b, _ = _scalar_model(cfg.sample_time)
+    a, b = _scalar_model(cfg.sample_time)
     du = sol.delta_u[:, 0]
     augmented = (a @ state.reshape(-1, N_AXES) + b @ du[None]).ravel()
     twist = augmented[-N_AXES:]
@@ -1775,7 +1769,7 @@ def smoother_axis_qp() -> QpProblem:
     jerk 50 (n = 10, m = 60): jerk and acceleration rows are active at the
     optimum, the velocity rows (the last 20) are not."""
     cfg = MpcConfig()
-    pred = build_prediction(build_model(cfg.sample_time), cfg.n_p, cfg.n_c)
+    pred = build_prediction(cfg.sample_time, cfg.n_p, cfg.n_c)
     return axis_slice(build_qp(np.zeros(AUG_DIM), build_setpoint(np.full(6, 1.0), cfg.n_p), pred,
                                cfg, limits_of(vel=10.0, acc=1.0, jerk=50.0), np.zeros(6)), 3)
 
@@ -2394,7 +2388,7 @@ def test_batched_round_is_the_per_candidate_oracle_on_ticks(data):
     # and its shift, each solve on a stack of its own: the batched round's
     # bits are the per-candidate loop's
     cfg, limits, state, u_prev, target = draw_tick(data)
-    model = _scalar_prediction(_scalar_model(cfg.sample_time), cfg.n_p, cfg.n_c)
+    model = _scalar_prediction(cfg.sample_time, cfg.n_p, cfg.n_c)
     qp = _tick_qp(mpc._axis_qp(*model, cfg, limits), state, target, u_prev)
     working = data.draw(arrays(bool, qp.v.shape), label="working")
     sets = [solve_qp(QpProblem(qp.e, qp.f, qp.w, qp.v)).lam > 0.0, working,
